@@ -10,11 +10,12 @@ Two tree kernels are provided:
   decay μ. Child sequences are compared with the standard string-subsequence
   dynamic program (cubic in the child-list length per node pair).
 
-Both are computed bottom-up over post-order node lists with per-pair
-memoization; node pairs that cannot match (different label / production) are
-pruned by bucketing before the double loop. Evaluations are pure functions —
-no state is shared between calls, so independent Gram cells can safely be
-computed concurrently.
+Each tree is compiled once per Gram or scoring call into post-order arrays:
+interned label and production ids, child indices and id→node buckets. Both
+kernels run bottom-up over the node pairs the buckets match, memoizing Δ per
+pair; PTK skips the child-sequence DP on 1×1 and all-zero child blocks, whose
+sums are known exactly. Evaluations are pure functions — no state is shared
+between calls, so independent Gram cells can safely be computed concurrently.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -27,8 +28,9 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,10 +106,11 @@ class Example:
     tree_second: SyntaxTree | None = None
 
     def __post_init__(self):
-        if self.label not in (-1, 1):
+        if type(self.label) is not int or self.label not in (-1, 1):
             raise DataError(f"example label must be +1 or -1, got {self.label!r}")
-        if self.original_rank < 1:
-            raise DataError(f"original_rank must be >= 1, got {self.original_rank}")
+        if type(self.original_rank) is not int or self.original_rank < 1:
+            raise DataError(f"original_rank must be an integer >= 1, got "
+                            f"{self.original_rank!r}")
         if self.vec is not None:
             self.vec = np.asarray(self.vec, dtype=np.float64)
             if self.vec.ndim != 1:
@@ -124,9 +127,54 @@ class Example:
 # tree kernels
 # ---------------------------------------------------------------------------
 
-def _postorder_index(tree: SyntaxTree):
-    nodes = list(tree.iter_nodes())
-    return nodes, {id(n): i for i, n in enumerate(nodes)}
+class _Tree(NamedTuple):
+    """A tree compiled for the kernels: per node, in post-order, the ids of
+    its label and its production (-1 for a leaf) and its child indices;
+    buckets maps a label or production id to its nodes, in order. One
+    intern table holds both kinds of id, so they never collide."""
+    labels: list[int]
+    prods: list[int]
+    children: list[tuple[int, ...]]
+    buckets: dict[int, tuple[int, ...]]
+
+
+def _compile(tree: SyntaxTree, ids: dict) -> _Tree:
+    """Compile ``tree`` against the intern table ``ids``, which every tree
+    compared within one call must share."""
+    labels, prods, children = [], [], []
+    buckets = defaultdict(list)
+    done: list[int] = []    # finished subtrees not yet claimed by a parent
+    for i, node in enumerate(tree.iter_nodes()):
+        first_kid = len(done) - len(node.children)
+        kids = tuple(done[first_kid:])
+        done[first_kid:] = [i]
+        label = ids.setdefault(node.label, len(ids))
+        key = (label, tuple(labels[k] for k in kids))
+        prod = ids.setdefault(key, len(ids)) if kids else -1
+        labels.append(label)
+        prods.append(prod)
+        children.append(kids)
+        buckets[label].append(i)
+        if kids:
+            buckets[prod].append(i)
+    return _Tree(labels, prods, children,
+                 {key: tuple(nodes) for key, nodes in buckets.items()})
+
+
+def _stk(t1: _Tree, t2: _Tree, lam: float) -> float:
+    kids2, buckets2 = t2.children, t2.buckets
+    rows: list[dict[int, float]] = []   # rows[i1][i2] = Δ(i1, i2), if matched
+    terms = []
+    for prod, kids in zip(t1.prods, t1.children):
+        row = {}
+        rows.append(row)
+        for i2 in buckets2.get(prod, ()):
+            d = lam
+            for c1, c2 in zip(kids, kids2[i2]):
+                d *= 1.0 + rows[c1].get(c2, 0.0)
+            row[i2] = d
+            terms.append(d)
+    return math.fsum(terms)
 
 
 def stk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4) -> float:
@@ -141,66 +189,69 @@ def stk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4) -> float:
     """
     if not 0.0 < lam <= 1.0:
         raise DataError(f"lambda must be in (0, 1], got {lam}")
-    nodes1, idx1 = _postorder_index(t1)
-    nodes2, idx2 = _postorder_index(t2)
-
-    def production(node):
-        return (node.label, tuple(c.label for c in node.children))
-
-    buckets = defaultdict(list)
-    for i2, n2 in enumerate(nodes2):
-        if n2.children:
-            buckets[production(n2)].append((i2, n2))
-
-    delta: dict[tuple[int, int], float] = {}
-    terms = []
-    for i1, n1 in enumerate(nodes1):
-        if not n1.children:
-            continue
-        for i2, n2 in buckets.get(production(n1), ()):
-            d = lam
-            for c1, c2 in zip(n1.children, n2.children):
-                d *= 1.0 + delta.get((idx1[id(c1)], idx2[id(c2)]), 0.0)
-            delta[(i1, i2)] = d
-            terms.append(d)
-    return math.fsum(terms)
+    ids: dict = {}
+    return _stk(_compile(t1, ids), _compile(t2, ids), lam)
 
 
-def _child_sequence_sum(a, b, lam, delta, idx1, idx2):
+def _subsequence_sum(D: list[list[float]], lam: float) -> float:
     """Σ over pairs of equal-length nonempty child subsequences of
     λ^{span(J1)+span(J2)} · ∏ Δ(paired children), via the subsequence-kernel
-    dynamic program. ``a`` and ``b`` are child tuples of the two nodes."""
-    n, m = len(a), len(b)
+    dynamic program; D[i][j] is Δ of the i-th and j-th children."""
+    if not any(map(any, D)):
+        return 0.0      # every child pair unmatched: no term is nonzero
+    n, m = len(D), len(D[0])
     lam2 = lam * lam
-    D = [[delta.get((idx1[id(a[i])], idx2[id(b[j])]), 0.0) for j in range(m)]
-         for i in range(n)]
     # dps holds DPS_p: the sum over subsequence pairs of length p that END
     # exactly at positions (i, j), weighted by full spans.
-    dps = [[lam2 * D[i][j] for j in range(m)] for i in range(n)]
+    dps = [[lam2 * v for v in row] for row in D]
     terms = [v for row in dps for v in row]
     for p in range(2, min(n, m) + 1):
-        # M accumulates dps with geometric tails: M[i][j] = Σ_{i'≤i, j'≤j}
-        # λ^{i-i'} λ^{j-j'} dps[i'][j']   (computed with a symmetric grouping
-        # so that transposing the arguments transposes M exactly)
-        M = [[0.0] * m for _ in range(n)]
-        for i in range(n):
-            for j in range(m):
-                up = M[i - 1][j] if i else 0.0
-                left = M[i][j - 1] if j else 0.0
-                diag = M[i - 1][j - 1] if i and j else 0.0
-                M[i][j] = dps[i][j] + lam * (up + left) - lam2 * diag
+        # M[i][j+1] = Σ_{i'≤i, j'≤j} λ^{i-i'} λ^{j-j'} dps[i'][j'], for the
+        # entries read below (a symmetric grouping, so that transposing the
+        # arguments transposes M exactly)
+        M, up = [], [0.0] * m
+        for i in range(n - 1):
+            row = [0.0]
+            for j in range(m - 1):
+                row.append(dps[i][j] + lam * (up[j + 1] + row[j])
+                           - lam2 * up[j])
+            M.append(row)
+            up = row
         nxt = [[0.0] * m for _ in range(n)]
         alive = False
         for i in range(1, n):
             for j in range(1, m):
-                if D[i][j] != 0.0 and M[i - 1][j - 1] != 0.0:
-                    v = D[i][j] * (lam2 * M[i - 1][j - 1])
+                if D[i][j] != 0.0 and M[i - 1][j] != 0.0:
+                    v = D[i][j] * (lam2 * M[i - 1][j])
                     nxt[i][j] = v
                     terms.append(v)
                     alive = True
         if not alive:
             break
         dps = nxt
+    return math.fsum(terms)
+
+
+def _ptk(t1: _Tree, t2: _Tree, lam: float, mu: float) -> float:
+    lam2 = lam * lam
+    mu_lam2 = mu * lam * lam    # a childless node; (μλ)λ, not μ(λλ)
+    kids2, buckets2 = t2.children, t2.buckets
+    rows: list[dict[int, float]] = []   # rows[i1][i2] = Δ(i1, i2), if matched
+    terms = []
+    for label, a in zip(t1.labels, t1.children):
+        row = {}
+        rows.append(row)
+        for i2 in buckets2.get(label, ()):
+            b = kids2[i2]
+            if not a or not b:
+                d = mu_lam2
+            elif len(a) == 1 and len(b) == 1:   # the DP's one term is λ²·Δ
+                d = mu * (lam2 + lam2 * rows[a[0]].get(b[0], 0.0))
+            else:
+                D = [[rows[c1].get(c2, 0.0) for c2 in b] for c1 in a]
+                d = mu * (lam2 + _subsequence_sum(D, lam))
+            row[i2] = d
+            terms.append(d)
     return math.fsum(terms)
 
 
@@ -216,27 +267,8 @@ def ptk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4, mu: float = 0.4) -> fl
         raise DataError(f"lambda must be in (0, 1], got {lam}")
     if not 0.0 < mu <= 1.0:
         raise DataError(f"mu must be in (0, 1], got {mu}")
-    nodes1, idx1 = _postorder_index(t1)
-    nodes2, idx2 = _postorder_index(t2)
-
-    buckets = defaultdict(list)
-    for i2, n2 in enumerate(nodes2):
-        buckets[n2.label].append((i2, n2))
-
-    mu_lam2 = mu * lam * lam
-    delta: dict[tuple[int, int], float] = {}
-    terms = []
-    for i1, n1 in enumerate(nodes1):
-        for i2, n2 in buckets.get(n1.label, ()):
-            if n1.children and n2.children:
-                s = _child_sequence_sum(n1.children, n2.children, lam,
-                                        delta, idx1, idx2)
-                d = mu * (lam * lam + s)
-            else:
-                d = mu_lam2
-            delta[(i1, i2)] = d
-            terms.append(d)
-    return math.fsum(terms)
+    ids: dict = {}
+    return _ptk(_compile(t1, ids), _compile(t2, ids), lam, mu)
 
 
 def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
@@ -249,10 +281,10 @@ def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
     return k_xy / math.sqrt(k_xx * k_yy)
 
 
-def _tree_kernel(t1, t2, cfg: KernelConfig) -> float:
+def _tree_kernel(t1: _Tree, t2: _Tree, cfg: KernelConfig) -> float:
     if cfg.tk_kind == "STK":
-        return stk(t1, t2, cfg.lam)
-    return ptk(t1, t2, cfg.lam, cfg.mu)
+        return _stk(t1, t2, cfg.lam)
+    return _ptk(t1, t2, cfg.lam, cfg.mu)
 
 
 def _require_trees(e: Example):
@@ -263,17 +295,29 @@ def _require_trees(e: Example):
         )
 
 
-def _tk_selfs(e: Example, cfg: KernelConfig) -> tuple[float, float]:
-    return (_tree_kernel(e.tree_first, e.tree_first, cfg),
-            _tree_kernel(e.tree_second, e.tree_second, cfg))
+def _prepare(examples, cfg: KernelConfig, ids: dict, selfs: bool) -> list:
+    """Per-call tree state of each example, None when the tree block is off:
+    its two trees compiled against the call's intern table ``ids`` and their
+    self-kernels, or (1.0, 1.0) in their place unless ``selfs``."""
+    if not cfg.use_tk:
+        return [None] * len(examples)
+    for e in examples:
+        _require_trees(e)
+    trees = [(_compile(e.tree_first, ids), _compile(e.tree_second, ids))
+             for e in examples]
+    return [(t1, t2, (_tree_kernel(t1, t1, cfg), _tree_kernel(t2, t2, cfg))
+             if selfs else (1.0, 1.0)) for t1, t2 in trees]
 
 
-def _pair_tk_cached(e_i, e_j, cfg, selfs_i, selfs_j) -> float:
-    k1 = _tree_kernel(e_i.tree_first, e_j.tree_first, cfg)
-    k2 = _tree_kernel(e_i.tree_second, e_j.tree_second, cfg)
+def _pair_tk(p_i, p_j, cfg: KernelConfig) -> float:
+    if p_i is p_j:      # a Gram diagonal cell: its self-kernels are at hand
+        k1, k2 = p_i[2]
+    else:
+        k1 = _tree_kernel(p_i[0], p_j[0], cfg)
+        k2 = _tree_kernel(p_i[1], p_j[1], cfg)
     if cfg.normalize_tk:
-        k1 = normalize_kernel(k1, selfs_i[0], selfs_j[0])
-        k2 = normalize_kernel(k2, selfs_i[1], selfs_j[1])
+        k1 = normalize_kernel(k1, p_i[2][0], p_j[2][0])
+        k2 = normalize_kernel(k2, p_i[2][1], p_j[2][1])
     return k1 + k2
 
 
@@ -285,11 +329,9 @@ def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     cfg.normalize_tk) are summed. With normalization the self-similarity
     pair_tk(e, e) is exactly 2.
     """
-    _require_trees(e_i)
-    _require_trees(e_j)
-    selfs_i = _tk_selfs(e_i, cfg) if cfg.normalize_tk else (1.0, 1.0)
-    selfs_j = _tk_selfs(e_j, cfg) if cfg.normalize_tk else (1.0, 1.0)
-    return _pair_tk_cached(e_i, e_j, cfg, selfs_i, selfs_j)
+    p_i, p_j = _prepare([e_i, e_j], replace(cfg, use_tk=True), {},
+                        cfg.normalize_tk)
+    return _pair_tk(p_i, p_j, cfg)
 
 
 def rbf(u: np.ndarray, v: np.ndarray, gamma: float) -> float:
@@ -326,7 +368,7 @@ def _require_rank(e: Example) -> float:
     return e.rank_value
 
 
-def _cell(e_i, e_j, cfg, selfs_i, selfs_j) -> float:
+def _cell(e_i, e_j, cfg, p_i, p_j) -> float:
     total = 0.0
     if cfg.use_sim:
         u = _require_vec(e_i)
@@ -340,7 +382,7 @@ def _cell(e_i, e_j, cfg, selfs_i, selfs_j) -> float:
         else:
             total += rbf(u, v, _resolve_gamma(cfg, len(u)))
     if cfg.use_tk:
-        total += _pair_tk_cached(e_i, e_j, cfg, selfs_i, selfs_j)
+        total += _pair_tk(p_i, p_j, cfg)
     if cfg.use_rank:
         r_i = _require_rank(e_i)
         r_j = _require_rank(e_j)
@@ -352,35 +394,27 @@ def _cell(e_i, e_j, cfg, selfs_i, selfs_j) -> float:
     return total
 
 
-def _prepare_selfs(examples, cfg):
-    if cfg.use_tk:
-        for e in examples:
-            _require_trees(e)
-        if cfg.normalize_tk:
-            return [_tk_selfs(e, cfg) for e in examples]
-    return [(1.0, 1.0)] * len(examples)
-
-
 def combined_kernel(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     """Sum of the enabled per-block kernels for one example pair."""
-    selfs = _prepare_selfs([e_i, e_j], cfg)
-    return _cell(e_i, e_j, cfg, selfs[0], selfs[1])
+    p_i, p_j = _prepare([e_i, e_j], cfg, {}, cfg.normalize_tk)
+    return _cell(e_i, e_j, cfg, p_i, p_j)
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     """Full kernel matrix G[i][j] = combined_kernel(e_i, e_j, cfg).
 
     Each cell is computed once and mirrored, so the result is exactly
-    symmetric. Tree-kernel self values are computed once per example.
+    symmetric. Tree self-kernels, computed once, also fill the diagonal.
     """
     if not examples:
         raise DataError("gram_matrix requires at least one example")
     n = len(examples)
-    selfs = _prepare_selfs(examples, cfg)
+    prepared = _prepare(examples, cfg, {}, True)
     G = np.empty((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i, n):
-            value = _cell(examples[i], examples[j], cfg, selfs[i], selfs[j])
+            value = _cell(examples[i], examples[j], cfg,
+                          prepared[i], prepared[j])
             G[i, j] = value
             G[j, i] = value
     return G
@@ -388,15 +422,18 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
 
 def kernel_matrix(rows: list[Example], cols: list[Example],
                   cfg: KernelConfig) -> np.ndarray:
-    """Rectangular kernel matrix K[i][j] = combined_kernel(rows[i], cols[j])."""
+    """Rectangular kernel matrix K[i][j] = combined_kernel(rows[i], cols[j]).
+    Each tree is compiled, and its self-kernels computed, once: a column's
+    for the whole call, a row's for its row only."""
     if not rows or not cols:
         raise DataError("kernel_matrix requires non-empty example lists")
-    selfs_r = _prepare_selfs(rows, cfg)
-    selfs_c = _prepare_selfs(cols, cfg)
+    ids: dict = {}
+    prep_c = _prepare(cols, cfg, ids, cfg.normalize_tk)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
     for i, e_i in enumerate(rows):
+        p_i, = _prepare([e_i], cfg, ids, cfg.normalize_tk)
         for j, e_j in enumerate(cols):
-            K[i, j] = _cell(e_i, e_j, cfg, selfs_r[i], selfs_c[j])
+            K[i, j] = _cell(e_i, e_j, cfg, p_i, prep_c[j])
     return K
 
 

@@ -524,6 +524,11 @@ def load_examples(path) -> list[Example]:
 def score_examples(test_examples, model, train_examples,
                    kernel_cfg: KernelConfig) -> np.ndarray:
     """Decision scores of test examples against a trained model's supports."""
+    needed = max(model.support_indices, default=-1) + 1
+    if needed > len(train_examples):
+        raise DataError(
+            f"the model's support indices need at least {needed} training "
+            f"examples, but {len(train_examples)} were given")
     supports = [train_examples[i] for i in model.support_indices]
     if not supports:
         return np.full(len(test_examples), model.bias)

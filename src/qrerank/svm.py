@@ -80,6 +80,8 @@ class TrainedModel:
                            tuple(int(i) for i in self.support_indices))
         if coefs.ndim != 1 or len(coefs) != len(self.support_indices):
             raise DataError("dual_coefs and support_indices differ in length")
+        if any(i < 0 for i in self.support_indices):
+            raise DataError("support indices must be non-negative")
         if not math.isfinite(self.bias):
             raise DataError("bias must be finite")
 

@@ -86,7 +86,6 @@ def parse_bracketed(text: str) -> SyntaxTree:
     naming the byte offset of the offending character.
     """
     n = len(text)
-    i = 0
 
     def skip_ws(j: int) -> int:
         while j < n and text[j].isspace():
@@ -99,39 +98,44 @@ def parse_bracketed(text: str) -> SyntaxTree:
             k += 1
         return text[j:k], k
 
-    def parse_node(j: int) -> tuple[SyntaxTree, int]:
-        # invariant: text[j] == "("
-        j = skip_ws(j + 1)
-        label, j = read_atom(j)
-        if not label:
-            raise TreeParseError("empty node label", _byte_offset(text, j))
-        children: list[SyntaxTree] = []
-        while True:
-            j = skip_ws(j)
-            if j >= n:
-                raise TreeParseError("unbalanced parentheses: missing ')'",
-                                     _byte_offset(text, j))
-            ch = text[j]
-            if ch == ")":
-                if not children:
-                    raise TreeParseError("node has a label but no children",
-                                         _byte_offset(text, j))
-                return SyntaxTree(label, tuple(children)), j + 1
-            if ch == "(":
-                child, j = parse_node(j)
-                children.append(child)
-            else:
-                token, j = read_atom(j)
-                children.append(SyntaxTree(token))
-
-    i = skip_ws(i)
+    i = skip_ws(0)
     if i >= n or text[i] != "(":
         raise TreeParseError("expected '(' to open a tree", _byte_offset(text, i))
-    tree, i = parse_node(i)
-    i = skip_ws(i)
-    if i != n:
-        raise TreeParseError("trailing content after tree", _byte_offset(text, i))
-    return tree
+    # open nodes, innermost last, each with the children read so far; an
+    # explicit stack, so that nesting depth is bounded by memory alone
+    stack: list[tuple[str, list[SyntaxTree]]] = []
+    while True:
+        # invariant: text[i] == "("
+        i = skip_ws(i + 1)
+        label, i = read_atom(i)
+        if not label:
+            raise TreeParseError("empty node label", _byte_offset(text, i))
+        stack.append((label, []))
+        while True:
+            i = skip_ws(i)
+            if i >= n:
+                raise TreeParseError("unbalanced parentheses: missing ')'",
+                                     _byte_offset(text, i))
+            ch = text[i]
+            if ch == "(":
+                break
+            if ch == ")":
+                label, children = stack.pop()
+                if not children:
+                    raise TreeParseError("node has a label but no children",
+                                         _byte_offset(text, i))
+                node = SyntaxTree(label, tuple(children))
+                i += 1
+                if not stack:
+                    i = skip_ws(i)
+                    if i != n:
+                        raise TreeParseError("trailing content after tree",
+                                             _byte_offset(text, i))
+                    return node
+                stack[-1][1].append(node)
+            else:
+                token, i = read_atom(i)
+                stack[-1][1].append(SyntaxTree(token))
 
 
 def to_bracketed(tree: SyntaxTree) -> str:
@@ -139,12 +143,23 @@ def to_bracketed(tree: SyntaxTree) -> str:
 
     ``parse_bracketed(to_bracketed(t)) == t`` for any tree whose root is
     internal. (A bare leaf serializes to its token alone, which is not
-    itself a bracketed expression.)
+    itself a bracketed expression.) Iterative, so any depth serializes.
     """
-    if tree.is_leaf:
-        return tree.label
-    parts = " ".join(to_bracketed(c) for c in tree.children)
-    return f"({tree.label} {parts})"
+    out: list[str] = []
+    stack: list[SyntaxTree | str] = [tree]     # a str is literal output
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf:
+            out.append(item.label)
+        else:
+            out.append(f"({item.label}")
+            stack.append(")")
+            for child in reversed(item.children):
+                stack.append(child)
+                stack.append(" ")
+    return "".join(out)
 
 
 def macro_tree(trees: list[SyntaxTree], root_label: str = "ROOT") -> SyntaxTree:

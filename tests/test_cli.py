@@ -11,6 +11,7 @@ from qrerank.cli import (
 )
 from qrerank.errors import DataError, NumericalError
 from qrerank.pipeline import load_examples
+from qrerank.svm import load_model
 
 from conftest import write_corpus
 
@@ -270,3 +271,28 @@ class TestExitCodes:
                      "--strict", "--gamma", "0.25"])
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_short_train_examples_file_is_2(self, corpora, tmp_path, capsys):
+        train, test = corpora
+        train_ex = tmp_path / "train.ex"
+        test_ex = tmp_path / "test.ex"
+        gram = tmp_path / "g.gram"
+        model = tmp_path / "m.txt"
+        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
+        main(["featurize", "--corpus", str(test), "--out", str(test_ex)])
+        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        main(["train", "--gram", str(gram), "--examples", str(train_ex),
+              "--out", str(model)])
+        # the test file has 15 examples, fewer than the model's largest
+        # support index needs
+        needed = max(load_model(model).support_indices) + 1
+        assert needed > 15
+        capsys.readouterr()
+        code = main(["rerank", "--model", str(model),
+                     "--train-examples", str(test_ex),
+                     "--test-examples", str(test_ex),
+                     "--out", str(tmp_path / "p.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"at least {needed} training examples" in err
+        assert "15 were given" in err

@@ -380,7 +380,228 @@ class TestExampleValidation:
         with pytest.raises(DataError):
             Example(query_id="q", candidate_id="c", label=1, original_rank=0)
 
+    @pytest.mark.parametrize("label", [True, 1.0, "1", np.int64(1)])
+    def test_non_int_label_rejected(self, label):
+        with pytest.raises(DataError, match="label"):
+            Example(query_id="q", candidate_id="c", label=label,
+                    original_rank=1)
+
+    @pytest.mark.parametrize("rank", [True, 1.0, "1", np.int64(1)])
+    def test_non_int_rank_rejected(self, rank):
+        with pytest.raises(DataError, match="original_rank"):
+            Example(query_id="q", candidate_id="c", label=1,
+                    original_rank=rank)
+
     def test_non_finite_vec_rejected(self):
         with pytest.raises(DataError):
             Example(query_id="q", candidate_id="c", label=1, original_rank=1,
                     vec=np.array([1.0, np.nan]))
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of the compiled engine: oracles, golden values, deep trees
+# ---------------------------------------------------------------------------
+
+# tree pairs that drive each branch of the PTK Δ loop
+BRANCH_PAIRS = {
+    # parse-shaped trees: 1×1, general and all-zero child blocks mixed
+    "parse": ("(S (NP (DT the) (NN visa)) (VP (VB renew) (NP (DT the) "
+              "(NN permit))) (. ?))",
+              "(S (NP (NN visa)) (VP (VB get) (NP (DT a) (NN visa) (PP (IN in) "
+              "(NP (NN qatar))))) (. ?))"),
+    # unary chains: every internal match is a 1×1 block
+    "chain": ("(A (B (C (D (E x)))))", "(A (B (C (D (E y)))))"),
+    # the S pair's children all differ: an all-zero 2×2 block
+    "zero_block": ("(S (X a) (Y b))", "(S (Z a) (W b))"),
+    # leaf tokens equal to internal labels pair with internal nodes
+    "leaf_label": ("(NP (NN NP) (NP dog))", "(NP (NP NN) (NN dog) (NP NP))"),
+    # nodes with 5 and 6 children
+    "wide": ("(S (A a) (B b) (A c) (C d) (B e) (D f))",
+             "(S (B b) (A a) (C d) (A a) (B e))"),
+    # a repeated-label chain against a shorter one: 1×1 blocks whose child
+    # pair is an internal node against a leaf
+    "repeated_chain": ("(A (A (A (A a))))", "(A (A (A a)))"),
+}
+PARAMS = [(1.0, 1.0), (0.4, 0.4), (0.9, 0.2)]
+
+
+class TestFastPathOracles:
+    @pytest.mark.parametrize("name", sorted(BRANCH_PAIRS))
+    @pytest.mark.parametrize("lam,mu", PARAMS)
+    def test_ptk_matches_bruteforce(self, name, lam, mu):
+        a, b = (t(s) for s in BRANCH_PAIRS[name])
+        for t1, t2 in ((a, b), (a, a), (b, b)):
+            assert ptk(t1, t2, lam, mu) == pytest.approx(
+                ptk_bruteforce(t1, t2, lam, mu), rel=1e-12, abs=1e-12)
+        assert ptk(a, b, lam, mu) == ptk(b, a, lam, mu)
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_PAIRS))
+    @pytest.mark.parametrize("lam", [1.0, 0.4])
+    def test_stk_matches_bruteforce(self, name, lam):
+        a, b = (t(s) for s in BRANCH_PAIRS[name])
+        for t1, t2 in ((a, b), (a, a), (b, b)):
+            assert stk(t1, t2, lam) == pytest.approx(
+                stk_bruteforce(t1, t2, lam), rel=1e-12, abs=1e-12)
+
+    def test_random_wide_and_unary_trees_match_bruteforce(self):
+        # a root with 5 or 6 children, each a unary chain of 0 to 2 nodes
+        # over a leaf; "A" is both a token and a label
+        rng = make_rng(307)
+
+        def chain(depth):
+            node = SyntaxTree(str(rng.choice(["a", "b", "A"])))
+            for _ in range(depth):
+                node = SyntaxTree(str(rng.choice(["A", "B"])), (node,))
+            return node
+
+        def wide():
+            return SyntaxTree("S", tuple(chain(int(rng.integers(0, 3)))
+                                         for _ in range(rng.integers(5, 7))))
+
+        for _ in range(10):
+            t1, t2 = wide(), wide()
+            for lam, mu in PARAMS:
+                assert ptk(t1, t2, lam, mu) == pytest.approx(
+                    ptk_bruteforce(t1, t2, lam, mu), rel=1e-12, abs=1e-12)
+
+
+def H(text):
+    return float.fromhex(text)
+
+
+# Values computed by the per-pair evaluation that predates tree compilation;
+# the compiled engine must reproduce them bit for bit.
+PTK = {
+    ("parse", 0.4, 0.4): H("0x1.697473351b5c7p+0"),
+    ("parse", 1.0, 1.0): H("0x1.6200000000000p+7"),
+    ("parse", 0.9, 0.2): H("0x1.f19c8a2e5316ap+1"),
+    ("chain", 0.4, 0.4): H("0x1.594c4885f819fp-2"),
+    ("chain", 1.0, 1.0): H("0x1.e000000000000p+3"),
+    ("chain", 0.9, 0.2): H("0x1.dbc2adc420176p-1"),
+    ("zero_block", 0.4, 0.4): H("0x1.89374bc6a7efcp-3"),
+    ("zero_block", 1.0, 1.0): H("0x1.8000000000000p+1"),
+    ("zero_block", 0.9, 0.2): H("0x1.f1a9fbe76c8b6p-2"),
+    ("leaf_label", 0.4, 0.4): H("0x1.f606f8dcbbfe8p-1"),
+    ("leaf_label", 1.0, 1.0): H("0x1.5000000000000p+4"),
+    ("leaf_label", 0.9, 0.2): H("0x1.4846e6bf494f1p+1"),
+    ("wide", 0.4, 0.4): H("0x1.04d4a63f77632p+0"),
+    ("wide", 1.0, 1.0): H("0x1.d800000000000p+6"),
+    ("wide", 0.9, 0.2): H("0x1.6f8139f385683p+1"),
+}
+STK = {
+    ("parse", 0.4): H("0x1.3126e978d4fdfp+1"),
+    ("parse", 1.0): H("0x1.0000000000000p+3"),
+    ("chain", 0.4): H("0x1.1de69ad42c3cap+1"),
+    ("chain", 1.0): H("0x1.4000000000000p+3"),
+    ("zero_block", 0.4): H("0x0.0p+0"),
+    ("zero_block", 1.0): H("0x0.0p+0"),
+    ("leaf_label", 0.4): H("0x0.0p+0"),
+    ("leaf_label", 1.0): H("0x0.0p+0"),
+    ("wide", 0.4): H("0x1.0000000000000p+1"),
+    ("wide", 1.0): H("0x1.4000000000000p+2"),
+}
+GRAM_PTK = [
+    [H("0x1.0000000000000p+2"), H("0x1.8b2fe3c7f8186p+1"),
+     H("0x1.3c023103a5618p+0")],
+    [H("0x1.8b2fe3c7f8186p+1"), H("0x1.a000000000000p+1"),
+     H("0x1.241607d3753ccp+0")],
+    [H("0x1.3c023103a5618p+0"), H("0x1.241607d3753ccp+0"),
+     H("0x1.8e38e38e38e39p+1")],
+]
+KMAT_PTK = [
+    [H("0x1.0a833e3c1bcf9p+0"), H("0x1.06acdbae500c2p+0"),
+     H("0x1.6e9f59ecd1c31p+1")],
+    [H("0x1.0000000000000p+2"), H("0x1.8b2fe3c7f8186p+1"),
+     H("0x1.3c023103a5618p+0")],
+]
+GRAM_STK = [
+    [H("0x1.c41acdb443e2fp+6"), H("0x1.6b2b020c49ba6p+3"),
+     H("0x0.0p+0")],
+    [H("0x1.6b2b020c49ba6p+3"), H("0x1.12a07c4fc71c7p+8"),
+     H("0x0.0p+0")],
+    [H("0x0.0p+0"), H("0x0.0p+0"),
+     H("0x1.4b3ea0ba1f4b2p+4")],
+]
+KMAT_STK = [
+    [H("0x0.0p+0"), H("0x0.0p+0"),
+     H("0x1.049c779a6b50bp+3")],
+    [H("0x1.c41acdb443e2fp+6"), H("0x1.6b2b020c49ba6p+3"),
+     H("0x0.0p+0")],
+]
+
+
+def golden_examples():
+    trees = [s for pair in BRANCH_PAIRS.values() for s in pair]
+    return [Example(query_id=f"q{k // 2}", candidate_id=f"c{k}",
+                    label=1 - 2 * (k % 2), original_rank=k + 1,
+                    vec=np.array([0.25 * k, 0.5, 1.0 - 0.125 * k]),
+                    rank_value=1.0 / (k + 1), tree_first=t(trees[k]),
+                    tree_second=t(trees[9 - k]))
+            for k in range(4)]
+
+
+GOLDEN_CONFIGS = {
+    "PTK": KernelConfig(use_tk=True, use_rank=True),
+    "STK": KernelConfig(use_tk=True, tk_kind="STK", lam=0.9,
+                        normalize_tk=False, use_sim=False),
+}
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("key", sorted(PTK))
+    def test_ptk(self, key):
+        name, lam, mu = key
+        a, b = (t(s) for s in BRANCH_PAIRS[name])
+        assert ptk(a, b, lam, mu) == PTK[key]
+
+    @pytest.mark.parametrize("key", sorted(STK))
+    def test_stk(self, key):
+        name, lam = key
+        a, b = (t(s) for s in BRANCH_PAIRS[name])
+        assert stk(a, b, lam) == STK[key]
+
+    @pytest.mark.parametrize("kind,gram,kmat", [("PTK", GRAM_PTK, KMAT_PTK),
+                                                ("STK", GRAM_STK, KMAT_STK)])
+    def test_gram_and_kernel_matrix(self, kind, gram, kmat):
+        ex = golden_examples()
+        cfg = GOLDEN_CONFIGS[kind]
+        assert gram_matrix(ex[:3], cfg).tolist() == gram
+        assert kernel_matrix(ex[3:] + ex[:1], ex[:3], cfg).tolist() == kmat
+
+
+def deep_chain(depth, leaf="x"):
+    """A unary chain N{depth-1} → … → N0 → leaf, built without recursion."""
+    tree = SyntaxTree(leaf)
+    for k in range(depth):
+        tree = SyntaxTree(f"N{k}", (tree,))
+    return tree
+
+
+class TestDeepTrees:
+    DEPTH = 1200
+
+    def test_ptk_and_stk_on_a_deep_chain(self):
+        tree = deep_chain(self.DEPTH)
+        lam, mu = 0.4, 0.4
+        # distinct labels: only same-depth nodes match, each Δ a 1×1 block
+        d_ptk = [mu * lam * lam]
+        d_stk = [lam]
+        for _ in range(self.DEPTH - 1):
+            d_ptk.append(mu * (lam * lam + lam * lam * d_ptk[-1]))
+            d_stk.append(lam * (1.0 + d_stk[-1]))
+        d_ptk.append(mu * (lam * lam + lam * lam * d_ptk[-1]))
+        assert ptk(tree, tree, lam, mu) == pytest.approx(math.fsum(d_ptk),
+                                                         rel=1e-12)
+        assert stk(tree, tree, lam) == pytest.approx(math.fsum(d_stk),
+                                                     rel=1e-12)
+        other = deep_chain(self.DEPTH, leaf="y")
+        assert ptk(tree, other, lam, mu) == ptk(other, tree, lam, mu)
+
+    def test_gram_on_deep_chains(self):
+        ex = [example_with_trees(deep_chain(self.DEPTH, leaf),
+                                 deep_chain(self.DEPTH // 2, leaf),
+                                 cid=f"c{leaf}") for leaf in ("x", "y")]
+        G = gram_matrix(ex, KernelConfig(use_tk=True, use_sim=False))
+        assert np.array_equal(G, G.T)
+        assert G[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert 0.0 < G[0, 1] < 2.0

@@ -23,7 +23,7 @@ from qrerank.pipeline import (
     task_cutoff,
 )
 from qrerank.rankeval import rerank
-from qrerank.svm import TrainConfig, train_smo
+from qrerank.svm import TrainConfig, TrainedModel, train_smo
 from qrerank.treebank import to_bracketed
 
 from conftest import corpus_row, write_corpus, write_jsonl
@@ -433,6 +433,18 @@ class TestExampleFiles:
         with pytest.raises(DataError, match=":1.*missing field"):
             load_examples(path)
 
+    @pytest.mark.parametrize("field", ["label", "original_rank"])
+    def test_bool_label_or_rank_named_with_line(self, tmp_path, field):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "tree_first": None, "tree_second": None}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps({**record, field: True}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"examples.jsonl:2: .*{field}"):
+            load_examples(path)
+
 
 class TestGroupsAndScoring:
     def build(self, tmp_path):
@@ -473,6 +485,13 @@ class TestGroupsAndScoring:
             expected = [c.candidate_id for c in sorted(
                 group.candidates, key=lambda c: c.original_rank)]
             assert rerank(group) == expected
+
+    def test_score_examples_rejects_short_train_list(self, tmp_path):
+        examples = self.build(tmp_path)
+        model = TrainedModel(support_indices=(0, 11),
+                             dual_coefs=np.array([1.0, -1.0]), bias=0.0)
+        with pytest.raises(DataError, match="at least 12 .* but 11 were"):
+            score_examples(examples, model, examples[:11], RunConfig().kernel)
 
     def test_score_examples_matches_manual_kernel_sum(self, tmp_path):
         examples = self.build(tmp_path)

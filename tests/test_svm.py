@@ -184,6 +184,11 @@ class TestValidation:
         with pytest.raises(DataError):
             train_smo(np.eye(2), [1, 0], TrainConfig())
 
+    def test_negative_support_index_rejected(self):
+        with pytest.raises(DataError, match="non-negative"):
+            TrainedModel(support_indices=(0, -1),
+                         dual_coefs=np.array([0.5, -0.5]), bias=0.0)
+
     def test_config_validated(self):
         with pytest.raises(DataError):
             TrainConfig(C=0.0)

@@ -91,6 +91,33 @@ class TestSerialize:
         assert to_bracketed(t) == to_bracketed(t)
 
 
+class TestDeepNesting:
+    DEPTH = 1200
+
+    def chain_text(self):
+        return ("".join(f"(N{k} " for k in range(self.DEPTH)) + "x"
+                + ")" * self.DEPTH)
+
+    def test_deep_chain_round_trips(self):
+        text = self.chain_text()
+        tree = parse_bracketed(text)
+        labels = [node.label for node in tree.iter_nodes()]
+        assert labels == ["x"] + [f"N{k}" for k in reversed(range(self.DEPTH))]
+        assert to_bracketed(tree) == text
+
+    def test_deep_chain_built_in_code_serializes(self):
+        tree = SyntaxTree("x")
+        for k in reversed(range(self.DEPTH)):
+            tree = SyntaxTree(f"N{k}", (tree,))
+        assert to_bracketed(tree) == self.chain_text()
+
+    def test_deep_unbalanced_input_names_offset(self):
+        text = self.chain_text()[:-1]
+        with pytest.raises(TreeParseError, match="missing '\\)'") as info:
+            parse_bracketed(text)
+        assert info.value.offset == len(text)
+
+
 class TestMacroTree:
     def test_joins_under_fresh_root(self):
         s1 = parse_bracketed("(S (A a))")
