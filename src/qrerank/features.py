@@ -20,9 +20,11 @@ parallel.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -151,52 +153,80 @@ def cosine(A: Counter, B: Counter) -> float:
     """Cosine of the two count vectors; 0 if either is empty."""
     if not A or not B:
         return 0.0
-    dot = sum(c * B[g] for g, c in A.items())
-    norm_a = math.sqrt(sum(c * c for c in A.values()))
-    norm_b = math.sqrt(sum(c * c for c in B.values()))
+    dot = sum(c * B[g] for g, c in A.items() if g in B)
+    norm_a = math.sqrt(sum(map(operator.mul, A.values(), A.values())))
+    norm_b = math.sqrt(sum(map(operator.mul, B.values(), B.values())))
     return dot / (norm_a * norm_b)
+
+
+def _match_masks(seq) -> dict:
+    """Element -> bitmask of its positions in ``seq`` (bit j = position j)."""
+    masks: dict = {}
+    for j, y in enumerate(seq):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    return masks
+
+
+def _lcs_length(a, b_masks: dict, len_b: int) -> int:
+    """LCS length of ``a`` and a sequence ``b`` given by its match masks.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit j of ``v`` is 0 when
+    column j of the DP row steps up, so the length is the count of zeros. One
+    big-int update per element of ``a``; the result is the exact integer the
+    quadratic DP gives.
+    """
+    full = (1 << len_b) - 1
+    v = full
+    for x in a:
+        m = b_masks.get(x)
+        if m is not None:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len_b - v.bit_count()
 
 
 def lcs_sim(a, b) -> float:
     """Longest-common-subsequence length over max(len_a, len_b).
 
     Works on any hashable-element sequences (token sequences or n-gram
-    sequences). Returns 0 when either side is empty.
+    sequences). Returns 0 when either side is empty. The length comes from
+    the bit-parallel LCS of Allison & Dix / Hyyrö, one big-int step per
+    element of ``a``.
     """
     a, b = list(a), list(b)
     if not a or not b:
         return 0.0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1] / max(len(a), len(b))
+    return _lcs_length(a, _match_masks(b), len(b)) / max(len(a), len(b))
 
 
-def _gst_tiled_length(a, b, min_match):
+def _gst_tiled_length(a, b, min_match: int) -> int:
     """Greedy string tiling: repeatedly take the longest common run of
     unmarked elements (length >= min_match), marking every non-overlapping
-    occurrence of that length per round. Returns the total tiled length."""
+    occurrence of that length per round. Returns the total tiled length.
+
+    ``b``'s positions are indexed by element, so a round visits only the
+    equal, unmarked (i, j) pairs, in row-major order; the run lengths of the
+    previous row sit in a dict keyed by j. Tiles are taken in the order of
+    the full |a|×|b| scan, so the result is the same.
+    """
+    b_positions: dict = {}
+    for j, y in enumerate(b):
+        b_positions.setdefault(y, []).append(j)
     marked_a = [False] * len(a)
     marked_b = [False] * len(b)
     tiled = 0
     while True:
         best = 0
         ends = []
-        # L[j] = length of the common unmarked suffix ending at (i, j)
-        prev = [0] * (len(b) + 1)
-        for i in range(1, len(a) + 1):
-            cur = [0] * (len(b) + 1)
-            if not marked_a[i - 1]:
-                x = a[i - 1]
-                for j in range(1, len(b) + 1):
-                    if not marked_b[j - 1] and b[j - 1] == x:
-                        run = prev[j - 1] + 1
+        # prev[j] / cur[j] = length of the common unmarked run ending at
+        # (i - 1, j) / (i, j)
+        prev: dict[int, int] = {}
+        for i, x in enumerate(a):
+            cur: dict[int, int] = {}
+            if not marked_a[i]:
+                for j in b_positions.get(x, ()):
+                    if not marked_b[j]:
+                        run = prev.get(j - 1, 0) + 1
                         cur[j] = run
                         if run > best:
                             best = run
@@ -207,24 +237,56 @@ def _gst_tiled_length(a, b, min_match):
         if best < min_match:
             break
         for i, j in ends:
-            si, sj = i - best, j - best
-            if any(marked_a[si:i]) or any(marked_b[sj:j]):
+            si, sj = i + 1 - best, j + 1 - best
+            if any(marked_a[si:i + 1]) or any(marked_b[sj:j + 1]):
                 continue
-            for k in range(best):
-                marked_a[si + k] = True
-                marked_b[sj + k] = True
+            marked_a[si:i + 1] = [True] * best
+            marked_b[sj:j + 1] = [True] * best
             tiled += best
     return tiled
 
 
 def gst_sim(a, b, min_match: int = 1) -> float:
-    """Greedy-string-tiling similarity: 2·tiled / (len_a + len_b)."""
+    """Greedy-string-tiling similarity: 2·tiled / (len_a + len_b).
+
+    Greedy string tiling (Wise 1993), each round driven by an index of
+    ``b``'s positions per element, so that it costs the number of equal
+    pairs rather than |a|·|b|.
+    """
     if min_match < 1:
         raise DataError(f"min_match must be >= 1, got {min_match}")
     a, b = list(a), list(b)
     if not a or not b:
         return 0.0
     return 2.0 * _gst_tiled_length(a, b, min_match) / (len(a) + len(b))
+
+
+class _Grams:
+    """One text's n-grams of one order, ready for every measure."""
+
+    def __init__(self, toks: TokenSeq, n: int):
+        self.seq = tuple(toks[i:i + n] for i in range(len(toks) - n + 1))
+        self.counts = Counter(self.seq)
+
+    @cached_property
+    def masks(self) -> dict:
+        """LCS match masks, built only for the side that reads them."""
+        return _match_masks(self.seq)
+
+
+@lru_cache(maxsize=16)
+def _profile(text: str, stopwords: frozenset) -> tuple[_Grams, ...]:
+    """The n-grams of ``text`` for every order in SIM_NGRAM_ORDERS.
+
+    Memoized with a small bound: in task B the original question recurs
+    across its consecutive candidates, and its profile is built once.
+    """
+    toks = tokenize(text, stopwords)
+    return tuple(_Grams(toks, n) for n in SIM_NGRAM_ORDERS)
+
+
+_SIM_NAMES = tuple(f"sim_n{n}_{measure}" for n in SIM_NGRAM_ORDERS
+                   for measure in SIM_MEASURES)
 
 
 def similarity_vector(qo_text: str, qs_text: str,
@@ -236,29 +298,30 @@ def similarity_vector(qo_text: str, qs_text: str,
     result is ordered n-major / measure-minor with names like
     ``sim_n2_jaccard``. Containment is directed from the first (original
     question) argument.
+
+    Each text is profiled once (see ``_profile``); the values are those of
+    ``gst_sim``, ``lcs_sim``, ``jaccard``, ``containment`` and ``cosine`` on
+    the n-gram sequences. LCS runs on the first text's cached match masks.
     """
-    a = tokenize(qo_text, cfg.stopwords)
-    b = tokenize(qs_text, cfg.stopwords)
+    stopwords = frozenset(cfg.stopwords)
     values = []
-    names = []
-    for n in SIM_NGRAM_ORDERS:
-        counts_a = ngrams(a, n)
-        counts_b = ngrams(b, n)
-        toks_a = tuple(a)
-        toks_b = tuple(b)
-        seq_a = [toks_a[i:i + n] for i in range(len(toks_a) - n + 1)]
-        seq_b = [toks_b[i:i + n] for i in range(len(toks_b) - n + 1)]
-        per_measure = {
-            "gst": gst_sim(seq_a, seq_b, cfg.gst_min_match),
-            "lcs": lcs_sim(seq_a, seq_b),
-            "jaccard": jaccard(set(counts_a), set(counts_b)),
-            "containment": containment(set(counts_a), set(counts_b)),
-            "cosine": cosine(counts_a, counts_b),
-        }
-        for measure in SIM_MEASURES:
-            values.append(per_measure[measure])
-            names.append(f"sim_n{n}_{measure}")
-    return FeatureVector(np.array(values), tuple(names))
+    for ga, gb in zip(_profile(qo_text, stopwords),
+                      _profile(qs_text, stopwords)):
+        len_a, len_b = len(ga.seq), len(gb.seq)
+        if not len_a or not len_b:
+            values += (0.0, 0.0, 0.0, 0.0, 0.0)
+            continue
+        # LCS is symmetric: the masks of the first text serve every
+        # candidate it is paired with
+        lcs = _lcs_length(gb.seq, ga.masks, len_a)
+        values += (
+            gst_sim(ga.seq, gb.seq, cfg.gst_min_match),
+            lcs / max(len_a, len_b),
+            jaccard(ga.counts.keys(), gb.counts.keys()),
+            containment(ga.counts.keys(), gb.counts.keys()),
+            cosine(ga.counts, gb.counts),
+        )
+    return FeatureVector(np.array(values), _SIM_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ class Candidate:
     def __post_init__(self):
         if not self.candidate_id:
             raise DataError("candidate_id must be non-empty")
-        if not isinstance(self.original_rank, int) or self.original_rank < 1:
+        if type(self.original_rank) is not int or self.original_rank < 1:
             raise DataError(
                 f"original_rank must be a positive integer, got "
                 f"{self.original_rank!r}")

@@ -42,15 +42,6 @@ class RelConfig:
             raise DataError("min_shared_tokens must be >= 1")
 
 
-def _match_set(tokens: list[str], cfg: RelConfig) -> set[str]:
-    if cfg.case_insensitive:
-        tokens = [t.casefold() for t in tokens]
-        stop = {s.casefold() for s in cfg.stopwords}
-    else:
-        stop = set(cfg.stopwords)
-    return {t for t in tokens if t not in stop}
-
-
 def rel_link(x: SyntaxTree, y: SyntaxTree, cfg: RelConfig = RelConfig()) -> SyntaxTree:
     """Return a copy of ``x`` with REL- prefixes on lexically linked phrases.
 
@@ -58,24 +49,34 @@ def rel_link(x: SyntaxTree, y: SyntaxTree, cfg: RelConfig = RelConfig()) -> Synt
     when its leaf yield shares at least ``cfg.min_shared_tokens`` distinct
     non-stopword tokens with the full yield of ``y``. ``x`` must not already
     contain REL- labels (re-linking an enriched tree would stack prefixes).
+
+    The copy is built bottom-up without recursion, so any depth links: a
+    node's shared tokens are the union of its children's.
     """
+    fold = str.casefold if cfg.case_insensitive else str
+    stop = {fold(s) for s in cfg.stopwords}
+    y_tokens = {t for t in map(fold, y.leaves()) if t not in stop}
+    empty: frozenset[str] = frozenset()
+
+    # ``done`` holds (copy, tokens shared with y) of every node whose parent
+    # is not visited yet, children in order at its top
+    done: list[tuple[SyntaxTree, frozenset[str] | set[str]]] = []
     for node in x.iter_nodes():
-        if not node.is_leaf and node.label.startswith(REL_PREFIX):
-            raise DataError(
-                f"tree already carries a {REL_PREFIX!r} label: {node.label!r}"
-            )
-
-    y_tokens = _match_set(y.leaves(), cfg)
-
-    def rebuild(node: SyntaxTree) -> SyntaxTree:
         if node.is_leaf:
-            return node
-        children = tuple(rebuild(c) for c in node.children)
+            token = fold(node.label)
+            done.append((node, {token} if token in y_tokens else empty))
+            continue
         label = node.label
-        if label in cfg.phrase_labels:
-            shared = _match_set(node.leaves(), cfg) & y_tokens
-            if len(shared) >= cfg.min_shared_tokens:
-                label = REL_PREFIX + label
-        return SyntaxTree(label, children)
-
-    return rebuild(x)
+        if label.startswith(REL_PREFIX):
+            raise DataError(
+                f"tree already carries a {REL_PREFIX!r} label: {label!r}")
+        k = len(done) - len(node.children)
+        parts = done[k:]
+        del done[k:]
+        found = [s for _, s in parts if s]
+        shared = (empty if not found else found[0] if len(found) == 1
+                  else set().union(*found))
+        if label in cfg.phrase_labels and len(shared) >= cfg.min_shared_tokens:
+            label = REL_PREFIX + label
+        done.append((SyntaxTree(label, tuple(c for c, _ in parts)), shared))
+    return done[0][0]

@@ -29,12 +29,14 @@ class TreeParseError(DataError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SyntaxTree:
     """An immutable ordered tree. A leaf is a node with no children.
 
     For internal nodes ``label`` is the nonterminal symbol; for leaves it is
-    the surface token itself.
+    the surface token itself. Equality, hashing and ``repr`` compare and
+    print ``(label, children)`` as a dataclass would, but walk the tree with
+    an explicit stack, so any depth works.
     """
 
     label: str
@@ -43,6 +45,48 @@ class SyntaxTree:
     def __post_init__(self) -> None:
         if not self.label:
             raise DataError("tree node label must be a non-empty string")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.__class__ is not b.__class__ or a.label != b.label
+                    or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # ``hashes`` holds the hash of every node whose parent is not
+        # visited yet, children in order at its top
+        hashes: list[int] = []
+        for node in self.iter_nodes():
+            k = len(hashes) - len(node.children)
+            child_hashes = tuple(hashes[k:])
+            del hashes[k:]
+            hashes.append(hash((node.label, child_hashes)))
+        return hashes[0]
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list[SyntaxTree | str] = [self]     # a str is literal output
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{item.__class__.__qualname__}(label={item.label!r}, "
+                       f"children=(")
+            stack.append(",))" if len(item.children) == 1 else "))")
+            for i, child in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(", ")
+                stack.append(child)
+        return "".join(out)
 
     @property
     def is_leaf(self) -> bool:

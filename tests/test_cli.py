@@ -13,7 +13,7 @@ from qrerank.errors import DataError, NumericalError
 from qrerank.pipeline import load_examples
 from qrerank.svm import load_model
 
-from conftest import write_corpus
+from conftest import write_corpus, write_jsonl
 
 
 class TestConfigFile:
@@ -296,3 +296,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"at least {needed} training examples" in err
         assert "15 were given" in err
+
+
+class TestDeepParse:
+    def test_featurize_links_a_1200_deep_parse(self, tmp_path):
+        corpus = tmp_path / "deep.jsonl"
+        rows = write_corpus(corpus, n_queries=1, per_query=3,
+                            relevant_ranks=(2,), with_trees=True)
+        depth = 1200
+        rows[0]["qs_trees"] = ["".join(f"(NP " for _ in range(depth))
+                               + "passport" + ")" * depth]
+        write_jsonl(corpus, rows)
+        out = tmp_path / "deep.ex"
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(out),
+                     "--use-tk"]) == 0
+        examples = load_examples(out)
+        assert len(examples) == 3
+        # linked against the query's tree, every NP of the chain is marked
+        labels = {n.label for n in examples[0].tree_second.iter_nodes()
+                  if not n.is_leaf}
+        assert labels == {"ROOT", "REL-NP"}

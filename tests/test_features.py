@@ -161,6 +161,54 @@ class TestGST:
                 assert gst_sim(a, b, min_match) == pytest.approx(expected, abs=1e-12)
 
 
+def random_seq(rng, alphabet_size, length):
+    return ["abc"[k] for k in rng.integers(0, alphabet_size, length)]
+
+
+class TestLCSBitParallel:
+    """Exact agreement with the oracle where the bit masks span several
+    64-bit words and where few symbols make ties everywhere."""
+
+    @pytest.mark.parametrize("alphabet_size", [1, 2, 3])
+    def test_long_side_against_oracle(self, alphabet_size):
+        rng = make_rng(310 + alphabet_size)
+        for _ in range(40):
+            short = random_seq(rng, alphabet_size, rng.integers(1, 9))
+            long = random_seq(rng, alphabet_size, rng.integers(65, 140))
+            length = lcs_bruteforce(short, long)
+            assert lcs_sim(short, long) == length / len(long)
+            assert lcs_sim(long, short) == length / len(long)
+
+    @pytest.mark.parametrize("alphabet_size", [1, 2, 3])
+    def test_both_long_against_dp(self, alphabet_size):
+        rng = make_rng(320 + alphabet_size)
+        for _ in range(10):
+            a = random_seq(rng, alphabet_size, rng.integers(65, 130))
+            b = random_seq(rng, alphabet_size, rng.integers(65, 130))
+            assert lcs_sim(a, b) == ref_lcs_norm(a, b)
+
+
+class TestGSTIndexed:
+    @pytest.mark.parametrize("alphabet_size", [1, 2, 3])
+    @pytest.mark.parametrize("min_match", [1, 2, 3])
+    def test_against_oracle(self, alphabet_size, min_match):
+        rng = make_rng(330 + 3 * alphabet_size + min_match)
+        for _ in range(8):
+            a = random_seq(rng, alphabet_size, rng.integers(1, 90))
+            b = random_seq(rng, alphabet_size, rng.integers(65, 90))
+            for x, y in ((a, b), (b, a)):
+                expected = (2.0 * gst_tiled_bruteforce(x, y, min_match)
+                            / (len(x) + len(y)))
+                assert gst_sim(x, y, min_match) == expected
+
+    def test_repeated_tiles_of_equal_length(self):
+        # every "ab" of a tiles once with one "ab" of b, in row-major order
+        a = list("ab" * 40)
+        b = list("abx" * 30)
+        expected = 2.0 * gst_tiled_bruteforce(a, b, 2) / (len(a) + len(b))
+        assert gst_sim(a, b, 2) == expected == 2.0 * 60 / 170
+
+
 # independent reference implementations for the 20-value fixture ------------
 
 def ref_ngram_seq(tokens, n):
@@ -255,6 +303,106 @@ class TestSimilarityVector:
         cfg = FeatureConfig(stopwords=frozenset({"the"}))
         fv = similarity_vector("the visa", "the permit", cfg)
         np.testing.assert_allclose(fv.values, np.zeros(20))
+
+
+# golden values of similarity_vector, computed with the quadratic LCS / GST
+# code these replaced; a change in any bit fails
+_LONG_A = " ".join("abc"[(i * i * 7 + 3 * i) % 11 % 3] for i in range(80))
+_LONG_B = " ".join("abc"[(i * i * 5 + i) % 13 % 3] for i in range(70))
+GOLDEN_SIM_CASES = [
+    # repeated tokens
+    ("the visa visa the visa costs visa visa",
+     "visa the visa visa costs the visa", FeatureConfig()),
+    # under 4 tokens: the 3- and 4-gram blocks are empty
+    ("visa fee", "Visa fee now", FeatureConfig()),
+    # the first text is empty after stopwords
+    ("How do I?", "how do I get a visa",
+     FeatureConfig(stopwords=frozenset({"how", "do", "i"}))),
+    # a stopword config, with a mixed-case entry, and gst_min_match 2
+    ("Can my wife visit Qatar on my visa?",
+     "Is it possible for my wife to visit Qatar with my work visa",
+     FeatureConfig(stopwords=frozenset({"My", "on", "is", "it", "for", "to",
+                                        "with"}), gst_min_match=2)),
+    # 80 and 70 tokens over three words: many ties, masks over 64 bits
+    (_LONG_A, _LONG_B, FeatureConfig(gst_min_match=2)),
+    # case folding of non-ASCII words
+    ("Köln Visa visa KÖLN köln visa", "köln visa Köln", FeatureConfig()),
+]
+GOLDEN_SIM_HEX = [
+    ['0x1.ddddddddddddep-1', '0x1.4000000000000p-1',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '0x1.fdf6d63f3981bp-1', '0x1.89d89d89d89d9p-1',
+     '0x1.b6db6db6db6dbp-2', '0x1.5555555555555p-1',
+     '0x1.999999999999ap-1', '0x1.b4a293c1d954fp-1',
+     '0x1.745d1745d1746p-2', '0x1.5555555555555p-3',
+     '0x1.c71c71c71c71cp-3', '0x1.5555555555555p-2',
+     '0x1.75e9746a0b098p-2', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0'],
+    ['0x1.999999999999ap-1', '0x1.5555555555555p-1',
+     '0x1.5555555555555p-1', '0x1.0000000000000p+0',
+     '0x1.a20bd700c2c3dp-1', '0x1.5555555555555p-1',
+     '0x1.0000000000000p-1', '0x1.0000000000000p-1',
+     '0x1.0000000000000p+0', '0x1.6a09e667f3bccp-1', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+    ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+    ['0x1.1745d1745d174p-1', '0x1.5555555555555p-1',
+     '0x1.2492492492492p-1', '0x1.999999999999ap-1',
+     '0x1.75e9746a0b098p-1', '0x1.c71c71c71c71cp-2',
+     '0x1.999999999999ap-2', '0x1.2492492492492p-2',
+     '0x1.0000000000000p-1', '0x1.c9f25c5bfedd9p-2', '0x0.0p+0',
+     '0x1.0000000000000p-2', '0x1.5555555555555p-3',
+     '0x1.5555555555555p-2', '0x1.279a74590331dp-2', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+    ['0x1.17e4b17e4b17ep-1', '0x1.4000000000000p-1',
+     '0x1.5555555555555p-1', '0x1.0000000000000p+0',
+     '0x1.ad279eb9eb8a5p-1', '0x1.759f22983759fp-2',
+     '0x1.84dc5abbf309cp-2', '0x1.8000000000000p-2',
+     '0x1.8000000000000p-1', '0x1.392047b35819ap-1',
+     '0x1.269349a4d2693p-2', '0x1.3b13b13b13b14p-2',
+     '0x1.d89d89d89d89ep-3', '0x1.b6db6db6db6dbp-2',
+     '0x1.c8e6bad72bb24p-2', '0x1.8e38e38e38e39p-3',
+     '0x1.c427e567109f9p-3', '0x1.5555555555555p-3',
+     '0x1.3333333333333p-2', '0x1.4a4aacf01e899p-2'],
+    ['0x1.5555555555555p-1', '0x1.0000000000000p-1',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '0x1.e5b9d136c6d96p-1', '0x1.2492492492492p-1',
+     '0x1.999999999999ap-2', '0x1.0000000000000p-1',
+     '0x1.0000000000000p-1', '0x1.9a8365810363ep-1', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+]
+
+
+class TestSimilarityGolden:
+    @pytest.mark.parametrize("case", range(len(GOLDEN_SIM_CASES)))
+    def test_bit_identical(self, case):
+        qo, qs, cfg = GOLDEN_SIM_CASES[case]
+        fv = similarity_vector(qo, qs, cfg)
+        assert [float(v).hex() for v in fv.values] == GOLDEN_SIM_HEX[case]
+
+    def test_memo_keeps_configs_apart(self):
+        # the same texts under alternating configs, twice over
+        for _ in range(2):
+            for case in (3, 0, 3, 2):
+                qo, qs, cfg = GOLDEN_SIM_CASES[case]
+                plain = [float(v).hex() for v in
+                         similarity_vector(qo, qs).values]
+                fv = similarity_vector(qo, qs, cfg)
+                assert [float(v).hex() for v in fv.values] == \
+                    GOLDEN_SIM_HEX[case]
+                if cfg.stopwords:
+                    assert plain != GOLDEN_SIM_HEX[case]
+
+    def test_plain_set_of_stopwords_accepted(self):
+        qo, qs, cfg = GOLDEN_SIM_CASES[3]
+        loose = FeatureConfig(stopwords=set(cfg.stopwords),
+                              gst_min_match=cfg.gst_min_match)
+        fv = similarity_vector(qo, qs, loose)
+        assert [float(v).hex() for v in fv.values] == GOLDEN_SIM_HEX[3]
 
 
 class TestPTKFeature:

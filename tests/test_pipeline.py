@@ -337,6 +337,43 @@ class TestBuildExamples:
         with pytest.raises(DataError, match="comment_text is required"):
             build_examples(records, cfg)
 
+    def test_sim_vectors_independent_of_order_and_config_sequence(
+            self, tmp_path):
+        # query texts recur across candidates, and the similarity profiles
+        # of texts are memoized; no vector may depend on what came before
+        rows = []
+        for q in range(3):
+            for rank in range(1, 5):
+                row = corpus_row(f"q{q}", rank, relevant=rank == 2)
+                row["qo_text"] = f"How do I renew the the passport {q} ?"
+                row["qs_text"] = ("how to renew a passport the fast way"
+                                  if rank % 2 else f"the passport {rank} is "
+                                  f"the passport of the {q}")
+                rows.append(row)
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, rows)
+        records = load_corpus(path, "B")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("the\nHow\nto\n", encoding="utf-8")
+        configs = [RunConfig(), RunConfig(stopword_path=str(stop))]
+
+        def vec_bytes(record_order, config_order):
+            out = {}
+            for r in record_order:
+                for c in config_order:
+                    (e,) = build_examples([r], configs[c])
+                    out[(r.candidate_id, c)] = e.vec.tobytes()
+            return out
+
+        forward = {}
+        for c in (0, 1):
+            for e, r in zip(build_examples(records, configs[c]), records):
+                forward[(r.candidate_id, c)] = e.vec.tobytes()
+        assert vec_bytes(reversed(records), (1, 0)) == forward
+        assert vec_bytes(records, (0, 1)) == forward
+        assert any(forward[(r.candidate_id, 0)] != forward[(r.candidate_id, 1)]
+                   for r in records)
+
     def test_tokenless_comment_names_record(self, tmp_path):
         row = corpus_row("q1", 1, True, task="D")
         row["comment_text"] = "!!! ???"

@@ -242,6 +242,11 @@ class TestQueryGroupValidation:
         with pytest.raises(DataError):
             Candidate("c1", 1, False, float("nan"))
 
+    @pytest.mark.parametrize("rank", [True, False, 1.0, np.int64(1)])
+    def test_candidate_rank_must_be_int(self, rank):
+        with pytest.raises(DataError, match="original_rank"):
+            Candidate("c", rank, True)
+
 
 class TestPredictionsFile:
     def make_groups(self):

@@ -147,3 +147,33 @@ class TestDeterminism:
         x = t("(S (NP (NN visa) (NN work)) (VP (VB get) (NP (NN visa))))")
         y = t("(S (VP (VB need) (NP (NN work) (NN visa))))")
         assert rel_link(x, y) == rel_link(x, y)
+
+
+class TestDeepTrees:
+    DEPTH = 1200
+
+    def chain(self, token):
+        return t("".join(f"(NP{k % 2} " for k in range(self.DEPTH)) + token
+                 + ")" * self.DEPTH)
+
+    def test_deep_chain_links_every_phrase(self):
+        cfg = RelConfig(phrase_labels=frozenset({"NP0"}))
+        out = rel_link(self.chain("Visa"), t("(S (NN visa))"), cfg)
+        labels = [n.label for n in out.iter_nodes()]
+        assert labels[0] == "Visa"
+        assert labels[1:] == [
+            ("REL-NP0" if k % 2 == 0 else "NP1")
+            for k in reversed(range(self.DEPTH))]
+
+    def test_deep_chain_without_match_is_equal(self):
+        x = self.chain("visa")
+        out = rel_link(x, self.chain("permit"),
+                       RelConfig(phrase_labels=frozenset({"NP0", "NP1"})))
+        assert to_bracketed(out) == to_bracketed(x)
+        assert out == x
+
+    def test_rel_label_deep_down_rejected(self):
+        x = t("".join(f"(NP{k % 2} " for k in range(self.DEPTH)) + "(REL-NP x)"
+              + ")" * self.DEPTH)
+        with pytest.raises(DataError, match="REL-NP"):
+            rel_link(x, t("(S x)"))

@@ -111,6 +111,26 @@ class TestDeepNesting:
             tree = SyntaxTree(f"N{k}", (tree,))
         assert to_bracketed(tree) == self.chain_text()
 
+    def test_deep_chain_equality_and_hash(self):
+        a = parse_bracketed(self.chain_text())
+        b = parse_bracketed(self.chain_text())
+        assert a is not b
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = parse_bracketed(self.chain_text().replace(" x)", " y)", 1))
+        assert a != other
+        shorter = a.children[0]
+        assert a != shorter and shorter != a
+
+    def test_deep_chain_repr(self):
+        tree = parse_bracketed(self.chain_text())
+        text = repr(tree)
+        assert text.startswith("SyntaxTree(label='N0', children=(SyntaxTree("
+                               "label='N1', children=(")
+        assert text.endswith("SyntaxTree(label='x', children=()),))"
+                             + ",))" * (self.DEPTH - 1))
+
     def test_deep_unbalanced_input_names_offset(self):
         text = self.chain_text()[:-1]
         with pytest.raises(TreeParseError, match="missing '\\)'") as info:
@@ -171,3 +191,33 @@ class TestTreeFiles:
         path.write_text("(S (A a))\n(S (A a)\n", encoding="utf-8")
         with pytest.raises(TreeParseError, match=r":2:"):
             read_tree_file(path)
+
+
+class TestDataclassSemantics:
+    """The iterative ==, hash() and repr() agree with what a frozen
+    dataclass generates, on shallow trees."""
+
+    def test_repr_matches_dataclass_form(self):
+        tree = parse_bracketed("(S (NP (DT the) (NN 'cat')) (VP (VBD sat)))")
+        leaf = "SyntaxTree(label={!r}, children=())".format
+        node = "SyntaxTree(label={!r}, children=({}))".format
+        expected = node("S", ", ".join([
+            node("NP", ", ".join([node("DT", leaf("the") + ","),
+                                  node("NN", leaf("'cat'") + ",")])),
+            node("VP", node("VBD", leaf("sat") + ",") + ","),
+        ]))
+        assert repr(tree) == expected
+
+    def test_equal_random_trees_hash_equal(self):
+        rng = make_rng(41)
+        trees = [random_tree(rng, max_depth=4, max_branch=3)
+                 for _ in range(100)]
+        for a in trees:
+            b = parse_bracketed(to_bracketed(a))
+            assert a == b and hash(a) == hash(b)
+        for a, b in zip(trees, trees[1:]):
+            assert (a == b) == (to_bracketed(a) == to_bracketed(b))
+
+    def test_other_types_compare_unequal(self):
+        assert SyntaxTree("x") != "x"
+        assert SyntaxTree("x").__eq__(("x", ())) is NotImplemented
