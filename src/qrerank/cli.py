@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 from .kernels import KernelConfig, config_fingerprint, gram_matrix, save_gram, load_gram
 from .pipeline import (
     RunConfig,
@@ -120,7 +120,7 @@ CONFIG_SCHEMA = {
 def parse_config_file(path) -> dict:
     """Read a flat ``key = value`` config file into typed settings."""
     settings: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

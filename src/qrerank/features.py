@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .kernels import KernelConfig, normalize_kernel, ptk
 from .treebank import SyntaxTree
 
@@ -530,7 +530,7 @@ def mte_vector(question: TokenSeq, comment: TokenSeq) -> FeatureVector:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One token per line, UTF-8; case-folded. Blank lines are ignored."""
     out = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             word = line.strip()
             if word:
@@ -546,7 +546,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """
     table: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

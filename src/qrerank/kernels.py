@@ -21,6 +21,20 @@ On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
 kernel on the REL-linked tree pair, and a linear or RBF kernel on the rank
 feature, summed per the enabled blocks.
+
+The pair kernel is evaluated a row at a time (``_row``): one example
+against a block of columns whose vectors and ranks are stacked once per call
+(``_stack``, which also runs every missing-block and dimension check before
+any row). ``gram_matrix`` takes row i against columns i..n-1 and mirrors it;
+``kernel_matrix`` takes each row against all columns; ``combined_kernel`` is
+the one-column case. The vector blocks are batched but keep the per-pair
+arithmetic, so every value is bit-identical to the one-pair form: each dot
+product is one BLAS dot per pair (``np.matmul`` of 1×dim by dim×1 calls the
+same routine as ``np.dot``), each exponential is ``math.exp``, and the blocks
+are added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
+``(d * d).sum(1)`` round some dot products differently, and ``np.exp`` some
+exponentials. The tree block stays one ``_pair_tk`` call per cell. A row's
+temporaries are O(columns × dim); no n×n×dim array is built.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 from .treebank import SyntaxTree
 
 TK_KINDS = ("STK", "PTK")
@@ -334,6 +348,14 @@ def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     return _pair_tk(p_i, p_j, cfg)
 
 
+def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(−γ‖u−x‖²) for each row x of X: one BLAS dot and one ``math.exp``
+    per row, as in the one-pair form (see the module docstring)."""
+    d = u - X
+    sq = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    return np.array([math.exp(-gamma * s) for s in sq.tolist()])
+
+
 def rbf(u: np.ndarray, v: np.ndarray, gamma: float) -> float:
     """Gaussian kernel exp(−γ‖u−v‖²)."""
     if gamma <= 0:
@@ -342,8 +364,7 @@ def rbf(u: np.ndarray, v: np.ndarray, gamma: float) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DataError(f"rbf dimension mismatch: {u.shape} vs {v.shape}")
-    d = u - v
-    return math.exp(-gamma * float(np.dot(d, d)))
+    return float(_rbf_row(u, v[None], gamma)[0])
 
 
 def _resolve_gamma(cfg: KernelConfig, dim: int) -> float:
@@ -368,55 +389,83 @@ def _require_rank(e: Example) -> float:
     return e.rank_value
 
 
-def _cell(e_i, e_j, cfg, p_i, p_j) -> float:
-    total = 0.0
+def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
+    if u.shape != v.shape:
+        raise DataError(
+            f"feature vectors disagree in dimension: {u.shape} vs {v.shape}"
+        )
+
+
+def _stack(examples, cfg: KernelConfig):
+    """The vec block (n×dim, each vec checked against the first) and the
+    rank block (n) of ``examples`` as float64 arrays, each None when the
+    config does not use it."""
+    X = r = None
     if cfg.use_sim:
-        u = _require_vec(e_i)
-        v = _require_vec(e_j)
-        if u.shape != v.shape:
-            raise DataError(
-                f"feature vectors disagree in dimension: {u.shape} vs {v.shape}"
-            )
-        if cfg.vec_kernel == "LINEAR":
-            total += float(np.dot(u, v))
-        else:
-            total += rbf(u, v, _resolve_gamma(cfg, len(u)))
-    if cfg.use_tk:
-        total += _pair_tk(p_i, p_j, cfg)
+        vecs = [_require_vec(e) for e in examples]
+        for v in vecs:
+            _check_dims(vecs[0], v)
+        X = np.array(vecs)
     if cfg.use_rank:
-        r_i = _require_rank(e_i)
-        r_j = _require_rank(e_j)
-        if cfg.rank_kernel == "LINEAR":
-            total += r_i * r_j
+        r = np.array([_require_rank(e) for e in examples], dtype=np.float64)
+    return X, r
+
+
+def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig) -> np.ndarray:
+    """The combined kernel between one example ``e`` (tree state ``p``) and
+    a block of columns: their stacked vec and rank blocks ``X`` and ``r``
+    (from :func:`_stack`) and their tree states ``prepared``.
+
+    Each value is the sum, in this order, of the sim, tree and rank blocks,
+    starting from 0.0, with the per-pair arithmetic of the one-cell form;
+    temporaries are O(columns × dim)."""
+    row = np.zeros(len(prepared))
+    if cfg.use_sim:
+        u = _require_vec(e)
+        _check_dims(u, X[0])
+        if cfg.vec_kernel == "LINEAR":
+            row += np.matmul(X[:, None, :], u[:, None])[:, 0, 0]
         else:
-            d = r_i - r_j
-            total += math.exp(-_resolve_gamma(cfg, 1) * d * d)
-    return total
+            row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
+    if cfg.use_tk:
+        row += [_pair_tk(p, q, cfg) for q in prepared]
+    if cfg.use_rank:
+        r_e = _require_rank(e)
+        if cfg.rank_kernel == "LINEAR":
+            row += r_e * r
+        else:
+            d = r_e - r
+            row += [math.exp(x) for x in
+                    ((-_resolve_gamma(cfg, 1) * d) * d).tolist()]
+    return row
 
 
 def combined_kernel(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     """Sum of the enabled per-block kernels for one example pair."""
     p_i, p_j = _prepare([e_i, e_j], cfg, {}, cfg.normalize_tk)
-    return _cell(e_i, e_j, cfg, p_i, p_j)
+    X, r = _stack([e_j], cfg)
+    return float(_row(e_i, p_i, X, r, [p_j], cfg)[0])
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     """Full kernel matrix G[i][j] = combined_kernel(e_i, e_j, cfg).
 
-    Each cell is computed once and mirrored, so the result is exactly
-    symmetric. Tree self-kernels, computed once, also fill the diagonal.
+    Row i is computed against columns i..n-1 and mirrored, so the result is
+    exactly symmetric. Tree self-kernels, computed once, also fill the
+    diagonal.
     """
     if not examples:
         raise DataError("gram_matrix requires at least one example")
     n = len(examples)
     prepared = _prepare(examples, cfg, {}, True)
+    X, r = _stack(examples, cfg)
     G = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        for j in range(i, n):
-            value = _cell(examples[i], examples[j], cfg,
-                          prepared[i], prepared[j])
-            G[i, j] = value
-            G[j, i] = value
+        row = _row(examples[i], prepared[i],
+                   None if X is None else X[i:], None if r is None else r[i:],
+                   prepared[i:], cfg)
+        G[i, i:] = row
+        G[i:, i] = row
     return G
 
 
@@ -429,11 +478,11 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
         raise DataError("kernel_matrix requires non-empty example lists")
     ids: dict = {}
     prep_c = _prepare(cols, cfg, ids, cfg.normalize_tk)
+    X, r = _stack(cols, cfg)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
     for i, e_i in enumerate(rows):
         p_i, = _prepare([e_i], cfg, ids, cfg.normalize_tk)
-        for j, e_j in enumerate(cols):
-            K[i, j] = _cell(e_i, e_j, cfg, p_i, prep_c[j])
+        K[i] = _row(e_i, p_i, X, r, prep_c, cfg)
     return K
 
 
@@ -467,9 +516,16 @@ def save_gram(path: str | Path, gram: np.ndarray, fingerprint: str) -> None:
         fh.write(f"# {GRAM_MAGIC}\n")
         fh.write(f"# fingerprint: {fingerprint}\n")
         fh.write(f"# n: {n}\n")
-        for i in range(n):
-            fh.write(" ".join("%.17g" % gram[i, j] for j in range(i + 1)))
-            fh.write("\n")
+        for i, row in enumerate(gram):
+            fh.write(("%.17g " * i + "%.17g\n") % tuple(row[:i + 1].tolist()))
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
@@ -478,7 +534,7 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
     Returns (matrix, fingerprint); the matrix is mirrored back to full
     symmetric form. Raises :class:`DataError` on any malformation.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 3 or lines[0] != f"# {GRAM_MAGIC}":
         raise DataError(f"{path}: not a gram cache file")
@@ -500,13 +556,13 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
         if len(parts) != i + 1:
             raise DataError(f"{path}: row {i} has {len(parts)} entries, "
                             f"expected {i + 1}")
-        for j, text in enumerate(parts):
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise DataError(f"{path}: bad number {text!r} in row {i}") from exc
-            G[i, j] = value
-            G[j, i] = value
+        try:
+            values = list(map(float, parts))
+        except ValueError as exc:
+            text = next(t for t in parts if not _is_float(t))
+            raise DataError(f"{path}: bad number {text!r} in row {i}") from exc
+        G[i, :i + 1] = values
+        G[:i + 1, i] = values
     if not np.all(np.isfinite(G)):
         raise DataError(f"{path}: gram contains non-finite values")
     return G, fingerprint

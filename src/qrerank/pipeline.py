@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .features import (
     RANK_MODES,
     FeatureConfig,
@@ -256,7 +256,7 @@ def load_corpus(path, task: str) -> list[CorpusRecord]:
     seen_pairs: dict[tuple[str, str], int] = {}
     seen_ranks: dict[tuple[str, int], int] = {}
     lo, hi = TASK_RANK_RANGE[task]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -480,7 +480,7 @@ def save_examples(path, examples) -> None:
 def load_examples(path) -> list[Example]:
     """Read featurized examples written by :func:`save_examples`."""
     examples: list[Example] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

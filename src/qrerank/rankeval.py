@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 __all__ = [
     "Candidate",
@@ -236,7 +236,7 @@ def write_predictions(path, groups) -> None:
 def read_predictions(path) -> list[QueryGroup]:
     """Read a predictions TSV back into ordered query groups."""
     by_query: dict[str, list[tuple[int, Candidate]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

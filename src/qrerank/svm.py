@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -301,7 +301,7 @@ def load_model(path: str | Path, expected_fingerprint: str | None = None,
     one, strict mode raises; otherwise a warning is logged (the scores would
     silently come from a different kernel).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {MODEL_MAGIC}":
         raise DataError(f"{path}: not a model file")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 
 class TreeParseError(DataError):
@@ -230,7 +230,7 @@ def read_tree_file(path: str | Path) -> list[SyntaxTree]:
     number prepended.
     """
     trees = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

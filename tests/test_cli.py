@@ -316,3 +316,34 @@ class TestDeepParse:
         labels = {n.label for n in examples[0].tree_second.iter_nodes()
                   if not n.is_leaf}
         assert labels == {"ROOT", "REL-NP"}
+
+
+# argv that reaches each loader with the file BAD, the other inputs valid
+NON_UTF8_ARGV = {
+    "corpus": ["featurize", "--corpus", "BAD", "--out", "o.ex"],
+    "stopwords": ["featurize", "--corpus", "TRAIN", "--out", "o.ex",
+                  "--stopwords", "BAD"],
+    "embeddings": ["featurize", "--corpus", "TRAIN", "--out", "o.ex",
+                   "--use-embeddings", "--embeddings", "BAD"],
+    "config": ["featurize", "--corpus", "TRAIN", "--out", "o.ex",
+               "--config", "BAD"],
+    "examples": ["gram", "--examples", "BAD", "--out", "g.txt"],
+    "gram": ["train", "--gram", "BAD", "--examples", "x.ex",
+             "--out", "m.txt"],
+    "model": ["rerank", "--model", "BAD", "--train-examples", "x.ex",
+              "--test-examples", "y.ex", "--out", "p.tsv"],
+    "predictions": ["evaluate", "--predictions", "BAD"],
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("loader", sorted(NON_UTF8_ARGV))
+    def test_exit_code_is_2(self, loader, corpora, tmp_path, capsys,
+                            monkeypatch):
+        monkeypatch.chdir(tmp_path)     # outputs, were any written
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfe" + "q1\tc1\n".encode("utf-16-le"))
+        paths = {"BAD": str(bad), "TRAIN": str(corpora[0])}
+        argv = [paths.get(a, a) for a in NON_UTF8_ARGV[loader]]
+        assert main(argv) == 2
+        assert f"error: {bad}: not valid UTF-8" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Tree kernels against brute-force enumeration oracles, plus the pair kernel,
 vector kernels, Gram assembly, and the Gram cache file."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +349,32 @@ class TestGramFile:
         with pytest.raises(DataError, match="rows"):
             load_gram(path)
 
+    def test_saved_text(self, tmp_path):
+        G = np.array([[1.0, 0.1, -0.0],
+                      [0.1, 1.0 / 3.0, 5e-324],
+                      [-0.0, 5e-324, 2.5e300]])
+        path = tmp_path / "gram.txt"
+        save_gram(path, G, "fp")
+        assert path.read_text(encoding="utf-8") == (
+            "# qrerank-gram v1\n# fingerprint: fp\n# n: 3\n"
+            "1\n"
+            "0.10000000000000001 0.33333333333333331\n"
+            "-0 4.9406564584124654e-324 2.5000000000000001e+300\n")
+        G2, _ = load_gram(path)
+        assert G2.tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("rows,message", [
+        (["1", "0.5 x", "1 1 1"], "bad number 'x' in row 1"),
+        (["1", "0.5 1 2", "1 1 1"], "row 1 has 3 entries, expected 2"),
+        (["1", "0.5 inf", "1 1 1"], "gram contains non-finite values"),
+    ])
+    def test_malformed_rows_named(self, tmp_path, rows, message):
+        path = tmp_path / "gram.txt"
+        path.write_text("# qrerank-gram v1\n# fingerprint: fp\n# n: 3\n"
+                        + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_gram(path)
+
 
 class TestConfigFingerprint:
     def test_stable(self):
@@ -529,6 +557,65 @@ KMAT_STK = [
      H("0x0.0p+0")],
 ]
 
+# Further configurations, computed by the per-cell evaluation that predates
+# row-wise evaluation; the row-wise code must reproduce them bit for bit.
+GRAM_LINEAR_VEC = [
+    [H("0x1.1000000000000p+2"), H("0x1.9e7a353392cf6p+1"),
+     H("0x1.5555555555555p+0")],
+    [H("0x1.9e7a353392cf6p+1"), H("0x1.aa00000000000p+1"),
+     H("0x1.32aaaaaaaaaabp+0")],
+    [H("0x1.5555555555555p+0"), H("0x1.32aaaaaaaaaabp+0"),
+     H("0x1.9638e38e38e39p+1")],
+]
+KMAT_LINEAR_VEC = [
+    [H("0x1.2000000000000p+0"), H("0x1.1c00000000000p+0"),
+     H("0x1.7de9ab586c7a0p+1")],
+    [H("0x1.1000000000000p+2"), H("0x1.9e7a353392cf6p+1"),
+     H("0x1.5555555555555p+0")],
+]
+GRAM_RBF_RANK = [
+    [H("0x1.0000000000000p+2"), H("0x1.34836ce60431ap+1"),
+     H("0x1.894174f0851cfp+0")],
+    [H("0x1.34836ce60431ap+1"), H("0x1.0000000000000p+2"),
+     H("0x1.ed723c5e5af90p+0")],
+    [H("0x1.894174f0851cfp+0"), H("0x1.ed723c5e5af90p+0"),
+     H("0x1.0000000000000p+2")],
+]
+KMAT_RBF_RANK = [
+    [H("0x1.492adee408eeap+0"), H("0x1.c2be4548a7cb6p+0"),
+     H("0x1.5b6093701b5e0p+1")],
+    [H("0x1.0000000000000p+2"), H("0x1.34836ce60431ap+1"),
+     H("0x1.894174f0851cfp+0")],
+]
+GRAM_SIM = [
+    [H("0x1.0000000000000p+0"), H("0x1.f2d6ba5195242p-1"),
+     H("0x1.cd59b75ca0185p-1")],
+    [H("0x1.f2d6ba5195242p-1"), H("0x1.0000000000000p+0"),
+     H("0x1.f2d6ba5195242p-1")],
+    [H("0x1.cd59b75ca0185p-1"), H("0x1.f2d6ba5195242p-1"),
+     H("0x1.0000000000000p+0")],
+]
+KMAT_SIM = [
+    [H("0x1.95067c78379f2p-1"), H("0x1.cd59b75ca0185p-1"),
+     H("0x1.f2d6ba5195242p-1")],
+    [H("0x1.0000000000000p+0"), H("0x1.f2d6ba5195242p-1"),
+     H("0x1.cd59b75ca0185p-1")],
+]
+GRAM_RANK_RBF = [
+    [H("0x1.0000000000000p+0"), H("0x1.8ebef9eac820bp-1"),
+     H("0x1.4848cbbe4955ap-1")],
+    [H("0x1.8ebef9eac820bp-1"), H("0x1.0000000000000p+0"),
+     H("0x1.f1f936ca50d7dp-1")],
+    [H("0x1.4848cbbe4955ap-1"), H("0x1.f1f936ca50d7dp-1"),
+     H("0x1.0000000000000p+0")],
+]
+KMAT_RANK_RBF = [
+    [H("0x1.23ba930c1568bp-1"), H("0x1.e0fabfbc702a4p-1"),
+     H("0x1.fc74ee53f0c60p-1")],
+    [H("0x1.0000000000000p+0"), H("0x1.8ebef9eac820bp-1"),
+     H("0x1.4848cbbe4955ap-1")],
+]
+
 
 def golden_examples():
     trees = [s for pair in BRANCH_PAIRS.values() for s in pair]
@@ -544,6 +631,13 @@ GOLDEN_CONFIGS = {
     "PTK": KernelConfig(use_tk=True, use_rank=True),
     "STK": KernelConfig(use_tk=True, tk_kind="STK", lam=0.9,
                         normalize_tk=False, use_sim=False),
+    "LINEAR_VEC": KernelConfig(vec_kernel="LINEAR", use_tk=True,
+                               use_rank=True),
+    "RBF_RANK": KernelConfig(gamma=0.7, use_tk=True, tk_kind="STK",
+                             use_rank=True, rank_kernel="RBF"),
+    "SIM": KernelConfig(),
+    "RANK_RBF": KernelConfig(use_sim=False, use_rank=True,
+                             rank_kernel="RBF"),
 }
 
 
@@ -560,14 +654,147 @@ class TestGoldenValues:
         a, b = (t(s) for s in BRANCH_PAIRS[name])
         assert stk(a, b, lam) == STK[key]
 
-    @pytest.mark.parametrize("kind,gram,kmat", [("PTK", GRAM_PTK, KMAT_PTK),
-                                                ("STK", GRAM_STK, KMAT_STK)])
+    @pytest.mark.parametrize("kind,gram,kmat", [
+        ("PTK", GRAM_PTK, KMAT_PTK),
+        ("STK", GRAM_STK, KMAT_STK),
+        ("LINEAR_VEC", GRAM_LINEAR_VEC, KMAT_LINEAR_VEC),
+        ("RBF_RANK", GRAM_RBF_RANK, KMAT_RBF_RANK),
+        ("SIM", GRAM_SIM, KMAT_SIM),
+        ("RANK_RBF", GRAM_RANK_RBF, KMAT_RANK_RBF),
+    ])
     def test_gram_and_kernel_matrix(self, kind, gram, kmat):
         ex = golden_examples()
         cfg = GOLDEN_CONFIGS[kind]
         assert gram_matrix(ex[:3], cfg).tolist() == gram
         assert kernel_matrix(ex[3:] + ex[:1], ex[:3], cfg).tolist() == kmat
 
+
+def vector_examples(n=300, dim=20, seed=404):
+    """Examples with dense SemEval-sized vectors and rank features only."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.random((n, dim))
+    ranks = rng.integers(1, 11, size=n)
+    return [Example(query_id=f"q{k // 10}", candidate_id=f"c{k}",
+                    label=1 - 2 * (k % 2), original_rank=int(ranks[k]),
+                    vec=vecs[k], rank_value=1.0 / int(ranks[k]))
+            for k in range(n)]
+
+
+def per_cell_gram(examples, gamma):
+    """RBF-vec + LINEAR-rank Gram in the per-cell form: one ``np.dot`` and
+    one ``math.exp`` per cell, the sim block added to 0.0 before the rank
+    block. The reference the row-wise code must equal bit for bit."""
+    n = len(examples)
+    G = np.empty((n, n))
+    for i, e_i in enumerate(examples):
+        for j in range(i, n):
+            e_j = examples[j]
+            d = e_i.vec - e_j.vec
+            total = 0.0
+            total += math.exp(-gamma * float(np.dot(d, d)))
+            total += e_i.rank_value * e_j.rank_value
+            G[i, j] = G[j, i] = total
+    return G
+
+
+# sha256 of gram_matrix(vector_examples(), KernelConfig(use_rank=True))
+# .tobytes(), recorded with the per-cell code.
+GRAM_300_SHA256 = ("45f496c5e24fe6cc3da9641d5a5a5e00"
+                   "d207183bbcfe9131bc2345a3b07e6d3a")
+
+ONE_CELL_CONFIGS = [
+    KernelConfig(use_tk=True, use_rank=True),
+    KernelConfig(vec_kernel="LINEAR", use_tk=True, tk_kind="STK",
+                 use_rank=True),
+    KernelConfig(gamma=0.7, use_rank=True, rank_kernel="RBF"),
+    KernelConfig(),
+    KernelConfig(use_sim=False, use_rank=True, rank_kernel="RBF"),
+    KernelConfig(use_sim=False, use_tk=True, normalize_tk=False),
+]
+
+
+class TestRowWiseKernel:
+    def test_gram_of_300_vectors_matches_per_cell_form(self):
+        ex = vector_examples()
+        G = gram_matrix(ex, KernelConfig(use_rank=True))
+        assert G.tobytes() == per_cell_gram(ex, 1.0 / 20).tobytes()
+
+    def test_gram_of_300_vectors_digest(self):
+        ex = vector_examples()
+        reference = per_cell_gram(ex, 1.0 / 20).tobytes()
+        if hashlib.sha256(reference).hexdigest() != GRAM_300_SHA256:
+            pytest.skip("this BLAS sums a 20-term dot product in another "
+                        "order than the one the digest was recorded with")
+        G = gram_matrix(ex, KernelConfig(use_rank=True))
+        assert hashlib.sha256(G.tobytes()).hexdigest() == GRAM_300_SHA256
+
+    @pytest.mark.parametrize("cfg", ONE_CELL_CONFIGS)
+    def test_combined_kernel_is_the_matrix_cell(self, cfg):
+        rng = make_rng(89)
+        ex = make_examples(rng, 5)
+        G = gram_matrix(ex, cfg)
+        for i, e_i in enumerate(ex):
+            for j, e_j in enumerate(ex):
+                assert combined_kernel(e_i, e_j, cfg) == G[i, j]
+        assert kernel_matrix(ex[3:], ex, cfg).tobytes() == G[3:].tobytes()
+
+    def test_rbf_is_the_one_cell_form(self):
+        rng = make_rng(97)
+        u, v = rng.normal(size=20), rng.normal(size=20)
+        d = u - v
+        assert rbf(u, v, 0.3) == math.exp(-0.3 * float(np.dot(d, d)))
+
+
+def checked_examples(dims=(4, 4, 4, 4), no_vec=(), no_rank=()):
+    return [Example(query_id="q", candidate_id=f"c{k}", label=1,
+                    original_rank=k + 1,
+                    vec=None if k in no_vec else np.full(dim, 0.5),
+                    rank_value=None if k in no_rank else 1.0 / (k + 1))
+            for k, dim in enumerate(dims)]
+
+
+NO_VEC = "similarity block enabled but example (q, c{}) has no feature vector"
+NO_RANK = "rank block enabled but example (q, c{}) has no rank feature"
+DIMS = "feature vectors disagree in dimension: ({},) vs ({},)"
+
+
+class TestStackedChecks:
+    """The checks run on whole blocks before any row; each message is the
+    one the per-cell code raised for the same input."""
+
+    CFG = KernelConfig(use_rank=True)
+
+    @pytest.mark.parametrize("fault,message", [
+        ({"no_vec": (2,)}, NO_VEC.format(2)),
+        ({"no_rank": (2,)}, NO_RANK.format(2)),
+        ({"dims": (4, 4, 5, 4)}, DIMS.format(4, 5)),
+    ])
+    def test_gram_matrix(self, fault, message):
+        ex = checked_examples(**fault)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            gram_matrix(ex, self.CFG)
+
+    @pytest.mark.parametrize("fault,message", [
+        ({"no_vec": (3,)}, NO_VEC.format(3)),      # a later column
+        ({"no_vec": (1,)}, NO_VEC.format(1)),      # a later row
+        ({"no_rank": (3,)}, NO_RANK.format(3)),
+        ({"no_rank": (1,)}, NO_RANK.format(1)),
+        ({"dims": (4, 4, 4, 5)}, DIMS.format(4, 5)),
+        ({"dims": (4, 5, 4, 4)}, DIMS.format(5, 4)),
+        ({"dims": (3, 3, 4, 4)}, DIMS.format(3, 4)),   # rows vs columns
+    ])
+    def test_kernel_matrix(self, fault, message):
+        ex = checked_examples(**fault)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            kernel_matrix(ex[:2], ex[2:], self.CFG)
+
+    def test_unused_blocks_are_not_checked(self):
+        ragged = checked_examples(dims=(4, 5, 6))
+        rank_only = KernelConfig(use_sim=False, use_rank=True)
+        assert gram_matrix(ragged, rank_only).shape == (3, 3)
+        unranked = checked_examples(no_rank=(0, 1, 2, 3))
+        K = kernel_matrix(unranked[:1], unranked, KernelConfig())
+        assert K.shape == (1, 4)
 
 def deep_chain(depth, leaf="x"):
     """A unary chain N{depth-1} → … → N0 → leaf, built without recursion."""
