@@ -37,7 +37,6 @@ from .pipeline import (
     load_corpus,
     load_examples,
     make_groups,
-    run_experiment,  # noqa: F401  (re-exported for programmatic use)
     save_examples,
     score_examples,
 )

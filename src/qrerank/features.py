@@ -122,15 +122,6 @@ def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> T
     return TokenSeq(tokens)
 
 
-def ngrams(seq: TokenSeq, n: int) -> Counter:
-    """Multiset of contiguous n-token windows (empty when the sequence is
-    shorter than n)."""
-    if n < 1:
-        raise DataError(f"n-gram order must be >= 1, got {n}")
-    toks = tuple(seq)
-    return Counter(toks[i:i + n] for i in range(len(toks) - n + 1))
-
-
 # ---------------------------------------------------------------------------
 # similarity measures
 # ---------------------------------------------------------------------------

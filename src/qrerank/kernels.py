@@ -129,6 +129,8 @@ class Example:
             self.vec = np.asarray(self.vec, dtype=np.float64)
             if self.vec.ndim != 1:
                 raise DataError("example vec must be a 1-d array")
+            if not self.vec.size:
+                raise DataError("example vec is empty")
             if not np.all(np.isfinite(self.vec)):
                 raise DataError("example vec contains non-finite values")
             if self.vec_names and len(self.vec_names) != len(self.vec):

@@ -15,10 +15,9 @@ downstream tree kernels see one tree per question.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, open_text
+from .errors import DataError
 
 
 class TreeParseError(DataError):
@@ -216,35 +215,3 @@ def macro_tree(trees: list[SyntaxTree], root_label: str = "ROOT") -> SyntaxTree:
     if not trees:
         raise DataError("macro_tree requires at least one sentence tree")
     return SyntaxTree(root_label, tuple(trees))
-
-
-def node_count(tree: SyntaxTree) -> int:
-    """Total number of nodes, leaves included."""
-    return sum(1 for _ in tree.iter_nodes())
-
-
-def read_tree_file(path: str | Path) -> list[SyntaxTree]:
-    """Read a UTF-8 file with one bracketed tree per line.
-
-    Blank lines are skipped; parse failures are re-raised with the line
-    number prepended.
-    """
-    trees = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                trees.append(parse_bracketed(line))
-            except TreeParseError as exc:
-                raise TreeParseError(f"{path}:{lineno}: {exc.args[0]}",
-                                     exc.offset) from exc
-    return trees
-
-
-def write_tree_file(path: str | Path, trees: list[SyntaxTree]) -> None:
-    """Write trees one-per-line in bracketed form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(to_bracketed(tree))
-            fh.write("\n")

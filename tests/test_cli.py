@@ -1,5 +1,7 @@
 """Command-line interface: config layering, subcommands, exit codes."""
 
+import json
+
 import pytest
 
 from qrerank import cli
@@ -250,6 +252,22 @@ class TestExitCodes:
         code = main(["evaluate", "--predictions", str(tmp_path / "x.tsv")])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_empty_feature_vector_is_2(self, corpora, tmp_path, capsys):
+        train, _ = corpora
+        train_ex = tmp_path / "train.ex"
+        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
+        rows = [json.loads(line) for line in
+                train_ex.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            row["vec"] = row["vec_names"] = []
+        write_jsonl(train_ex, rows)
+        capsys.readouterr()
+        code = main(["gram", "--examples", str(train_ex),
+                     "--out", str(tmp_path / "g.gram")])
+        assert code == 2
+        assert (f"error: {train_ex}:1: example vec is empty"
+                in capsys.readouterr().err)
 
     def test_strict_rerank_fingerprint_mismatch_is_2(self, corpora, tmp_path,
                                                      capsys):

@@ -22,7 +22,6 @@ from qrerank.features import (
     load_embeddings,
     load_stopwords,
     mte_vector,
-    ngrams,
     ptk_feature,
     rank_feature,
     similarity_vector,
@@ -57,22 +56,6 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Can my wife visit Qatar on my visa?"
         assert tokenize(text) == tokenize(text)
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert ngrams(TokenSeq(("a", "b", "c")), 2) == Counter(
-            {("a", "b"): 1, ("b", "c"): 1})
-
-    def test_short_input_empty(self):
-        assert ngrams(TokenSeq(("a", "b")), 4) == Counter()
-
-    def test_multiplicity_kept(self):
-        assert ngrams(TokenSeq(("a", "a", "a")), 1) == Counter({("a",): 3})
-
-    def test_order_validated(self):
-        with pytest.raises(DataError):
-            ngrams(TokenSeq(("a",)), 0)
 
 
 class TestSetMeasures:

@@ -420,6 +420,11 @@ class TestExampleValidation:
             Example(query_id="q", candidate_id="c", label=1,
                     original_rank=rank)
 
+    def test_empty_vec_rejected(self):
+        with pytest.raises(DataError, match="example vec is empty"):
+            Example(query_id="q", candidate_id="c", label=1, original_rank=1,
+                    vec=np.zeros(0))
+
     def test_non_finite_vec_rejected(self):
         with pytest.raises(DataError):
             Example(query_id="q", candidate_id="c", label=1, original_rank=1,

@@ -7,11 +7,8 @@ from qrerank.treebank import (
     SyntaxTree,
     TreeParseError,
     macro_tree,
-    node_count,
     parse_bracketed,
-    read_tree_file,
     to_bracketed,
-    write_tree_file,
 )
 
 from conftest import make_rng, random_tree
@@ -145,7 +142,8 @@ class TestMacroTree:
         m = macro_tree([s1, s2])
         assert m.label == "ROOT"
         assert m.children == (s1, s2)
-        assert node_count(m) == node_count(s1) + node_count(s2) + 1
+        assert len(list(m.iter_nodes())) == \
+            len(list(s1.iter_nodes())) + len(list(s2.iter_nodes())) + 1
 
     def test_single_sentence_still_wrapped(self):
         s = parse_bracketed("(S (A a))")
@@ -159,38 +157,6 @@ class TestMacroTree:
     def test_empty_list_rejected(self):
         with pytest.raises(DataError):
             macro_tree([])
-
-
-class TestNodeCount:
-    def test_counts_all_nodes(self):
-        assert node_count(parse_bracketed("(S (A a) (B b))")) == 5
-        assert node_count(SyntaxTree("x")) == 1
-
-    def test_matches_postorder_length(self):
-        rng = make_rng(11)
-        for _ in range(50):
-            t = random_tree(rng)
-            assert node_count(t) == len(list(t.iter_nodes()))
-
-
-class TestTreeFiles:
-    def test_read_write_round_trip(self, tmp_path):
-        rng = make_rng(3)
-        trees = [random_tree(rng) for _ in range(20)]
-        path = tmp_path / "trees.txt"
-        write_tree_file(path, trees)
-        assert read_tree_file(path) == trees
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "trees.txt"
-        path.write_text("(S (A a))\n\n(S (B b))\n", encoding="utf-8")
-        assert len(read_tree_file(path)) == 2
-
-    def test_parse_error_names_line(self, tmp_path):
-        path = tmp_path / "trees.txt"
-        path.write_text("(S (A a))\n(S (A a)\n", encoding="utf-8")
-        with pytest.raises(TreeParseError, match=r":2:"):
-            read_tree_file(path)
 
 
 class TestDataclassSemantics:
