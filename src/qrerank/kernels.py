@@ -10,12 +10,34 @@ Two tree kernels are provided:
   decay μ. Child sequences are compared with the standard string-subsequence
   dynamic program (cubic in the child-list length per node pair).
 
-Each tree is compiled once per Gram or scoring call into post-order arrays:
-interned label and production ids, child indices and id→node buckets. Both
-kernels run bottom-up over the node pairs the buckets match, memoizing Δ per
-pair; PTK skips the child-sequence DP on 1×1 and all-zero child blocks, whose
-sums are known exactly. Evaluations are pure functions — no state is shared
-between calls, so independent Gram cells can safely be computed concurrently.
+Every tree of one kernel call (``gram_matrix``, ``kernel_matrix``,
+``combined_kernel``, ``pair_tk``, ``ptk``, ``stk``) is compiled against one
+table that the call creates (``_Subtrees``). The table hash-conses
+subtrees: a subtree is interned by its label and its children's subtree ids,
+so equal subtrees get one id wherever they occur, and a child's id is always
+smaller than its parent's. A compiled tree is its distinct subtree ids in
+ascending order, each with the number of nodes that root it, plus buckets
+from a label or production to the (id, count) pairs that carry it.
+
+Both kernels run over the pairs of subtrees the buckets match, in ascending
+order of the first tree's ids. Two dicts, created per Gram or scoring row
+and dropped after it, share work across the row's tree pairs: a Δ memo keyed
+by (row subtree, column subtree), used by both trees of the row and all its
+columns, and a cache of the child-sequence DP keyed by the child-Δ block
+(flattened, with its width). A memo miss means the labels (STK: the
+productions) differ: a child's matched pairs are all filled in before its
+parent reads them, since its id comes first. PTK skips the DP on 1×1 child
+blocks, and the DP returns 0 at once on an all-zero block. Each matched pair
+adds its Δ ``c1·c2`` times to the terms that ``math.fsum`` reduces, c1 and
+c2 being the counts of its two subtrees. The result is bit-identical to
+evaluating every node pair on its own, because Δ is a pure function of the
+two subtrees and the DP of the block's values and λ (fixed per call); every
+Δ is ≥ +0, so no key holds −0.0 or NaN and equal keys mean equal bits; and
+``fsum`` is exactly rounded, so only the multiset of terms matters. The
+caches hold one row's work, not the whole call's, and ``kernel_matrix``
+drops a row's subtrees from the table with the row. ``gram_matrix`` and
+``kernel_matrix`` log one INFO line with the call's tree pairs, interned
+subtrees, Δ values and DP runs. No state outlives a call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -40,6 +62,7 @@ temporaries are O(columns × dim); no n×n×dim array is built.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
@@ -50,6 +73,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError, open_text
 from .treebank import SyntaxTree
+
+logger = logging.getLogger(__name__)
 
 TK_KINDS = ("STK", "PTK")
 VECTOR_KERNELS = ("LINEAR", "RBF")
@@ -144,52 +169,98 @@ class Example:
 # ---------------------------------------------------------------------------
 
 class _Tree(NamedTuple):
-    """A tree compiled for the kernels: per node, in post-order, the ids of
-    its label and its production (-1 for a leaf) and its child indices;
-    buckets maps a label or production id to its nodes, in order. One
-    intern table holds both kinds of id, so they never collide."""
-    labels: list[int]
-    prods: list[int]
-    children: list[tuple[int, ...]]
-    buckets: dict[int, tuple[int, ...]]
+    """A tree compiled against a :class:`_Subtrees` table: its distinct
+    subtree ids in ascending order, each with the number of nodes that root
+    it, and buckets from a label or production id to the (id, count) pairs
+    that carry it, in the same order."""
+    nodes: tuple[tuple[int, int], ...]
+    buckets: dict[int, tuple[tuple[int, int], ...]]
 
 
-def _compile(tree: SyntaxTree, ids: dict) -> _Tree:
-    """Compile ``tree`` against the intern table ``ids``, which every tree
-    compared within one call must share."""
-    labels, prods, children = [], [], []
-    buckets = defaultdict(list)
-    done: list[int] = []    # finished subtrees not yet claimed by a parent
-    for i, node in enumerate(tree.iter_nodes()):
-        first_kid = len(done) - len(node.children)
-        kids = tuple(done[first_kid:])
-        done[first_kid:] = [i]
-        label = ids.setdefault(node.label, len(ids))
-        key = (label, tuple(labels[k] for k in kids))
-        prod = ids.setdefault(key, len(ids)) if kids else -1
-        labels.append(label)
-        prods.append(prod)
-        children.append(kids)
-        buckets[label].append(i)
-        if kids:
-            buckets[prod].append(i)
-    return _Tree(labels, prods, children,
-                 {key: tuple(nodes) for key, nodes in buckets.items()})
+class _Subtrees:
+    """A hash-consing table of subtrees, created by one kernel call and
+    shared by every tree that call compiles.
+
+    A subtree is interned by its label id and its children's subtree ids,
+    so equal subtrees, within one tree or across trees, get one id, and a
+    child's id is always smaller than its parent's. Per id the table keeps
+    the label id, the production id (-1 for a leaf) and the child ids.
+    Labels and productions share one id space, so a bucket key of either
+    kind never collides with the other. The counters record the call's
+    tree-kernel work for its log line.
+    """
+
+    def __init__(self):
+        self.names: dict = {}       # label or production → id
+        self.index: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.labels: list[int] = []
+        self.prods: list[int] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.interned = self.pairs = self.deltas = self.dp_runs = 0
+
+    def compile(self, tree: SyntaxTree) -> _Tree:
+        names, index, labels = self.names, self.index, self.labels
+        counts: dict[int, int] = defaultdict(int)
+        done: list[int] = []    # finished subtrees not yet claimed by a parent
+        for node in tree.iter_nodes():
+            first_kid = len(done) - len(node.children)
+            kids = tuple(done[first_kid:])
+            label = names.setdefault(node.label, len(names))
+            s = index.get((label, kids))
+            if s is None:
+                s = index[label, kids] = len(labels)
+                prod = (label, tuple(labels[k] for k in kids))
+                labels.append(label)
+                self.prods.append(names.setdefault(prod, len(names))
+                                  if kids else -1)
+                self.kids.append(kids)
+            done[first_kid:] = [s]
+            counts[s] += 1
+        nodes = tuple(sorted(counts.items()))
+        buckets = defaultdict(list)
+        for s, c in nodes:
+            buckets[labels[s]].append((s, c))
+            if self.prods[s] >= 0:
+                buckets[self.prods[s]].append((s, c))
+        return _Tree(nodes, {key: tuple(v) for key, v in buckets.items()})
+
+    def rollback(self, size: int) -> None:
+        """Forget every subtree interned since the table held ``size``."""
+        for s in range(size, len(self.labels)):
+            del self.index[self.labels[s], self.kids[s]]
+        self.interned += len(self.labels) - size
+        del self.labels[size:], self.prods[size:], self.kids[size:]
+
+    def tally(self, pairs: int, memo: dict, blocks: dict) -> None:
+        self.pairs += pairs
+        self.deltas += len(memo)
+        self.dp_runs += len(blocks)
+
+    def report(self, call: str) -> None:
+        logger.info("%s: %d tree pairs, %d subtrees interned, %d delta values "
+                    "computed, %d child-block DP runs", call, self.pairs,
+                    self.interned + len(self.labels), self.deltas,
+                    self.dp_runs)
 
 
-def _stk(t1: _Tree, t2: _Tree, lam: float) -> float:
-    kids2, buckets2 = t2.children, t2.buckets
-    rows: list[dict[int, float]] = []   # rows[i1][i2] = Δ(i1, i2), if matched
+def _stk(t1: _Tree, t2: _Tree, lam: float, sub: _Subtrees,
+         memo: dict) -> float:
+    prods, kids = sub.prods, sub.kids
+    buckets2 = t2.buckets
     terms = []
-    for prod, kids in zip(t1.prods, t1.children):
-        row = {}
-        rows.append(row)
-        for i2 in buckets2.get(prod, ()):
-            d = lam
-            for c1, c2 in zip(kids, kids2[i2]):
-                d *= 1.0 + rows[c1].get(c2, 0.0)
-            row[i2] = d
-            terms.append(d)
+    for s1, c1 in t1.nodes:
+        a = kids[s1]
+        for s2, c2 in buckets2.get(prods[s1], ()):
+            d = memo.get((s1, s2))
+            if d is None:
+                d = lam
+                for x, y in zip(a, kids[s2]):
+                    d *= 1.0 + memo.get((x, y), 0.0)
+                memo[s1, s2] = d
+            if c1 * c2 == 1:
+                terms.append(d)
+            else:
+                terms += [d] * (c1 * c2)
     return math.fsum(terms)
 
 
@@ -205,11 +276,11 @@ def stk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4) -> float:
     """
     if not 0.0 < lam <= 1.0:
         raise DataError(f"lambda must be in (0, 1], got {lam}")
-    ids: dict = {}
-    return _stk(_compile(t1, ids), _compile(t2, ids), lam)
+    sub = _Subtrees()
+    return _stk(sub.compile(t1), sub.compile(t2), lam, sub, {})
 
 
-def _subsequence_sum(D: list[list[float]], lam: float) -> float:
+def _subsequence_sum(D: list[tuple[float, ...]], lam: float) -> float:
     """Σ over pairs of equal-length nonempty child subsequences of
     λ^{span(J1)+span(J2)} · ∏ Δ(paired children), via the subsequence-kernel
     dynamic program; D[i][j] is Δ of the i-th and j-th children."""
@@ -248,26 +319,36 @@ def _subsequence_sum(D: list[list[float]], lam: float) -> float:
     return math.fsum(terms)
 
 
-def _ptk(t1: _Tree, t2: _Tree, lam: float, mu: float) -> float:
+def _ptk(t1: _Tree, t2: _Tree, lam: float, mu: float, sub: _Subtrees,
+         memo: dict, blocks: dict) -> float:
     lam2 = lam * lam
     mu_lam2 = mu * lam * lam    # a childless node; (μλ)λ, not μ(λλ)
-    kids2, buckets2 = t2.children, t2.buckets
-    rows: list[dict[int, float]] = []   # rows[i1][i2] = Δ(i1, i2), if matched
+    labels, kids = sub.labels, sub.kids
+    buckets2 = t2.buckets
     terms = []
-    for label, a in zip(t1.labels, t1.children):
-        row = {}
-        rows.append(row)
-        for i2 in buckets2.get(label, ()):
-            b = kids2[i2]
-            if not a or not b:
-                d = mu_lam2
-            elif len(a) == 1 and len(b) == 1:   # the DP's one term is λ²·Δ
-                d = mu * (lam2 + lam2 * rows[a[0]].get(b[0], 0.0))
+    for s1, c1 in t1.nodes:
+        a = kids[s1]
+        for s2, c2 in buckets2.get(labels[s1], ()):
+            d = memo.get((s1, s2))
+            if d is None:
+                b = kids[s2]
+                if not a or not b:
+                    d = mu_lam2
+                elif len(a) == 1 and len(b) == 1:   # the DP's one term is λ²·Δ
+                    d = mu * (lam2 + lam2 * memo.get((a[0], b[0]), 0.0))
+                else:
+                    m = len(b)
+                    key = (m, *[memo.get((x, y), 0.0) for x in a for y in b])
+                    s = blocks.get(key)
+                    if s is None:
+                        s = blocks[key] = _subsequence_sum(
+                            [key[k:k + m] for k in range(1, len(key), m)], lam)
+                    d = mu * (lam2 + s)
+                memo[s1, s2] = d
+            if c1 * c2 == 1:
+                terms.append(d)
             else:
-                D = [[rows[c1].get(c2, 0.0) for c2 in b] for c1 in a]
-                d = mu * (lam2 + _subsequence_sum(D, lam))
-            row[i2] = d
-            terms.append(d)
+                terms += [d] * (c1 * c2)
     return math.fsum(terms)
 
 
@@ -283,8 +364,8 @@ def ptk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4, mu: float = 0.4) -> fl
         raise DataError(f"lambda must be in (0, 1], got {lam}")
     if not 0.0 < mu <= 1.0:
         raise DataError(f"mu must be in (0, 1], got {mu}")
-    ids: dict = {}
-    return _ptk(_compile(t1, ids), _compile(t2, ids), lam, mu)
+    sub = _Subtrees()
+    return _ptk(sub.compile(t1), sub.compile(t2), lam, mu, sub, {}, {})
 
 
 def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
@@ -297,10 +378,11 @@ def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
     return k_xy / math.sqrt(k_xx * k_yy)
 
 
-def _tree_kernel(t1: _Tree, t2: _Tree, cfg: KernelConfig) -> float:
+def _tree_kernel(t1: _Tree, t2: _Tree, cfg: KernelConfig, sub: _Subtrees,
+                 memo: dict, blocks: dict) -> float:
     if cfg.tk_kind == "STK":
-        return _stk(t1, t2, cfg.lam)
-    return _ptk(t1, t2, cfg.lam, cfg.mu)
+        return _stk(t1, t2, cfg.lam, sub, memo)
+    return _ptk(t1, t2, cfg.lam, cfg.mu, sub, memo, blocks)
 
 
 def _require_trees(e: Example):
@@ -311,26 +393,35 @@ def _require_trees(e: Example):
         )
 
 
-def _prepare(examples, cfg: KernelConfig, ids: dict, selfs: bool) -> list:
+def _prepare(examples, cfg: KernelConfig, sub: _Subtrees, selfs: bool) -> list:
     """Per-call tree state of each example, None when the tree block is off:
-    its two trees compiled against the call's intern table ``ids`` and their
-    self-kernels, or (1.0, 1.0) in their place unless ``selfs``."""
+    its two trees compiled against the call's table ``sub`` and their
+    self-kernels, or (1.0, 1.0) in their place unless ``selfs``. Each
+    example's self-kernels share one Δ memo and block cache, dropped after."""
     if not cfg.use_tk:
         return [None] * len(examples)
     for e in examples:
         _require_trees(e)
-    trees = [(_compile(e.tree_first, ids), _compile(e.tree_second, ids))
-             for e in examples]
-    return [(t1, t2, (_tree_kernel(t1, t1, cfg), _tree_kernel(t2, t2, cfg))
-             if selfs else (1.0, 1.0)) for t1, t2 in trees]
+    prepared = []
+    for e in examples:
+        t1, t2 = sub.compile(e.tree_first), sub.compile(e.tree_second)
+        k = (1.0, 1.0)
+        if selfs:
+            memo, blocks = {}, {}
+            k = (_tree_kernel(t1, t1, cfg, sub, memo, blocks),
+                 _tree_kernel(t2, t2, cfg, sub, memo, blocks))
+            sub.tally(2, memo, blocks)
+        prepared.append((t1, t2, k))
+    return prepared
 
 
-def _pair_tk(p_i, p_j, cfg: KernelConfig) -> float:
+def _pair_tk(p_i, p_j, cfg: KernelConfig, sub: _Subtrees, memo: dict,
+             blocks: dict) -> float:
     if p_i is p_j:      # a Gram diagonal cell: its self-kernels are at hand
         k1, k2 = p_i[2]
     else:
-        k1 = _tree_kernel(p_i[0], p_j[0], cfg)
-        k2 = _tree_kernel(p_i[1], p_j[1], cfg)
+        k1 = _tree_kernel(p_i[0], p_j[0], cfg, sub, memo, blocks)
+        k2 = _tree_kernel(p_i[1], p_j[1], cfg, sub, memo, blocks)
     if cfg.normalize_tk:
         k1 = normalize_kernel(k1, p_i[2][0], p_j[2][0])
         k2 = normalize_kernel(k2, p_i[2][1], p_j[2][1])
@@ -345,9 +436,10 @@ def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     cfg.normalize_tk) are summed. With normalization the self-similarity
     pair_tk(e, e) is exactly 2.
     """
-    p_i, p_j = _prepare([e_i, e_j], replace(cfg, use_tk=True), {},
+    sub = _Subtrees()
+    p_i, p_j = _prepare([e_i, e_j], replace(cfg, use_tk=True), sub,
                         cfg.normalize_tk)
-    return _pair_tk(p_i, p_j, cfg)
+    return _pair_tk(p_i, p_j, cfg, sub, {}, {})
 
 
 def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
@@ -413,14 +505,17 @@ def _stack(examples, cfg: KernelConfig):
     return X, r
 
 
-def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig) -> np.ndarray:
+def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig,
+         sub: _Subtrees) -> np.ndarray:
     """The combined kernel between one example ``e`` (tree state ``p``) and
     a block of columns: their stacked vec and rank blocks ``X`` and ``r``
-    (from :func:`_stack`) and their tree states ``prepared``.
+    (from :func:`_stack`) and their tree states ``prepared``, compiled
+    against ``sub``.
 
     Each value is the sum, in this order, of the sim, tree and rank blocks,
     starting from 0.0, with the per-pair arithmetic of the one-cell form;
-    temporaries are O(columns × dim)."""
+    temporaries are O(columns × dim). The row's tree kernels share one Δ
+    memo and one child-block cache, dropped when the row is done."""
     row = np.zeros(len(prepared))
     if cfg.use_sim:
         u = _require_vec(e)
@@ -430,7 +525,10 @@ def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig) -> np.ndarray:
         else:
             row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
     if cfg.use_tk:
-        row += [_pair_tk(p, q, cfg) for q in prepared]
+        memo, blocks = {}, {}
+        row += [_pair_tk(p, q, cfg, sub, memo, blocks) for q in prepared]
+        # a Gram row starts at its diagonal, which takes no evaluation
+        sub.tally(2 * (len(prepared) - (prepared[0] is p)), memo, blocks)
     if cfg.use_rank:
         r_e = _require_rank(e)
         if cfg.rank_kernel == "LINEAR":
@@ -444,9 +542,10 @@ def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig) -> np.ndarray:
 
 def combined_kernel(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     """Sum of the enabled per-block kernels for one example pair."""
-    p_i, p_j = _prepare([e_i, e_j], cfg, {}, cfg.normalize_tk)
+    sub = _Subtrees()
+    p_i, p_j = _prepare([e_i, e_j], cfg, sub, cfg.normalize_tk)
     X, r = _stack([e_j], cfg)
-    return float(_row(e_i, p_i, X, r, [p_j], cfg)[0])
+    return float(_row(e_i, p_i, X, r, [p_j], cfg, sub)[0])
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
@@ -459,15 +558,18 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     if not examples:
         raise DataError("gram_matrix requires at least one example")
     n = len(examples)
-    prepared = _prepare(examples, cfg, {}, True)
+    sub = _Subtrees()
+    prepared = _prepare(examples, cfg, sub, True)
     X, r = _stack(examples, cfg)
     G = np.empty((n, n), dtype=np.float64)
     for i in range(n):
         row = _row(examples[i], prepared[i],
                    None if X is None else X[i:], None if r is None else r[i:],
-                   prepared[i:], cfg)
+                   prepared[i:], cfg, sub)
         G[i, i:] = row
         G[i:, i] = row
+    if cfg.use_tk:
+        sub.report("gram_matrix")
     return G
 
 
@@ -475,16 +577,21 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
                   cfg: KernelConfig) -> np.ndarray:
     """Rectangular kernel matrix K[i][j] = combined_kernel(rows[i], cols[j]).
     Each tree is compiled, and its self-kernels computed, once: a column's
-    for the whole call, a row's for its row only."""
+    for the whole call, a row's for its row only; a row's subtrees leave
+    the table with the row."""
     if not rows or not cols:
         raise DataError("kernel_matrix requires non-empty example lists")
-    ids: dict = {}
-    prep_c = _prepare(cols, cfg, ids, cfg.normalize_tk)
+    sub = _Subtrees()
+    prep_c = _prepare(cols, cfg, sub, cfg.normalize_tk)
+    size = len(sub.labels)
     X, r = _stack(cols, cfg)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
     for i, e_i in enumerate(rows):
-        p_i, = _prepare([e_i], cfg, ids, cfg.normalize_tk)
-        K[i] = _row(e_i, p_i, X, r, prep_c, cfg)
+        p_i, = _prepare([e_i], cfg, sub, cfg.normalize_tk)
+        K[i] = _row(e_i, p_i, X, r, prep_c, cfg, sub)
+        sub.rollback(size)
+    if cfg.use_tk:
+        sub.report("kernel_matrix")
     return K
 
 

@@ -216,7 +216,7 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         E = g - y
         # violators in decreasing order of violation; ties rotated by seed
         order = np.argsort(-viol, kind="stable")
-        order = [int(k) for k in order if viol[k] > 0.0]
+        order = order[viol[order] > 0.0].tolist()
         for i in ([tie_pick(viol, worst)] + order):
             gaps = np.abs(E[i] - E)
             j = tie_pick(gaps, gaps.max())

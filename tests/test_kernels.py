@@ -837,3 +837,127 @@ class TestDeepTrees:
         assert np.array_equal(G, G.T)
         assert G[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert 0.0 < G[0, 1] < 2.0
+
+
+# Trees that share subtrees with each other and repeat identical subtrees
+# inside one tree, so that the hash-consed engine meets subtree counts above
+# 1, Δ memo hits across trees and columns, and repeated child blocks.
+NP_VISA = "(NP (DT the) (NN visa))"
+VP_GET = f"(VP (VB get) {NP_VISA})"
+PP_QATAR = "(PP (IN in) (NP (NN qatar)))"
+SHARED_TEXTS = [
+    f"(S {NP_VISA} {VP_GET} (. ?))",
+    f"(S {NP_VISA} {NP_VISA} {VP_GET} {PP_QATAR})",
+    f"(S (NP {NP_VISA} {PP_QATAR}) (VP (VB renew) {NP_VISA}) (. ?))",
+    f"(S {VP_GET} {VP_GET})",
+    # a node of 40 children drawn from four subtrees
+    "(S " + " ".join([NP_VISA, "(A a)", PP_QATAR, "(A a)", "(B b)"] * 8)
+    + ")",
+]
+
+
+def wrapped_chain(depth, base):
+    """``base`` under a unary chain N{depth-1} → … → N0, without recursion."""
+    tree = t(base)
+    for k in range(depth):
+        tree = SyntaxTree(f"N{k}", (tree,))
+    return tree
+
+
+def shared_forest():
+    trees = [t(s) for s in SHARED_TEXTS]
+    trees += [wrapped_chain(1200, NP_VISA), wrapped_chain(600, PP_QATAR)]
+    pairs = [(0, 1), (2, 3), (4, 0), (5, 1), (0, 6), (3, 4), (1, 1)]
+    return trees, [example_with_trees(trees[a], trees[b], cid=f"c{k}")
+                   for k, (a, b) in enumerate(pairs)]
+
+
+def fresh_reference(trees, examples, cfg):
+    """cell(e_i, e_j): the tree-block cell from one fresh public ``ptk`` or
+    ``stk`` call per distinct tree pair, normalized by hand."""
+    index = {id(tree): k for k, tree in enumerate(trees)}
+    values = {}
+
+    def tk(a, b):
+        key = (index[id(a)], index[id(b)])
+        if key not in values:
+            values[key] = (stk(a, b, cfg.lam) if cfg.tk_kind == "STK"
+                           else ptk(a, b, cfg.lam, cfg.mu))
+        return values[key]
+
+    def cell(e_i, e_j):
+        total = []
+        for a, b in ((e_i.tree_first, e_j.tree_first),
+                     (e_i.tree_second, e_j.tree_second)):
+            k = tk(a, b)
+            if cfg.normalize_tk:
+                k = k / math.sqrt(tk(a, a) * tk(b, b))
+            total.append(k)
+        return 0.0 + (total[0] + total[1])
+
+    return cell
+
+
+def hex_matrix(M):
+    return [[float.hex(v) for v in row] for row in M.tolist()]
+
+
+class TestSharedSubtrees:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("lam,mu", [(0.4, 0.4), (0.9, 0.2), (1.0, 1.0)])
+    @pytest.mark.parametrize("kind", ["PTK", "STK"])
+    def test_matrices_equal_fresh_per_pair_calls(self, kind, lam, mu,
+                                                 normalize):
+        trees, ex = shared_forest()
+        cfg = KernelConfig(use_tk=True, use_sim=False, tk_kind=kind, lam=lam,
+                           mu=mu, normalize_tk=normalize)
+        cell = fresh_reference(trees, ex, cfg)
+        assert hex_matrix(gram_matrix(ex, cfg)) == [
+            [float.hex(cell(a, b)) for b in ex] for a in ex]
+        rows, cols = [ex[1], ex[3], ex[6], ex[0]], [ex[0], ex[2], ex[4]]
+        assert hex_matrix(kernel_matrix(rows, cols, cfg)) == [
+            [float.hex(cell(a, b)) for b in cols] for a in rows]
+
+    @pytest.mark.parametrize("lam,mu", PARAMS)
+    def test_small_forest_matches_oracles(self, lam, mu):
+        texts = ["(S (A a) (A a) (B b))", "(S (A a) (B b))",
+                 "(A (A a) (A a))", "(S (B (A a)) (A a))"]
+        trees = [t(s) for s in texts]
+        ex = [example_with_trees(trees[k], trees[(k + 1) % 4], cid=f"c{k}")
+              for k in range(4)]
+        for kind, oracle in (("PTK", lambda a, b: ptk_bruteforce(
+                a, b, lam, mu)), ("STK", lambda a, b: stk_bruteforce(
+                a, b, lam))):
+            cfg = KernelConfig(use_tk=True, use_sim=False, tk_kind=kind,
+                               lam=lam, mu=mu, normalize_tk=False)
+            G = gram_matrix(ex, cfg)
+            for i, a in enumerate(ex):
+                for j, b in enumerate(ex):
+                    expected = (oracle(a.tree_first, b.tree_first)
+                                + oracle(a.tree_second, b.tree_second))
+                    assert G[i, j] == pytest.approx(expected, rel=1e-12)
+
+    def test_nothing_is_kept_between_calls(self):
+        trees, ex = shared_forest()
+        for lam in (0.4, 0.9, 0.4):
+            cfg = KernelConfig(use_tk=True, use_sim=False, lam=lam)
+            cell = fresh_reference(trees, ex, cfg)
+            assert hex_matrix(gram_matrix(ex, cfg)) == [
+                [float.hex(cell(a, b)) for b in ex] for a in ex]
+
+    def test_work_is_logged(self, caplog):
+        trees, ex = shared_forest()
+        cfg = KernelConfig(use_tk=True, use_sim=False)
+        with caplog.at_level("INFO", logger="qrerank.kernels"):
+            gram_matrix(ex[:4], cfg)
+            kernel_matrix(ex[:2], ex[2:5], cfg)
+            gram_matrix(golden_examples(), KernelConfig())   # no trees
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        counts = [[int(x) for x in re.findall(r"\d+", m)] for m in messages]
+        # 4·3 off-diagonal pairs and 2·4 self-kernels; 2·2·3 pairs and
+        # 2·(2 + 3) self-kernels
+        assert messages[0].startswith("gram_matrix: 20 tree pairs, ")
+        assert messages[1].startswith("kernel_matrix: 22 tree pairs, ")
+        for pairs, subtrees, deltas, dp_runs in counts:
+            assert 0 < dp_runs < deltas and 0 < subtrees
