@@ -12,8 +12,15 @@ Six subcommands cover the experiment pipeline stage by stage::
 
 Configuration values resolve in three layers: dataclass defaults, then a
 flat ``key = value`` config file (``--config``), then explicit command-line
-flags.  Nested fields use dotted keys in the file (``kernel.lam = 0.4``,
-``train.C = 1.0``, ``rel.min_shared_tokens = 2``).
+flags.  The keys, their parsers and the flags are all derived from the
+fields of :class:`RunConfig`; the fields of its nested configs take dotted
+keys (``kernel.lam = 0.4``, ``train.C = 1.0``, ``rel.min_shared_tokens =
+2``).  ``train.seed`` and ``rel.stopwords`` have no key, since ``seed`` and
+``stopword_path`` set them.  A key's flag is its last dotted part with ``-``
+for ``_`` (``kernel.use_tk`` is ``--use-tk``, booleans also take
+``--no-use-tk``), except ``--stopwords`` (``stopword_path``),
+``--embeddings`` (``embedding_path``), ``--svm-c`` (``train.C``) and
+``--smo-eps`` (``train.eps``).
 
 Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
 failures.  When ``--stopwords`` names a relative path that does not exist,
@@ -27,11 +34,22 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 from .errors import DataError, NumericalError, open_text
-from .kernels import KernelConfig, config_fingerprint, gram_matrix, save_gram, load_gram
+from .kernels import (
+    TK_KINDS,
+    VECTOR_KERNELS,
+    config_fingerprint,
+    gram_matrix,
+    load_gram,
+    save_gram,
+)
 from .pipeline import (
+    MTE_SIDES,
+    RANK_MODES,
+    TASKS,
     RunConfig,
     build_examples,
     load_corpus,
@@ -49,8 +67,7 @@ from .rankeval import (
     reranked_candidates,
     write_predictions,
 )
-from .rellink import RelConfig
-from .svm import TrainConfig, load_model, save_model, train_smo
+from .svm import load_model, save_model, train_smo
 
 logger = logging.getLogger(__name__)
 
@@ -81,39 +98,40 @@ def _parse_labels(text: str) -> frozenset:
     return labels
 
 
-CONFIG_SCHEMA = {
-    "task": str,
-    "seed": int,
-    "rank_mode": str,
-    "mte_side": str,
-    "gst_min_match": int,
-    "macro_root_label": str,
-    "use_sim_features": _parse_bool,
-    "use_ptk_feature": _parse_bool,
-    "use_embeddings": _parse_bool,
-    "use_mte": _parse_bool,
-    "stopword_path": str,
-    "embedding_path": str,
-    "kernel.tk_kind": str,
-    "kernel.lam": float,
-    "kernel.mu": float,
-    "kernel.gamma": _parse_optional_float,
-    "kernel.rank_kernel": str,
-    "kernel.vec_kernel": str,
-    "kernel.normalize_tk": _parse_bool,
-    "kernel.use_sim": _parse_bool,
-    "kernel.use_tk": _parse_bool,
-    "kernel.use_rank": _parse_bool,
-    "rel.min_shared_tokens": int,
-    "rel.case_insensitive": _parse_bool,
-    "rel.phrase_labels": _parse_labels,
-    "train.C": float,
-    "train.tol": float,
-    "train.eps": float,
-    "train.max_passes": int,
-    "train.c_scale_pos": float,
-    "train.c_scale_neg": float,
+# config-file value parsers, by the type a config field is annotated with
+_PARSERS = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    float | None: _parse_optional_float,
+    str: str,
+    str | None: str,
+    frozenset[str]: _parse_labels,
 }
+
+# fields that other keys set: ``seed`` seeds the solver and the words in
+# ``stopword_path`` fill ``rel.stopwords``
+_SET_ELSEWHERE = {"train.seed", "rel.stopwords"}
+
+
+def _config_fields(cls, prefix=""):
+    """Yield (key, type) for each field of config class ``cls``, in order;
+    a field that is itself a config dataclass yields its own type under the
+    plain key, before its fields under ``key.``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        yield key, hint
+        if is_dataclass(hint):
+            yield from _config_fields(hint, key + ".")
+
+
+_FIELDS = dict(_config_fields(RunConfig))
+# settable key -> value parser
+CONFIG_SCHEMA = {key: _PARSERS[hint] for key, hint in _FIELDS.items()
+                 if not is_dataclass(hint) and key not in _SET_ELSEWHERE}
+# nested config key -> its class, each after the config that holds it
+_NESTED = {key: hint for key, hint in _FIELDS.items() if is_dataclass(hint)}
 
 
 def parse_config_file(path) -> dict:
@@ -163,23 +181,19 @@ def build_run_config(settings: dict) -> RunConfig:
     unknown = set(settings) - set(CONFIG_SCHEMA)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
-    nested: dict[str, dict] = {"kernel": {}, "rel": {}, "train": {}}
-    top: dict = {}
+    # keyword arguments per config, by its key; "" is the RunConfig itself
+    kwargs: dict[str, dict] = {"": {}, **{key: {} for key in _NESTED}}
     for key, value in settings.items():
-        if "." in key:
-            prefix, _, fieldname = key.partition(".")
-            nested[prefix][fieldname] = value
-        else:
-            top[key] = value
-    if "stopword_path" in top:
-        top["stopword_path"] = resolve_stopword_path(top["stopword_path"])
+        owner, _, name = key.rpartition(".")
+        kwargs[owner][name] = value
+    if "stopword_path" in settings:
+        kwargs[""]["stopword_path"] = resolve_stopword_path(
+            settings["stopword_path"])
     try:
-        return RunConfig(
-            kernel=KernelConfig(**nested["kernel"]),
-            rel=RelConfig(**nested["rel"]),
-            train=TrainConfig(**nested["train"]),
-            **top,
-        )
+        for key in reversed(_NESTED):        # inner configs first
+            owner, _, name = key.rpartition(".")
+            kwargs[owner][name] = _NESTED[key](**kwargs[key])
+        return RunConfig(**kwargs[""])
     except TypeError as exc:
         raise DataError(f"bad configuration: {exc}") from exc
 
@@ -188,86 +202,45 @@ def build_run_config(settings: dict) -> RunConfig:
 # flag definitions
 # ---------------------------------------------------------------------------
 
-# argparse destination -> config key
-_FLAG_TO_KEY = {
-    "task": "task",
-    "seed": "seed",
-    "rank_mode": "rank_mode",
-    "mte_side": "mte_side",
-    "gst_min_match": "gst_min_match",
-    "macro_root_label": "macro_root_label",
-    "use_sim_features": "use_sim_features",
-    "use_ptk_feature": "use_ptk_feature",
-    "use_embeddings": "use_embeddings",
-    "use_mte": "use_mte",
-    "stopwords": "stopword_path",
-    "embeddings": "embedding_path",
-    "tk_kind": "kernel.tk_kind",
-    "lam": "kernel.lam",
-    "mu": "kernel.mu",
-    "gamma": "kernel.gamma",
-    "rank_kernel": "kernel.rank_kernel",
-    "vec_kernel": "kernel.vec_kernel",
-    "normalize_tk": "kernel.normalize_tk",
-    "use_sim": "kernel.use_sim",
-    "use_tk": "kernel.use_tk",
-    "use_rank": "kernel.use_rank",
-    "min_shared_tokens": "rel.min_shared_tokens",
-    "case_insensitive": "rel.case_insensitive",
-    "phrase_labels": "rel.phrase_labels",
-    "svm_c": "train.C",
-    "tol": "train.tol",
-    "smo_eps": "train.eps",
-    "max_passes": "train.max_passes",
-    "c_scale_pos": "train.c_scale_pos",
-    "c_scale_neg": "train.c_scale_neg",
+# A key's flag is its last dotted part with "-" for "_", and its metavar that
+# part in capitals; these keys deviate or add choices or help.
+_FLAG_OPTIONS = {
+    "task": {"choices": TASKS},
+    "rank_mode": {"choices": RANK_MODES},
+    "mte_side": {"choices": MTE_SIDES},
+    "stopword_path": {
+        "flag": "stopwords", "metavar": "FILE",
+        "help": f"stopword list (relative paths also searched in "
+                f"${ENV_STOPWORD_DIR})"},
+    "embedding_path": {"flag": "embeddings", "metavar": "FILE",
+                       "help": "tab-separated id/vector file"},
+    "kernel.tk_kind": {"choices": TK_KINDS},
+    "kernel.rank_kernel": {"choices": VECTOR_KERNELS},
+    "kernel.vec_kernel": {"choices": VECTOR_KERNELS},
+    "rel.phrase_labels": {"metavar": "NP,VP,PP"},
+    "train.C": {"flag": "svm-c", "metavar": "C"},
+    "train.eps": {"flag": "smo-eps"},
 }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    bool_action = argparse.BooleanOptionalAction
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--task", choices=("B", "D"))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--rank-mode", choices=("AS_IS", "INVERSE"))
-    parser.add_argument("--mte-side", choices=("qo", "qs"))
-    parser.add_argument("--gst-min-match", type=int)
-    parser.add_argument("--macro-root-label")
-    parser.add_argument("--use-sim-features", action=bool_action, default=None)
-    parser.add_argument("--use-ptk-feature", action=bool_action, default=None)
-    parser.add_argument("--use-embeddings", action=bool_action, default=None)
-    parser.add_argument("--use-mte", action=bool_action, default=None)
-    parser.add_argument("--stopwords", metavar="FILE",
-                        help=f"stopword list (relative paths also searched "
-                             f"in ${ENV_STOPWORD_DIR})")
-    parser.add_argument("--embeddings", metavar="FILE",
-                        help="tab-separated id/vector file")
-    parser.add_argument("--tk-kind", choices=("STK", "PTK"))
-    parser.add_argument("--lam", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--gamma", type=_parse_optional_float)
-    parser.add_argument("--rank-kernel", choices=("LINEAR", "RBF"))
-    parser.add_argument("--vec-kernel", choices=("LINEAR", "RBF"))
-    parser.add_argument("--normalize-tk", action=bool_action, default=None)
-    parser.add_argument("--use-sim", action=bool_action, default=None)
-    parser.add_argument("--use-tk", action=bool_action, default=None)
-    parser.add_argument("--use-rank", action=bool_action, default=None)
-    parser.add_argument("--min-shared-tokens", type=int)
-    parser.add_argument("--case-insensitive", action=bool_action, default=None)
-    parser.add_argument("--phrase-labels", type=_parse_labels,
-                        metavar="NP,VP,PP")
-    parser.add_argument("--svm-c", type=float, metavar="C")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--smo-eps", type=float)
-    parser.add_argument("--max-passes", type=int)
-    parser.add_argument("--c-scale-pos", type=float)
-    parser.add_argument("--c-scale-neg", type=float)
+    for key, parse in CONFIG_SCHEMA.items():
+        options = dict(_FLAG_OPTIONS.get(key, {}))
+        flag = options.pop("flag", key.rpartition(".")[2].replace("_", "-"))
+        if parse is _parse_bool:
+            options["action"] = argparse.BooleanOptionalAction
+        else:
+            options["type"] = parse
+            if "choices" not in options:
+                options.setdefault("metavar", flag.replace("-", "_").upper())
+        parser.add_argument(f"--{flag}", dest=key, **options)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     settings = parse_config_file(args.config) if args.config else {}
-    for dest, key in _FLAG_TO_KEY.items():
-        value = getattr(args, dest, None)
+    for key in CONFIG_SCHEMA:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     return build_run_config(settings)

@@ -117,8 +117,9 @@ class KernelConfig:
             raise DataError(f"lambda must be in (0, 1], got {self.lam}")
         if not 0.0 < self.mu <= 1.0:
             raise DataError(f"mu must be in (0, 1], got {self.mu}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise DataError(f"gamma must be positive, got {self.gamma}")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise DataError(
+                f"gamma must be positive and finite, got {self.gamma}")
         if not (self.use_sim or self.use_tk or self.use_rank):
             raise DataError("at least one of use_sim, use_tk, use_rank must be true")
 
@@ -452,8 +453,8 @@ def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
 
 def rbf(u: np.ndarray, v: np.ndarray, gamma: float) -> float:
     """Gaussian kernel exp(−γ‖u−v‖²)."""
-    if gamma <= 0:
-        raise DataError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise DataError(f"gamma must be positive and finite, got {gamma}")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:

@@ -47,10 +47,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.C > 0:
             raise DataError(f"C must be positive, got {self.C}")
-        if not self.tol > 0:
-            raise DataError(f"tol must be positive, got {self.tol}")
-        if not self.eps > 0:
-            raise DataError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.tol < math.inf:
+            raise DataError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < self.eps < math.inf:
+            raise DataError(f"eps must be positive and finite, got {self.eps}")
         if self.max_passes < 1:
             raise DataError("max_passes must be >= 1")
         if not (self.c_scale_pos > 0 and self.c_scale_neg > 0):
@@ -254,21 +254,6 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         kernel_fingerprint=kernel_fingerprint,
         training_checksum=checksum,
     )
-
-
-def decision(model: TrainedModel, kernel_row) -> float:
-    """Score one example: Σ dual_coefs[k]·K(support_k, x) + bias.
-
-    ``kernel_row`` holds the kernel values against the support examples, in
-    support order.
-    """
-    row = np.asarray(kernel_row, dtype=np.float64)
-    if row.shape != (len(model.support_indices),):
-        raise DataError(
-            f"kernel row has {row.shape} values for "
-            f"{len(model.support_indices)} support vectors"
-        )
-    return float(np.dot(model.dual_coefs, row) + model.bias)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line interface: config layering, subcommands, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from qrerank.cli import (
     resolve_stopword_path,
 )
 from qrerank.errors import DataError, NumericalError
-from qrerank.pipeline import load_examples
+from qrerank.pipeline import RunConfig, load_examples
 from qrerank.svm import load_model
 
 from conftest import write_corpus, write_jsonl
@@ -69,6 +71,19 @@ class TestConfigFile:
         path.write_text("just some words\n", encoding="utf-8")
         with pytest.raises(DataError, match="key = value"):
             parse_config_file(path)
+
+    def test_readme_example_sets_every_key_to_its_default(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.delenv(cli.ENV_STOPWORD_DIR, raising=False)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        path = tmp_path / "experiment.cfg"
+        path.write_text(readme.split("# experiment.cfg\n")[1].split("```")[0],
+                        encoding="utf-8")
+        settings = parse_config_file(path)
+        assert set(settings) == set(cli.CONFIG_SCHEMA)
+        assert build_run_config(settings) == RunConfig(
+            stopword_path="english.txt", embedding_path="embeddings.tsv")
 
 
 class TestBuildRunConfig:
@@ -269,6 +284,23 @@ class TestExitCodes:
         assert (f"error: {train_ex}:1: example vec is empty"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--tol", "--smo-eps"])
+    def test_infinite_gamma_or_solver_tolerance_is_2(self, flag, corpora,
+                                                     tmp_path, capsys):
+        train_ex = tmp_path / "train.ex"
+        gram = tmp_path / "g.gram"
+        main(["featurize", "--corpus", str(corpora[0]), "--out", str(train_ex)])
+        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        stage = {"--gamma": ["gram", "--examples", str(train_ex)],
+                 "--tol": ["train", "--gram", str(gram),
+                           "--examples", str(train_ex)]}
+        stage["--smo-eps"] = stage["--tol"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*stage[flag], "--out", str(out), flag, "inf"]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strict_rerank_fingerprint_mismatch_is_2(self, corpora, tmp_path,
                                                      capsys):
         train, test = corpora
@@ -352,6 +384,119 @@ NON_UTF8_ARGV = {
               "--test-examples", "y.ex", "--out", "p.tsv"],
     "predictions": ["evaluate", "--predictions", "BAD"],
 }
+
+
+# The settable configuration, pinned: config key -> how `featurize --help`
+# shows its flag, and a non-default value as both the flag and a config file
+# take it (booleans, value None, are set in both polarities).
+CLI_SURFACE = {
+    "task": ("--task {B,D}", "D"),
+    "seed": ("--seed SEED", "7"),
+    "rank_mode": ("--rank-mode {AS_IS,INVERSE}", "AS_IS"),
+    "mte_side": ("--mte-side {qo,qs}", "qs"),
+    "gst_min_match": ("--gst-min-match GST_MIN_MATCH", "3"),
+    "macro_root_label": ("--macro-root-label MACRO_ROOT_LABEL", "TOP"),
+    "use_sim_features": ("--use-sim-features, --no-use-sim-features", None),
+    "use_ptk_feature": ("--use-ptk-feature, --no-use-ptk-feature", None),
+    "use_embeddings": ("--use-embeddings, --no-use-embeddings", None),
+    "use_mte": ("--use-mte, --no-use-mte", None),
+    "stopword_path": ("--stopwords FILE", "stop.txt"),
+    "embedding_path": ("--embeddings FILE", "emb.tsv"),
+    "kernel.tk_kind": ("--tk-kind {STK,PTK}", "STK"),
+    "kernel.lam": ("--lam LAM", "0.7"),
+    "kernel.mu": ("--mu MU", "0.9"),
+    "kernel.gamma": ("--gamma GAMMA", "0.25"),
+    "kernel.rank_kernel": ("--rank-kernel {LINEAR,RBF}", "RBF"),
+    "kernel.vec_kernel": ("--vec-kernel {LINEAR,RBF}", "LINEAR"),
+    "kernel.normalize_tk": ("--normalize-tk, --no-normalize-tk", None),
+    "kernel.use_sim": ("--use-sim, --no-use-sim", None),
+    "kernel.use_tk": ("--use-tk, --no-use-tk", None),
+    "kernel.use_rank": ("--use-rank, --no-use-rank", None),
+    "rel.min_shared_tokens": ("--min-shared-tokens MIN_SHARED_TOKENS", "2"),
+    "rel.case_insensitive": ("--case-insensitive, --no-case-insensitive",
+                             None),
+    "rel.phrase_labels": ("--phrase-labels NP,VP,PP", "NP,SBAR"),
+    "train.C": ("--svm-c C", "2.5"),
+    "train.tol": ("--tol TOL", "0.01"),
+    "train.eps": ("--smo-eps SMO_EPS", "1e-7"),
+    "train.max_passes": ("--max-passes MAX_PASSES", "50"),
+    "train.c_scale_pos": ("--c-scale-pos C_SCALE_POS", "2.0"),
+    "train.c_scale_neg": ("--c-scale-neg C_SCALE_NEG", "0.5"),
+}
+
+# config lines that make the other polarity of a boolean a valid RunConfig
+SURFACE_COMPANIONS = {
+    "use_sim_features": "use_ptk_feature = true",
+    "use_embeddings": "embedding_path = emb.tsv",
+    "use_mte": "task = D",
+    "kernel.use_sim": "kernel.use_tk = true",
+}
+
+
+def _surface_cases():
+    for key, (shown, value) in CLI_SURFACE.items():
+        flag = shown.split()[0].rstrip(",")
+        if value is None:
+            yield key, [flag], "true"
+            yield key, ["--no-" + flag[2:]], "false"
+        else:
+            yield key, [flag, value], value
+
+
+def _dotted(cfg, key):
+    for part in key.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+class TestCliSurface:
+    def test_every_config_key_has_one_flag(self):
+        assert len(CLI_SURFACE) == 31
+        assert set(CLI_SURFACE) == set(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("key,argv,text", list(_surface_cases()),
+                             ids=lambda p: " ".join(p)
+                             if isinstance(p, list) else None)
+    def test_flag_and_config_file_agree(self, key, argv, text, tmp_path):
+        companion = SURFACE_COMPANIONS.get(key, "")
+        base = tmp_path / "base.cfg"
+        base.write_text(companion + "\n", encoding="utf-8")
+        full = tmp_path / "full.cfg"
+        full.write_text(f"{companion}\n{key} = {text}\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(
+            ["featurize", "--corpus", "c.jsonl", "--out", "o.ex",
+             "--config", str(base), *argv])
+        from_flag = cli.config_from_args(args)
+        from_file = build_run_config(parse_config_file(full))
+        assert from_flag == from_file
+        if text in ("true", "false"):
+            assert _dotted(from_flag, key) is (text == "true")
+        else:
+            assert _dotted(from_flag, key) != _dotted(RunConfig(), key)
+
+    @pytest.mark.parametrize("key", [k for k, (shown, _) in CLI_SURFACE.items()
+                                     if "{" in shown])
+    def test_bogus_choice_is_a_usage_error(self, key, capsys):
+        flag = CLI_SURFACE[key][0].split()[0]
+        assert main(["featurize", "--corpus", "c.jsonl", "--out", "o.ex",
+                     flag, "BOGUS"]) == 1
+        assert "invalid choice: 'BOGUS'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["train.seed", "rel.stopwords"])
+    def test_keys_set_through_other_keys_are_unknown(self, key, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"unknown config key '{key}'"):
+            parse_config_file(path)
+
+    def test_help_lists_every_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["featurize", "--help"]) == 0
+        shown = {re.split(r"\s{2,}", line.strip())[0]
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  -")}
+        assert shown == {shown for shown, _ in CLI_SURFACE.values()} | {
+            "-h, --help", "--corpus CORPUS", "--out OUT", "--config CONFIG"}
 
 
 class TestNonUtf8Input:

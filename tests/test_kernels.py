@@ -222,8 +222,10 @@ class TestRBF:
             rbf(np.zeros(2), np.zeros(3), 1.0)
 
     def test_gamma_validated(self):
-        with pytest.raises(DataError):
-            rbf(np.zeros(2), np.zeros(2), 0.0)
+        # exp(-inf * 0) is NaN: an infinite gamma puts NaN on the diagonal
+        for gamma in (0.0, math.inf, math.nan):
+            with pytest.raises(DataError, match="gamma"):
+                rbf(np.zeros(2), np.zeros(2), gamma)
 
 
 class TestCombinedKernel:

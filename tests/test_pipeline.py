@@ -530,6 +530,13 @@ class TestGroupsAndScoring:
         with pytest.raises(DataError, match="at least 12 .* but 11 were"):
             score_examples(examples, model, examples[:11], RunConfig().kernel)
 
+    def test_score_examples_without_supports_gives_the_bias(self, tmp_path):
+        examples = self.build(tmp_path)
+        model = TrainedModel(support_indices=(), dual_coefs=np.zeros(0),
+                             bias=0.25)
+        scores = score_examples(examples, model, [], RunConfig().kernel)
+        assert scores.tolist() == [0.25] * len(examples)
+
     def test_score_examples_matches_manual_kernel_sum(self, tmp_path):
         examples = self.build(tmp_path)
         cfg = RunConfig()

@@ -7,7 +7,6 @@ from qrerank.errors import DataError, NumericalError
 from qrerank.svm import (
     TrainConfig,
     TrainedModel,
-    decision,
     load_model,
     save_model,
     train_smo,
@@ -55,7 +54,8 @@ class TestAnalyticFixture:
         # row for a probe x is (-x, x) and the decision reduces to x itself
         for x in (-2.0, -0.3, 0.0, 0.5, 1.7):
             row = np.array([-x, x])
-            assert decision(self.model, row) == pytest.approx(x, abs=1e-6)
+            score = self.model.dual_coefs @ row + self.model.bias
+            assert score == pytest.approx(x, abs=1e-6)
 
 
 def kkt_violation(model, G, y, C, tol, eps=1e-9):
@@ -135,8 +135,8 @@ class TestDualDegeneracy:
         for p in X:
             row_a = X[list(model_a.support_indices)] @ p
             row_b = X2[list(model_b.support_indices)] @ p
-            assert decision(model_a, row_a) == pytest.approx(
-                decision(model_b, row_b), abs=1e-3)
+            assert model_a.dual_coefs @ row_a + model_a.bias == pytest.approx(
+                model_b.dual_coefs @ row_b + model_b.bias, abs=1e-3)
 
 
 class TestDeterminism:
@@ -194,19 +194,6 @@ class TestValidation:
             TrainConfig(C=0.0)
         with pytest.raises(DataError):
             TrainConfig(tol=-1.0)
-
-
-class TestDecision:
-    def test_empty_support_returns_bias(self):
-        model = TrainedModel(support_indices=(), dual_coefs=np.zeros(0),
-                             bias=0.25)
-        assert decision(model, np.zeros(0)) == 0.25
-
-    def test_row_length_checked(self):
-        model = TrainedModel(support_indices=(0, 1),
-                             dual_coefs=np.array([0.5, -0.5]), bias=0.0)
-        with pytest.raises(DataError):
-            decision(model, np.zeros(3))
 
 
 class TestModelFile:
