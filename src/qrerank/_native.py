@@ -1,0 +1,123 @@
+"""Build and load the native tree-kernel engine, ``_tk.c``, on first use.
+
+:func:`load` compiles the source with the installed ``cc`` (or ``gcc``) the
+first time a process evaluates a tree kernel, never at import. The library
+goes into a per-user cache directory, ``$XDG_CACHE_HOME/qrerank`` or else
+``~/.cache/qrerank``, created with mode 0700; its name is the sha256 of the
+source, the compiler flags and ``platform.machine()``, so a later process,
+or a later version of the source, finds its own build or makes a new one.
+It is written under a temporary name and renamed into place, so concurrent
+builds never expose a partial file. It is loaded with ``ctypes``, which
+needs no ``Python.h`` and works with the package on ``PYTHONPATH``.
+
+When there is no compiler, the compiler fails or the library does not load,
+:func:`load` logs one WARNING naming the reason and returns None, and the
+kernels use the Python engine for the rest of the process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import platform
+import shutil
+import tempfile
+from array import array
+from pathlib import Path
+
+logger = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("_tk.c")
+# -ffp-contract=off: no fused multiply-add (compilers for aarch64 fuse by
+# default), so that every Δ rounds exactly as the Python engine's does
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_UNTRIED = object()
+_engine = _UNTRIED
+
+
+class _Unavailable(Exception):
+    """The native engine cannot be built; the message says why."""
+
+
+def load():
+    """The native row function ``qrerank_tree_block`` (see ``_tk.c``), or
+    None when the native engine is unavailable in this process."""
+    global _engine
+    if _engine is _UNTRIED:
+        _engine = _load()
+    return _engine
+
+
+def _load():
+    try:
+        path = _build()
+    except (_Unavailable, OSError, RuntimeError) as exc:
+        logger.warning("native tree-kernel engine unavailable (%s); using "
+                       "the Python engine", exc)
+        return None
+    try:
+        fn = ctypes.CDLL(str(path)).qrerank_tree_block
+    except (OSError, AttributeError) as exc:
+        logger.warning("native tree-kernel engine unavailable (cannot load "
+                       "%s: %s); using the Python engine", path, exc)
+        return None
+    p = ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, ctypes.c_double, ctypes.c_double,
+                   p, p, p, p, p, ctypes.c_int, p, ctypes.c_int64, p, p, p]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
+    cache = root / "qrerank"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    if cache.stat().st_mode & 0o022:
+        raise _Unavailable(f"cache directory {cache} is writable by others")
+    return cache
+
+
+def _library() -> Path:
+    """Where the library of this source, these flags and this machine is
+    cached."""
+    digest = hashlib.sha256(b"\0".join(
+        [SOURCE.read_bytes(), " ".join(FLAGS).encode(),
+         platform.machine().encode()]))
+    return _cache_dir() / f"_tk-{digest.hexdigest()}.so"
+
+
+def _build() -> Path:
+    """The cached library, compiled first if it is not there yet."""
+    # imported here: only a build needs it, and runs without tree kernels
+    # should not pay for it
+    import subprocess
+
+    if array("i").itemsize != 4:
+        raise _Unavailable("C int is not 32 bits wide")
+    path = _library()
+    if path.exists():
+        return path
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        raise _Unavailable("no C compiler: neither cc nor gcc is on PATH")
+    fd, tmp = tempfile.mkstemp(prefix=".tk-", suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run([compiler, *FLAGS, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True,
+                              errors="replace", check=False)
+        if done.returncode != 0:
+            lines = done.stderr.splitlines()
+            first = next((ln for ln in lines if "error" in ln),
+                         lines[0] if lines else
+                         f"exit status {done.returncode}")
+            raise _Unavailable(f"{compiler} failed: {first.strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path

@@ -234,15 +234,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             options["type"] = parse
             if "choices" not in options:
                 options.setdefault("metavar", flag.replace("-", "_").upper())
-        parser.add_argument(f"--{flag}", dest=key, **options)
+        # a flag not given sets nothing, so that one given as "none"
+        # (``--gamma none``) overrides the config file
+        parser.add_argument(f"--{flag}", dest=key, default=argparse.SUPPRESS,
+                            **options)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     settings = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_SCHEMA:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+        if hasattr(args, key):
+            settings[key] = getattr(args, key)
     return build_run_config(settings)
 
 

@@ -17,27 +17,46 @@ subtrees: a subtree is interned by its label and its children's subtree ids,
 so equal subtrees get one id wherever they occur, and a child's id is always
 smaller than its parent's. A compiled tree is its distinct subtree ids in
 ascending order, each with the number of nodes that root it, plus buckets
-from a label or production to the (id, count) pairs that carry it.
+from a label or production to the (id, count) pairs that carry it. The
+table (labels, productions, child offsets and ids) and the compiled trees
+are flat int32 arrays, read in place by both engines.
 
+The tree kernels of one Gram or scoring row, its two trees against the
+same-position trees of a block of columns, are one tree block
+(``_tree_block``); ``_prepare`` computes each example's two self-kernels as
+a block of one column, and ``ptk``/``stk`` one pair as a block of one tree.
 Both kernels run over the pairs of subtrees the buckets match, in ascending
-order of the first tree's ids. Two dicts, created per Gram or scoring row
-and dropped after it, share work across the row's tree pairs: a Δ memo keyed
-by (row subtree, column subtree), used by both trees of the row and all its
-columns, and a cache of the child-sequence DP keyed by the child-Δ block
-(flattened, with its width). A memo miss means the labels (STK: the
-productions) differ: a child's matched pairs are all filled in before its
-parent reads them, since its id comes first. PTK skips the DP on 1×1 child
-blocks, and the DP returns 0 at once on an all-zero block. Each matched pair
-adds its Δ ``c1·c2`` times to the terms that ``math.fsum`` reduces, c1 and
-c2 being the counts of its two subtrees. The result is bit-identical to
-evaluating every node pair on its own, because Δ is a pure function of the
-two subtrees and the DP of the block's values and λ (fixed per call); every
-Δ is ≥ +0, so no key holds −0.0 or NaN and equal keys mean equal bits; and
-``fsum`` is exactly rounded, so only the multiset of terms matters. The
-caches hold one row's work, not the whole call's, and ``kernel_matrix``
-drops a row's subtrees from the table with the row. ``gram_matrix`` and
-``kernel_matrix`` log one INFO line with the call's tree pairs, interned
-subtrees, Δ values and DP runs. No state outlives a call.
+order of the row tree's ids. A Δ memo keyed by (row subtree, column
+subtree), created per block and dropped after it, shares work across the
+block's tree pairs. A memo miss means the labels (STK: the productions)
+differ: a child's matched pairs are all filled in before its parent reads
+them, since its id comes first, so no recursion is needed at any depth. PTK
+skips the DP on 1×1 child blocks, and the DP returns 0 at once on an
+all-zero block. Each matched pair adds its Δ ``c1·c2`` times to an exactly
+rounded sum, c1 and c2 being the counts of its two subtrees. The result is
+bit-identical to evaluating every node pair on its own, because Δ is a pure
+function of the two subtrees and the DP of the block's values and λ (fixed
+per call); every Δ is ≥ +0, so no key holds −0.0 or NaN and equal keys mean
+equal bits; and the sum is exactly rounded, so only the multiset of terms
+matters.
+
+Two engines compute a block, with the same bits. The native engine
+(``_tk.c``, built and loaded by :mod:`._native` on the first tree-kernel
+evaluation of a process) keeps the memo in C. It evaluates each Δ with the
+Python engine's operations in the same order (``(μλ)λ``, ``μ(λ² + λ²·d)``,
+``μ(λ² + s)``, the DP's ``λ²·v`` seed, its M recurrence and next level
+``D·(λ²·M)``, STK's ``d *= 1 + child``), sums with the partials of
+``math.fsum`` (any exactly rounded sum equals it), and is compiled with
+``-ffp-contract=off`` and without ``-ffast-math``, so no multiply-add is
+fused and no sum reordered. The Python engine (``_ptk``, ``_stk``) also
+caches the child-sequence DP per child-Δ block (flattened, with its width);
+it runs where the native engine cannot be built or loaded (one WARNING
+names why) and serves the tests as the reference. No option selects an
+engine. The memo holds one row's work, not the whole call's, and
+``kernel_matrix`` drops a row's subtrees and trees from the table with the
+row. ``gram_matrix`` and ``kernel_matrix`` log one INFO line with the
+call's tree pairs, interned subtrees, Δ values, DP runs and the engine that
+ran. No state outlives a call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -55,8 +74,9 @@ product is one BLAS dot per pair (``np.matmul`` of 1×dim by dim×1 calls the
 same routine as ``np.dot``), each exponential is ``math.exp``, and the blocks
 are added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
 ``(d * d).sum(1)`` round some dot products differently, and ``np.exp`` some
-exponentials. The tree block stays one ``_pair_tk`` call per cell. A row's
-temporaries are O(columns × dim); no n×n×dim array is built.
+exponentials. The tree block is one ``_tree_block`` call per row, normalized
+in numpy with the one-cell operations. A row's temporaries are
+O(columns × dim); no n×n×dim array is built.
 """
 
 from __future__ import annotations
@@ -64,13 +84,16 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError, open_text
 from .treebank import SyntaxTree
 
@@ -169,38 +192,38 @@ class Example:
 # tree kernels
 # ---------------------------------------------------------------------------
 
-class _Tree(NamedTuple):
-    """A tree compiled against a :class:`_Subtrees` table: its distinct
-    subtree ids in ascending order, each with the number of nodes that root
-    it, and buckets from a label or production id to the (id, count) pairs
-    that carry it, in the same order."""
-    nodes: tuple[tuple[int, int], ...]
-    buckets: dict[int, tuple[tuple[int, int], ...]]
-
-
 class _Subtrees:
-    """A hash-consing table of subtrees, created by one kernel call and
-    shared by every tree that call compiles.
+    """A hash-consing table of subtrees and the trees compiled against it,
+    created by one kernel call and shared by every tree that call compiles.
 
     A subtree is interned by its label id and its children's subtree ids,
     so equal subtrees, within one tree or across trees, get one id, and a
     child's id is always smaller than its parent's. Per id the table keeps
-    the label id, the production id (-1 for a leaf) and the child ids.
-    Labels and productions share one id space, so a bucket key of either
-    kind never collides with the other. The counters record the call's
-    tree-kernel work for its log line.
+    the label id, the production id (-1 for a leaf) and the child ids, in
+    flat int32 arrays that both engines read: ``labels``, ``prods`` and the
+    child CSR ``kid_off``/``kid_ids``. Labels and productions share one id
+    space, so a bucket key of either kind never collides with the other.
+
+    :meth:`compile` packs a tree into ``forest`` at the offset it returns:
+    ``n, k``, the tree's n distinct subtree ids in ascending order, the
+    number of nodes that root each, its k bucket keys (the label and
+    production ids it carries) in ascending order, the end of each key's
+    bucket, then the buckets' subtree ids and their counts. The counters
+    record the call's tree-kernel work for its log line.
     """
 
     def __init__(self):
         self.names: dict = {}       # label or production → id
         self.index: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.labels: list[int] = []
-        self.prods: list[int] = []
-        self.kids: list[tuple[int, ...]] = []
+        self.labels, self.prods = array("i"), array("i")
+        self.kid_off, self.kid_ids = array("i", [0]), array("i")
+        self.forest = array("i")
         self.interned = self.pairs = self.deltas = self.dp_runs = 0
+        self.engine = "python"
 
-    def compile(self, tree: SyntaxTree) -> _Tree:
-        names, index, labels = self.names, self.index, self.labels
+    def compile(self, tree: SyntaxTree) -> int:
+        names, index, labels, prods = (self.names, self.index, self.labels,
+                                       self.prods)
         counts: dict[int, int] = defaultdict(int)
         done: list[int] = []    # finished subtrees not yet claimed by a parent
         for node in tree.iter_nodes():
@@ -212,50 +235,87 @@ class _Subtrees:
                 s = index[label, kids] = len(labels)
                 prod = (label, tuple(labels[k] for k in kids))
                 labels.append(label)
-                self.prods.append(names.setdefault(prod, len(names))
-                                  if kids else -1)
-                self.kids.append(kids)
+                prods.append(names.setdefault(prod, len(names))
+                             if kids else -1)
+                self.kid_ids.extend(kids)
+                self.kid_off.append(len(self.kid_ids))
             done[first_kid:] = [s]
             counts[s] += 1
-        nodes = tuple(sorted(counts.items()))
+        nodes = sorted(counts.items())
         buckets = defaultdict(list)
         for s, c in nodes:
             buckets[labels[s]].append((s, c))
-            if self.prods[s] >= 0:
-                buckets[self.prods[s]].append((s, c))
-        return _Tree(nodes, {key: tuple(v) for key, v in buckets.items()})
+            if prods[s] >= 0:
+                buckets[prods[s]].append((s, c))
+        keys = sorted(buckets)
+        pairs = [p for key in keys for p in buckets[key]]
+        at = len(self.forest)
+        self.forest.extend([len(nodes), len(keys)])
+        # ids, counts, keys, bucket ends, bucket ids, bucket counts
+        for column in (*zip(*nodes), keys,
+                       accumulate(len(buckets[key]) for key in keys),
+                       *zip(*pairs)):
+            self.forest.extend(column)
+        return at
 
-    def rollback(self, size: int) -> None:
-        """Forget every subtree interned since the table held ``size``."""
+    def mark(self) -> tuple[int, int]:
+        """The sizes of the table and the forest, for :meth:`rollback`."""
+        return len(self.labels), len(self.forest)
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Forget every subtree interned and tree compiled since ``mark``."""
+        size, trees = mark
         for s in range(size, len(self.labels)):
-            del self.index[self.labels[s], self.kids[s]]
+            kids = self.kid_ids[self.kid_off[s]:self.kid_off[s + 1]]
+            del self.index[self.labels[s], tuple(kids)]
         self.interned += len(self.labels) - size
-        del self.labels[size:], self.prods[size:], self.kids[size:]
+        del (self.labels[size:], self.prods[size:],
+             self.kid_ids[self.kid_off[size]:], self.kid_off[size + 1:],
+             self.forest[trees:])
 
-    def tally(self, pairs: int, memo: dict, blocks: dict) -> None:
+    def tally(self, pairs: int, deltas: int, dp_runs: int,
+              engine: str) -> None:
         self.pairs += pairs
-        self.deltas += len(memo)
-        self.dp_runs += len(blocks)
+        self.deltas += deltas
+        self.dp_runs += dp_runs
+        self.engine = engine
 
     def report(self, call: str) -> None:
         logger.info("%s: %d tree pairs, %d subtrees interned, %d delta values "
-                    "computed, %d child-block DP runs", call, self.pairs,
-                    self.interned + len(self.labels), self.deltas,
-                    self.dp_runs)
+                    "computed, %d child-block DP runs, %s engine", call,
+                    self.pairs, self.interned + len(self.labels), self.deltas,
+                    self.dp_runs, self.engine)
 
 
-def _stk(t1: _Tree, t2: _Tree, lam: float, sub: _Subtrees,
-         memo: dict) -> float:
-    prods, kids = sub.prods, sub.kids
-    buckets2 = t2.buckets
+def _nodes(forest: array, t: int):
+    """The (id, count) pairs of the compiled tree at offset ``t``."""
+    n = forest[t]
+    return zip(forest[t + 2:t + 2 + n], forest[t + 2 + n:t + 2 + 2 * n])
+
+
+def _buckets(forest: array, t: int) -> dict[int, list[tuple[int, int]]]:
+    """The buckets of the compiled tree at offset ``t``: key → (id, count)
+    pairs."""
+    n, k = forest[t], forest[t + 1]
+    t += 2 + 2 * n
+    keys, ends = forest[t:t + k], forest[t + k:t + 2 * k]
+    t += 2 * k
+    m = ends[-1]
+    pairs = list(zip(forest[t:t + m], forest[t + m:t + 2 * m]))
+    return {key: pairs[a:b] for key, a, b in zip(keys, [0, *ends], ends)}
+
+
+def _stk(t1: int, t2: int, lam: float, sub: _Subtrees, memo: dict) -> float:
+    prods, off, kids = sub.prods, sub.kid_off, sub.kid_ids
+    buckets2 = _buckets(sub.forest, t2)
     terms = []
-    for s1, c1 in t1.nodes:
-        a = kids[s1]
+    for s1, c1 in _nodes(sub.forest, t1):
         for s2, c2 in buckets2.get(prods[s1], ()):
             d = memo.get((s1, s2))
             if d is None:
                 d = lam
-                for x, y in zip(a, kids[s2]):
+                for x, y in zip(kids[off[s1]:off[s1 + 1]],
+                                kids[off[s2]:off[s2 + 1]]):
                     d *= 1.0 + memo.get((x, y), 0.0)
                 memo[s1, s2] = d
             if c1 * c2 == 1:
@@ -277,8 +337,7 @@ def stk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4) -> float:
     """
     if not 0.0 < lam <= 1.0:
         raise DataError(f"lambda must be in (0, 1], got {lam}")
-    sub = _Subtrees()
-    return _stk(sub.compile(t1), sub.compile(t2), lam, sub, {})
+    return _one_pair("STK", t1, t2, lam, 1.0)
 
 
 def _subsequence_sum(D: list[tuple[float, ...]], lam: float) -> float:
@@ -320,19 +379,19 @@ def _subsequence_sum(D: list[tuple[float, ...]], lam: float) -> float:
     return math.fsum(terms)
 
 
-def _ptk(t1: _Tree, t2: _Tree, lam: float, mu: float, sub: _Subtrees,
+def _ptk(t1: int, t2: int, lam: float, mu: float, sub: _Subtrees,
          memo: dict, blocks: dict) -> float:
     lam2 = lam * lam
     mu_lam2 = mu * lam * lam    # a childless node; (μλ)λ, not μ(λλ)
-    labels, kids = sub.labels, sub.kids
-    buckets2 = t2.buckets
+    labels, off, kids = sub.labels, sub.kid_off, sub.kid_ids
+    buckets2 = _buckets(sub.forest, t2)
     terms = []
-    for s1, c1 in t1.nodes:
-        a = kids[s1]
+    for s1, c1 in _nodes(sub.forest, t1):
         for s2, c2 in buckets2.get(labels[s1], ()):
             d = memo.get((s1, s2))
             if d is None:
-                b = kids[s2]
+                a = kids[off[s1]:off[s1 + 1]]
+                b = kids[off[s2]:off[s2 + 1]]
                 if not a or not b:
                     d = mu_lam2
                 elif len(a) == 1 and len(b) == 1:   # the DP's one term is λ²·Δ
@@ -365,8 +424,55 @@ def ptk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4, mu: float = 0.4) -> fl
         raise DataError(f"lambda must be in (0, 1], got {lam}")
     if not 0.0 < mu <= 1.0:
         raise DataError(f"mu must be in (0, 1], got {mu}")
+    return _one_pair("PTK", t1, t2, lam, mu)
+
+
+def _one_pair(kind: str, t1: SyntaxTree, t2: SyntaxTree, lam: float,
+              mu: float) -> float:
     sub = _Subtrees()
-    return _ptk(sub.compile(t1), sub.compile(t2), lam, mu, sub, {}, {})
+    row = np.array([sub.compile(t1)])
+    return float(_tree_block(kind, lam, mu, sub, row,
+                             np.array([[sub.compile(t2)]]))[0, 0])
+
+
+def _tree_block(kind: str, lam: float, mu: float, sub: _Subtrees,
+                row: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Raw tree kernels between each tree of one row and the tree in the
+    same position of each column, all compiled against ``sub``: ``row``
+    holds the forest offsets of the row's trees and ``cols`` one such row
+    per column; the result has the shape of ``cols``.
+
+    The native engine computes the block when it is available; else, or if
+    it reports running out of memory or an overflowing sum, the Python
+    engine does, so an error is raised as ``math.fsum`` raises it. One Δ
+    memo serves the block and is dropped after it; the Python engine adds a
+    child-block DP cache."""
+    row = np.ascontiguousarray(row, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    if cols.ndim != 2 or cols.shape[1] != len(row):
+        raise ValueError(f"tree block of shape {cols.shape} for a row of "
+                         f"{len(row)} trees")
+    out = np.empty(cols.shape)
+    if not out.size:
+        return out
+    native = _native.load()
+    if native is not None:
+        work = np.zeros(2, dtype=np.int64)
+        if native(int(kind == "PTK"), lam, mu,
+                  *(a.buffer_info()[0] for a in (sub.labels, sub.prods,
+                                                 sub.kid_off, sub.kid_ids,
+                                                 sub.forest)),
+                  len(row), row.ctypes.data, len(cols), cols.ctypes.data,
+                  out.ctypes.data, work.ctypes.data) == 0:
+            sub.tally(out.size, *work.tolist(), "native")
+            return out
+    memo, blocks = {}, {}
+    for j, col in enumerate(cols.tolist()):
+        for k, (t1, t2) in enumerate(zip(row.tolist(), col)):
+            out[j, k] = (_stk(t1, t2, lam, sub, memo) if kind == "STK"
+                         else _ptk(t1, t2, lam, mu, sub, memo, blocks))
+    sub.tally(out.size, len(memo), len(blocks), "python")
+    return out
 
 
 def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
@@ -379,11 +485,17 @@ def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
     return k_xy / math.sqrt(k_xx * k_yy)
 
 
-def _tree_kernel(t1: _Tree, t2: _Tree, cfg: KernelConfig, sub: _Subtrees,
-                 memo: dict, blocks: dict) -> float:
-    if cfg.tk_kind == "STK":
-        return _stk(t1, t2, cfg.lam, sub, memo)
-    return _ptk(t1, t2, cfg.lam, cfg.mu, sub, memo, blocks)
+def _normalize(k: np.ndarray, k_row: np.ndarray,
+               k_cols: np.ndarray) -> np.ndarray:
+    """:func:`normalize_kernel` over a row's tree block: k[j, t] over
+    sqrt(k_row[t] · k_cols[j, t]), each operation correctly rounded as in
+    the one-cell form. The first degenerate self-kernel, in column order,
+    raises."""
+    bad = (k_row <= 0.0) | (k_cols <= 0.0)
+    if bad.any():
+        j, t = np.argwhere(bad)[0]
+        normalize_kernel(float(k[j, t]), float(k_row[t]), float(k_cols[j, t]))
+    return k / np.sqrt(k_row * k_cols)
 
 
 def _require_trees(e: Example):
@@ -394,39 +506,36 @@ def _require_trees(e: Example):
         )
 
 
-def _prepare(examples, cfg: KernelConfig, sub: _Subtrees, selfs: bool) -> list:
-    """Per-call tree state of each example, None when the tree block is off:
-    its two trees compiled against the call's table ``sub`` and their
-    self-kernels, or (1.0, 1.0) in their place unless ``selfs``. Each
-    example's self-kernels share one Δ memo and block cache, dropped after."""
+class _Trees(NamedTuple):
+    """The tree state of a block of examples in one kernel call: the forest
+    offsets of each example's two compiled trees (n×2, or n×0 when the tree
+    block is off) and their self-kernels (same shape; ones where not
+    needed)."""
+    at: np.ndarray
+    selfs: np.ndarray
+
+    def tail(self, i: int) -> _Trees:
+        return _Trees(self.at[i:], self.selfs[i:])
+
+
+def _prepare(examples, cfg: KernelConfig, sub: _Subtrees,
+             selfs: bool) -> _Trees:
+    """The tree state of ``examples``: their two trees compiled against the
+    call's table ``sub`` and, if ``selfs``, their self-kernels. An example's
+    two self-kernels are one tree block, sharing one Δ memo."""
     if not cfg.use_tk:
-        return [None] * len(examples)
+        return _Trees(np.empty((len(examples), 0), dtype=np.int64),
+                      np.empty((len(examples), 0)))
     for e in examples:
         _require_trees(e)
-    prepared = []
-    for e in examples:
-        t1, t2 = sub.compile(e.tree_first), sub.compile(e.tree_second)
-        k = (1.0, 1.0)
-        if selfs:
-            memo, blocks = {}, {}
-            k = (_tree_kernel(t1, t1, cfg, sub, memo, blocks),
-                 _tree_kernel(t2, t2, cfg, sub, memo, blocks))
-            sub.tally(2, memo, blocks)
-        prepared.append((t1, t2, k))
-    return prepared
-
-
-def _pair_tk(p_i, p_j, cfg: KernelConfig, sub: _Subtrees, memo: dict,
-             blocks: dict) -> float:
-    if p_i is p_j:      # a Gram diagonal cell: its self-kernels are at hand
-        k1, k2 = p_i[2]
-    else:
-        k1 = _tree_kernel(p_i[0], p_j[0], cfg, sub, memo, blocks)
-        k2 = _tree_kernel(p_i[1], p_j[1], cfg, sub, memo, blocks)
-    if cfg.normalize_tk:
-        k1 = normalize_kernel(k1, p_i[2][0], p_j[2][0])
-        k2 = normalize_kernel(k2, p_i[2][1], p_j[2][1])
-    return k1 + k2
+    at = np.array([(sub.compile(e.tree_first), sub.compile(e.tree_second))
+                   for e in examples], dtype=np.int64)
+    k = np.ones(at.shape)
+    if selfs:
+        for i, trees in enumerate(at):
+            k[i] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, trees,
+                               trees[None])[0]
+    return _Trees(at, k)
 
 
 def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
@@ -437,10 +546,10 @@ def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     cfg.normalize_tk) are summed. With normalization the self-similarity
     pair_tk(e, e) is exactly 2.
     """
+    cfg = replace(cfg, use_sim=False, use_tk=True, use_rank=False)
     sub = _Subtrees()
-    p_i, p_j = _prepare([e_i, e_j], replace(cfg, use_tk=True), sub,
-                        cfg.normalize_tk)
-    return _pair_tk(p_i, p_j, cfg, sub, {}, {})
+    p = _prepare([e_i, e_j], cfg, sub, cfg.normalize_tk)
+    return float(_row(e_i, p, None, None, p.tail(1), cfg, sub)[0])
 
 
 def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
@@ -506,18 +615,19 @@ def _stack(examples, cfg: KernelConfig):
     return X, r
 
 
-def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig,
+def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
          sub: _Subtrees) -> np.ndarray:
-    """The combined kernel between one example ``e`` (tree state ``p``) and
-    a block of columns: their stacked vec and rank blocks ``X`` and ``r``
-    (from :func:`_stack`) and their tree states ``prepared``, compiled
-    against ``sub``.
+    """The combined kernel between one example ``e`` and a block of
+    columns: their stacked vec and rank blocks ``X`` and ``r`` (from
+    :func:`_stack`) and their tree state ``cols``. ``p`` is a tree state
+    whose first example is ``e``; in a Gram row it is ``cols`` itself, and
+    the first column, the diagonal, takes the self-kernels at hand.
 
     Each value is the sum, in this order, of the sim, tree and rank blocks,
     starting from 0.0, with the per-pair arithmetic of the one-cell form;
-    temporaries are O(columns × dim). The row's tree kernels share one Δ
-    memo and one child-block cache, dropped when the row is done."""
-    row = np.zeros(len(prepared))
+    temporaries are O(columns × dim). The row's tree kernels are one tree
+    block (:func:`_tree_block`), sharing one Δ memo."""
+    row = np.zeros(len(cols.at))
     if cfg.use_sim:
         u = _require_vec(e)
         _check_dims(u, X[0])
@@ -526,10 +636,14 @@ def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig,
         else:
             row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
     if cfg.use_tk:
-        memo, blocks = {}, {}
-        row += [_pair_tk(p, q, cfg, sub, memo, blocks) for q in prepared]
-        # a Gram row starts at its diagonal, which takes no evaluation
-        sub.tally(2 * (len(prepared) - (prepared[0] is p)), memo, blocks)
+        diagonal = int(p is cols)
+        k = np.empty(cols.at.shape)
+        k[:diagonal] = p.selfs[:diagonal]
+        k[diagonal:] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, p.at[0],
+                                   cols.at[diagonal:])
+        if cfg.normalize_tk:
+            k = _normalize(k, p.selfs[0], cols.selfs)
+        row += k[:, 0] + k[:, 1]
     if cfg.use_rank:
         r_e = _require_rank(e)
         if cfg.rank_kernel == "LINEAR":
@@ -544,9 +658,9 @@ def _row(e: Example, p, X, r, prepared: list, cfg: KernelConfig,
 def combined_kernel(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     """Sum of the enabled per-block kernels for one example pair."""
     sub = _Subtrees()
-    p_i, p_j = _prepare([e_i, e_j], cfg, sub, cfg.normalize_tk)
+    p = _prepare([e_i, e_j], cfg, sub, cfg.normalize_tk)
     X, r = _stack([e_j], cfg)
-    return float(_row(e_i, p_i, X, r, [p_j], cfg, sub)[0])
+    return float(_row(e_i, p, X, r, p.tail(1), cfg, sub)[0])
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
@@ -564,9 +678,10 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     X, r = _stack(examples, cfg)
     G = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        row = _row(examples[i], prepared[i],
+        tail = prepared.tail(i)
+        row = _row(examples[i], tail,
                    None if X is None else X[i:], None if r is None else r[i:],
-                   prepared[i:], cfg, sub)
+                   tail, cfg, sub)
         G[i, i:] = row
         G[i:, i] = row
     if cfg.use_tk:
@@ -578,19 +693,19 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
                   cfg: KernelConfig) -> np.ndarray:
     """Rectangular kernel matrix K[i][j] = combined_kernel(rows[i], cols[j]).
     Each tree is compiled, and its self-kernels computed, once: a column's
-    for the whole call, a row's for its row only; a row's subtrees leave
-    the table with the row."""
+    for the whole call, a row's for its row only; a row's subtrees and
+    trees leave the table with the row."""
     if not rows or not cols:
         raise DataError("kernel_matrix requires non-empty example lists")
     sub = _Subtrees()
     prep_c = _prepare(cols, cfg, sub, cfg.normalize_tk)
-    size = len(sub.labels)
+    mark = sub.mark()
     X, r = _stack(cols, cfg)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
     for i, e_i in enumerate(rows):
-        p_i, = _prepare([e_i], cfg, sub, cfg.normalize_tk)
+        p_i = _prepare([e_i], cfg, sub, cfg.normalize_tk)
         K[i] = _row(e_i, p_i, X, r, prep_c, cfg, sub)
-        sub.rollback(size)
+        sub.rollback(mark)
     if cfg.use_tk:
         sub.report("kernel_matrix")
     return K

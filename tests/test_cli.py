@@ -224,6 +224,17 @@ class TestSubcommandFlow:
         assert ex_a[1].rank_value == 2.0      # AS_IS from the file
         assert ex_b[1].rank_value == 0.5      # flag wins
 
+    def test_gamma_none_flag_overrides_config_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("kernel.gamma = 0.5\n", encoding="utf-8")
+        parser = cli.build_parser()
+        base = ["gram", "--examples", "t.ex", "--out", "t.gram", "--config",
+                str(cfg_file)]
+        args = parser.parse_args(base)
+        assert cli.config_from_args(args).kernel.gamma == 0.5
+        args = parser.parse_args([*base, "--gamma", "none"])
+        assert cli.config_from_args(args).kernel.gamma is None
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):

@@ -1,13 +1,20 @@
 """Tree kernels against brute-force enumeration oracles, plus the pair kernel,
-vector kernels, Gram assembly, and the Gram cache file."""
+vector kernels, Gram assembly, the Gram cache file, and the native
+tree-kernel engine: bit for bit against the Python engine, its build cache
+and its fallback."""
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qrerank import _native
 from qrerank.errors import DataError, NumericalError
 from qrerank.kernels import (
     Example,
@@ -26,7 +33,7 @@ from qrerank.kernels import (
 )
 from qrerank.treebank import SyntaxTree, parse_bracketed
 
-from conftest import make_examples, make_rng, random_small_tree
+from conftest import make_examples, make_rng, random_small_tree, random_tree
 from oracles import ptk_bruteforce, stk_bruteforce
 
 
@@ -963,3 +970,202 @@ class TestSharedSubtrees:
         assert messages[1].startswith("kernel_matrix: 22 tree pairs, ")
         for pairs, subtrees, deltas, dp_runs in counts:
             assert 0 < dp_runs < deltas and 0 < subtrees
+
+
+# ---------------------------------------------------------------------------
+# the two engines: the classes above run on the default engine (the native
+# one wherever it builds); their subclasses here rerun them on the Python
+# engine, and the native engine is checked against it bit for bit
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def python_engine(monkeypatch):
+    """Every kernel call in the test uses the Python engine."""
+    monkeypatch.setattr(_native, "load", lambda: None)
+
+
+@pytest.fixture
+def native_engine():
+    if _native.load() is None:
+        pytest.skip("the native engine does not build or load here")
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestGoldenValuesPython(TestGoldenValues):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestFastPathOraclesPython(TestFastPathOracles):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestDeepTreesPython(TestDeepTrees):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestSharedSubtreesPython(TestSharedSubtrees):
+    pass
+
+
+def random_forest(seed=5):
+    """Examples over trees that share subtrees with each other and repeat
+    them inside one tree, plus a node of 40 children and a 1,200-deep
+    chain."""
+    rng = make_rng(seed)
+    pool = [random_tree(rng, max_depth=3, max_branch=3) for _ in range(6)]
+
+    def tree():
+        kids = [pool[rng.integers(len(pool))] if rng.random() < 0.6
+                else random_tree(rng, max_depth=3, max_branch=3)
+                for _ in range(rng.integers(1, 5))]
+        return SyntaxTree(str(rng.choice(["S", "NP", "VP"])), tuple(kids))
+
+    trees = [tree() for _ in range(10)]
+    trees += [t(SHARED_TEXTS[4]), wrapped_chain(1200, NP_VISA)]
+    return [example_with_trees(trees[k], trees[(3 * k + 1) % len(trees)],
+                               cid=f"c{k}") for k in range(len(trees))]
+
+
+def both_engines(monkeypatch, compute):
+    """compute() on the native engine, then on the Python engine."""
+    native = compute()
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        return native, compute()
+
+
+@pytest.mark.usefixtures("native_engine")
+class TestNativeEngine:
+    @pytest.mark.parametrize("normalize", [True, False])
+    # (0.7, 0.3): the only pair here where (μλ)λ and μ(λλ) differ
+    @pytest.mark.parametrize("lam,mu", [(0.4, 0.4), (0.9, 0.2), (1.0, 1.0),
+                                        (0.05, 1.0), (0.7, 0.3)])
+    @pytest.mark.parametrize("kind", ["PTK", "STK"])
+    def test_matrices_equal_the_python_engine(self, monkeypatch, kind, lam,
+                                              mu, normalize):
+        ex = random_forest()
+        cfg = KernelConfig(use_tk=True, use_sim=False, tk_kind=kind, lam=lam,
+                           mu=mu, normalize_tk=normalize)
+        native, python = both_engines(monkeypatch, lambda: (
+            hex_matrix(gram_matrix(ex, cfg)),
+            hex_matrix(kernel_matrix(ex[::3], ex[1::2], cfg))))
+        assert native == python
+
+    def test_random_pairs_equal_the_python_engine(self, monkeypatch):
+        rng = make_rng(61)
+        pairs = [(random_small_tree(rng), random_small_tree(rng))
+                 for _ in range(200)]
+        native, python = both_engines(monkeypatch, lambda: [
+            float.hex(f(a, b, *p)) for a, b in pairs
+            for f, p in ((ptk, (0.4, 0.4)), (ptk, (1.0, 1.0)),
+                         (stk, (0.9,)))])
+        assert native == python
+
+    @pytest.mark.parametrize("width,depth", [(2, 9), (2, 10), (2, 11),
+                                             (3, 6), (3, 7)])
+    def test_overflowing_kernels_equal_the_python_engine(self, monkeypatch,
+                                                         width, depth):
+        # λ = μ = 1 on a complete tree of identical subtrees: finite, then
+        # inf (a Δ overflows), then nan (inf − inf in PTK's DP)
+        tree = SyntaxTree("a")
+        for _ in range(depth):
+            tree = SyntaxTree("N", (tree,) * width)
+        native, python = both_engines(monkeypatch, lambda: [
+            float.hex(stk(tree, tree, 1.0)),
+            float.hex(ptk(tree, tree, 1.0, 1.0))])
+        assert native == python
+
+    def test_log_names_the_engine(self, monkeypatch, caplog):
+        ex = random_forest()[:4]
+        cfg = KernelConfig(use_tk=True, use_sim=False)
+        with caplog.at_level("INFO", logger="qrerank.kernels"):
+            both_engines(monkeypatch, lambda: gram_matrix(ex, cfg))
+        native, python = [r.getMessage() for r in caplog.records]
+        assert native.endswith(", native engine")
+        assert python.endswith(", python engine")
+        # the same pairs and subtrees; the Python engine caches child
+        # blocks, so it runs fewer DPs
+        assert native.split(",")[:2] == python.split(",")[:2]
+
+
+def fresh_loader(monkeypatch, tmp_path):
+    """Make the loader one that has not run yet in this process, with an
+    empty cache directory of its own; returns that directory."""
+    monkeypatch.setattr(_native, "_engine", _native._UNTRIED)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "qrerank"
+
+
+def warnings_of(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING"]
+
+
+@pytest.mark.usefixtures("native_engine")
+class TestBuildAndFallback:
+    def test_without_a_compiler_one_warning_and_the_same_bits(
+            self, monkeypatch, tmp_path, caplog):
+        ex = random_forest()[:5]
+        cfg = KernelConfig(use_tk=True, use_sim=False)
+        native = hex_matrix(gram_matrix(ex, cfg))
+        fresh_loader(monkeypatch, tmp_path)
+        monkeypatch.setenv("PATH", str(tmp_path))     # no cc, no gcc
+        with caplog.at_level("INFO"):
+            first = hex_matrix(gram_matrix(ex, cfg))
+            again = hex_matrix(kernel_matrix(ex[:2], ex, cfg))
+        assert warnings_of(caplog) == [
+            "native tree-kernel engine unavailable (no C compiler: neither "
+            "cc nor gcc is on PATH); using the Python engine"]
+        assert first == native
+        assert again == [row[:] for row in native[:2]]
+        assert all(m.endswith("python engine") for m in
+                   (r.getMessage() for r in caplog.records
+                    if r.levelname == "INFO"))
+
+    def test_compiler_error_is_named(self, monkeypatch, tmp_path, caplog):
+        cache = fresh_loader(monkeypatch, tmp_path)
+        broken = tmp_path / "_tk.c"
+        broken.write_text("int qrerank_tree_block(void) { return }\n")
+        monkeypatch.setattr(_native, "SOURCE", broken)
+        with caplog.at_level("WARNING"):
+            assert _native.load() is None
+        message, = warnings_of(caplog)
+        assert "failed: " in message and "error" in message
+        assert list(cache.iterdir()) == []          # no temporary left
+
+    def test_load_error_is_named(self, monkeypatch, tmp_path, caplog):
+        fresh_loader(monkeypatch, tmp_path)
+        library = _native._library()
+        library.write_bytes(b"not a shared library")
+        with caplog.at_level("WARNING"):
+            assert _native.load() is None
+        message, = warnings_of(caplog)
+        assert message.startswith(
+            f"native tree-kernel engine unavailable (cannot load {library}: ")
+
+    def test_a_second_process_loads_the_cached_library(self, tmp_path):
+        cache = tmp_path / "cache"
+        probe = ("from qrerank import _native; "
+                 "print(_native.load() is not None)")
+        src = str(Path(_native.__file__).parent.parent)
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=src)
+
+        def run(**extra):
+            done = subprocess.run([sys.executable, "-c", probe],
+                                  env=dict(env, **extra), capture_output=True,
+                                  text=True, check=True)
+            return done.stdout.strip()
+
+        assert run() == "True"
+        library, = (cache / "qrerank").iterdir()
+        assert (cache / "qrerank").stat().st_mode & 0o777 == 0o700
+        before = library.stat()
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        assert run(PATH=str(empty)) == "True"         # no compiler needed
+        after = library.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
