@@ -1,18 +1,20 @@
-"""Build and load the native tree-kernel engine, ``_tk.c``, on first use.
+"""Build and load the native engine, ``_tk.c``, on first use.
 
-:func:`load` compiles the source with the installed ``cc`` (or ``gcc``) the
-first time a process evaluates a tree kernel, never at import. The library
-goes into a per-user cache directory, ``$XDG_CACHE_HOME/qrerank`` or else
-``~/.cache/qrerank``, created with mode 0700; its name is the sha256 of the
-source, the compiler flags and ``platform.machine()``, so a later process,
-or a later version of the source, finds its own build or makes a new one.
-It is written under a temporary name and renamed into place, so concurrent
-builds never expose a partial file. It is loaded with ``ctypes``, which
-needs no ``Python.h`` and works with the package on ``PYTHONPATH``.
+The engine holds the tree-kernel row of :mod:`.kernels` and the SMO step
+of :mod:`.svm`. :func:`load` compiles the source with the installed ``cc``
+(or ``gcc``) the first time a process evaluates a tree kernel or trains a
+model, never at import. The library goes into a per-user cache directory,
+``$XDG_CACHE_HOME/qrerank`` or else ``~/.cache/qrerank``, created with mode
+0700; its name is the sha256 of the source, the compiler flags and
+``platform.machine()``, so a later process, or a later version of the
+source, finds its own build or makes a new one. It is written under a
+temporary name and renamed into place, so concurrent builds never expose a
+partial file. It is loaded with ``ctypes``, which needs no ``Python.h`` and
+works with the package on ``PYTHONPATH``.
 
 When there is no compiler, the compiler fails or the library does not load,
 :func:`load` logs one WARNING naming the reason and returns None, and the
-kernels use the Python engine for the rest of the process.
+kernels and the solver use their Python code for the rest of the process.
 """
 
 from __future__ import annotations
@@ -26,13 +28,34 @@ import shutil
 import tempfile
 from array import array
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_tk.c")
 # -ffp-contract=off: no fused multiply-add (compilers for aarch64 fuse by
-# default), so that every Δ rounds exactly as the Python engine's does
+# default), so that every Δ and every SMO update rounds exactly as the
+# Python code's does
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_p, _i64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
+class Engine(NamedTuple):
+    """The library's entry points (see ``_tk.c``), argument types set."""
+
+    tree_block: Callable
+    smo_step: Callable
+    randbelow: Callable
+
+
+_SIGNATURES = {
+    "tree_block": ([ctypes.c_int, _f64, _f64, _p, _p, _p, _p, _p,
+                    ctypes.c_int, _p, _i64, _p, _p, _p], ctypes.c_int),
+    "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64, _f64, _p, _p, _p,
+                  _p, _p, _p, _p], ctypes.c_int),
+    "randbelow": ([_p, _i64, _i64, _p], None),
+}
 
 _UNTRIED = object()
 _engine = _UNTRIED
@@ -42,9 +65,9 @@ class _Unavailable(Exception):
     """The native engine cannot be built; the message says why."""
 
 
-def load():
-    """The native row function ``qrerank_tree_block`` (see ``_tk.c``), or
-    None when the native engine is unavailable in this process."""
+def load() -> Engine | None:
+    """The native engine, or None when it is unavailable in this
+    process."""
     global _engine
     if _engine is _UNTRIED:
         _engine = _load()
@@ -55,20 +78,20 @@ def _load():
     try:
         path = _build()
     except (_Unavailable, OSError, RuntimeError) as exc:
-        logger.warning("native tree-kernel engine unavailable (%s); using "
-                       "the Python engine", exc)
+        logger.warning("native engine unavailable (%s); using the Python "
+                       "engine", exc)
         return None
     try:
-        fn = ctypes.CDLL(str(path)).qrerank_tree_block
+        lib = ctypes.CDLL(str(path))
+        fns = {name: getattr(lib, f"qrerank_{name}") for name in _SIGNATURES}
     except (OSError, AttributeError) as exc:
-        logger.warning("native tree-kernel engine unavailable (cannot load "
-                       "%s: %s); using the Python engine", path, exc)
+        logger.warning("native engine unavailable (cannot load %s: %s); "
+                       "using the Python engine", path, exc)
         return None
-    p = ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int, ctypes.c_double, ctypes.c_double,
-                   p, p, p, p, p, ctypes.c_int, p, ctypes.c_int64, p, p, p]
-    fn.restype = ctypes.c_int
-    return fn
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fns[name].argtypes = argtypes
+        fns[name].restype = restype
+    return Engine(**fns)
 
 
 def _cache_dir() -> Path:

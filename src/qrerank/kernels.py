@@ -32,26 +32,28 @@ block's tree pairs. A memo miss means the labels (STK: the productions)
 differ: a child's matched pairs are all filled in before its parent reads
 them, since its id comes first, so no recursion is needed at any depth. PTK
 skips the DP on 1×1 child blocks, and the DP returns 0 at once on an
-all-zero block. Each matched pair adds its Δ ``c1·c2`` times to an exactly
-rounded sum, c1 and c2 being the counts of its two subtrees. The result is
+all-zero block. Each matched pair adds its Δ times ``c1·c2`` to an exactly
+rounded sum, c1 and c2 being the counts of its two subtrees, as one term
+Δ·2^b per set bit b of ``c1·c2`` (exact products, so the sum is that of
+``c1·c2`` copies of Δ, in a handful of terms). The result is
 bit-identical to evaluating every node pair on its own, because Δ is a pure
 function of the two subtrees and the DP of the block's values and λ (fixed
 per call); every Δ is ≥ +0, so no key holds −0.0 or NaN and equal keys mean
-equal bits; and the sum is exactly rounded, so only the multiset of terms
-matters.
+equal bits; and the sum is exactly rounded, so only the exact total of the
+terms matters.
 
 Two engines compute a block, with the same bits. The native engine
 (``_tk.c``, built and loaded by :mod:`._native` on the first tree-kernel
-evaluation of a process) keeps the memo in C. It evaluates each Δ with the
-Python engine's operations in the same order (``(μλ)λ``, ``μ(λ² + λ²·d)``,
-``μ(λ² + s)``, the DP's ``λ²·v`` seed, its M recurrence and next level
-``D·(λ²·M)``, STK's ``d *= 1 + child``), sums with the partials of
-``math.fsum`` (any exactly rounded sum equals it), and is compiled with
-``-ffp-contract=off`` and without ``-ffast-math``, so no multiply-add is
-fused and no sum reordered. The Python engine (``_ptk``, ``_stk``) also
-caches the child-sequence DP per child-Δ block (flattened, with its width);
-it runs where the native engine cannot be built or loaded (one WARNING
-names why) and serves the tests as the reference. No option selects an
+evaluation or SMO solve of a process) keeps the memo in C. It evaluates
+each Δ with the Python engine's operations in the same order (``(μλ)λ``,
+``μ(λ² + λ²·d)``, ``μ(λ² + s)``, the DP's ``λ²·v`` seed, its M recurrence
+and next level ``D·(λ²·M)``, STK's ``d *= 1 + child``), sums with the
+partials of ``math.fsum`` (any exactly rounded sum equals it), and is
+compiled with ``-ffp-contract=off`` and without ``-ffast-math``, so no
+multiply-add is fused and no sum reordered. The Python engine (``_ptk``,
+``_stk``) also caches the child-sequence DP per child-Δ block (flattened,
+with its width); it runs where the native engine cannot be built or loaded
+(one WARNING names why) and serves the tests as the reference. No option selects an
 engine. The memo holds one row's work, not the whole call's, and
 ``kernel_matrix`` drops a row's subtrees and trees from the table with the
 row. ``gram_matrix`` and ``kernel_matrix`` log one INFO line with the
@@ -305,6 +307,22 @@ def _buckets(forest: array, t: int) -> dict[int, list[tuple[int, int]]]:
     return {key: pairs[a:b] for key, a, b in zip(keys, [0, *ends], ends)}
 
 
+def _add_times(terms: list, d: float, c: int) -> None:
+    """Append terms that sum to c·d exactly: d·2^b for each set bit b of c.
+    Scaling by a power of two is exact, so ``math.fsum`` of the terms is
+    that of c copies of d; where d·2^b overflows, so would the copies' sum,
+    and the error is the one ``math.fsum`` raises for it."""
+    b = 0
+    while c:
+        if c & 1:
+            try:
+                terms.append(math.ldexp(d, b))
+            except OverflowError:
+                raise OverflowError("intermediate overflow in fsum") from None
+        c >>= 1
+        b += 1
+
+
 def _stk(t1: int, t2: int, lam: float, sub: _Subtrees, memo: dict) -> float:
     prods, off, kids = sub.prods, sub.kid_off, sub.kid_ids
     buckets2 = _buckets(sub.forest, t2)
@@ -321,7 +339,7 @@ def _stk(t1: int, t2: int, lam: float, sub: _Subtrees, memo: dict) -> float:
             if c1 * c2 == 1:
                 terms.append(d)
             else:
-                terms += [d] * (c1 * c2)
+                _add_times(terms, d, c1 * c2)
     return math.fsum(terms)
 
 
@@ -408,7 +426,7 @@ def _ptk(t1: int, t2: int, lam: float, mu: float, sub: _Subtrees,
             if c1 * c2 == 1:
                 terms.append(d)
             else:
-                terms += [d] * (c1 * c2)
+                _add_times(terms, d, c1 * c2)
     return math.fsum(terms)
 
 
@@ -458,12 +476,13 @@ def _tree_block(kind: str, lam: float, mu: float, sub: _Subtrees,
     native = _native.load()
     if native is not None:
         work = np.zeros(2, dtype=np.int64)
-        if native(int(kind == "PTK"), lam, mu,
-                  *(a.buffer_info()[0] for a in (sub.labels, sub.prods,
-                                                 sub.kid_off, sub.kid_ids,
-                                                 sub.forest)),
-                  len(row), row.ctypes.data, len(cols), cols.ctypes.data,
-                  out.ctypes.data, work.ctypes.data) == 0:
+        if native.tree_block(
+                int(kind == "PTK"), lam, mu,
+                *(a.buffer_info()[0] for a in (sub.labels, sub.prods,
+                                               sub.kid_off, sub.kid_ids,
+                                               sub.forest)),
+                len(row), row.ctypes.data, len(cols), cols.ctypes.data,
+                out.ctypes.data, work.ctypes.data) == 0:
             sub.tally(out.size, *work.tolist(), "native")
             return out
     memo, blocks = {}, {}

@@ -6,10 +6,24 @@ The solver maximizes the usual dual
 
 by repeatedly optimizing one pair of variables analytically. Working pairs
 follow the first-order heuristic: the worst KKT violator is paired with the
-partner maximizing |E_i − E_j|; exact ties are broken by a seeded shuffle,
-so training is bit-for-bit reproducible for a fixed seed. Convergence is
-declared when no example violates its KKT condition by more than ``tol``,
-measured with the same bias rule the final model ships with.
+partner maximizing |E_i − E_j|; exact ties are broken by a seeded
+``random.Random``, and when that partner makes no progress the other
+examples are tried in an order the same generator shuffles, so training is
+bit-for-bit reproducible for a fixed seed. Convergence is declared when no
+example violates its KKT condition by more than ``tol``, measured with the
+same bias rule the final model ships with.
+
+Each step but the bias runs in the native engine (``qrerank_smo_step`` in
+``_tk.c``, loaded by :mod:`._native`) when it builds: the violations, the
+tie-picks, the shuffled partner scan, the pair update and the update of g.
+It gives the Python step's bits, because it runs the same IEEE operations
+in the same order (compiled with ``-ffp-contract=off``, so none is fused),
+Python's ``min``/``max`` and numpy's NaN-propagating maximum, and draws
+from a copy of the seeded Mersenne Twister: one word per draw of
+``_randbelow``, shifted and rejected as CPython does it, and the
+Fisher–Yates order of ``random.shuffle``. The bias is numpy's: its mean is
+a pairwise sum. The Python step in :func:`train_smo` stays as the reference
+and runs where the engine cannot be built; no option selects an engine.
 
 Scores come from the dual expansion r(x) = Σ α_i y_i K(x_i, x) + b, used
 directly as the re-ranking score.
@@ -26,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError, open_text
 
 logger = logging.getLogger(__name__)
@@ -34,7 +49,8 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class TrainConfig:
     """Solver knobs. C scales per class via c_scale_pos / c_scale_neg
-    (both 1.0 by default — no class weighting)."""
+    (both 1.0 by default — no class weighting). max_passes caps the number
+    of pair-update steps, not of passes over the data."""
 
     C: float = 1.0
     tol: float = 1e-3
@@ -136,13 +152,23 @@ def _dual_objective(alpha, y, g):
     return float(alpha.sum() - 0.5 * np.dot(alpha * y, g))
 
 
+_STEPPED, _CONVERGED, _STALLED, _NONFINITE = range(4)   # as in _tk.c
+
+
+_NAN_MAXIMUM = ("SMO met a NaN in the KKT violations or the partner gaps "
+                "(the iterate overflowed)")
+
+
 def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
               kernel_fingerprint: str = "") -> TrainedModel:
     """Solve the dual on a precomputed Gram matrix.
 
-    ``gram`` must be symmetric (asymmetry beyond 1e-9 is rejected) and
-    ``labels`` must contain both classes. Returns the trained model; logs a
-    warning if max_passes runs out before the KKT conditions are met.
+    ``gram`` must be finite and symmetric (asymmetry beyond 1e-9 is
+    rejected) and ``labels`` must contain both classes. Returns the trained
+    model; logs a warning if max_passes runs out before the KKT conditions
+    are met, and one INFO line with the steps taken, the steps that
+    searched a partner in shuffled order, the converged flag, the final
+    maximum KKT violation and the engine that ran the steps.
     """
     G = np.asarray(gram, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -155,10 +181,14 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         raise DataError("labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise DataError("training data contains a single class")
+    if not np.all(np.isfinite(G)):
+        raise NumericalError("gram contains non-finite values")
     asym = float(np.max(np.abs(G - G.T))) if n else 0.0
     if asym > 1e-9:
         raise NumericalError(f"gram is not symmetric (max asymmetry {asym:.3g})")
-    G = (G + G.T) / 2.0
+    # the native step reads G and y by pointer: C order, no strides
+    G = np.ascontiguousarray((G + G.T) / 2.0)
+    y = np.ascontiguousarray(y)
 
     checksum = _training_checksum(G, y, cfg)
     box = np.where(y > 0, cfg.C * cfg.c_scale_pos, cfg.C * cfg.c_scale_neg)
@@ -170,6 +200,8 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
 
     def tie_pick(mask_values, target):
         candidates = np.flatnonzero(mask_values == target)
+        if not len(candidates):     # target is NaN
+            raise NumericalError(_NAN_MAXIMUM)
         return int(candidates[rng.randrange(len(candidates))])
 
     def try_pair(i, j):
@@ -203,16 +235,14 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         alpha[j] = aj_new
         return True
 
-    converged = False
-    for _ in range(cfg.max_passes):
-        b = _bias_from_state(alpha, y, g, box, cfg.eps)
+    def python_step(b):
+        """One step at bias b, the reference the native step reproduces:
+        (status, max violation, whether the shuffled scan ran)."""
         viol = _violations(alpha, y, g + b, box, cfg.tol, cfg.eps)
         worst = viol.max()
         if worst <= 0.0:
-            converged = True
-            break
-
-        progressed = False
+            return _CONVERGED, worst, False
+        scanned = False
         E = g - y
         # violators in decreasing order of violation; ties rotated by seed
         order = np.argsort(-viol, kind="stable")
@@ -221,21 +251,50 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
             gaps = np.abs(E[i] - E)
             j = tie_pick(gaps, gaps.max())
             if try_pair(i, j):
-                progressed = True
-                break
+                return _STEPPED, worst, scanned
             others = [k for k in range(n) if k != i and k != j]
             rng.shuffle(others)
+            scanned = True
             for k in others:
                 if try_pair(i, k):
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
+                    return _STEPPED, worst, scanned
+        return _STALLED, worst, scanned
+
+    native = _native.load()
+    if native is not None:
+        # the generator random.Random(cfg.seed) would be, as one array
+        mt = np.array(rng.getstate()[1], dtype=np.uint32)
+        scratch = (np.empty(n), np.empty(n),
+                   np.empty(n, dtype=[("v", np.float64), ("k", np.int64)]),
+                   np.empty(n, dtype=np.int64))
+        out = np.zeros(1)
+        flag = np.zeros(1, dtype=np.int64)
+        head = [n, *(a.ctypes.data for a in (G, y, box, alpha, g))]
+        tail = [a.ctypes.data for a in (mt, *scratch, out, flag)]
+
+        def step(b):
+            status = native.smo_step(*head, b, cfg.tol, cfg.eps, *tail)
+            if status == _NONFINITE:
+                raise NumericalError(_NAN_MAXIMUM)
+            return status, out[0], bool(flag[0])
+    else:
+        step = python_step
+
+    converged = False
+    steps = scanned_steps = 0
+    for _ in range(cfg.max_passes):
+        b = _bias_from_state(alpha, y, g, box, cfg.eps)
+        status, worst, scanned = step(b)
+        if status == _CONVERGED:
+            converged = True
+            break
+        if status == _STALLED:
             logger.warning(
                 "SMO stalled with max KKT violation %.3g (tol %.3g); "
                 "keeping current feasible iterate", worst, cfg.tol)
             break
+        steps += 1
+        scanned_steps += scanned
         if __debug__:
             obj = _dual_objective(alpha, y, g)
             assert obj >= prev_obj - 1e-9 * max(1.0, abs(prev_obj)), (
@@ -245,6 +304,11 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         b = _bias_from_state(alpha, y, g, box, cfg.eps)
         logger.warning("SMO reached max_passes=%d before meeting tol=%g",
                        cfg.max_passes, cfg.tol)
+    final = _violations(alpha, y, g + b, box, cfg.tol, cfg.eps).max()
+    logger.info("train_smo: %d steps, %d with the shuffled scan, converged "
+                "%s, max KKT violation %.3g, %s engine", steps,
+                scanned_steps, converged, final,
+                "python" if native is None else "native")
 
     support = np.flatnonzero(alpha > cfg.eps)
     return TrainedModel(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrerank import _native
+from qrerank import _native, kernels
 from qrerank.errors import DataError, NumericalError
 from qrerank.kernels import (
     Example,
@@ -911,6 +911,32 @@ def hex_matrix(M):
     return [[float.hex(v) for v in row] for row in M.tolist()]
 
 
+def complete_tree(width, depth):
+    """Every leaf "a", every inner node "N" with ``width`` children."""
+    tree = SyntaxTree("a")
+    for _ in range(depth):
+        tree = SyntaxTree("N", (tree,) * width)
+    return tree
+
+
+def expanded_sum(kind, t1, t2, lam, mu):
+    """math.fsum of each matched subtree pair's Δ repeated c1·c2 times, the
+    Δ values taken from a Python-engine evaluation's memo."""
+    sub = kernels._Subtrees()
+    a, b = sub.compile(t1), sub.compile(t2)
+    memo = {}
+    if kind == "PTK":
+        kernels._ptk(a, b, lam, mu, sub, memo, {})
+    else:
+        kernels._stk(a, b, lam, sub, memo)
+    key = sub.labels if kind == "PTK" else sub.prods
+    buckets = kernels._buckets(sub.forest, b)
+    return math.fsum(memo[s1, s2]
+                     for s1, c1 in kernels._nodes(sub.forest, a)
+                     for s2, c2 in buckets.get(key[s1], ())
+                     for _ in range(c1 * c2))
+
+
 class TestSharedSubtrees:
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("lam,mu", [(0.4, 0.4), (0.9, 0.2), (1.0, 1.0)])
@@ -945,6 +971,32 @@ class TestSharedSubtrees:
                     expected = (oracle(a.tree_first, b.tree_first)
                                 + oracle(a.tree_second, b.tree_second))
                     assert G[i, j] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lam,mu", [(0.4, 0.4), (0.9, 0.2), (1.0, 1.0),
+                                        (0.05, 1.0)])
+    @pytest.mark.parametrize("kind", ["PTK", "STK"])
+    def test_repeated_subtrees_sum_as_their_expanded_terms(self, kind, lam,
+                                                           mu):
+        # a Δ met c1·c2 times enters the sum as c1·c2's power-of-two parts
+        trees, _ = shared_forest()
+        pairs = [(complete_tree(w, d), complete_tree(w, d))
+                 for w, d in ((2, 5), (3, 4), (7, 2), (13, 1))]
+        pairs += [(complete_tree(3, 3), complete_tree(2, 4)),
+                  (trees[4], trees[4]), (trees[5], trees[0])]
+        f = ptk if kind == "PTK" else stk
+        for a, b in pairs:
+            value = f(a, b, lam, mu) if kind == "PTK" else f(a, b, lam)
+            assert float.hex(value) == float.hex(
+                expanded_sum(kind, a, b, lam, mu))
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_a_repeated_finite_delta_whose_sum_overflows_raises(self, copies):
+        # this λ puts Δ of the depth-11 subtrees at 1.5·2^1022: finite, but
+        # their copies² pairs sum past the largest double (one term 4·Δ, or
+        # the two terms Δ and 8·Δ)
+        tree = SyntaxTree("R", (complete_tree(2, 11),) * copies)
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            stk(tree, tree, 0.9045936108323791)
 
     def test_nothing_is_kept_between_calls(self):
         trees, ex = shared_forest()
@@ -1064,15 +1116,16 @@ class TestNativeEngine:
                          (stk, (0.9,)))])
         assert native == python
 
+    # (3, 10): 88,573 nodes, whose deepest shared subtrees pair up 3^18
+    # times; adding each Δ once per pair ran out of memory (Python) or
+    # took 25 s (native)
     @pytest.mark.parametrize("width,depth", [(2, 9), (2, 10), (2, 11),
-                                             (3, 6), (3, 7)])
+                                             (3, 6), (3, 7), (3, 10)])
     def test_overflowing_kernels_equal_the_python_engine(self, monkeypatch,
                                                          width, depth):
         # λ = μ = 1 on a complete tree of identical subtrees: finite, then
         # inf (a Δ overflows), then nan (inf − inf in PTK's DP)
-        tree = SyntaxTree("a")
-        for _ in range(depth):
-            tree = SyntaxTree("N", (tree,) * width)
+        tree = complete_tree(width, depth)
         native, python = both_engines(monkeypatch, lambda: [
             float.hex(stk(tree, tree, 1.0)),
             float.hex(ptk(tree, tree, 1.0, 1.0))])
@@ -1117,7 +1170,7 @@ class TestBuildAndFallback:
             first = hex_matrix(gram_matrix(ex, cfg))
             again = hex_matrix(kernel_matrix(ex[:2], ex, cfg))
         assert warnings_of(caplog) == [
-            "native tree-kernel engine unavailable (no C compiler: neither "
+            "native engine unavailable (no C compiler: neither "
             "cc nor gcc is on PATH); using the Python engine"]
         assert first == native
         assert again == [row[:] for row in native[:2]]
@@ -1144,7 +1197,7 @@ class TestBuildAndFallback:
             assert _native.load() is None
         message, = warnings_of(caplog)
         assert message.startswith(
-            f"native tree-kernel engine unavailable (cannot load {library}: ")
+            f"native engine unavailable (cannot load {library}: ")
 
     def test_a_second_process_loads_the_cached_library(self, tmp_path):
         cache = tmp_path / "cache"

@@ -1,8 +1,13 @@
-"""SMO solver: analytic fixture, KKT conditions, determinism, model file."""
+"""SMO solver: analytic fixture, KKT conditions, determinism, model file,
+and the native SMO step: byte for byte against the Python reference."""
+
+import hashlib
+import random
 
 import numpy as np
 import pytest
 
+from qrerank import _native
 from qrerank.errors import DataError, NumericalError
 from qrerank.svm import (
     TrainConfig,
@@ -151,6 +156,15 @@ class TestDeterminism:
         assert a.bias == b.bias
         assert a.training_checksum == b.training_checksum
 
+    def test_strided_inputs_train_as_their_copies(self, tmp_path):
+        G, y = problem(60, "rbf", seed=6)
+        wide = np.repeat(np.repeat(G, 2, axis=0), 2, axis=1)[::2, ::2]
+        labels = np.repeat(y, 3)[::3]
+        assert not (wide.flags.c_contiguous or labels.flags.c_contiguous)
+        cfg = TrainConfig(seed=6)
+        assert (model_bytes(tmp_path, wide, labels, cfg)
+                == model_bytes(tmp_path, G.copy(), y.copy(), cfg))
+
     def test_checksum_tracks_inputs(self):
         G = np.array([[1.0, -1.0], [-1.0, 1.0]])
         a = train_smo(G, [-1, 1], TrainConfig())
@@ -173,6 +187,13 @@ class TestValidation:
         G = np.array([[1.0, -1.0], [-1.0 + 1e-12, 1.0]])
         model = train_smo(G, [-1, 1], TrainConfig())
         assert abs(model.bias) <= 1e-6
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_gram_is_a_numerical_error(self, bad):
+        G, y = problem(20, "rbf", seed=4)
+        G[0, 1] = G[1, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            train_smo(G, y, TrainConfig())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -255,3 +276,179 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.support_indices == ()
         assert loaded.bias == -0.125
+
+
+# ---------------------------------------------------------------------------
+# the two engines: the native SMO step against train_smo's Python reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def native_engine():
+    if _native.load() is None:
+        pytest.skip("the native engine does not build or load here")
+
+
+def problem(n, kernel, seed=0, duplicated=False):
+    """A seeded Gram (RBF or linear on 4-dimensional points) and labels with
+    both classes; ``duplicated`` repeats the first half of the points, so
+    gaps and violations tie exactly."""
+    rng = make_rng(seed)
+    X = rng.normal(size=(n, 4))
+    if duplicated:
+        X[n // 2:] = X[:n - n // 2]
+    y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    if kernel == "linear":
+        return linear_gram(X), y
+    sq = (X * X).sum(1)
+    return np.exp(-0.25 * np.maximum(sq[:, None] + sq[None, :]
+                                     - 2.0 * (X @ X.T), 0.0)), y
+
+
+def model_bytes(tmp_path, G, y, cfg):
+    path = tmp_path / "model.txt"
+    save_model(path, train_smo(G, y, cfg, kernel_fingerprint="fp"))
+    return path.read_bytes()
+
+
+def both_engines(monkeypatch, caplog, compute):
+    """compute() on the native engine, then on the Python engine, each with
+    the messages train_smo logged."""
+    runs = []
+    for engine in ("native", "python"):
+        with monkeypatch.context() as m, caplog.at_level("INFO",
+                                                         "qrerank.svm"):
+            if engine == "python":
+                m.setattr(_native, "load", lambda: None)
+            caplog.clear()
+            runs.append((compute(), [r.getMessage() for r in caplog.records]))
+    return runs
+
+
+GOLDEN_SHA256 = ("48f39abb912817cf9ac09899967bdccae911af366a003a4a16b4d8d3316c"
+                 "7caf")
+
+GRID = [
+    *[(n, kernel, {}, False) for n in (2, 3, 50, 300)
+      for kernel in ("rbf", "linear")],
+    (1000, "linear", dict(C=0.05), False),
+    (1000, "rbf", dict(max_passes=300), False),     # hits the cap
+    (50, "linear", dict(max_passes=7, seed=3), False),
+    (300, "rbf", dict(C=0.02), False),              # most α at a bound
+    (300, "linear", dict(C=0.5, seed=1), True),
+    (300, "rbf", dict(seed=2), True),
+    (50, "rbf", dict(c_scale_pos=2.5, seed=7), True),
+    (300, "rbf", dict(c_scale_neg=0.3, seed=11), False),
+]
+
+
+class TestGoldenModel:
+    """On the default engine and on the Python reference."""
+
+    def test_golden_model(self, monkeypatch, caplog, tmp_path):
+        # the sha256 of this model file as the pure-Python solver wrote it
+        # before the native step existed
+        G, y = problem(300, "rbf", seed=2024, duplicated=True)
+        cfg = TrainConfig(C=2.0, seed=13, c_scale_pos=1.5)
+        for data, _ in both_engines(monkeypatch, caplog,
+                                    lambda: model_bytes(tmp_path, G, y, cfg)):
+            assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.usefixtures("native_engine")
+class TestNativeStep:
+    @pytest.mark.parametrize("n,kernel,knobs,duplicated", GRID)
+    def test_model_bytes_equal_the_python_reference(
+            self, monkeypatch, caplog, tmp_path, n, kernel, knobs,
+            duplicated):
+        G, y = problem(n, kernel, seed=n, duplicated=duplicated)
+        cfg = TrainConfig(**knobs)
+        (native, native_log), (python, python_log) = both_engines(
+            monkeypatch, caplog, lambda: model_bytes(tmp_path, G, y, cfg))
+        assert native == python
+        # the same steps, shuffled scans, flag and violation
+        assert native_log[-1].endswith(", native engine")
+        assert python_log[-1].endswith(", python engine")
+        assert native_log[:-1] == python_log[:-1]
+        assert (native_log[-1].rsplit(", ", 1)[0]
+                == python_log[-1].rsplit(", ", 1)[0])
+
+    def test_a_stall_after_progress_is_reproduced(self, monkeypatch, caplog,
+                                                  tmp_path):
+        # points at -1, 0 and 1, each repeated with both labels: the last
+        # violators have no partner with η > 0 and room to move
+        rng = make_rng(48)
+        X = rng.integers(-1, 2, size=(30, 1)).astype(float)
+        y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        (native, native_log), (python, _) = both_engines(
+            monkeypatch, caplog, lambda: model_bytes(
+                tmp_path, X @ X.T, y, TrainConfig(seed=48)))
+        assert native == python
+        assert native_log[0].startswith("SMO stalled")
+        assert native_log[1].startswith("train_smo: 24 steps, 12 with the "
+                                        "shuffled scan, converged False")
+
+    def test_a_flat_gram_stalls_at_once(self, monkeypatch, caplog, tmp_path):
+        G, y = np.ones((6, 6)), np.array([1.0, -1.0] * 3)
+        (native, native_log), (python, _) = both_engines(
+            monkeypatch, caplog, lambda: model_bytes(tmp_path, G, y,
+                                                     TrainConfig()))
+        assert native == python
+        assert native_log[0].startswith("SMO stalled")
+        assert native_log[1].startswith("train_smo: 0 steps, 0 with the "
+                                        "shuffled scan, converged False")
+
+    # NaN: the violations' maximum is NaN; -inf: the worst violator's own
+    # gap is |-inf - -inf|
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_a_nan_maximum_stops_the_native_step(self, bad):
+        # where the Python reference finds no tie to pick (a NaN maximum
+        # of the violations or the gaps), the step reports it and returns
+        n = 4
+        G, y = np.eye(n), np.array([1.0, -1.0, 1.0, -1.0])
+        box, alpha, g = np.ones(n), np.zeros(n), np.zeros(n)
+        g[2] = bad
+        mt = np.array(random.Random(0).getstate()[1], dtype=np.uint32)
+        worst, scanned = np.zeros(1), np.ones(1, dtype=np.int64)
+        scratch = (np.empty(n), np.empty(n),
+                   np.empty(n, dtype=[("v", np.float64), ("k", np.int64)]),
+                   np.empty(n, dtype=np.int64))
+        before = alpha.tobytes() + g.tobytes()
+        status = _native.load().smo_step(
+            n, *(a.ctypes.data for a in (G, y, box, alpha, g)), 0.0, 1e-3,
+            1e-9, *(a.ctypes.data for a in (mt, *scratch, worst, scanned)))
+        assert status == 3
+        assert alpha.tobytes() + g.tobytes() == before
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 999, 1000, 1024,
+                                   2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1])
+    def test_generator_matches_random(self, n):
+        rng = random.Random(n)
+        mt = np.array(rng.getstate()[1], dtype=np.uint32)
+        draws = np.zeros(700, dtype=np.int64)    # past one 624-word block
+        _native.load().randbelow(mt.ctypes.data, n, len(draws),
+                                 draws.ctypes.data)
+        assert draws.tolist() == [rng.randrange(n) for _ in draws]
+        assert random.Random(n).getstate()[1] != tuple(mt.tolist())
+        again = random.Random()
+        again.setstate((3, tuple(mt.tolist()), None))
+        assert again.random() == rng.random()
+
+    def test_without_a_compiler_one_warning_and_the_same_bytes(
+            self, monkeypatch, tmp_path, caplog):
+        G, y = problem(50, "rbf", seed=8, duplicated=True)
+        native = model_bytes(tmp_path, G, y, TrainConfig(seed=4))
+        monkeypatch.setattr(_native, "_engine", _native._UNTRIED)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setenv("PATH", str(tmp_path))     # no cc, no gcc
+        with caplog.at_level("INFO"):
+            first = model_bytes(tmp_path, G, y, TrainConfig(seed=4))
+            again = model_bytes(tmp_path, G, y, TrainConfig(seed=4))
+        assert first == again == native
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"] == [
+            "native engine unavailable (no C compiler: neither cc nor gcc "
+            "is on PATH); using the Python engine"]
+        assert all(r.getMessage().endswith(", python engine")
+                   for r in caplog.records if r.name == "qrerank.svm")
