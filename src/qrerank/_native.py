@@ -1,20 +1,21 @@
 """Build and load the native engine, ``_tk.c``, on first use.
 
-The engine holds the tree-kernel row of :mod:`.kernels` and the SMO step
-of :mod:`.svm`. :func:`load` compiles the source with the installed ``cc``
-(or ``gcc``) the first time a process evaluates a tree kernel or trains a
-model, never at import. The library goes into a per-user cache directory,
-``$XDG_CACHE_HOME/qrerank`` or else ``~/.cache/qrerank``, created with mode
-0700; its name is the sha256 of the source, the compiler flags and
-``platform.machine()``, so a later process, or a later version of the
-source, finds its own build or makes a new one. It is written under a
-temporary name and renamed into place, so concurrent builds never expose a
-partial file. It is loaded with ``ctypes``, which needs no ``Python.h`` and
-works with the package on ``PYTHONPATH``.
+The engine holds the tree-kernel row, the RBF exponentials and the Gram
+file writer of :mod:`.kernels` and the SMO step of :mod:`.svm`. :func:`load`
+compiles the source with the installed ``cc`` (or ``gcc``) the first time
+a process needs one of them, never at import. The library goes into a
+per-user cache directory, ``$XDG_CACHE_HOME/qrerank`` or else
+``~/.cache/qrerank``, created with mode 0700; its name is the sha256 of the
+source, the compiler flags and ``platform.machine()``, so a later process,
+or a later version of the source, finds its own build or makes a new one.
+It is written under a temporary name and renamed into place, so concurrent
+builds never expose a partial file. It is loaded with ``ctypes``, which
+needs no ``Python.h`` and works with the package on ``PYTHONPATH``.
 
 When there is no compiler, the compiler fails or the library does not load,
 :func:`load` logs one WARNING naming the reason and returns None, and the
-kernels and the solver use their Python code for the rest of the process.
+kernels, the Gram file writer and the solver use their Python code for the
+rest of the process.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ SOURCE = Path(__file__).with_name("_tk.c")
 # default), so that every Δ and every SMO update rounds exactly as the
 # Python code's does
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+LIBS = ("-lm",)      # after the source, so that --as-needed keeps it
 
 _p, _i64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
@@ -47,6 +49,8 @@ class Engine(NamedTuple):
     tree_block: Callable
     smo_step: Callable
     randbelow: Callable
+    exp: Callable
+    format_gram: Callable
 
 
 _SIGNATURES = {
@@ -55,6 +59,8 @@ _SIGNATURES = {
     "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64, _f64, _p, _p, _p,
                   _p, _p, _p, _p], ctypes.c_int),
     "randbelow": ([_p, _i64, _i64, _p], None),
+    "exp": ([_i64, _p, _p], ctypes.c_int),
+    "format_gram": ([_i64, _p, _p, _p, _i64], _i64),
 }
 
 _UNTRIED = object()
@@ -108,7 +114,7 @@ def _library() -> Path:
     """Where the library of this source, these flags and this machine is
     cached."""
     digest = hashlib.sha256(b"\0".join(
-        [SOURCE.read_bytes(), " ".join(FLAGS).encode(),
+        [SOURCE.read_bytes(), " ".join(FLAGS + LIBS).encode(),
          platform.machine().encode()]))
     return _cache_dir() / f"_tk-{digest.hexdigest()}.so"
 
@@ -130,9 +136,9 @@ def _build() -> Path:
     fd, tmp = tempfile.mkstemp(prefix=".tk-", suffix=".so", dir=path.parent)
     os.close(fd)
     try:
-        done = subprocess.run([compiler, *FLAGS, "-o", tmp, str(SOURCE)],
-                              capture_output=True, text=True,
-                              errors="replace", check=False)
+        done = subprocess.run(
+            [compiler, *FLAGS, "-o", tmp, str(SOURCE), *LIBS],
+            capture_output=True, text=True, errors="replace", check=False)
         if done.returncode != 0:
             lines = done.stderr.splitlines()
             first = next((ln for ln in lines if "error" in ln),

@@ -1,5 +1,6 @@
-/* Native engine of qrerank: the tree kernels of qrerank.kernels and, in the
- * second part of this file, the SMO step of qrerank.svm.
+/* Native engine of qrerank: the tree kernels of qrerank.kernels, then the
+ * SMO step of qrerank.svm, then the RBF exponentials and the Gram file
+ * writer of qrerank.kernels.
  *
  * The tree-kernel entry point, qrerank_tree_block, evaluates one Gram or
  * scoring row's tree block: each of the row's trees against the
@@ -32,8 +33,10 @@
  * recursion: any depth works. DP buffers grow to the largest child block met.
  */
 
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -651,4 +654,169 @@ int qrerank_smo_step(int64_t n, const double *G, const double *y,
                 return SMO_STEPPED;
     }
     return SMO_STALLED;
+}
+
+/* ------------------------------------------------------------------------
+ * the RBF exponentials of qrerank.kernels
+ *
+ * qrerank_exp sets out[k] = exp(x[k]) with libm's exp, the function
+ * CPython's math.exp calls, so every value has math.exp's bits.
+ * ---------------------------------------------------------------------- */
+
+/* Returns 0, or 1 when some exp(x[k]) overflows a finite x[k], where
+ * math.exp raises OverflowError (out is then incomplete). */
+int qrerank_exp(int64_t n, const double *x, double *out)
+{
+    for (int64_t k = 0; k < n; k++) {
+        out[k] = exp(x[k]);
+        if (isinf(out[k]) && isfinite(x[k]))
+            return 1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * the Gram file writer of qrerank.kernels.save_gram
+ *
+ * The writer prints each value as Python's '%.17g' % v does. For
+ * 1e-11 <= |v| < 1e17 it is exact integer arithmetic: v = m·2^e with m < 2^53,
+ * and with k = floor(log10 |v|) and p = 16 - k (0 <= p <= 27, and 5^27 <
+ * 2^63), the 17 significant digits are D = m·5^p·2^(p+e) = |v|·10^p rounded
+ * half to even, computed in 128 bits. k is chosen from the floor of that
+ * product, not from D: 1e-7 is 9.99999999999999954...e-08 and must print so,
+ * not as 1e-07. When the rounding reaches 10^17, D becomes 10^16 and k
+ * grows by one. The exponent of %g is that k: fixed notation for -4 <= k <
+ * 17, else scientific, trailing zeros and a bare point dropped. Every other
+ * value goes through snprintf("%.17g"), which is also exact in glibc but
+ * several times slower.
+ * ---------------------------------------------------------------------- */
+
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL,
+    390625ULL, 1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL,
+    1220703125ULL, 6103515625ULL, 30517578125ULL, 152587890625ULL,
+    762939453125ULL, 3814697265625ULL, 19073486328125ULL, 95367431640625ULL,
+    476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+    7450580596923828125ULL};
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+/* m·5^p·2^(p+e) rounded down, and whether half-even rounding goes up */
+static uint64_t scaled(uint64_t m, int e, int p, int *up)
+{
+    u128 x = (u128)m * POW5[p];
+    int sh = p + e;
+    if (sh >= 0) {
+        *up = 0;
+        return (uint64_t)(x << sh);
+    }
+    uint64_t q = (uint64_t)(x >> -sh);
+    u128 rem = x & (((u128)1 << -sh) - 1), half = (u128)1 << (-sh - 1);
+    *up = rem > half || (rem == half && (q & 1));
+    return q;
+}
+
+/* '%.17g' % v for a finite v into s (room for 32 bytes); returns the
+ * length */
+static int format_g17(double v, char *s)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int neg = (int)(bits >> 63), len = 0;
+    double a = fabs(v);
+    if (a == 0.0) {
+        if (neg)
+            s[len++] = '-';
+        s[len++] = '0';
+        return len;
+    }
+    if (!(a >= 1e-11 && a < 1e17))
+        return snprintf(s, 32, "%.17g", v);
+    int b = (int)((bits >> 52) & 0x7ff) - 1023;     /* 2^b <= a < 2^(b+1) */
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int e = b - 52;
+    int k = (b * 78913) >> 18;      /* floor(b·log10 2): k or k + 1 is right */
+    if (16 - k > 27)
+        return snprintf(s, 32, "%.17g", v);
+    int up;
+    uint64_t q = scaled(m, e, 16 - k, &up);
+    if (q >= E17) {
+        k++;
+        q = scaled(m, e, 16 - k, &up);
+    }
+    q += up;
+    if (q == E17) {
+        q = E16;
+        k++;
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--, q /= 10)
+        d[i] = (char)('0' + q % 10);
+    int nd = 17;
+    while (nd > 1 && d[nd - 1] == '0')
+        nd--;
+    if (neg)
+        s[len++] = '-';
+    if (k < -4 || k >= 17) {
+        s[len++] = d[0];
+        if (nd > 1) {
+            s[len++] = '.';
+            memcpy(s + len, d + 1, (size_t)nd - 1);
+            len += nd - 1;
+        }
+        int x = k < 0 ? -k : k;
+        s[len++] = 'e';
+        s[len++] = k < 0 ? '-' : '+';
+        if (x >= 100)
+            s[len++] = (char)('0' + x / 100);
+        s[len++] = (char)('0' + x / 10 % 10);
+        s[len++] = (char)('0' + x % 10);
+    } else if (k >= 0) {
+        memcpy(s + len, d, (size_t)k + 1);
+        len += k + 1;
+        if (nd > k + 1) {
+            s[len++] = '.';
+            memcpy(s + len, d + k + 1, (size_t)(nd - k - 1));
+            len += nd - k - 1;
+        }
+    } else {
+        s[len++] = '0';
+        s[len++] = '.';
+        for (int i = 0; i < -k - 1; i++)
+            s[len++] = '0';
+        memcpy(s + len, d, (size_t)nd);
+        len += nd;
+    }
+    return len;
+}
+
+/* Format the cells of the lower triangle of the n×n row-major matrix G
+ * from cell (pos[0], pos[1]) on, as save_gram writes them: row i is
+ * G[i][0..i], single spaces between the values, '\n' after the last. Stops
+ * when the next value might not fit in the cap bytes of buf; pos receives
+ * the next cell, (n, 0) at the end. G must be finite. Returns the bytes
+ * written, or -1, with nothing written, when the locale's decimal point is
+ * not '.' (snprintf would print another). */
+int64_t qrerank_format_gram(int64_t n, const double *G, int64_t *pos,
+                            char *buf, int64_t cap)
+{
+    const char *point = localeconv()->decimal_point;
+    if (point[0] != '.' || point[1] != '\0')
+        return -1;
+    int64_t i = pos[0], j = pos[1], len = 0;
+    while (i < n && cap - len >= 32) {
+        len += format_g17(G[i * n + j], buf + len);
+        buf[len++] = j == i ? '\n' : ' ';
+        if (++j > i) {
+            i++;
+            j = 0;
+        }
+    }
+    pos[0] = i;
+    pos[1] = j;
+    return len;
 }

@@ -73,12 +73,19 @@ any row). ``gram_matrix`` takes row i against columns i..n-1 and mirrors it;
 the one-column case. The vector blocks are batched but keep the per-pair
 arithmetic, so every value is bit-identical to the one-pair form: each dot
 product is one BLAS dot per pair (``np.matmul`` of 1×dim by dim×1 calls the
-same routine as ``np.dot``), each exponential is ``math.exp``, and the blocks
-are added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
+same routine as ``np.dot``), each exponential is libm's ``exp``, the function
+``math.exp`` calls (``_exp``: one native loop per row), and the blocks are
+added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
 ``(d * d).sum(1)`` round some dot products differently, and ``np.exp`` some
 exponentials. The tree block is one ``_tree_block`` call per row, normalized
 in numpy with the one-cell operations. A row's temporaries are
-O(columns × dim); no n×n×dim array is built.
+O(columns × dim); no n×n×dim array is built. ``gram_matrix`` and
+``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
+value.
+
+The Gram cache file (``save_gram``, ``load_gram``) is text. The native
+engine writes it where it loads, byte for byte as the Python code writes it
+(see ``save_gram`` and ``_tk.c``); the Python code reads it.
 """
 
 from __future__ import annotations
@@ -86,6 +93,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
+import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
@@ -571,12 +580,26 @@ def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     return float(_row(e_i, p, None, None, p.tail(1), cfg, sub)[0])
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each value of x. The native engine calls libm's
+    ``exp``, the function ``math.exp`` calls, so the bits are the same; where
+    a value overflows, or the engine is unavailable, ``math.exp`` runs, and
+    raises as it does."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    native = _native.load()
+    if native is not None:
+        out = np.empty_like(x)
+        if native.exp(len(x), x.ctypes.data, out.ctypes.data) == 0:
+            return out
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
 def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(−γ‖u−x‖²) for each row x of X: one BLAS dot and one ``math.exp``
-    per row, as in the one-pair form (see the module docstring)."""
+    """exp(−γ‖u−x‖²) for each row x of X: one BLAS dot and one ``exp`` per
+    row, as in the one-pair form (see the module docstring)."""
     d = u - X
     sq = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
-    return np.array([math.exp(-gamma * s) for s in sq.tolist()])
+    return _exp(-gamma * sq)
 
 
 def rbf(u: np.ndarray, v: np.ndarray, gamma: float) -> float:
@@ -669,8 +692,7 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
             row += r_e * r
         else:
             d = r_e - r
-            row += [math.exp(x) for x in
-                    ((-_resolve_gamma(cfg, 1) * d) * d).tolist()]
+            row += _exp((-_resolve_gamma(cfg, 1) * d) * d)
     return row
 
 
@@ -682,12 +704,23 @@ def combined_kernel(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
     return float(_row(e_i, p, X, r, p.tail(1), cfg, sub)[0])
 
 
+def _require_finite(call: str, i: int, first: int, row: np.ndarray) -> None:
+    """Raise :class:`NumericalError` naming the first non-finite value of
+    ``row``, cells (i, first), (i, first + 1), ... of the call's matrix."""
+    bad = ~np.isfinite(row)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NumericalError(f"{call}: non-finite kernel value {row[j]} at "
+                             f"cell ({i}, {first + j})")
+
+
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     """Full kernel matrix G[i][j] = combined_kernel(e_i, e_j, cfg).
 
     Row i is computed against columns i..n-1 and mirrored, so the result is
     exactly symmetric. Tree self-kernels, computed once, also fill the
-    diagonal.
+    diagonal. A non-finite value raises :class:`NumericalError` naming its
+    cell, the first in row-major order.
     """
     if not examples:
         raise DataError("gram_matrix requires at least one example")
@@ -701,6 +734,7 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
         row = _row(examples[i], tail,
                    None if X is None else X[i:], None if r is None else r[i:],
                    tail, cfg, sub)
+        _require_finite("gram_matrix", i, i, row)
         G[i, i:] = row
         G[i:, i] = row
     if cfg.use_tk:
@@ -713,7 +747,8 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
     """Rectangular kernel matrix K[i][j] = combined_kernel(rows[i], cols[j]).
     Each tree is compiled, and its self-kernels computed, once: a column's
     for the whole call, a row's for its row only; a row's subtrees and
-    trees leave the table with the row."""
+    trees leave the table with the row. A non-finite value raises
+    :class:`NumericalError` naming its cell, the first in row-major order."""
     if not rows or not cols:
         raise DataError("kernel_matrix requires non-empty example lists")
     sub = _Subtrees()
@@ -724,6 +759,7 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
     for i, e_i in enumerate(rows):
         p_i = _prepare([e_i], cfg, sub, cfg.normalize_tk)
         K[i] = _row(e_i, p_i, X, r, prep_c, cfg, sub)
+        _require_finite("kernel_matrix", i, 0, K[i])
         sub.rollback(mark)
     if cfg.use_tk:
         sub.report("kernel_matrix")
@@ -748,20 +784,59 @@ def config_fingerprint(cfg: KernelConfig) -> str:
 
 
 GRAM_MAGIC = "qrerank-gram v1"
+_CHUNK = 1 << 20    # the native writer's buffer, in bytes
 
 
 def save_gram(path: str | Path, gram: np.ndarray, fingerprint: str) -> None:
-    """Write a Gram matrix cache: header, then the lower triangle row-major."""
+    """Write a Gram matrix cache: header, then the lower triangle row-major,
+    each value as ``'%.17g' % v``, single spaces between the values of a
+    row. A non-finite value raises :class:`NumericalError` naming its cell.
+
+    The native engine formats the rows in chunks of at most ``_CHUNK``
+    bytes, with exact integer arithmetic (see ``_tk.c``), so the file is the
+    same byte for byte; the Python loop below writes it where the engine is
+    unavailable. One INFO line gives n, the file's bytes, the seconds and
+    the engine."""
+    start = time.perf_counter()
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise DataError("gram must be a square matrix")
     n = gram.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {GRAM_MAGIC}\n")
-        fh.write(f"# fingerprint: {fingerprint}\n")
-        fh.write(f"# n: {n}\n")
-        for i, row in enumerate(gram):
-            fh.write(("%.17g " * i + "%.17g\n") % tuple(row[:i + 1].tolist()))
+    if not np.isfinite(gram).all():
+        for i in range(n):
+            _require_finite("save_gram", i, 0, gram[i, :i + 1])
+    native = _native.load()
+    with open(path, "wb") as fh:
+        fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n# n: {n}\n"
+                 .encode("utf-8"))
+        rows = fh.tell()
+        engine = "native"
+        if native is None or not _write_rows(native, fh, gram):
+            engine = "python"
+            fh.seek(rows)
+            fh.truncate()
+            for i, row in enumerate(gram):
+                fh.write((("%.17g " * i + "%.17g\n")
+                          % tuple(row[:i + 1].tolist())).encode("ascii"))
+        size = fh.tell()
+    logger.info("save_gram: n %d, %d bytes, %.3f s, %s engine", n, size,
+                time.perf_counter() - start, engine)
+
+
+def _write_rows(native, fh, gram: np.ndarray) -> bool:
+    """Write the rows of the finite ``gram`` with the native formatter, a
+    chunk at a time; False when it declines (a locale whose decimal point
+    is not '.')."""
+    G = np.ascontiguousarray(gram)
+    buf = np.empty(_CHUNK, dtype=np.uint8)
+    pos = np.zeros(2, dtype=np.int64)   # the next cell: row, column
+    while pos[0] < len(G):
+        used = native.format_gram(len(G), G.ctypes.data, pos.ctypes.data,
+                                  buf.ctypes.data, _CHUNK)
+        if used < 0:
+            return False
+        fh.write(buf[:used])
+    return True
 
 
 def _is_float(text: str) -> bool:
@@ -777,7 +852,9 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
 
     Returns (matrix, fingerprint); the matrix is mirrored back to full
     symmetric form. Raises :class:`DataError` on any malformation.
-    """
+
+    One INFO line gives n, the file's bytes and the seconds."""
+    start = time.perf_counter()
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 3 or lines[0] != f"# {GRAM_MAGIC}":
@@ -809,4 +886,6 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
         G[:i + 1, i] = values
     if not np.all(np.isfinite(G)):
         raise DataError(f"{path}: gram contains non-finite values")
+    logger.info("load_gram: n %d, %d bytes, %.3f s", n, os.path.getsize(path),
+                time.perf_counter() - start)
     return G, fingerprint

@@ -295,6 +295,26 @@ class TestExitCodes:
         assert (f"error: {train_ex}:1: example vec is empty"
                 in capsys.readouterr().err)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_gram_is_3_and_writes_no_file(self, corpora, tmp_path,
+                                                     capsys):
+        train, _ = corpora
+        train_ex = tmp_path / "train.ex"
+        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
+        rows = [json.loads(line) for line in
+                train_ex.read_text(encoding="utf-8").splitlines()]
+        for row in rows:
+            row["vec"], row["vec_names"] = [1e200, 1e200], ["a", "b"]
+        write_jsonl(train_ex, rows)
+        capsys.readouterr()
+        gram = tmp_path / "g.gram"
+        code = main(["gram", "--examples", str(train_ex), "--vec-kernel",
+                     "LINEAR", "--out", str(gram)])
+        assert code == 3
+        assert ("numerical error: gram_matrix: non-finite kernel value inf "
+                "at cell (0, 0)" in capsys.readouterr().err)
+        assert not gram.exists()
+
     @pytest.mark.parametrize("flag", ["--gamma", "--tol", "--smo-eps"])
     def test_infinite_gamma_or_solver_tolerance_is_2(self, flag, corpora,
                                                      tmp_path, capsys):

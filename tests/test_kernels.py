@@ -1,7 +1,7 @@
 """Tree kernels against brute-force enumeration oracles, plus the pair kernel,
-vector kernels, Gram assembly, the Gram cache file, and the native
-tree-kernel engine: bit for bit against the Python engine, its build cache
-and its fallback."""
+vector kernels, Gram assembly, the Gram cache file, and the native engine
+(tree kernels, exponentials, Gram file writer): bit for bit and byte for byte
+against the Python engine, its build cache and its fallback."""
 
 import hashlib
 import math
@@ -383,6 +383,60 @@ class TestGramFile:
                         + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(message)):
             load_gram(path)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_matrix_refused(self, tmp_path, bad):
+        G = np.ones((3, 3))
+        G[2, 1] = bad
+        with pytest.raises(NumericalError, match=re.escape(
+                f"save_gram: non-finite kernel value {bad} at cell (2, 1)")):
+            save_gram(tmp_path / "gram.txt", G, "fp")
+
+    def test_only_the_lower_triangle_is_written(self, tmp_path):
+        G = np.array([[1.0, math.nan], [0.5, 2.0]])
+        save_gram(tmp_path / "gram.txt", G, "fp")
+        assert load_gram(tmp_path / "gram.txt")[0].tolist() == [[1.0, 0.5],
+                                                                [0.5, 2.0]]
+
+    def test_larger_than_one_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "_CHUNK", 64)
+        G = np.arange(400.0).reshape(20, 20) / 7.0
+        save_gram(tmp_path / "gram.txt", G, "fp")
+        rows = tmp_path.joinpath("gram.txt").read_text().splitlines()[3:]
+        assert rows == [" ".join("%.17g" % v for v in G[i, :i + 1])
+                        for i in range(20)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNonFiniteKernels:
+    """A kernel value that overflows is a NumericalError naming its cell,
+    not an inf in the Gram file."""
+
+    @staticmethod
+    def examples(big):
+        return [Example(query_id="q", candidate_id=f"c{k}", label=1,
+                        original_rank=1, vec=np.array(v))
+                for k, v in enumerate(([1.0, 1.0], [1.0, 1.0], big))]
+
+    def test_gram_matrix_names_the_first_cell(self):
+        cfg = KernelConfig(vec_kernel="LINEAR")
+        with pytest.raises(NumericalError, match=re.escape(
+                "gram_matrix: non-finite kernel value inf at cell (0, 2)")):
+            gram_matrix(self.examples([1e308, 1e308]), cfg)
+        with pytest.raises(NumericalError, match=re.escape(
+                "gram_matrix: non-finite kernel value inf at cell (2, 2)")):
+            gram_matrix(self.examples([1e200, 1e200]), cfg)
+
+    def test_kernel_matrix_names_the_first_cell(self):
+        cfg = KernelConfig(vec_kernel="LINEAR")
+        ex = self.examples([1e200, 1e200])
+        with pytest.raises(NumericalError, match=re.escape(
+                "kernel_matrix: non-finite kernel value inf at cell (1, 2)")):
+            kernel_matrix(ex[1:], ex, cfg)
+
+    def test_rbf_underflows_to_zero_without_error(self):
+        G = gram_matrix(self.examples([1e200, 1e200]), KernelConfig())
+        assert G[0, 2] == G[2, 0] == 0.0 and G[2, 2] == 1.0
 
 
 class TestConfigFingerprint:
@@ -1062,6 +1116,16 @@ class TestSharedSubtreesPython(TestSharedSubtrees):
     pass
 
 
+@pytest.mark.usefixtures("python_engine")
+class TestGramFilePython(TestGramFile):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestNonFiniteKernelsPython(TestNonFiniteKernels):
+    pass
+
+
 def random_forest(seed=5):
     """Examples over trees that share subtrees with each other and repeat
     them inside one tree, plus a node of 40 children and a 1,200-deep
@@ -1222,3 +1286,160 @@ class TestBuildAndFallback:
         after = library.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
                                                      before.st_mtime_ns)
+
+
+# ---------------------------------------------------------------------------
+# the native exponentials and Gram file writer against the Python code
+# ---------------------------------------------------------------------------
+
+def native_g17(tmp_path, values):
+    """The native writer's text of each value: the values are laid out
+    row-major as the lower triangle of a square matrix and saved."""
+    values = np.asarray(values, dtype=np.float64)
+    m = math.isqrt(2 * len(values)) + 1
+    G = np.zeros((m, m))
+    cells = np.zeros(m * (m + 1) // 2)
+    cells[:len(values)] = values
+    G[np.tril_indices(m)] = cells
+    save_gram(tmp_path / "values.gram", G, "fp")
+    body = (tmp_path / "values.gram").read_bytes().split(b"\n", 3)[3]
+    return body.decode("ascii").split()[:len(values)]
+
+
+def dyadic_ties(rng, count):
+    """Values t / 2^e whose exact decimal expansion has 18 significant
+    digits, the last a 5: the 17-digit rounding is a tie."""
+    from decimal import Decimal
+    ties = []
+    while len(ties) < count:
+        e = int(rng.integers(1, 60))
+        t = int(rng.integers(1, 2 ** 53)) | 1
+        v = math.ldexp(float(t), -e)
+        if len(Decimal(v).as_tuple().digits) == 18:
+            ties.append(v)
+    return ties
+
+
+@pytest.mark.usefixtures("native_engine")
+class TestNativeGramWriter:
+    def test_writer_prints_what_python_prints(self, tmp_path):
+        rng = make_rng(17)
+        bits = rng.integers(0, 2 ** 64, size=500_000, dtype=np.uint64)
+        # exponents of 1e-12 .. 1e17 and a random sign: the integer path
+        near = (rng.integers(0x3d7, 0x439, size=500_000, dtype=np.uint64)
+                << np.uint64(52)) | (bits & np.uint64(2 ** 52 - 1)) | (
+            bits & np.uint64(2 ** 63))
+        values = [v for v in np.concatenate([bits, near]).view(np.float64)
+                  .tolist() if math.isfinite(v)]
+        for k in range(-324, 309):
+            p = float(f"1e{k}")
+            values += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, 2 * p)]
+        values += dyadic_ties(rng, 2_000)
+        values += [float(x) + 0.5 for x in rng.integers(2 ** 40, 2 ** 52, 200)]
+        values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   2.225073858507201e-308, 1.7e308, -1.7976931348623157e308,
+                   1e-11, math.nextafter(1e-11, 0.0), 1e17,
+                   math.nextafter(1e17, 0.0), 1e-7, 1e-5, 1e-4, 1e16, 0.1,
+                   1.0 / 3.0, 123456789012345678.0]
+        assert len(values) > 1_000_000
+        assert native_g17(tmp_path, values) == ["%.17g" % v for v in values]
+
+    def test_writer_falls_back_in_a_comma_locale(self, tmp_path):
+        import locale
+        G = np.array([[0.5, 2e-12], [2e-12, 1e300]])
+        save_gram(tmp_path / "a.gram", G, "fp")
+        saved = locale.setlocale(locale.LC_NUMERIC)
+        for name in ("de_DE.UTF-8", "fr_FR.UTF-8", "ru_RU.UTF-8"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+                break
+            except locale.Error:
+                continue
+        else:
+            pytest.skip("no locale with a decimal comma is installed")
+        try:
+            save_gram(tmp_path / "b.gram", G, "fp")
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, saved)
+        assert (tmp_path / "b.gram").read_bytes() == \
+            (tmp_path / "a.gram").read_bytes()
+
+    def test_writer_fallback_rewrites_the_rows(self, tmp_path, monkeypatch):
+        # the native writer declines after its first chunk, as it would in
+        # a locale whose decimal point is not '.': the rows it wrote are
+        # truncated and the Python writer writes them all again
+        G = np.arange(400.0).reshape(20, 20) / 7.0
+        save_gram(tmp_path / "a.gram", G, "fp")
+        engine = _native.load()
+        calls = []
+
+        def first_chunk_only(*args):
+            calls.append(args)
+            return engine.format_gram(*args) if len(calls) == 1 else -1
+
+        monkeypatch.setattr(kernels, "_CHUNK", 64)
+        monkeypatch.setattr(_native, "load", lambda: engine._replace(
+            format_gram=first_chunk_only))
+        save_gram(tmp_path / "b.gram", G, "fp")
+        assert len(calls) == 2
+        assert (tmp_path / "b.gram").read_bytes() == \
+            (tmp_path / "a.gram").read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_shaped_gram_files_are_byte_identical(
+            self, monkeypatch, tmp_path, seed, caplog):
+        # 300 examples of 20 similarities in [0, 1] and the inverse rank
+        # of 10 candidates, RBF + linear rank, as the taskB-sim workload
+        rng = make_rng(seed)
+        ex = [Example(query_id=f"q{k // 10}", candidate_id=f"c{k}", label=1,
+                      original_rank=k % 10 + 1, vec=rng.uniform(size=20),
+                      rank_value=1.0 / (k % 10 + 1)) for k in range(300)]
+        cfgs = [KernelConfig(use_rank=True),
+                KernelConfig(use_rank=True, rank_kernel="RBF", gamma=0.7)]
+
+        def run():
+            out = []
+            for cfg in cfgs:
+                path = tmp_path / f"{len(out)}-{_native.load() is None}.gram"
+                save_gram(path, gram_matrix(ex, cfg), config_fingerprint(cfg))
+                G, _ = load_gram(path)
+                out += [path.read_bytes(), G.tobytes(),
+                        kernel_matrix(ex[:40], ex, cfg).tobytes()]
+            return out
+
+        with caplog.at_level("INFO", logger="qrerank.kernels"):
+            native, python = both_engines(monkeypatch, run)
+        assert native == python
+        engines = [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records
+                   if r.getMessage().startswith("save_gram")]
+        assert engines == ["native engine"] * 2 + ["python engine"] * 2
+
+    def test_log_lines(self, monkeypatch, tmp_path, caplog):
+        G = np.arange(9.0).reshape(3, 3) / 3.0
+        path = tmp_path / "g.gram"
+        with caplog.at_level("INFO", logger="qrerank.kernels"):
+            both_engines(monkeypatch,
+                         lambda: (save_gram(path, G, "fp"), load_gram(path)))
+        size = path.stat().st_size
+        lines = [re.sub(r"\d+\.\d{3} s", "S s", r.getMessage())
+                 for r in caplog.records]
+        assert lines == [
+            f"save_gram: n 3, {size} bytes, S s, native engine",
+            f"load_gram: n 3, {size} bytes, S s",
+            f"save_gram: n 3, {size} bytes, S s, python engine",
+            f"load_gram: n 3, {size} bytes, S s"]
+
+    def test_exp_is_math_exp(self):
+        rng = make_rng(23)
+        x = np.concatenate([-rng.exponential(30.0, 200_000),
+                            rng.uniform(-746.0, 709.7, 200_000),
+                            [0.0, -0.0, -math.inf, math.nan, 709.78, -745.2,
+                             -745.13, -708.4, 1e-300, -1e-300]])
+        assert kernels._exp(x).tobytes() == \
+            np.array([math.exp(v) for v in x.tolist()]).tobytes()
+
+    def test_exp_overflow_raises_as_math_exp(self, monkeypatch):
+        x = np.array([0.0, 710.0])
+        native, python = both_engines(monkeypatch, lambda: repr(
+            pytest.raises(OverflowError, kernels._exp, x).value))
+        assert native == python == repr(OverflowError("math range error"))
