@@ -6,159 +6,81 @@ search-rank features, optional embedding and MT-evaluation blocks — combines
 them with tree and vector kernels into Gram matrices, trains a binary SVM on
 those matrices with an SMO solver, and evaluates the resulting rankings with
 MAP / AvgRec / MRR plus paired randomization significance tests.
+
+``import qrerank`` is cheap: it imports no numpy and runs none of the
+submodules. Each public name is resolved from its submodule on first use
+(PEP 562) and cached, so ``qrerank.RunConfig`` loads only ``config``, and
+``qrerank.gram_matrix`` loads ``kernels`` and numpy. The submodules that a
+tracer may wrap are registered in ``sys.modules`` at import, through
+``importlib.util.LazyLoader``: ``sys.modules["qrerank.kernels"]`` exists
+after ``import qrerank``, and the module runs when one of its attributes is
+first read.
 """
 
-from .errors import DataError, NumericalError
-from .features import (
-    MTE_NAMES,
-    RANK_MODES,
-    SIM_MEASURES,
-    SIM_NGRAM_ORDERS,
-    FeatureConfig,
-    FeatureVector,
-    TokenSeq,
-    concat_features,
-    containment,
-    cosine,
-    embedding_pair,
-    gst_sim,
-    jaccard,
-    lcs_sim,
-    load_embeddings,
-    load_stopwords,
-    mte_vector,
-    ptk_feature,
-    rank_feature,
-    similarity_vector,
-    tokenize,
-)
-from .kernels import (
-    Example,
-    KernelConfig,
-    combined_kernel,
-    config_fingerprint,
-    gram_matrix,
-    kernel_matrix,
-    load_gram,
-    normalize_kernel,
-    pair_tk,
-    ptk,
-    rbf,
-    save_gram,
-    stk,
-)
-from .pipeline import (
-    CorpusRecord,
-    RunConfig,
-    build_examples,
-    class_counts,
-    gold_binary,
-    load_corpus,
-    load_examples,
-    make_groups,
-    rank_baseline_groups,
-    run_experiment,
-    save_examples,
-    score_examples,
-    task_cutoff,
-)
-from .rankeval import (
-    Candidate,
-    QueryGroup,
-    average_precision,
-    evaluate,
-    per_query_average_precision,
-    randomization_test,
-    read_predictions,
-    rerank,
-    reranked_candidates,
-    write_predictions,
-)
-from .rellink import DEFAULT_PHRASE_LABELS, REL_PREFIX, RelConfig, rel_link
-from .svm import TrainConfig, TrainedModel, load_model, save_model, train_smo
-from .treebank import (
-    SyntaxTree,
-    TreeParseError,
-    macro_tree,
-    parse_bracketed,
-    to_bracketed,
-)
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DataError",
-    "NumericalError",
-    "MTE_NAMES",
-    "RANK_MODES",
-    "SIM_MEASURES",
-    "SIM_NGRAM_ORDERS",
-    "FeatureConfig",
-    "FeatureVector",
-    "TokenSeq",
-    "concat_features",
-    "containment",
-    "cosine",
-    "embedding_pair",
-    "gst_sim",
-    "jaccard",
-    "lcs_sim",
-    "load_embeddings",
-    "load_stopwords",
-    "mte_vector",
-    "ptk_feature",
-    "rank_feature",
-    "similarity_vector",
-    "tokenize",
-    "Example",
-    "KernelConfig",
-    "combined_kernel",
-    "config_fingerprint",
-    "gram_matrix",
-    "kernel_matrix",
-    "load_gram",
-    "normalize_kernel",
-    "pair_tk",
-    "ptk",
-    "rbf",
-    "save_gram",
-    "stk",
-    "CorpusRecord",
-    "RunConfig",
-    "build_examples",
-    "class_counts",
-    "gold_binary",
-    "load_corpus",
-    "load_examples",
-    "make_groups",
-    "rank_baseline_groups",
-    "run_experiment",
-    "save_examples",
-    "score_examples",
-    "task_cutoff",
-    "Candidate",
-    "QueryGroup",
-    "average_precision",
-    "evaluate",
-    "per_query_average_precision",
-    "randomization_test",
-    "read_predictions",
-    "rerank",
-    "reranked_candidates",
-    "write_predictions",
-    "DEFAULT_PHRASE_LABELS",
-    "REL_PREFIX",
-    "RelConfig",
-    "rel_link",
-    "TrainConfig",
-    "TrainedModel",
-    "load_model",
-    "save_model",
-    "train_smo",
-    "SyntaxTree",
-    "TreeParseError",
-    "macro_tree",
-    "parse_bracketed",
-    "to_bracketed",
-    "__version__",
-]
+# submodule -> the public names it defines
+_NAMES_BY_MODULE = {
+    "errors": ("DataError", "NumericalError"),
+    "config": ("DEFAULT_PHRASE_LABELS", "RANK_MODES", "KernelConfig",
+               "RelConfig", "RunConfig", "TrainConfig"),
+    "features": ("MTE_NAMES", "SIM_MEASURES", "SIM_NGRAM_ORDERS",
+                 "FeatureConfig", "FeatureVector", "TokenSeq",
+                 "concat_features", "containment", "cosine",
+                 "embedding_pair", "gst_sim", "jaccard", "lcs_sim",
+                 "load_embeddings", "load_stopwords", "mte_vector",
+                 "ptk_feature", "rank_feature", "similarity_vector",
+                 "tokenize"),
+    "kernels": ("Example", "combined_kernel", "config_fingerprint",
+                "gram_matrix", "kernel_matrix", "load_gram",
+                "normalize_kernel", "pair_tk", "ptk", "rbf", "save_gram",
+                "stk"),
+    "pipeline": ("CorpusRecord", "build_examples", "class_counts",
+                 "gold_binary", "load_corpus", "load_examples",
+                 "make_groups", "rank_baseline_groups", "run_experiment",
+                 "save_examples", "score_examples", "task_cutoff"),
+    "rankeval": ("Candidate", "QueryGroup", "average_precision", "evaluate",
+                 "per_query_average_precision", "randomization_test",
+                 "read_predictions", "rerank", "reranked_candidates",
+                 "write_predictions"),
+    "rellink": ("REL_PREFIX", "rel_link"),
+    "svm": ("TrainedModel", "load_model", "save_model", "train_smo"),
+    "treebank": ("SyntaxTree", "TreeParseError", "macro_tree",
+                 "parse_bracketed", "to_bracketed"),
+}
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in _NAMES_BY_MODULE.items()
+            for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+# A tracer finds the functions it wraps through sys.modules right after
+# ``import qrerank``, so these modules are registered there (and bound here,
+# as an import would bind them) before any of them runs.
+for _name in ("treebank", "rellink", "features", "kernels", "svm",
+              "rankeval", "pipeline"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,6 +22,10 @@ for ``_`` (``kernel.use_tk`` is ``--use-tk``, booleans also take
 ``--embeddings`` (``embedding_path``), ``--svm-c`` (``train.C``) and
 ``--smo-eps`` (``train.eps``).
 
+This module imports only ``config`` and ``errors``; each subcommand imports
+the modules it calls when it runs.  So ``--help`` and a usage error load no
+numpy, and neither does ``evaluate``, whose ``rankeval`` needs none.
+
 Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
 failures.  When ``--stopwords`` names a relative path that does not exist,
 the directory in the ``QRERANK_STOPWORDS_DIR`` environment variable is tried
@@ -37,37 +41,15 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .errors import DataError, NumericalError, open_text
-from .kernels import (
-    TK_KINDS,
-    VECTOR_KERNELS,
-    config_fingerprint,
-    gram_matrix,
-    load_gram,
-    save_gram,
-)
-from .pipeline import (
+from .config import (
     MTE_SIDES,
     RANK_MODES,
     TASKS,
+    TK_KINDS,
+    VECTOR_KERNELS,
     RunConfig,
-    build_examples,
-    load_corpus,
-    load_examples,
-    make_groups,
-    save_examples,
-    score_examples,
 )
-from .rankeval import (
-    QueryGroup,
-    evaluate,
-    per_query_average_precision,
-    randomization_test,
-    read_predictions,
-    reranked_candidates,
-    write_predictions,
-)
-from .svm import load_model, save_model, train_smo
+from .errors import DataError, NumericalError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -253,6 +235,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_featurize(args) -> int:
+    from .pipeline import build_examples, load_corpus, save_examples
+
     cfg = config_from_args(args)
     records = load_corpus(args.corpus, cfg.task)
     examples = build_examples(records, cfg)
@@ -262,6 +246,9 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    from .kernels import config_fingerprint, gram_matrix, save_gram
+    from .pipeline import load_examples
+
     cfg = config_from_args(args)
     examples = load_examples(args.examples)
     gram = gram_matrix(examples, cfg.kernel)
@@ -273,6 +260,10 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .kernels import config_fingerprint, load_gram
+    from .pipeline import load_examples
+    from .svm import save_model, train_smo
+
     cfg = config_from_args(args)
     gram, fingerprint = load_gram(args.gram)
     current = config_fingerprint(cfg.kernel)
@@ -295,6 +286,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    from .kernels import config_fingerprint
+    from .pipeline import load_examples, make_groups, score_examples
+    from .rankeval import QueryGroup, reranked_candidates, write_predictions
+    from .svm import load_model
+
     cfg = config_from_args(args)
     model = load_model(args.model,
                        expected_fingerprint=config_fingerprint(cfg.kernel),
@@ -310,6 +306,8 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .rankeval import evaluate, read_predictions
+
     groups = read_predictions(args.predictions)
     metrics = evaluate(groups, k=args.k)
     for name in ("MAP", "AvgRec", "MRR"):
@@ -318,6 +316,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sigtest(args) -> int:
+    from .rankeval import (
+        per_query_average_precision,
+        randomization_test,
+        read_predictions,
+    )
+
     groups_a = read_predictions(args.predictions_a)
     groups_b = read_predictions(args.predictions_b)
     ap_a = per_query_average_precision(groups_a, k=args.k)

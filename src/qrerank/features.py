@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RANK_MODES
 from .errors import DataError, open_text
 from .kernels import KernelConfig, normalize_kernel, ptk
 from .treebank import SyntaxTree
@@ -40,8 +41,6 @@ SIM_NGRAM_ORDERS = (1, 2, 3, 4)
 
 MTE_NAMES = ("mte_bleu", "mte_ter_noshift", "mte_meteor_lite", "mte_nist",
              "mte_precision", "mte_recall", "mte_length_ratio")
-
-RANK_MODES = ("AS_IS", "INVERSE")
 
 
 @dataclass(frozen=True)

@@ -105,57 +105,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
+# TK_KINDS and VECTOR_KERNELS are re-exported for the old import path
+from .config import TK_KINDS, VECTOR_KERNELS, KernelConfig  # noqa: F401
 from .errors import DataError, NumericalError, open_text
 from .treebank import SyntaxTree
 
 logger = logging.getLogger(__name__)
-
-TK_KINDS = ("STK", "PTK")
-VECTOR_KERNELS = ("LINEAR", "RBF")
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Hyperparameters and block switches for the example-pair kernel.
-
-    lam (λ): decay per production (STK) / gap decay (PTK), in (0, 1].
-    mu (μ): PTK per-level decay, in (0, 1].
-    gamma (γ): RBF width; ``None`` means 1/dim of the block the RBF applies
-        to, resolved at evaluation time.
-    tk_kind: which tree kernel the pair kernel uses.
-    rank_kernel / vec_kernel: LINEAR or RBF for the rank feature and the
-        dense feature vector respectively.
-    normalize_tk: normalize each tree-kernel summand by its self-kernels.
-    use_sim / use_tk / use_rank: which blocks the combined kernel sums.
-    """
-
-    tk_kind: str = "PTK"
-    lam: float = 0.4
-    mu: float = 0.4
-    gamma: float | None = None
-    rank_kernel: str = "LINEAR"
-    vec_kernel: str = "RBF"
-    normalize_tk: bool = True
-    use_sim: bool = True
-    use_tk: bool = False
-    use_rank: bool = False
-
-    def __post_init__(self):
-        if self.tk_kind not in TK_KINDS:
-            raise DataError(f"tk_kind must be one of {TK_KINDS}, got {self.tk_kind!r}")
-        if self.rank_kernel not in VECTOR_KERNELS:
-            raise DataError(f"rank_kernel must be one of {VECTOR_KERNELS}")
-        if self.vec_kernel not in VECTOR_KERNELS:
-            raise DataError(f"vec_kernel must be one of {VECTOR_KERNELS}")
-        if not 0.0 < self.lam <= 1.0:
-            raise DataError(f"lambda must be in (0, 1], got {self.lam}")
-        if not 0.0 < self.mu <= 1.0:
-            raise DataError(f"mu must be in (0, 1], got {self.mu}")
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise DataError(
-                f"gamma must be positive and finite, got {self.gamma}")
-        if not (self.use_sim or self.use_tk or self.use_rank):
-            raise DataError("at least one of use_sim, use_tk, use_rank must be true")
 
 
 @dataclass
@@ -670,29 +625,33 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
     temporaries are O(columns × dim). The row's tree kernels are one tree
     block (:func:`_tree_block`), sharing one Δ memo."""
     row = np.zeros(len(cols.at))
-    if cfg.use_sim:
-        u = _require_vec(e)
-        _check_dims(u, X[0])
-        if cfg.vec_kernel == "LINEAR":
-            row += np.matmul(X[:, None, :], u[:, None])[:, 0, 0]
-        else:
-            row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
-    if cfg.use_tk:
-        diagonal = int(p is cols)
-        k = np.empty(cols.at.shape)
-        k[:diagonal] = p.selfs[:diagonal]
-        k[diagonal:] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, p.at[0],
-                                   cols.at[diagonal:])
-        if cfg.normalize_tk:
-            k = _normalize(k, p.selfs[0], cols.selfs)
-        row += k[:, 0] + k[:, 1]
-    if cfg.use_rank:
-        r_e = _require_rank(e)
-        if cfg.rank_kernel == "LINEAR":
-            row += r_e * r
-        else:
-            d = r_e - r
-            row += _exp((-_resolve_gamma(cfg, 1) * d) * d)
+    # an overflow leaves a non-finite cell, which gram_matrix and
+    # kernel_matrix report as a NumericalError; numpy's warning would only
+    # precede that message
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.use_sim:
+            u = _require_vec(e)
+            _check_dims(u, X[0])
+            if cfg.vec_kernel == "LINEAR":
+                row += np.matmul(X[:, None, :], u[:, None])[:, 0, 0]
+            else:
+                row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
+        if cfg.use_tk:
+            diagonal = int(p is cols)
+            k = np.empty(cols.at.shape)
+            k[:diagonal] = p.selfs[:diagonal]
+            k[diagonal:] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub,
+                                       p.at[0], cols.at[diagonal:])
+            if cfg.normalize_tk:
+                k = _normalize(k, p.selfs[0], cols.selfs)
+            row += k[:, 0] + k[:, 1]
+        if cfg.use_rank:
+            r_e = _require_rank(e)
+            if cfg.rank_kernel == "LINEAR":
+                row += r_e * r
+            else:
+                d = r_e - r
+                row += _exp((-_resolve_gamma(cfg, 1) * d) * d)
     return row
 
 

@@ -26,14 +26,20 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import (
+    MTE_SIDES,
+    TASKS,
+    KernelConfig,
+    RunConfig,
+    _check_task,
+)
 from .errors import DataError, open_text
 from .features import (
-    RANK_MODES,
     FeatureConfig,
     FeatureVector,
     concat_features,
@@ -48,7 +54,6 @@ from .features import (
 )
 from .kernels import (
     Example,
-    KernelConfig,
     config_fingerprint,
     gram_matrix,
     kernel_matrix,
@@ -60,8 +65,8 @@ from .rankeval import (
     reranked_candidates,
     write_predictions,
 )
-from .rellink import RelConfig, rel_link
-from .svm import TrainConfig, train_smo
+from .rellink import rel_link
+from .svm import train_smo
 from .treebank import SyntaxTree, macro_tree, parse_bracketed, to_bracketed
 
 logger = logging.getLogger(__name__)
@@ -87,7 +92,6 @@ __all__ = [
     "run_experiment",
 ]
 
-TASKS = ("B", "D")
 TASK_LABELS = {
     "B": ("PerfectMatch", "Relevant", "Irrelevant"),
     "D": ("Direct", "Related", "Irrelevant"),
@@ -97,12 +101,6 @@ RELEVANT_LABELS = {
     "D": frozenset({"Direct", "Related"}),
 }
 TASK_RANK_RANGE = {"B": (1, 10), "D": (1, 30)}
-MTE_SIDES = ("qo", "qs")
-
-
-def _check_task(task: str) -> None:
-    if task not in TASKS:
-        raise DataError(f"task must be one of {TASKS}, got {task!r}")
 
 
 def task_cutoff(task: str) -> int:
@@ -140,57 +138,6 @@ class CorpusRecord:
             trees = getattr(self, name)
             if trees is not None:
                 object.__setattr__(self, name, tuple(trees))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one experiment needs, from REL linking to the SVM box."""
-
-    task: str = "B"
-    rel: RelConfig = field(default_factory=RelConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    use_sim_features: bool = True
-    use_ptk_feature: bool = False
-    use_embeddings: bool = False
-    use_mte: bool = False
-    mte_side: str = "qo"
-    rank_mode: str = "INVERSE"
-    gst_min_match: int = 1
-    stopword_path: str | None = None
-    embedding_path: str | None = None
-    macro_root_label: str = "ROOT"
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_task(self.task)
-        if self.mte_side not in MTE_SIDES:
-            raise DataError(
-                f"mte_side must be one of {MTE_SIDES}, got {self.mte_side!r}")
-        if self.rank_mode not in RANK_MODES:
-            raise DataError(
-                f"rank_mode must be one of {RANK_MODES}, got "
-                f"{self.rank_mode!r}")
-        if self.gst_min_match < 1:
-            raise DataError("gst_min_match must be >= 1")
-        if not self.macro_root_label:
-            raise DataError("macro_root_label must be non-empty")
-        extras = (self.use_ptk_feature or self.use_embeddings or self.use_mte)
-        if extras and not self.kernel.use_sim:
-            raise DataError(
-                "ptk/embedding/MTE features extend the feature-vector block; "
-                "enable the similarity block in the kernel config to use them")
-        if self.kernel.use_sim and not self.use_sim_features and not extras:
-            raise DataError(
-                "the kernel consumes a feature-vector block but every vector "
-                "feature family is disabled")
-        if self.use_mte and self.task != "D":
-            raise DataError(
-                "MTE features compare a question against its comment, which "
-                "only task D records carry")
-        if self.use_embeddings and not self.embedding_path:
-            raise DataError(
-                "embedding_path is required when embeddings are enabled")
 
 
 # ---------------------------------------------------------------------------

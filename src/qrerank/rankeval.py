@@ -19,9 +19,8 @@ systems provably leaves the p-value unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DataError, open_text
 
@@ -57,7 +56,7 @@ class Candidate:
                 f"{self.original_rank!r}")
         if self.score is not None:
             score = float(self.score)
-            if not np.isfinite(score):
+            if not math.isfinite(score):
                 raise DataError(f"score must be finite, got {self.score!r}")
             object.__setattr__(self, "score", score)
 
@@ -158,10 +157,42 @@ def evaluate(groups, k: int | None = None) -> dict[str, float]:
     if not aps:
         raise DataError("no group has a relevant candidate")
     return {
-        "MAP": 100.0 * float(np.mean(aps)),
-        "AvgRec": 100.0 * float(np.mean(recalls)),
-        "MRR": 100.0 * float(np.mean(reciprocal_ranks)),
+        "MAP": 100.0 * _mean(aps),
+        "AvgRec": 100.0 * _mean(recalls),
+        "MRR": 100.0 * _mean(reciprocal_ranks),
     }
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """numpy's float64 pairwise sum of ``values[start:start + n]``, in its
+    order of additions: a plain loop below 8 values, eight interleaved
+    accumulators up to a block of 128, and above that two halves split at
+    n/2 rounded down to a multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = values[start:start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(values, start, half)
+            + _pairwise_sum(values, start + half, n - half))
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` bit for bit, without numpy: the reduction
+    starts from 0.0 and adds the pairwise sum, then divides by the count."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
 
 
 def per_query_average_precision(groups, k: int | None = None) -> dict[str, float]:
@@ -189,6 +220,8 @@ def randomization_test(ap_a, ap_b, resamples: int = 10000,
     p = (1 + #{resamples with |resampled mean| >= |observed mean|})
         / (1 + resamples)
     """
+    import numpy as np      # only here, so that evaluate runs without numpy
+
     a = np.asarray(ap_a, dtype=np.float64)
     b = np.asarray(ap_b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:

@@ -11,35 +11,12 @@ The operation is asymmetric by design: linking x against y marks x only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+# DEFAULT_PHRASE_LABELS is re-exported for the old import path
+from .config import DEFAULT_PHRASE_LABELS, RelConfig  # noqa: F401
 from .errors import DataError
 from .treebank import SyntaxTree
 
 REL_PREFIX = "REL-"
-
-DEFAULT_PHRASE_LABELS = frozenset({"NP", "VP", "PP"})
-
-
-@dataclass(frozen=True)
-class RelConfig:
-    """Knobs for the lexical-match linking.
-
-    phrase_labels: node labels eligible for marking.
-    min_shared_tokens: distinct matching tokens required to mark a node.
-    case_insensitive: casefold tokens before comparing.
-    stopwords: tokens ignored on both sides (compared casefolded when
-        ``case_insensitive``).
-    """
-
-    phrase_labels: frozenset[str] = DEFAULT_PHRASE_LABELS
-    min_shared_tokens: int = 1
-    case_insensitive: bool = True
-    stopwords: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.min_shared_tokens < 1:
-            raise DataError("min_shared_tokens must be >= 1")
 
 
 def rel_link(x: SyntaxTree, y: SyntaxTree, cfg: RelConfig = RelConfig()) -> SyntaxTree:

@@ -41,36 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
+from .config import TrainConfig
 from .errors import DataError, NumericalError, open_text
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Solver knobs. C scales per class via c_scale_pos / c_scale_neg
-    (both 1.0 by default — no class weighting). max_passes caps the number
-    of pair-update steps, not of passes over the data."""
-
-    C: float = 1.0
-    tol: float = 1e-3
-    eps: float = 1e-9
-    max_passes: int = 10000
-    seed: int = 0
-    c_scale_pos: float = 1.0
-    c_scale_neg: float = 1.0
-
-    def __post_init__(self):
-        if not self.C > 0:
-            raise DataError(f"C must be positive, got {self.C}")
-        if not 0.0 < self.tol < math.inf:
-            raise DataError(f"tol must be positive and finite, got {self.tol}")
-        if not 0.0 < self.eps < math.inf:
-            raise DataError(f"eps must be positive and finite, got {self.eps}")
-        if self.max_passes < 1:
-            raise DataError("max_passes must be >= 1")
-        if not (self.c_scale_pos > 0 and self.c_scale_neg > 0):
-            raise DataError("per-class C multipliers must be positive")
 
 
 @dataclass(frozen=True)

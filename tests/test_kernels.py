@@ -407,10 +407,10 @@ class TestGramFile:
                         for i in range(20)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteKernels:
     """A kernel value that overflows is a NumericalError naming its cell,
-    not an inf in the Gram file."""
+    not an inf in the Gram file, and numpy warns of nothing on the way."""
 
     @staticmethod
     def examples(big):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qrerank import rankeval
 from qrerank.errors import DataError
 from qrerank.rankeval import (
     Candidate,
@@ -153,6 +154,23 @@ class TestEvaluate:
             for value in metrics.values():
                 assert 0.0 <= value <= 100.0
 
+    def test_metrics_are_numpy_means_bit_for_bit(self):
+        rng = make_rng(13)
+        groups = [gold_group(list(rng.integers(0, 2, size=10) > 0),
+                             query_id=f"q{qi}") for qi in range(300)]
+        aps, recalls, rrs = [], [], []
+        for g in groups:
+            gold = [c.gold_relevant for c in g.candidates]
+            if any(gold):
+                aps.append(average_precision(gold, 7))
+                recalls.append(sum(gold[:7]) / min(sum(gold), 7))
+                rrs.append(1.0 / (gold.index(True) + 1)
+                           if True in gold[:7] else 0.0)
+        assert evaluate(groups, k=7) == {
+            "MAP": 100.0 * float(np.mean(aps)),
+            "AvgRec": 100.0 * float(np.mean(recalls)),
+            "MRR": 100.0 * float(np.mean(rrs))}
+
     def test_empty_groups_rejected(self):
         with pytest.raises(DataError, match="no query groups"):
             evaluate([])
@@ -301,3 +319,24 @@ class TestPredictionsFile:
         group = QueryGroup("q1", (Candidate("c1", 1, False, None),))
         with pytest.raises(DataError, match="no score"):
             write_predictions(tmp_path / "pred.tsv", [group])
+
+
+class TestMean:
+    """``rankeval._mean`` is numpy's float64 pairwise mean, so the metrics
+    keep the bits they had when ``evaluate`` called ``np.mean``."""
+
+    @staticmethod
+    def values(rng, n):
+        signs = rng.choice([-1.0, 1.0], size=n)
+        return list(signs * rng.random(n) * 10.0 ** rng.uniform(-16, 16, n))
+
+    def test_every_length_to_1000_and_past_the_blocks(self):
+        rng = make_rng(5)
+        for n in [*range(1, 1001), 4097]:
+            v = self.values(rng, n)
+            assert rankeval._mean(v) == float(np.mean(v)), n
+
+    @pytest.mark.parametrize("v", [[-0.0], [-0.0] * 9, [1e16, 1.0, -1e16],
+                                   [0.1] * 7, [0.1] * 129])
+    def test_edge_values(self, v):
+        assert repr(rankeval._mean(v)) == repr(float(np.mean(v)))
