@@ -35,10 +35,9 @@ _NAMES_BY_MODULE = {
                  "load_embeddings", "load_stopwords", "mte_vector",
                  "ptk_feature", "rank_feature", "similarity_vector",
                  "tokenize"),
-    "kernels": ("Example", "combined_kernel", "config_fingerprint",
-                "gram_matrix", "kernel_matrix", "load_gram",
-                "normalize_kernel", "pair_tk", "ptk", "rbf", "save_gram",
-                "stk"),
+    "kernels": ("Example", "config_fingerprint", "gram_matrix",
+                "kernel_matrix", "load_gram", "normalize_kernel", "ptk",
+                "save_gram", "stk"),
     "pipeline": ("CorpusRecord", "build_examples", "class_counts",
                  "gold_binary", "load_corpus", "load_examples",
                  "make_groups", "rank_baseline_groups", "run_experiment",

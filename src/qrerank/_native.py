@@ -1,7 +1,8 @@
 """Build and load the native engine, ``_tk.c``, on first use.
 
 The engine holds the tree-kernel row, the RBF exponentials and the Gram
-file writer of :mod:`.kernels` and the SMO step of :mod:`.svm`. :func:`load`
+file writer of :mod:`.kernels`, the SMO step of :mod:`.svm` and the counts
+behind the 20 text similarities of :mod:`.features`. :func:`load`
 compiles the source with the installed ``cc`` (or ``gcc``) the first time
 a process needs one of them, never at import. The library goes into a
 per-user cache directory, ``$XDG_CACHE_HOME/qrerank`` or else
@@ -14,8 +15,10 @@ needs no ``Python.h`` and works with the package on ``PYTHONPATH``.
 
 When there is no compiler, the compiler fails or the library does not load,
 :func:`load` logs one WARNING naming the reason and returns None, and the
-kernels, the Gram file writer and the solver use their Python code for the
-rest of the process.
+kernels, the Gram file writer, the solver and the similarities use their
+Python code for the rest of the process. Each fallback gives the same
+values, so the same files byte for byte: the examples file of
+``featurize``, the Gram, the model and the predictions.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class Engine(NamedTuple):
     randbelow: Callable
     exp: Callable
     format_gram: Callable
+    similarity: Callable
 
 
 _SIGNATURES = {
@@ -61,6 +65,7 @@ _SIGNATURES = {
     "randbelow": ([_p, _i64, _i64, _p], None),
     "exp": ([_i64, _p, _p], ctypes.c_int),
     "format_gram": ([_i64, _p, _p, _p, _i64], _i64),
+    "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }
 
 _UNTRIED = object()
@@ -121,15 +126,15 @@ def _library() -> Path:
 
 def _build() -> Path:
     """The cached library, compiled first if it is not there yet."""
-    # imported here: only a build needs it, and runs without tree kernels
-    # should not pay for it
-    import subprocess
-
     if array("i").itemsize != 4:
         raise _Unavailable("C int is not 32 bits wide")
     path = _library()
     if path.exists():
         return path
+    # imported only for a build: the import alone takes several
+    # milliseconds, which every stage loading the cached library would pay
+    import subprocess
+
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise _Unavailable("no C compiler: neither cc nor gcc is on PATH")

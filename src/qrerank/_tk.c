@@ -1,6 +1,7 @@
 /* Native engine of qrerank: the tree kernels of qrerank.kernels, then the
  * SMO step of qrerank.svm, then the RBF exponentials and the Gram file
- * writer of qrerank.kernels.
+ * writer of qrerank.kernels, then the counts behind the text similarities
+ * of qrerank.features.
  *
  * The tree-kernel entry point, qrerank_tree_block, evaluates one Gram or
  * scoring row's tree block: each of the row's trees against the
@@ -819,4 +820,262 @@ int64_t qrerank_format_gram(int64_t n, const double *G, int64_t *pos,
     pos[0] = i;
     pos[1] = j;
     return len;
+}
+
+
+/* ------------------------------------------------------------------------
+ * the text similarities of qrerank.features.similarity_vector
+ *
+ * qrerank_similarity takes the two texts as token ids (equal ids, equal
+ * tokens) and, for each n-gram order n = 1..4, fills the ten integers that
+ * the five measures are computed from, in the order of
+ * features._python_counts: the GST tiled length, the LCS length, |A∩B|,
+ * |A∪B| and |A| over the distinct n-grams, the cosine dot product, the two
+ * sums of squared counts and the two n-gram counts. features._measures
+ * makes the floats from these for both engines, so they agree bit for bit.
+ *
+ * Each order's n-grams are interned to dense ids: the id of the n-gram at
+ * i is that of the pair (id of the (n-1)-gram at i, token at i+n-1), so two
+ * n-grams share an id exactly when their token windows are equal. LCS is
+ * features._lcs_length's bit-parallel algorithm on 64-bit words, with the
+ * match masks over the first text's positions. GST is
+ * features._gst_tiled_length: each greedy round visits the equal, unmarked
+ * (i, j) pairs in the row-major order of the full |a|×|b| scan, through an
+ * index of b's positions per id, so it takes the same tiles.
+ * ---------------------------------------------------------------------- */
+
+enum { SIM_ORDERS = 4, SIM_COUNTS = 10 };
+
+typedef struct {
+    int32_t *ga, *gb;           /* the current order's n-gram ids */
+    uint64_t *keys;             /* intern table: (prefix id, token) ... */
+    int32_t *vals;              /* ... -> id; -1 marks an empty slot */
+    int64_t cap;                /* table slots, a power of two */
+    int32_t *cnt_a, *cnt_b;     /* occurrences of each id */
+    int32_t *slot;              /* id -> its LCS mask, -1 if none */
+    int32_t *off, *pos_b;       /* b's positions of id g: pos_b[off[g] ..
+                                   off[g] + cnt_b[g]), ascending */
+    int32_t *run[2], *row[2];   /* GST: the run ending at (i, j) is
+                                   run[i & 1][j] if row[i & 1][j] == i */
+    char *marked_a, *marked_b;  /* GST tiles */
+    int64_t *ends;              /* GST: the round's (i, j) tile ends */
+    int64_t ends_cap;
+} Sim;
+
+/* the id of (prefix, token); a new id, *next, if it is not in the table */
+static int32_t intern_gram(Sim *s, int32_t prefix, int32_t token,
+                           int32_t *next)
+{
+    uint64_t key = (uint64_t)(uint32_t)prefix << 32 | (uint32_t)token;
+    size_t mask = (size_t)s->cap - 1;
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ULL) >> 20) & mask;
+    while (s->vals[i] >= 0) {
+        if (s->keys[i] == key)
+            return s->vals[i];
+        i = (i + 1) & mask;
+    }
+    s->keys[i] = key;
+    return s->vals[i] = (*next)++;
+}
+
+/* the ids of order n from those of order n - 1 (n = 1: from the tokens);
+ * returns the number of distinct ids */
+static int32_t intern_order(Sim *s, int n, const int32_t *a, int64_t la,
+                            const int32_t *b, int64_t lb)
+{
+    int32_t next = 0;
+    memset(s->vals, 0xff, (size_t)s->cap * sizeof *s->vals);
+    for (int64_t i = 0; i + n <= la; i++)
+        s->ga[i] = intern_gram(s, n == 1 ? 0 : s->ga[i], a[i + n - 1], &next);
+    for (int64_t j = 0; j + n <= lb; j++)
+        s->gb[j] = intern_gram(s, n == 1 ? 0 : s->gb[j], b[j + n - 1], &next);
+    return next;
+}
+
+/* out[2..7], the set and cosine counts of the k ids of la and lb n-grams;
+ * also fills cnt_a, cnt_b, off and pos_b */
+static void gram_counts(Sim *s, int32_t k, int64_t la, int64_t lb,
+                        int64_t *out)
+{
+    memset(s->cnt_a, 0, (size_t)k * sizeof *s->cnt_a);
+    memset(s->cnt_b, 0, (size_t)k * sizeof *s->cnt_b);
+    for (int64_t i = 0; i < la; i++)
+        s->cnt_a[s->ga[i]]++;
+    for (int64_t j = 0; j < lb; j++)
+        s->cnt_b[s->gb[j]]++;
+    int64_t inter = 0, size_a = 0, size_b = 0, dot = 0, sq_a = 0, sq_b = 0;
+    int32_t end = 0;
+    for (int32_t g = 0; g < k; g++) {
+        int64_t ca = s->cnt_a[g], cb = s->cnt_b[g];
+        size_a += ca > 0;
+        size_b += cb > 0;
+        inter += ca > 0 && cb > 0;
+        dot += ca * cb;
+        sq_a += ca * ca;
+        sq_b += cb * cb;
+        s->off[g] = end += s->cnt_b[g];
+    }
+    for (int64_t j = lb - 1; j >= 0; j--)
+        s->pos_b[--s->off[s->gb[j]]] = (int32_t)j;
+    out[2] = inter;
+    out[3] = size_a + size_b - inter;
+    out[4] = size_a;
+    out[5] = dot;
+    out[6] = sq_a;
+    out[7] = sq_b;
+}
+
+/* features._lcs_length of b against the masks of a, which it keeps only
+ * for the ids b holds: v has a zero bit where the DP row steps up, and
+ * each step is v = ((v + u) | (v - u)) & full with u = v & m, where v - u =
+ * v & ~m, u's bits being a subset of v's. -1 when memory runs out. */
+static int64_t lcs_length(Sim *s, int32_t k, int64_t la, int64_t lb)
+{
+    int64_t words = (la + 63) / 64, d = 0;
+    for (int32_t g = 0; g < k; g++)
+        s->slot[g] = s->cnt_a[g] && s->cnt_b[g] ? (int32_t)d++ : -1;
+    uint64_t *masks = calloc((size_t)(d * words + words + 1), sizeof *masks);
+    if (!masks)
+        return -1;
+    uint64_t *v = masks + d * words;
+    for (int64_t i = 0; i < la; i++)
+        if (s->slot[s->ga[i]] >= 0)
+            masks[s->slot[s->ga[i]] * words + i / 64] |= 1ULL << (i % 64);
+    uint64_t top = la % 64 ? (1ULL << (la % 64)) - 1 : ~0ULL;
+    for (int64_t w = 0; w < words; w++)
+        v[w] = w == words - 1 ? top : ~0ULL;
+    for (int64_t j = 0; j < lb; j++) {
+        int32_t at = s->slot[s->gb[j]];
+        if (at < 0)
+            continue;
+        const uint64_t *m = masks + at * words;
+        uint64_t carry = 0;
+        for (int64_t w = 0; w < words; w++) {
+            uint64_t x = v[w], t = x + (x & m[w]), sum = t + carry;
+            carry = (t < x) | (sum < t);
+            v[w] = sum | (x & ~m[w]);
+        }
+        if (words)
+            v[words - 1] &= top;
+    }
+    int64_t zeros = la;
+    for (int64_t w = 0; w < words; w++)
+        zeros -= __builtin_popcountll(v[w]);
+    free(masks);
+    return zeros;
+}
+
+static int any_marked(const char *marked, int64_t from, int64_t to)
+{
+    for (int64_t p = from; p <= to; p++)
+        if (marked[p])
+            return 1;
+    return 0;
+}
+
+/* features._gst_tiled_length of the la and lb n-grams; -1 when memory
+ * runs out */
+static int64_t gst_length(Sim *s, int64_t la, int64_t lb, int64_t min_match)
+{
+    memset(s->marked_a, 0, (size_t)la);
+    memset(s->marked_b, 0, (size_t)lb);
+    int64_t tiled = 0;
+    for (;;) {
+        int32_t best = 0;
+        int64_t nends = 0;
+        for (int64_t j = 0; j < lb; j++)
+            s->row[0][j] = s->row[1][j] = -2;
+        for (int64_t i = 0; i < la; i++) {
+            if (s->marked_a[i])
+                continue;
+            int32_t g = s->ga[i];
+            int32_t *run = s->run[i & 1], *row = s->row[i & 1];
+            const int32_t *prun = s->run[!(i & 1)], *prow = s->row[!(i & 1)];
+            for (int32_t p = s->off[g]; p < s->off[g] + s->cnt_b[g]; p++) {
+                int32_t j = s->pos_b[p];
+                if (s->marked_b[j])
+                    continue;
+                int32_t r = j && prow[j - 1] == i - 1 ? prun[j - 1] + 1 : 1;
+                run[j] = r;
+                row[j] = (int32_t)i;
+                if (r < best)
+                    continue;
+                if (r > best) {
+                    best = r;
+                    nends = 0;
+                }
+                if (nends == s->ends_cap) {
+                    int64_t *e = realloc(s->ends, (size_t)s->ends_cap * 4 *
+                                         sizeof *e);
+                    if (!e)
+                        return -1;
+                    s->ends = e;
+                    s->ends_cap *= 2;
+                }
+                s->ends[2 * nends] = i;
+                s->ends[2 * nends + 1] = j;
+                nends++;
+            }
+        }
+        if (best == 0 || best < min_match)
+            return tiled;
+        for (int64_t e = 0; e < nends; e++) {
+            int64_t i = s->ends[2 * e], j = s->ends[2 * e + 1];
+            int64_t si = i + 1 - best, sj = j + 1 - best;
+            if (any_marked(s->marked_a, si, i) ||
+                any_marked(s->marked_b, sj, j))
+                continue;
+            memset(s->marked_a + si, 1, (size_t)best);
+            memset(s->marked_b + sj, 1, (size_t)best);
+            tiled += best;
+        }
+    }
+}
+
+/* Fill counts[10·(n-1) .. 10·n), for n = 1..4, from the token ids
+ * a[0..la) and b[0..lb). Returns 0, or 1 when memory runs out (counts is
+ * then incomplete). */
+int qrerank_similarity(const int32_t *a, int64_t la, const int32_t *b,
+                       int64_t lb, int64_t min_match, int64_t *counts)
+{
+    if (la < 0 || lb < 0 || la + lb >= INT32_MAX / 2)
+        return NO_MEMORY;
+    int64_t n = la + lb + 1;
+    Sim s = {0};
+    s.cap = 16;
+    while (s.cap < 2 * n)
+        s.cap *= 2;
+    s.ends_cap = 64;
+    /* eleven int32 arrays of n, then the table's ids */
+    int32_t *ints = malloc((size_t)(11 * n + s.cap) * sizeof *ints);
+    s.keys = malloc((size_t)s.cap * sizeof *s.keys);
+    s.marked_a = malloc((size_t)(2 * n));
+    s.ends = malloc((size_t)s.ends_cap * 2 * sizeof *s.ends);
+    int status = ints && s.keys && s.marked_a && s.ends ? OK : NO_MEMORY;
+    if (status == OK) {
+        int32_t **arrays[] = {&s.ga, &s.gb, &s.cnt_a, &s.cnt_b, &s.slot,
+                              &s.off, &s.pos_b, &s.run[0], &s.run[1],
+                              &s.row[0], &s.row[1], &s.vals};
+        for (int k = 0; k < 12; k++)
+            *arrays[k] = ints + k * n;
+        s.marked_b = s.marked_a + n;
+    }
+    for (int order = 1; order <= SIM_ORDERS && status == OK; order++) {
+        int64_t *out = counts + SIM_COUNTS * (order - 1);
+        int64_t na = la >= order ? la - order + 1 : 0;
+        int64_t nb = lb >= order ? lb - order + 1 : 0;
+        int32_t k = intern_order(&s, order, a, la, b, lb);
+        gram_counts(&s, k, na, nb, out);
+        out[0] = gst_length(&s, na, nb, min_match);
+        out[1] = lcs_length(&s, k, na, nb);
+        out[8] = na;
+        out[9] = nb;
+        if (out[0] < 0 || out[1] < 0)
+            status = NO_MEMORY;
+    }
+    free(ints);
+    free(s.keys);
+    free(s.marked_a);
+    free(s.ends);
+    return status;
 }

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .config import RANK_MODES
 from .errors import DataError, open_text
 from .kernels import KernelConfig, normalize_kernel, ptk
@@ -109,16 +111,21 @@ class FeatureConfig:
 # tokenization and n-grams
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _folded(stopwords: frozenset[str]) -> frozenset[str]:
+    """The case-folded stopwords, computed once per stopword set."""
+    return frozenset(s.casefold() for s in stopwords)
+
+
 def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> TokenSeq:
     """Unicode-aware word tokenization: runs of letters/digits, case-folded,
     with stopwords removed. Deterministic; empty text gives an empty sequence.
     """
-    stop = {s.casefold() for s in stopwords}
-    tokens = tuple(
-        t for t in (m.group().casefold() for m in _WORD_RE.finditer(text))
-        if t not in stop
-    )
-    return TokenSeq(tokens)
+    tokens = [t.casefold() for t in _WORD_RE.findall(text)]
+    stop = _folded(frozenset(stopwords))
+    if stop:
+        tokens = [t for t in tokens if t not in stop]
+    return TokenSeq(tuple(tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +261,8 @@ def gst_sim(a, b, min_match: int = 1) -> float:
 class _Grams:
     """One text's n-grams of one order, ready for every measure."""
 
-    def __init__(self, toks: TokenSeq, n: int):
-        self.seq = tuple(toks[i:i + n] for i in range(len(toks) - n + 1))
+    def __init__(self, tokens: tuple[str, ...], n: int):
+        self.seq = tuple(tokens[i:i + n] for i in range(len(tokens) - n + 1))
         self.counts = Counter(self.seq)
 
     @cached_property
@@ -265,14 +272,80 @@ class _Grams:
 
 
 @lru_cache(maxsize=16)
-def _profile(text: str, stopwords: frozenset) -> tuple[_Grams, ...]:
-    """The n-grams of ``text`` for every order in SIM_NGRAM_ORDERS.
+def _tokens(text: str, stopwords: frozenset) -> tuple[str, ...]:
+    """``tokenize(text, stopwords)``'s tokens. Memoized with a small bound:
+    in task B the original question recurs across its consecutive
+    candidates, and is tokenized once."""
+    return tokenize(text, stopwords).tokens
 
-    Memoized with a small bound: in task B the original question recurs
-    across its consecutive candidates, and its profile is built once.
-    """
-    toks = tokenize(text, stopwords)
-    return tuple(_Grams(toks, n) for n in SIM_NGRAM_ORDERS)
+
+@lru_cache(maxsize=16)
+def _profile(tokens: tuple[str, ...]) -> tuple[_Grams, ...]:
+    """The n-grams of ``tokens`` for every order in SIM_NGRAM_ORDERS,
+    memoized as ``_tokens`` is."""
+    return tuple(_Grams(tokens, n) for n in SIM_NGRAM_ORDERS)
+
+
+# the ten counts per n-gram order that both engines fill, in this order,
+# and that _measures turns into the order's five similarities
+_COUNTS_PER_ORDER = 10
+
+
+def _python_counts(a: tuple[str, ...], b: tuple[str, ...],
+                   min_match: int) -> list[int]:
+    """The counts of every order of the token sequences ``a`` and ``b``:
+    the GST tiled length, the LCS length, |A∩B|, |A∪B| and |A| over the
+    distinct n-grams, the cosine dot product, the two sums of squared
+    counts and the two n-gram counts. ``gst_sim``, ``lcs_sim``,
+    ``jaccard``, ``containment`` and ``cosine`` on the n-gram sequences are
+    the measures of these counts."""
+    counts = []
+    for ga, gb in zip(_profile(a), _profile(b)):
+        A, B = ga.counts, gb.counts
+        counts += (
+            _gst_tiled_length(ga.seq, gb.seq, min_match),
+            # LCS is symmetric: the masks of the first text serve every
+            # candidate it is paired with
+            _lcs_length(gb.seq, ga.masks, len(ga.seq)),
+            len(A.keys() & B.keys()),
+            len(A.keys() | B.keys()),
+            len(A),
+            sum(c * B[g] for g, c in A.items() if g in B),
+            sum(map(operator.mul, A.values(), A.values())),
+            sum(map(operator.mul, B.values(), B.values())),
+            len(ga.seq),
+            len(gb.seq),
+        )
+    return counts
+
+
+def _native_counts(native, a: tuple[str, ...], b: tuple[str, ...],
+                   min_match: int) -> list[int] | None:
+    """``_python_counts`` from the native engine, or None when it runs out
+    of memory. Both texts' tokens are interned to ids in one dict."""
+    ids: dict[str, int] = {}
+    a_ids = array("i", [ids.setdefault(t, len(ids)) for t in a])
+    b_ids = array("i", [ids.setdefault(t, len(ids)) for t in b])
+    counts = array("q", bytes(8 * _COUNTS_PER_ORDER * len(SIM_NGRAM_ORDERS)))
+    if native.similarity(a_ids.buffer_info()[0], len(a_ids),
+                         b_ids.buffer_info()[0], len(b_ids), min_match,
+                         counts.buffer_info()[0]):
+        return None
+    return counts.tolist()
+
+
+def _measures(tiled: int, lcs: int, inter: int, union: int, size_a: int,
+              dot: int, squares_a: int, squares_b: int, len_a: int,
+              len_b: int) -> tuple[float, ...]:
+    """GST, LCS, Jaccard, containment and cosine of one n-gram order from
+    its counts (see ``_python_counts``); all 0 when a side has no n-gram."""
+    if not len_a or not len_b:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    return (2.0 * tiled / (len_a + len_b),
+            lcs / max(len_a, len_b),
+            inter / union,
+            inter / size_a,
+            dot / (math.sqrt(squares_a) * math.sqrt(squares_b)))
 
 
 _SIM_NAMES = tuple(f"sim_n{n}_{measure}" for n in SIM_NGRAM_ORDERS
@@ -289,28 +362,22 @@ def similarity_vector(qo_text: str, qs_text: str,
     ``sim_n2_jaccard``. Containment is directed from the first (original
     question) argument.
 
-    Each text is profiled once (see ``_profile``); the values are those of
-    ``gst_sim``, ``lcs_sim``, ``jaccard``, ``containment`` and ``cosine`` on
-    the n-gram sequences. LCS runs on the first text's cached match masks.
+    The values are those of ``gst_sim``, ``lcs_sim``, ``jaccard``,
+    ``containment`` and ``cosine`` on the n-gram sequences. Both engines
+    compute only the integer counts of each order; ``_measures`` makes the
+    floats from them, so the native engine (``_tk.c``) and the Python
+    engine (``_python_counts``, where the native one is unavailable) give
+    the same bits.
     """
     stopwords = frozenset(cfg.stopwords)
-    values = []
-    for ga, gb in zip(_profile(qo_text, stopwords),
-                      _profile(qs_text, stopwords)):
-        len_a, len_b = len(ga.seq), len(gb.seq)
-        if not len_a or not len_b:
-            values += (0.0, 0.0, 0.0, 0.0, 0.0)
-            continue
-        # LCS is symmetric: the masks of the first text serve every
-        # candidate it is paired with
-        lcs = _lcs_length(gb.seq, ga.masks, len_a)
-        values += (
-            gst_sim(ga.seq, gb.seq, cfg.gst_min_match),
-            lcs / max(len_a, len_b),
-            jaccard(ga.counts.keys(), gb.counts.keys()),
-            containment(ga.counts.keys(), gb.counts.keys()),
-            cosine(ga.counts, gb.counts),
-        )
+    a, b = _tokens(qo_text, stopwords), _tokens(qs_text, stopwords)
+    native = _native.load()
+    counts = (None if native is None
+              else _native_counts(native, a, b, cfg.gst_min_match))
+    if counts is None:
+        counts = _python_counts(a, b, cfg.gst_min_match)
+    values = [v for k in range(0, len(counts), _COUNTS_PER_ORDER)
+              for v in _measures(*counts[k:k + _COUNTS_PER_ORDER])]
     return FeatureVector(np.array(values), _SIM_NAMES)
 
 

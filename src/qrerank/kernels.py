@@ -10,16 +10,16 @@ Two tree kernels are provided:
   decay μ. Child sequences are compared with the standard string-subsequence
   dynamic program (cubic in the child-list length per node pair).
 
-Every tree of one kernel call (``gram_matrix``, ``kernel_matrix``,
-``combined_kernel``, ``pair_tk``, ``ptk``, ``stk``) is compiled against one
-table that the call creates (``_Subtrees``). The table hash-conses
-subtrees: a subtree is interned by its label and its children's subtree ids,
-so equal subtrees get one id wherever they occur, and a child's id is always
-smaller than its parent's. A compiled tree is its distinct subtree ids in
-ascending order, each with the number of nodes that root it, plus buckets
-from a label or production to the (id, count) pairs that carry it. The
-table (labels, productions, child offsets and ids) and the compiled trees
-are flat int32 arrays, read in place by both engines.
+Every tree of one kernel call (``gram_matrix``, ``kernel_matrix``, ``ptk``,
+``stk``) is compiled against one table that the call creates
+(``_Subtrees``). The table hash-conses subtrees: a subtree is interned by
+its label and its children's subtree ids, so equal subtrees get one id
+wherever they occur, and a child's id is always smaller than its parent's. A
+compiled tree is its distinct subtree ids in ascending order, each with the
+number of nodes that root it, plus buckets from a label or production to the
+(id, count) pairs that carry it. The table (labels, productions, child
+offsets and ids) and the compiled trees are flat int32 arrays, read in place
+by both engines.
 
 The tree kernels of one Gram or scoring row, its two trees against the
 same-position trees of a block of columns, are one tree block
@@ -43,22 +43,21 @@ equal bits; and the sum is exactly rounded, so only the exact total of the
 terms matters.
 
 Two engines compute a block, with the same bits. The native engine
-(``_tk.c``, built and loaded by :mod:`._native` on the first tree-kernel
-evaluation or SMO solve of a process) keeps the memo in C. It evaluates
-each Δ with the Python engine's operations in the same order (``(μλ)λ``,
-``μ(λ² + λ²·d)``, ``μ(λ² + s)``, the DP's ``λ²·v`` seed, its M recurrence
-and next level ``D·(λ²·M)``, STK's ``d *= 1 + child``), sums with the
-partials of ``math.fsum`` (any exactly rounded sum equals it), and is
-compiled with ``-ffp-contract=off`` and without ``-ffast-math``, so no
-multiply-add is fused and no sum reordered. The Python engine (``_ptk``,
-``_stk``) also caches the child-sequence DP per child-Δ block (flattened,
-with its width); it runs where the native engine cannot be built or loaded
-(one WARNING names why) and serves the tests as the reference. No option selects an
-engine. The memo holds one row's work, not the whole call's, and
-``kernel_matrix`` drops a row's subtrees and trees from the table with the
-row. ``gram_matrix`` and ``kernel_matrix`` log one INFO line with the
-call's tree pairs, interned subtrees, Δ values, DP runs and the engine that
-ran. No state outlives a call.
+(``_tk.c``, built and loaded by :mod:`._native` the first time a process
+needs it) keeps the memo in C. It evaluates each Δ with the Python engine's
+operations in the same order (``(μλ)λ``, ``μ(λ² + λ²·d)``, ``μ(λ² + s)``,
+the DP's ``λ²·v`` seed, its M recurrence and next level ``D·(λ²·M)``, STK's
+``d *= 1 + child``), sums with the partials of ``math.fsum`` (any exactly
+rounded sum equals it), and is compiled with ``-ffp-contract=off`` and
+without ``-ffast-math``, so no multiply-add is fused and no sum reordered.
+The Python engine (``_ptk``, ``_stk``) also caches the child-sequence DP per
+child-Δ block (flattened, with its width); it runs where the native engine
+cannot be built or loaded (one WARNING names why) and serves the tests as
+the reference. No option selects an engine. The memo holds one row's work,
+not the whole call's, and ``kernel_matrix`` drops a row's subtrees and trees
+from the table with the row. ``gram_matrix`` and ``kernel_matrix`` log one
+INFO line with the call's tree pairs, interned subtrees, Δ values, DP runs
+and the engine that ran. No state outlives a call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -69,16 +68,16 @@ The pair kernel is evaluated a row at a time (``_row``): one example
 against a block of columns whose vectors and ranks are stacked once per call
 (``_stack``, which also runs every missing-block and dimension check before
 any row). ``gram_matrix`` takes row i against columns i..n-1 and mirrors it;
-``kernel_matrix`` takes each row against all columns; ``combined_kernel`` is
-the one-column case. The vector blocks are batched but keep the per-pair
-arithmetic, so every value is bit-identical to the one-pair form: each dot
-product is one BLAS dot per pair (``np.matmul`` of 1×dim by dim×1 calls the
-same routine as ``np.dot``), each exponential is libm's ``exp``, the function
-``math.exp`` calls (``_exp``: one native loop per row), and the blocks are
-added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
-``(d * d).sum(1)`` round some dot products differently, and ``np.exp`` some
-exponentials. The tree block is one ``_tree_block`` call per row, normalized
-in numpy with the one-cell operations. A row's temporaries are
+``kernel_matrix`` takes each row against all columns. The vector blocks are
+batched but keep the per-pair arithmetic, so every value is bit-identical
+to evaluating its pair alone: each dot product is one BLAS dot per pair
+(``np.matmul`` of 1×dim by dim×1 calls the same routine as ``np.dot``),
+each exponential is libm's ``exp``, the function ``math.exp`` calls
+(``_exp``: one native loop per row), and the blocks are added to 0.0 in the
+order sim, tree, rank. ``np.einsum`` or ``(d * d).sum(1)`` round some dot
+products differently, and ``np.exp`` some exponentials. The tree block is
+one ``_tree_block`` call per row, normalized in numpy with
+:func:`normalize_kernel`'s operations. A row's temporaries are
 O(columns × dim); no n×n×dim array is built. ``gram_matrix`` and
 ``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
 value.
@@ -97,7 +96,7 @@ import os
 import time
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -521,20 +520,6 @@ def _prepare(examples, cfg: KernelConfig, sub: _Subtrees,
     return _Trees(at, k)
 
 
-def pair_tk(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
-    """Two-way tree kernel between examples.
-
-    The first trees of the two examples are compared against each other, and
-    likewise the second trees; the two values (each self-normalized when
-    cfg.normalize_tk) are summed. With normalization the self-similarity
-    pair_tk(e, e) is exactly 2.
-    """
-    cfg = replace(cfg, use_sim=False, use_tk=True, use_rank=False)
-    sub = _Subtrees()
-    p = _prepare([e_i, e_j], cfg, sub, cfg.normalize_tk)
-    return float(_row(e_i, p, None, None, p.tail(1), cfg, sub)[0])
-
-
 def _exp(x: np.ndarray) -> np.ndarray:
     """``math.exp`` of each value of x. The native engine calls libm's
     ``exp``, the function ``math.exp`` calls, so the bits are the same; where
@@ -551,21 +536,10 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
     """exp(−γ‖u−x‖²) for each row x of X: one BLAS dot and one ``exp`` per
-    row, as in the one-pair form (see the module docstring)."""
+    row, as for one pair alone (see the module docstring)."""
     d = u - X
     sq = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
     return _exp(-gamma * sq)
-
-
-def rbf(u: np.ndarray, v: np.ndarray, gamma: float) -> float:
-    """Gaussian kernel exp(−γ‖u−v‖²)."""
-    if not 0.0 < gamma < math.inf:
-        raise DataError(f"gamma must be positive and finite, got {gamma}")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DataError(f"rbf dimension mismatch: {u.shape} vs {v.shape}")
-    return float(_rbf_row(u, v[None], gamma)[0])
 
 
 def _resolve_gamma(cfg: KernelConfig, dim: int) -> float:
@@ -621,9 +595,9 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
     the first column, the diagonal, takes the self-kernels at hand.
 
     Each value is the sum, in this order, of the sim, tree and rank blocks,
-    starting from 0.0, with the per-pair arithmetic of the one-cell form;
-    temporaries are O(columns × dim). The row's tree kernels are one tree
-    block (:func:`_tree_block`), sharing one Δ memo."""
+    starting from 0.0, with the arithmetic of one pair alone; temporaries
+    are O(columns × dim). The row's tree kernels are one tree block
+    (:func:`_tree_block`), sharing one Δ memo."""
     row = np.zeros(len(cols.at))
     # an overflow leaves a non-finite cell, which gram_matrix and
     # kernel_matrix report as a NumericalError; numpy's warning would only
@@ -655,14 +629,6 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
     return row
 
 
-def combined_kernel(e_i: Example, e_j: Example, cfg: KernelConfig) -> float:
-    """Sum of the enabled per-block kernels for one example pair."""
-    sub = _Subtrees()
-    p = _prepare([e_i, e_j], cfg, sub, cfg.normalize_tk)
-    X, r = _stack([e_j], cfg)
-    return float(_row(e_i, p, X, r, p.tail(1), cfg, sub)[0])
-
-
 def _require_finite(call: str, i: int, first: int, row: np.ndarray) -> None:
     """Raise :class:`NumericalError` naming the first non-finite value of
     ``row``, cells (i, first), (i, first + 1), ... of the call's matrix."""
@@ -674,7 +640,8 @@ def _require_finite(call: str, i: int, first: int, row: np.ndarray) -> None:
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
-    """Full kernel matrix G[i][j] = combined_kernel(e_i, e_j, cfg).
+    """Full kernel matrix: G[i][j] is the combined kernel of e_i and e_j,
+    the sum of the blocks ``cfg`` enables.
 
     Row i is computed against columns i..n-1 and mirrored, so the result is
     exactly symmetric. Tree self-kernels, computed once, also fill the
@@ -703,7 +670,8 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
 
 def kernel_matrix(rows: list[Example], cols: list[Example],
                   cfg: KernelConfig) -> np.ndarray:
-    """Rectangular kernel matrix K[i][j] = combined_kernel(rows[i], cols[j]).
+    """Rectangular kernel matrix: K[i][j] is the combined kernel of
+    rows[i] and cols[j], as in :func:`gram_matrix`.
     Each tree is compiled, and its self-kernels computed, once: a column's
     for the whole call, a row's for its row only; a row's subtrees and
     trees leave the table with the row. A non-finite value raises

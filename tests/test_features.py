@@ -1,12 +1,16 @@
 """Text similarities, rank/embedding features, and MT-evaluation metrics."""
 
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from qrerank import _native, features
+from qrerank.cli import main
+from qrerank.config import RunConfig
 from qrerank.errors import DataError
 from qrerank.features import (
     FeatureConfig,
@@ -28,10 +32,11 @@ from qrerank.features import (
     tokenize,
 )
 from qrerank.kernels import KernelConfig
+from qrerank.pipeline import build_examples, load_corpus
 from qrerank.rellink import rel_link
 from qrerank.treebank import macro_tree, parse_bracketed
 
-from conftest import make_rng
+from conftest import make_rng, write_corpus, write_jsonl
 from oracles import gst_tiled_bruteforce, lcs_bruteforce, ptk_bruteforce
 
 
@@ -56,6 +61,20 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Can my wife visit Qatar on my visa?"
         assert tokenize(text) == tokenize(text)
+
+    def test_stopwords_case_folded(self):
+        stop = frozenset({"STRASSE", "The"})
+        assert list(tokenize("The Straße is long", stop)) == ["is", "long"]
+        assert list(tokenize("The Straße is long", set(stop))) == \
+            ["is", "long"]
+
+    def test_stopwords_folded_once_per_set(self):
+        stop = frozenset({"Visa", "QATAR"})
+        tokenize("visa for qatar", stop)
+        before = features._folded.cache_info()
+        assert list(tokenize("Visa for Qatar", stop)) == ["for"]
+        after = features._folded.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestSetMeasures:
@@ -386,6 +405,167 @@ class TestSimilarityGolden:
                               gst_min_match=cfg.gst_min_match)
         fv = similarity_vector(qo, qs, loose)
         assert [float(v).hex() for v in fv.values] == GOLDEN_SIM_HEX[3]
+
+
+# the two similarity engines ------------------------------------------------
+
+@pytest.fixture
+def native():
+    engine = _native.load()
+    if engine is None:
+        pytest.skip("the native engine is unavailable on this machine")
+    return engine
+
+
+def _engine_cases():
+    """(alphabet size, tokens of a, tokens of b, gst_min_match, stopwords)
+    for the engine parity tests: the edges first, then seeded draws."""
+    cases = [(3, 0, 0, 1, 0), (3, 0, 17, 2, 0), (3, 17, 0, 1, 0),
+             (1, 300, 300, 1, 0), (2, 300, 65, 4, 0), (1, 4, 3, 1, 0),
+             (1000, 300, 280, 1, 0), (5, 40, 40, 3, 2)]
+    rng = make_rng(700)
+    for _ in range(40):
+        cases.append((int(rng.choice([1, 2, 3, 8, 60, 1000])),
+                      int(rng.choice([rng.integers(0, 5),
+                                      rng.integers(0, 40),
+                                      rng.integers(0, 301)])),
+                      int(rng.choice([rng.integers(0, 5),
+                                      rng.integers(0, 40),
+                                      rng.integers(0, 301)])),
+                      int(rng.integers(1, 5)),
+                      int(rng.integers(0, 3))))
+    return cases
+
+
+ENGINE_CASES = _engine_cases()
+
+
+def _case_texts(case):
+    alphabet, len_a, len_b, min_match, n_stop = ENGINE_CASES[case]
+    rng = make_rng(800 + case)
+    a, b = ([f"W{k}" if k % 2 else f"w{k}"
+             for k in rng.integers(0, alphabet, length)]
+            for length in (len_a, len_b))
+    # mixed-case stopword entries, folded as the tokens are
+    stopwords = frozenset(f"W{k}" for k in range(n_stop))
+    return " ".join(a), " ".join(b), FeatureConfig(stopwords, min_match)
+
+
+def _python_engine_vector(monkeypatch, qo, qs, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        return similarity_vector(qo, qs, cfg)
+
+
+def _bits(fv):
+    return [v.hex() for v in fv.values.tolist()]
+
+
+class TestSimilarityEngines:
+    """The native engine against the Python one: the same counts and the
+    same bits, on heavy repeats (small alphabets), mostly distinct tokens
+    (large ones), 0 to 300 tokens a side (LCS masks of several 64-bit
+    words), every gst_min_match from 1 to 4, and stopwords."""
+
+    @pytest.mark.parametrize("case", range(len(ENGINE_CASES)))
+    def test_same_counts_and_vector(self, native, monkeypatch, case):
+        qo, qs, cfg = _case_texts(case)
+        a = tokenize(qo, cfg.stopwords).tokens
+        b = tokenize(qs, cfg.stopwords).tokens
+        counts = features._python_counts(a, b, cfg.gst_min_match)
+        assert features._native_counts(native, a, b, cfg.gst_min_match) \
+            == counts
+        fv = similarity_vector(qo, qs, cfg)
+        assert _bits(fv) == _bits(_python_engine_vector(monkeypatch, qo, qs,
+                                                        cfg))
+        assert fv.names == features._SIM_NAMES
+
+    @pytest.mark.parametrize("case", range(len(GOLDEN_SIM_CASES)))
+    def test_python_engine_golden(self, monkeypatch, case):
+        qo, qs, cfg = GOLDEN_SIM_CASES[case]
+        assert _bits(_python_engine_vector(monkeypatch, qo, qs, cfg)) == \
+            GOLDEN_SIM_HEX[case]
+
+    def test_empty_sides_count_nothing(self, native):
+        for a, b in (((), ()), (("x", "y"), ()), ((), ("x",))):
+            counts = features._native_counts(native, a, b, 1)
+            assert counts == features._python_counts(a, b, 1)
+            assert counts[0::10] == counts[1::10] == counts[2::10] == [0] * 4
+        assert similarity_vector("", "").values.tolist() == [0.0] * 20
+
+    def test_declined_call_falls_back(self, native, monkeypatch):
+        # the engine reports running out of memory: the Python engine runs
+        monkeypatch.setattr(_native, "load", lambda: native._replace(
+            similarity=lambda *args: 1))
+        for (qo, qs, cfg), golden in zip(GOLDEN_SIM_CASES, GOLDEN_SIM_HEX):
+            assert _bits(similarity_vector(qo, qs, cfg)) == golden
+
+
+def _bench_shaped_corpus(path, queries=12, candidates=10):
+    """Task B records shaped like a benchmark corpus: three sentences of
+    about ten words per question from a Zipfian vocabulary, each query's
+    topic words reused often by its relevant candidates and seldom by the
+    others."""
+    rng = make_rng(900)
+    vocab = [f"w{k}" for k in range(400)]
+    weights = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    weights /= weights.sum()
+
+    def question(topic, rate):
+        words = [str(rng.choice(topic)) if rng.random() < rate
+                 else str(rng.choice(vocab, p=weights))
+                 for _ in range(int(rng.integers(27, 37)))]
+        return ". ".join(" ".join(words[k:k + 10]).capitalize()
+                         for k in range(0, len(words), 10)) + "?"
+
+    rows = []
+    for q in range(queries):
+        topic = [f"topic{q}_{k}" for k in range(4)]
+        qo = question(topic, 0.3)
+        for rank in range(1, candidates + 1):
+            relevant = rank % 3 == 1
+            rows.append({"query_id": f"q{q}", "candidate_id": f"q{q}_c{rank}",
+                         "original_rank": rank, "qo_text": qo,
+                         "qs_text": question(topic, 0.3 if relevant else 0.05),
+                         "gold_label": "Relevant" if relevant
+                         else "Irrelevant"})
+    write_jsonl(path, rows)
+
+
+def test_examples_file_identical_on_both_engines(native, monkeypatch,
+                                                 tmp_path):
+    corpus = tmp_path / "train.jsonl"
+    _bench_shaped_corpus(corpus)
+    out = {}
+    for engine in ("native", "python"):
+        if engine == "python":
+            monkeypatch.setattr(_native, "load", lambda: None)
+        out[engine] = tmp_path / f"{engine}.ex"
+        assert main(["featurize", "--corpus", str(corpus),
+                     "--out", str(out[engine])]) == 0
+    assert out["native"].read_bytes() == out["python"].read_bytes()
+
+
+@pytest.mark.parametrize("engine", ["native", "python"])
+def test_build_examples_logs_pairs_seconds_and_engine(monkeypatch, caplog,
+                                                      tmp_path, engine):
+    if engine == "python":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    elif _native.load() is None:
+        pytest.skip("the native engine is unavailable on this machine")
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, n_queries=3, per_query=4)
+    records = load_corpus(corpus, "B")
+    with caplog.at_level("INFO", logger="qrerank.pipeline"):
+        build_examples(records, RunConfig())
+        build_examples(records, RunConfig(
+            kernel=KernelConfig(use_sim=False, use_rank=True),
+            use_sim_features=False))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("build_examples")]
+    assert len(lines) == 1
+    assert re.fullmatch(r"build_examples: 12 pairs, \d+\.\d{3} s in the "
+                        rf"similarities, {engine} engine", lines[0])
 
 
 class TestPTKFeature:

@@ -19,15 +19,12 @@ from qrerank.errors import DataError, NumericalError
 from qrerank.kernels import (
     Example,
     KernelConfig,
-    combined_kernel,
     config_fingerprint,
     gram_matrix,
     kernel_matrix,
     load_gram,
     normalize_kernel,
-    pair_tk,
     ptk,
-    rbf,
     save_gram,
     stk,
 )
@@ -175,11 +172,21 @@ def example_with_trees(first, second, qid="q1", cid="c1", rank=1):
                    original_rank=rank, tree_first=first, tree_second=second)
 
 
+def vec_example(v, cid="a"):
+    return Example(query_id="q", candidate_id=cid, label=1, original_rank=1,
+                   vec=np.asarray(v, dtype=np.float64))
+
+
+def cell(e_i, e_j, cfg):
+    """The combined kernel of one example pair: a cell of their Gram."""
+    return gram_matrix([e_i, e_j], cfg)[0, 1]
+
+
 class TestPairTK:
     def test_self_similarity_is_two_when_normalized(self):
         e = example_with_trees(t("(S (A a) (B b))"), t("(S (B b))"))
         cfg = KernelConfig(use_tk=True, use_sim=False, tk_kind="STK")
-        assert pair_tk(e, e, cfg) == pytest.approx(2.0, abs=1e-12)
+        assert cell(e, e, cfg) == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetry_on_random_examples(self):
         rng = make_rng(41)
@@ -187,7 +194,7 @@ class TestPairTK:
         ex = make_examples(rng, 8)
         for i in range(len(ex)):
             for j in range(i, len(ex)):
-                assert pair_tk(ex[i], ex[j], cfg) == pair_tk(ex[j], ex[i], cfg)
+                assert cell(ex[i], ex[j], cfg) == cell(ex[j], ex[i], cfg)
 
     def test_unnormalized_equals_oracle_sum(self):
         first_i = t("(S (A a) (B b))")
@@ -200,39 +207,43 @@ class TestPairTK:
                            lam=1.0, normalize_tk=False)
         expected = (stk_bruteforce(first_i, first_j, 1.0)
                     + stk_bruteforce(second_i, second_j, 1.0))
-        assert pair_tk(e_i, e_j, cfg) == pytest.approx(expected, abs=1e-9)
+        assert cell(e_i, e_j, cfg) == pytest.approx(expected, abs=1e-9)
 
     def test_missing_trees_rejected(self):
         e = Example(query_id="q", candidate_id="c", label=1, original_rank=1,
                     vec=np.zeros(3))
         cfg = KernelConfig(use_tk=True, use_sim=False)
         with pytest.raises(DataError, match="tree"):
-            pair_tk(e, e, cfg)
+            cell(e, e, cfg)
 
 
 class TestRBF:
     def test_zero_distance(self):
         v = np.array([0.3, -1.2, 4.0])
-        assert rbf(v, v, 0.7) == pytest.approx(1.0)
+        assert cell(vec_example(v), vec_example(v, "b"),
+                    KernelConfig(gamma=0.7)) == pytest.approx(1.0)
 
     def test_scalar_value(self):
-        assert rbf(np.array([0.0]), np.array([1.0]), 1.0) == pytest.approx(
-            math.exp(-1.0))
+        assert cell(vec_example([0.0]), vec_example([1.0], "b"),
+                    KernelConfig(gamma=1.0)) == pytest.approx(math.exp(-1.0))
 
     def test_monotone_in_distance(self):
-        u = np.zeros(2)
-        values = [rbf(u, np.array([d, 0.0]), 0.5) for d in (0.0, 0.5, 1.0, 2.0)]
+        u = vec_example(np.zeros(2))
+        values = [cell(u, vec_example([d, 0.0], "b"), KernelConfig(gamma=0.5))
+                  for d in (0.0, 0.5, 1.0, 2.0)]
         assert values == sorted(values, reverse=True)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DataError, match="dimension"):
-            rbf(np.zeros(2), np.zeros(3), 1.0)
+            cell(vec_example(np.zeros(2)), vec_example(np.zeros(3), "b"),
+                 KernelConfig(gamma=1.0))
 
     def test_gamma_validated(self):
         # exp(-inf * 0) is NaN: an infinite gamma puts NaN on the diagonal
         for gamma in (0.0, math.inf, math.nan):
             with pytest.raises(DataError, match="gamma"):
-                rbf(np.zeros(2), np.zeros(2), gamma)
+                cell(vec_example(np.zeros(2)), vec_example(np.zeros(2), "b"),
+                     KernelConfig(gamma=gamma))
 
 
 class TestCombinedKernel:
@@ -242,7 +253,7 @@ class TestCombinedKernel:
         e_j = Example(query_id="q", candidate_id="b", label=-1,
                       original_rank=4, rank_value=0.25)
         cfg = KernelConfig(use_sim=False, use_rank=True, rank_kernel="LINEAR")
-        assert combined_kernel(e_i, e_j, cfg) == pytest.approx(0.125)
+        assert cell(e_i, e_j, cfg) == pytest.approx(0.125)
 
     def test_sim_only_identical_vectors(self):
         v = np.array([0.1, 0.9, 0.5])
@@ -250,7 +261,7 @@ class TestCombinedKernel:
                       original_rank=1, vec=v)
         e_j = Example(query_id="q", candidate_id="b", label=1,
                       original_rank=2, vec=v.copy())
-        assert combined_kernel(e_i, e_j, KernelConfig()) == pytest.approx(1.0)
+        assert cell(e_i, e_j, KernelConfig()) == pytest.approx(1.0)
 
     def test_additivity_of_blocks(self):
         rng = make_rng(53)
@@ -273,7 +284,7 @@ class TestCombinedKernel:
                     vec=np.zeros(2))
         cfg = KernelConfig(use_sim=False, use_rank=True)
         with pytest.raises(DataError, match="rank block"):
-            combined_kernel(e, e, cfg)
+            cell(e, e, cfg)
 
     def test_explicit_gamma_respected(self):
         e_i = Example(query_id="q", candidate_id="a", label=1,
@@ -281,7 +292,7 @@ class TestCombinedKernel:
         e_j = Example(query_id="q", candidate_id="b", label=1,
                       original_rank=2, vec=np.array([1.0]))
         cfg = KernelConfig(gamma=2.0)
-        assert combined_kernel(e_i, e_j, cfg) == pytest.approx(math.exp(-2.0))
+        assert cell(e_i, e_j, cfg) == pytest.approx(math.exp(-2.0))
 
 
 class TestGramMatrix:
@@ -803,14 +814,16 @@ class TestRowWiseKernel:
         G = gram_matrix(ex, cfg)
         for i, e_i in enumerate(ex):
             for j, e_j in enumerate(ex):
-                assert combined_kernel(e_i, e_j, cfg) == G[i, j]
+                assert cell(e_i, e_j, cfg) == G[i, j]
         assert kernel_matrix(ex[3:], ex, cfg).tobytes() == G[3:].tobytes()
 
     def test_rbf_is_the_one_cell_form(self):
         rng = make_rng(97)
         u, v = rng.normal(size=20), rng.normal(size=20)
         d = u - v
-        assert rbf(u, v, 0.3) == math.exp(-0.3 * float(np.dot(d, d)))
+        value = cell(vec_example(u), vec_example(v, "b"),
+                     KernelConfig(gamma=0.3))
+        assert value == math.exp(-0.3 * float(np.dot(d, d)))
 
 
 def checked_examples(dims=(4, 4, 4, 4), no_vec=(), no_rank=()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrerank.errors import DataError
-from qrerank.kernels import Example, KernelConfig, combined_kernel
+from qrerank.kernels import Example, KernelConfig, gram_matrix
 from qrerank.pipeline import (
     CorpusRecord,
     RunConfig,
@@ -540,13 +540,13 @@ class TestGroupsAndScoring:
     def test_score_examples_matches_manual_kernel_sum(self, tmp_path):
         examples = self.build(tmp_path)
         cfg = RunConfig()
-        gram = np.array([[combined_kernel(a, b, cfg.kernel)
+        gram = np.array([[gram_matrix([a, b], cfg.kernel)[0, 1]
                           for b in examples] for a in examples])
         model = train_smo(gram, [e.label for e in examples], TrainConfig())
         scores = score_examples(examples, model, examples, cfg.kernel)
         for i, e in enumerate(examples):
             manual = sum(
-                coef * combined_kernel(examples[s], e, cfg.kernel)
+                coef * gram_matrix([examples[s], e], cfg.kernel)[0, 1]
                 for s, coef in zip(model.support_indices, model.dual_coefs)
             ) + model.bias
             assert scores[i] == pytest.approx(manual, abs=1e-12)
