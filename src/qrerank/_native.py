@@ -1,10 +1,10 @@
 """Build and load the native engine, ``_tk.c``, on first use.
 
-The engine holds the tree-kernel row, the RBF exponentials and the Gram
-file writer of :mod:`.kernels`, the SMO step of :mod:`.svm` and the counts
-behind the 20 text similarities of :mod:`.features`. :func:`load`
-compiles the source with the installed ``cc`` (or ``gcc``) the first time
-a process needs one of them, never at import. The library goes into a
+The engine holds the tree-kernel row and the RBF exponentials of
+:mod:`.kernels`, the SMO step of :mod:`.svm` and the counts behind the 20
+text similarities of :mod:`.features`. :func:`load` compiles the source
+with the installed ``cc`` (or ``gcc``) the first time a process needs one
+of them, never at import. The library goes into a
 per-user cache directory, ``$XDG_CACHE_HOME/qrerank`` or else
 ``~/.cache/qrerank``, created with mode 0700; its name is the sha256 of the
 source, the compiler flags and ``platform.machine()``, so a later process,
@@ -15,10 +15,10 @@ needs no ``Python.h`` and works with the package on ``PYTHONPATH``.
 
 When there is no compiler, the compiler fails or the library does not load,
 :func:`load` logs one WARNING naming the reason and returns None, and the
-kernels, the Gram file writer, the solver and the similarities use their
-Python code for the rest of the process. Each fallback gives the same
-values, so the same files byte for byte: the examples file of
-``featurize``, the Gram, the model and the predictions.
+kernels, the solver and the similarities use their Python code for the
+rest of the process. Each fallback gives the same values, so the same
+files byte for byte: the examples file of ``featurize``, the Gram, the
+model and the predictions.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class Engine(NamedTuple):
     smo_step: Callable
     randbelow: Callable
     exp: Callable
-    format_gram: Callable
     similarity: Callable
 
 
@@ -64,7 +63,6 @@ _SIGNATURES = {
                   _p, _p, _p, _p], ctypes.c_int),
     "randbelow": ([_p, _i64, _i64, _p], None),
     "exp": ([_i64, _p, _p], ctypes.c_int),
-    "format_gram": ([_i64, _p, _p, _p, _i64], _i64),
     "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }
 

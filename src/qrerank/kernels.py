@@ -82,9 +82,10 @@ O(columns × dim); no n×n×dim array is built. ``gram_matrix`` and
 ``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
 value.
 
-The Gram cache file (``save_gram``, ``load_gram``) is text. The native
-engine writes it where it loads, byte for byte as the Python code writes it
-(see ``save_gram`` and ``_tk.c``); the Python code reads it.
+The Gram cache file (``save_gram``, ``load_gram``) is text: the lower
+triangle, each cell the 16 hex digits of its IEEE-754 bits, so it is exact
+by construction and both directions are a few numpy operations per block of
+cells. No engine is involved.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ import numpy as np
 from . import _native
 # TK_KINDS and VECTOR_KERNELS are re-exported for the old import path
 from .config import TK_KINDS, VECTOR_KERNELS, KernelConfig  # noqa: F401
-from .errors import DataError, NumericalError, open_text
+from .errors import DataError, NumericalError
 from .treebank import SyntaxTree
 
 logger = logging.getLogger(__name__)
@@ -710,20 +711,39 @@ def config_fingerprint(cfg: KernelConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-GRAM_MAGIC = "qrerank-gram v1"
-_CHUNK = 1 << 20    # the native writer's buffer, in bytes
+GRAM_MAGIC = "qrerank-gram v2"
+# the two hex digits of each byte, as one uint16 in memory order
+_PAIRS = np.frombuffer(b"".join(b"%02x" % b for b in range(256)),
+                       dtype=np.uint16)
+_CELL = 17          # bytes per cell: 16 hex digits and a separator
+_BLOCK = 1 << 15    # cells per block: a few MB of temporaries at any n
+
+
+def _blocks(n: int):
+    """The lower triangle of an n×n matrix in blocks of whole rows, about
+    ``_BLOCK`` cells each but at least one row: rows i..j-1 of the block,
+    the mask of their cells in ``G[i:j, :j]`` and the separator after each
+    cell, a newline after a row's last and a space after the others."""
+    i = 0
+    while i < n:
+        # the largest j with j(j+1)/2 - i(i+1)/2 <= _BLOCK
+        j = (math.isqrt(8 * _BLOCK + 4 * i * (i + 1) + 1) - 1) // 2
+        j = min(n, max(i + 1, j))
+        lower = np.arange(j) <= np.arange(i, j)[:, None]
+        sep = np.full((j * (j + 1) - i * (i + 1)) // 2, ord(" "),
+                      dtype=np.uint8)
+        sep[np.cumsum(np.arange(i + 1, j + 1)) - 1] = ord("\n")
+        yield i, j, lower, sep
+        i = j
 
 
 def save_gram(path: str | Path, gram: np.ndarray, fingerprint: str) -> None:
-    """Write a Gram matrix cache: header, then the lower triangle row-major,
-    each value as ``'%.17g' % v``, single spaces between the values of a
-    row. A non-finite value raises :class:`NumericalError` naming its cell.
-
-    The native engine formats the rows in chunks of at most ``_CHUNK``
-    bytes, with exact integer arithmetic (see ``_tk.c``), so the file is the
-    same byte for byte; the Python loop below writes it where the engine is
-    unavailable. One INFO line gives n, the file's bytes, the seconds and
-    the engine."""
+    """Write a Gram matrix cache: three header lines, then the lower
+    triangle row-major, row i holding G[i][0..i], each value as the 16
+    lowercase hex digits of its IEEE-754 binary64 bits and a space, or a
+    newline after a row's last. A non-finite value raises
+    :class:`NumericalError` naming its cell. One INFO line gives n, the
+    file's bytes and the seconds."""
     start = time.perf_counter()
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -732,87 +752,90 @@ def save_gram(path: str | Path, gram: np.ndarray, fingerprint: str) -> None:
     if not np.isfinite(gram).all():
         for i in range(n):
             _require_finite("save_gram", i, 0, gram[i, :i + 1])
-    native = _native.load()
     with open(path, "wb") as fh:
         fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n# n: {n}\n"
                  .encode("utf-8"))
-        rows = fh.tell()
-        engine = "native"
-        if native is None or not _write_rows(native, fh, gram):
-            engine = "python"
-            fh.seek(rows)
-            fh.truncate()
-            for i, row in enumerate(gram):
-                fh.write((("%.17g " * i + "%.17g\n")
-                          % tuple(row[:i + 1].tolist())).encode("ascii"))
+        for i, j, lower, sep in _blocks(n):
+            bits = gram[i:j, :j][lower].astype(">f8").view(np.uint8)
+            cells = np.empty((len(sep), _CELL), dtype=np.uint8)
+            cells[:, :16].view(np.uint16)[:] = _PAIRS[bits.reshape(-1, 8)]
+            cells[:, 16] = sep
+            fh.write(cells)
         size = fh.tell()
-    logger.info("save_gram: n %d, %d bytes, %.3f s, %s engine", n, size,
-                time.perf_counter() - start, engine)
+    logger.info("save_gram: n %d, %d bytes, %.3f s", n, size,
+                time.perf_counter() - start)
 
 
-def _write_rows(native, fh, gram: np.ndarray) -> bool:
-    """Write the rows of the finite ``gram`` with the native formatter, a
-    chunk at a time; False when it declines (a locale whose decimal point
-    is not '.')."""
-    G = np.ascontiguousarray(gram)
-    buf = np.empty(_CHUNK, dtype=np.uint8)
-    pos = np.zeros(2, dtype=np.int64)   # the next cell: row, column
-    while pos[0] < len(G):
-        used = native.format_gram(len(G), G.ctypes.data, pos.ctypes.data,
-                                  buf.ctypes.data, _CHUNK)
-        if used < 0:
-            return False
-        fh.write(buf[:used])
-    return True
-
-
-def _is_float(text: str) -> bool:
+def _header_line(fh, path) -> str:
+    line = fh.readline()
     try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
+def _bad_cell(cells: np.ndarray, pairs: np.ndarray, i: int,
+              sep: np.ndarray) -> str:
+    """What is wrong with the first bad cell of a block of rows from i."""
+    k = int(np.argmax((pairs > 255).any(axis=1) | (cells[:, 16] != sep)))
+    row = i + int(np.count_nonzero(sep[:k] == ord("\n")))
+    if cells[k, 16] == sep[k]:
+        text = cells[k, :16].tobytes().decode("latin-1")
+        return f"bad number {text!r} in row {row}"
+    if cells[k, 16] not in b" \n":
+        return f"bad separator {chr(cells[k, 16])!r} in row {row}"
+    first = (row * (row + 1) - i * (i + 1)) // 2
+    ends = np.flatnonzero(cells[first:, 16] == ord("\n"))
+    count = ends[0] + 1 if len(ends) else f"more than {len(cells) - first}"
+    return f"row {row} has {count} entries, expected {row + 1}"
 
 
 def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
     """Read a Gram cache written by :func:`save_gram`.
 
     Returns (matrix, fingerprint); the matrix is mirrored back to full
-    symmetric form. Raises :class:`DataError` on any malformation.
+    symmetric form, the saved matrix bit for bit. Raises
+    :class:`DataError` on any malformation. The file's size is checked
+    against n before the matrix is allocated; a bad cell names its row.
 
     One INFO line gives n, the file's bytes and the seconds."""
     start = time.perf_counter()
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 3 or lines[0] != f"# {GRAM_MAGIC}":
-        raise DataError(f"{path}: not a gram cache file")
-    if not lines[1].startswith("# fingerprint: "):
-        raise DataError(f"{path}: missing fingerprint header")
-    fingerprint = lines[1][len("# fingerprint: "):].strip()
-    if not lines[2].startswith("# n: "):
-        raise DataError(f"{path}: missing size header")
-    try:
-        n = int(lines[2][len("# n: "):])
-    except ValueError as exc:
-        raise DataError(f"{path}: bad size header") from exc
-    rows = lines[3:]
-    if len(rows) != n:
-        raise DataError(f"{path}: expected {n} rows, found {len(rows)}")
-    G = np.zeros((n, n), dtype=np.float64)
-    for i, row in enumerate(rows):
-        parts = row.split()
-        if len(parts) != i + 1:
-            raise DataError(f"{path}: row {i} has {len(parts)} entries, "
-                            f"expected {i + 1}")
+    with open(path, "rb") as fh:
+        magic, fp_line, n_line = (_header_line(fh, path) for _ in range(3))
+        if magic != f"# {GRAM_MAGIC}\n":
+            raise DataError(f"{path}: not a gram cache file")
+        if not fp_line.startswith("# fingerprint: "):
+            raise DataError(f"{path}: missing fingerprint header")
+        fingerprint = fp_line[len("# fingerprint: "):].strip()
+        if not n_line.startswith("# n: "):
+            raise DataError(f"{path}: missing size header")
         try:
-            values = list(map(float, parts))
+            n = int(n_line[len("# n: "):])
         except ValueError as exc:
-            text = next(t for t in parts if not _is_float(t))
-            raise DataError(f"{path}: bad number {text!r} in row {i}") from exc
-        G[i, :i + 1] = values
-        G[:i + 1, i] = values
+            raise DataError(f"{path}: bad size header") from exc
+        if n < 0:
+            raise DataError(f"{path}: bad size header")
+        size = os.fstat(fh.fileno()).st_size
+        body, need = size - fh.tell(), _CELL * n * (n + 1) // 2
+        if body != need:
+            raise DataError(f"{path}: {n} rows take {need} bytes, "
+                            f"found {body}")
+        # back from two hex digits to their byte; any other uint16 to 256
+        byte = np.full(1 << 16, 256, dtype=np.uint16)
+        byte[_PAIRS] = np.arange(256)
+        G = np.empty((n, n), dtype=np.float64)
+        for i, j, lower, sep in _blocks(n):
+            data = fh.read(_CELL * len(sep))
+            if len(data) != _CELL * len(sep):
+                raise DataError(f"{path}: file ends in row {i}")
+            cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CELL)
+            pairs = byte[cells[:, :16].view(np.uint16)]
+            if pairs.max() > 255 or not np.array_equal(cells[:, 16], sep):
+                raise DataError(f"{path}: {_bad_cell(cells, pairs, i, sep)}")
+            G[i:j, :j][lower] = pairs.astype(np.uint8).view(">f8")[:, 0]
+            np.copyto(G[:j, i:j], G[i:j, :j].T, where=lower.T)
     if not np.all(np.isfinite(G)):
         raise DataError(f"{path}: gram contains non-finite values")
-    logger.info("load_gram: n %d, %d bytes, %.3f s", n, os.path.getsize(path),
+    logger.info("load_gram: n %d, %d bytes, %.3f s", n, size,
                 time.perf_counter() - start)
     return G, fingerprint

@@ -74,6 +74,8 @@ class TrainedModel:
             raise DataError("support indices must be non-negative")
         if not math.isfinite(self.bias):
             raise DataError("bias must be finite")
+        if not np.isfinite(coefs).all():
+            raise DataError("dual_coefs must be finite")
 
 
 def _training_checksum(gram: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> str:
@@ -318,7 +320,8 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
 
 def load_model(path: str | Path, expected_fingerprint: str | None = None,
                strict: bool = False) -> TrainedModel:
-    """Read a model file back.
+    """Read a model file back. Any malformation, a non-finite bias or
+    coefficient included, raises :class:`DataError` naming the file.
 
     When ``expected_fingerprint`` is given and disagrees with the stored
     one, strict mode raises; otherwise a warning is logged (the scores would
@@ -359,10 +362,13 @@ def load_model(path: str | Path, expected_fingerprint: str | None = None,
         if strict:
             raise DataError(message)
         logger.warning("%s", message)
-    return TrainedModel(
-        support_indices=support,
-        dual_coefs=coefs,
-        bias=bias,
-        kernel_fingerprint=fingerprint,
-        training_checksum=fields["training_checksum"],
-    )
+    try:
+        return TrainedModel(
+            support_indices=support,
+            dual_coefs=coefs,
+            bias=bias,
+            kernel_fingerprint=fingerprint,
+            training_checksum=fields["training_checksum"],
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

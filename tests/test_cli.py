@@ -360,6 +360,31 @@ class TestExitCodes:
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_non_finite_model_coefficient_is_2(self, corpora, tmp_path,
+                                               capsys):
+        train, test = corpora
+        train_ex = tmp_path / "train.ex"
+        test_ex = tmp_path / "test.ex"
+        gram = tmp_path / "g.gram"
+        model = tmp_path / "m.txt"
+        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
+        main(["featurize", "--corpus", str(test), "--out", str(test_ex)])
+        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        main(["train", "--gram", str(gram), "--examples", str(train_ex),
+              "--out", str(model)])
+        model.write_text(re.sub(r"^dual_coefs: \S+", "dual_coefs: nan",
+                                model.read_text(encoding="utf-8"),
+                                flags=re.M), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "p.tsv"
+        code = main(["rerank", "--model", str(model),
+                     "--train-examples", str(train_ex),
+                     "--test-examples", str(test_ex), "--out", str(out)])
+        assert code == 2
+        assert (f"error: {model}: dual_coefs must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_short_train_examples_file_is_2(self, corpora, tmp_path, capsys):
         train, test = corpora
         train_ex = tmp_path / "train.ex"

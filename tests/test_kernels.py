@@ -1,12 +1,13 @@
 """Tree kernels against brute-force enumeration oracles, plus the pair kernel,
 vector kernels, Gram assembly, the Gram cache file, and the native engine
-(tree kernels, exponentials, Gram file writer): bit for bit and byte for byte
-against the Python engine, its build cache and its fallback."""
+(tree kernels, exponentials): bit for bit and byte for byte against the
+Python engine, its build cache and its fallback."""
 
 import hashlib
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +340,10 @@ class TestGramMatrix:
         np.testing.assert_allclose(K, G[:2], atol=1e-12)
 
 
+# 1.0 and 0.5 as a Gram file writes them
+ONE, HALF = "3ff0000000000000", "3fe0000000000000"
+
+
 class TestGramFile:
     def test_round_trip(self, tmp_path):
         rng = make_rng(79)
@@ -376,23 +381,61 @@ class TestGramFile:
         path = tmp_path / "gram.txt"
         save_gram(path, G, "fp")
         assert path.read_text(encoding="utf-8") == (
-            "# qrerank-gram v1\n# fingerprint: fp\n# n: 3\n"
-            "1\n"
-            "0.10000000000000001 0.33333333333333331\n"
-            "-0 4.9406564584124654e-324 2.5000000000000001e+300\n")
+            "# qrerank-gram v2\n# fingerprint: fp\n# n: 3\n"
+            "3ff0000000000000\n"
+            "3fb999999999999a 3fd5555555555555\n"
+            "8000000000000000 0000000000000001 7e4ddd4baa009303\n")
         G2, _ = load_gram(path)
         assert G2.tobytes() == G.tobytes()
 
+    def test_random_bit_patterns_round_trip_exactly(self, tmp_path):
+        # 101,475 cells in four blocks: random finite bits, 2,000 of them
+        # subnormals of either sign, and both zeros
+        rng = make_rng(29)
+        n = 450
+        bits = rng.integers(0, 2 ** 64, size=n * (n + 1) // 2, dtype=np.uint64)
+        bits[:2000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)      # subnormals
+        bits[2000:2002] = [0, 2 ** 63]                       # +0.0, -0.0
+        cells = bits.view(np.float64)
+        cells[~np.isfinite(cells)] = 1.5
+        G = np.zeros((n, n))
+        G[np.tril_indices(n)] = cells
+        upper = np.triu_indices(n, 1)
+        G[upper] = G.T[upper]
+        path = tmp_path / "gram.txt"
+        save_gram(path, G, "fp")
+        G2, _ = load_gram(path)
+        assert G2.tobytes() == G.tobytes()
+        rows = path.read_text(encoding="utf-8").splitlines()[3:]
+        assert rows[2] == " ".join(struct.pack(">d", v).hex()
+                                   for v in G[2, :3].tolist())
+
+    def test_v1_file_rejected(self, tmp_path):
+        path = tmp_path / "gram.txt"
+        path.write_text("# qrerank-gram v1\n# fingerprint: fp\n# n: 1\n1\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="not a gram cache file"):
+            load_gram(path)
+
     @pytest.mark.parametrize("rows,message", [
-        (["1", "0.5 x", "1 1 1"], "bad number 'x' in row 1"),
-        (["1", "0.5 1 2", "1 1 1"], "row 1 has 3 entries, expected 2"),
-        (["1", "0.5 inf", "1 1 1"], "gram contains non-finite values"),
+        ([ONE, f"{HALF} 3fe000000000000x", f"{ONE} {ONE} {ONE}"],
+         "bad number '3fe000000000000x' in row 1"),
+        ([ONE, f"{HALF} {ONE} {ONE}", f"{ONE} {ONE}"],
+         "row 1 has 3 entries, expected 2"),
+        ([ONE, f"{HALF} 7ff0000000000000", f"{ONE} {ONE} {ONE}"],
+         "gram contains non-finite values"),
+        ([ONE, HALF, f"{ONE} {ONE} {ONE} {ONE}"],
+         "row 1 has 1 entries, expected 2"),
+        ([ONE, f"{HALF} 3FE0000000000000", f"{ONE} {ONE} {ONE}"],
+         "bad number '3FE0000000000000' in row 1"),
+        ([ONE, f"{HALF}\t{ONE}", f"{ONE} {ONE} {ONE}"],
+         "bad separator '\\t' in row 1"),
     ])
     def test_malformed_rows_named(self, tmp_path, rows, message):
         path = tmp_path / "gram.txt"
-        path.write_text("# qrerank-gram v1\n# fingerprint: fp\n# n: 3\n"
+        path.write_text("# qrerank-gram v2\n# fingerprint: fp\n# n: 3\n"
                         + "\n".join(rows) + "\n", encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(message)):
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_gram(path)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -410,12 +453,48 @@ class TestGramFile:
                                                                 [0.5, 2.0]]
 
     def test_larger_than_one_chunk(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(kernels, "_CHUNK", 64)
+        # blocks of whole rows: rows 0-1, then one row each, rows 5 on
+        # longer than a block
+        monkeypatch.setattr(kernels, "_BLOCK", 5)
         G = np.arange(400.0).reshape(20, 20) / 7.0
+        G = G + G.T
         save_gram(tmp_path / "gram.txt", G, "fp")
         rows = tmp_path.joinpath("gram.txt").read_text().splitlines()[3:]
-        assert rows == [" ".join("%.17g" % v for v in G[i, :i + 1])
+        assert rows == [" ".join(struct.pack(">d", v).hex()
+                                 for v in G[i, :i + 1].tolist())
                         for i in range(20)]
+        assert load_gram(tmp_path / "gram.txt")[0].tobytes() == G.tobytes()
+
+
+def gram_file_mutations(rng, data: bytes):
+    """Corruptions of the Gram file ``data`` of a 6×6 matrix, drawn from
+    ``rng``."""
+    body = data.index(b"# n: 6\n") + len(b"# n: 6\n")
+    yield data[:rng.integers(len(data))]                     # truncated
+    pos = rng.integers(body, len(data))                     # a non-hex byte
+    nonhex = [b for b in range(256) if b not in b"0123456789abcdef \n"]
+    yield data[:pos] + bytes([rng.choice(nonhex)]) + data[pos + 1:]
+    yield data + rng.bytes(int(rng.integers(1, 40)))         # trailing bytes
+    for n in (b"1000000", b"-1", b"six", b"", b"5", b"7", b"2" * 40):
+        yield data.replace(b"# n: 6\n", b"# n: " + n + b"\n")
+    # non-ASCII fingerprint bytes, led by a continuation byte with no lead
+    # byte, which is never UTF-8
+    odd = rng.integers(0x80, 0x100, int(rng.integers(1, 9)), dtype=np.uint8)
+    odd[0] &= 0xBF
+    at = data.index(b"# fingerprint: ") + len(b"# fingerprint: ") + 9
+    yield data[:at] + odd.tobytes() + data[at:]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_load_gram_fuzz_raises_only_data_error(tmp_path, seed):
+    rng = make_rng(seed)
+    x = rng.normal(size=(6, 3))
+    path = tmp_path / "gram.txt"
+    save_gram(path, x @ x.T, "f" * 64)
+    for bad in gram_file_mutations(rng, path.read_bytes()):
+        path.write_bytes(bad)
+        with pytest.raises(DataError):
+            load_gram(path)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1131,7 +1210,8 @@ class TestSharedSubtreesPython(TestSharedSubtrees):
 
 @pytest.mark.usefixtures("python_engine")
 class TestGramFilePython(TestGramFile):
-    pass
+    """The Gram file needs no native engine: its round trips, RBF cells
+    included, where none loads."""
 
 
 @pytest.mark.usefixtures("python_engine")
@@ -1302,105 +1382,19 @@ class TestBuildAndFallback:
 
 
 # ---------------------------------------------------------------------------
-# the native exponentials and Gram file writer against the Python code
+# the native exponentials against the Python code, and the Gram files of
+# both engines
 # ---------------------------------------------------------------------------
-
-def native_g17(tmp_path, values):
-    """The native writer's text of each value: the values are laid out
-    row-major as the lower triangle of a square matrix and saved."""
-    values = np.asarray(values, dtype=np.float64)
-    m = math.isqrt(2 * len(values)) + 1
-    G = np.zeros((m, m))
-    cells = np.zeros(m * (m + 1) // 2)
-    cells[:len(values)] = values
-    G[np.tril_indices(m)] = cells
-    save_gram(tmp_path / "values.gram", G, "fp")
-    body = (tmp_path / "values.gram").read_bytes().split(b"\n", 3)[3]
-    return body.decode("ascii").split()[:len(values)]
-
-
-def dyadic_ties(rng, count):
-    """Values t / 2^e whose exact decimal expansion has 18 significant
-    digits, the last a 5: the 17-digit rounding is a tie."""
-    from decimal import Decimal
-    ties = []
-    while len(ties) < count:
-        e = int(rng.integers(1, 60))
-        t = int(rng.integers(1, 2 ** 53)) | 1
-        v = math.ldexp(float(t), -e)
-        if len(Decimal(v).as_tuple().digits) == 18:
-            ties.append(v)
-    return ties
-
 
 @pytest.mark.usefixtures("native_engine")
 class TestNativeGramWriter:
-    def test_writer_prints_what_python_prints(self, tmp_path):
-        rng = make_rng(17)
-        bits = rng.integers(0, 2 ** 64, size=500_000, dtype=np.uint64)
-        # exponents of 1e-12 .. 1e17 and a random sign: the integer path
-        near = (rng.integers(0x3d7, 0x439, size=500_000, dtype=np.uint64)
-                << np.uint64(52)) | (bits & np.uint64(2 ** 52 - 1)) | (
-            bits & np.uint64(2 ** 63))
-        values = [v for v in np.concatenate([bits, near]).view(np.float64)
-                  .tolist() if math.isfinite(v)]
-        for k in range(-324, 309):
-            p = float(f"1e{k}")
-            values += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, 2 * p)]
-        values += dyadic_ties(rng, 2_000)
-        values += [float(x) + 0.5 for x in rng.integers(2 ** 40, 2 ** 52, 200)]
-        values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                   2.225073858507201e-308, 1.7e308, -1.7976931348623157e308,
-                   1e-11, math.nextafter(1e-11, 0.0), 1e17,
-                   math.nextafter(1e17, 0.0), 1e-7, 1e-5, 1e-4, 1e16, 0.1,
-                   1.0 / 3.0, 123456789012345678.0]
-        assert len(values) > 1_000_000
-        assert native_g17(tmp_path, values) == ["%.17g" % v for v in values]
-
-    def test_writer_falls_back_in_a_comma_locale(self, tmp_path):
-        import locale
-        G = np.array([[0.5, 2e-12], [2e-12, 1e300]])
-        save_gram(tmp_path / "a.gram", G, "fp")
-        saved = locale.setlocale(locale.LC_NUMERIC)
-        for name in ("de_DE.UTF-8", "fr_FR.UTF-8", "ru_RU.UTF-8"):
-            try:
-                locale.setlocale(locale.LC_NUMERIC, name)
-                break
-            except locale.Error:
-                continue
-        else:
-            pytest.skip("no locale with a decimal comma is installed")
-        try:
-            save_gram(tmp_path / "b.gram", G, "fp")
-        finally:
-            locale.setlocale(locale.LC_NUMERIC, saved)
-        assert (tmp_path / "b.gram").read_bytes() == \
-            (tmp_path / "a.gram").read_bytes()
-
-    def test_writer_fallback_rewrites_the_rows(self, tmp_path, monkeypatch):
-        # the native writer declines after its first chunk, as it would in
-        # a locale whose decimal point is not '.': the rows it wrote are
-        # truncated and the Python writer writes them all again
-        G = np.arange(400.0).reshape(20, 20) / 7.0
-        save_gram(tmp_path / "a.gram", G, "fp")
-        engine = _native.load()
-        calls = []
-
-        def first_chunk_only(*args):
-            calls.append(args)
-            return engine.format_gram(*args) if len(calls) == 1 else -1
-
-        monkeypatch.setattr(kernels, "_CHUNK", 64)
-        monkeypatch.setattr(_native, "load", lambda: engine._replace(
-            format_gram=first_chunk_only))
-        save_gram(tmp_path / "b.gram", G, "fp")
-        assert len(calls) == 2
-        assert (tmp_path / "b.gram").read_bytes() == \
-            (tmp_path / "a.gram").read_bytes()
+    """The native engine's share of a Gram file, the exponentials of its
+    RBF cells: bit for bit math.exp's, so the files and the matrices read
+    back are those of the Python engine."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bench_shaped_gram_files_are_byte_identical(
-            self, monkeypatch, tmp_path, seed, caplog):
+            self, monkeypatch, tmp_path, seed):
         # 300 examples of 20 similarities in [0, 1] and the inverse rank
         # of 10 candidates, RBF + linear rank, as the taskB-sim workload
         rng = make_rng(seed)
@@ -1420,12 +1414,8 @@ class TestNativeGramWriter:
                         kernel_matrix(ex[:40], ex, cfg).tobytes()]
             return out
 
-        with caplog.at_level("INFO", logger="qrerank.kernels"):
-            native, python = both_engines(monkeypatch, run)
+        native, python = both_engines(monkeypatch, run)
         assert native == python
-        engines = [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records
-                   if r.getMessage().startswith("save_gram")]
-        assert engines == ["native engine"] * 2 + ["python engine"] * 2
 
     def test_log_lines(self, monkeypatch, tmp_path, caplog):
         G = np.arange(9.0).reshape(3, 3) / 3.0
@@ -1436,11 +1426,8 @@ class TestNativeGramWriter:
         size = path.stat().st_size
         lines = [re.sub(r"\d+\.\d{3} s", "S s", r.getMessage())
                  for r in caplog.records]
-        assert lines == [
-            f"save_gram: n 3, {size} bytes, S s, native engine",
-            f"load_gram: n 3, {size} bytes, S s",
-            f"save_gram: n 3, {size} bytes, S s, python engine",
-            f"load_gram: n 3, {size} bytes, S s"]
+        assert lines == [f"save_gram: n 3, {size} bytes, S s",
+                         f"load_gram: n 3, {size} bytes, S s"] * 2
 
     def test_exp_is_math_exp(self):
         rng = make_rng(23)

@@ -3,6 +3,7 @@ and the native SMO step: byte for byte against the Python reference."""
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,12 @@ class TestValidation:
             TrainedModel(support_indices=(0, -1),
                          dual_coefs=np.array([0.5, -0.5]), bias=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_dual_coef_rejected(self, bad):
+        with pytest.raises(DataError, match="dual_coefs must be finite"):
+            TrainedModel(support_indices=(0, 1),
+                         dual_coefs=np.array([0.5, bad]), bias=0.0)
+
     def test_config_validated(self):
         with pytest.raises(DataError):
             TrainConfig(C=0.0)
@@ -266,6 +273,20 @@ class TestModelFile:
                                 strict=False)
         assert loaded.bias == model.bias
         assert any("fingerprint" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("field,message", [
+        ("dual_coefs", "dual_coefs must be finite"),
+        ("bias", "bias must be finite"),
+    ])
+    def test_non_finite_value_names_the_file(self, tmp_path, field, message):
+        path = tmp_path / "model.txt"
+        save_model(path, self.make_model())
+        # the field's first value becomes nan
+        path.write_text(re.sub(rf"^{field}: \S+", f"{field}: nan",
+                               path.read_text(), flags=re.M),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
 
     def test_empty_support_round_trip(self, tmp_path):
         model = TrainedModel(support_indices=(), dual_coefs=np.zeros(0),
