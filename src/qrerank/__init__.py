@@ -9,8 +9,11 @@ MAP / AvgRec / MRR plus paired randomization significance tests.
 
 ``import qrerank`` is cheap: it imports no numpy and runs none of the
 submodules. Each public name is resolved from its submodule on first use
-(PEP 562) and cached, so ``qrerank.RunConfig`` loads only ``config``, and
-``qrerank.gram_matrix`` loads ``kernels`` and numpy. The submodules that a
+(PEP 562) and cached, so ``qrerank.RunConfig`` loads only ``config``,
+``qrerank.build_examples`` loads the numpy-free featurization modules, and
+``qrerank.gram_matrix`` loads ``kernels`` and numpy. Only ``kernels``,
+``svm`` and ``rankeval.randomization_test`` compute with numpy; feature
+vectors are plain float64 ``array('d')``. The submodules that a
 tracer may wrap are registered in ``sys.modules`` at import, through
 ``importlib.util.LazyLoader``: ``sys.modules["qrerank.kernels"]`` exists
 after ``import qrerank``, and the module runs when one of its attributes is
@@ -29,13 +32,13 @@ _NAMES_BY_MODULE = {
     "config": ("DEFAULT_PHRASE_LABELS", "RANK_MODES", "KernelConfig",
                "RelConfig", "RunConfig", "TrainConfig"),
     "features": ("MTE_NAMES", "SIM_MEASURES", "SIM_NGRAM_ORDERS",
-                 "FeatureConfig", "FeatureVector", "TokenSeq",
+                 "Example", "FeatureConfig", "FeatureVector", "TokenSeq",
                  "concat_features", "containment", "cosine",
                  "embedding_pair", "gst_sim", "jaccard", "lcs_sim",
                  "load_embeddings", "load_stopwords", "mte_vector",
                  "ptk_feature", "rank_feature", "similarity_vector",
                  "tokenize"),
-    "kernels": ("Example", "config_fingerprint", "gram_matrix",
+    "kernels": ("config_fingerprint", "gram_matrix",
                 "kernel_matrix", "load_gram", "normalize_kernel", "ptk",
                 "save_gram", "stk"),
     "pipeline": ("CorpusRecord", "build_examples", "class_counts",

@@ -24,7 +24,10 @@ for ``_`` (``kernel.use_tk`` is ``--use-tk``, booleans also take
 
 This module imports only ``config`` and ``errors``; each subcommand imports
 the modules it calls when it runs.  So ``--help`` and a usage error load no
-numpy, and neither does ``evaluate``, whose ``rankeval`` needs none.
+numpy, and neither do ``evaluate``, whose ``rankeval`` needs none, and
+``featurize``, whose ``pipeline`` and ``features`` hold plain float vectors
+(unless ``use_ptk_feature`` asks for the tree kernels).  ``gram``, ``train``,
+``rerank`` and ``sigtest`` compute with numpy.
 
 Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
 failures.  When ``--stopwords`` names a relative path that does not exist,
@@ -405,6 +408,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; remap the latter
         return 0 if exc.code == 0 else 1
+    # the parser is some 275 kB of objects tied in reference cycles; with no
+    # reference left, the cycle collector can free it while the stage runs
+    del parser
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

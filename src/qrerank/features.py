@@ -15,6 +15,15 @@ Five families:
 
 All functions are pure; extraction across examples is embarrassingly
 parallel.
+
+Feature values are plain float64 vectors (``array('d')``): ``FeatureVector``
+and ``Example`` convert any 1-d sequence of real numbers, numpy arrays
+included, and ``np.asarray`` reads one without a copy. This module imports no
+numpy. ``ptk_feature`` alone imports :mod:`.kernels`, and with it numpy, when
+it is called: of the feature families only the tree-pair similarity
+(``use_ptk_feature``, off by default) computes with them. ``Example``, the
+featurized pair that the kernels consume, lives here for the same reason;
+``qrerank.kernels.Example`` is the same class.
 """
 
 from __future__ import annotations
@@ -24,16 +33,15 @@ import operator
 import re
 from array import array
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from numbers import Real
 from pathlib import Path
 
-import numpy as np
-
 from . import _native
-from .config import RANK_MODES
+from .config import RANK_MODES, KernelConfig
 from .errors import DataError, open_text
-from .kernels import KernelConfig, normalize_kernel, ptk
 from .treebank import SyntaxTree
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -65,18 +73,52 @@ class TokenSeq:
         return self.tokens[i]
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number; a bool is not one."""
+    return type(x) is float or (isinstance(x, Real)
+                                and not isinstance(x, bool))
+
+
+def _float_vector(values, what: str) -> array | None:
+    """``values`` as a plain float64 vector, or None when they do not form a
+    1-d sequence. An ``array('d')`` is kept as it is; any other sequence of
+    real numbers, a numpy array included, is copied into one. An item that is
+    not a real number (a bool included), or an integer too large for a
+    double, is a :class:`DataError` naming ``what``."""
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    if isinstance(values, (str, bytes, Mapping)) \
+            or getattr(values, "ndim", 1) != 1:
+        return None
+    try:
+        items = list(values)
+    except TypeError:
+        return None
+    for x in items:
+        if not _is_real(x):
+            if isinstance(x, Iterable) and not isinstance(x, str):
+                return None
+            raise DataError(f"{what} item {x!r} is not a real number")
+    try:
+        return array("d", items)
+    except OverflowError:
+        raise DataError(f"{what} holds an integer too large for a double") \
+            from None
+
+
 @dataclass(frozen=True)
 class FeatureVector:
-    """Parallel (values, names) pair for one feature block."""
+    """Parallel (values, names) pair for one feature block. ``values`` is a
+    plain float64 vector, an ``array('d')``."""
 
-    values: np.ndarray
+    values: array
     names: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
+        values = _float_vector(self.values, "feature values")
+        if values is None:
             raise DataError("feature values must form a 1-d vector")
+        object.__setattr__(self, "values", values)
         if len(values) != len(self.names):
             raise DataError("feature values and names differ in length")
         if len(set(self.names)) != len(self.names):
@@ -88,11 +130,73 @@ class FeatureVector:
 
 def concat_features(*blocks: FeatureVector) -> FeatureVector:
     """Concatenate feature blocks, keeping names aligned with values."""
-    if not blocks:
-        return FeatureVector(np.zeros(0), ())
-    values = np.concatenate([b.values for b in blocks])
+    values = array("d")
+    for b in blocks:
+        values += b.values
     names = tuple(n for b in blocks for n in b.names)
     return FeatureVector(values, names)
+
+
+@dataclass
+class Example:
+    """One (original question, candidate) pair, featurized for the kernel.
+
+    vec holds the dense feature block (similarities and, when enabled, the
+    tree-pair similarity scalar, embeddings, and MT-evaluation features) as
+    a plain float64 vector, an ``array('d')``; any 1-d sequence of finite
+    real numbers is converted to one. tree_first / tree_second are the two
+    REL-linked macro-trees (each side marked with respect to the other);
+    rank_value is the transformed search rank, a float. Blocks a
+    configuration does not use may be None.
+    """
+
+    query_id: str
+    candidate_id: str
+    label: int
+    original_rank: int
+    vec: array | None = None
+    vec_names: tuple[str, ...] = ()
+    rank_value: float | None = None
+    tree_first: SyntaxTree | None = None
+    tree_second: SyntaxTree | None = None
+
+    def __post_init__(self):
+        for name in ("query_id", "candidate_id"):
+            if not isinstance(getattr(self, name), str):
+                raise DataError(f"example {name} must be a string, got "
+                                f"{getattr(self, name)!r}")
+        if type(self.label) is not int or self.label not in (-1, 1):
+            raise DataError(f"example label must be +1 or -1, got {self.label!r}")
+        if type(self.original_rank) is not int or self.original_rank < 1:
+            raise DataError(f"original_rank must be an integer >= 1, got "
+                            f"{self.original_rank!r}")
+        names = self.vec_names
+        if not isinstance(names, (list, tuple)) \
+                or not all(isinstance(n, str) for n in names):
+            raise DataError(f"vec_names must be a list of strings, got "
+                            f"{names!r}")
+        self.vec_names = tuple(names)
+        if self.vec is not None:
+            vec = _float_vector(self.vec, "example vec")
+            if vec is None:
+                raise DataError("example vec must be a 1-d array")
+            if not vec:
+                raise DataError("example vec is empty")
+            if not all(map(math.isfinite, vec)):
+                raise DataError("example vec contains non-finite values")
+            if self.vec_names and len(self.vec_names) != len(vec):
+                raise DataError("vec_names length does not match vec")
+            self.vec = vec
+        if self.rank_value is not None:
+            if not _is_real(self.rank_value):
+                raise DataError(f"rank_value must be a real number, got "
+                                f"{self.rank_value!r}")
+            try:
+                self.rank_value = float(self.rank_value)
+            except OverflowError:       # an integer beyond a double
+                self.rank_value = math.inf
+            if not math.isfinite(self.rank_value):
+                raise DataError("rank_value must be finite")
 
 
 @dataclass(frozen=True)
@@ -378,7 +482,7 @@ def similarity_vector(qo_text: str, qs_text: str,
         counts = _python_counts(a, b, cfg.gst_min_match)
     values = [v for k in range(0, len(counts), _COUNTS_PER_ORDER)
               for v in _measures(*counts[k:k + _COUNTS_PER_ORDER])]
-    return FeatureVector(np.array(values), _SIM_NAMES)
+    return FeatureVector(array("d", values), _SIM_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +492,12 @@ def similarity_vector(qo_text: str, qs_text: str,
 def ptk_feature(tree_o_rel: SyntaxTree, tree_s_rel: SyntaxTree,
                 cfg: KernelConfig) -> float:
     """Normalized partial-tree kernel between the two REL-linked trees of
-    one example — structural similarity of the pair as a single scalar."""
+    one example — structural similarity of the pair as a single scalar.
+
+    The one feature that computes with :mod:`.kernels`; it imports that
+    module, and numpy with it, when it is called."""
+    from .kernels import normalize_kernel, ptk
+
     if tree_o_rel is None or tree_s_rel is None:
         raise DataError("ptk_feature requires both REL-linked trees")
     k_oo = ptk(tree_o_rel, tree_o_rel, cfg.lam, cfg.mu)
@@ -406,17 +515,19 @@ def rank_feature(pos: int, mode: str) -> float:
     return float(pos) if mode == "AS_IS" else 1.0 / pos
 
 
-def embedding_pair(v_new: np.ndarray, v_forum: np.ndarray) -> np.ndarray:
-    """Concatenate the new-question and forum-question embeddings."""
+def embedding_pair(v_new, v_forum) -> array:
+    """Concatenate the new-question and forum-question embeddings, each a
+    1-d sequence of real numbers of one length, into one float64 vector."""
     if v_new is None or v_forum is None:
         raise DataError("embedding_pair requires both vectors")
-    v_new = np.asarray(v_new, dtype=np.float64)
-    v_forum = np.asarray(v_forum, dtype=np.float64)
-    if v_new.ndim != 1 or v_forum.ndim != 1 or v_new.shape != v_forum.shape:
+    a = _float_vector(v_new, "embedding")
+    b = _float_vector(v_forum, "embedding")
+    if a is None or b is None:
+        raise DataError("embedding must be a 1-d vector")
+    if len(a) != len(b):
         raise DataError(
-            f"embedding dimensions disagree: {v_new.shape} vs {v_forum.shape}"
-        )
-    return np.concatenate([v_new, v_forum])
+            f"embedding dimensions disagree: ({len(a)},) vs ({len(b)},)")
+    return a + b
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +679,7 @@ def mte_vector(question: TokenSeq, comment: TokenSeq) -> FeatureVector:
     matches = sum(min(c, r1[g]) for g, c in c1.items())
     precision = matches / len(cand) if cand else 0.0
     recall = matches / len(ref)
-    values = np.array([
+    values = array("d", [
         _sentence_bleu(cand, ref),
         _ter_noshift(cand, ref),
         _meteor_lite(cand, ref),
@@ -595,13 +706,14 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(out)
 
 
-def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Embedding table: one ``id<TAB>v1 v2 … vd`` record per line.
+def load_embeddings(path: str | Path) -> dict[str, array]:
+    """Embedding table: one ``id<TAB>v1 v2 … vd`` record per line, each
+    vector a plain float64 ``array('d')``.
 
     All vectors must share one dimension; duplicate ids and malformed
     numbers are rejected with their line number.
     """
-    table: dict[str, np.ndarray] = {}
+    table: dict[str, array] = {}
     dim = None
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -615,18 +727,18 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             if ident in table:
                 raise DataError(f"{path}:{lineno}: duplicate embedding id {ident!r}")
             try:
-                vec = np.array([float(x) for x in rest.split()], dtype=np.float64)
+                vec = array("d", [float(x) for x in rest.split()])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad number in embedding") from exc
-            if vec.size == 0:
+            if not vec:
                 raise DataError(f"{path}:{lineno}: empty embedding vector")
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, vec)):
                 raise DataError(f"{path}:{lineno}: non-finite embedding value")
             if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
+                dim = len(vec)
+            elif len(vec) != dim:
                 raise DataError(
-                    f"{path}:{lineno}: embedding dimension {vec.size} != {dim}"
+                    f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}"
                 )
             table[ident] = vec
     if not table:

@@ -97,7 +97,7 @@ import os
 import time
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -108,50 +108,11 @@ from . import _native
 # TK_KINDS and VECTOR_KERNELS are re-exported for the old import path
 from .config import TK_KINDS, VECTOR_KERNELS, KernelConfig  # noqa: F401
 from .errors import DataError, NumericalError
+# Example is defined in the numpy-free features module and re-exported here
+from .features import Example
 from .treebank import SyntaxTree
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class Example:
-    """One (original question, candidate) pair, featurized for the kernel.
-
-    vec holds the dense feature block (similarities and, when enabled, the
-    tree-pair similarity scalar, embeddings, and MT-evaluation features);
-    tree_first / tree_second are the two REL-linked macro-trees (each side
-    marked with respect to the other); rank_value is the transformed search
-    rank. Blocks a configuration does not use may be None.
-    """
-
-    query_id: str
-    candidate_id: str
-    label: int
-    original_rank: int
-    vec: np.ndarray | None = None
-    vec_names: tuple[str, ...] = ()
-    rank_value: float | None = None
-    tree_first: SyntaxTree | None = None
-    tree_second: SyntaxTree | None = None
-
-    def __post_init__(self):
-        if type(self.label) is not int or self.label not in (-1, 1):
-            raise DataError(f"example label must be +1 or -1, got {self.label!r}")
-        if type(self.original_rank) is not int or self.original_rank < 1:
-            raise DataError(f"original_rank must be an integer >= 1, got "
-                            f"{self.original_rank!r}")
-        if self.vec is not None:
-            self.vec = np.asarray(self.vec, dtype=np.float64)
-            if self.vec.ndim != 1:
-                raise DataError("example vec must be a 1-d array")
-            if not self.vec.size:
-                raise DataError("example vec is empty")
-            if not np.all(np.isfinite(self.vec)):
-                raise DataError("example vec contains non-finite values")
-            if self.vec_names and len(self.vec_names) != len(self.vec):
-                raise DataError("vec_names length does not match vec")
-        if self.rank_value is not None and not math.isfinite(self.rank_value):
-            raise DataError("rank_value must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +508,7 @@ def _resolve_gamma(cfg: KernelConfig, dim: int) -> float:
     return cfg.gamma if cfg.gamma is not None else 1.0 / dim
 
 
-def _require_vec(e: Example) -> np.ndarray:
+def _require_vec(e: Example) -> array:
     if e.vec is None:
         raise DataError(
             f"similarity block enabled but example ({e.query_id}, "
@@ -565,23 +526,24 @@ def _require_rank(e: Example) -> float:
     return e.rank_value
 
 
-def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
-    if u.shape != v.shape:
+def _check_dims(u, v) -> None:
+    if len(u) != len(v):
         raise DataError(
-            f"feature vectors disagree in dimension: {u.shape} vs {v.shape}"
-        )
+            f"feature vectors disagree in dimension: ({len(u)},) vs "
+            f"({len(v)},)")
 
 
 def _stack(examples, cfg: KernelConfig):
     """The vec block (n×dim, each vec checked against the first) and the
     rank block (n) of ``examples`` as float64 arrays, each None when the
-    config does not use it."""
+    config does not use it. The one place where the examples' plain float
+    vectors become a numpy block: their bytes, joined, read in place."""
     X = r = None
     if cfg.use_sim:
         vecs = [_require_vec(e) for e in examples]
         for v in vecs:
             _check_dims(vecs[0], v)
-        X = np.array(vecs)
+        X = np.frombuffer(b"".join(vecs)).reshape(len(vecs), len(vecs[0]))
     if cfg.use_rank:
         r = np.array([_require_rank(e) for e in examples], dtype=np.float64)
     return X, r
@@ -605,7 +567,7 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
     # precede that message
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.use_sim:
-            u = _require_vec(e)
+            u = np.asarray(_require_vec(e), dtype=np.float64)
             _check_dims(u, X[0])
             if cfg.vec_kernel == "LINEAR":
                 row += np.matmul(X[:, None, :], u[:, None])[:, 0, 0]

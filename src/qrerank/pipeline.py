@@ -20,6 +20,12 @@ training Gram matrix, train the SVM, score the test split against the support
 vectors, rerank, evaluate, and write a predictions TSV plus a small metrics
 report.  No statistic is ever computed across the train/test boundary, and
 all randomness flows from the single seed in :class:`RunConfig`.
+
+This module imports no numpy: corpus loading, featurization and the
+examples files work on plain float vectors.  ``score_examples`` and
+``run_experiment`` import numpy, :mod:`.kernels` and :mod:`.svm` when they
+run, so the ``featurize`` stage never loads them (unless
+``use_ptk_feature`` asks for the tree kernels).
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from __future__ import annotations
 import json
 import logging
 import time
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _native
 from .config import (
@@ -42,6 +48,7 @@ from .config import (
 )
 from .errors import DataError, open_text
 from .features import (
+    Example,
     FeatureConfig,
     FeatureVector,
     concat_features,
@@ -54,12 +61,6 @@ from .features import (
     similarity_vector,
     tokenize,
 )
-from .kernels import (
-    Example,
-    config_fingerprint,
-    gram_matrix,
-    kernel_matrix,
-)
 from .rankeval import (
     Candidate,
     QueryGroup,
@@ -68,8 +69,10 @@ from .rankeval import (
     write_predictions,
 )
 from .rellink import rel_link
-from .svm import train_smo
 from .treebank import SyntaxTree, macro_tree, parse_bracketed, to_bracketed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -317,7 +320,7 @@ def _macro_from(strings, record, side, root_label) -> SyntaxTree:
     return macro_tree(trees, root_label)
 
 
-def _embedding_for(embeddings, explicit_id, fallback_id, record) -> np.ndarray:
+def _embedding_for(embeddings, explicit_id, fallback_id, record) -> array:
     key = explicit_id if explicit_id is not None else fallback_id
     try:
         return embeddings[key]
@@ -366,8 +369,8 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
                 sim_s += time.perf_counter() - start
             if cfg.use_ptk_feature:
                 blocks.append(FeatureVector(
-                    np.array([ptk_feature(tree_first, tree_second,
-                                          cfg.kernel)]),
+                    array("d", [ptk_feature(tree_first, tree_second,
+                                            cfg.kernel)]),
                     ("tree_pair_sim",)))
             if cfg.use_embeddings:
                 v_qo = _embedding_for(embeddings, record.qo_embedding_id,
@@ -375,7 +378,7 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
                 v_qs = _embedding_for(embeddings, record.qs_embedding_id,
                                       record.candidate_id, record)
                 pair = embedding_pair(v_qo, v_qs)
-                dim = pair.size // 2
+                dim = len(pair) // 2
                 names = tuple(f"emb_qo_{i}" for i in range(dim)) + \
                     tuple(f"emb_qs_{i}" for i in range(dim))
                 blocks.append(FeatureVector(pair, names))
@@ -436,6 +439,15 @@ def save_examples(path, examples) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+def _example_tree(obj, key) -> SyntaxTree | None:
+    text = obj[key]
+    if text is None:
+        return None
+    if not isinstance(text, str):
+        raise DataError(f"field {key!r} must be a bracketed tree or null")
+    return parse_bracketed(text)
+
+
 def load_examples(path) -> list[Example]:
     """Read featurized examples written by :func:`save_examples`."""
     examples: list[Example] = []
@@ -452,19 +464,17 @@ def load_examples(path) -> list[Example]:
             if not isinstance(obj, dict):
                 raise _field_error(path, lineno, "record must be a JSON object")
             try:
-                vec = obj["vec"]
+                names = obj.get("vec_names")
                 examples.append(Example(
                     query_id=obj["query_id"],
                     candidate_id=obj["candidate_id"],
                     label=obj["label"],
                     original_rank=obj["original_rank"],
-                    vec=None if vec is None else np.asarray(vec, dtype=float),
-                    vec_names=tuple(obj.get("vec_names") or ()),
+                    vec=obj["vec"],
+                    vec_names=() if names is None else names,
                     rank_value=obj["rank_value"],
-                    tree_first=None if obj["tree_first"] is None
-                    else parse_bracketed(obj["tree_first"]),
-                    tree_second=None if obj["tree_second"] is None
-                    else parse_bracketed(obj["tree_second"]),
+                    tree_first=_example_tree(obj, "tree_first"),
+                    tree_second=_example_tree(obj, "tree_second"),
                 ))
             except KeyError as exc:
                 raise _field_error(path, lineno, f"missing field {exc}") \
@@ -483,6 +493,10 @@ def load_examples(path) -> list[Example]:
 def score_examples(test_examples, model, train_examples,
                    kernel_cfg: KernelConfig) -> np.ndarray:
     """Decision scores of test examples against a trained model's supports."""
+    import numpy as np
+
+    from .kernels import kernel_matrix
+
     needed = max(model.support_indices, default=-1) + 1
     if needed > len(train_examples):
         raise DataError(
@@ -533,6 +547,9 @@ def run_experiment(train_path, test_path, cfg: RunConfig, out_dir) -> dict:
     Writes ``predictions.tsv`` and ``report.txt`` under ``out_dir`` and
     returns a summary dict with the metrics and the kernel fingerprint.
     """
+    from .kernels import config_fingerprint, gram_matrix
+    from .svm import train_smo
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -298,6 +298,37 @@ class TestExitCodes:
         assert (f"error: {train_ex}:1: example vec is empty"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("field,bad,message", [
+        ("vec", lambda v: ["x"] + v[1:],
+         "example vec item 'x' is not a real number"),
+        ("vec", lambda v: "abc", "example vec must be a 1-d array"),
+        ("vec", lambda v: {"a": 1}, "example vec must be a 1-d array"),
+        ("rank_value", lambda v: "x",
+         "rank_value must be a real number, got 'x'"),
+        ("vec", lambda v: [True] + v[1:],
+         "example vec item True is not a real number"),
+        ("rank_value", lambda v: True,
+         "rank_value must be a real number, got True"),
+        ("query_id", lambda v: 5, "example query_id must be a string, got 5"),
+    ], ids=["vec-string-item", "vec-string", "vec-object", "rank-string",
+            "vec-bool-item", "rank-bool", "query-id-int"])
+    def test_malformed_examples_file_is_2(self, field, bad, message, corpora,
+                                          tmp_path, capsys):
+        train_ex = tmp_path / "train.ex"
+        main(["featurize", "--corpus", str(corpora[0]), "--out", str(train_ex)])
+        rows = [json.loads(line) for line in
+                train_ex.read_text(encoding="utf-8").splitlines()]
+        rows[1][field] = bad(rows[1]["vec"])
+        write_jsonl(train_ex, rows)
+        capsys.readouterr()
+        gram = tmp_path / "g.gram"
+        code = main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {train_ex}:2: {message}\n" in err
+        assert "Traceback" not in err
+        assert not gram.exists()
+
     def test_non_finite_gram_is_3_and_writes_no_file(self, corpora, tmp_path,
                                                      capsys):
         """Run as its own process, where a numpy warning would reach

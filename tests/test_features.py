@@ -2,6 +2,7 @@
 
 import math
 import re
+from array import array
 from collections import Counter
 from functools import lru_cache
 
@@ -13,6 +14,7 @@ from qrerank.cli import main
 from qrerank.config import RunConfig
 from qrerank.errors import DataError
 from qrerank.features import (
+    Example,
     FeatureConfig,
     FeatureVector,
     TokenSeq,
@@ -727,6 +729,98 @@ class TestFeatureVectorType:
     def test_token_seq_rejects_empty_token(self):
         with pytest.raises(DataError):
             TokenSeq(("a", ""))
+
+
+class TestPlainFloatVectors:
+    """Feature values and example vecs are ``array('d')``, whatever real
+    sequence they were given as, and numpy reads them without a copy."""
+
+    def example(self, **kwargs):
+        return Example(query_id="q", candidate_id="c", label=1,
+                       original_rank=1, **kwargs)
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 2, np.float32(0.25)],
+        np.array([0.5, 2.0, 0.25]),
+        np.array([0.5, 9.0, 2.0, 9.0, 0.25])[::2],
+        np.array([1, 4, 2, 8], dtype=np.int64)[[0, 2, 1]] / [2, 1, 16],
+        array("d", [0.5, 2.0, 0.25]),
+    ], ids=["list", "ndarray", "strided-view", "int-quotient", "array"])
+    def test_any_real_sequence_becomes_an_array(self, values):
+        fv = FeatureVector(values, ("a", "b", "c"))
+        e = self.example(vec=values)
+        for vec in (fv.values, e.vec):
+            assert type(vec) is array and vec.typecode == "d"
+            assert vec.tolist() == [0.5, 2.0, 0.25]
+
+    def test_one_example_class(self):
+        import qrerank
+        from qrerank import kernels
+        assert kernels.Example is Example is qrerank.Example
+
+    def test_an_array_is_kept_and_read_without_a_copy(self):
+        vec = array("d", [1.0, 2.0])
+        e = self.example(vec=vec)
+        assert e.vec is vec
+        assert np.shares_memory(np.asarray(e.vec), np.frombuffer(vec))
+        assert FeatureVector(vec, ("a", "b")).values is vec
+
+    def test_rank_value_becomes_a_float(self):
+        for rank in (2, np.float64(0.5), np.float32(0.5), np.int64(2)):
+            value = self.example(rank_value=rank).rank_value
+            assert type(value) is float and value == float(rank)
+
+    @pytest.mark.parametrize("vec", [
+        [[1.0, 2.0]], np.zeros((2, 2)), np.float64(1.0), 3.0, "abc",
+        {"a": 1.0},
+    ], ids=["nested-list", "2-d", "numpy-scalar", "scalar", "string",
+            "mapping"])
+    def test_not_1d_rejected(self, vec):
+        with pytest.raises(DataError, match="^example vec must be a 1-d "
+                                            "array$"):
+            self.example(vec=vec)
+        with pytest.raises(DataError, match="^feature values must form a "
+                                            "1-d vector$"):
+            FeatureVector(vec, ("a",))
+
+    @pytest.mark.parametrize("item", [True, np.bool_(False), "1", None,
+                                      1j])
+    def test_non_real_item_rejected(self, item):
+        with pytest.raises(DataError, match="^example vec item .* is not a "
+                                            "real number$"):
+            self.example(vec=[1.0, item])
+
+    def test_integer_beyond_a_double_rejected(self):
+        with pytest.raises(DataError, match="too large for a double"):
+            self.example(vec=[1.0, 10 ** 400])
+        with pytest.raises(DataError, match="rank_value must be finite"):
+            self.example(rank_value=10 ** 400)
+
+    @pytest.mark.parametrize("rank", ["0.5", True, [1.0]])
+    def test_non_real_rank_value_rejected(self, rank):
+        with pytest.raises(DataError, match="rank_value must be a real"):
+            self.example(rank_value=rank)
+
+    @pytest.mark.parametrize("field", ["query_id", "candidate_id"])
+    def test_non_string_ids_rejected(self, field):
+        kwargs = {"query_id": "q", "candidate_id": "c", field: 5}
+        with pytest.raises(DataError, match=f"example {field} must be a "
+                                            "string, got 5"):
+            Example(label=1, original_rank=1, **kwargs)
+
+    @pytest.mark.parametrize("names", [5, "ab", ["a", 1]])
+    def test_bad_vec_names_rejected(self, names):
+        with pytest.raises(DataError, match="vec_names must be a list of "
+                                            "strings"):
+            self.example(vec=[1.0, 2.0], vec_names=names)
+
+    def test_embeddings_are_arrays(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("q1\t0.5 1.5\n", encoding="utf-8")
+        table = load_embeddings(path)
+        pair = embedding_pair(table["q1"], [2, 3])
+        assert type(table["q1"]) is array and type(pair) is array
+        assert pair.tolist() == [0.5, 1.5, 2.0, 3.0]
 
 
 class TestExternalFiles:

@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import qrerank
+from qrerank.cli import main
+
+from conftest import write_corpus
 
 SRC = str(Path(qrerank.__file__).parent.parent)
 TRACED = ("features", "kernels", "svm", "rankeval", "pipeline", "rellink",
@@ -49,6 +52,49 @@ def test_evaluate_loads_no_numpy(tmp_path):
     assert numpy_loaded_after(
         "cli.main(['evaluate', '--predictions', 'p.tsv'])",
         cwd=tmp_path) == (0, False)
+
+
+def featurize_argv(tmp_path):
+    """Write a task-B corpus with trees, and an embedding file covering it,
+    into tmp_path; return the featurize arguments that read them there."""
+    rows = write_corpus(tmp_path / "c.jsonl", n_queries=2, per_query=3,
+                        with_trees=True)
+    ids = sorted({r["query_id"] for r in rows} |
+                 {r["candidate_id"] for r in rows})
+    (tmp_path / "emb.tsv").write_text(
+        "".join(f"{name}\t{i}.5 -{i} 0.25\n" for i, name in enumerate(ids)),
+        encoding="utf-8")
+    return ["featurize", "--task", "B", "--corpus", "c.jsonl",
+            "--out", "c.ex"]
+
+
+# only the tree-pair similarity feature computes with the kernels
+@pytest.mark.parametrize("flags,loaded", [
+    ([], False),
+    (["--use-tk", "--tk-kind", "PTK", "--use-rank"], False),
+    (["--use-embeddings", "--embeddings", "emb.tsv"], False),
+    (["--use-ptk-feature"], True),
+], ids=["default", "taskB-ptk", "embeddings", "ptk-feature"])
+def test_featurize_loads_numpy_only_for_the_ptk_feature(tmp_path, flags,
+                                                         loaded):
+    argv = featurize_argv(tmp_path) + flags
+    assert numpy_loaded_after(f"cli.main({argv!r})",
+                              cwd=tmp_path) == (0, loaded)
+
+
+def test_featurize_runs_with_numpy_blocked(tmp_path, monkeypatch):
+    """With ``sys.modules["numpy"] = None`` any numpy import fails; the
+    examples file is byte-identical to that of a run with numpy loaded."""
+    argv = featurize_argv(tmp_path) + ["--use-tk", "--use-rank",
+                                         "--use-embeddings",
+                                         "--embeddings", "emb.tsv"]
+    run("import sys\nsys.modules['numpy'] = None\n"
+        f"from qrerank import cli\nsys.exit(cli.main({argv!r}))",
+        cwd=tmp_path)
+    blocked = (tmp_path / "c.ex").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert (tmp_path / "c.ex").read_bytes() == blocked
 
 
 def test_import_registers_the_traced_modules_without_running_them():

@@ -847,7 +847,7 @@ def per_cell_gram(examples, gamma):
     for i, e_i in enumerate(examples):
         for j in range(i, n):
             e_j = examples[j]
-            d = e_i.vec - e_j.vec
+            d = np.subtract(e_i.vec, e_j.vec)
             total = 0.0
             total += math.exp(-gamma * float(np.dot(d, d)))
             total += e_i.rank_value * e_j.rank_value

@@ -235,7 +235,7 @@ class TestBuildExamples:
         examples = build_examples(self.records(tmp_path), RunConfig())
         assert len(examples) == 8
         for e in examples:
-            assert e.vec.shape == (20,)
+            assert len(e.vec) == 20
             assert e.vec_names[0] == "sim_n1_gst"
             assert e.vec_names[-1] == "sim_n4_cosine"
             assert e.tree_first is None and e.tree_second is None
@@ -261,7 +261,7 @@ class TestBuildExamples:
         cfg = RunConfig(use_ptk_feature=True)
         examples = build_examples(records, cfg)
         for e in examples:
-            assert e.vec.shape == (21,)
+            assert len(e.vec) == 21
             assert e.vec_names[-1] == "tree_pair_sim"
             if e.label > 0:
                 # identical texts and trees: both REL-linked trees coincide
@@ -295,7 +295,7 @@ class TestBuildExamples:
         cfg = RunConfig(use_embeddings=True, embedding_path=str(emb_path))
         examples = build_examples(records, cfg)
         for e in examples:
-            assert e.vec.shape == (26,)  # 20 sims + 2*3 embedding values
+            assert len(e.vec) == 26  # 20 sims + 2*3 embedding values
             assert e.vec_names[20] == "emb_qo_0"
             assert e.vec_names[23] == "emb_qs_0"
 
@@ -312,7 +312,7 @@ class TestBuildExamples:
         cfg = RunConfig(task="D", use_mte=True)
         examples = build_examples(records, cfg)
         for e in examples:
-            assert e.vec.shape == (27,)  # 20 sims + 7 MTE values
+            assert len(e.vec) == 27  # 20 sims + 7 MTE values
             assert e.vec_names[20] == "mte_bleu"
             assert e.vec_names[-1] == "mte_length_ratio"
 
@@ -329,7 +329,7 @@ class TestBuildExamples:
                         use_embeddings=True, embedding_path=str(emb_path))
         examples = build_examples(records, cfg)
         for e in examples:
-            assert e.vec.shape == (2 * 3 + 7,)
+            assert len(e.vec) == 2 * 3 + 7
 
     def test_mte_needs_comment_text(self, tmp_path):
         records = self.records(tmp_path, task="D")  # no comments
@@ -418,7 +418,47 @@ class TestBuildExamples:
             assert e_a.rank_value == e_b.rank_value
 
 
+# one save_examples line, pinned byte for byte: the 20 similarities of a
+# partly overlapping pair, its INVERSE rank value and both REL-linked trees
+GOLDEN_RECORD = CorpusRecord(
+    query_id="q7", candidate_id="q7_c3", original_rank=3,
+    qo_text="How can I renew my visa in Qatar?",
+    qs_text="Renew the visa in Qatar quickly",
+    gold_label="Relevant",
+    qo_trees=("(S (WHADVP (WRB How)) (VP (MD can) (NP (PRP I)) (VP (VB renew)"
+              " (NP (PRP$ my) (NN visa)) (PP (IN in) (NP (NNP Qatar))))))",),
+    qs_trees=("(S (VP (VB Renew) (NP (DT the) (NN visa)) (PP (IN in)"
+              " (NP (NNP Qatar))) (ADVP (RB quickly))))",))
+GOLDEN_LINE = (
+    '{"query_id": "q7", "candidate_id": "q7_c3", "label": 1, '
+    '"original_rank": 3, "vec": [0.5714285714285714, 0.5, 0.4, 0.5, '
+    '0.5773502691896258, 0.3333333333333333, 0.2857142857142857, 0.2, '
+    '0.2857142857142857, 0.33806170189140655, 0.2, 0.16666666666666666, '
+    '0.1111111111111111, 0.16666666666666666, 0.20412414523193154, 0.0, '
+    '0.0, 0.0, 0.0, 0.0], "vec_names": ["sim_n1_gst", "sim_n1_lcs", '
+    '"sim_n1_jaccard", "sim_n1_containment", "sim_n1_cosine", '
+    '"sim_n2_gst", "sim_n2_lcs", "sim_n2_jaccard", "sim_n2_containment", '
+    '"sim_n2_cosine", "sim_n3_gst", "sim_n3_lcs", "sim_n3_jaccard", '
+    '"sim_n3_containment", "sim_n3_cosine", "sim_n4_gst", "sim_n4_lcs", '
+    '"sim_n4_jaccard", "sim_n4_containment", "sim_n4_cosine"], '
+    '"rank_value": 0.3333333333333333, "tree_first": "(ROOT (S (WHADVP '
+    '(WRB How)) (REL-VP (MD can) (NP (PRP I)) (REL-VP (VB renew) (REL-NP '
+    '(PRP$ my) (NN visa)) (REL-PP (IN in) (REL-NP (NNP Qatar)))))))", '
+    '"tree_second": "(ROOT (S (REL-VP (VB Renew) (REL-NP (DT the) (NN '
+    'visa)) (REL-PP (IN in) (REL-NP (NNP Qatar))) (ADVP (RB '
+    'quickly)))))"}\n')
+
+
 class TestExampleFiles:
+    def test_saved_line_is_pinned(self, tmp_path):
+        cfg = RunConfig(kernel=KernelConfig(use_tk=True, use_rank=True))
+        path = tmp_path / "examples.jsonl"
+        save_examples(path, build_examples([GOLDEN_RECORD], cfg))
+        assert path.read_bytes() == GOLDEN_LINE.encode("utf-8")
+        # and it reads back to the same line
+        save_examples(path, load_examples(path))
+        assert path.read_bytes() == GOLDEN_LINE.encode("utf-8")
+
     def test_round_trip(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl", n_queries=2, per_query=3,
                      with_trees=True)
@@ -478,6 +518,22 @@ class TestExampleFiles:
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n"
                         + json.dumps({**record, field: True}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"examples.jsonl:2: .*{field}"):
+            load_examples(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("vec_names", 5), ("vec_names", ["a", 1]), ("tree_first", 5),
+        ("tree_second", ["(S x)"]),
+    ])
+    def test_bad_names_or_trees_named_with_line(self, tmp_path, field, value):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": [0.5, 1.0],
+                  "vec_names": ["a", "b"], "rank_value": None,
+                  "tree_first": "(S x)", "tree_second": "(S y)"}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps({**record, field: value}) + "\n",
                         encoding="utf-8")
         with pytest.raises(DataError, match=f"examples.jsonl:2: .*{field}"):
             load_examples(path)
