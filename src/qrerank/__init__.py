@@ -32,10 +32,9 @@ _NAMES_BY_MODULE = {
     "config": ("DEFAULT_PHRASE_LABELS", "RANK_MODES", "KernelConfig",
                "RelConfig", "RunConfig", "TrainConfig"),
     "features": ("MTE_NAMES", "SIM_MEASURES", "SIM_NGRAM_ORDERS",
-                 "Example", "FeatureConfig", "FeatureVector", "TokenSeq",
-                 "concat_features", "containment", "cosine",
-                 "embedding_pair", "gst_sim", "jaccard", "lcs_sim",
-                 "load_embeddings", "load_stopwords", "mte_vector",
+                 "Example", "FeatureConfig", "FeatureVector",
+                 "concat_features", "embedding_pair", "load_embeddings",
+                 "load_stopwords", "mte_vector",
                  "ptk_feature", "rank_feature", "similarity_vector",
                  "tokenize"),
     "kernels": ("config_fingerprint", "gram_matrix",

@@ -28,8 +28,6 @@ import hashlib
 import logging
 import os
 import platform
-import shutil
-import tempfile
 from array import array
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -129,9 +127,11 @@ def _build() -> Path:
     path = _library()
     if path.exists():
         return path
-    # imported only for a build: the import alone takes several
+    # imported only for a build: the imports alone take several
     # milliseconds, which every stage loading the cached library would pay
+    import shutil
     import subprocess
+    import tempfile
 
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:

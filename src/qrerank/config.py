@@ -42,6 +42,13 @@ def _check_task(task: str) -> None:
         raise DataError(f"task must be one of {TASKS}, got {task!r}")
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random(-s) is random.Random(s), and numpy rejects a negative
+    # seed with its own ValueError
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class RelConfig:
     """Knobs for the lexical-match linking.
@@ -130,6 +137,7 @@ class TrainConfig:
             raise DataError(f"eps must be positive and finite, got {self.eps}")
         if self.max_passes < 1:
             raise DataError("max_passes must be >= 1")
+        _check_seed(self.seed)
         if not (self.c_scale_pos > 0 and self.c_scale_neg > 0):
             raise DataError("per-class C multipliers must be positive")
 
@@ -167,6 +175,7 @@ class RunConfig:
             raise DataError("gst_min_match must be >= 1")
         if not self.macro_root_label:
             raise DataError("macro_root_label must be non-empty")
+        _check_seed(self.seed)
         extras = (self.use_ptk_feature or self.use_embeddings or self.use_mte)
         if extras and not self.kernel.use_sim:
             raise DataError(

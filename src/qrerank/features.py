@@ -53,26 +53,6 @@ MTE_NAMES = ("mte_bleu", "mte_ter_noshift", "mte_meteor_lite", "mte_nist",
              "mte_precision", "mte_recall", "mte_length_ratio")
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    """An ordered, immutable token sequence. Tokens are never empty strings."""
-
-    tokens: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if any(not t for t in self.tokens):
-            raise DataError("TokenSeq tokens must be non-empty strings")
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
-
 def _is_real(x) -> bool:
     """Whether x is a real number; a bool is not one."""
     return type(x) is float or (isinstance(x, Real)
@@ -221,44 +201,29 @@ def _folded(stopwords: frozenset[str]) -> frozenset[str]:
     return frozenset(s.casefold() for s in stopwords)
 
 
-def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> TokenSeq:
+def tokenize(text: str,
+             stopwords: frozenset[str] | set[str] = frozenset()
+             ) -> tuple[str, ...]:
     """Unicode-aware word tokenization: runs of letters/digits, case-folded,
-    with stopwords removed. Deterministic; empty text gives an empty sequence.
+    with stopwords removed. Deterministic; no token is empty, and empty text
+    gives an empty tuple.
     """
     tokens = [t.casefold() for t in _WORD_RE.findall(text)]
     stop = _folded(frozenset(stopwords))
     if stop:
         tokens = [t for t in tokens if t not in stop]
-    return TokenSeq(tuple(tokens))
+    return tuple(tokens)
+
+
+def _ngrams(tokens: tuple[str, ...], n: int) -> tuple[tuple[str, ...], ...]:
+    """The n-grams of ``tokens``, in order: none when there are fewer than n
+    tokens."""
+    return tuple(tokens[i:i + n] for i in range(len(tokens) - n + 1))
 
 
 # ---------------------------------------------------------------------------
 # similarity measures
 # ---------------------------------------------------------------------------
-
-def jaccard(A: set, B: set) -> float:
-    """|A∩B| / |A∪B|, with 0 for two empty sets."""
-    if not A and not B:
-        return 0.0
-    return len(A & B) / len(A | B)
-
-
-def containment(A: set, B: set) -> float:
-    """|A∩B| / |A| — how much of A (the original-question side) B covers."""
-    if not A:
-        return 0.0
-    return len(A & B) / len(A)
-
-
-def cosine(A: Counter, B: Counter) -> float:
-    """Cosine of the two count vectors; 0 if either is empty."""
-    if not A or not B:
-        return 0.0
-    dot = sum(c * B[g] for g, c in A.items() if g in B)
-    norm_a = math.sqrt(sum(map(operator.mul, A.values(), A.values())))
-    norm_b = math.sqrt(sum(map(operator.mul, B.values(), B.values())))
-    return dot / (norm_a * norm_b)
-
 
 def _match_masks(seq) -> dict:
     """Element -> bitmask of its positions in ``seq`` (bit j = position j)."""
@@ -286,24 +251,11 @@ def _lcs_length(a, b_masks: dict, len_b: int) -> int:
     return len_b - v.bit_count()
 
 
-def lcs_sim(a, b) -> float:
-    """Longest-common-subsequence length over max(len_a, len_b).
-
-    Works on any hashable-element sequences (token sequences or n-gram
-    sequences). Returns 0 when either side is empty. The length comes from
-    the bit-parallel LCS of Allison & Dix / Hyyrö, one big-int step per
-    element of ``a``.
-    """
-    a, b = list(a), list(b)
-    if not a or not b:
-        return 0.0
-    return _lcs_length(a, _match_masks(b), len(b)) / max(len(a), len(b))
-
-
 def _gst_tiled_length(a, b, min_match: int) -> int:
-    """Greedy string tiling: repeatedly take the longest common run of
-    unmarked elements (length >= min_match), marking every non-overlapping
-    occurrence of that length per round. Returns the total tiled length.
+    """Greedy string tiling (Wise 1993): repeatedly take the longest common
+    run of unmarked elements (length >= min_match), marking every
+    non-overlapping occurrence of that length per round. Returns the total
+    tiled length.
 
     ``b``'s positions are indexed by element, so a round visits only the
     equal, unmarked (i, j) pairs, in row-major order; the run lengths of the
@@ -347,26 +299,11 @@ def _gst_tiled_length(a, b, min_match: int) -> int:
     return tiled
 
 
-def gst_sim(a, b, min_match: int = 1) -> float:
-    """Greedy-string-tiling similarity: 2·tiled / (len_a + len_b).
-
-    Greedy string tiling (Wise 1993), each round driven by an index of
-    ``b``'s positions per element, so that it costs the number of equal
-    pairs rather than |a|·|b|.
-    """
-    if min_match < 1:
-        raise DataError(f"min_match must be >= 1, got {min_match}")
-    a, b = list(a), list(b)
-    if not a or not b:
-        return 0.0
-    return 2.0 * _gst_tiled_length(a, b, min_match) / (len(a) + len(b))
-
-
 class _Grams:
     """One text's n-grams of one order, ready for every measure."""
 
     def __init__(self, tokens: tuple[str, ...], n: int):
-        self.seq = tuple(tokens[i:i + n] for i in range(len(tokens) - n + 1))
+        self.seq = _ngrams(tokens, n)
         self.counts = Counter(self.seq)
 
     @cached_property
@@ -377,10 +314,10 @@ class _Grams:
 
 @lru_cache(maxsize=16)
 def _tokens(text: str, stopwords: frozenset) -> tuple[str, ...]:
-    """``tokenize(text, stopwords)``'s tokens. Memoized with a small bound:
-    in task B the original question recurs across its consecutive
-    candidates, and is tokenized once."""
-    return tokenize(text, stopwords).tokens
+    """``tokenize(text, stopwords)``, memoized with a small bound: in task B
+    the original question recurs across its consecutive candidates, and is
+    tokenized once."""
+    return tokenize(text, stopwords)
 
 
 @lru_cache(maxsize=16)
@@ -400,9 +337,9 @@ def _python_counts(a: tuple[str, ...], b: tuple[str, ...],
     """The counts of every order of the token sequences ``a`` and ``b``:
     the GST tiled length, the LCS length, |A∩B|, |A∪B| and |A| over the
     distinct n-grams, the cosine dot product, the two sums of squared
-    counts and the two n-gram counts. ``gst_sim``, ``lcs_sim``,
-    ``jaccard``, ``containment`` and ``cosine`` on the n-gram sequences are
-    the measures of these counts."""
+    counts and the two n-gram counts. This is the Python engine: the
+    fallback where the native one is unavailable, and the reference the
+    tests compare it against."""
     counts = []
     for ga, gb in zip(_profile(a), _profile(b)):
         A, B = ga.counts, gb.counts
@@ -442,7 +379,11 @@ def _measures(tiled: int, lcs: int, inter: int, union: int, size_a: int,
               dot: int, squares_a: int, squares_b: int, len_a: int,
               len_b: int) -> tuple[float, ...]:
     """GST, LCS, Jaccard, containment and cosine of one n-gram order from
-    its counts (see ``_python_counts``); all 0 when a side has no n-gram."""
+    its counts (see ``_python_counts``); all 0 when a side has no n-gram.
+
+    GST is 2·tiled / (len_a + len_b), LCS is lcs / max(len_a, len_b),
+    Jaccard |A∩B| / |A∪B|, containment |A∩B| / |A| (directed from the first
+    text) and cosine the cosine of the two n-gram count vectors."""
     if not len_a or not len_b:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
     return (2.0 * tiled / (len_a + len_b),
@@ -466,12 +407,11 @@ def similarity_vector(qo_text: str, qs_text: str,
     ``sim_n2_jaccard``. Containment is directed from the first (original
     question) argument.
 
-    The values are those of ``gst_sim``, ``lcs_sim``, ``jaccard``,
-    ``containment`` and ``cosine`` on the n-gram sequences. Both engines
-    compute only the integer counts of each order; ``_measures`` makes the
-    floats from them, so the native engine (``_tk.c``) and the Python
-    engine (``_python_counts``, where the native one is unavailable) give
-    the same bits.
+    This is the one definition of the 20 measures. Both engines compute
+    only the integer counts of each order; ``_measures`` makes the floats
+    from them, so the native engine (``_tk.c``) and the Python engine
+    (``_python_counts``, where the native one is unavailable) give the same
+    bits.
     """
     stopwords = frozenset(cfg.stopwords)
     a, b = _tokens(qo_text, stopwords), _tokens(qs_text, stopwords)
@@ -548,15 +488,14 @@ def _sentence_bleu(cand, ref) -> float:
     """
     if not cand:
         return 0.0
-    c1 = Counter(tuple(cand[i:i + 1]) for i in range(len(cand)))
-    r1 = Counter(tuple(ref[i:i + 1]) for i in range(len(ref)))
-    m1 = _clipped_matches(c1, r1)
+    m1 = _clipped_matches(Counter(_ngrams(cand, 1)),
+                          Counter(_ngrams(ref, 1)))
     if m1 == 0:
         return 0.0
     log_sum = math.log(m1 / len(cand))
     for n in range(2, 5):
-        cn = Counter(tuple(cand[i:i + n]) for i in range(len(cand) - n + 1))
-        rn = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+        cn = Counter(_ngrams(cand, n))
+        rn = Counter(_ngrams(ref, n))
         total = sum(cn.values())
         matched = _clipped_matches(cn, rn)
         log_sum += math.log((matched + 1) / (total + 1))
@@ -633,13 +572,10 @@ def _nist(cand, ref) -> float:
     own reference: info(g) = log2(count_ref(prefix(g)) / count_ref(g))."""
     if not cand or not ref:
         return 0.0
-    ref_counts = {
-        n: Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
-        for n in range(1, 6)
-    }
+    ref_counts = {n: Counter(_ngrams(ref, n)) for n in range(1, 6)}
     score = 0.0
     for n in range(1, 6):
-        cn = Counter(tuple(cand[i:i + n]) for i in range(len(cand) - n + 1))
+        cn = Counter(_ngrams(cand, n))
         total = sum(cn.values())
         if total == 0:
             break
@@ -662,21 +598,21 @@ def _nist(cand, ref) -> float:
     return score * bp
 
 
-def mte_vector(question: TokenSeq, comment: TokenSeq) -> FeatureVector:
-    """The seven MT-evaluation features of a (question, comment) pair.
+def mte_vector(question: Iterable[str],
+               comment: Iterable[str]) -> FeatureVector:
+    """The seven MT-evaluation features of a (question, comment) pair, each
+    given as its tokens.
 
     The question plays the candidate-translation role and the comment the
     reference. Both sequences should be tokenized WITHOUT stopword removal.
     An empty comment leaves the length ratio with a zero denominator and is
     rejected.
     """
-    cand = list(question)
-    ref = list(comment)
+    cand = tuple(question)
+    ref = tuple(comment)
     if not ref:
         raise DataError("mte_vector: empty comment (length ratio denominator)")
-    c1 = Counter(cand)
-    r1 = Counter(ref)
-    matches = sum(min(c, r1[g]) for g, c in c1.items())
+    matches = _clipped_matches(Counter(cand), Counter(ref))
     precision = matches / len(cand) if cand else 0.0
     recall = matches / len(ref)
     values = array("d", [
@@ -696,12 +632,13 @@ def mte_vector(question: TokenSeq, comment: TokenSeq) -> FeatureVector:
 # ---------------------------------------------------------------------------
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One token per line, UTF-8; case-folded. Blank lines are ignored."""
+    """One token per line, UTF-8; case-folded. Blank lines and comment
+    lines, whose stripped text starts with ``#``, are ignored."""
     out = set()
     with open_text(path) as fh:
         for line in fh:
             word = line.strip()
-            if word:
+            if word and not word.startswith("#"):
                 out.add(word.casefold())
     return frozenset(out)
 

@@ -105,8 +105,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-# TK_KINDS and VECTOR_KERNELS are re-exported for the old import path
-from .config import TK_KINDS, VECTOR_KERNELS, KernelConfig  # noqa: F401
+from .config import KernelConfig
 from .errors import DataError, NumericalError
 # Example is defined in the numpy-free features module and re-exported here
 from .features import Example

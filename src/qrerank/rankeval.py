@@ -231,6 +231,8 @@ def randomization_test(ap_a, ap_b, resamples: int = 10000,
         raise DataError("paired metric lists are empty")
     if resamples < 1000:
         raise DataError(f"resamples must be >= 1000, got {resamples}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     diffs = a - b
     observed = abs(float(diffs.mean()))
     rng = np.random.default_rng(seed)

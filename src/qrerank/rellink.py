@@ -11,8 +11,7 @@ The operation is asymmetric by design: linking x against y marks x only.
 
 from __future__ import annotations
 
-# DEFAULT_PHRASE_LABELS is re-exported for the old import path
-from .config import DEFAULT_PHRASE_LABELS, RelConfig  # noqa: F401
+from .config import RelConfig
 from .errors import DataError
 from .treebank import SyntaxTree
 

@@ -35,7 +35,7 @@ import hashlib
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +82,7 @@ def _training_checksum(gram: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> str
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(gram).tobytes())
     h.update(np.ascontiguousarray(y.astype(np.int8)).tobytes())
-    h.update(repr((cfg.C, cfg.tol, cfg.eps, cfg.max_passes, cfg.seed,
-                   cfg.c_scale_pos, cfg.c_scale_neg)).encode())
+    h.update(repr(astuple(cfg)).encode())
     return h.hexdigest()
 
 

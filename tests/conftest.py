@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from qrerank import _native
+from qrerank.features import SIM_MEASURES, FeatureConfig, similarity_vector
 from qrerank.treebank import SyntaxTree
 
 
@@ -74,6 +76,33 @@ def random_small_tree(rng, max_nodes=8):
 
 def make_rng(seed=42):
     return np.random.default_rng(seed)
+
+
+def python_engine_vector(monkeypatch, qo, qs, cfg):
+    """``similarity_vector`` on the Python engine, the native one off."""
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load", lambda: None)
+        return similarity_vector(qo, qs, cfg)
+
+
+@pytest.fixture
+def unigram(monkeypatch):
+    """``unigram(a, b, min_match=1)``: the five n = 1 similarities of
+    ``similarity_vector`` between texts whose words are the letters of ``a``
+    and ``b``, as a dict keyed by measure name. Both engines compute them
+    (the native one where it is available) and must agree bit for bit."""
+    native = _native.load()
+
+    def measures(a, b, min_match=1):
+        qo, qs = " ".join(a), " ".join(b)
+        cfg = FeatureConfig(gst_min_match=min_match)
+        fv = python_engine_vector(monkeypatch, qo, qs, cfg)
+        if native is not None:
+            assert [v.hex() for v in similarity_vector(qo, qs, cfg).values] \
+                == [v.hex() for v in fv.values]
+        return dict(zip(SIM_MEASURES, fv.values))
+
+    return measures
 
 
 RELEVANT_TREES = ["(S (NP (DT the) (NN passport)) (VP (VB renew)))"]

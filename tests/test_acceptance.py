@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qrerank.features import gst_sim, jaccard, lcs_sim, similarity_vector
+from qrerank.features import similarity_vector
 from qrerank.kernels import KernelConfig, gram_matrix, ptk, stk
 from qrerank.pipeline import (
     RunConfig,
@@ -154,10 +154,11 @@ def test_metric_fixtures():
 
 @pytest.mark.acceptance(name="All 20 text similarities match hand oracles "
                              "on a reference sentence pair")
-def test_similarity_fixtures():
-    assert abs(jaccard({"a", "b"}, {"b", "c"}) - 1.0 / 3.0) <= 1e-9
-    assert abs(lcs_sim(list("abcde"), list("ace")) - 0.6) <= 1e-9
-    assert abs(gst_sim(list("abcd"), list("bcda"), 2) - 0.75) <= 1e-9
+def test_similarity_fixtures(unigram):
+    # unigram measures of one-letter words, on both engines
+    assert abs(unigram("ab", "bc")["jaccard"] - 1.0 / 3.0) <= 1e-9
+    assert abs(unigram("abcde", "ace")["lcs"] - 0.6) <= 1e-9
+    assert abs(unigram("abcd", "bcda", 2)["gst"] - 0.75) <= 1e-9
 
     fv = similarity_vector("how to get visa for qatar",
                            "visa for qatar how long")

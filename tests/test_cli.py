@@ -370,6 +370,31 @@ class TestExitCodes:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["train", "sigtest"])
+    def test_negative_seed_is_2(self, stage, corpora, tmp_path, capsys):
+        # train: random.Random(-1) is random.Random(1), the model of seed 1;
+        # sigtest: numpy's own ValueError
+        train_ex = tmp_path / "train.ex"
+        gram = tmp_path / "g.gram"
+        pred = tmp_path / "p.tsv"
+        pred.write_text("q1\tc1\t1\t0.5\ttrue\nq1\tc2\t2\t0.25\tfalse\n",
+                        encoding="utf-8")
+        main(["featurize", "--corpus", str(corpora[0]), "--out", str(train_ex)])
+        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        argv = {"train": ["train", "--gram", str(gram),
+                          "--examples", str(train_ex)],
+                "sigtest": ["sigtest", "--predictions-a", str(pred),
+                            "--predictions-b", str(pred),
+                            "--resamples", "1000"]}[stage]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]
+                    + (["--out", str(out)] if stage == "train" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_strict_rerank_fingerprint_mismatch_is_2(self, corpora, tmp_path,
                                                      capsys):
         train, test = corpora

@@ -17,14 +17,8 @@ from qrerank.features import (
     Example,
     FeatureConfig,
     FeatureVector,
-    TokenSeq,
     concat_features,
-    containment,
-    cosine,
     embedding_pair,
-    gst_sim,
-    jaccard,
-    lcs_sim,
     load_embeddings,
     load_stopwords,
     mte_vector,
@@ -38,7 +32,7 @@ from qrerank.pipeline import build_examples, load_corpus
 from qrerank.rellink import rel_link
 from qrerank.treebank import macro_tree, parse_bracketed
 
-from conftest import make_rng, write_corpus, write_jsonl
+from conftest import make_rng, python_engine_vector, write_corpus, write_jsonl
 from oracles import gst_tiled_bruteforce, lcs_bruteforce, ptk_bruteforce
 
 
@@ -78,57 +72,62 @@ class TestTokenize:
         after = features._folded.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
+    def test_a_tuple_of_non_empty_tokens(self):
+        assert tokenize("_ visa -- __ Qatar ?! _x_") == ("visa", "qatar", "x")
+
+
+# The measures are checked through similarity_vector's n = 1 values, on texts
+# of one-letter words, so that its words are the letters given (the unigram
+# fixture of conftest); these are the measures of the letter sequences and of
+# their sets and counts.
 
 class TestSetMeasures:
-    def test_jaccard_identity(self):
-        assert jaccard({"a", "b"}, {"a", "b"}) == 1.0
+    def test_jaccard_identity(self, unigram):
+        assert unigram("ab", "ab")["jaccard"] == 1.0
 
-    def test_jaccard_third(self):
-        assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
+    def test_jaccard_third(self, unigram):
+        assert unigram("ab", "bc")["jaccard"] == pytest.approx(1 / 3)
 
-    def test_jaccard_disjoint_and_empty(self):
-        assert jaccard({"a"}, {"b"}) == 0.0
-        assert jaccard(set(), set()) == 0.0
+    def test_jaccard_disjoint_and_empty(self, unigram):
+        assert unigram("a", "b")["jaccard"] == 0.0
+        assert unigram("", "")["jaccard"] == 0.0
 
-    def test_containment_subset(self):
-        assert containment({"a", "b"}, {"a", "b", "c"}) == 1.0
+    def test_containment_subset(self, unigram):
+        assert unigram("ab", "abc")["containment"] == 1.0
 
-    def test_containment_two_thirds(self):
-        assert containment({"a", "b", "c"}, {"b", "c", "d"}) == pytest.approx(2 / 3)
+    def test_containment_two_thirds(self, unigram):
+        assert unigram("abc", "bcd")["containment"] == pytest.approx(2 / 3)
 
-    def test_containment_empty_a(self):
-        assert containment(set(), {"a"}) == 0.0
+    def test_containment_empty_a(self, unigram):
+        assert unigram("", "a")["containment"] == 0.0
 
-    def test_containment_is_directed(self):
-        A, B = {"a"}, {"a", "b"}
-        assert containment(A, B) == 1.0
-        assert containment(B, A) == 0.5
+    def test_containment_is_directed(self, unigram):
+        assert unigram("a", "ab")["containment"] == 1.0
+        assert unigram("ab", "a")["containment"] == 0.5
 
-    def test_cosine_identity(self):
-        c = Counter({"a": 2, "b": 1})
-        assert cosine(c, c) == pytest.approx(1.0)
+    def test_cosine_identity(self, unigram):
+        assert unigram("aab", "aab")["cosine"] == pytest.approx(1.0)
 
-    def test_cosine_disjoint_or_empty(self):
-        assert cosine(Counter({"a": 1}), Counter({"b": 1})) == 0.0
-        assert cosine(Counter(), Counter({"b": 1})) == 0.0
+    def test_cosine_disjoint_or_empty(self, unigram):
+        assert unigram("a", "b")["cosine"] == 0.0
+        assert unigram("", "b")["cosine"] == 0.0
 
-    def test_cosine_hand_value(self):
-        assert cosine(Counter({"a": 1, "b": 1}), Counter({"a": 1})) == \
-            pytest.approx(1 / math.sqrt(2))
+    def test_cosine_hand_value(self, unigram):
+        assert unigram("ab", "a")["cosine"] == pytest.approx(1 / math.sqrt(2))
 
 
 class TestLCS:
-    def test_identity(self):
-        assert lcs_sim(["a", "b"], ["a", "b"]) == 1.0
+    def test_identity(self, unigram):
+        assert unigram("ab", "ab")["lcs"] == 1.0
 
-    def test_hand_value(self):
-        assert lcs_sim(list("abcde"), list("ace")) == pytest.approx(0.6)
+    def test_hand_value(self, unigram):
+        assert unigram("abcde", "ace")["lcs"] == pytest.approx(0.6)
 
-    def test_disjoint_and_empty(self):
-        assert lcs_sim(["a"], ["b"]) == 0.0
-        assert lcs_sim([], ["a"]) == 0.0
+    def test_disjoint_and_empty(self, unigram):
+        assert unigram("a", "b")["lcs"] == 0.0
+        assert unigram("", "a")["lcs"] == 0.0
 
-    def test_matches_bruteforce(self):
+    def test_matches_bruteforce(self, unigram):
         rng = make_rng(301)
         alphabet = list("abc")
         for _ in range(300):
@@ -136,25 +135,25 @@ class TestLCS:
             b = [alphabet[k] for k in rng.integers(0, 3, rng.integers(0, 8))]
             expected = (lcs_bruteforce(a, b) / max(len(a), len(b))
                         if a and b else 0.0)
-            assert lcs_sim(a, b) == pytest.approx(expected, abs=1e-12)
+            assert unigram(a, b)["lcs"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestGST:
-    def test_identity(self):
-        assert gst_sim(list("abcd"), list("abcd"), 1) == 1.0
+    def test_identity(self, unigram):
+        assert unigram("abcd", "abcd", 1)["gst"] == 1.0
 
-    def test_hand_tiling(self):
-        assert gst_sim(list("abcd"), list("bcda"), 2) == pytest.approx(0.75)
+    def test_hand_tiling(self, unigram):
+        assert unigram("abcd", "bcda", 2)["gst"] == pytest.approx(0.75)
 
-    def test_disjoint_and_empty(self):
-        assert gst_sim(list("ab"), list("cd"), 1) == 0.0
-        assert gst_sim([], list("ab"), 1) == 0.0
+    def test_disjoint_and_empty(self, unigram):
+        assert unigram("ab", "cd", 1)["gst"] == 0.0
+        assert unigram("", "ab", 1)["gst"] == 0.0
 
     def test_min_match_validated(self):
-        with pytest.raises(DataError):
-            gst_sim(["a"], ["a"], 0)
+        with pytest.raises(DataError, match="gst_min_match must be >= 1"):
+            FeatureConfig(gst_min_match=0)
 
-    def test_matches_bruteforce(self):
+    def test_matches_bruteforce(self, unigram):
         rng = make_rng(302)
         alphabet = list("ab")
         for min_match in (1, 2):
@@ -162,7 +161,8 @@ class TestGST:
                 a = [alphabet[k] for k in rng.integers(0, 2, rng.integers(1, 8))]
                 b = [alphabet[k] for k in rng.integers(0, 2, rng.integers(1, 8))]
                 expected = 2 * gst_tiled_bruteforce(a, b, min_match) / (len(a) + len(b))
-                assert gst_sim(a, b, min_match) == pytest.approx(expected, abs=1e-12)
+                assert unigram(a, b, min_match)["gst"] == \
+                    pytest.approx(expected, abs=1e-12)
 
 
 def random_seq(rng, alphabet_size, length):
@@ -174,28 +174,28 @@ class TestLCSBitParallel:
     64-bit words and where few symbols make ties everywhere."""
 
     @pytest.mark.parametrize("alphabet_size", [1, 2, 3])
-    def test_long_side_against_oracle(self, alphabet_size):
+    def test_long_side_against_oracle(self, alphabet_size, unigram):
         rng = make_rng(310 + alphabet_size)
         for _ in range(40):
             short = random_seq(rng, alphabet_size, rng.integers(1, 9))
             long = random_seq(rng, alphabet_size, rng.integers(65, 140))
             length = lcs_bruteforce(short, long)
-            assert lcs_sim(short, long) == length / len(long)
-            assert lcs_sim(long, short) == length / len(long)
+            assert unigram(short, long)["lcs"] == length / len(long)
+            assert unigram(long, short)["lcs"] == length / len(long)
 
     @pytest.mark.parametrize("alphabet_size", [1, 2, 3])
-    def test_both_long_against_dp(self, alphabet_size):
+    def test_both_long_against_dp(self, alphabet_size, unigram):
         rng = make_rng(320 + alphabet_size)
         for _ in range(10):
             a = random_seq(rng, alphabet_size, rng.integers(65, 130))
             b = random_seq(rng, alphabet_size, rng.integers(65, 130))
-            assert lcs_sim(a, b) == ref_lcs_norm(a, b)
+            assert unigram(a, b)["lcs"] == ref_lcs_norm(a, b)
 
 
 class TestGSTIndexed:
     @pytest.mark.parametrize("alphabet_size", [1, 2, 3])
     @pytest.mark.parametrize("min_match", [1, 2, 3])
-    def test_against_oracle(self, alphabet_size, min_match):
+    def test_against_oracle(self, alphabet_size, min_match, unigram):
         rng = make_rng(330 + 3 * alphabet_size + min_match)
         for _ in range(8):
             a = random_seq(rng, alphabet_size, rng.integers(1, 90))
@@ -203,14 +203,14 @@ class TestGSTIndexed:
             for x, y in ((a, b), (b, a)):
                 expected = (2.0 * gst_tiled_bruteforce(x, y, min_match)
                             / (len(x) + len(y)))
-                assert gst_sim(x, y, min_match) == expected
+                assert unigram(x, y, min_match)["gst"] == expected
 
-    def test_repeated_tiles_of_equal_length(self):
+    def test_repeated_tiles_of_equal_length(self, unigram):
         # every "ab" of a tiles once with one "ab" of b, in row-major order
         a = list("ab" * 40)
         b = list("abx" * 30)
         expected = 2.0 * gst_tiled_bruteforce(a, b, 2) / (len(a) + len(b))
-        assert gst_sim(a, b, 2) == expected == 2.0 * 60 / 170
+        assert unigram(a, b, 2)["gst"] == expected == 2.0 * 60 / 170
 
 
 # independent reference implementations for the 20-value fixture ------------
@@ -453,12 +453,6 @@ def _case_texts(case):
     return " ".join(a), " ".join(b), FeatureConfig(stopwords, min_match)
 
 
-def _python_engine_vector(monkeypatch, qo, qs, cfg):
-    with monkeypatch.context() as m:
-        m.setattr(_native, "load", lambda: None)
-        return similarity_vector(qo, qs, cfg)
-
-
 def _bits(fv):
     return [v.hex() for v in fv.values.tolist()]
 
@@ -472,20 +466,20 @@ class TestSimilarityEngines:
     @pytest.mark.parametrize("case", range(len(ENGINE_CASES)))
     def test_same_counts_and_vector(self, native, monkeypatch, case):
         qo, qs, cfg = _case_texts(case)
-        a = tokenize(qo, cfg.stopwords).tokens
-        b = tokenize(qs, cfg.stopwords).tokens
+        a = tokenize(qo, cfg.stopwords)
+        b = tokenize(qs, cfg.stopwords)
         counts = features._python_counts(a, b, cfg.gst_min_match)
         assert features._native_counts(native, a, b, cfg.gst_min_match) \
             == counts
         fv = similarity_vector(qo, qs, cfg)
-        assert _bits(fv) == _bits(_python_engine_vector(monkeypatch, qo, qs,
+        assert _bits(fv) == _bits(python_engine_vector(monkeypatch, qo, qs,
                                                         cfg))
         assert fv.names == features._SIM_NAMES
 
     @pytest.mark.parametrize("case", range(len(GOLDEN_SIM_CASES)))
     def test_python_engine_golden(self, monkeypatch, case):
         qo, qs, cfg = GOLDEN_SIM_CASES[case]
-        assert _bits(_python_engine_vector(monkeypatch, qo, qs, cfg)) == \
+        assert _bits(python_engine_vector(monkeypatch, qo, qs, cfg)) == \
             GOLDEN_SIM_HEX[case]
 
     def test_empty_sides_count_nothing(self, native):
@@ -643,7 +637,7 @@ class TestEmbeddingPair:
 
 class TestMTEVector:
     def seq(self, *tokens):
-        return TokenSeq(tokens)
+        return tokens
 
     def test_identity_pair(self):
         fv = mte_vector(self.seq("a", "b", "c"), self.seq("a", "b", "c"))
@@ -699,15 +693,28 @@ class TestMTEVector:
 
     def test_empty_comment_rejected(self):
         with pytest.raises(DataError, match="comment"):
-            mte_vector(self.seq("a"), TokenSeq(()))
+            mte_vector(self.seq("a"), ())
 
     def test_empty_question_is_all_zero_but_ratio(self):
-        fv = mte_vector(TokenSeq(()), self.seq("a", "b"))
+        fv = mte_vector((), self.seq("a", "b"))
         got = dict(zip(fv.names, fv.values))
         assert got["mte_bleu"] == 0.0
         assert got["mte_precision"] == 0.0
         assert got["mte_length_ratio"] == 0.0
         assert got["mte_ter_noshift"] == 1.0
+
+    def test_golden_bits(self):
+        # repeated words and n-grams up to 5 shared; any change of a bit fails
+        question = tokenize("How can I renew my visa in Qatar, and can my "
+                            "wife renew hers in Qatar too?")
+        comment = tokenize("You can renew the visa in Qatar at the "
+                           "immigration office; my wife did renew hers "
+                           "there in Qatar")
+        assert [v.hex() for v in mte_vector(question, comment).values] == [
+            '0x1.7c4780c33485cp-3', '0x1.0d79435e50d79p-1',
+            '0x1.04f961ff5eaa9p-1', '0x1.2aa920bede283p+1',
+            '0x1.4b4b4b4b4b4b5p-1', '0x1.286bca1af286cp-1',
+            '0x1.ca1af286bca1bp-1']
 
 
 class TestFeatureVectorType:
@@ -725,10 +732,6 @@ class TestFeatureVectorType:
         merged = concat_features(a, b)
         assert merged.names == ("a", "b", "c")
         np.testing.assert_array_equal(merged.values, [1.0, 2.0, 3.0])
-
-    def test_token_seq_rejects_empty_token(self):
-        with pytest.raises(DataError):
-            TokenSeq(("a", ""))
 
 
 class TestPlainFloatVectors:
@@ -828,6 +831,12 @@ class TestExternalFiles:
         path = tmp_path / "stop.txt"
         path.write_text("The\n\na\nOF\n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"the", "a", "of"})
+
+    def test_stopword_file_comments(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("# English stopwords\nThe\n#\n  # note\nof\n",
+                        encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"the", "of"})
 
     def test_embedding_file(self, tmp_path):
         path = tmp_path / "emb.tsv"

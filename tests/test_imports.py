@@ -97,6 +97,23 @@ def test_featurize_runs_with_numpy_blocked(tmp_path, monkeypatch):
     assert (tmp_path / "c.ex").read_bytes() == blocked
 
 
+def test_featurize_with_a_built_library_imports_no_build_modules(tmp_path):
+    """``tempfile`` serves only a build of the native library: a featurize
+    run that finds the library built loads it without that import. (A
+    ``.pth`` file of the interpreter's site may import ``tempfile`` at
+    start-up, so the child drops it from ``sys.modules`` first.)"""
+    from qrerank import _native
+    if _native.load() is None:      # builds the library if it is not there
+        pytest.skip("the native engine is unavailable on this machine")
+    argv = featurize_argv(tmp_path)
+    out = run("import sys\nsys.modules.pop('tempfile', None)\n"
+              "from qrerank import _native, cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, _native.load() is not None,"
+              " 'tempfile' in sys.modules)", cwd=tmp_path)
+    assert out.split()[-3:] == ["0", "True", "False"]
+
+
 def test_import_registers_the_traced_modules_without_running_them():
     out = run("import sys, qrerank\n"
               f"print(all(f'qrerank.{{m}}' in sys.modules for m in {TRACED}),"
