@@ -264,7 +264,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_train(args) -> int:
     from .kernels import config_fingerprint, load_gram
-    from .pipeline import load_examples
+    from .pipeline import load_labels
     from .svm import save_model, train_smo
 
     cfg = config_from_args(args)
@@ -274,12 +274,11 @@ def _cmd_train(args) -> int:
         logger.warning(
             "gram file was computed under a different kernel config "
             "(%s... vs current %s...)", fingerprint[:12], current[:12])
-    examples = load_examples(args.examples)
-    if len(examples) != gram.shape[0]:
+    labels = load_labels(args.examples)
+    if len(labels) != gram.shape[0]:
         raise DataError(
-            f"{len(examples)} examples for a {gram.shape[0]}x"
+            f"{len(labels)} examples for a {gram.shape[0]}x"
             f"{gram.shape[1]} gram matrix")
-    labels = [e.label for e in examples]
     model = train_smo(gram, labels, replace(cfg.train, seed=cfg.seed),
                       kernel_fingerprint=fingerprint)
     save_model(args.out, model)

@@ -12,7 +12,8 @@ config file before any compute module loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .errors import DataError
 
@@ -49,6 +50,23 @@ def _check_seed(seed: int) -> None:
         raise DataError(f"seed must be >= 0, got {seed}")
 
 
+@cache
+def _int_fields(cls) -> tuple[str, ...]:
+    # the annotations are strings under ``from __future__ import
+    # annotations``; get_type_hints would evaluate them, at a cost
+    return tuple(f.name for f in fields(cls) if f.type == "int")
+
+
+def _check_ints(config) -> None:
+    """Raise :class:`DataError` unless every ``int``-annotated field of the
+    dataclass ``config`` holds an int; a bool, a float or a string is
+    refused."""
+    for name in _int_fields(type(config)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RelConfig:
     """Knobs for the lexical-match linking.
@@ -66,6 +84,7 @@ class RelConfig:
     stopwords: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        _check_ints(self)
         if self.min_shared_tokens < 1:
             raise DataError("min_shared_tokens must be >= 1")
 
@@ -129,6 +148,7 @@ class TrainConfig:
     c_scale_neg: float = 1.0
 
     def __post_init__(self):
+        _check_ints(self)
         if not self.C > 0:
             raise DataError(f"C must be positive, got {self.C}")
         if not 0.0 < self.tol < math.inf:
@@ -163,6 +183,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_ints(self)
         _check_task(self.task)
         if self.mte_side not in MTE_SIDES:
             raise DataError(

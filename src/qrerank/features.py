@@ -40,7 +40,7 @@ from numbers import Real
 from pathlib import Path
 
 from . import _native
-from .config import RANK_MODES, KernelConfig
+from .config import RANK_MODES, KernelConfig, _check_ints
 from .errors import DataError, open_text
 from .treebank import SyntaxTree
 
@@ -117,6 +117,12 @@ def concat_features(*blocks: FeatureVector) -> FeatureVector:
     return FeatureVector(values, names)
 
 
+def _check_label(label) -> None:
+    """Raise :class:`DataError` unless ``label`` is the int +1 or -1."""
+    if type(label) is not int or label not in (-1, 1):
+        raise DataError(f"example label must be +1 or -1, got {label!r}")
+
+
 @dataclass
 class Example:
     """One (original question, candidate) pair, featurized for the kernel.
@@ -145,8 +151,7 @@ class Example:
             if not isinstance(getattr(self, name), str):
                 raise DataError(f"example {name} must be a string, got "
                                 f"{getattr(self, name)!r}")
-        if type(self.label) is not int or self.label not in (-1, 1):
-            raise DataError(f"example label must be +1 or -1, got {self.label!r}")
+        _check_label(self.label)
         if type(self.original_rank) is not int or self.original_rank < 1:
             raise DataError(f"original_rank must be an integer >= 1, got "
                             f"{self.original_rank!r}")
@@ -187,6 +192,7 @@ class FeatureConfig:
     gst_min_match: int = 1
 
     def __post_init__(self):
+        _check_ints(self)
         if self.gst_min_match < 1:
             raise DataError("gst_min_match must be >= 1")
 

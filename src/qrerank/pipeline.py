@@ -51,6 +51,7 @@ from .features import (
     Example,
     FeatureConfig,
     FeatureVector,
+    _check_label,
     concat_features,
     embedding_pair,
     load_embeddings,
@@ -91,6 +92,7 @@ __all__ = [
     "build_examples",
     "save_examples",
     "load_examples",
+    "load_labels",
     "make_groups",
     "rank_baseline_groups",
     "score_examples",
@@ -448,21 +450,33 @@ def _example_tree(obj, key) -> SyntaxTree | None:
     return parse_bracketed(text)
 
 
+def _example_records(fh, path):
+    """Yield (line number, JSON object) for each non-blank line of the open
+    examples file ``fh``; a line that is not JSON or not an object raises
+    :class:`DataError` naming ``path`` and the line, and so does a file
+    with no record."""
+    empty = True
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _field_error(path, lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise _field_error(path, lineno, "record must be a JSON object")
+        empty = False
+        yield lineno, obj
+    if empty:
+        raise DataError(f"{path}: empty example file")
+
+
 def load_examples(path) -> list[Example]:
     """Read featurized examples written by :func:`save_examples`."""
     examples: list[Example] = []
     with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _field_error(path, lineno, f"invalid JSON: {exc}") \
-                    from exc
-            if not isinstance(obj, dict):
-                raise _field_error(path, lineno, "record must be a JSON object")
+        for lineno, obj in _example_records(fh, path):
             try:
                 names = obj.get("vec_names")
                 examples.append(Example(
@@ -481,9 +495,25 @@ def load_examples(path) -> list[Example]:
                     from exc
             except DataError as exc:
                 raise _field_error(path, lineno, str(exc)) from exc
-    if not examples:
-        raise DataError(f"{path}: empty example file")
     return examples
+
+
+def load_labels(path) -> list[int]:
+    """The labels of an examples file, in order, checked as
+    :func:`load_examples` checks them; no tree is parsed and no vector
+    converted."""
+    labels: list[int] = []
+    with open_text(path) as fh:
+        for lineno, obj in _example_records(fh, path):
+            try:
+                _check_label(obj["label"])
+            except KeyError as exc:
+                raise _field_error(path, lineno, f"missing field {exc}") \
+                    from exc
+            except DataError as exc:
+                raise _field_error(path, lineno, str(exc)) from exc
+            labels.append(obj["label"])
+    return labels
 
 
 # ---------------------------------------------------------------------------

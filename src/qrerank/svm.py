@@ -25,6 +25,10 @@ Fisher–Yates order of ``random.shuffle``. The bias is numpy's: its mean is
 a pairwise sum. The Python step in :func:`train_smo` stays as the reference
 and runs where the engine cannot be built; no option selects an engine.
 
+The solver holds one Gram matrix plus O(n). A G that is its own transpose
+bit for bit is checked, solved and hashed for ``training_checksum`` in
+place; only a G that is not gets a symmetrized copy, (G + G.T) / 2.
+
 Scores come from the dual expansion r(x) = Σ α_i y_i K(x_i, x) + b, used
 directly as the re-ranking score.
 """
@@ -80,10 +84,34 @@ class TrainedModel:
 
 def _training_checksum(gram: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> str:
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(gram).tobytes())
+    h.update(gram)      # C-ordered, so hashed in place: no copy
     h.update(np.ascontiguousarray(y.astype(np.int8)).tobytes())
     h.update(repr(astuple(cfg)).encode())
     return h.hexdigest()
+
+
+def _symmetric(G: np.ndarray) -> np.ndarray:
+    """The finite square ``G`` as the symmetric matrix the solver reads, in
+    C order. A ``G`` equal to its transpose bit for bit is returned as it
+    is, or as that transpose where only it is C-ordered, since
+    (G + G.T) / 2 would give back the same bits. Any other, one with a
+    ±0.0 or a rounding off its mirror, is replaced by (G + G.T) / 2."""
+    bits = G.view(np.uint64)
+    if np.array_equal(bits, bits.T):
+        return np.ascontiguousarray(G.T if G.flags.f_contiguous else G)
+    with np.errstate(over="ignore"):
+        sym = G - G.T
+        np.abs(sym, out=sym)
+        asym = float(sym.max())
+        if asym > 1e-9:
+            raise NumericalError(
+                f"gram is not symmetric (max asymmetry {asym:.3g})")
+        np.add(G, G.T, out=sym)
+        sym /= 2.0
+    if not np.all(np.isfinite(sym)):
+        raise NumericalError("gram overflows when symmetrized: (G + G.T) / 2 "
+                             "is not finite")
+    return sym
 
 
 def _bias_from_state(alpha, y, g, box, eps):
@@ -144,6 +172,13 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
     are met, and one INFO line with the steps taken, the steps that
     searched a partner in shuffled order, the converged flag, the final
     maximum KKT violation and the engine that ran the steps.
+
+    The caller's array is never written. A float64 ``gram`` in C or
+    Fortran order that is symmetric bit for bit is solved in place, with
+    no n×n copy: the checks allocate one n×n bool at a time and the solver
+    O(n). Any other ``gram`` is copied: strided or non-float64, as it is;
+    not bitwise symmetric, as (G + G.T) / 2, which raises
+    :class:`NumericalError` where it overflows.
     """
     G = np.asarray(gram, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -158,11 +193,8 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         raise DataError("training data contains a single class")
     if not np.all(np.isfinite(G)):
         raise NumericalError("gram contains non-finite values")
-    asym = float(np.max(np.abs(G - G.T))) if n else 0.0
-    if asym > 1e-9:
-        raise NumericalError(f"gram is not symmetric (max asymmetry {asym:.3g})")
     # the native step reads G and y by pointer: C order, no strides
-    G = np.ascontiguousarray((G + G.T) / 2.0)
+    G = _symmetric(G)
     y = np.ascontiguousarray(y)
 
     checksum = _training_checksum(G, y, cfg)

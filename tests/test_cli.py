@@ -1,12 +1,15 @@
 """Command-line interface: config layering, subcommands, exit codes."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qrerank import cli
@@ -16,7 +19,9 @@ from qrerank.cli import (
     parse_config_file,
     resolve_stopword_path,
 )
+from qrerank.config import KernelConfig, TrainConfig
 from qrerank.errors import DataError, NumericalError
+from qrerank.kernels import config_fingerprint, save_gram
 from qrerank.pipeline import RunConfig, load_examples
 from qrerank.svm import load_model
 
@@ -394,6 +399,52 @@ class TestExitCodes:
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        (b'{"label": 0}', "2: example label must be +1 or -1, got 0"),
+        (b'{"label": true}', "2: example label must be +1 or -1, got True"),
+        (b'{"query_id": "q1"}', "2: missing field 'label'"),
+        (b"[1, -1]", "2: record must be a JSON object"),
+        (b'{"label": "\xff"}', " not valid UTF-8"),
+    ], ids=["bad-label", "bool-label", "no-label", "non-object", "non-utf8"])
+    def test_train_refuses_a_bad_examples_line_with_2(
+            self, line, message, corpora, tmp_path, capsys):
+        train_ex = tmp_path / "train.ex"
+        gram = tmp_path / "g.gram"
+        main(["featurize", "--corpus", str(corpora[0]), "--out", str(train_ex)])
+        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        lines = train_ex.read_bytes().splitlines()
+        lines[1] = line
+        train_ex.write_bytes(b"\n".join(lines) + b"\n")
+        model = tmp_path / "m.txt"
+        capsys.readouterr()
+        code = main(["train", "--gram", str(gram), "--examples", str(train_ex),
+                     "--out", str(model)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {train_ex}:{message}")
+        assert "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_gram_entry_beyond_half_the_largest_double_trains_as_is(
+            self, tmp_path, capsys):
+        # a Gram file holds one triangle, so train reads a bitwise-symmetric
+        # matrix, which (G + G.T) / 2 would have overflowed at (0, 0)
+        G = np.eye(4)
+        G[0, 0] = 1.5e308
+        gram = tmp_path / "g.gram"
+        examples = tmp_path / "train.ex"
+        model = tmp_path / "m.txt"
+        save_gram(gram, G, config_fingerprint(KernelConfig()))
+        write_jsonl(examples, [{"label": label} for label in (1, -1, 1, -1)])
+        code = main(["train", "--gram", str(gram), "--examples", str(examples),
+                     "--out", str(model)])
+        assert code == 0
+        expected = hashlib.sha256(G.tobytes() + bytes([1, 255, 1, 255])
+                                  + repr(astuple(TrainConfig())).encode())
+        assert (load_model(model).training_checksum
+                == expected.hexdigest())
 
     def test_strict_rerank_fingerprint_mismatch_is_2(self, corpora, tmp_path,
                                                      capsys):

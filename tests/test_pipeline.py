@@ -1,11 +1,16 @@
 """Corpus loading, featurization, and the end-to-end experiment."""
 
 import json
+import re
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from qrerank.config import RelConfig, _int_fields
 from qrerank.errors import DataError
+from qrerank.features import FeatureConfig
 from qrerank.kernels import Example, KernelConfig, gram_matrix
 from qrerank.pipeline import (
     CorpusRecord,
@@ -15,6 +20,7 @@ from qrerank.pipeline import (
     gold_binary,
     load_corpus,
     load_examples,
+    load_labels,
     make_groups,
     rank_baseline_groups,
     run_experiment,
@@ -222,6 +228,24 @@ class TestRunConfigValidation:
     def test_rank_only_config_ignores_default_sim_toggle(self):
         cfg = RunConfig(kernel=KernelConfig(use_sim=False, use_rank=True))
         assert cfg.use_sim_features  # harmless: no vec block is built
+
+    @pytest.mark.parametrize("cls,name", [
+        (RelConfig, "min_shared_tokens"), (TrainConfig, "max_passes"),
+        (TrainConfig, "seed"), (RunConfig, "gst_min_match"),
+        (RunConfig, "seed"), (FeatureConfig, "gst_min_match"),
+    ])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+    def test_an_int_field_refuses_a_non_integer(self, cls, name, bad):
+        with pytest.raises(DataError, match=re.escape(
+                f"{name} must be an integer, got {bad!r}")):
+            cls(**{name: bad})
+
+    @pytest.mark.parametrize("cls", [RelConfig, KernelConfig, TrainConfig,
+                                     RunConfig, FeatureConfig])
+    def test_the_int_fields_are_those_annotated_int(self, cls):
+        hints = get_type_hints(cls)
+        assert _int_fields(cls) == tuple(
+            f.name for f in fields(cls) if hints[f.name] is int)
 
 
 class TestBuildExamples:
@@ -491,11 +515,34 @@ class TestExampleFiles:
         assert loaded.vec is None
         assert loaded.tree_first is None
 
+    def test_load_labels_reads_no_tree_and_no_vector(self, tmp_path):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": ["x"], "rank_value": None,
+                  "tree_first": "(S", "tree_second": None}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n\n"
+                        + json.dumps({"label": -1}) + "\n", encoding="utf-8")
+        assert load_labels(path) == [1, -1]
+
+    def test_load_labels_agrees_with_load_examples(self, tmp_path):
+        path = tmp_path / "examples.jsonl"
+        write_corpus(tmp_path / "corpus.jsonl", n_queries=2, per_query=4,
+                     relevant_ranks=(2,))
+        save_examples(path, build_examples(
+            load_corpus(tmp_path / "corpus.jsonl", "B"), RunConfig()))
+        assert load_labels(path) == [e.label for e in load_examples(path)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "examples.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataError, match="empty example file"):
             load_examples(path)
+
+    def test_load_labels_rejects_a_file_of_blank_lines(self, tmp_path):
+        path = tmp_path / "examples.jsonl"
+        path.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(DataError, match="empty example file"):
+            load_labels(path)
 
     def test_corrupt_line_named(self, tmp_path):
         path = tmp_path / "examples.jsonl"

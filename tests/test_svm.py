@@ -4,6 +4,8 @@ and the native SMO step: byte for byte against the Python reference."""
 import hashlib
 import random
 import re
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -473,3 +475,111 @@ class TestNativeStep:
             "is on PATH); using the Python engine"]
         assert all(r.getMessage().endswith(", python engine")
                    for r in caplog.records if r.name == "qrerank.svm")
+
+
+# ---------------------------------------------------------------------------
+# the prelude: a bitwise-symmetric Gram is read in place, any other is
+# symmetrized as (G + G.T) / 2
+# ---------------------------------------------------------------------------
+
+def checksum(G, y, cfg):
+    """training_checksum as a copy of the matrix's C-ordered bytes gives it."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(G).tobytes())
+    h.update(np.asarray(y, dtype=np.float64).astype(np.int8).tobytes())
+    h.update(repr(astuple(cfg)).encode())
+    return h.hexdigest()
+
+
+def symmetrized_model_bytes(tmp_path, gram, labels, cfg):
+    """The model file of a solver that symmetrizes every Gram, with that
+    prelude inlined: (G + G.T) / 2 in C order, hashed from a copy."""
+    G = np.asarray(gram, dtype=np.float64)
+    assert float(np.max(np.abs(G - G.T))) <= 1e-9
+    sym = np.ascontiguousarray((G + G.T) / 2.0)
+    model = train_smo(sym, labels, cfg, kernel_fingerprint="fp")
+    assert model.training_checksum == checksum(sym, labels, cfg)
+    path = tmp_path / "reference.txt"
+    save_model(path, model)
+    return path.read_bytes()
+
+
+PRELUDE_CASES = ["bitwise", "near", "signed-zero", "fortran-bitwise",
+                 "fortran-near"]
+
+
+def prelude_gram(case, n=120):
+    """A Gram symmetric bit for bit, or within 1e-10 of its transpose, or
+    with a 0.0 mirrored by a -0.0; in C or Fortran order."""
+    G, y = problem(n, "rbf", seed=16)
+    G = np.triu(G) + np.triu(G, 1).T
+    if case.endswith("near"):
+        G = G + np.triu(make_rng(17).uniform(-1e-10, 1e-10, G.shape), 1)
+    if case == "signed-zero":
+        G[0, 1], G[1, 0] = 0.0, -0.0
+    if case.startswith("fortran"):
+        G = np.asfortranarray(G)
+    return G, y
+
+
+class TestLeanPrelude:
+    @pytest.mark.parametrize("case", PRELUDE_CASES)
+    def test_model_bytes_equal_the_symmetrizing_reference(
+            self, monkeypatch, caplog, tmp_path, case):
+        G, y = prelude_gram(case)
+        assert (np.array_equal(G.view(np.uint64), G.T.view(np.uint64))
+                == case.endswith("bitwise"))
+        cfg = TrainConfig(seed=5)
+        for (ours, reference), _ in both_engines(
+                monkeypatch, caplog,
+                lambda: (model_bytes(tmp_path, G, y, cfg),
+                         symmetrized_model_bytes(tmp_path, G, y, cfg))):
+            assert ours == reference
+
+    @pytest.mark.parametrize("case", PRELUDE_CASES)
+    def test_the_callers_gram_is_not_written(self, case):
+        G, y = prelude_gram(case)
+        before = G.copy(order="K")
+        train_smo(G, y, TrainConfig(seed=5))
+        assert G.flags.f_contiguous == before.flags.f_contiguous
+        assert np.array_equal(G.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("engine", ["native", "python"])
+    def test_a_symmetric_gram_is_not_copied(self, monkeypatch, engine):
+        # a copy of G alone would be 1.0 × G.nbytes; the checks allocate
+        # one n×n bool (0.125 ×) at a time
+        if engine == "python":
+            monkeypatch.setattr(_native, "load", lambda: None)
+        elif _native.load() is None:
+            pytest.skip("the native engine does not build or load here")
+        G, y = prelude_gram("bitwise", n=600)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_smo(G, y, TrainConfig(max_passes=20))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * G.nbytes
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_entry_beyond_half_the_largest_double_stays_finite(self):
+        # (G + G.T) / 2 would turn it into inf
+        G = np.eye(4)
+        G[0, 0] = 1.5e308
+        y = [1, -1, 1, -1]
+        model = train_smo(G, y, TrainConfig())
+        assert model.training_checksum == checksum(G, y, TrainConfig())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cells,message", [
+        ({(0, 0): 1.5e308, (1, 2): 1e-12}, "overflows when symmetrized"),
+        ({(0, 1): 1e308, (1, 0): -1e308}, r"not symmetric \(max asymmetry inf"),
+    ], ids=["near-symmetric", "asymmetric"])
+    def test_an_overflow_off_the_bitwise_path_is_a_numerical_error(
+            self, cells, message):
+        G = np.eye(4)
+        for cell, value in cells.items():
+            G[cell] = value
+        with pytest.raises(NumericalError, match=message):
+            train_smo(G, [1, -1, 1, -1], TrainConfig())
