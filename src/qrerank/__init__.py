@@ -42,8 +42,7 @@ _NAMES_BY_MODULE = {
                 "save_gram", "stk"),
     "pipeline": ("CorpusRecord", "build_examples", "class_counts",
                  "gold_binary", "load_corpus", "load_examples",
-                 "make_groups", "rank_baseline_groups", "run_experiment",
-                 "save_examples", "score_examples", "task_cutoff"),
+                 "make_groups", "save_examples", "score_examples"),
     "rankeval": ("Candidate", "QueryGroup", "average_precision", "evaluate",
                  "per_query_average_precision", "randomization_test",
                  "read_predictions", "rerank", "reranked_candidates",

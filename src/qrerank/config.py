@@ -4,6 +4,8 @@
 :class:`RelConfig`, :class:`KernelConfig` and :class:`TrainConfig` configure
 REL linking, the example-pair kernel and the SMO solver.  Each validates its
 fields on construction and raises :class:`DataError` on a bad value.
+``TASK_SPECS`` is the one table of the ranking tasks: each task's gold
+labels, its relevant labels and its search-rank range.
 
 This module imports no numpy, so the CLI can build its flags and parse its
 config file before any compute module loads.
@@ -14,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache
+from typing import NamedTuple
 
 from .errors import DataError
 
 __all__ = [
+    "TaskSpec",
+    "TASK_SPECS",
     "TASKS",
     "RANK_MODES",
     "TK_KINDS",
@@ -30,7 +35,24 @@ __all__ = [
     "RunConfig",
 ]
 
-TASKS = ("B", "D")
+
+class TaskSpec(NamedTuple):
+    """One ranking task: its gold labels, the ones among them that count as
+    relevant, and the range (lowest, highest) of its candidates' search
+    ranks."""
+
+    labels: tuple[str, ...]
+    relevant: frozenset[str]
+    ranks: tuple[int, int]
+
+
+TASK_SPECS = {
+    "B": TaskSpec(("PerfectMatch", "Relevant", "Irrelevant"),
+                  frozenset({"PerfectMatch", "Relevant"}), (1, 10)),
+    "D": TaskSpec(("Direct", "Related", "Irrelevant"),
+                  frozenset({"Direct", "Related"}), (1, 30)),
+}
+TASKS = tuple(TASK_SPECS)
 RANK_MODES = ("AS_IS", "INVERSE")
 TK_KINDS = ("STK", "PTK")
 VECTOR_KERNELS = ("LINEAR", "RBF")
@@ -39,7 +61,7 @@ DEFAULT_PHRASE_LABELS = frozenset({"NP", "VP", "PP"})
 
 
 def _check_task(task: str) -> None:
-    if task not in TASKS:
+    if task not in TASK_SPECS:
         raise DataError(f"task must be one of {TASKS}, got {task!r}")
 
 

@@ -1,4 +1,5 @@
-"""End-to-end orchestration: corpus ingestion, featurization, experiments.
+"""The pipeline's data layer: corpus ingestion, featurization, examples
+files, scoring and grouping.
 
 The canonical corpus format is JSONL (UTF-8), one candidate pair per line::
 
@@ -15,17 +16,17 @@ validates schema, types, label inventory, rank ranges, and uniqueness with
 line-numbered errors, and logs the gold class counts of every corpus it
 reads.
 
-``run_experiment`` wires the full path: featurize both splits, assemble the
-training Gram matrix, train the SVM, score the test split against the support
-vectors, rerank, evaluate, and write a predictions TSV plus a small metrics
-report.  No statistic is ever computed across the train/test boundary, and
-all randomness flows from the single seed in :class:`RunConfig`.
+The CLI (:mod:`.cli`) is the one orchestration: its ``featurize`` stage
+runs :func:`load_corpus`, :func:`build_examples` and :func:`save_examples`;
+``gram`` reads the examples back with :func:`load_examples`, ``train`` reads
+their labels with :func:`load_labels`, and ``rerank`` scores the test
+examples with :func:`score_examples` and groups them by query with
+:func:`make_groups`.  Each stage writes a file that the next one reads.
 
 This module imports no numpy: corpus loading, featurization and the
-examples files work on plain float vectors.  ``score_examples`` and
-``run_experiment`` import numpy, :mod:`.kernels` and :mod:`.svm` when they
-run, so the ``featurize`` stage never loads them (unless
-``use_ptk_feature`` asks for the tree kernels).
+examples files work on plain float vectors.  ``score_examples`` imports
+numpy and :mod:`.kernels` when it runs, so the ``featurize`` stage never
+loads them (unless ``use_ptk_feature`` asks for the tree kernels).
 """
 
 from __future__ import annotations
@@ -35,17 +36,10 @@ import logging
 import time
 from array import array
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _native
-from .config import (
-    MTE_SIDES,
-    TASKS,
-    KernelConfig,
-    RunConfig,
-    _check_task,
-)
+from .config import TASK_SPECS, KernelConfig, RunConfig, _check_task
 from .errors import DataError, open_text
 from .features import (
     Example,
@@ -62,13 +56,7 @@ from .features import (
     similarity_vector,
     tokenize,
 )
-from .rankeval import (
-    Candidate,
-    QueryGroup,
-    evaluate,
-    reranked_candidates,
-    write_predictions,
-)
+from .rankeval import Candidate, QueryGroup
 from .rellink import rel_link
 from .treebank import SyntaxTree, macro_tree, parse_bracketed, to_bracketed
 
@@ -78,42 +66,17 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "TASKS",
-    "TASK_LABELS",
-    "RELEVANT_LABELS",
-    "TASK_RANK_RANGE",
-    "MTE_SIDES",
     "CorpusRecord",
-    "RunConfig",
     "load_corpus",
     "gold_binary",
     "class_counts",
-    "task_cutoff",
     "build_examples",
     "save_examples",
     "load_examples",
     "load_labels",
     "make_groups",
-    "rank_baseline_groups",
     "score_examples",
-    "run_experiment",
 ]
-
-TASK_LABELS = {
-    "B": ("PerfectMatch", "Relevant", "Irrelevant"),
-    "D": ("Direct", "Related", "Irrelevant"),
-}
-RELEVANT_LABELS = {
-    "B": frozenset({"PerfectMatch", "Relevant"}),
-    "D": frozenset({"Direct", "Related"}),
-}
-TASK_RANK_RANGE = {"B": (1, 10), "D": (1, 30)}
-
-
-def task_cutoff(task: str) -> int:
-    """Evaluation cutoff: the deepest rank the task's retrieval returns."""
-    _check_task(task)
-    return TASK_RANK_RANGE[task][1]
 
 
 @dataclass(frozen=True)
@@ -160,11 +123,12 @@ _OPTIONAL_FIELDS = ("qo_trees", "qs_trees", "comment_text",
 def gold_binary(label: str, task: str) -> int:
     """Map a task's gold label onto the binary training target {+1, -1}."""
     _check_task(task)
-    if label not in TASK_LABELS[task]:
+    spec = TASK_SPECS[task]
+    if label not in spec.labels:
         raise DataError(
             f"unknown gold label {label!r} for task {task} "
-            f"(expected one of {TASK_LABELS[task]})")
-    return 1 if label in RELEVANT_LABELS[task] else -1
+            f"(expected one of {spec.labels})")
+    return 1 if label in spec.relevant else -1
 
 
 def _field_error(path, lineno: int, message: str) -> DataError:
@@ -209,7 +173,7 @@ def load_corpus(path, task: str) -> list[CorpusRecord]:
     records: list[CorpusRecord] = []
     seen_pairs: dict[tuple[str, str], int] = {}
     seen_ranks: dict[tuple[str, int], int] = {}
-    lo, hi = TASK_RANK_RANGE[task]
+    lo, hi = TASK_SPECS[task].ranks
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -517,7 +481,7 @@ def load_labels(path) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# scoring, grouping, and the full experiment
+# scoring and grouping
 # ---------------------------------------------------------------------------
 
 def score_examples(test_examples, model, train_examples,
@@ -539,14 +503,11 @@ def score_examples(test_examples, model, train_examples,
     return K @ model.dual_coefs + model.bias
 
 
-def make_groups(examples, scores=None) -> list[QueryGroup]:
-    """Group examples by query, preserving encounter order.
-
-    With ``scores`` given (one per example) candidates carry them; otherwise
-    candidates are unscored.
-    """
+def make_groups(examples, scores) -> list[QueryGroup]:
+    """Group examples by query, preserving encounter order; each candidate
+    carries its example's score (one per example)."""
     examples = list(examples)
-    if scores is not None and len(scores) != len(examples):
+    if len(scores) != len(examples):
         raise DataError(
             f"{len(scores)} scores for {len(examples)} examples")
     per_query: dict[str, list[Candidate]] = {}
@@ -555,72 +516,7 @@ def make_groups(examples, scores=None) -> list[QueryGroup]:
             candidate_id=e.candidate_id,
             original_rank=e.original_rank,
             gold_relevant=e.label > 0,
-            score=None if scores is None else float(scores[i]),
+            score=float(scores[i]),
         ))
     return [QueryGroup(query_id=qid, candidates=tuple(cands))
             for qid, cands in per_query.items()]
-
-
-def rank_baseline_groups(examples) -> list[QueryGroup]:
-    """Groups ordered by the ingested search rank (the retrieval baseline)."""
-    groups = []
-    for group in make_groups(examples):
-        ordered = tuple(sorted(group.candidates,
-                               key=lambda c: c.original_rank))
-        groups.append(QueryGroup(group.query_id, ordered))
-    return groups
-
-
-def run_experiment(train_path, test_path, cfg: RunConfig, out_dir) -> dict:
-    """Featurize, train, rerank the test split, evaluate, and write outputs.
-
-    Writes ``predictions.tsv`` and ``report.txt`` under ``out_dir`` and
-    returns a summary dict with the metrics and the kernel fingerprint.
-    """
-    from .kernels import config_fingerprint, gram_matrix
-    from .svm import train_smo
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    train_records = load_corpus(train_path, cfg.task)
-    test_records = load_corpus(test_path, cfg.task)
-    train_examples = build_examples(train_records, cfg)
-    test_examples = build_examples(test_records, cfg)
-
-    fingerprint = config_fingerprint(cfg.kernel)
-    gram = gram_matrix(train_examples, cfg.kernel)
-    labels = [e.label for e in train_examples]
-    train_cfg = replace(cfg.train, seed=cfg.seed)
-    model = train_smo(gram, labels, train_cfg,
-                      kernel_fingerprint=fingerprint)
-
-    scores = score_examples(test_examples, model, train_examples, cfg.kernel)
-    groups = [QueryGroup(g.query_id, reranked_candidates(g))
-              for g in make_groups(test_examples, scores)]
-    metrics = evaluate(groups, k=task_cutoff(cfg.task))
-
-    predictions_path = out_dir / "predictions.tsv"
-    write_predictions(predictions_path, groups)
-    report_path = out_dir / "report.txt"
-    report_lines = [
-        "# qrerank-report v1",
-        f"task: {cfg.task}",
-        f"seed: {cfg.seed}",
-        f"config_fingerprint: {fingerprint}",
-        f"train_records: {len(train_examples)}",
-        f"test_records: {len(test_examples)}",
-        f"support_vectors: {len(model.support_indices)}",
-        f"MAP: {metrics['MAP']:.4f}",
-        f"AvgRec: {metrics['AvgRec']:.4f}",
-        f"MRR: {metrics['MRR']:.4f}",
-    ]
-    report_path.write_text("\n".join(report_lines) + "\n", encoding="utf-8")
-
-    return {
-        "metrics": metrics,
-        "fingerprint": fingerprint,
-        "support_vectors": len(model.support_indices),
-        "predictions_path": str(predictions_path),
-        "report_path": str(report_path),
-    }

@@ -332,6 +332,9 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = "qrerank-model v1"
+# the keys of a model file, each on one line, in the order save_model writes
+_MODEL_KEYS = ("n_support", "bias", "kernel_fingerprint", "training_checksum",
+               "support_indices", "dual_coefs")
 
 
 def save_model(path: str | Path, model: TrainedModel) -> None:
@@ -352,7 +355,8 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
 def load_model(path: str | Path, expected_fingerprint: str | None = None,
                strict: bool = False) -> TrainedModel:
     """Read a model file back. Any malformation, a non-finite bias or
-    coefficient included, raises :class:`DataError` naming the file.
+    coefficient, an unknown or repeated key and a repeated support index
+    included, raises :class:`DataError` naming the file.
 
     When ``expected_fingerprint`` is given and disagrees with the stored
     one, strict mode raises; otherwise a warning is logged (the scores would
@@ -369,10 +373,12 @@ def load_model(path: str | Path, expected_fingerprint: str | None = None,
         key, sep, value = line.partition(": ")
         if not sep:
             raise DataError(f"{path}: malformed line {line!r}")
+        if key not in _MODEL_KEYS:
+            raise DataError(f"{path}: unknown model key {key!r}")
+        if key in fields:
+            raise DataError(f"{path}: repeated model key {key!r}")
         fields[key] = value
-    required = {"n_support", "bias", "kernel_fingerprint",
-                "training_checksum", "support_indices", "dual_coefs"}
-    missing = required - fields.keys()
+    missing = set(_MODEL_KEYS) - fields.keys()
     if missing:
         raise DataError(f"{path}: truncated model file, missing {sorted(missing)}")
     try:
@@ -385,6 +391,8 @@ def load_model(path: str | Path, expected_fingerprint: str | None = None,
         raise DataError(f"{path}: malformed model field") from exc
     if len(support) != n_support or len(coefs) != n_support:
         raise DataError(f"{path}: support arrays do not match n_support")
+    if len(set(support)) != n_support:
+        raise DataError(f"{path}: repeated support index")
     fingerprint = fields["kernel_fingerprint"]
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         message = (f"{path}: model kernel fingerprint {fingerprint[:12]}… does "

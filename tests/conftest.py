@@ -1,11 +1,15 @@
-"""Shared helpers: random tree / sequence generators used across test modules."""
+"""Shared helpers: random tree / sequence generators, synthetic corpora and
+the CLI chain, used across test modules."""
 
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qrerank import _native
+from qrerank.cli import main
 from qrerank.features import SIM_MEASURES, FeatureConfig, similarity_vector
 from qrerank.treebank import SyntaxTree
 
@@ -156,6 +160,34 @@ def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
+
+
+def run_chain(train, test, out_dir, flags=()):
+    """Run featurize (both corpora), gram, train and rerank through
+    ``cli.main``, each stage with the config ``flags`` and reading the files
+    the stages before it wrote under ``out_dir``. Returns the paths of those
+    files: ``train_examples``, ``test_examples``, ``gram``, ``model`` and
+    ``predictions``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = SimpleNamespace(
+        train_examples=out / "train.examples",
+        test_examples=out / "test.examples", gram=out / "train.gram",
+        model=out / "model.txt", predictions=out / "predictions.tsv")
+    stages = [
+        ["featurize", "--corpus", train, "--out", paths.train_examples],
+        ["featurize", "--corpus", test, "--out", paths.test_examples],
+        ["gram", "--examples", paths.train_examples, "--out", paths.gram],
+        ["train", "--gram", paths.gram, "--examples", paths.train_examples,
+         "--out", paths.model],
+        ["rerank", "--model", paths.model,
+         "--train-examples", paths.train_examples,
+         "--test-examples", paths.test_examples, "--out", paths.predictions],
+    ]
+    for argv in stages:
+        argv = [str(arg) for arg in argv] + list(flags)
+        assert main(argv) == 0, argv
+    return paths
 
 
 def make_examples(rng, n, dim=8, with_trees=True):

@@ -14,30 +14,36 @@ import time
 import numpy as np
 import pytest
 
+from qrerank.cli import main
+from qrerank.config import RunConfig
 from qrerank.features import similarity_vector
 from qrerank.kernels import KernelConfig, gram_matrix, ptk, stk
 from qrerank.pipeline import (
-    RunConfig,
     build_examples,
     class_counts,
     load_corpus,
+    load_examples,
     make_groups,
-    rank_baseline_groups,
-    run_experiment,
 )
 from qrerank.rankeval import (
     Candidate,
     QueryGroup,
     average_precision,
     evaluate,
-    per_query_average_precision,
-    randomization_test,
     rerank,
+    reranked_candidates,
+    write_predictions,
 )
 from qrerank.svm import TrainConfig, train_smo
 from qrerank.treebank import parse_bracketed
 
-from conftest import make_examples, make_rng, random_small_tree, write_corpus
+from conftest import (
+    make_examples,
+    make_rng,
+    random_small_tree,
+    run_chain,
+    write_corpus,
+)
 from oracles import ptk_bruteforce, stk_bruteforce
 from test_svm import blobs, kkt_violation, linear_gram, scores_on_training
 
@@ -195,14 +201,17 @@ def test_similarity_fixtures(unigram):
 
 @pytest.mark.acceptance(name="End-to-end sanity: perfect features give "
                              "MAP 100 on 50x10 queries in <60s")
-def test_end_to_end_perfect_features(tmp_path):
+def test_end_to_end_perfect_features(tmp_path, capsys):
     start = time.monotonic()
     train = tmp_path / "train.jsonl"
     test = tmp_path / "test.jsonl"
     write_corpus(train, n_queries=50, per_query=10, relevant_ranks=(2, 5, 7))
     write_corpus(test, n_queries=50, per_query=10, relevant_ranks=(3, 6, 9))
-    out = run_experiment(train, test, RunConfig(), tmp_path / "out")
-    assert out["metrics"]["MAP"] == 100.0
+    chain = run_chain(train, test, tmp_path / "out")
+    capsys.readouterr()
+    assert main(["evaluate", "--predictions", str(chain.predictions),
+                 "--k", "10"]) == 0
+    assert "MAP: 100.0000\n" in capsys.readouterr().out
     assert time.monotonic() - start < 60.0
 
 
@@ -227,30 +236,29 @@ def test_inverse_rank_identity(tmp_path):
 @needs_semeval
 @pytest.mark.acceptance(name="SemEval task B: Sim+TK+inverse-rank beats the "
                              "search-engine baseline (p < 0.05)")
-def test_semeval_beats_baseline(tmp_path):
+def test_semeval_beats_baseline(tmp_path, capsys):
     train = os.path.join(SEMEVAL_DIR, "taskB-train.jsonl")
     test = os.path.join(SEMEVAL_DIR, "taskB-test.jsonl")
-    cfg = RunConfig(
-        kernel=KernelConfig(use_sim=True, use_tk=True, use_rank=True),
-        rank_mode="INVERSE")
-    out = run_experiment(train, test, cfg, tmp_path / "semeval")
+    chain = run_chain(train, test, tmp_path / "semeval",
+                      ["--use-sim", "--use-tk", "--use-rank",
+                       "--rank-mode", "INVERSE"])
 
-    rank_only = RunConfig(kernel=KernelConfig(use_sim=False, use_rank=True))
-    test_examples = build_examples(load_corpus(test, "B"), rank_only)
-    baseline_groups = rank_baseline_groups(test_examples)
-    baseline = evaluate(baseline_groups, k=10)
-    assert out["metrics"]["MAP"] > baseline["MAP"]
+    # the search-engine baseline: scored by their INVERSE rank, the test
+    # candidates keep the order the search engine gave them
+    test_examples = load_examples(chain.test_examples)
+    baseline = tmp_path / "baseline.tsv"
+    write_predictions(baseline, [
+        QueryGroup(g.query_id, reranked_candidates(g)) for g in
+        make_groups(test_examples, [e.rank_value for e in test_examples])])
 
-    from qrerank.rankeval import read_predictions
-    model_groups = read_predictions(out["predictions_path"])
-    ap_model = per_query_average_precision(model_groups, k=10)
-    ap_base = per_query_average_precision(baseline_groups, k=10)
-    assert set(ap_model) == set(ap_base)
-    order = sorted(ap_model)
-    p = randomization_test([ap_model[q] for q in order],
-                           [ap_base[q] for q in order],
-                           resamples=10000, seed=1)
-    assert p < 0.05
+    capsys.readouterr()
+    assert main(["sigtest", "--predictions-a", str(chain.predictions),
+                 "--predictions-b", str(baseline), "--k", "10",
+                 "--resamples", "10000", "--seed", "1"]) == 0
+    result = dict(line.split(": ")
+                  for line in capsys.readouterr().out.splitlines())
+    assert float(result["MAP a"]) > float(result["MAP b"])
+    assert float(result["p_value"]) < 0.05
 
 
 @needs_semeval

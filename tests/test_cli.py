@@ -19,13 +19,20 @@ from qrerank.cli import (
     parse_config_file,
     resolve_stopword_path,
 )
-from qrerank.config import KernelConfig, TrainConfig
+from qrerank.config import KernelConfig, RunConfig, TrainConfig
 from qrerank.errors import DataError, NumericalError
 from qrerank.kernels import config_fingerprint, save_gram
-from qrerank.pipeline import RunConfig, load_examples
+from qrerank.pipeline import load_examples
 from qrerank.svm import load_model
+from qrerank.treebank import to_bracketed
 
-from conftest import write_corpus, write_jsonl
+from conftest import (
+    make_rng,
+    random_tree,
+    run_chain,
+    write_corpus,
+    write_jsonl,
+)
 
 
 class TestConfigFile:
@@ -165,27 +172,8 @@ def corpora(tmp_path):
 
 class TestSubcommandFlow:
     def test_full_pipeline(self, corpora, tmp_path, capsys):
-        train, test = corpora
-        train_ex = tmp_path / "train.ex"
-        test_ex = tmp_path / "test.ex"
-        gram = tmp_path / "train.gram"
-        model = tmp_path / "model.txt"
-        pred = tmp_path / "pred.tsv"
-
-        assert main(["featurize", "--corpus", str(train),
-                     "--out", str(train_ex)]) == 0
-        assert main(["featurize", "--corpus", str(test),
-                     "--out", str(test_ex)]) == 0
-        assert main(["gram", "--examples", str(train_ex),
-                     "--out", str(gram)]) == 0
-        assert main(["train", "--gram", str(gram),
-                     "--examples", str(train_ex),
-                     "--out", str(model)]) == 0
-        assert main(["rerank", "--model", str(model),
-                     "--train-examples", str(train_ex),
-                     "--test-examples", str(test_ex),
-                     "--out", str(pred)]) == 0
-        assert main(["evaluate", "--predictions", str(pred),
+        chain = run_chain(*corpora, tmp_path)
+        assert main(["evaluate", "--predictions", str(chain.predictions),
                      "--k", "10"]) == 0
 
         out = capsys.readouterr().out
@@ -193,21 +181,7 @@ class TestSubcommandFlow:
         assert "MRR: 100.0000" in out
 
     def test_sigtest_identical_predictions(self, corpora, tmp_path, capsys):
-        train, test = corpora
-        paths = {}
-        for name, corpus in (("train", train), ("test", test)):
-            paths[name] = tmp_path / f"{name}.ex"
-            main(["featurize", "--corpus", str(corpus),
-                  "--out", str(paths[name])])
-        gram = tmp_path / "g.gram"
-        model = tmp_path / "m.txt"
-        pred = tmp_path / "p.tsv"
-        main(["gram", "--examples", str(paths["train"]), "--out", str(gram)])
-        main(["train", "--gram", str(gram), "--examples",
-              str(paths["train"]), "--out", str(model)])
-        main(["rerank", "--model", str(model),
-              "--train-examples", str(paths["train"]),
-              "--test-examples", str(paths["test"]), "--out", str(pred)])
+        pred = run_chain(*corpora, tmp_path).predictions
         capsys.readouterr()
 
         assert main(["sigtest", "--predictions-a", str(pred),
@@ -242,6 +216,60 @@ class TestSubcommandFlow:
         assert cli.config_from_args(args).kernel.gamma == 0.5
         args = parser.parse_args([*base, "--gamma", "none"])
         assert cli.config_from_args(args).kernel.gamma is None
+
+
+def write_tree_corpus(path, rng, n_queries, per_query=5):
+    """A task-B corpus of random parse trees, each text the words of its
+    tree, so that the candidates' features and scores differ."""
+    rows = []
+    for qi in range(n_queries):
+        qo = random_tree(rng, max_depth=4, max_branch=3)
+        for rank in range(1, per_query + 1):
+            qs = random_tree(rng, max_depth=4, max_branch=3)
+            rows.append({
+                "query_id": f"q{qi}", "candidate_id": f"q{qi}_c{rank}",
+                "original_rank": rank,
+                "qo_text": " ".join(qo.leaves()),
+                "qs_text": " ".join(qs.leaves()),
+                "gold_label": "Relevant" if rng.random() < 0.4
+                else "Irrelevant",
+                "qo_trees": [to_bracketed(qo)],
+                "qs_trees": [to_bracketed(qs)]})
+    write_jsonl(path, rows)
+
+
+class TestRerankOrder:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("tk_kind", ["PTK", "STK"])
+    def test_predictions_do_not_depend_on_candidate_order(self, tk_kind,
+                                                          seed, tmp_path):
+        corpus_rng = make_rng(0)
+        train = tmp_path / "train.jsonl"
+        test = tmp_path / "test.jsonl"
+        write_tree_corpus(train, corpus_rng, n_queries=6)
+        write_tree_corpus(test, corpus_rng, n_queries=4)
+        flags = ["--use-tk", "--tk-kind", tk_kind, "--use-rank"]
+        chain = run_chain(train, test, tmp_path, flags)
+
+        # shuffle the candidates within each query of the test examples
+        by_query: dict[str, list[str]] = {}
+        for line in chain.test_examples.read_text(
+                encoding="utf-8").splitlines(keepends=True):
+            by_query.setdefault(json.loads(line)["query_id"], []).append(line)
+        rng = make_rng(seed)
+        shuffled = [group[i] for group in by_query.values()
+                    for i in rng.permutation(len(group))]
+        assert shuffled != [line for group in by_query.values()
+                            for line in group]
+        shuffled_examples = tmp_path / "shuffled.examples"
+        shuffled_examples.write_text("".join(shuffled), encoding="utf-8")
+
+        predictions = tmp_path / "shuffled.tsv"
+        assert main(["rerank", "--model", str(chain.model),
+                     "--train-examples", str(chain.train_examples),
+                     "--test-examples", str(shuffled_examples),
+                     "--out", str(predictions), *flags]) == 0
+        assert predictions.read_bytes() == chain.predictions.read_bytes()
 
 
 class TestExitCodes:
@@ -448,69 +476,61 @@ class TestExitCodes:
 
     def test_strict_rerank_fingerprint_mismatch_is_2(self, corpora, tmp_path,
                                                      capsys):
-        train, test = corpora
-        train_ex = tmp_path / "train.ex"
-        test_ex = tmp_path / "test.ex"
-        gram = tmp_path / "g.gram"
-        model = tmp_path / "m.txt"
-        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
-        main(["featurize", "--corpus", str(test), "--out", str(test_ex)])
-        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
-        main(["train", "--gram", str(gram), "--examples", str(train_ex),
-              "--out", str(model)])
+        chain = run_chain(*corpora, tmp_path)
         capsys.readouterr()
-        code = main(["rerank", "--model", str(model),
-                     "--train-examples", str(train_ex),
-                     "--test-examples", str(test_ex),
+        code = main(["rerank", "--model", str(chain.model),
+                     "--train-examples", str(chain.train_examples),
+                     "--test-examples", str(chain.test_examples),
                      "--out", str(tmp_path / "p.tsv"),
                      "--strict", "--gamma", "0.25"])
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
 
-    def test_non_finite_model_coefficient_is_2(self, corpora, tmp_path,
-                                               capsys):
-        train, test = corpora
-        train_ex = tmp_path / "train.ex"
-        test_ex = tmp_path / "test.ex"
-        gram = tmp_path / "g.gram"
-        model = tmp_path / "m.txt"
-        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
-        main(["featurize", "--corpus", str(test), "--out", str(test_ex)])
-        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
-        main(["train", "--gram", str(gram), "--examples", str(train_ex),
-              "--out", str(model)])
-        model.write_text(re.sub(r"^dual_coefs: \S+", "dual_coefs: nan",
+    def rerank_with_edited_model(self, pattern, repl, corpora, tmp_path,
+                                 capsys):
+        """Run the chain, apply ``re.sub(pattern, repl)`` to the model file
+        and rerank again: assert exit 2 with no predictions written, and
+        return the model's path and stderr."""
+        chain = run_chain(*corpora, tmp_path)
+        model = chain.model
+        model.write_text(re.sub(pattern, repl,
                                 model.read_text(encoding="utf-8"),
                                 flags=re.M), encoding="utf-8")
         capsys.readouterr()
         out = tmp_path / "p.tsv"
         code = main(["rerank", "--model", str(model),
-                     "--train-examples", str(train_ex),
-                     "--test-examples", str(test_ex), "--out", str(out)])
+                     "--train-examples", str(chain.train_examples),
+                     "--test-examples", str(chain.test_examples),
+                     "--out", str(out)])
         assert code == 2
-        assert (f"error: {model}: dual_coefs must be finite"
-                in capsys.readouterr().err)
         assert not out.exists()
+        return model, capsys.readouterr().err
+
+    def test_non_finite_model_coefficient_is_2(self, corpora, tmp_path,
+                                               capsys):
+        model, err = self.rerank_with_edited_model(
+            r"^dual_coefs: \S+", "dual_coefs: nan", corpora, tmp_path, capsys)
+        assert f"error: {model}: dual_coefs must be finite" in err
+
+    def test_repeated_support_index_in_model_is_2(self, corpora, tmp_path,
+                                                  capsys):
+        # the second support index becomes a copy of the first, which
+        # score_examples would count twice
+        model, err = self.rerank_with_edited_model(
+            r"^(support_indices: (\S+)) \S+", r"\1 \2", corpora, tmp_path,
+            capsys)
+        assert f"error: {model}: repeated support index" in err
 
     def test_short_train_examples_file_is_2(self, corpora, tmp_path, capsys):
-        train, test = corpora
-        train_ex = tmp_path / "train.ex"
-        test_ex = tmp_path / "test.ex"
-        gram = tmp_path / "g.gram"
-        model = tmp_path / "m.txt"
-        main(["featurize", "--corpus", str(train), "--out", str(train_ex)])
-        main(["featurize", "--corpus", str(test), "--out", str(test_ex)])
-        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
-        main(["train", "--gram", str(gram), "--examples", str(train_ex),
-              "--out", str(model)])
+        chain = run_chain(*corpora, tmp_path)
         # the test file has 15 examples, fewer than the model's largest
         # support index needs
-        needed = max(load_model(model).support_indices) + 1
+        needed = max(load_model(chain.model).support_indices) + 1
         assert needed > 15
         capsys.readouterr()
-        code = main(["rerank", "--model", str(model),
-                     "--train-examples", str(test_ex),
-                     "--test-examples", str(test_ex),
+        code = main(["rerank", "--model", str(chain.model),
+                     "--train-examples", str(chain.test_examples),
+                     "--test-examples", str(chain.test_examples),
                      "--out", str(tmp_path / "p.tsv")])
         assert code == 2
         err = capsys.readouterr().err

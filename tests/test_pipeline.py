@@ -1,4 +1,5 @@
-"""Corpus loading, featurization, and the end-to-end experiment."""
+"""Corpus loading, featurization, examples files, scoring, and an
+experiment run through the CLI stages."""
 
 import json
 import re
@@ -8,13 +9,18 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from qrerank.config import RelConfig, _int_fields
+from qrerank.cli import main
+from qrerank.config import RelConfig, RunConfig, _int_fields
 from qrerank.errors import DataError
 from qrerank.features import FeatureConfig
-from qrerank.kernels import Example, KernelConfig, gram_matrix
+from qrerank.kernels import (
+    Example,
+    KernelConfig,
+    config_fingerprint,
+    gram_matrix,
+)
 from qrerank.pipeline import (
     CorpusRecord,
-    RunConfig,
     build_examples,
     class_counts,
     gold_binary,
@@ -22,17 +28,20 @@ from qrerank.pipeline import (
     load_examples,
     load_labels,
     make_groups,
-    rank_baseline_groups,
-    run_experiment,
     save_examples,
     score_examples,
-    task_cutoff,
 )
-from qrerank.rankeval import rerank
-from qrerank.svm import TrainConfig, TrainedModel, train_smo
+from qrerank.rankeval import (
+    QueryGroup,
+    read_predictions,
+    rerank,
+    reranked_candidates,
+    write_predictions,
+)
+from qrerank.svm import TrainConfig, TrainedModel, load_model, train_smo
 from qrerank.treebank import to_bracketed
 
-from conftest import corpus_row, write_corpus, write_jsonl
+from conftest import corpus_row, run_chain, write_corpus, write_jsonl
 
 
 class TestGoldBinary:
@@ -56,10 +65,6 @@ class TestGoldBinary:
     def test_unknown_task_rejected(self):
         with pytest.raises(DataError, match="task"):
             gold_binary("Relevant", "X")
-
-    def test_task_cutoffs(self):
-        assert task_cutoff("B") == 10
-        assert task_cutoff("D") == 30
 
 
 class TestLoadCorpus:
@@ -595,10 +600,11 @@ class TestGroupsAndScoring:
 
     def test_make_groups_preserves_order(self, tmp_path):
         examples = self.build(tmp_path)
-        groups = make_groups(examples)
+        groups = make_groups(examples, [0.0] * len(examples))
         assert [g.query_id for g in groups] == ["q0", "q1", "q2"]
         assert all(len(g.candidates) == 4 for g in groups)
-        assert groups[0].candidates[0].score is None
+        assert [c.candidate_id for c in groups[0].candidates] == \
+            [f"q0_c{rank}" for rank in range(1, 5)]
 
     def test_make_groups_attaches_scores(self, tmp_path):
         examples = self.build(tmp_path)
@@ -612,11 +618,16 @@ class TestGroupsAndScoring:
             make_groups(examples, [1.0])
 
     def test_rank_baseline_orders_by_original_rank(self, tmp_path):
-        examples = self.build(tmp_path)
-        shuffled = examples[::-1]
-        for group in rank_baseline_groups(shuffled):
-            ranks = [c.original_rank for c in group.candidates]
-            assert ranks == sorted(ranks)
+        # the search-engine baseline: scored by INVERSE rank, a shuffled
+        # stream is written, and read back, in the search order
+        shuffled = self.build(tmp_path)[::-1]
+        path = tmp_path / "baseline.tsv"
+        write_predictions(path, [
+            QueryGroup(g.query_id, reranked_candidates(g)) for g in
+            make_groups(shuffled, [e.rank_value for e in shuffled])])
+        for group in read_predictions(path):
+            assert [c.candidate_id for c in group.candidates] == \
+                [f"{group.query_id}_c{rank}" for rank in range(1, 5)]
 
     def test_inverse_rank_scores_reproduce_original_order(self, tmp_path):
         examples = self.build(tmp_path)
@@ -656,23 +667,24 @@ class TestGroupsAndScoring:
 
 
 class TestRunExperiment:
-    def test_perfect_features_give_map_100(self, tmp_path):
+    """Experiments run through the CLI stages, each reading the files the
+    stages before it wrote."""
+
+    def test_perfect_features_give_map_100(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         test = tmp_path / "test.jsonl"
         write_corpus(train, n_queries=6, per_query=5, relevant_ranks=(2, 4))
         write_corpus(test, n_queries=4, per_query=5, relevant_ranks=(3, 5))
-        out = run_experiment(train, test, RunConfig(), tmp_path / "out")
+        chain = run_chain(train, test, tmp_path / "out")
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(chain.predictions),
+                     "--k", "10"]) == 0
+        assert capsys.readouterr().out == \
+            "MAP: 100.0000\nAvgRec: 100.0000\nMRR: 100.0000\n"
 
-        assert out["metrics"]["MAP"] == pytest.approx(100.0)
-        assert out["metrics"]["AvgRec"] == pytest.approx(100.0)
-        assert out["metrics"]["MRR"] == pytest.approx(100.0)
-
-        report = (tmp_path / "out" / "report.txt").read_text()
-        assert "MAP: 100.0000" in report
-        assert f"config_fingerprint: {out['fingerprint']}" in report
-        assert "seed: 0" in report
-
-        predictions = (tmp_path / "out" / "predictions.tsv").read_text()
+        assert load_model(chain.model).kernel_fingerprint == \
+            config_fingerprint(RunConfig().kernel)
+        predictions = chain.predictions.read_text(encoding="utf-8")
         assert len(predictions.strip().splitlines()) == 20
 
     def test_same_seed_byte_identical_predictions(self, tmp_path):
@@ -680,18 +692,20 @@ class TestRunExperiment:
         test = tmp_path / "test.jsonl"
         write_corpus(train, n_queries=5, per_query=5)
         write_corpus(test, n_queries=3, per_query=5)
-        cfg = RunConfig(seed=7)
-        run_experiment(train, test, cfg, tmp_path / "a")
-        run_experiment(train, test, cfg, tmp_path / "b")
-        a = (tmp_path / "a" / "predictions.tsv").read_bytes()
-        b = (tmp_path / "b" / "predictions.tsv").read_bytes()
-        assert a == b
+        a = run_chain(train, test, tmp_path / "a", ["--seed", "7"])
+        b = run_chain(train, test, tmp_path / "b", ["--seed", "7"])
+        assert a.predictions.read_bytes() == b.predictions.read_bytes()
 
-    def test_rank_only_kernel_runs_end_to_end(self, tmp_path):
+    def test_rank_only_kernel_runs_end_to_end(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         test = tmp_path / "test.jsonl"
         write_corpus(train, n_queries=5, per_query=5)
         write_corpus(test, n_queries=3, per_query=5)
-        cfg = RunConfig(kernel=KernelConfig(use_sim=False, use_rank=True))
-        out = run_experiment(train, test, cfg, tmp_path / "out")
-        assert set(out["metrics"]) == {"MAP", "AvgRec", "MRR"}
+        chain = run_chain(train, test, tmp_path / "out",
+                          ["--no-use-sim", "--use-rank"])
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions",
+                     str(chain.predictions)]) == 0
+        assert [line.split(": ")[0] for line in
+                capsys.readouterr().out.splitlines()] == \
+            ["MAP", "AvgRec", "MRR"]

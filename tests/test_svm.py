@@ -290,6 +290,26 @@ class TestModelFile:
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text.replace("support_indices: 0 3",
+                                   "support_indices: 0 0"),
+         "repeated support index"),
+        (lambda text: text + "bias: 0.5\n", "repeated model key 'bias'"),
+        (lambda text: text + "kernel_gamma: 0.5\n",
+         "unknown model key 'kernel_gamma'"),
+    ], ids=["repeated-support-index", "repeated-key", "unknown-key"])
+    def test_ambiguous_file_names_the_file(self, tmp_path, edit, message):
+        # each would score silently wrong if loaded: a support counted
+        # twice, a bias taken from whichever line came last, a key ignored
+        path = tmp_path / "model.txt"
+        save_model(path, TrainedModel(
+            support_indices=(0, 3), dual_coefs=np.array([0.5, -0.5]),
+            bias=0.25, kernel_fingerprint="fp", training_checksum="ck"))
+        path.write_text(edit(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
     def test_empty_support_round_trip(self, tmp_path):
         model = TrainedModel(support_indices=(), dual_coefs=np.zeros(0),
                              bias=-0.125, kernel_fingerprint="fp",
