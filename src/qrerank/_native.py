@@ -49,7 +49,6 @@ class Engine(NamedTuple):
 
     tree_block: Callable
     smo_step: Callable
-    randbelow: Callable
     exp: Callable
     similarity: Callable
 
@@ -57,9 +56,7 @@ class Engine(NamedTuple):
 _SIGNATURES = {
     "tree_block": ([ctypes.c_int, _f64, _f64, _p, _p, _p, _p, _p,
                     ctypes.c_int, _p, _i64, _p, _p, _p], ctypes.c_int),
-    "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64, _f64, _p, _p, _p,
-                  _p, _p, _p, _p], ctypes.c_int),
-    "randbelow": ([_p, _i64, _i64, _p], None),
+    "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64], ctypes.c_int),
     "exp": ([_i64, _p, _p], ctypes.c_int),
     "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }

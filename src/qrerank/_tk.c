@@ -425,134 +425,36 @@ int qrerank_tree_block(int kind, double lam, double mu,
  *
  * qrerank_smo_step runs one step of train_smo's Python reference (its
  * nested function python_step) on the solve's arrays, with the same
- * operations in the same order: the violations of _violations and their
- * maximum with numpy's NaN rule, the seeded tie-picks, the stable order of
- * the violators, the shuffled partner scan and try_pair, Python's min and
- * max (the second argument only when strictly beyond the first), and the
- * update (g + a·G[i]) + b·G[j]. The bias stays in Python: its mean is
- * numpy's pairwise sum. The library is compiled with -ffp-contract=off, so
- * no multiply-add is fused.
+ * operations in the same order: second-order working-set selection (Fan,
+ * Chen & Lin, JMLR 2005) over F_t = y_t - g_t, then try_pair with Python's
+ * min and max (the second argument only when strictly beyond the first) and
+ * the update (g + a·G[i]) + b·G[j]. The library is compiled with
+ * -ffp-contract=off, so no multiply-add is fused.
  * ---------------------------------------------------------------------- */
-
-/* random.Random: CPython's MT19937. mt[0..623] are the words and mt[624]
- * the index, the layout of random.getstate()[1]. */
-enum { MT_N = 624, MT_M = 397 };
-
-static uint32_t mt_word(uint32_t *mt)
-{
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    if (mt[MT_N] >= MT_N) {
-        int k;
-        for (k = 0; k < MT_N - MT_M; k++) {
-            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
-            mt[k] = mt[k + MT_M] ^ (y >> 1) ^ mag01[y & 1U];
-        }
-        for (; k < MT_N - 1; k++) {
-            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
-            mt[k] = mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 1U];
-        mt[MT_N] = 0;
-    }
-    y = mt[mt[MT_N]++];
-    y ^= y >> 11;
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= y >> 18;
-    return y;
-}
-
-/* Random._randbelow(n) for 1 <= n < 2^32, which randrange(n) calls: the top
- * k bits of a word, k the bit length of n, drawn again while >= n */
-static int64_t randbelow(uint32_t *mt, int64_t n)
-{
-    int k = 64 - __builtin_clzll((unsigned long long)n);
-    uint32_t r;
-    do
-        r = mt_word(mt) >> (32 - k);
-    while (r >= n);
-    return r;
-}
-
-/* count draws of randbelow(n) into out: the generator's test hook */
-void qrerank_randbelow(uint32_t *mt, int64_t n, int64_t count, int64_t *out)
-{
-    for (int64_t q = 0; q < count; q++)
-        out[q] = randbelow(mt, n);
-}
 
 enum { SMO_STEPPED = 0, SMO_CONVERGED = 1, SMO_STALLED = 2,
        SMO_NONFINITE = 3 };
 
-typedef struct {
-    int64_t n;
-    const double *G, *y, *box;
-    double *alpha, *g;
-    double eps;
-} Smo;
-
-typedef struct {
-    double v;
-    int64_t k;
-} Violator;
+/* the curvature that stands in for a_ij <= 0, as in LIBSVM */
+static const double SMO_TAU = 1e-12;
 
 static double py_max(double a, double b) { return b > a ? b : a; }
 static double py_min(double a, double b) { return b < a ? b : a; }
 
-/* np.maximum: NaN when either side is NaN */
-static double np_maximum(double a, double b)
+/* a_ij = G_ii + G_jj - 2 G_ij, or SMO_TAU where that is not positive */
+static double curvature(const double *G, int64_t n, int64_t i, int64_t j)
 {
-    return isnan(a) || a >= b ? a : b;
-}
-
-/* the values' maximum, NaN when any is NaN (ndarray.max) */
-static double np_max(const double *v, int64_t n)
-{
-    double m = v[0];
-    for (int64_t k = 0; k < n; k++) {
-        if (isnan(v[k]))
-            return v[k];
-        if (v[k] > m)
-            m = v[k];
-    }
-    return m;
-}
-
-/* tie_pick: a seeded choice among the indices whose value equals target */
-static int64_t tie_pick(uint32_t *mt, const double *v, int64_t n,
-                        double target)
-{
-    int64_t count = 0;
-    for (int64_t k = 0; k < n; k++)
-        count += v[k] == target;
-    int64_t r = randbelow(mt, count);
-    for (int64_t k = 0;; k++)
-        if (v[k] == target && r-- == 0)
-            return k;
-}
-
-/* decreasing violation, then increasing index: a stable argsort of -viol */
-static int by_violation(const void *pa, const void *pb)
-{
-    const Violator *a = pa, *b = pb;
-    if (a->v != b->v)
-        return a->v > b->v ? -1 : 1;
-    return (a->k > b->k) - (a->k < b->k);
+    double a = G[i * n + i] + G[j * n + j] - 2.0 * G[i * n + j];
+    return a <= 0.0 ? SMO_TAU : a;
 }
 
 /* try_pair: optimize (α_i, α_j) analytically; 1 on real progress */
-static int try_pair(const Smo *s, int64_t i, int64_t j)
+static int try_pair(int64_t n, const double *G, const double *y,
+                    const double *box, double *alpha, double *g, double eps,
+                    int64_t i, int64_t j)
 {
-    if (i == j)
-        return 0;
-    const double *Gi = s->G + i * s->n, *Gj = s->G + j * s->n;
-    const double *y = s->y, *box = s->box;
-    double *alpha = s->alpha, *g = s->g;
-    double eta = Gi[i] + Gj[j] - 2.0 * Gi[j];
-    if (eta <= 0.0)
-        return 0;
+    const double *Gi = G + i * n, *Gj = G + j * n;
+    double eta = curvature(G, n, i, j);
     double sgn = y[i] * y[j], L, H;
     if (sgn < 0) {
         L = py_max(0.0, alpha[j] - alpha[i]);
@@ -561,97 +463,71 @@ static int try_pair(const Smo *s, int64_t i, int64_t j)
         L = py_max(0.0, alpha[i] + alpha[j] - box[i]);
         H = py_min(box[j], alpha[i] + alpha[j]);
     }
-    if (H - L < s->eps)
+    if (H - L < eps)
         return 0;
     double E_i = g[i] - y[i], E_j = g[j] - y[j];
     double aj_new = alpha[j] + y[j] * (E_i - E_j) / eta;
     aj_new = py_min(py_max(aj_new, L), H);
     double d_j = aj_new - alpha[j];
-    if (fabs(d_j) < s->eps)
+    if (fabs(d_j) < eps)
         return 0;
     double ai_new = alpha[i] + sgn * (alpha[j] - aj_new);
     ai_new = py_min(py_max(ai_new, 0.0), box[i]);
     double d_i = ai_new - alpha[i];
     double a = d_i * y[i], b = d_j * y[j];
-    for (int64_t k = 0; k < s->n; k++)
+    for (int64_t k = 0; k < n; k++)
         g[k] = g[k] + a * Gi[k] + b * Gj[k];
     alpha[i] = ai_new;
     alpha[j] = aj_new;
     return 1;
 }
 
-/* One step at bias b over the n×n Gram G (row-major, symmetric), labels y,
- * boxes box and the iterate alpha, g (updated in place), drawing from the
- * generator mt. viol and gaps (n doubles), violators and others (n each)
- * are scratch. *worst receives the maximum violation, *scanned 1 when a
- * partner was searched for in shuffled order. Returns SMO_STEPPED,
- * SMO_CONVERGED, SMO_STALLED (no pair makes progress) or SMO_NONFINITE (a
- * maximum is NaN, where the Python reference finds no tie to pick). */
+/* One step over the n×n Gram G (row-major, symmetric), labels y, boxes box
+ * and the iterate alpha, g (updated in place). I_up holds the examples whose
+ * α can move to raise y·α, I_low those that can lower it. i is the first
+ * index maximizing F over I_up (m), M the minimum of F over I_low; j the
+ * first index of I_low with F_j < m minimizing -(m - F_j)^2 / a_ij. Returns
+ * SMO_CONVERGED when m - M <= tol, SMO_STEPPED, SMO_STALLED (the pair does
+ * not move by eps) or SMO_NONFINITE (an F or a selection value is not a
+ * number, or F is infinite). */
 int qrerank_smo_step(int64_t n, const double *G, const double *y,
-                     const double *box, double *alpha, double *g, double b,
-                     double tol, double eps, uint32_t *mt, double *viol,
-                     double *gaps, Violator *violators, int64_t *others,
-                     double *worst, int64_t *scanned)
+                     const double *box, double *alpha, double *g,
+                     double tol, double eps)
 {
-    Smo s = {n, G, y, box, alpha, g, eps};
-    *scanned = 0;
+    double m = -INFINITY, M = INFINITY;
+    int64_t i = -1;
     for (int64_t k = 0; k < n; k++) {
-        double r = y[k] * (g[k] + b) - 1.0, v = 0.0;
-        if (alpha[k] < box[k] - eps)
-            v = np_maximum(v, -r - tol);
-        if (alpha[k] > eps)
-            v = np_maximum(v, r - tol);
-        viol[k] = np_maximum(v, 0.0);
+        double F = y[k] - g[k];
+        if (!isfinite(F))
+            return SMO_NONFINITE;
+        int grow = alpha[k] < box[k] - eps, shrink = alpha[k] > eps;
+        if ((y[k] > 0 ? grow : shrink) && F > m) {
+            m = F;
+            i = k;
+        }
+        if ((y[k] > 0 ? shrink : grow) && F < M)
+            M = F;
     }
-    *worst = np_max(viol, n);
-    if (isnan(*worst))
-        return SMO_NONFINITE;
-    if (*worst <= 0.0)
+    if (m - M <= tol)
         return SMO_CONVERGED;
 
-    /* the worst violator the seed picks, then every violator in order of
-     * decreasing violation (built when the first one finds no partner) */
-    int64_t i = tie_pick(mt, viol, n, *worst), nviol = -1;
-    for (int64_t q = -1; q < nviol || nviol < 0; q++) {
-        if (q >= 0) {
-            if (nviol < 0) {
-                nviol = 0;
-                for (int64_t k = 0; k < n; k++)
-                    if (viol[k] > 0.0)
-                        violators[nviol++] = (Violator){viol[k], k};
-                qsort(violators, (size_t)nviol, sizeof *violators,
-                      by_violation);
-                if (q >= nviol)
-                    break;
-            }
-            i = violators[q].k;
-        }
-        double E_i = g[i] - y[i];
-        for (int64_t k = 0; k < n; k++)
-            gaps[k] = fabs(E_i - (g[k] - y[k]));
-        double top = np_max(gaps, n);
-        if (isnan(top))
+    double best = INFINITY;
+    int64_t j = -1;
+    for (int64_t k = 0; k < n; k++) {
+        double F = y[k] - g[k];
+        int low = y[k] > 0 ? alpha[k] > eps : alpha[k] < box[k] - eps;
+        if (!low || !(F < m))
+            continue;
+        double b = m - F, obj = -(b * b) / curvature(G, n, i, k);
+        if (isnan(obj))
             return SMO_NONFINITE;
-        int64_t j = tie_pick(mt, gaps, n, top);
-        if (try_pair(&s, i, j))
-            return SMO_STEPPED;
-        /* random.shuffle of the other indices, ascending: Fisher-Yates
-         * from the end, then the first partner that makes progress */
-        int64_t m = 0;
-        for (int64_t k = 0; k < n; k++)
-            if (k != i && k != j)
-                others[m++] = k;
-        for (int64_t p = m - 1; p > 0; p--) {
-            int64_t r = randbelow(mt, p + 1), t = others[p];
-            others[p] = others[r];
-            others[r] = t;
+        if (obj < best) {
+            best = obj;
+            j = k;
         }
-        *scanned = 1;
-        for (int64_t p = 0; p < m; p++)
-            if (try_pair(&s, i, others[p]))
-                return SMO_STEPPED;
     }
-    return SMO_STALLED;
+    return try_pair(n, G, y, box, alpha, g, eps, i, j) ? SMO_STEPPED
+                                                       : SMO_STALLED;
 }
 
 /* ------------------------------------------------------------------------

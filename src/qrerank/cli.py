@@ -15,12 +15,12 @@ flat ``key = value`` config file (``--config``), then explicit command-line
 flags.  The keys, their parsers and the flags are all derived from the
 fields of :class:`RunConfig`; the fields of its nested configs take dotted
 keys (``kernel.lam = 0.4``, ``train.C = 1.0``, ``rel.min_shared_tokens =
-2``).  ``train.seed`` and ``rel.stopwords`` have no key, since ``seed`` and
-``stopword_path`` set them.  A key's flag is its last dotted part with ``-``
-for ``_`` (``kernel.use_tk`` is ``--use-tk``, booleans also take
-``--no-use-tk``), except ``--stopwords`` (``stopword_path``),
-``--embeddings`` (``embedding_path``), ``--svm-c`` (``train.C``) and
-``--smo-eps`` (``train.eps``).
+2``).  ``rel.stopwords`` has no key, since ``stopword_path`` sets it.  A
+key's flag is its last dotted part with ``-`` for ``_`` (``kernel.use_tk``
+is ``--use-tk``, booleans also take ``--no-use-tk``), except
+``--stopwords`` (``stopword_path``), ``--embeddings`` (``embedding_path``),
+``--svm-c`` (``train.C``) and ``--smo-eps`` (``train.eps``).  No stage but
+``sigtest`` takes a seed.
 
 This module imports only ``config`` and ``errors``; each subcommand imports
 the modules it calls when it runs.  So ``--help`` and a usage error load no
@@ -41,7 +41,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import get_type_hints
 
 from .config import (
@@ -94,9 +94,9 @@ _PARSERS = {
     frozenset[str]: _parse_labels,
 }
 
-# fields that other keys set: ``seed`` seeds the solver and the words in
-# ``stopword_path`` fill ``rel.stopwords``
-_SET_ELSEWHERE = {"train.seed", "rel.stopwords"}
+# fields that other keys set: the words in ``stopword_path`` fill
+# ``rel.stopwords``
+_SET_ELSEWHERE = {"rel.stopwords"}
 
 
 def _config_fields(cls, prefix=""):
@@ -279,8 +279,7 @@ def _cmd_train(args) -> int:
         raise DataError(
             f"{len(labels)} examples for a {gram.shape[0]}x"
             f"{gram.shape[1]} gram matrix")
-    model = train_smo(gram, labels, replace(cfg.train, seed=cfg.seed),
-                      kernel_fingerprint=fingerprint)
+    model = train_smo(gram, labels, cfg.train, kernel_fingerprint=fingerprint)
     save_model(args.out, model)
     print(f"trained on {len(labels)} examples, "
           f"{len(model.support_indices)} support vectors -> {args.out}")

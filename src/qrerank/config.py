@@ -65,13 +65,6 @@ def _check_task(task: str) -> None:
         raise DataError(f"task must be one of {TASKS}, got {task!r}")
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random(-s) is random.Random(s), and numpy rejects a negative
-    # seed with its own ValueError
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-
-
 @cache
 def _int_fields(cls) -> tuple[str, ...]:
     # the annotations are strings under ``from __future__ import
@@ -165,7 +158,6 @@ class TrainConfig:
     tol: float = 1e-3
     eps: float = 1e-9
     max_passes: int = 10000
-    seed: int = 0
     c_scale_pos: float = 1.0
     c_scale_neg: float = 1.0
 
@@ -179,7 +171,6 @@ class TrainConfig:
             raise DataError(f"eps must be positive and finite, got {self.eps}")
         if self.max_passes < 1:
             raise DataError("max_passes must be >= 1")
-        _check_seed(self.seed)
         if not (self.c_scale_pos > 0 and self.c_scale_neg > 0):
             raise DataError("per-class C multipliers must be positive")
 
@@ -202,7 +193,6 @@ class RunConfig:
     stopword_path: str | None = None
     embedding_path: str | None = None
     macro_root_label: str = "ROOT"
-    seed: int = 0
 
     def __post_init__(self):
         _check_ints(self)
@@ -218,7 +208,6 @@ class RunConfig:
             raise DataError("gst_min_match must be >= 1")
         if not self.macro_root_label:
             raise DataError("macro_root_label must be non-empty")
-        _check_seed(self.seed)
         extras = (self.use_ptk_feature or self.use_embeddings or self.use_mte)
         if extras and not self.kernel.use_sim:
             raise DataError(

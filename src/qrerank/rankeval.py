@@ -45,7 +45,7 @@ class Candidate:
     candidate_id: str
     original_rank: int
     gold_relevant: bool
-    score: float | None = None
+    score: float
 
     def __post_init__(self):
         if not self.candidate_id:
@@ -54,11 +54,15 @@ class Candidate:
             raise DataError(
                 f"original_rank must be a positive integer, got "
                 f"{self.original_rank!r}")
-        if self.score is not None:
+        try:
             score = float(self.score)
-            if not math.isfinite(score):
-                raise DataError(f"score must be finite, got {self.score!r}")
-            object.__setattr__(self, "score", score)
+        except (TypeError, ValueError):
+            score = math.nan
+        if not math.isfinite(score):
+            raise DataError(
+                f"score of candidate {self.candidate_id!r} must be a finite "
+                f"float, got {self.score!r}")
+        object.__setattr__(self, "score", score)
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,6 @@ class QueryGroup:
 
 def reranked_candidates(group: QueryGroup) -> tuple[Candidate, ...]:
     """Candidates sorted by descending score, ties by ascending original rank."""
-    for c in group.candidates:
-        if c.score is None:
-            raise DataError(
-                f"candidate {c.candidate_id!r} in query {group.query_id!r} "
-                f"has no score")
     return tuple(sorted(group.candidates,
                         key=lambda c: (-c.score, c.original_rank)))
 
@@ -257,10 +256,6 @@ def write_predictions(path, groups) -> None:
     lines = []
     for group in groups:
         for position, c in enumerate(group.candidates, start=1):
-            if c.score is None:
-                raise DataError(
-                    f"candidate {c.candidate_id!r} in query "
-                    f"{group.query_id!r} has no score")
             gold = "true" if c.gold_relevant else "false"
             lines.append(f"{group.query_id}\t{c.candidate_id}\t{position}\t"
                          f"{c.score!r}\t{gold}")

@@ -5,25 +5,24 @@ The solver maximizes the usual dual
     W(α) = Σ α_i − ½ Σ_ij α_i α_j y_i y_j G_ij,   0 ≤ α_i ≤ C_i,  Σ α_i y_i = 0
 
 by repeatedly optimizing one pair of variables analytically. Working pairs
-follow the first-order heuristic: the worst KKT violator is paired with the
-partner maximizing |E_i − E_j|; exact ties are broken by a seeded
-``random.Random``, and when that partner makes no progress the other
-examples are tried in an order the same generator shuffles, so training is
-bit-for-bit reproducible for a fixed seed. Convergence is declared when no
-example violates its KKT condition by more than ``tol``, measured with the
-same bias rule the final model ships with.
+follow second-order working-set selection (Fan, Chen & Lin, JMLR 2005, as
+in LIBSVM). With F_t = y_t − g_t, i is the example with the largest F
+among those whose y_t·α_t can still grow, and j, among those whose
+y_t·α_t can still shrink, the one whose pair update raises W the most
+under the curvature G_ii + G_jj − 2G_ij (a constant τ where that is not
+positive). Ties go to the first index, so training is deterministic.
+Convergence is declared when that largest F exceeds the smallest F of
+the examples that can shrink by no more than ``tol``; no example then
+violates its KKT condition by more than ``tol`` under the bias rule the
+final model ships with.
 
-Each step but the bias runs in the native engine (``qrerank_smo_step`` in
-``_tk.c``, loaded by :mod:`._native`) when it builds: the violations, the
-tie-picks, the shuffled partner scan, the pair update and the update of g.
-It gives the Python step's bits, because it runs the same IEEE operations
-in the same order (compiled with ``-ffp-contract=off``, so none is fused),
-Python's ``min``/``max`` and numpy's NaN-propagating maximum, and draws
-from a copy of the seeded Mersenne Twister: one word per draw of
-``_randbelow``, shifted and rejected as CPython does it, and the
-Fisher–Yates order of ``random.shuffle``. The bias is numpy's: its mean is
-a pairwise sum. The Python step in :func:`train_smo` stays as the reference
-and runs where the engine cannot be built; no option selects an engine.
+Each step runs in the native engine (``qrerank_smo_step`` in ``_tk.c``,
+loaded by :mod:`._native`) when it builds: the selection, the pair update
+and the update of g. It gives the Python step's bits, because it runs the
+same IEEE operations in the same order (compiled with
+``-ffp-contract=off``, so none is fused) and Python's ``min``/``max``. The
+Python step in :func:`train_smo` stays as the reference and runs where the
+engine cannot be built; no option selects an engine.
 
 The solver holds one Gram matrix plus O(n). A G that is its own transpose
 bit for bit is checked, solved and hashed for ``training_checksum`` in
@@ -38,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import random
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -157,9 +155,11 @@ def _dual_objective(alpha, y, g):
 
 _STEPPED, _CONVERGED, _STALLED, _NONFINITE = range(4)   # as in _tk.c
 
+# the curvature that stands in for a_ij <= 0, as in LIBSVM and _tk.c
+_TAU = 1e-12
 
-_NAN_MAXIMUM = ("SMO met a NaN in the KKT violations or the partner gaps "
-                "(the iterate overflowed)")
+_NONFINITE_MESSAGE = ("SMO met a non-finite gradient or pair gain (the "
+                      "iterate or the Gram overflowed)")
 
 
 def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
@@ -169,9 +169,9 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
     ``gram`` must be finite and symmetric (asymmetry beyond 1e-9 is
     rejected) and ``labels`` must contain both classes. Returns the trained
     model; logs a warning if max_passes runs out before the KKT conditions
-    are met, and one INFO line with the steps taken, the steps that
-    searched a partner in shuffled order, the converged flag, the final
-    maximum KKT violation and the engine that ran the steps.
+    are met or if the chosen pair cannot move, and one INFO line with the
+    steps taken, the converged flag, the final maximum KKT violation and
+    the engine that ran the steps.
 
     The caller's array is never written. A float64 ``gram`` in C or
     Fortran order that is symmetric bit for bit is solved in place, with
@@ -201,23 +201,18 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
     box = np.where(y > 0, cfg.C * cfg.c_scale_pos, cfg.C * cfg.c_scale_neg)
     alpha = np.zeros(n)
     g = np.zeros(n)  # g_i = Σ_j α_j y_j G_ij
-    rng = random.Random(cfg.seed)
+    diagonal = np.diagonal(G)
     if __debug__:
         prev_obj = _dual_objective(alpha, y, g)
 
-    def tie_pick(mask_values, target):
-        candidates = np.flatnonzero(mask_values == target)
-        if not len(candidates):     # target is NaN
-            raise NumericalError(_NAN_MAXIMUM)
-        return int(candidates[rng.randrange(len(candidates))])
+    def curvature(i, j):
+        """a_ij = G_ii + G_jj − 2G_ij, or τ where that is not positive."""
+        a = G[i, i] + diagonal[j] - 2.0 * G[i, j]
+        return np.where(a <= 0.0, _TAU, a)
 
     def try_pair(i, j):
         """Analytically optimize (α_i, α_j); returns True on real progress."""
-        if i == j:
-            return False
-        eta = G[i, i] + G[j, j] - 2.0 * G[i, j]
-        if eta <= 0.0:
-            return False
+        eta = float(curvature(i, j))
         s = y[i] * y[j]
         if s < 0:
             L = max(0.0, alpha[j] - alpha[i])
@@ -242,79 +237,68 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         alpha[j] = aj_new
         return True
 
-    def python_step(b):
-        """One step at bias b, the reference the native step reproduces:
-        (status, max violation, whether the shuffled scan ran)."""
-        viol = _violations(alpha, y, g + b, box, cfg.tol, cfg.eps)
-        worst = viol.max()
-        if worst <= 0.0:
-            return _CONVERGED, worst, False
-        scanned = False
-        E = g - y
-        # violators in decreasing order of violation; ties rotated by seed
-        order = np.argsort(-viol, kind="stable")
-        order = order[viol[order] > 0.0].tolist()
-        for i in ([tie_pick(viol, worst)] + order):
-            gaps = np.abs(E[i] - E)
-            j = tie_pick(gaps, gaps.max())
-            if try_pair(i, j):
-                return _STEPPED, worst, scanned
-            others = [k for k in range(n) if k != i and k != j]
-            rng.shuffle(others)
-            scanned = True
-            for k in others:
-                if try_pair(i, k):
-                    return _STEPPED, worst, scanned
-        return _STALLED, worst, scanned
+    def python_step():
+        """One step, the reference the native step reproduces."""
+        F = y - g
+        if not np.all(np.isfinite(F)):
+            raise NumericalError(_NONFINITE_MESSAGE)
+        grow = alpha < box - cfg.eps
+        shrink = alpha > cfg.eps
+        up = np.where(y > 0, grow, shrink)
+        low = np.where(y > 0, shrink, grow)
+        F_up = np.where(up, F, -np.inf)
+        i = int(np.argmax(F_up))
+        m = F_up[i]
+        if m - np.where(low, F, np.inf).min() <= cfg.tol:
+            return _CONVERGED
+        candidates = np.flatnonzero(low & (F < m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = m - F[candidates]
+            gain = -(b * b) / curvature(i, candidates)
+        if np.isnan(gain).any():
+            raise NumericalError(_NONFINITE_MESSAGE)
+        j = int(candidates[np.argmin(gain)])
+        return _STEPPED if try_pair(i, j) else _STALLED
 
     native = _native.load()
     if native is not None:
-        # the generator random.Random(cfg.seed) would be, as one array
-        mt = np.array(rng.getstate()[1], dtype=np.uint32)
-        scratch = (np.empty(n), np.empty(n),
-                   np.empty(n, dtype=[("v", np.float64), ("k", np.int64)]),
-                   np.empty(n, dtype=np.int64))
-        out = np.zeros(1)
-        flag = np.zeros(1, dtype=np.int64)
         head = [n, *(a.ctypes.data for a in (G, y, box, alpha, g))]
-        tail = [a.ctypes.data for a in (mt, *scratch, out, flag)]
 
-        def step(b):
-            status = native.smo_step(*head, b, cfg.tol, cfg.eps, *tail)
+        def step():
+            status = native.smo_step(*head, cfg.tol, cfg.eps)
             if status == _NONFINITE:
-                raise NumericalError(_NAN_MAXIMUM)
-            return status, out[0], bool(flag[0])
+                raise NumericalError(_NONFINITE_MESSAGE)
+            return status
     else:
         step = python_step
 
-    converged = False
-    steps = scanned_steps = 0
+    converged = stalled = False
+    steps = 0
     for _ in range(cfg.max_passes):
-        b = _bias_from_state(alpha, y, g, box, cfg.eps)
-        status, worst, scanned = step(b)
+        status = step()
         if status == _CONVERGED:
             converged = True
             break
         if status == _STALLED:
-            logger.warning(
-                "SMO stalled with max KKT violation %.3g (tol %.3g); "
-                "keeping current feasible iterate", worst, cfg.tol)
+            stalled = True
             break
         steps += 1
-        scanned_steps += scanned
         if __debug__:
             obj = _dual_objective(alpha, y, g)
             assert obj >= prev_obj - 1e-9 * max(1.0, abs(prev_obj)), (
                 f"dual objective decreased: {prev_obj} -> {obj}")
             prev_obj = obj
     else:
-        b = _bias_from_state(alpha, y, g, box, cfg.eps)
         logger.warning("SMO reached max_passes=%d before meeting tol=%g",
                        cfg.max_passes, cfg.tol)
+    b = _bias_from_state(alpha, y, g, box, cfg.eps)
     final = _violations(alpha, y, g + b, box, cfg.tol, cfg.eps).max()
-    logger.info("train_smo: %d steps, %d with the shuffled scan, converged "
-                "%s, max KKT violation %.3g, %s engine", steps,
-                scanned_steps, converged, final,
+    if stalled:
+        logger.warning(
+            "SMO stalled with max KKT violation %.3g (tol %.3g); "
+            "keeping current feasible iterate", final, cfg.tol)
+    logger.info("train_smo: %d steps, converged %s, max KKT violation "
+                "%.3g, %s engine", steps, converged, final,
                 "python" if native is None else "native")
 
     support = np.flatnonzero(alpha > cfg.eps)

@@ -41,7 +41,6 @@ class TestConfigFile:
         path.write_text(
             "# experiment configuration\n"
             "task = D\n"
-            "seed = 9\n"
             "use_mte = true\n"
             "kernel.tk_kind = STK\n"
             "kernel.lam = 0.7\n"
@@ -51,7 +50,6 @@ class TestConfigFile:
             encoding="utf-8")
         settings = parse_config_file(path)
         assert settings["task"] == "D"
-        assert settings["seed"] == 9
         assert settings["use_mte"] is True
         assert settings["kernel.lam"] == 0.7
         assert settings["kernel.gamma"] is None
@@ -77,7 +75,7 @@ class TestConfigFile:
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\nseed = 2\n", encoding="utf-8")
+        path.write_text("task = B\ntask = D\n", encoding="utf-8")
         with pytest.raises(DataError, match="duplicate"):
             parse_config_file(path)
 
@@ -109,14 +107,12 @@ class TestBuildRunConfig:
             "kernel.lam": 0.9,
             "rel.min_shared_tokens": 2,
             "train.C": 0.5,
-            "seed": 4,
         })
         assert cfg.task == "D"
         assert cfg.kernel.tk_kind == "STK"
         assert cfg.kernel.lam == 0.9
         assert cfg.rel.min_shared_tokens == 2
         assert cfg.train.C == 0.5
-        assert cfg.seed == 4
 
     def test_defaults_without_settings(self):
         cfg = build_run_config({})
@@ -403,30 +399,18 @@ class TestExitCodes:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("stage", ["train", "sigtest"])
-    def test_negative_seed_is_2(self, stage, corpora, tmp_path, capsys):
-        # train: random.Random(-1) is random.Random(1), the model of seed 1;
-        # sigtest: numpy's own ValueError
-        train_ex = tmp_path / "train.ex"
-        gram = tmp_path / "g.gram"
+    @pytest.mark.parametrize("stage", ["sigtest"])
+    def test_negative_seed_is_2(self, stage, tmp_path, capsys):
+        # numpy would raise its own ValueError
         pred = tmp_path / "p.tsv"
         pred.write_text("q1\tc1\t1\t0.5\ttrue\nq1\tc2\t2\t0.25\tfalse\n",
                         encoding="utf-8")
-        main(["featurize", "--corpus", str(corpora[0]), "--out", str(train_ex)])
-        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
-        argv = {"train": ["train", "--gram", str(gram),
-                          "--examples", str(train_ex)],
-                "sigtest": ["sigtest", "--predictions-a", str(pred),
-                            "--predictions-b", str(pred),
-                            "--resamples", "1000"]}[stage]
-        out = tmp_path / "out"
         capsys.readouterr()
-        assert main([*argv, "--seed", "-1"]
-                    + (["--out", str(out)] if stage == "train" else [])) == 2
+        assert main([stage, "--predictions-a", str(pred), "--predictions-b",
+                     str(pred), "--resamples", "1000", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
-        assert not out.exists()
 
     @pytest.mark.parametrize("line,message", [
         (b'{"label": 0}', "2: example label must be +1 or -1, got 0"),
@@ -523,19 +507,22 @@ class TestExitCodes:
 
     def test_short_train_examples_file_is_2(self, corpora, tmp_path, capsys):
         chain = run_chain(*corpora, tmp_path)
-        # the test file has 15 examples, fewer than the model's largest
-        # support index needs
+        # the training examples up to, not including, the one at the
+        # model's largest support index
         needed = max(load_model(chain.model).support_indices) + 1
-        assert needed > 15
+        short = tmp_path / "short.examples"
+        short.write_text("".join(chain.train_examples.read_text(
+            encoding="utf-8").splitlines(keepends=True)[:needed - 1]),
+            encoding="utf-8")
         capsys.readouterr()
         code = main(["rerank", "--model", str(chain.model),
-                     "--train-examples", str(chain.test_examples),
+                     "--train-examples", str(short),
                      "--test-examples", str(chain.test_examples),
                      "--out", str(tmp_path / "p.tsv")])
         assert code == 2
         err = capsys.readouterr().err
         assert f"at least {needed} training examples" in err
-        assert "15 were given" in err
+        assert f"{needed - 1} were given" in err
 
 
 class TestDeepParse:
@@ -581,7 +568,6 @@ NON_UTF8_ARGV = {
 # take it (booleans, value None, are set in both polarities).
 CLI_SURFACE = {
     "task": ("--task {B,D}", "D"),
-    "seed": ("--seed SEED", "7"),
     "rank_mode": ("--rank-mode {AS_IS,INVERSE}", "AS_IS"),
     "mte_side": ("--mte-side {qo,qs}", "qs"),
     "gst_min_match": ("--gst-min-match GST_MIN_MATCH", "3"),
@@ -641,7 +627,7 @@ def _dotted(cfg, key):
 
 class TestCliSurface:
     def test_every_config_key_has_one_flag(self):
-        assert len(CLI_SURFACE) == 31
+        assert len(CLI_SURFACE) == 30
         assert set(CLI_SURFACE) == set(cli.CONFIG_SCHEMA)
 
     @pytest.mark.parametrize("key,argv,text", list(_surface_cases()),
@@ -672,12 +658,27 @@ class TestCliSurface:
                      flag, "BOGUS"]) == 1
         assert "invalid choice: 'BOGUS'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["train.seed", "rel.stopwords"])
+    @pytest.mark.parametrize("key", ["rel.stopwords"])
     def test_keys_set_through_other_keys_are_unknown(self, key, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 1\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"unknown config key '{key}'"):
             parse_config_file(path)
+
+    # the solver picks its pairs without a random generator, so no stage
+    # but sigtest takes a seed
+    @pytest.mark.parametrize("key", ["seed", "train.seed"])
+    def test_seed_is_not_a_config_key(self, key, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"unknown config key '{key}'"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("stage", ["featurize", "gram", "train",
+                                       "rerank"])
+    def test_seed_is_not_a_flag(self, stage, capsys):
+        assert main([stage, "--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
 
     def test_help_lists_every_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")

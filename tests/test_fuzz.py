@@ -1,0 +1,85 @@
+"""Loader fuzz: every loader of a text artifact, fed seeded corruptions of a
+valid file, either loads it or raises DataError; no other exception escapes.
+The Gram loader's own fuzz is in test_kernels.py."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from qrerank.cli import parse_config_file
+from qrerank.errors import DataError
+from qrerank.pipeline import load_corpus, load_examples, load_labels
+from qrerank.rankeval import read_predictions
+from qrerank.svm import load_model
+
+from conftest import make_rng, run_chain, write_corpus
+
+LOADERS = {
+    "config": parse_config_file,
+    "corpus": lambda path: load_corpus(path, "B"),
+    "examples": load_examples,
+    "labels": load_labels,
+    "model": load_model,
+    "predictions": read_predictions,
+}
+
+# what a corrupted field may read: empty, non-finite, out of range, of
+# another JSON type, a lone delimiter of one of the formats, not UTF-8
+TOKENS = [b"", b"nan", b"inf", b"-inf", b"-1", b"0", b"1e999", b"9" * 30,
+          b"null", b"true", b"[]", b"{}", b'"x"', b"(", b")", b"(NP", b"\t",
+          b"\n", b":", b"=", b",", b"#", b"\xff"]
+
+
+def mutations(rng, data):
+    """Corruptions of the file ``data``, drawn from ``rng``."""
+    pos = int(rng.integers(len(data)))
+    yield data[:pos]                                          # truncated
+    yield data[:pos] + bytes([int(rng.integers(256))]) + data[pos + 1:]
+    yield data[:pos] + rng.bytes(int(rng.integers(1, 9))) + data[pos:]
+    yield data[:pos] + data[pos + int(rng.integers(1, 60)):]  # a span cut
+    lines = data.splitlines(keepends=True)
+    k = int(rng.integers(len(lines)))
+    yield b"".join(lines[:k] + lines[k + 1:])                 # a line cut
+    yield b"".join(lines[:k + 1] + lines[k:])                 # a line twice
+    yield b"".join(lines[:k] + [lines[k].rstrip(b"\n")])      # no newline
+    words = list(re.finditer(rb'[^\s,:=\[\]{}()"]+', data))
+    for _ in range(4):                                        # a field
+        word = words[int(rng.integers(len(words)))]
+        token = TOKENS[int(rng.integers(len(TOKENS)))]
+        yield data[:word.start()] + token + data[word.end():]
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A valid file for each loader: the files of one chain with trees,
+    and the README's example config."""
+    root = tmp_path_factory.mktemp("artifacts")
+    train, test = root / "train.jsonl", root / "test.jsonl"
+    write_corpus(train, n_queries=3, per_query=4, with_trees=True)
+    write_corpus(test, n_queries=2, per_query=4, with_trees=True)
+    chain = run_chain(train, test, root / "out", ["--use-tk", "--use-rank"])
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    config = readme.split("# experiment.cfg\n")[1].split("```")[0]
+    return {"config": config.encode(), "corpus": train.read_bytes(),
+            "examples": chain.train_examples.read_bytes(),
+            "labels": chain.train_examples.read_bytes(),
+            "model": chain.model.read_bytes(),
+            "predictions": chain.predictions.read_bytes()}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_a_corrupted_file_raises_only_data_error(artifacts, tmp_path,
+                                                 loader, seed):
+    path = tmp_path / loader
+    path.write_bytes(artifacts[loader])
+    LOADERS[loader](path)                       # the valid file loads
+    rng = make_rng(seed)
+    for bad in mutations(rng, artifacts[loader]):
+        path.write_bytes(bad)
+        try:
+            LOADERS[loader](path)
+        except DataError:
+            pass

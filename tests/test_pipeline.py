@@ -236,8 +236,7 @@ class TestRunConfigValidation:
 
     @pytest.mark.parametrize("cls,name", [
         (RelConfig, "min_shared_tokens"), (TrainConfig, "max_passes"),
-        (TrainConfig, "seed"), (RunConfig, "gst_min_match"),
-        (RunConfig, "seed"), (FeatureConfig, "gst_min_match"),
+        (RunConfig, "gst_min_match"), (FeatureConfig, "gst_min_match"),
     ])
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
     def test_an_int_field_refuses_a_non_integer(self, cls, name, bad):
@@ -687,13 +686,13 @@ class TestRunExperiment:
         predictions = chain.predictions.read_text(encoding="utf-8")
         assert len(predictions.strip().splitlines()) == 20
 
-    def test_same_seed_byte_identical_predictions(self, tmp_path):
+    def test_rerun_gives_byte_identical_predictions(self, tmp_path):
         train = tmp_path / "train.jsonl"
         test = tmp_path / "test.jsonl"
         write_corpus(train, n_queries=5, per_query=5)
         write_corpus(test, n_queries=3, per_query=5)
-        a = run_chain(train, test, tmp_path / "a", ["--seed", "7"])
-        b = run_chain(train, test, tmp_path / "b", ["--seed", "7"])
+        a = run_chain(train, test, tmp_path / "a")
+        b = run_chain(train, test, tmp_path / "b")
         assert a.predictions.read_bytes() == b.predictions.read_bytes()
 
     def test_rank_only_kernel_runs_end_to_end(self, tmp_path, capsys):

@@ -66,12 +66,9 @@ class TestRerank:
             assert base == shifted
 
     def test_missing_score_rejected(self):
-        group = QueryGroup("q1", (
-            Candidate("c1", 1, False, 0.5),
-            Candidate("c2", 2, False, None),
-        ))
-        with pytest.raises(DataError, match="c2"):
-            rerank(group)
+        # a candidate is scored when it is made, so none reaches rerank
+        with pytest.raises(DataError, match="score of candidate 'c2'"):
+            Candidate("c2", 2, False, None)
 
     def test_reranked_candidates_order_matches_ids(self):
         group = make_group([0.1, 0.9, 0.5], gold=[True, False, True])
@@ -257,13 +254,14 @@ class TestQueryGroupValidation:
             Candidate("", 1, False, 0.1)
         with pytest.raises(DataError):
             Candidate("c1", 0, False, 0.1)
-        with pytest.raises(DataError):
-            Candidate("c1", 1, False, float("nan"))
+        for score in (float("nan"), float("inf"), "high"):
+            with pytest.raises(DataError, match="finite float"):
+                Candidate("c1", 1, False, score)
 
     @pytest.mark.parametrize("rank", [True, False, 1.0, np.int64(1)])
     def test_candidate_rank_must_be_int(self, rank):
         with pytest.raises(DataError, match="original_rank"):
-            Candidate("c", rank, True)
+            Candidate("c", rank, True, 0.0)
 
 
 class TestPredictionsFile:
@@ -316,9 +314,11 @@ class TestPredictionsFile:
             read_predictions(path)
 
     def test_unscored_candidate_rejected(self, tmp_path):
-        group = QueryGroup("q1", (Candidate("c1", 1, False, None),))
-        with pytest.raises(DataError, match="no score"):
-            write_predictions(tmp_path / "pred.tsv", [group])
+        path = tmp_path / "pred.tsv"
+        with pytest.raises(DataError, match="must be a finite float"):
+            write_predictions(path, [QueryGroup(
+                "q1", (Candidate("c1", 1, False, None),))])
+        assert not path.exists()
 
 
 class TestMean:
