@@ -39,7 +39,7 @@ _NAMES_BY_MODULE = {
                  "tokenize"),
     "kernels": ("config_fingerprint", "gram_matrix",
                 "kernel_matrix", "load_gram", "normalize_kernel", "ptk",
-                "save_gram", "stk"),
+                "save_gram", "stk", "write_gram"),
     "pipeline": ("CorpusRecord", "build_examples", "class_counts",
                  "gold_binary", "load_corpus", "load_examples",
                  "make_groups", "save_examples", "score_examples"),

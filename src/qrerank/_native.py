@@ -7,7 +7,8 @@ with the installed ``cc`` (or ``gcc``) the first time a process needs one
 of them, never at import. The library goes into a
 per-user cache directory, ``$XDG_CACHE_HOME/qrerank`` or else
 ``~/.cache/qrerank``, created with mode 0700; its name is the sha256 of the
-source, the compiler flags and ``platform.machine()``, so a later process,
+source, the compiler flags and the machine (``os.uname().machine``, the
+string ``platform.machine()`` gives), so a later process,
 or a later version of the source, finds its own build or makes a new one.
 It is written under a temporary name and renamed into place, so concurrent
 builds never expose a partial file. It is loaded with ``ctypes``, which
@@ -27,7 +28,6 @@ import ctypes
 import hashlib
 import logging
 import os
-import platform
 from array import array
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -113,7 +113,7 @@ def _library() -> Path:
     cached."""
     digest = hashlib.sha256(b"\0".join(
         [SOURCE.read_bytes(), " ".join(FLAGS + LIBS).encode(),
-         platform.machine().encode()]))
+         os.uname().machine.encode()]))
     return _cache_dir() / f"_tk-{digest.hexdigest()}.so"
 
 
@@ -121,6 +121,8 @@ def _build() -> Path:
     """The cached library, compiled first if it is not there yet."""
     if array("i").itemsize != 4:
         raise _Unavailable("C int is not 32 bits wide")
+    if not hasattr(os, "uname"):
+        raise _Unavailable("not a POSIX system")
     path = _library()
     if path.exists():
         return path

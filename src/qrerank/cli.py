@@ -27,7 +27,8 @@ the modules it calls when it runs.  So ``--help`` and a usage error load no
 numpy, and neither do ``evaluate``, whose ``rankeval`` needs none, and
 ``featurize``, whose ``pipeline`` and ``features`` hold plain float vectors
 (unless ``use_ptk_feature`` asks for the tree kernels).  ``gram``, ``train``,
-``rerank`` and ``sigtest`` compute with numpy.
+``rerank`` and ``sigtest`` compute with numpy.  A run builds the config
+flags of its own subcommand only.
 
 Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
 failures.  When ``--stopwords`` names a relative path that does not exist,
@@ -42,7 +43,6 @@ import logging
 import os
 import sys
 from dataclasses import fields, is_dataclass
-from typing import get_type_hints
 
 from .config import (
     MTE_SIDES,
@@ -83,15 +83,16 @@ def _parse_labels(text: str) -> frozenset:
     return labels
 
 
-# config-file value parsers, by the type a config field is annotated with
+# config-file value parsers, by the annotation of a config field (a string,
+# under ``from __future__ import annotations``)
 _PARSERS = {
-    bool: _parse_bool,
-    int: int,
-    float: float,
-    float | None: _parse_optional_float,
-    str: str,
-    str | None: str,
-    frozenset[str]: _parse_labels,
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "float | None": _parse_optional_float,
+    "str": str,
+    "str | None": str,
+    "frozenset[str]": _parse_labels,
 }
 
 # fields that other keys set: the words in ``stopword_path`` fill
@@ -100,15 +101,20 @@ _SET_ELSEWHERE = {"rel.stopwords"}
 
 
 def _config_fields(cls, prefix=""):
-    """Yield (key, type) for each field of config class ``cls``, in order;
-    a field that is itself a config dataclass yields its own type under the
-    plain key, before its fields under ``key.``."""
-    hints = get_type_hints(cls)
+    """Yield (key, type) for each field of config class ``cls``, in order:
+    its annotation, or the class a nested config's annotation names in the
+    module of ``cls``. A nested config yields its class under the plain key,
+    before its fields under ``key.``. The annotations are read as strings,
+    as ``config._int_fields`` does; ``typing.get_type_hints`` would
+    evaluate every one of them."""
+    scope = vars(sys.modules[cls.__module__])
     for f in fields(cls):
-        key, hint = prefix + f.name, hints[f.name]
-        yield key, hint
-        if is_dataclass(hint):
-            yield from _config_fields(hint, key + ".")
+        key, nested = prefix + f.name, scope.get(f.type)
+        if is_dataclass(nested):
+            yield key, nested
+            yield from _config_fields(nested, key + ".")
+        else:
+            yield key, f.type
 
 
 _FIELDS = dict(_config_fields(RunConfig))
@@ -249,16 +255,15 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    from .kernels import config_fingerprint, gram_matrix, save_gram
+    from .kernels import config_fingerprint, write_gram
     from .pipeline import load_examples
 
     cfg = config_from_args(args)
     examples = load_examples(args.examples)
-    gram = gram_matrix(examples, cfg.kernel)
-    fingerprint = config_fingerprint(cfg.kernel)
-    save_gram(args.out, gram, fingerprint)
-    print(f"computed {gram.shape[0]}x{gram.shape[1]} gram "
-          f"({fingerprint[:12]}...) -> {args.out}")
+    write_gram(args.out, examples, cfg.kernel)
+    n = len(examples)
+    print(f"computed {n}x{n} gram "
+          f"({config_fingerprint(cfg.kernel)[:12]}...) -> {args.out}")
     return 0
 
 
@@ -346,7 +351,16 @@ def _cmd_sigtest(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. The config flags, some thirty per
+    subcommand that takes them, are added to ``command`` alone when it is
+    given (``main`` passes its first argument, so that a run builds the
+    flags of its own subcommand only), else to every such subcommand."""
+
+    def config_flags(p: argparse.ArgumentParser, name: str) -> None:
+        if command in (None, name):
+            _add_config_flags(p)
+
     parser = argparse.ArgumentParser(
         prog="qrerank",
         description="Kernel-based question reranking toolkit.")
@@ -355,20 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="corpus JSONL -> featurized examples")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    config_flags(p, "featurize")
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("gram", help="examples -> Gram matrix file")
     p.add_argument("--examples", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    config_flags(p, "gram")
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("train", help="Gram + labels -> SVM model file")
     p.add_argument("--gram", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    config_flags(p, "train")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("rerank", help="score test examples, write predictions")
@@ -378,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true",
                    help="fail on kernel fingerprint mismatch")
-    _add_config_flags(p)
+    config_flags(p, "rerank")
     p.set_defaults(func=_cmd_rerank)
 
     p = sub.add_parser("evaluate", help="predictions TSV -> MAP/AvgRec/MRR")
@@ -400,13 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else "")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; remap the latter
         return 0 if exc.code == 0 else 1
-    # the parser is some 275 kB of objects tied in reference cycles; with no
+    # the parser is some 50 kB of objects tied in reference cycles; with no
     # reference left, the cycle collector can free it while the stage runs
     del parser
     logging.basicConfig(level=logging.INFO,

@@ -55,9 +55,10 @@ child-Δ block (flattened, with its width); it runs where the native engine
 cannot be built or loaded (one WARNING names why) and serves the tests as
 the reference. No option selects an engine. The memo holds one row's work,
 not the whole call's, and ``kernel_matrix`` drops a row's subtrees and trees
-from the table with the row. ``gram_matrix`` and ``kernel_matrix`` log one
-INFO line with the call's tree pairs, interned subtrees, Δ values, DP runs
-and the engine that ran. No state outlives a call.
+from the table with the row. A Gram (``gram_matrix``, ``write_gram``) and
+``kernel_matrix`` log one INFO line with the call's tree pairs, interned
+subtrees, Δ values, DP runs and the engine that ran. No state outlives a
+call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -67,8 +68,13 @@ feature, summed per the enabled blocks.
 The pair kernel is evaluated a row at a time (``_row``): one example
 against a block of columns whose vectors and ranks are stacked once per call
 (``_stack``, which also runs every missing-block and dimension check before
-any row). ``gram_matrix`` takes row i against columns i..n-1 and mirrors it;
-``kernel_matrix`` takes each row against all columns. The vector blocks are
+any row). The Gram takes row i against columns 0..i, its lower triangle in
+the order of its file (``_gram_rows``): ``gram_matrix`` mirrors each row
+into the matrix, and ``write_gram`` writes each to the file as it is
+computed, so that it holds O(n) beyond the examples, never the n×n matrix.
+Each value has the bits of its pair in either order, so the mirror is
+exact. ``kernel_matrix`` takes each row against all columns. The vector
+blocks are
 batched but keep the per-pair arithmetic, so every value is bit-identical
 to evaluating its pair alone: each dot product is one BLAS dot per pair
 (``np.matmul`` of 1×dim by dim×1 calls the same routine as ``np.dot``),
@@ -78,18 +84,24 @@ order sim, tree, rank. ``np.einsum`` or ``(d * d).sum(1)`` round some dot
 products differently, and ``np.exp`` some exponentials. The tree block is
 one ``_tree_block`` call per row, normalized in numpy with
 :func:`normalize_kernel`'s operations. A row's temporaries are
-O(columns × dim); no n×n×dim array is built. ``gram_matrix`` and
+O(columns × dim); no n×n×dim array is built. A Gram and
 ``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
-value.
+value, the Gram's first in its file's order. A Gram that takes more than a
+second logs its progress: at most ten INFO lines, each with the rows done,
+the seconds and an estimate of the seconds left.
 
-The Gram cache file (``save_gram``, ``load_gram``) is text: the lower
-triangle, each cell the 16 hex digits of its IEEE-754 bits, so it is exact
-by construction and both directions are a few numpy operations per block of
-cells. No engine is involved.
+The Gram cache file (``write_gram``, ``save_gram``, ``load_gram``) is text:
+the lower triangle, each cell the 16 hex digits of its IEEE-754 bits, so it
+is exact by construction. One writer encodes each row with one
+``binascii.hexlify`` call as the row arrives, into a temporary file renamed
+into place when complete; the reader decodes and checks blocks of rows with
+a few numpy operations, so it holds a block's temporaries beyond the
+matrix. No engine is involved.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import logging
 import math
@@ -457,8 +469,8 @@ class _Trees(NamedTuple):
     at: np.ndarray
     selfs: np.ndarray
 
-    def tail(self, i: int) -> _Trees:
-        return _Trees(self.at[i:], self.selfs[i:])
+    def rows(self, i: int, j: int) -> _Trees:
+        return _Trees(self.at[i:j], self.selfs[i:j])
 
 
 def _prepare(examples, cfg: KernelConfig, sub: _Subtrees,
@@ -549,12 +561,12 @@ def _stack(examples, cfg: KernelConfig):
 
 
 def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
-         sub: _Subtrees) -> np.ndarray:
+         sub: _Subtrees, diagonal: bool = False) -> np.ndarray:
     """The combined kernel between one example ``e`` and a block of
     columns: their stacked vec and rank blocks ``X`` and ``r`` (from
-    :func:`_stack`) and their tree state ``cols``. ``p`` is a tree state
-    whose first example is ``e``; in a Gram row it is ``cols`` itself, and
-    the first column, the diagonal, takes the self-kernels at hand.
+    :func:`_stack`) and their tree state ``cols``. ``p`` is the tree state
+    of ``e`` alone. With ``diagonal``, as in a Gram row, the last column is
+    ``e`` itself and takes the self-kernels at hand.
 
     Each value is the sum, in this order, of the sim, tree and rank blocks,
     starting from 0.0, with the arithmetic of one pair alone; temporaries
@@ -573,11 +585,11 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
             else:
                 row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
         if cfg.use_tk:
-            diagonal = int(p is cols)
+            m = len(cols.at) - diagonal
             k = np.empty(cols.at.shape)
-            k[:diagonal] = p.selfs[:diagonal]
-            k[diagonal:] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub,
-                                       p.at[0], cols.at[diagonal:])
+            k[:m] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, p.at[0],
+                                cols.at[:m])
+            k[m:] = p.selfs[:diagonal]
             if cfg.normalize_tk:
                 k = _normalize(k, p.selfs[0], cols.selfs)
             row += k[:, 0] + k[:, 1]
@@ -591,42 +603,76 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
     return row
 
 
-def _require_finite(call: str, i: int, first: int, row: np.ndarray) -> None:
+def _require_finite(call: str, i: int, row: np.ndarray) -> None:
     """Raise :class:`NumericalError` naming the first non-finite value of
-    ``row``, cells (i, first), (i, first + 1), ... of the call's matrix."""
+    ``row``, cells (i, 0), (i, 1), ... of the call's matrix."""
     bad = ~np.isfinite(row)
     if bad.any():
         j = int(np.argmax(bad))
         raise NumericalError(f"{call}: non-finite kernel value {row[j]} at "
-                             f"cell ({i}, {first + j})")
+                             f"cell ({i}, {j})")
+
+
+# a Gram computed in less time than this logs no progress
+_PROGRESS_AFTER_S = 1.0
+
+
+def _gram_rows(examples: list[Example], cfg: KernelConfig):
+    """The lower triangle of the Gram matrix of ``examples``, row i against
+    columns 0..i, in order: the rows of its file. Every missing-block and
+    dimension check and the tree self-kernels run in this call; each row is
+    computed as it is taken from the iterator returned, which raises
+    :class:`NumericalError` at the first non-finite value.
+
+    Once a row ends a tenth of the cells and the rows have taken
+    ``_PROGRESS_AFTER_S`` seconds, one INFO line gives the rows done of n,
+    the seconds and an estimate of the seconds left: at most ten lines."""
+    if not examples:
+        raise DataError("gram_matrix requires at least one example")
+    start = time.perf_counter()
+    n = len(examples)
+    sub = _Subtrees()
+    prepared = _prepare(examples, cfg, sub, True)
+    X, r = _stack(examples, cfg)
+
+    def rows():
+        cells, tenth = n * (n + 1) // 2, 1
+        for i, e in enumerate(examples):
+            row = _row(e, prepared.rows(i, i + 1),
+                       None if X is None else X[:i + 1],
+                       None if r is None else r[:i + 1],
+                       prepared.rows(0, i + 1), cfg, sub, diagonal=True)
+            _require_finite("gram_matrix", i, row)
+            done = (i + 1) * (i + 2) // 2
+            if 10 * done >= tenth * cells:
+                tenth = 10 * done // cells + 1
+                seconds = time.perf_counter() - start
+                if seconds >= _PROGRESS_AFTER_S:
+                    logger.info("gram_matrix: %d of %d rows, %.1f s, ETA "
+                                "%.1f s", i + 1, n, seconds,
+                                seconds * (cells - done) / done)
+            yield row
+        if cfg.use_tk:
+            sub.report("gram_matrix")
+
+    return rows()
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     """Full kernel matrix: G[i][j] is the combined kernel of e_i and e_j,
     the sum of the blocks ``cfg`` enables.
 
-    Row i is computed against columns i..n-1 and mirrored, so the result is
+    Row i is computed against columns 0..i and mirrored, so the result is
     exactly symmetric. Tree self-kernels, computed once, also fill the
     diagonal. A non-finite value raises :class:`NumericalError` naming its
-    cell, the first in row-major order.
+    cell, the first of the lower triangle in row-major order.
     """
-    if not examples:
-        raise DataError("gram_matrix requires at least one example")
+    rows = _gram_rows(examples, cfg)
     n = len(examples)
-    sub = _Subtrees()
-    prepared = _prepare(examples, cfg, sub, True)
-    X, r = _stack(examples, cfg)
     G = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        tail = prepared.tail(i)
-        row = _row(examples[i], tail,
-                   None if X is None else X[i:], None if r is None else r[i:],
-                   tail, cfg, sub)
-        _require_finite("gram_matrix", i, i, row)
-        G[i, i:] = row
-        G[i:, i] = row
-    if cfg.use_tk:
-        sub.report("gram_matrix")
+    for i, row in enumerate(rows):
+        G[i, :i + 1] = row
+        G[:i, i] = row[:i]
     return G
 
 
@@ -648,7 +694,7 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
     for i, e_i in enumerate(rows):
         p_i = _prepare([e_i], cfg, sub, cfg.normalize_tk)
         K[i] = _row(e_i, p_i, X, r, prep_c, cfg, sub)
-        _require_finite("kernel_matrix", i, 0, K[i])
+        _require_finite("kernel_matrix", i, K[i])
         sub.rollback(mark)
     if cfg.use_tk:
         sub.report("kernel_matrix")
@@ -673,11 +719,11 @@ def config_fingerprint(cfg: KernelConfig) -> str:
 
 
 GRAM_MAGIC = "qrerank-gram v2"
-# the two hex digits of each byte, as one uint16 in memory order
-_PAIRS = np.frombuffer(b"".join(b"%02x" % b for b in range(256)),
-                       dtype=np.uint16)
 _CELL = 17          # bytes per cell: 16 hex digits and a separator
-_BLOCK = 1 << 15    # cells per block: a few MB of temporaries at any n
+_BLOCK = 1 << 13    # cells per block read: well under a MB of temporaries
+# each lowercase hex digit → its value; any other byte → 16
+_NIBBLES = bytes(int(c, 16) if c in "0123456789abcdef" else 16
+                 for c in map(chr, range(256)))
 
 
 def _blocks(n: int):
@@ -698,33 +744,65 @@ def _blocks(n: int):
         i = j
 
 
+def _write_gram(call: str, path: str | Path, n: int, fingerprint: str,
+                rows) -> None:
+    """Write a Gram file of the n lower-triangle rows ``rows`` (row i
+    holding cells 0..i), each row encoded and written as it is taken from
+    the iterable: the 16 hex digits of each value's big-endian bytes, a
+    space between values and a newline after the row.
+
+    The file is written under a temporary name beside ``path`` and renamed
+    to ``path`` once complete; on any error it is removed, and a file
+    already at ``path`` is left as it was. One INFO line, led by ``call``,
+    gives n, the file's bytes and the seconds."""
+    start = time.perf_counter()
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n"
+                     f"# n: {n}\n".encode("utf-8"))
+            for row in rows:
+                fh.write(binascii.hexlify(row.astype(">f8").tobytes(),
+                                          b" ", 8))
+                fh.write(b"\n")
+            size = fh.tell()
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    logger.info("%s: n %d, %d bytes, %.3f s", call, n, size,
+                time.perf_counter() - start)
+
+
 def save_gram(path: str | Path, gram: np.ndarray, fingerprint: str) -> None:
     """Write a Gram matrix cache: three header lines, then the lower
     triangle row-major, row i holding G[i][0..i], each value as the 16
     lowercase hex digits of its IEEE-754 binary64 bits and a space, or a
     newline after a row's last. A non-finite value raises
-    :class:`NumericalError` naming its cell. One INFO line gives n, the
-    file's bytes and the seconds."""
-    start = time.perf_counter()
+    :class:`NumericalError` naming its cell, and leaves ``path`` as it was.
+    One INFO line gives n, the file's bytes and the seconds."""
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise DataError("gram must be a square matrix")
-    n = gram.shape[0]
-    if not np.isfinite(gram).all():
-        for i in range(n):
-            _require_finite("save_gram", i, 0, gram[i, :i + 1])
-    with open(path, "wb") as fh:
-        fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n# n: {n}\n"
-                 .encode("utf-8"))
-        for i, j, lower, sep in _blocks(n):
-            bits = gram[i:j, :j][lower].astype(">f8").view(np.uint8)
-            cells = np.empty((len(sep), _CELL), dtype=np.uint8)
-            cells[:, :16].view(np.uint16)[:] = _PAIRS[bits.reshape(-1, 8)]
-            cells[:, 16] = sep
-            fh.write(cells)
-        size = fh.tell()
-    logger.info("save_gram: n %d, %d bytes, %.3f s", n, size,
-                time.perf_counter() - start)
+
+    def rows():
+        for i, row in enumerate(gram):
+            _require_finite("save_gram", i, row[:i + 1])
+            yield row[:i + 1]
+
+    _write_gram("save_gram", path, len(gram), fingerprint, rows())
+
+
+def write_gram(path: str | Path, examples: list[Example],
+               cfg: KernelConfig) -> None:
+    """Compute the Gram matrix of ``examples`` under ``cfg`` and write its
+    cache file, the bytes :func:`save_gram` writes of
+    :func:`gram_matrix`'s result, one row at a time: the n×n matrix is
+    never held. An error leaves ``path`` as it was."""
+    rows = _gram_rows(examples, cfg)
+    _write_gram("write_gram", path, len(examples), config_fingerprint(cfg),
+                rows)
 
 
 def _header_line(fh, path) -> str:
@@ -735,10 +813,10 @@ def _header_line(fh, path) -> str:
         raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 
 
-def _bad_cell(cells: np.ndarray, pairs: np.ndarray, i: int,
+def _bad_cell(cells: np.ndarray, digits: np.ndarray, i: int,
               sep: np.ndarray) -> str:
     """What is wrong with the first bad cell of a block of rows from i."""
-    k = int(np.argmax((pairs > 255).any(axis=1) | (cells[:, 16] != sep)))
+    k = int(np.argmax((digits > 15).any(axis=1) | (cells[:, 16] != sep)))
     row = i + int(np.count_nonzero(sep[:k] == ord("\n")))
     if cells[k, 16] == sep[k]:
         text = cells[k, :16].tobytes().decode("latin-1")
@@ -758,6 +836,9 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
     symmetric form, the saved matrix bit for bit. Raises
     :class:`DataError` on any malformation. The file's size is checked
     against n before the matrix is allocated; a bad cell names its row.
+    Blocks of about ``_BLOCK`` cells are decoded and checked, non-finite
+    values included, one at a time, so the temporaries beyond the matrix
+    stay under a MB at any n.
 
     One INFO line gives n, the file's bytes and the seconds."""
     start = time.perf_counter()
@@ -781,22 +862,24 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
         if body != need:
             raise DataError(f"{path}: {n} rows take {need} bytes, "
                             f"found {body}")
-        # back from two hex digits to their byte; any other uint16 to 256
-        byte = np.full(1 << 16, 256, dtype=np.uint16)
-        byte[_PAIRS] = np.arange(256)
         G = np.empty((n, n), dtype=np.float64)
         for i, j, lower, sep in _blocks(n):
             data = fh.read(_CELL * len(sep))
             if len(data) != _CELL * len(sep):
                 raise DataError(f"{path}: file ends in row {i}")
             cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CELL)
-            pairs = byte[cells[:, :16].view(np.uint16)]
-            if pairs.max() > 255 or not np.array_equal(cells[:, 16], sep):
-                raise DataError(f"{path}: {_bad_cell(cells, pairs, i, sep)}")
-            G[i:j, :j][lower] = pairs.astype(np.uint8).view(">f8")[:, 0]
-            np.copyto(G[:j, i:j], G[i:j, :j].T, where=lower.T)
-    if not np.all(np.isfinite(G)):
-        raise DataError(f"{path}: gram contains non-finite values")
+            digits = np.frombuffer(data.translate(_NIBBLES), dtype=np.uint8
+                                   ).reshape(-1, _CELL)[:, :16]
+            if digits.max() > 15 or not np.array_equal(cells[:, 16], sep):
+                raise DataError(f"{path}: {_bad_cell(cells, digits, i, sep)}")
+            # each byte from its two digits, the high one first
+            bits = digits[:, 0::2] << 4
+            bits |= digits[:, 1::2]
+            values = bits.view(">f8")[:, 0]
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: gram contains non-finite values")
+            G[i:j, :j][lower] = values
+            G[:j, i:j].T[lower] = values
     logger.info("load_gram: n %d, %d bytes, %.3f s", n, size,
                 time.perf_counter() - start)
     return G, fingerprint

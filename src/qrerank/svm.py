@@ -88,14 +88,30 @@ def _training_checksum(gram: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> str
     return h.hexdigest()
 
 
+# cells of G per block of rows that the checks read at a time
+_CHECK_CELLS = 1 << 14
+
+
 def _symmetric(G: np.ndarray) -> np.ndarray:
-    """The finite square ``G`` as the symmetric matrix the solver reads, in
-    C order. A ``G`` equal to its transpose bit for bit is returned as it
-    is, or as that transpose where only it is C-ordered, since
-    (G + G.T) / 2 would give back the same bits. Any other, one with a
-    ±0.0 or a rounding off its mirror, is replaced by (G + G.T) / 2."""
+    """The square ``G`` as the symmetric matrix the solver reads, in C
+    order, after one pass over blocks of its rows that checks each for
+    non-finite values (:class:`NumericalError`) and for being the mirror of
+    its columns bit for bit; the pass holds one block's bools at a time.
+
+    A ``G`` equal to its transpose bit for bit is returned as it is, or as
+    that transpose where only it is C-ordered, since (G + G.T) / 2 would
+    give back the same bits. Any other, one with a ±0.0 or a rounding off
+    its mirror, is replaced by (G + G.T) / 2."""
+    n = len(G)
     bits = G.view(np.uint64)
-    if np.array_equal(bits, bits.T):
+    mirrored = True
+    step = max(1, _CHECK_CELLS // n)
+    for i in range(0, n, step):
+        if not np.isfinite(G[i:i + step]).all():
+            raise NumericalError("gram contains non-finite values")
+        mirrored = mirrored and np.array_equal(bits[i:i + step],
+                                               bits[:, i:i + step].T)
+    if mirrored:
         return np.ascontiguousarray(G.T if G.flags.f_contiguous else G)
     with np.errstate(over="ignore"):
         sym = G - G.T
@@ -175,8 +191,9 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
 
     The caller's array is never written. A float64 ``gram`` in C or
     Fortran order that is symmetric bit for bit is solved in place, with
-    no n×n copy: the checks allocate one n×n bool at a time and the solver
-    O(n). Any other ``gram`` is copied: strided or non-float64, as it is;
+    no n×n copy: one pass over blocks of rows checks that it is finite and
+    symmetric, and the solver holds O(n). Any other ``gram`` is copied:
+    strided or non-float64, as it is;
     not bitwise symmetric, as (G + G.T) / 2, which raises
     :class:`NumericalError` where it overflows.
     """
@@ -191,8 +208,6 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         raise DataError("labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise DataError("training data contains a single class")
-    if not np.all(np.isfinite(G)):
-        raise NumericalError("gram contains non-finite values")
     # the native step reads G and y by pointer: C order, no strides
     G = _symmetric(G)
     y = np.ascontiguousarray(y)

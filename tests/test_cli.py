@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrerank import cli
+from qrerank import cli, kernels
 from qrerank.cli import (
     build_run_config,
     main,
@@ -22,11 +23,12 @@ from qrerank.cli import (
 from qrerank.config import KernelConfig, RunConfig, TrainConfig
 from qrerank.errors import DataError, NumericalError
 from qrerank.kernels import config_fingerprint, save_gram
-from qrerank.pipeline import load_examples
+from qrerank.pipeline import load_examples, save_examples
 from qrerank.svm import load_model
 from qrerank.treebank import to_bracketed
 
 from conftest import (
+    make_examples,
     make_rng,
     random_tree,
     run_chain,
@@ -523,6 +525,82 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"at least {needed} training examples" in err
         assert f"{needed - 1} were given" in err
+
+
+class TestGramStage:
+    """``gram`` writes each row of the lower triangle as it computes it."""
+
+    def test_holds_no_n_by_n_matrix(self, tmp_path):
+        # G would take n·n·8 bytes (2.9 MB here); the stage holds the
+        # examples (about 0.26 MB) and O(n) per row
+        n = 600
+        examples = tmp_path / "train.ex"
+        save_examples(examples, make_examples(make_rng(7), n,
+                                              with_trees=False))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["gram", "--examples", str(examples), "--out",
+                         str(tmp_path / "train.gram"), "--use-rank"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * n * 8
+
+    @pytest.mark.parametrize("fault,code,message", [
+        ("huge-last-vec", 3, "numerical error: gram_matrix: non-finite "
+                             "kernel value inf at cell (24, 24)"),
+        ("short-last-vec", 2, "error: feature vectors disagree in dimension"),
+        ("out-is-a-dir", 2, "error: [Errno 21] Is a directory"),
+    ])
+    def test_a_failed_run_leaves_the_older_file(self, fault, code, message,
+                                                corpora, tmp_path, capsys):
+        train_ex = tmp_path / "train.ex"
+        main(["featurize", "--corpus", str(corpora[0]), "--out",
+              str(train_ex)])
+        rows = [json.loads(line) for line in
+                train_ex.read_text(encoding="utf-8").splitlines()]
+        if fault == "huge-last-vec":
+            rows[-1]["vec"] = [1e200] * len(rows[-1]["vec"])
+        elif fault == "short-last-vec":
+            rows[-1]["vec"] = rows[-1]["vec"][:-1]
+            rows[-1]["vec_names"] = rows[-1]["vec_names"][:-1]
+        write_jsonl(train_ex, rows)
+        out = tmp_path / "out"
+        out.mkdir()
+        gram = out / "g.gram"
+        if fault == "out-is-a-dir":
+            gram.mkdir()
+        else:
+            gram.write_bytes(b"older")
+        capsys.readouterr()
+        assert main(["gram", "--examples", str(train_ex), "--out", str(gram),
+                     "--vec-kernel", "LINEAR"]) == code
+        assert message in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["g.gram"]
+        if fault != "out-is-a-dir":
+            assert gram.read_bytes() == b"older"
+
+    def test_progress_changes_neither_stdout_nor_the_file(
+            self, corpora, tmp_path, capsys, caplog, monkeypatch):
+        train_ex = tmp_path / "train.ex"
+        main(["featurize", "--corpus", str(corpora[0]), "--out",
+              str(train_ex)])
+        runs = []
+        for after_s in (kernels._PROGRESS_AFTER_S, 0.0):
+            monkeypatch.setattr(kernels, "_PROGRESS_AFTER_S", after_s)
+            gram = tmp_path / f"{after_s}.gram"
+            capsys.readouterr()
+            caplog.clear()
+            with caplog.at_level("INFO", logger="qrerank.kernels"):
+                assert main(["gram", "--examples", str(train_ex), "--out",
+                             str(gram)]) == 0
+            progress = sum(" of 25 rows, " in r.getMessage()
+                           for r in caplog.records)
+            out = capsys.readouterr().out
+            runs.append((out.replace(str(gram), "GRAM"), gram.read_bytes()))
+        assert progress == 10
+        assert runs[0] == runs[1]
 
 
 class TestDeepParse:

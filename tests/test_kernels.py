@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from qrerank.kernels import (
     ptk,
     save_gram,
     stk,
+    write_gram,
 )
 from qrerank.treebank import SyntaxTree, parse_bracketed
 
@@ -509,9 +511,10 @@ class TestNonFiniteKernels:
                 for k, v in enumerate(([1.0, 1.0], [1.0, 1.0], big))]
 
     def test_gram_matrix_names_the_first_cell(self):
+        # the first in file order: the lower triangle, row-major
         cfg = KernelConfig(vec_kernel="LINEAR")
         with pytest.raises(NumericalError, match=re.escape(
-                "gram_matrix: non-finite kernel value inf at cell (0, 2)")):
+                "gram_matrix: non-finite kernel value inf at cell (2, 0)")):
             gram_matrix(self.examples([1e308, 1e308]), cfg)
         with pytest.raises(NumericalError, match=re.escape(
                 "gram_matrix: non-finite kernel value inf at cell (2, 2)")):
@@ -527,6 +530,153 @@ class TestNonFiniteKernels:
     def test_rbf_underflows_to_zero_without_error(self):
         G = gram_matrix(self.examples([1e200, 1e200]), KernelConfig())
         assert G[0, 2] == G[2, 0] == 0.0 and G[2, 2] == 1.0
+
+
+# PTK and STK, each normalized and not, and the LINEAR and RBF kernels on
+# both the vector and the rank block
+PROPERTY_CONFIGS = {
+    "ptk-norm": KernelConfig(use_tk=True, use_rank=True),
+    "ptk-raw": KernelConfig(use_tk=True, normalize_tk=False,
+                            vec_kernel="LINEAR", use_rank=True,
+                            rank_kernel="RBF"),
+    "stk-norm": KernelConfig(use_tk=True, tk_kind="STK", vec_kernel="LINEAR",
+                             use_rank=True, rank_kernel="RBF", gamma=0.7),
+    "stk-raw": KernelConfig(use_tk=True, tk_kind="STK", normalize_tk=False,
+                            use_rank=True),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cfg", PROPERTY_CONFIGS.values(),
+                         ids=PROPERTY_CONFIGS.keys())
+class TestGramProperties:
+    """The invariants a Gram row relies on, taking row i against columns
+    0..i and mirroring it: each cell has the bits of its pair in either
+    order, whatever the examples' order."""
+
+    def test_both_triangles_are_the_kernel_matrix(self, cfg, seed):
+        ex = make_examples(make_rng(seed), 9)
+        assert gram_matrix(ex, cfg).tobytes() == \
+            kernel_matrix(ex, ex, cfg).tobytes()
+
+    def test_permutation_equivariant(self, cfg, seed):
+        rng = make_rng(seed)
+        ex = make_examples(rng, 9)
+        G = gram_matrix(ex, cfg)
+        perm = rng.permutation(len(ex))
+        assert gram_matrix([ex[k] for k in perm], cfg).tobytes() == \
+            G[perm][:, perm].tobytes()
+
+
+class TestStreamedGram:
+    """``write_gram`` computes and writes the Gram file a row at a time:
+    the bytes of ``save_gram`` of ``gram_matrix``, and on any error no
+    file, or the file that was there, at its path."""
+
+    @pytest.mark.parametrize("cfg", [
+        KernelConfig(use_rank=True),
+        KernelConfig(use_tk=True, tk_kind="STK", vec_kernel="LINEAR",
+                     use_rank=True, rank_kernel="RBF"),
+    ], ids=["sim-rank", "stk-sim-rank"])
+    def test_the_bytes_of_save_gram(self, tmp_path, cfg):
+        ex = make_examples(make_rng(89), 30)
+        save_gram(tmp_path / "a.gram", gram_matrix(ex, cfg),
+                  config_fingerprint(cfg))
+        write_gram(tmp_path / "b.gram", ex, cfg)
+        assert (tmp_path / "b.gram").read_bytes() == \
+            (tmp_path / "a.gram").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.gram",
+                                                             "b.gram"]
+
+    def failed(self, tmp_path, write, error, message):
+        """Run ``write`` on a path that holds an older file; it must raise
+        ``error`` and leave that file, and nothing else, in place."""
+        path = tmp_path / "g.gram"
+        path.write_bytes(b"older")
+        with pytest.raises(error, match=message):
+            write(path)
+        assert path.read_bytes() == b"older"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.gram"]
+
+    def test_a_non_finite_last_row(self, tmp_path):
+        ex = TestNonFiniteKernels.examples([1e308, 1e308])
+        cfg = KernelConfig(vec_kernel="LINEAR")
+        self.failed(tmp_path, lambda path: write_gram(path, ex, cfg),
+                    NumericalError, re.escape("at cell (2, 0)"))
+        G = np.ones((3, 3))
+        G[2, 2] = math.inf
+        self.failed(tmp_path, lambda path: save_gram(path, G, "fp"),
+                    NumericalError, re.escape("at cell (2, 2)"))
+
+    def test_a_missing_block(self, tmp_path):
+        ex = make_examples(make_rng(97), 4, with_trees=False)
+        self.failed(tmp_path, lambda path: write_gram(
+                        path, ex, KernelConfig(use_tk=True)),
+                    DataError, "missing its REL-linked tree pair")
+
+    def test_an_unwritable_path(self, tmp_path):
+        ex = make_examples(make_rng(97), 4, with_trees=False)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_gram(tmp_path / "dir", ex, KernelConfig())
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+        with pytest.raises(FileNotFoundError):
+            write_gram(tmp_path / "none" / "g.gram", ex, KernelConfig())
+
+
+def gram_progress(caplog, n):
+    """The progress lines of a Gram of n examples, logged with no delay."""
+    ex = make_examples(make_rng(101), n, with_trees=False)
+    with caplog.at_level("INFO", logger="qrerank.kernels"):
+        gram_matrix(ex, KernelConfig(use_rank=True))
+    return [r.getMessage() for r in caplog.records]
+
+
+class TestGramProgress:
+    def test_at_most_ten_lines_one_per_tenth_of_the_cells(self, monkeypatch,
+                                                            caplog):
+        monkeypatch.setattr(kernels, "_PROGRESS_AFTER_S", 0.0)
+        lines = gram_progress(caplog, 40)
+        assert len(lines) == 10
+        cells = 40 * 41 // 2
+        rows = []
+        for tenth, line in enumerate(lines, start=1):
+            match = re.fullmatch(r"gram_matrix: (\d+) of 40 rows, "
+                                 r"\d+\.\d s, ETA (\d+\.\d) s", line)
+            assert match, line
+            rows.append(int(match[1]))
+            # the row that completes this tenth of the cells
+            r = rows[-1]
+            assert 10 * r * (r + 1) // 2 >= tenth * cells
+            assert 10 * (r - 1) * r // 2 < tenth * cells
+        assert rows[-1] == 40 and match[2] == "0.0"
+
+    def test_fewer_rows_than_tenths(self, monkeypatch, caplog):
+        monkeypatch.setattr(kernels, "_PROGRESS_AFTER_S", 0.0)
+        lines = gram_progress(caplog, 3)
+        assert [line.split(",")[0] for line in lines] == [
+            "gram_matrix: 1 of 3 rows", "gram_matrix: 2 of 3 rows",
+            "gram_matrix: 3 of 3 rows"]
+
+    def test_a_quick_gram_logs_none(self, caplog):
+        assert gram_progress(caplog, 40) == []
+
+
+def test_load_gram_temporaries_are_bounded(tmp_path):
+    # beyond the matrix it returns, load_gram holds a block of cells at a
+    # time: no n×n bool (1.44 MB here) or any other n×n temporary
+    n = 1200
+    x = make_rng(103).normal(size=(n, 3))
+    save_gram(tmp_path / "g.gram", x @ x.T, "fp")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        G, _ = load_gram(tmp_path / "g.gram")
+        extra = tracemalloc.get_traced_memory()[1] - base - G.nbytes
+    finally:
+        tracemalloc.stop()
+    assert extra < 640 * 1024 < n * n // 2
 
 
 class TestConfigFingerprint:
@@ -1216,6 +1366,16 @@ class TestGramFilePython(TestGramFile):
 
 @pytest.mark.usefixtures("python_engine")
 class TestNonFiniteKernelsPython(TestNonFiniteKernels):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestGramPropertiesPython(TestGramProperties):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestStreamedGramPython(TestStreamedGram):
     pass
 
 

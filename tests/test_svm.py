@@ -556,8 +556,9 @@ class TestLeanPrelude:
 
     @pytest.mark.parametrize("engine", ["native", "python"])
     def test_a_symmetric_gram_is_not_copied(self, monkeypatch, engine):
-        # a copy of G alone would be 1.0 × G.nbytes; the checks allocate
-        # one n×n bool (0.125 ×) at a time
+        # a copy of G alone would be 1.0 × G.nbytes and one n×n bool
+        # 0.125 ×; the checks read G in blocks of rows, holding a block's
+        # bools at a time
         if engine == "python":
             monkeypatch.setattr(_native, "load", lambda: None)
         elif _native.load() is None:
@@ -570,7 +571,7 @@ class TestLeanPrelude:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * G.nbytes
+        assert peak < 0.0625 * G.nbytes
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_entry_beyond_half_the_largest_double_stays_finite(self):
