@@ -45,7 +45,7 @@ _NAMES_BY_MODULE = {
                  "make_groups", "save_examples", "score_examples"),
     "rankeval": ("Candidate", "QueryGroup", "average_precision", "evaluate",
                  "per_query_average_precision", "randomization_test",
-                 "read_predictions", "rerank", "reranked_candidates",
+                 "read_predictions", "reranked_candidates",
                  "write_predictions"),
     "rellink": ("REL_PREFIX", "rel_link"),
     "svm": ("TrainedModel", "load_model", "save_model", "train_smo"),

@@ -20,21 +20,6 @@ from typing import NamedTuple
 
 from .errors import DataError
 
-__all__ = [
-    "TaskSpec",
-    "TASK_SPECS",
-    "TASKS",
-    "RANK_MODES",
-    "TK_KINDS",
-    "VECTOR_KERNELS",
-    "MTE_SIDES",
-    "DEFAULT_PHRASE_LABELS",
-    "RelConfig",
-    "KernelConfig",
-    "TrainConfig",
-    "RunConfig",
-]
-
 
 class TaskSpec(NamedTuple):
     """One ranking task: its gold labels, the ones among them that count as

@@ -54,41 +54,41 @@ The Python engine (``_ptk``, ``_stk``) also caches the child-sequence DP per
 child-Δ block (flattened, with its width); it runs where the native engine
 cannot be built or loaded (one WARNING names why) and serves the tests as
 the reference. No option selects an engine. The memo holds one row's work,
-not the whole call's, and ``kernel_matrix`` drops a row's subtrees and trees
-from the table with the row. A Gram (``gram_matrix``, ``write_gram``) and
-``kernel_matrix`` log one INFO line with the call's tree pairs, interned
-subtrees, Δ values, DP runs and the engine that ran. No state outlives a
-call.
+not the whole call's, while the table holds every tree of the call, rows
+and columns alike, compiled before the first row; a row only reads it. A
+Gram (``gram_matrix``, ``write_gram``) and ``kernel_matrix`` log one INFO
+line with the call's tree pairs, distinct subtrees, Δ values, DP runs and
+the engine that ran. No state outlives a call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
 kernel on the REL-linked tree pair, and a linear or RBF kernel on the rank
 feature, summed per the enabled blocks.
 
-The pair kernel is evaluated a row at a time (``_row``): one example
-against a block of columns whose vectors and ranks are stacked once per call
-(``_stack``, which also runs every missing-block and dimension check before
-any row). The Gram takes row i against columns 0..i, its lower triangle in
-the order of its file (``_gram_rows``): ``gram_matrix`` mirrors each row
-into the matrix, and ``write_gram`` writes each to the file as it is
-computed, so that it holds O(n) beyond the examples, never the n×n matrix.
-Each value has the bits of its pair in either order, so the mirror is
-exact. ``kernel_matrix`` takes each row against all columns. The vector
-blocks are
-batched but keep the per-pair arithmetic, so every value is bit-identical
-to evaluating its pair alone: each dot product is one BLAS dot per pair
-(``np.matmul`` of 1×dim by dim×1 calls the same routine as ``np.dot``),
-each exponential is libm's ``exp``, the function ``math.exp`` calls
-(``_exp``: one native loop per row), and the blocks are added to 0.0 in the
-order sim, tree, rank. ``np.einsum`` or ``(d * d).sum(1)`` round some dot
-products differently, and ``np.exp`` some exponentials. The tree block is
-one ``_tree_block`` call per row, normalized in numpy with
-:func:`normalize_kernel`'s operations. A row's temporaries are
-O(columns × dim); no n×n×dim array is built. A Gram and
+Every kernel matrix comes from one generator of rows (``_kernel_rows``).
+Before the first row it runs every missing-block, dimension and tree check
+and stacks the rows' and the columns' vectors, ranks, tree offsets and
+self-kernels once per call (``_prepare``); ``_row`` then computes row i
+from that state by index. ``kernel_matrix`` takes each row against all
+columns. The Gram takes row i against columns 0..i, its lower triangle in
+the order of its file: ``gram_matrix`` mirrors each row into the matrix,
+and ``write_gram`` writes each to the file as it is computed, so that it
+holds O(n) beyond the examples, never the n×n matrix. Each value has the
+bits of its pair in either order, so the mirror is exact. The vector
+blocks are batched but keep the per-pair arithmetic, so every value is
+bit-identical to evaluating its pair alone: each dot product is one BLAS
+dot per pair (``np.matmul`` of 1×dim by dim×1 calls the same routine as
+``np.dot``), each exponential is libm's ``exp``, the function
+``math.exp`` calls (``_exp``: one native loop per row), and the blocks are
+added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
+``(d * d).sum(1)`` round some dot products differently, and ``np.exp``
+some exponentials. The tree block is one ``_tree_block`` call per row,
+normalized in numpy with :func:`normalize_kernel`'s operations. A row's
+temporaries are O(columns × dim); no n×n×dim array is built. A Gram and
 ``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
-value, the Gram's first in its file's order. A Gram that takes more than a
-second logs its progress: at most ten INFO lines, each with the rows done,
-the seconds and an estimate of the seconds left.
+value, the Gram's first in its file's order. Either matrix, if it takes
+more than a second, logs its progress: at most ten INFO lines, each with
+the rows done, the seconds and an estimate of the seconds left.
 
 The Gram cache file (``write_gram``, ``save_gram``, ``load_gram``) is text:
 the lower triangle, each cell the 16 hex digits of its IEEE-754 bits, so it
@@ -156,7 +156,7 @@ class _Subtrees:
         self.labels, self.prods = array("i"), array("i")
         self.kid_off, self.kid_ids = array("i", [0]), array("i")
         self.forest = array("i")
-        self.interned = self.pairs = self.deltas = self.dp_runs = 0
+        self.pairs = self.deltas = self.dp_runs = 0
         self.engine = "python"
 
     def compile(self, tree: SyntaxTree) -> int:
@@ -196,21 +196,6 @@ class _Subtrees:
             self.forest.extend(column)
         return at
 
-    def mark(self) -> tuple[int, int]:
-        """The sizes of the table and the forest, for :meth:`rollback`."""
-        return len(self.labels), len(self.forest)
-
-    def rollback(self, mark: tuple[int, int]) -> None:
-        """Forget every subtree interned and tree compiled since ``mark``."""
-        size, trees = mark
-        for s in range(size, len(self.labels)):
-            kids = self.kid_ids[self.kid_off[s]:self.kid_off[s + 1]]
-            del self.index[self.labels[s], tuple(kids)]
-        self.interned += len(self.labels) - size
-        del (self.labels[size:], self.prods[size:],
-             self.kid_ids[self.kid_off[size]:], self.kid_off[size + 1:],
-             self.forest[trees:])
-
     def tally(self, pairs: int, deltas: int, dp_runs: int,
               engine: str) -> None:
         self.pairs += pairs
@@ -221,7 +206,7 @@ class _Subtrees:
     def report(self, call: str) -> None:
         logger.info("%s: %d tree pairs, %d subtrees interned, %d delta values "
                     "computed, %d child-block DP runs, %s engine", call,
-                    self.pairs, self.interned + len(self.labels), self.deltas,
+                    self.pairs, len(self.labels), self.deltas,
                     self.dp_runs, self.engine)
 
 
@@ -289,9 +274,7 @@ def stk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4) -> float:
     child products run in the same positional order either way, and the
     final reduction is an exactly rounded sum).
     """
-    if not 0.0 < lam <= 1.0:
-        raise DataError(f"lambda must be in (0, 1], got {lam}")
-    return _one_pair("STK", t1, t2, lam, 1.0)
+    return _one_pair(t1, t2, KernelConfig(tk_kind="STK", lam=lam))
 
 
 def _subsequence_sum(D: list[tuple[float, ...]], lam: float) -> float:
@@ -374,18 +357,15 @@ def ptk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4, mu: float = 0.4) -> fl
     of equal-length nonempty child subsequences, d(J) being the span from
     first to last selected index. No cap on subsequence length. Symmetric.
     """
-    if not 0.0 < lam <= 1.0:
-        raise DataError(f"lambda must be in (0, 1], got {lam}")
-    if not 0.0 < mu <= 1.0:
-        raise DataError(f"mu must be in (0, 1], got {mu}")
-    return _one_pair("PTK", t1, t2, lam, mu)
+    return _one_pair(t1, t2, KernelConfig(lam=lam, mu=mu))
 
 
-def _one_pair(kind: str, t1: SyntaxTree, t2: SyntaxTree, lam: float,
-              mu: float) -> float:
+def _one_pair(t1: SyntaxTree, t2: SyntaxTree, cfg: KernelConfig) -> float:
+    """The raw tree kernel ``cfg`` names between two trees; λ and μ have
+    been checked where ``cfg`` was made."""
     sub = _Subtrees()
     row = np.array([sub.compile(t1)])
-    return float(_tree_block(kind, lam, mu, sub, row,
+    return float(_tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, row,
                              np.array([[sub.compile(t2)]]))[0, 0])
 
 
@@ -461,38 +441,6 @@ def _require_trees(e: Example):
         )
 
 
-class _Trees(NamedTuple):
-    """The tree state of a block of examples in one kernel call: the forest
-    offsets of each example's two compiled trees (n×2, or n×0 when the tree
-    block is off) and their self-kernels (same shape; ones where not
-    needed)."""
-    at: np.ndarray
-    selfs: np.ndarray
-
-    def rows(self, i: int, j: int) -> _Trees:
-        return _Trees(self.at[i:j], self.selfs[i:j])
-
-
-def _prepare(examples, cfg: KernelConfig, sub: _Subtrees,
-             selfs: bool) -> _Trees:
-    """The tree state of ``examples``: their two trees compiled against the
-    call's table ``sub`` and, if ``selfs``, their self-kernels. An example's
-    two self-kernels are one tree block, sharing one Δ memo."""
-    if not cfg.use_tk:
-        return _Trees(np.empty((len(examples), 0), dtype=np.int64),
-                      np.empty((len(examples), 0)))
-    for e in examples:
-        _require_trees(e)
-    at = np.array([(sub.compile(e.tree_first), sub.compile(e.tree_second))
-                   for e in examples], dtype=np.int64)
-    k = np.ones(at.shape)
-    if selfs:
-        for i, trees in enumerate(at):
-            k[i] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, trees,
-                               trees[None])[0]
-    return _Trees(at, k)
-
-
 def _exp(x: np.ndarray) -> np.ndarray:
     """``math.exp`` of each value of x. The native engine calls libm's
     ``exp``, the function ``math.exp`` calls, so the bits are the same; where
@@ -544,29 +492,64 @@ def _check_dims(u, v) -> None:
             f"({len(v)},)")
 
 
-def _stack(examples, cfg: KernelConfig):
-    """The vec block (n×dim, each vec checked against the first) and the
-    rank block (n) of ``examples`` as float64 arrays, each None when the
-    config does not use it. The one place where the examples' plain float
-    vectors become a numpy block: their bytes, joined, read in place."""
+class _Block(NamedTuple):
+    """A block of examples prepared for one kernel call: their vec block
+    ``X`` (n×dim) and rank block ``r`` (n) as float64, each None when the
+    config does not use it, the forest offsets of each example's two
+    compiled trees ``at`` (n×2, or n×0 when the tree block is off) and their
+    self-kernels ``selfs`` (same shape; ones where not needed)."""
+    X: np.ndarray | None
+    r: np.ndarray | None
+    at: np.ndarray
+    selfs: np.ndarray
+
+    def head(self, j: int) -> _Block:
+        """The block of the first j examples."""
+        return _Block(*(None if a is None else a[:j] for a in self))
+
+
+def _prepare(examples, cfg: KernelConfig, sub: _Subtrees, selfs: bool,
+             ref: np.ndarray | None = None) -> _Block:
+    """The block of ``examples``: first the missing-block and dimension
+    checks, then their two trees compiled against the call's table ``sub``
+    and, if ``selfs``, their self-kernels. Each vec is checked against the
+    first row of ``ref``, the columns' vec block, if given, and else against
+    the first vec of ``examples``. The vecs' bytes, joined, are read in
+    place. An example's two self-kernels are one tree block, sharing one Δ
+    memo."""
+    n = len(examples)
+    if cfg.use_tk:
+        for e in examples:
+            _require_trees(e)
     X = r = None
     if cfg.use_sim:
         vecs = [_require_vec(e) for e in examples]
         for v in vecs:
-            _check_dims(vecs[0], v)
-        X = np.frombuffer(b"".join(vecs)).reshape(len(vecs), len(vecs[0]))
+            if ref is None:
+                _check_dims(vecs[0], v)
+            else:
+                _check_dims(v, ref[0])
+        X = np.frombuffer(b"".join(vecs)).reshape(n, len(vecs[0]))
     if cfg.use_rank:
         r = np.array([_require_rank(e) for e in examples], dtype=np.float64)
-    return X, r
+    if not cfg.use_tk:
+        return _Block(X, r, np.empty((n, 0), dtype=np.int64), np.empty((n, 0)))
+    at = np.array([(sub.compile(e.tree_first), sub.compile(e.tree_second))
+                   for e in examples], dtype=np.int64)
+    k = np.ones(at.shape)
+    if selfs:
+        for i, trees in enumerate(at):
+            k[i] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, trees,
+                               trees[None])[0]
+    return _Block(X, r, at, k)
 
 
-def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
+def _row(i: int, rows: _Block, cols: _Block, cfg: KernelConfig,
          sub: _Subtrees, diagonal: bool = False) -> np.ndarray:
-    """The combined kernel between one example ``e`` and a block of
-    columns: their stacked vec and rank blocks ``X`` and ``r`` (from
-    :func:`_stack`) and their tree state ``cols``. ``p`` is the tree state
-    of ``e`` alone. With ``diagonal``, as in a Gram row, the last column is
-    ``e`` itself and takes the self-kernels at hand.
+    """The combined kernel between example i of ``rows`` and every example
+    of ``cols``, read from the two prepared blocks. With ``diagonal``, as in
+    a Gram row, the last column is example i itself and takes its
+    self-kernels at hand.
 
     Each value is the sum, in this order, of the sim, tree and rank blocks,
     starting from 0.0, with the arithmetic of one pair alone; temporaries
@@ -578,27 +561,26 @@ def _row(e: Example, p: _Trees, X, r, cols: _Trees, cfg: KernelConfig,
     # precede that message
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.use_sim:
-            u = np.asarray(_require_vec(e), dtype=np.float64)
-            _check_dims(u, X[0])
+            u = rows.X[i]
             if cfg.vec_kernel == "LINEAR":
-                row += np.matmul(X[:, None, :], u[:, None])[:, 0, 0]
+                row += np.matmul(cols.X[:, None, :], u[:, None])[:, 0, 0]
             else:
-                row += _rbf_row(u, X, _resolve_gamma(cfg, len(u)))
+                row += _rbf_row(u, cols.X, _resolve_gamma(cfg, len(u)))
         if cfg.use_tk:
             m = len(cols.at) - diagonal
             k = np.empty(cols.at.shape)
-            k[:m] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, p.at[0],
+            k[:m] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, rows.at[i],
                                 cols.at[:m])
-            k[m:] = p.selfs[:diagonal]
+            k[m:] = rows.selfs[i:i + diagonal]
             if cfg.normalize_tk:
-                k = _normalize(k, p.selfs[0], cols.selfs)
+                k = _normalize(k, rows.selfs[i], cols.selfs)
             row += k[:, 0] + k[:, 1]
         if cfg.use_rank:
-            r_e = _require_rank(e)
+            r_i = rows.r[i]
             if cfg.rank_kernel == "LINEAR":
-                row += r_e * r
+                row += r_i * cols.r
             else:
-                d = r_e - r
+                d = r_i - cols.r
                 row += _exp((-_resolve_gamma(cfg, 1) * d) * d)
     return row
 
@@ -613,49 +595,59 @@ def _require_finite(call: str, i: int, row: np.ndarray) -> None:
                              f"cell ({i}, {j})")
 
 
-# a Gram computed in less time than this logs no progress
+# a matrix computed in less time than this logs no progress
 _PROGRESS_AFTER_S = 1.0
 
 
-def _gram_rows(examples: list[Example], cfg: KernelConfig):
-    """The lower triangle of the Gram matrix of ``examples``, row i against
-    columns 0..i, in order: the rows of its file. Every missing-block and
-    dimension check and the tree self-kernels run in this call; each row is
-    computed as it is taken from the iterator returned, which raises
+def _kernel_rows(rows: list[Example], cols: list[Example] | None,
+                 cfg: KernelConfig):
+    """The rows of a kernel matrix, in order: each of ``rows`` against every
+    one of ``cols`` (:func:`kernel_matrix`) or, with ``cols`` None, the Gram
+    matrix of ``rows`` as its file holds it, row i against columns 0..i
+    (:func:`gram_matrix`, :func:`write_gram`).
+
+    This call prepares the columns' block and then the rows'
+    (:func:`_prepare`): every missing-block, dimension and tree check, every
+    tree compiled into the call's one table, and the self-kernels the rows
+    need. The rows only read that state. Each row
+    is computed as it is taken from the iterator returned, which raises
     :class:`NumericalError` at the first non-finite value.
 
     Once a row ends a tenth of the cells and the rows have taken
     ``_PROGRESS_AFTER_S`` seconds, one INFO line gives the rows done of n,
     the seconds and an estimate of the seconds left: at most ten lines."""
-    if not examples:
-        raise DataError("gram_matrix requires at least one example")
     start = time.perf_counter()
-    n = len(examples)
-    sub = _Subtrees()
-    prepared = _prepare(examples, cfg, sub, True)
-    X, r = _stack(examples, cfg)
+    n, sub, gram = len(rows), _Subtrees(), cols is None
+    if gram:
+        if not rows:
+            raise DataError("gram_matrix requires at least one example")
+        call, cells = "gram_matrix", n * (n + 1) // 2
+        p = c = _prepare(rows, cfg, sub, True)
+    else:
+        if not rows or not cols:
+            raise DataError("kernel_matrix requires non-empty example lists")
+        call, cells = "kernel_matrix", n * len(cols)
+        c = _prepare(cols, cfg, sub, cfg.normalize_tk)
+        p = _prepare(rows, cfg, sub, cfg.normalize_tk, c.X)
 
-    def rows():
-        cells, tenth = n * (n + 1) // 2, 1
-        for i, e in enumerate(examples):
-            row = _row(e, prepared.rows(i, i + 1),
-                       None if X is None else X[:i + 1],
-                       None if r is None else r[:i + 1],
-                       prepared.rows(0, i + 1), cfg, sub, diagonal=True)
-            _require_finite("gram_matrix", i, row)
-            done = (i + 1) * (i + 2) // 2
+    def generate():
+        done, tenth = 0, 1
+        for i in range(n):
+            row = _row(i, p, c.head(i + 1) if gram else c, cfg, sub, gram)
+            _require_finite(call, i, row)
+            done += len(row)
             if 10 * done >= tenth * cells:
                 tenth = 10 * done // cells + 1
                 seconds = time.perf_counter() - start
                 if seconds >= _PROGRESS_AFTER_S:
-                    logger.info("gram_matrix: %d of %d rows, %.1f s, ETA "
-                                "%.1f s", i + 1, n, seconds,
+                    logger.info("%s: %d of %d rows, %.1f s, ETA %.1f s",
+                                call, i + 1, n, seconds,
                                 seconds * (cells - done) / done)
             yield row
         if cfg.use_tk:
-            sub.report("gram_matrix")
+            sub.report(call)
 
-    return rows()
+    return generate()
 
 
 def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
@@ -667,7 +659,7 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     diagonal. A non-finite value raises :class:`NumericalError` naming its
     cell, the first of the lower triangle in row-major order.
     """
-    rows = _gram_rows(examples, cfg)
+    rows = _kernel_rows(examples, None, cfg)
     n = len(examples)
     G = np.empty((n, n), dtype=np.float64)
     for i, row in enumerate(rows):
@@ -679,25 +671,14 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
 def kernel_matrix(rows: list[Example], cols: list[Example],
                   cfg: KernelConfig) -> np.ndarray:
     """Rectangular kernel matrix: K[i][j] is the combined kernel of
-    rows[i] and cols[j], as in :func:`gram_matrix`.
-    Each tree is compiled, and its self-kernels computed, once: a column's
-    for the whole call, a row's for its row only; a row's subtrees and
-    trees leave the table with the row. A non-finite value raises
-    :class:`NumericalError` naming its cell, the first in row-major order."""
-    if not rows or not cols:
-        raise DataError("kernel_matrix requires non-empty example lists")
-    sub = _Subtrees()
-    prep_c = _prepare(cols, cfg, sub, cfg.normalize_tk)
-    mark = sub.mark()
-    X, r = _stack(cols, cfg)
+    rows[i] and cols[j], as in :func:`gram_matrix`. Each tree is compiled,
+    and its self-kernels computed, once for the whole call. A non-finite
+    value raises :class:`NumericalError` naming its cell, the first in
+    row-major order."""
+    K_rows = _kernel_rows(rows, cols, cfg)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
-    for i, e_i in enumerate(rows):
-        p_i = _prepare([e_i], cfg, sub, cfg.normalize_tk)
-        K[i] = _row(e_i, p_i, X, r, prep_c, cfg, sub)
-        _require_finite("kernel_matrix", i, K[i])
-        sub.rollback(mark)
-    if cfg.use_tk:
-        sub.report("kernel_matrix")
+    for i, row in enumerate(K_rows):
+        K[i] = row
     return K
 
 
@@ -800,7 +781,7 @@ def write_gram(path: str | Path, examples: list[Example],
     cache file, the bytes :func:`save_gram` writes of
     :func:`gram_matrix`'s result, one row at a time: the n×n matrix is
     never held. An error leaves ``path`` as it was."""
-    rows = _gram_rows(examples, cfg)
+    rows = _kernel_rows(examples, None, cfg)
     _write_gram("write_gram", path, len(examples), config_fingerprint(cfg),
                 rows)
 

@@ -65,19 +65,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "CorpusRecord",
-    "load_corpus",
-    "gold_binary",
-    "class_counts",
-    "build_examples",
-    "save_examples",
-    "load_examples",
-    "load_labels",
-    "make_groups",
-    "score_examples",
-]
-
 
 @dataclass(frozen=True)
 class CorpusRecord:
@@ -437,13 +424,15 @@ def _example_records(fh, path):
 
 
 def load_examples(path) -> list[Example]:
-    """Read featurized examples written by :func:`save_examples`."""
+    """Read featurized examples written by :func:`save_examples`. Examples
+    with equal ``vec_names`` share one tuple."""
     examples: list[Example] = []
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open_text(path) as fh:
         for lineno, obj in _example_records(fh, path):
             try:
                 names = obj.get("vec_names")
-                examples.append(Example(
+                e = Example(
                     query_id=obj["query_id"],
                     candidate_id=obj["candidate_id"],
                     label=obj["label"],
@@ -453,12 +442,14 @@ def load_examples(path) -> list[Example]:
                     rank_value=obj["rank_value"],
                     tree_first=_example_tree(obj, "tree_first"),
                     tree_second=_example_tree(obj, "tree_second"),
-                ))
+                )
             except KeyError as exc:
                 raise _field_error(path, lineno, f"missing field {exc}") \
                     from exc
             except DataError as exc:
                 raise _field_error(path, lineno, str(exc)) from exc
+            e.vec_names = shared.setdefault(e.vec_names, e.vec_names)
+            examples.append(e)
     return examples
 
 

@@ -24,19 +24,6 @@ from dataclasses import dataclass
 
 from .errors import DataError, open_text
 
-__all__ = [
-    "Candidate",
-    "QueryGroup",
-    "rerank",
-    "reranked_candidates",
-    "average_precision",
-    "per_query_average_precision",
-    "evaluate",
-    "randomization_test",
-    "write_predictions",
-    "read_predictions",
-]
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -91,11 +78,6 @@ def reranked_candidates(group: QueryGroup) -> tuple[Candidate, ...]:
     """Candidates sorted by descending score, ties by ascending original rank."""
     return tuple(sorted(group.candidates,
                         key=lambda c: (-c.score, c.original_rank)))
-
-
-def rerank(group: QueryGroup) -> list[str]:
-    """Candidate ids in reranked order."""
-    return [c.candidate_id for c in reranked_candidates(group)]
 
 
 def average_precision(ranked_gold, k: int | None = None) -> float:

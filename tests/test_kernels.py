@@ -3,6 +3,7 @@ vector kernels, Gram assembly, the Gram cache file, and the native engine
 (tree kernels, exponentials): bit for bit and byte for byte against the
 Python engine, its build cache and its fallback."""
 
+import gc
 import hashlib
 import math
 import os
@@ -567,6 +568,17 @@ class TestGramProperties:
         assert gram_matrix([ex[k] for k in perm], cfg).tobytes() == \
             G[perm][:, perm].tobytes()
 
+    def test_rows_are_independent(self, cfg, seed):
+        # a row only reads the state the call prepared before the first
+        # row, so permuting the rows permutes the matrix's rows, bit for bit
+        rng = make_rng(seed)
+        ex = make_examples(rng, 12)
+        rows, cols = ex[3:], ex[:6]
+        K = kernel_matrix(rows, cols, cfg)
+        perm = rng.permutation(len(rows))
+        assert kernel_matrix([rows[k] for k in perm], cols, cfg).tobytes() \
+            == K[perm].tobytes()
+
 
 class TestStreamedGram:
     """``write_gram`` computes and writes the Gram file a row at a time:
@@ -661,6 +673,48 @@ class TestGramProgress:
 
     def test_a_quick_gram_logs_none(self, caplog):
         assert gram_progress(caplog, 40) == []
+
+    def test_kernel_matrix_one_line_per_tenth_of_the_rows(self, monkeypatch,
+                                                          caplog):
+        monkeypatch.setattr(kernels, "_PROGRESS_AFTER_S", 0.0)
+        ex = make_examples(make_rng(101), 32, with_trees=False)
+        with caplog.at_level("INFO", logger="qrerank.kernels"):
+            kernel_matrix(ex[:25], ex[25:], KernelConfig(use_rank=True))
+        rows = []
+        for line in (r.getMessage() for r in caplog.records):
+            match = re.fullmatch(r"kernel_matrix: (\d+) of 25 rows, "
+                                 r"\d+\.\d s, ETA \d+\.\d s", line)
+            assert match, line
+            rows.append(int(match[1]))
+        # every row has 7 cells, so row r ends the tenth k where r >= 2.5·k
+        assert rows == [3, 5, 8, 10, 13, 15, 18, 20, 23, 25]
+
+
+@pytest.mark.parametrize("engine", ["native", "python"])
+@pytest.mark.parametrize("kind", ["PTK", "STK"])
+def test_kernel_matrix_memory_per_row_is_bounded(monkeypatch, kind, engine):
+    # each call compiles its rows' and columns' trees into a table of its
+    # own and drops it, with each row's Δ memo, before it returns: a memo or
+    # table kept across the eight calls would keep growing (by 25–35 KB a
+    # call here)
+    if engine == "python":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    ex = make_examples(make_rng(107), 80)
+    cols = ex[:16]
+    cfg = KernelConfig(use_tk=True, use_rank=True, tk_kind=kind)
+    kernel_matrix(ex[16:17], cols, cfg)     # load the engine untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(8):
+            kernel_matrix(ex[16 + 8 * k:24 + 8 * k], cols, cfg)
+        gc.collect()    # also empties the interpreter's free lists
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept < 32 * 1024
+    assert peak / 8 < 32 * 1024     # per row of one call
 
 
 def test_load_gram_temporaries_are_bounded(tmp_path):
@@ -1317,7 +1371,14 @@ class TestSharedSubtrees:
         assert messages[0].startswith("gram_matrix: 20 tree pairs, ")
         assert messages[1].startswith("kernel_matrix: 22 tree pairs, ")
         for pairs, subtrees, deltas, dp_runs in counts:
-            assert 0 < dp_runs < deltas and 0 < subtrees
+            assert 0 < dp_runs < deltas
+        # the distinct subtrees of the call's trees, rows and columns alike
+        for (_, subtrees, _, _), called in zip(counts, (ex[:4], ex[:5])):
+            sub = kernels._Subtrees()
+            for e in called:
+                sub.compile(e.tree_first)
+                sub.compile(e.tree_second)
+            assert subtrees == len(sub.labels)
 
 
 # ---------------------------------------------------------------------------

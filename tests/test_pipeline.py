@@ -34,7 +34,6 @@ from qrerank.pipeline import (
 from qrerank.rankeval import (
     QueryGroup,
     read_predictions,
-    rerank,
     reranked_candidates,
     write_predictions,
 )
@@ -510,6 +509,20 @@ class TestExampleFiles:
             assert to_bracketed(back.tree_second) == \
                 to_bracketed(orig.tree_second)
 
+    def test_equal_vec_names_share_one_tuple(self, tmp_path):
+        write_corpus(tmp_path / "corpus.jsonl", n_queries=2, per_query=3)
+        examples = build_examples(load_corpus(tmp_path / "corpus.jsonl", "B"),
+                                  RunConfig())
+        examples.append(Example(query_id="q9", candidate_id="c1", label=1,
+                                original_rank=1, rank_value=0.5))
+        path = tmp_path / "examples.jsonl"
+        save_examples(path, examples)
+        loaded = load_examples(path)
+        assert len(loaded[0].vec_names) == 20 and loaded[-1].vec_names == ()
+        assert all(e.vec_names is loaded[0].vec_names for e in loaded[1:-1])
+        save_examples(tmp_path / "again.jsonl", loaded)
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
     def test_none_blocks_round_trip(self, tmp_path):
         example = Example(query_id="q1", candidate_id="c1", label=1,
                           original_rank=2, rank_value=0.5)
@@ -634,7 +647,8 @@ class TestGroupsAndScoring:
         for group in make_groups(examples, scores):
             expected = [c.candidate_id for c in sorted(
                 group.candidates, key=lambda c: c.original_rank)]
-            assert rerank(group) == expected
+            assert [c.candidate_id for c in reranked_candidates(group)] == \
+                expected
 
     def test_score_examples_rejects_short_train_list(self, tmp_path):
         examples = self.build(tmp_path)

@@ -12,7 +12,6 @@ from qrerank.rankeval import (
     evaluate,
     randomization_test,
     read_predictions,
-    rerank,
     reranked_candidates,
     write_predictions,
 )
@@ -29,6 +28,10 @@ def make_group(scores, gold=None, query_id="q1"):
         for i, (s, g) in enumerate(zip(scores, gold))))
 
 
+def reranked_ids(group):
+    return [c.candidate_id for c in reranked_candidates(group)]
+
+
 def gold_group(gold, query_id="q1"):
     """Group whose current order is the ranking (scores descending)."""
     n = len(gold)
@@ -38,22 +41,22 @@ def gold_group(gold, query_id="q1"):
 class TestRerank:
     def test_sorts_by_descending_score(self):
         group = make_group([0.1, 0.9, 0.5])
-        assert rerank(group) == ["c2", "c3", "c1"]
+        assert reranked_ids(group) == ["c2", "c3", "c1"]
 
     def test_ties_fall_back_to_original_rank(self):
         group = make_group([0.5, 0.5, 0.5])
-        assert rerank(group) == ["c1", "c2", "c3"]
+        assert reranked_ids(group) == ["c1", "c2", "c3"]
 
     def test_inverse_rank_scores_reproduce_original_order(self):
         group = make_group([1.0 / r for r in range(1, 11)])
-        assert rerank(group) == [f"c{i}" for i in range(1, 11)]
+        assert reranked_ids(group) == [f"c{i}" for i in range(1, 11)]
 
     def test_output_is_permutation(self):
         rng = make_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 12))
             group = make_group(list(rng.normal(size=n)))
-            out = rerank(group)
+            out = reranked_ids(group)
             assert sorted(out) == sorted(c.candidate_id
                                          for c in group.candidates)
 
@@ -61,8 +64,8 @@ class TestRerank:
         rng = make_rng(6)
         for _ in range(50):
             scores = list(rng.normal(size=8))
-            base = rerank(make_group(scores))
-            shifted = rerank(make_group([3.0 * s + 7.0 for s in scores]))
+            base = reranked_ids(make_group(scores))
+            shifted = reranked_ids(make_group([3.0 * s + 7.0 for s in scores]))
             assert base == shifted
 
     def test_missing_score_rejected(self):
@@ -73,7 +76,9 @@ class TestRerank:
     def test_reranked_candidates_order_matches_ids(self):
         group = make_group([0.1, 0.9, 0.5], gold=[True, False, True])
         cands = reranked_candidates(group)
-        assert [c.candidate_id for c in cands] == rerank(group)
+        assert [c.candidate_id for c in cands] == ["c2", "c3", "c1"]
+        assert cands == tuple(group.candidates[k] for k in (1, 2, 0))
+        assert [c.gold_relevant for c in cands] == [False, True, True]
 
 
 class TestAveragePrecision:
