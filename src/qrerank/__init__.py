@@ -38,7 +38,8 @@ _NAMES_BY_MODULE = {
                  "ptk_feature", "rank_feature", "similarity_vector",
                  "tokenize"),
     "kernels": ("config_fingerprint", "gram_matrix",
-                "kernel_matrix", "load_gram", "normalize_kernel", "ptk",
+                "kernel_matrix", "load_gram", "load_gram_lower",
+                "normalize_kernel", "ptk",
                 "save_gram", "stk", "write_gram"),
     "pipeline": ("CorpusRecord", "build_examples", "class_counts",
                  "gold_binary", "load_corpus", "load_examples",

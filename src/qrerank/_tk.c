@@ -430,6 +430,11 @@ int qrerank_tree_block(int kind, double lam, double mu,
  * min and max (the second argument only when strictly beyond the first) and
  * the update (g + a·G[i]) + b·G[j]. The library is compiled with
  * -ffp-contract=off, so no multiply-add is fused.
+ *
+ * G is read as the packed lower triangle T that train_smo takes: row i
+ * starts at i(i+1)/2, so G_ik is T[i(i+1)/2 + k] for k <= i, a contiguous
+ * run up to the diagonal, and T[k(k+1)/2 + i] for k > i, down column i at a
+ * stride of k + 1 from cell (k, i) to cell (k + 1, i).
  * ---------------------------------------------------------------------- */
 
 enum { SMO_STEPPED = 0, SMO_CONVERGED = 1, SMO_STALLED = 2,
@@ -441,20 +446,32 @@ static const double SMO_TAU = 1e-12;
 static double py_max(double a, double b) { return b > a ? b : a; }
 static double py_min(double a, double b) { return b < a ? b : a; }
 
-/* a_ij = G_ii + G_jj - 2 G_ij, or SMO_TAU where that is not positive */
-static double curvature(const double *G, int64_t n, int64_t i, int64_t j)
+/* the offset of G_ik in T */
+static int64_t cell(int64_t i, int64_t k)
 {
-    double a = G[i * n + i] + G[j * n + j] - 2.0 * G[i * n + j];
+    return k <= i ? i * (i + 1) / 2 + k : k * (k + 1) / 2 + i;
+}
+
+/* from the offset p of G_ik, that of G_i(k+1) */
+static int64_t next_cell(int64_t p, int64_t i, int64_t k)
+{
+    return p + (k < i ? 1 : k + 1);
+}
+
+/* a_ij = G_ii + G_jj - 2 G_ij, or SMO_TAU where that is not positive; G_ij
+ * is T[p] */
+static double curvature(const double *T, int64_t i, int64_t j, int64_t p)
+{
+    double a = T[cell(i, i)] + T[cell(j, j)] - 2.0 * T[p];
     return a <= 0.0 ? SMO_TAU : a;
 }
 
 /* try_pair: optimize (α_i, α_j) analytically; 1 on real progress */
-static int try_pair(int64_t n, const double *G, const double *y,
+static int try_pair(int64_t n, const double *T, const double *y,
                     const double *box, double *alpha, double *g, double eps,
                     int64_t i, int64_t j)
 {
-    const double *Gi = G + i * n, *Gj = G + j * n;
-    double eta = curvature(G, n, i, j);
+    double eta = curvature(T, i, j, cell(i, j));
     double sgn = y[i] * y[j], L, H;
     if (sgn < 0) {
         L = py_max(0.0, alpha[j] - alpha[i]);
@@ -475,22 +492,24 @@ static int try_pair(int64_t n, const double *G, const double *y,
     ai_new = py_min(py_max(ai_new, 0.0), box[i]);
     double d_i = ai_new - alpha[i];
     double a = d_i * y[i], b = d_j * y[j];
-    for (int64_t k = 0; k < n; k++)
-        g[k] = g[k] + a * Gi[k] + b * Gj[k];
+    /* row i and row j: contiguous up to their diagonals, strided below */
+    for (int64_t k = 0, pi = cell(i, 0), pj = cell(j, 0); k < n;
+         pi = next_cell(pi, i, k), pj = next_cell(pj, j, k), k++)
+        g[k] = g[k] + a * T[pi] + b * T[pj];
     alpha[i] = ai_new;
     alpha[j] = aj_new;
     return 1;
 }
 
-/* One step over the n×n Gram G (row-major, symmetric), labels y, boxes box
- * and the iterate alpha, g (updated in place). I_up holds the examples whose
- * α can move to raise y·α, I_low those that can lower it. i is the first
+/* One step over the Gram's packed lower triangle T, labels y, boxes box and
+ * the iterate alpha, g (updated in place). I_up holds the examples whose α
+ * can move to raise y·α, I_low those that can lower it. i is the first
  * index maximizing F over I_up (m), M the minimum of F over I_low; j the
  * first index of I_low with F_j < m minimizing -(m - F_j)^2 / a_ij. Returns
  * SMO_CONVERGED when m - M <= tol, SMO_STEPPED, SMO_STALLED (the pair does
  * not move by eps) or SMO_NONFINITE (an F or a selection value is not a
  * number, or F is infinite). */
-int qrerank_smo_step(int64_t n, const double *G, const double *y,
+int qrerank_smo_step(int64_t n, const double *T, const double *y,
                      const double *box, double *alpha, double *g,
                      double tol, double eps)
 {
@@ -513,12 +532,12 @@ int qrerank_smo_step(int64_t n, const double *G, const double *y,
 
     double best = INFINITY;
     int64_t j = -1;
-    for (int64_t k = 0; k < n; k++) {
+    for (int64_t k = 0, p = cell(i, 0); k < n; p = next_cell(p, i, k), k++) {
         double F = y[k] - g[k];
         int low = y[k] > 0 ? alpha[k] > eps : alpha[k] < box[k] - eps;
         if (!low || !(F < m))
             continue;
-        double b = m - F, obj = -(b * b) / curvature(G, n, i, k);
+        double b = m - F, obj = -(b * b) / curvature(T, i, k, p);
         if (isnan(obj))
             return SMO_NONFINITE;
         if (obj < best) {
@@ -526,7 +545,7 @@ int qrerank_smo_step(int64_t n, const double *G, const double *y,
             j = k;
         }
     }
-    return try_pair(n, G, y, box, alpha, g, eps, i, j) ? SMO_STEPPED
+    return try_pair(n, T, y, box, alpha, g, eps, i, j) ? SMO_STEPPED
                                                        : SMO_STALLED;
 }
 

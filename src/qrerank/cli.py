@@ -268,23 +268,20 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .kernels import config_fingerprint, load_gram
+    from .kernels import config_fingerprint, load_gram_lower
     from .pipeline import load_labels
     from .svm import save_model, train_smo
 
     cfg = config_from_args(args)
-    gram, fingerprint = load_gram(args.gram)
+    lower, fingerprint = load_gram_lower(args.gram)
     current = config_fingerprint(cfg.kernel)
     if fingerprint != current:
         logger.warning(
             "gram file was computed under a different kernel config "
             "(%s... vs current %s...)", fingerprint[:12], current[:12])
     labels = load_labels(args.examples)
-    if len(labels) != gram.shape[0]:
-        raise DataError(
-            f"{len(labels)} examples for a {gram.shape[0]}x"
-            f"{gram.shape[1]} gram matrix")
-    model = train_smo(gram, labels, cfg.train, kernel_fingerprint=fingerprint)
+    model = train_smo(lower, labels, cfg.train,
+                      kernel_fingerprint=fingerprint)
     save_model(args.out, model)
     print(f"trained on {len(labels)} examples, "
           f"{len(model.support_indices)} support vectors -> {args.out}")

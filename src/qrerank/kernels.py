@@ -90,13 +90,16 @@ value, the Gram's first in its file's order. Either matrix, if it takes
 more than a second, logs its progress: at most ten INFO lines, each with
 the rows done, the seconds and an estimate of the seconds left.
 
-The Gram cache file (``write_gram``, ``save_gram``, ``load_gram``) is text:
-the lower triangle, each cell the 16 hex digits of its IEEE-754 bits, so it
-is exact by construction. One writer encodes each row with one
-``binascii.hexlify`` call as the row arrives, into a temporary file renamed
-into place when complete; the reader decodes and checks blocks of rows with
-a few numpy operations, so it holds a block's temporaries beyond the
-matrix. No engine is involved.
+The Gram cache file (``write_gram``, ``save_gram``, ``load_gram_lower``,
+``load_gram``) is text: the lower triangle, each cell the 16 hex digits of
+its IEEE-754 bits, so it is exact by construction. One writer encodes each
+row with one ``binascii.hexlify`` call as the row arrives, into a
+temporary file renamed into place when complete. One reader decodes and
+checks blocks of rows with a few numpy operations, each block straight
+into place in the packed triangle (row i from offset i(i+1)/2), which is
+what ``load_gram_lower`` returns and ``train`` solves on; ``load_gram``
+reads it into the first cells of an n×n matrix and unpacks it there. Either
+holds a block's temporaries beyond what it returns. No engine is involved.
 """
 
 from __future__ import annotations
@@ -709,19 +712,19 @@ _NIBBLES = bytes(int(c, 16) if c in "0123456789abcdef" else 16
 
 def _blocks(n: int):
     """The lower triangle of an n×n matrix in blocks of whole rows, about
-    ``_BLOCK`` cells each but at least one row: rows i..j-1 of the block,
-    the mask of their cells in ``G[i:j, :j]`` and the separator after each
-    cell, a newline after a row's last and a space after the others."""
+    ``_BLOCK`` cells each but at least one row: the block's first row i and
+    the separator after each of its cells, a newline after a row's last and
+    a space after the others. The block's cells start at i(i+1)/2 in the
+    packed triangle."""
     i = 0
     while i < n:
         # the largest j with j(j+1)/2 - i(i+1)/2 <= _BLOCK
         j = (math.isqrt(8 * _BLOCK + 4 * i * (i + 1) + 1) - 1) // 2
         j = min(n, max(i + 1, j))
-        lower = np.arange(j) <= np.arange(i, j)[:, None]
         sep = np.full((j * (j + 1) - i * (i + 1)) // 2, ord(" "),
                       dtype=np.uint8)
         sep[np.cumsum(np.arange(i + 1, j + 1)) - 1] = ord("\n")
-        yield i, j, lower, sep
+        yield i, sep
         i = j
 
 
@@ -810,18 +813,46 @@ def _bad_cell(cells: np.ndarray, digits: np.ndarray, i: int,
     return f"row {row} has {count} entries, expected {row + 1}"
 
 
-def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
-    """Read a Gram cache written by :func:`save_gram`.
+def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
+    """Read a Gram cache written by :func:`save_gram` as it is stored.
 
-    Returns (matrix, fingerprint); the matrix is mirrored back to full
-    symmetric form, the saved matrix bit for bit. Raises
-    :class:`DataError` on any malformation. The file's size is checked
-    against n before the matrix is allocated; a bad cell names its row.
-    Blocks of about ``_BLOCK`` cells are decoded and checked, non-finite
-    values included, one at a time, so the temporaries beyond the matrix
-    stay under a MB at any n.
+    Returns (lower, fingerprint): ``lower`` is the lower triangle packed
+    row-major in one flat float64 array, row i (cells G[i][0..i]) from
+    offset i(i+1)/2, n(n+1)/2 values in all; no n×n matrix is built.
+    Raises :class:`DataError` on any malformation. The file's size is
+    checked against n before the triangle is allocated; a bad cell names
+    its row. Blocks of about ``_BLOCK`` cells are decoded and checked,
+    non-finite values included, one at a time, each straight into its place
+    in the triangle, so the temporaries beyond it stay under a MB at any n.
 
     One INFO line gives n, the file's bytes and the seconds."""
+    return _read_gram(path, square=False)
+
+
+def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
+    """Read a Gram cache written by :func:`save_gram` as (matrix,
+    fingerprint): the full symmetric n×n matrix, the saved matrix bit for
+    bit, with :func:`load_gram_lower`'s checks and errors.
+
+    The triangle is read into the first n(n+1)/2 cells of the matrix and
+    unpacked in place, row by row, so beyond the matrix only a block's
+    temporaries are held."""
+    cells, fingerprint = _read_gram(path, square=True)
+    n = math.isqrt(len(cells))
+    G = cells.reshape(n, n)
+    # last row first: row i moves from i(i+1)/2 to i·n, and the rows before
+    # it, not yet moved, end at i(i+1)/2 <= i·n
+    for i in range(n - 1, 0, -1):
+        G[i, :i + 1] = cells[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]
+    for i in range(n - 1):
+        G[i, i + 1:] = G[i + 1:, i]
+    return G, fingerprint
+
+
+def _read_gram(path: str | Path, square: bool) -> tuple[np.ndarray, str]:
+    """The Gram file's packed lower triangle (:func:`load_gram_lower`) and
+    its fingerprint; with ``square``, the triangle fills the first
+    n(n+1)/2 cells of an array of n² cells."""
     start = time.perf_counter()
     with open(path, "rb") as fh:
         magic, fp_line, n_line = (_header_line(fh, path) for _ in range(3))
@@ -843,24 +874,32 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
         if body != need:
             raise DataError(f"{path}: {n} rows take {need} bytes, "
                             f"found {body}")
-        G = np.empty((n, n), dtype=np.float64)
-        for i, j, lower, sep in _blocks(n):
-            data = fh.read(_CELL * len(sep))
-            if len(data) != _CELL * len(sep):
-                raise DataError(f"{path}: file ends in row {i}")
-            cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CELL)
-            digits = np.frombuffer(data.translate(_NIBBLES), dtype=np.uint8
-                                   ).reshape(-1, _CELL)[:, :16]
-            if digits.max() > 15 or not np.array_equal(cells[:, 16], sep):
-                raise DataError(f"{path}: {_bad_cell(cells, digits, i, sep)}")
-            # each byte from its two digits, the high one first
-            bits = digits[:, 0::2] << 4
-            bits |= digits[:, 1::2]
-            values = bits.view(">f8")[:, 0]
-            if not np.isfinite(values).all():
-                raise DataError(f"{path}: gram contains non-finite values")
-            G[i:j, :j][lower] = values
-            G[:j, i:j].T[lower] = values
+        cells = np.empty(n * n if square else n * (n + 1) // 2,
+                         dtype=np.float64)
+        for i, sep in _blocks(n):
+            _decode(path, fh.read(_CELL * len(sep)), i, sep,
+                    cells[i * (i + 1) // 2:][:len(sep)])
     logger.info("load_gram: n %d, %d bytes, %.3f s", n, size,
                 time.perf_counter() - start)
-    return G, fingerprint
+    return cells, fingerprint
+
+
+def _decode(path: str | Path, data: bytes, i: int, sep: np.ndarray,
+            out: np.ndarray) -> None:
+    """Check and decode ``data``, the text of a block of rows from row i
+    whose cells end in the separators ``sep``, into ``out``. A bad cell
+    raises :class:`DataError`. The temporaries, about 40 bytes a cell, are
+    dropped on return, before the next block is read."""
+    if len(data) != _CELL * len(sep):
+        raise DataError(f"{path}: file ends in row {i}")
+    text = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CELL)
+    digits = np.frombuffer(data.translate(_NIBBLES), dtype=np.uint8
+                           ).reshape(-1, _CELL)[:, :16]
+    if digits.max() > 15 or not np.array_equal(text[:, 16], sep):
+        raise DataError(f"{path}: {_bad_cell(text, digits, i, sep)}")
+    # each byte from its two digits, the high one first
+    bits = digits[:, 0::2] << 4
+    bits |= digits[:, 1::2]
+    out[:] = bits.view(">f8")[:, 0]
+    if not np.isfinite(out).all():
+        raise DataError(f"{path}: gram contains non-finite values")

@@ -24,9 +24,13 @@ same IEEE operations in the same order (compiled with
 Python step in :func:`train_smo` stays as the reference and runs where the
 engine cannot be built; no option selects an engine.
 
-The solver holds one Gram matrix plus O(n). A G that is its own transpose
-bit for bit is checked, solved and hashed for ``training_checksum`` in
-place; only a G that is not gets a symmetrized copy, (G + G.T) / 2.
+The solver reads the Gram as its file stores it: the lower triangle,
+packed row-major in one flat float64 array with row i from offset
+i(i+1)/2, n(n+1)/2 values in all. Row i of G is that row's cells 0..i
+followed by column i below the diagonal, cell (k, i) at k(k+1)/2 + i, a
+stride that grows by one per row. The triangle is checked, solved and
+hashed for ``training_checksum`` in place, so the solver holds it plus
+O(n); no n×n matrix is built, and none can be asymmetric.
 
 Scores come from the dual expansion r(x) = Σ α_i y_i K(x_i, x) + b, used
 directly as the re-ranking score.
@@ -80,52 +84,17 @@ class TrainedModel:
             raise DataError("dual_coefs must be finite")
 
 
-def _training_checksum(gram: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> str:
+def _training_checksum(lower: np.ndarray, y: np.ndarray,
+                       cfg: TrainConfig) -> str:
     h = hashlib.sha256()
-    h.update(gram)      # C-ordered, so hashed in place: no copy
+    h.update(lower)     # contiguous, so hashed in place: no copy
     h.update(np.ascontiguousarray(y.astype(np.int8)).tobytes())
     h.update(repr(astuple(cfg)).encode())
     return h.hexdigest()
 
 
-# cells of G per block of rows that the checks read at a time
+# cells of the triangle that the finiteness check reads at a time
 _CHECK_CELLS = 1 << 14
-
-
-def _symmetric(G: np.ndarray) -> np.ndarray:
-    """The square ``G`` as the symmetric matrix the solver reads, in C
-    order, after one pass over blocks of its rows that checks each for
-    non-finite values (:class:`NumericalError`) and for being the mirror of
-    its columns bit for bit; the pass holds one block's bools at a time.
-
-    A ``G`` equal to its transpose bit for bit is returned as it is, or as
-    that transpose where only it is C-ordered, since (G + G.T) / 2 would
-    give back the same bits. Any other, one with a ±0.0 or a rounding off
-    its mirror, is replaced by (G + G.T) / 2."""
-    n = len(G)
-    bits = G.view(np.uint64)
-    mirrored = True
-    step = max(1, _CHECK_CELLS // n)
-    for i in range(0, n, step):
-        if not np.isfinite(G[i:i + step]).all():
-            raise NumericalError("gram contains non-finite values")
-        mirrored = mirrored and np.array_equal(bits[i:i + step],
-                                               bits[:, i:i + step].T)
-    if mirrored:
-        return np.ascontiguousarray(G.T if G.flags.f_contiguous else G)
-    with np.errstate(over="ignore"):
-        sym = G - G.T
-        np.abs(sym, out=sym)
-        asym = float(sym.max())
-        if asym > 1e-9:
-            raise NumericalError(
-                f"gram is not symmetric (max asymmetry {asym:.3g})")
-        np.add(G, G.T, out=sym)
-        sym /= 2.0
-    if not np.all(np.isfinite(sym)):
-        raise NumericalError("gram overflows when symmetrized: (G + G.T) / 2 "
-                             "is not finite")
-    return sym
 
 
 def _bias_from_state(alpha, y, g, box, eps):
@@ -182,52 +151,63 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
               kernel_fingerprint: str = "") -> TrainedModel:
     """Solve the dual on a precomputed Gram matrix.
 
-    ``gram`` must be finite and symmetric (asymmetry beyond 1e-9 is
-    rejected) and ``labels`` must contain both classes. Returns the trained
-    model; logs a warning if max_passes runs out before the KKT conditions
-    are met or if the chosen pair cannot move, and one INFO line with the
-    steps taken, the converged flag, the final maximum KKT violation and
-    the engine that ran the steps.
+    ``gram`` is the matrix's lower triangle as :func:`.load_gram_lower`
+    returns it: n(n+1)/2 values, row i (G[i][0..i]) from offset i(i+1)/2,
+    where n is the number of ``labels``. Any other length raises
+    :class:`DataError`, and a non-finite value :class:`NumericalError`;
+    ``labels`` must contain both classes. Returns the trained model; logs
+    a warning if max_passes runs out before the KKT conditions are met or
+    if the chosen pair cannot move, and one INFO line with the steps
+    taken, the converged flag, the final maximum KKT violation and the
+    engine that ran the steps.
 
-    The caller's array is never written. A float64 ``gram`` in C or
-    Fortran order that is symmetric bit for bit is solved in place, with
-    no n×n copy: one pass over blocks of rows checks that it is finite and
-    symmetric, and the solver holds O(n). Any other ``gram`` is copied:
-    strided or non-float64, as it is;
-    not bitwise symmetric, as (G + G.T) / 2, which raises
-    :class:`NumericalError` where it overflows.
+    The caller's array is never written. A contiguous float64 triangle is
+    solved in place, with no copy: one pass over blocks of it checks that
+    it is finite, and the solver holds O(n). A strided or non-float64 one
+    is copied as it is.
     """
-    G = np.asarray(gram, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DataError(f"gram must be square, got shape {G.shape}")
-    n = G.shape[0]
     y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (n,):
-        raise DataError(f"labels length {y.shape} does not match gram size {n}")
+    if y.ndim != 1:
+        raise DataError(f"labels must be one-dimensional, got shape {y.shape}")
+    n = len(y)
+    # the native step reads the triangle and y by pointer: no strides
+    T = np.ascontiguousarray(gram, dtype=np.float64)
+    if T.shape != (n * (n + 1) // 2,):
+        raise DataError(f"gram must be the lower triangle of {n} examples, "
+                        f"{n * (n + 1) // 2} values, got shape {T.shape}")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise DataError("training data contains a single class")
-    # the native step reads G and y by pointer: C order, no strides
-    G = _symmetric(G)
+    for k in range(0, len(T), _CHECK_CELLS):
+        if not np.isfinite(T[k:k + _CHECK_CELLS]).all():
+            raise NumericalError("gram contains non-finite values")
     y = np.ascontiguousarray(y)
 
-    checksum = _training_checksum(G, y, cfg)
+    checksum = _training_checksum(T, y, cfg)
     box = np.where(y > 0, cfg.C * cfg.c_scale_pos, cfg.C * cfg.c_scale_neg)
     alpha = np.zeros(n)
     g = np.zeros(n)  # g_i = Σ_j α_j y_j G_ij
-    diagonal = np.diagonal(G)
+    starts = np.cumsum(np.arange(n))    # row k starts at k(k+1)/2
+    diagonal = T[starts + np.arange(n)]
     if __debug__:
         prev_obj = _dual_objective(alpha, y, g)
 
-    def curvature(i, j):
-        """a_ij = G_ii + G_jj − 2G_ij, or τ where that is not positive."""
-        a = G[i, i] + diagonal[j] - 2.0 * G[i, j]
+    def row(i):
+        """Row i of G: the triangle's row i, then column i below it."""
+        return np.concatenate((T[starts[i]:starts[i] + i + 1],
+                               T[starts[i + 1:] + i]))
+
+    def curvature(i, G_i, j):
+        """a_ij = G_ii + G_jj − 2G_ij, or τ where that is not positive;
+        ``G_i`` is row i."""
+        a = G_i[i] + diagonal[j] - 2.0 * G_i[j]
         return np.where(a <= 0.0, _TAU, a)
 
-    def try_pair(i, j):
-        """Analytically optimize (α_i, α_j); returns True on real progress."""
-        eta = float(curvature(i, j))
+    def try_pair(i, G_i, j):
+        """Analytically optimize (α_i, α_j), ``G_i`` being row i; returns
+        True on real progress."""
+        eta = float(curvature(i, G_i, j))
         s = y[i] * y[j]
         if s < 0:
             L = max(0.0, alpha[j] - alpha[i])
@@ -247,7 +227,7 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         ai_new = alpha[i] + s * (alpha[j] - aj_new)
         ai_new = min(max(ai_new, 0.0), box[i])
         d_i = ai_new - alpha[i]
-        g[:] = g + (d_i * y[i]) * G[i] + (d_j * y[j]) * G[j]
+        g[:] = g + (d_i * y[i]) * G_i + (d_j * y[j]) * row(j)
         alpha[i] = ai_new
         alpha[j] = aj_new
         return True
@@ -267,17 +247,18 @@ def train_smo(gram, labels, cfg: TrainConfig = TrainConfig(),
         if m - np.where(low, F, np.inf).min() <= cfg.tol:
             return _CONVERGED
         candidates = np.flatnonzero(low & (F < m))
+        G_i = row(i)
         with np.errstate(over="ignore", invalid="ignore"):
             b = m - F[candidates]
-            gain = -(b * b) / curvature(i, candidates)
+            gain = -(b * b) / curvature(i, G_i, candidates)
         if np.isnan(gain).any():
             raise NumericalError(_NONFINITE_MESSAGE)
         j = int(candidates[np.argmin(gain)])
-        return _STEPPED if try_pair(i, j) else _STALLED
+        return _STEPPED if try_pair(i, G_i, j) else _STALLED
 
     native = _native.load()
     if native is not None:
-        head = [n, *(a.ctypes.data for a in (G, y, box, alpha, g))]
+        head = [n, *(a.ctypes.data for a in (T, y, box, alpha, g))]
 
         def step():
             status = native.smo_step(*head, cfg.tol, cfg.eps)

@@ -156,6 +156,13 @@ def write_corpus(path, n_queries=4, per_query=5, relevant_ranks=(2, 4),
     return rows
 
 
+def lower(G):
+    """The lower triangle of the square ``G`` packed as ``train_smo`` takes
+    it and ``load_gram_lower`` returns it: row i, G[i][0..i], from offset
+    i(i+1)/2."""
+    return np.asarray(G)[np.tril_indices(len(G))]
+
+
 def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

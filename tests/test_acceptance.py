@@ -37,6 +37,7 @@ from qrerank.svm import TrainConfig, train_smo
 from qrerank.treebank import parse_bracketed
 
 from conftest import (
+    lower,
     make_examples,
     make_rng,
     random_small_tree,
@@ -114,7 +115,7 @@ def test_smo_correctness():
     assert __debug__
 
     G = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    model = train_smo(G, [-1, 1], TrainConfig(C=1.0))
+    model = train_smo(lower(G), [-1, 1], TrainConfig(C=1.0))
     np.testing.assert_allclose(np.abs(model.dual_coefs), [0.5, 0.5],
                                atol=1e-6)
     assert abs(model.bias) <= 1e-6
@@ -126,7 +127,7 @@ def test_smo_correctness():
         X, y = blobs(rng, 25, center, spread)
         gram = linear_gram(X)
         cfg = TrainConfig(C=1.0)
-        trained = train_smo(gram, y, cfg)
+        trained = train_smo(lower(gram), y, cfg)
         assert kkt_violation(trained, gram, y, cfg.C, cfg.tol) <= 1e-12
 
 

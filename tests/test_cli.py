@@ -28,6 +28,7 @@ from qrerank.svm import load_model
 from qrerank.treebank import to_bracketed
 
 from conftest import (
+    lower,
     make_examples,
     make_rng,
     random_tree,
@@ -443,8 +444,8 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_gram_entry_beyond_half_the_largest_double_trains_as_is(
             self, tmp_path, capsys):
-        # a Gram file holds one triangle, so train reads a bitwise-symmetric
-        # matrix, which (G + G.T) / 2 would have overflowed at (0, 0)
+        # train solves on the file's triangle as it is stored, which no
+        # symmetrizing step, (G + G.T) / 2, turns into inf at (0, 0)
         G = np.eye(4)
         G[0, 0] = 1.5e308
         gram = tmp_path / "g.gram"
@@ -455,7 +456,7 @@ class TestExitCodes:
         code = main(["train", "--gram", str(gram), "--examples", str(examples),
                      "--out", str(model)])
         assert code == 0
-        expected = hashlib.sha256(G.tobytes() + bytes([1, 255, 1, 255])
+        expected = hashlib.sha256(lower(G).tobytes() + bytes([1, 255, 1, 255])
                                   + repr(astuple(TrainConfig())).encode())
         assert (load_model(model).training_checksum
                 == expected.hexdigest())
@@ -601,6 +602,48 @@ class TestGramStage:
             runs.append((out.replace(str(gram), "GRAM"), gram.read_bytes()))
         assert progress == 10
         assert runs[0] == runs[1]
+
+
+class TestTrainStage:
+    """``train`` solves on the Gram file's lower triangle as it is stored."""
+
+    def test_holds_no_n_by_n_matrix(self, tmp_path):
+        # G would take 8n² bytes (18 MB here) and its packed triangle
+        # 4n(n+1). On top come the reader's temporaries for one block of
+        # cells (about 0.4 MB) and the stage's own objects, which at n = 600
+        # would alone exceed 0.05 × 8n². The first run loads what a process
+        # loads once (the native engine, lazily imported modules).
+        n = 1500
+        x = make_rng(31).normal(size=(n, 2))
+        x[:, 0] += np.where(np.arange(n) % 2, 3.0, -3.0)
+        gram, examples = tmp_path / "train.gram", tmp_path / "train.ex"
+        save_gram(gram, x @ x.T, config_fingerprint(KernelConfig()))
+        write_jsonl(examples, [{"label": 1 if k % 2 else -1}
+                               for k in range(n)])
+        argv = ["train", "--gram", str(gram), "--examples", str(examples),
+                "--out", str(tmp_path / "model.txt")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.55 * 8 * n * n
+
+    def test_a_label_count_off_the_gram_is_a_data_error(self, tmp_path,
+                                                         capsys):
+        gram, examples = tmp_path / "train.gram", tmp_path / "train.ex"
+        save_gram(gram, np.eye(3), config_fingerprint(KernelConfig()))
+        write_jsonl(examples, [{"label": label} for label in (1, -1) * 2])
+        code = main(["train", "--gram", str(gram), "--examples",
+                     str(examples), "--out", str(tmp_path / "model.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gram must be the lower triangle of 4 examples, 10 "
+            "values, got shape (6,)\n")
+        assert not (tmp_path / "model.txt").exists()
 
 
 class TestDeepParse:

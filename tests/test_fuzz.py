@@ -1,6 +1,7 @@
 """Loader fuzz: every loader of a text artifact, fed seeded corruptions of a
 valid file, either loads it or raises DataError; no other exception escapes.
-The Gram loader's own fuzz is in test_kernels.py."""
+The Gram readers' own fuzz, with corruptions of the file's layout, is in
+test_kernels.py."""
 
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from qrerank.cli import parse_config_file
 from qrerank.errors import DataError
+from qrerank.kernels import load_gram_lower
 from qrerank.pipeline import load_corpus, load_examples, load_labels
 from qrerank.rankeval import read_predictions
 from qrerank.svm import load_model
@@ -19,6 +21,7 @@ LOADERS = {
     "config": parse_config_file,
     "corpus": lambda path: load_corpus(path, "B"),
     "examples": load_examples,
+    "gram": load_gram_lower,
     "labels": load_labels,
     "model": load_model,
     "predictions": read_predictions,
@@ -64,6 +67,7 @@ def artifacts(tmp_path_factory):
     config = readme.split("# experiment.cfg\n")[1].split("```")[0]
     return {"config": config.encode(), "corpus": train.read_bytes(),
             "examples": chain.train_examples.read_bytes(),
+            "gram": chain.gram.read_bytes(),
             "labels": chain.train_examples.read_bytes(),
             "model": chain.model.read_bytes(),
             "predictions": chain.predictions.read_bytes()}

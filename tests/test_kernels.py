@@ -26,6 +26,7 @@ from qrerank.kernels import (
     gram_matrix,
     kernel_matrix,
     load_gram,
+    load_gram_lower,
     normalize_kernel,
     ptk,
     save_gram,
@@ -469,6 +470,23 @@ class TestGramFile:
         assert load_gram(tmp_path / "gram.txt")[0].tobytes() == G.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 57])
+@pytest.mark.parametrize("seed", range(10))
+def test_seeded_gram_files_round_trip(tmp_path, seed, n):
+    # random finite bit patterns, subnormals and both zeros among them
+    rng = make_rng(seed)
+    tril = np.tril_indices(n)
+    cells = rng.integers(0, 2 ** 64, size=len(tril[0]),
+                         dtype=np.uint64).view(np.float64)
+    cells[~np.isfinite(cells)] = -0.0
+    G = np.empty((n, n))
+    G[tril] = G.T[tril] = cells
+    save_gram(tmp_path / "g.gram", G, "fp")
+    T, fp = load_gram_lower(tmp_path / "g.gram")
+    assert (T.tobytes(), fp) == (G[tril].tobytes(), "fp")
+    assert load_gram(tmp_path / "g.gram")[0].tobytes() == G.tobytes()
+
+
 def gram_file_mutations(rng, data: bytes):
     """Corruptions of the Gram file ``data`` of a 6×6 matrix, drawn from
     ``rng``."""
@@ -496,8 +514,9 @@ def test_load_gram_fuzz_raises_only_data_error(tmp_path, seed):
     save_gram(path, x @ x.T, "f" * 64)
     for bad in gram_file_mutations(rng, path.read_bytes()):
         path.write_bytes(bad)
-        with pytest.raises(DataError):
-            load_gram(path)
+        for read in (load_gram, load_gram_lower):
+            with pytest.raises(DataError):
+                read(path)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -718,19 +737,21 @@ def test_kernel_matrix_memory_per_row_is_bounded(monkeypatch, kind, engine):
 
 
 def test_load_gram_temporaries_are_bounded(tmp_path):
-    # beyond the matrix it returns, load_gram holds a block of cells at a
-    # time: no n×n bool (1.44 MB here) or any other n×n temporary
+    # beyond the matrix or the triangle it returns, each reader holds a
+    # block of cells at a time: no n×n bool (1.44 MB here) or any other
+    # n×n temporary, and load_gram unpacks the triangle in place
     n = 1200
     x = make_rng(103).normal(size=(n, 3))
     save_gram(tmp_path / "g.gram", x @ x.T, "fp")
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        G, _ = load_gram(tmp_path / "g.gram")
-        extra = tracemalloc.get_traced_memory()[1] - base - G.nbytes
-    finally:
-        tracemalloc.stop()
-    assert extra < 640 * 1024 < n * n // 2
+    for read in (load_gram, load_gram_lower):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            G, _ = read(tmp_path / "g.gram")
+            extra = tracemalloc.get_traced_memory()[1] - base - G.nbytes
+        finally:
+            tracemalloc.stop()
+        assert extra < 640 * 1024 < n * n // 2
 
 
 class TestConfigFingerprint:

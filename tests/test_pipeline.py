@@ -40,7 +40,13 @@ from qrerank.rankeval import (
 from qrerank.svm import TrainConfig, TrainedModel, load_model, train_smo
 from qrerank.treebank import to_bracketed
 
-from conftest import corpus_row, run_chain, write_corpus, write_jsonl
+from conftest import (
+    corpus_row,
+    lower,
+    run_chain,
+    write_corpus,
+    write_jsonl,
+)
 
 
 class TestGoldBinary:
@@ -669,7 +675,8 @@ class TestGroupsAndScoring:
         cfg = RunConfig()
         gram = np.array([[gram_matrix([a, b], cfg.kernel)[0, 1]
                           for b in examples] for a in examples])
-        model = train_smo(gram, [e.label for e in examples], TrainConfig())
+        model = train_smo(lower(gram), [e.label for e in examples],
+                          TrainConfig())
         scores = score_examples(examples, model, examples, cfg.kernel)
         for i, e in enumerate(examples):
             manual = sum(

@@ -1,5 +1,6 @@
 """SMO solver: analytic fixture, KKT conditions, determinism, model file,
-and the native SMO step: byte for byte against the Python reference."""
+and the native SMO step: byte for byte against the Python reference. The
+solver takes the Gram's packed lower triangle (conftest.lower)."""
 
 import hashlib
 import re
@@ -19,7 +20,7 @@ from qrerank.svm import (
     train_smo,
 )
 
-from conftest import make_rng
+from conftest import lower, make_rng
 
 
 def linear_gram(X):
@@ -46,7 +47,7 @@ class TestAnalyticFixture:
     def setup_method(self):
         self.G = np.array([[1.0, -1.0], [-1.0, 1.0]])
         self.y = [-1, 1]
-        self.model = train_smo(self.G, self.y, TrainConfig(C=1.0))
+        self.model = train_smo(lower(self.G), self.y, TrainConfig(C=1.0))
 
     def test_alphas(self):
         assert set(self.model.support_indices) == {0, 1}
@@ -94,14 +95,14 @@ class TestKKT:
         X, y = blobs(rng, 25, center, spread)
         G = linear_gram(X)
         cfg = TrainConfig(C=1.0)
-        model = train_smo(G, y, cfg)
+        model = train_smo(lower(G), y, cfg)
         assert kkt_violation(model, G, y, cfg.C, cfg.tol) <= 1e-12
 
     def test_separable_set_has_zero_training_errors(self):
         rng = make_rng(99)
         X, y = blobs(rng, 10, (2.5, 2.5), 0.5)
         G = linear_gram(X)
-        model = train_smo(G, y, TrainConfig())
+        model = train_smo(lower(G), y, TrainConfig())
         f = scores_on_training(model, G)
         assert np.all(np.sign(f) == y)
 
@@ -110,7 +111,7 @@ class TestKKT:
         X, y = blobs(rng, 25, (1.0, 1.0), 1.0)
         G = linear_gram(X)
         cfg = TrainConfig(C=1.0)
-        model = train_smo(G, y, cfg)
+        model = train_smo(lower(G), y, cfg)
         alphas = np.abs(model.dual_coefs)
         assert np.all(alphas > cfg.eps)          # supports carry weight
         assert np.all(alphas <= cfg.C + 1e-12)   # box respected
@@ -121,7 +122,7 @@ class TestKKT:
         X, y = blobs(rng, 20, (1.5, 1.5), 0.9)
         G = linear_gram(X)
         cfg = TrainConfig()
-        model = train_smo(G, y, cfg)
+        model = train_smo(lower(G), y, cfg)
         f = scores_on_training(model, G)
         alphas = np.abs(model.dual_coefs)
         for k, idx in enumerate(model.support_indices):
@@ -137,8 +138,8 @@ class TestDualDegeneracy:
         X, y = blobs(rng, 10, (1.5, 1.5), 0.5)
         X2 = np.vstack([X, X])
         y2 = np.concatenate([y, y])
-        model_a = train_smo(linear_gram(X), y, TrainConfig())
-        model_b = train_smo(linear_gram(X2), y2, TrainConfig())
+        model_a = train_smo(lower(linear_gram(X)), y, TrainConfig())
+        model_b = train_smo(lower(linear_gram(X2)), y2, TrainConfig())
         for p in X:
             row_a = X[list(model_a.support_indices)] @ p
             row_b = X2[list(model_b.support_indices)] @ p
@@ -150,9 +151,9 @@ class TestDeterminism:
     def test_retraining_is_bit_identical(self):
         rng = make_rng(3)
         X, y = blobs(rng, 20, (1.0, 1.0), 1.2)
-        G = linear_gram(X)
-        a = train_smo(G, y, TrainConfig())
-        b = train_smo(G, y, TrainConfig())
+        T = lower(linear_gram(X))
+        a = train_smo(T, y, TrainConfig())
+        b = train_smo(T, y, TrainConfig())
         assert a.support_indices == b.support_indices
         assert np.array_equal(a.dual_coefs, b.dual_coefs)
         assert a.bias == b.bias
@@ -160,52 +161,46 @@ class TestDeterminism:
 
     def test_strided_inputs_train_as_their_copies(self, tmp_path):
         G, y = problem(60, "rbf", seed=6)
-        wide = np.repeat(np.repeat(G, 2, axis=0), 2, axis=1)[::2, ::2]
+        T = lower(G)
+        wide = np.repeat(T, 2)[::2]
         labels = np.repeat(y, 3)[::3]
         assert not (wide.flags.c_contiguous or labels.flags.c_contiguous)
         cfg = TrainConfig()
         assert (model_bytes(tmp_path, wide, labels, cfg)
-                == model_bytes(tmp_path, G.copy(), y.copy(), cfg))
+                == model_bytes(tmp_path, T, y.copy(), cfg))
 
     def test_checksum_tracks_inputs(self):
         G = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        a = train_smo(G, [-1, 1], TrainConfig())
-        b = train_smo(G * 2.0, [-1, 1], TrainConfig())
+        a = train_smo(lower(G), [-1, 1], TrainConfig())
+        b = train_smo(lower(G * 2.0), [-1, 1], TrainConfig())
         assert a.training_checksum != b.training_checksum
 
 
 class TestValidation:
     def test_single_class_rejected(self):
-        G = np.eye(3)
         with pytest.raises(DataError, match="single class"):
-            train_smo(G, [1, 1, 1], TrainConfig())
-
-    def test_asymmetric_gram_rejected(self):
-        G = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(NumericalError, match="symmetric"):
-            train_smo(G, [1, -1], TrainConfig())
-
-    def test_tiny_asymmetry_tolerated(self):
-        G = np.array([[1.0, -1.0], [-1.0 + 1e-12, 1.0]])
-        model = train_smo(G, [-1, 1], TrainConfig())
-        assert abs(model.bias) <= 1e-6
+            train_smo(lower(np.eye(3)), [1, 1, 1], TrainConfig())
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_a_non_finite_gram_is_a_numerical_error(self, bad):
         G, y = problem(20, "rbf", seed=4)
-        G[0, 1] = G[1, 0] = bad
+        G[1, 0] = bad
         with pytest.raises(NumericalError, match="non-finite"):
-            train_smo(G, y, TrainConfig())
+            train_smo(lower(G), y, TrainConfig())
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            train_smo(np.eye(3), [1, -1], TrainConfig())
-        with pytest.raises(DataError):
-            train_smo(np.zeros((2, 3)), [1, -1], TrainConfig())
+        # the triangle of 3 examples, one value short, the square matrix
+        # in place of its triangle, a 2-d array of 3 values
+        for gram in (lower(np.eye(3)), np.ones(2), np.eye(2),
+                     np.ones((1, 3))):
+            with pytest.raises(DataError, match=re.escape(
+                    "gram must be the lower triangle of 2 examples, 3 "
+                    f"values, got shape {gram.shape}")):
+                train_smo(gram, [1, -1], TrainConfig())
 
     def test_bad_labels_rejected(self):
         with pytest.raises(DataError):
-            train_smo(np.eye(2), [1, 0], TrainConfig())
+            train_smo(lower(np.eye(2)), [1, 0], TrainConfig())
 
     def test_negative_support_index_rejected(self):
         with pytest.raises(DataError, match="non-negative"):
@@ -229,7 +224,7 @@ class TestModelFile:
     def make_model(self):
         rng = make_rng(17)
         X, y = blobs(rng, 15, (1.2, 1.2), 1.0)
-        return train_smo(linear_gram(X), y, TrainConfig(),
+        return train_smo(lower(linear_gram(X)), y, TrainConfig(),
                          kernel_fingerprint="abc123")
 
     def test_round_trip_is_lossless(self, tmp_path):
@@ -347,9 +342,10 @@ def problem(n, kernel, seed=0, duplicated=False):
                                      - 2.0 * (X @ X.T), 0.0)), y
 
 
-def model_bytes(tmp_path, G, y, cfg):
+def model_bytes(tmp_path, T, y, cfg):
+    """The model file of a solve on the packed triangle ``T``."""
     path = tmp_path / "model.txt"
-    save_model(path, train_smo(G, y, cfg, kernel_fingerprint="fp"))
+    save_model(path, train_smo(T, y, cfg, kernel_fingerprint="fp"))
     return path.read_bytes()
 
 
@@ -367,8 +363,8 @@ def both_engines(monkeypatch, caplog, compute):
     return runs
 
 
-GOLDEN_SHA256 = ("2335aa47a591cb7e9c1730e70d652fa6b27301527fd90d624f20f143e769"
-                 "2dd6")
+GOLDEN_SHA256 = ("f6ac97f5f939c5306f7b2e7f4bffe3277d21e5206a9df025036908e8faa8"
+                 "e1f9")
 
 GRID = [
     *[(n, kernel, {}, False) for n in (2, 3, 50, 300)
@@ -389,11 +385,14 @@ class TestGoldenModel:
 
     def test_golden_model(self, monkeypatch, caplog, tmp_path):
         # the sha256 of this model file as the Python reference wrote it
-        # when the solver took up second-order working-set selection
+        # when the solver took up second-order working-set selection, with
+        # training_checksum over the packed triangle since the solver took
+        # the triangle in place of the n×n matrix (every other line as
+        # before)
         G, y = problem(300, "rbf", seed=2024, duplicated=True)
-        cfg = TrainConfig(C=2.0, c_scale_pos=1.5)
+        T, cfg = lower(G), TrainConfig(C=2.0, c_scale_pos=1.5)
         for data, _ in both_engines(monkeypatch, caplog,
-                                    lambda: model_bytes(tmp_path, G, y, cfg)):
+                                    lambda: model_bytes(tmp_path, T, y, cfg)):
             assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
 
 
@@ -404,9 +403,9 @@ class TestNativeStep:
             self, monkeypatch, caplog, tmp_path, n, kernel, knobs,
             duplicated):
         G, y = problem(n, kernel, seed=n, duplicated=duplicated)
-        cfg = TrainConfig(**knobs)
+        T, cfg = lower(G), TrainConfig(**knobs)
         (native, native_log), (python, python_log) = both_engines(
-            monkeypatch, caplog, lambda: model_bytes(tmp_path, G, y, cfg))
+            monkeypatch, caplog, lambda: model_bytes(tmp_path, T, y, cfg))
         assert native == python
         # the same steps, flag and violation
         assert native_log[-1].endswith(", native engine")
@@ -420,9 +419,9 @@ class TestNativeStep:
         # first-order pair rule stopped at the 10,000-step cap here, with a
         # KKT violation of 0.031
         G, y = problem(2670, "rbf", seed=1)
-        cfg = TrainConfig()
+        T, cfg = lower(G), TrainConfig()
         (native, native_log), (python, python_log) = both_engines(
-            monkeypatch, caplog, lambda: model_bytes(tmp_path, G, y, cfg))
+            monkeypatch, caplog, lambda: model_bytes(tmp_path, T, y, cfg))
         assert native == python
         for log, engine in ((native_log, "native"), (python_log, "python")):
             assert len(log) == 1            # no warning
@@ -437,7 +436,7 @@ class TestNativeStep:
         # curvature 2e12, so its step of 1e-12 stays below eps
         G, y = np.diag([1.0, 1.0, 1e12, 1e12]), np.array([1.0, -1.0] * 2)
         (native, native_log), (python, _) = both_engines(
-            monkeypatch, caplog, lambda: model_bytes(tmp_path, G, y,
+            monkeypatch, caplog, lambda: model_bytes(tmp_path, lower(G), y,
                                                      TrainConfig()))
         assert native == python
         assert native_log[0].startswith("SMO stalled")
@@ -447,7 +446,7 @@ class TestNativeStep:
                                              tmp_path):
         G, y = 1e12 * np.eye(6), np.array([1.0, -1.0] * 3)
         (native, native_log), (python, _) = both_engines(
-            monkeypatch, caplog, lambda: model_bytes(tmp_path, G, y,
+            monkeypatch, caplog, lambda: model_bytes(tmp_path, lower(G), y,
                                                      TrainConfig()))
         assert native == python
         assert native_log[0].startswith("SMO stalled")
@@ -459,25 +458,26 @@ class TestNativeStep:
         # where the Python reference raises NumericalError (a non-finite
         # F), the step reports it and returns with the iterate untouched
         n = 4
-        G, y = np.eye(n), np.array([1.0, -1.0, 1.0, -1.0])
+        T, y = lower(np.eye(n)), np.array([1.0, -1.0, 1.0, -1.0])
         box, alpha, g = np.ones(n), np.zeros(n), np.zeros(n)
         g[2] = bad
         before = alpha.tobytes() + g.tobytes()
         status = _native.load().smo_step(
-            n, *(a.ctypes.data for a in (G, y, box, alpha, g)), 1e-3, 1e-9)
+            n, *(a.ctypes.data for a in (T, y, box, alpha, g)), 1e-3, 1e-9)
         assert status == 3
         assert alpha.tobytes() + g.tobytes() == before
 
     def test_without_a_compiler_one_warning_and_the_same_bytes(
             self, monkeypatch, tmp_path, caplog):
         G, y = problem(50, "rbf", seed=8, duplicated=True)
-        native = model_bytes(tmp_path, G, y, TrainConfig())
+        T = lower(G)
+        native = model_bytes(tmp_path, T, y, TrainConfig())
         monkeypatch.setattr(_native, "_engine", _native._UNTRIED)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setenv("PATH", str(tmp_path))     # no cc, no gcc
         with caplog.at_level("INFO"):
-            first = model_bytes(tmp_path, G, y, TrainConfig())
-            again = model_bytes(tmp_path, G, y, TrainConfig())
+            first = model_bytes(tmp_path, T, y, TrainConfig())
+            again = model_bytes(tmp_path, T, y, TrainConfig())
         assert first == again == native
         assert [r.getMessage() for r in caplog.records
                 if r.levelname == "WARNING"] == [
@@ -488,109 +488,59 @@ class TestNativeStep:
 
 
 # ---------------------------------------------------------------------------
-# the prelude: a bitwise-symmetric Gram is read in place, any other is
-# symmetrized as (G + G.T) / 2
+# the prelude: the triangle is checked, solved and hashed in place
 # ---------------------------------------------------------------------------
 
-def checksum(G, y, cfg):
-    """training_checksum as a copy of the matrix's C-ordered bytes gives it."""
+def checksum(T, y, cfg):
+    """training_checksum as a copy of the triangle's bytes gives it."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(G).tobytes())
+    h.update(np.ascontiguousarray(T).tobytes())
     h.update(np.asarray(y, dtype=np.float64).astype(np.int8).tobytes())
     h.update(repr(astuple(cfg)).encode())
     return h.hexdigest()
 
 
-def symmetrized_model_bytes(tmp_path, gram, labels, cfg):
-    """The model file of a solver that symmetrizes every Gram, with that
-    prelude inlined: (G + G.T) / 2 in C order, hashed from a copy."""
-    G = np.asarray(gram, dtype=np.float64)
-    assert float(np.max(np.abs(G - G.T))) <= 1e-9
-    sym = np.ascontiguousarray((G + G.T) / 2.0)
-    model = train_smo(sym, labels, cfg, kernel_fingerprint="fp")
-    assert model.training_checksum == checksum(sym, labels, cfg)
-    path = tmp_path / "reference.txt"
-    save_model(path, model)
-    return path.read_bytes()
-
-
-PRELUDE_CASES = ["bitwise", "near", "signed-zero", "fortran-bitwise",
-                 "fortran-near"]
-
-
-def prelude_gram(case, n=120):
-    """A Gram symmetric bit for bit, or within 1e-10 of its transpose, or
-    with a 0.0 mirrored by a -0.0; in C or Fortran order."""
-    G, y = problem(n, "rbf", seed=16)
-    G = np.triu(G) + np.triu(G, 1).T
-    if case.endswith("near"):
-        G = G + np.triu(make_rng(17).uniform(-1e-10, 1e-10, G.shape), 1)
-    if case == "signed-zero":
-        G[0, 1], G[1, 0] = 0.0, -0.0
-    if case.startswith("fortran"):
-        G = np.asfortranarray(G)
-    return G, y
+def engine(monkeypatch, name):
+    """Run train_smo on the engine ``name`` for the rest of the test."""
+    if name == "python":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    elif _native.load() is None:
+        pytest.skip("the native engine does not build or load here")
 
 
 class TestLeanPrelude:
-    @pytest.mark.parametrize("case", PRELUDE_CASES)
-    def test_model_bytes_equal_the_symmetrizing_reference(
-            self, monkeypatch, caplog, tmp_path, case):
-        G, y = prelude_gram(case)
-        assert (np.array_equal(G.view(np.uint64), G.T.view(np.uint64))
-                == case.endswith("bitwise"))
-        cfg = TrainConfig()
-        for (ours, reference), _ in both_engines(
-                monkeypatch, caplog,
-                lambda: (model_bytes(tmp_path, G, y, cfg),
-                         symmetrized_model_bytes(tmp_path, G, y, cfg))):
-            assert ours == reference
+    @pytest.mark.parametrize("name", ["native", "python"])
+    def test_the_callers_triangle_is_not_written(self, monkeypatch, name):
+        engine(monkeypatch, name)
+        G, y = problem(120, "rbf", seed=16)
+        T = lower(G)
+        before = T.copy()
+        model = train_smo(T, y, TrainConfig())
+        assert T.tobytes() == before.tobytes()
+        assert model.training_checksum == checksum(T, y, TrainConfig())
 
-    @pytest.mark.parametrize("case", PRELUDE_CASES)
-    def test_the_callers_gram_is_not_written(self, case):
-        G, y = prelude_gram(case)
-        before = G.copy(order="K")
-        train_smo(G, y, TrainConfig())
-        assert G.flags.f_contiguous == before.flags.f_contiguous
-        assert np.array_equal(G.view(np.uint64), before.view(np.uint64))
-
-    @pytest.mark.parametrize("engine", ["native", "python"])
-    def test_a_symmetric_gram_is_not_copied(self, monkeypatch, engine):
-        # a copy of G alone would be 1.0 × G.nbytes and one n×n bool
-        # 0.125 ×; the checks read G in blocks of rows, holding a block's
-        # bools at a time
-        if engine == "python":
-            monkeypatch.setattr(_native, "load", lambda: None)
-        elif _native.load() is None:
-            pytest.skip("the native engine does not build or load here")
-        G, y = prelude_gram("bitwise", n=600)
+    @pytest.mark.parametrize("name", ["native", "python"])
+    def test_the_triangle_is_not_copied(self, monkeypatch, name):
+        # a copy of the triangle would be 1.0 × T.nbytes and one bool per
+        # cell 0.125 ×; the finiteness check reads T in blocks, holding a
+        # block's bools at a time
+        engine(monkeypatch, name)
+        G, y = problem(600, "rbf", seed=16)
+        T = lower(G)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train_smo(G, y, TrainConfig(max_passes=20))
+            train_smo(T, y, TrainConfig(max_passes=20))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 0.0625 * G.nbytes
+        assert peak < 0.0625 * T.nbytes
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_entry_beyond_half_the_largest_double_stays_finite(self):
-        # (G + G.T) / 2 would turn it into inf
+        # (G + G.T) / 2 would have turned it into inf
         G = np.eye(4)
         G[0, 0] = 1.5e308
         y = [1, -1, 1, -1]
-        model = train_smo(G, y, TrainConfig())
-        assert model.training_checksum == checksum(G, y, TrainConfig())
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("cells,message", [
-        ({(0, 0): 1.5e308, (1, 2): 1e-12}, "overflows when symmetrized"),
-        ({(0, 1): 1e308, (1, 0): -1e308}, r"not symmetric \(max asymmetry inf"),
-    ], ids=["near-symmetric", "asymmetric"])
-    def test_an_overflow_off_the_bitwise_path_is_a_numerical_error(
-            self, cells, message):
-        G = np.eye(4)
-        for cell, value in cells.items():
-            G[cell] = value
-        with pytest.raises(NumericalError, match=message):
-            train_smo(G, [1, -1, 1, -1], TrainConfig())
+        model = train_smo(lower(G), y, TrainConfig())
+        assert model.training_checksum == checksum(lower(G), y, TrainConfig())
