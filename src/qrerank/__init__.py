@@ -43,7 +43,8 @@ _NAMES_BY_MODULE = {
                 "save_gram", "stk", "write_gram"),
     "pipeline": ("CorpusRecord", "build_examples", "class_counts",
                  "gold_binary", "load_corpus", "load_examples",
-                 "make_groups", "save_examples", "score_examples"),
+                 "make_groups", "read_examples", "save_examples",
+                 "score_examples"),
     "rankeval": ("Candidate", "QueryGroup", "average_precision", "evaluate",
                  "per_query_average_precision", "randomization_test",
                  "read_predictions", "reranked_candidates",

@@ -256,10 +256,10 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_gram(args) -> int:
     from .kernels import config_fingerprint, write_gram
-    from .pipeline import load_examples
+    from .pipeline import read_examples
 
     cfg = config_from_args(args)
-    examples = load_examples(args.examples)
+    examples = read_examples(args.examples)
     write_gram(args.out, examples, cfg.kernel)
     n = len(examples)
     print(f"computed {n}x{n} gram "
@@ -290,7 +290,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_rerank(args) -> int:
     from .kernels import config_fingerprint
-    from .pipeline import load_examples, make_groups, score_examples
+    from .pipeline import make_groups, read_examples, score_examples
     from .rankeval import QueryGroup, reranked_candidates, write_predictions
     from .svm import load_model
 
@@ -298,8 +298,8 @@ def _cmd_rerank(args) -> int:
     model = load_model(args.model,
                        expected_fingerprint=config_fingerprint(cfg.kernel),
                        strict=args.strict)
-    train_examples = load_examples(args.train_examples)
-    test_examples = load_examples(args.test_examples)
+    train_examples = read_examples(args.train_examples)
+    test_examples = read_examples(args.test_examples)
     scores = score_examples(test_examples, model, train_examples, cfg.kernel)
     groups = [QueryGroup(g.query_id, reranked_candidates(g))
               for g in make_groups(test_examples, scores)]

@@ -131,9 +131,12 @@ class Example:
     tree-pair similarity scalar, embeddings, and MT-evaluation features) as
     a plain float64 vector, an ``array('d')``; any 1-d sequence of finite
     real numbers is converted to one. tree_first / tree_second are the two
-    REL-linked macro-trees (each side marked with respect to the other);
-    rank_value is the transformed search rank, a float. Blocks a
-    configuration does not use may be None.
+    REL-linked macro-trees (each side marked with respect to the other):
+    :class:`SyntaxTree` objects as ``featurize`` builds them and
+    ``load_examples`` parses them, or their bracketed text as
+    ``read_examples`` checks and keeps it; the kernels compile either form
+    from its text. rank_value is the transformed search rank, a float.
+    Blocks a configuration does not use may be None.
     """
 
     query_id: str
@@ -143,8 +146,8 @@ class Example:
     vec: array | None = None
     vec_names: tuple[str, ...] = ()
     rank_value: float | None = None
-    tree_first: SyntaxTree | None = None
-    tree_second: SyntaxTree | None = None
+    tree_first: SyntaxTree | str | None = None
+    tree_second: SyntaxTree | str | None = None
 
     def __post_init__(self):
         for name in ("query_id", "candidate_id"):

@@ -19,7 +19,13 @@ compiled tree is its distinct subtree ids in ascending order, each with the
 number of nodes that root it, plus buckets from a label or production to the
 (id, count) pairs that carry it. The table (labels, productions, child
 offsets and ids) and the compiled trees are flat int32 arrays, read in place
-by both engines.
+by both engines. A tree is compiled from its bracketed text, in one pass
+over the tokens that :func:`.treebank.tokens` checks, the grammar that
+``parse_bracketed`` and ``read_examples`` also use: a tree that
+``read_examples`` keeps as text is compiled as it is, and a
+:class:`SyntaxTree` is first written out with ``to_bracketed``. Each node is
+interned as its tokens close it, in post-order, so the ids do not depend on
+the tree's form. No stage but ``featurize`` builds a tree object.
 
 The tree kernels of one Gram or scoring row, its two trees against the
 same-position trees of a block of columns, are one tree block
@@ -124,7 +130,7 @@ from .config import KernelConfig
 from .errors import DataError, NumericalError
 # Example is defined in the numpy-free features module and re-exported here
 from .features import Example
-from .treebank import SyntaxTree
+from .treebank import SyntaxTree, to_bracketed, tokens
 
 logger = logging.getLogger(__name__)
 
@@ -145,12 +151,13 @@ class _Subtrees:
     child CSR ``kid_off``/``kid_ids``. Labels and productions share one id
     space, so a bucket key of either kind never collides with the other.
 
-    :meth:`compile` packs a tree into ``forest`` at the offset it returns:
-    ``n, k``, the tree's n distinct subtree ids in ascending order, the
-    number of nodes that root each, its k bucket keys (the label and
-    production ids it carries) in ascending order, the end of each key's
-    bucket, then the buckets' subtree ids and their counts. The counters
-    record the call's tree-kernel work for its log line.
+    :meth:`compile` reads a tree's bracketed text and packs the tree into
+    ``forest`` at the offset it returns: ``n, k``, the tree's n distinct
+    subtree ids in ascending order, the number of nodes that root each, its
+    k bucket keys (the label and production ids it carries) in ascending
+    order, the end of each key's bucket, then the buckets' subtree ids and
+    their counts. The counters record the call's tree-kernel work for its
+    log line.
     """
 
     def __init__(self):
@@ -162,15 +169,31 @@ class _Subtrees:
         self.pairs = self.deltas = self.dp_runs = 0
         self.engine = "python"
 
-    def compile(self, tree: SyntaxTree) -> int:
+    def compile(self, tree: str | SyntaxTree) -> int:
+        """Compile a tree given as bracketed text, which :func:`tokens`
+        checks, or as a :class:`SyntaxTree`, which is written out with
+        :func:`to_bracketed` first (a bare leaf is its one token); return its
+        offset in ``forest``.
+
+        The nodes are interned in post-order, as the tokens close them: a
+        leaf at its token, an internal node, label included, at its ``)``."""
+        if isinstance(tree, SyntaxTree):
+            toks = tokens(to_bracketed(tree)) if tree.children else [tree.label]
+        else:
+            toks = tokens(tree)
         names, index, labels, prods = (self.names, self.index, self.labels,
                                        self.prods)
         counts: dict[int, int] = defaultdict(int)
         done: list[int] = []    # finished subtrees not yet claimed by a parent
-        for node in tree.iter_nodes():
-            first_kid = len(done) - len(node.children)
+        opened: list[tuple[str, int]] = []   # open nodes: label, first kid
+        toks = iter(toks)
+        for tok in toks:
+            if tok == "(":
+                opened.append((next(toks), len(done)))
+                continue
+            label, first_kid = opened.pop() if tok == ")" else (tok, len(done))
             kids = tuple(done[first_kid:])
-            label = names.setdefault(node.label, len(names))
+            label = names.setdefault(label, len(names))
             s = index.get((label, kids))
             if s is None:
                 s = index[label, kids] = len(labels)
@@ -267,8 +290,10 @@ def _stk(t1: int, t2: int, lam: float, sub: _Subtrees, memo: dict) -> float:
     return math.fsum(terms)
 
 
-def stk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4) -> float:
-    """Subset-tree kernel between two trees.
+def stk(t1: SyntaxTree | str, t2: SyntaxTree | str,
+        lam: float = 0.4) -> float:
+    """Subset-tree kernel between two trees, each a :class:`SyntaxTree` or
+    its bracketed text.
 
     K = Σ_{n1∈t1, n2∈t2} Δ(n1, n2) where Δ is 0 unless the productions at
     n1 and n2 are identical, and otherwise λ·∏_j (1 + Δ(child_j, child_j)).
@@ -352,8 +377,10 @@ def _ptk(t1: int, t2: int, lam: float, mu: float, sub: _Subtrees,
     return math.fsum(terms)
 
 
-def ptk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4, mu: float = 0.4) -> float:
-    """Partial-tree kernel between two trees.
+def ptk(t1: SyntaxTree | str, t2: SyntaxTree | str, lam: float = 0.4,
+        mu: float = 0.4) -> float:
+    """Partial-tree kernel between two trees, each a :class:`SyntaxTree` or
+    its bracketed text.
 
     K = Σ_{n1,n2} Δ(n1, n2); Δ = 0 when labels differ, otherwise
     μ·(λ² + Σ_{J1,J2} λ^{d(J1)+d(J2)} ∏_i Δ(c_{J1,i}, c_{J2,i})) over pairs
@@ -363,7 +390,8 @@ def ptk(t1: SyntaxTree, t2: SyntaxTree, lam: float = 0.4, mu: float = 0.4) -> fl
     return _one_pair(t1, t2, KernelConfig(lam=lam, mu=mu))
 
 
-def _one_pair(t1: SyntaxTree, t2: SyntaxTree, cfg: KernelConfig) -> float:
+def _one_pair(t1: SyntaxTree | str, t2: SyntaxTree | str,
+              cfg: KernelConfig) -> float:
     """The raw tree kernel ``cfg`` names between two trees; λ and μ have
     been checked where ``cfg`` was made."""
     sub = _Subtrees()

@@ -18,10 +18,18 @@ reads.
 
 The CLI (:mod:`.cli`) is the one orchestration: its ``featurize`` stage
 runs :func:`load_corpus`, :func:`build_examples` and :func:`save_examples`;
-``gram`` reads the examples back with :func:`load_examples`, ``train`` reads
+``gram`` reads the examples back with :func:`read_examples`, ``train`` reads
 their labels with :func:`load_labels`, and ``rerank`` scores the test
 examples with :func:`score_examples` and groups them by query with
 :func:`make_groups`.  Each stage writes a file that the next one reads.
+
+Only ``featurize`` builds :class:`~.treebank.SyntaxTree` objects: it parses
+each distinct sentence string once and REL-links the macro-trees.
+:func:`read_examples` checks each tree of an examples file against the one
+bracketed grammar (:func:`~.treebank.tokens`) and keeps it as its text,
+which the kernels compile straight into their subtree table; so ``gram`` and
+``rerank`` hold no tree objects.  :func:`load_examples` also parses each
+tree, for callers that walk them.
 
 This module imports no numpy: corpus loading, featurization and the
 examples files work on plain float vectors.  ``score_examples`` imports
@@ -58,7 +66,13 @@ from .features import (
 )
 from .rankeval import Candidate, QueryGroup
 from .rellink import rel_link
-from .treebank import SyntaxTree, macro_tree, parse_bracketed, to_bracketed
+from .treebank import (
+    SyntaxTree,
+    macro_tree,
+    parse_bracketed,
+    to_bracketed,
+    tokens,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -261,15 +275,23 @@ def _record_name(record: CorpusRecord) -> str:
     return f"record ({record.query_id!r}, {record.candidate_id!r})"
 
 
-def _macro_from(strings, record, side, root_label) -> SyntaxTree:
+def _macro_from(strings, record, side, root_label,
+                parsed: dict[str, SyntaxTree]) -> SyntaxTree:
+    """The macro-tree of one side's sentence strings; ``parsed`` holds the
+    tree of each string parsed so far, and gains those parsed here."""
     if not strings:
         raise DataError(
             f"{_record_name(record)}: {side} parse trees are required by "
             f"the current configuration")
-    try:
-        trees = [parse_bracketed(s) for s in strings]
-    except DataError as exc:
-        raise DataError(f"{_record_name(record)}: {exc}") from exc
+    trees = []
+    for s in strings:
+        tree = parsed.get(s)
+        if tree is None:
+            try:
+                tree = parsed[s] = parse_bracketed(s)
+            except DataError as exc:
+                raise DataError(f"{_record_name(record)}: {exc}") from exc
+        trees.append(tree)
     return macro_tree(trees, root_label)
 
 
@@ -286,8 +308,11 @@ def _embedding_for(embeddings, explicit_id, fallback_id, record) -> array:
 def build_examples(records, cfg: RunConfig) -> list[Example]:
     """Featurize validated corpus records, in input order.
 
-    When the 20 text similarities are on, one INFO line gives the pair
-    count, the seconds spent in them and the engine that computed them."""
+    Each distinct sentence string is parsed once per call, and records
+    that carry it share its tree (trees are immutable): a query's ``qo``
+    parses serve all its candidates. When the 20 text similarities are on,
+    one INFO line gives the pair count, the seconds spent in them and the
+    engine that computed them."""
     stopwords = (load_stopwords(cfg.stopword_path)
                  if cfg.stopword_path else frozenset())
     feature_cfg = FeatureConfig(stopwords=stopwords,
@@ -300,14 +325,15 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
     need_trees = cfg.kernel.use_tk or cfg.use_ptk_feature
 
     examples: list[Example] = []
+    parsed: dict[str, SyntaxTree] = {}
     sim_s = 0.0
     for record in records:
         tree_first = tree_second = None
         if need_trees:
             macro_qo = _macro_from(record.qo_trees, record, "qo_text",
-                                   cfg.macro_root_label)
+                                   cfg.macro_root_label, parsed)
             macro_qs = _macro_from(record.qs_trees, record, "qs_text",
-                                   cfg.macro_root_label)
+                                   cfg.macro_root_label, parsed)
             tree_first = rel_link(macro_qo, macro_qs, rel_cfg)
             tree_second = rel_link(macro_qs, macro_qo, rel_cfg)
 
@@ -372,8 +398,15 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
 # featurized-example files
 # ---------------------------------------------------------------------------
 
+def _tree_text(tree: SyntaxTree | str | None) -> str | None:
+    return tree if tree is None or isinstance(tree, str) \
+        else to_bracketed(tree)
+
+
 def save_examples(path, examples) -> None:
-    """Write featurized examples as JSONL (trees in bracketed form)."""
+    """Write featurized examples as JSONL, trees in bracketed form: a
+    :class:`SyntaxTree` written with :func:`to_bracketed`, a tree held as
+    text (:func:`read_examples`) as it is."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in examples:
             obj = {
@@ -384,21 +417,22 @@ def save_examples(path, examples) -> None:
                 "vec": None if e.vec is None else [float(v) for v in e.vec],
                 "vec_names": list(e.vec_names),
                 "rank_value": e.rank_value,
-                "tree_first": None if e.tree_first is None
-                else to_bracketed(e.tree_first),
-                "tree_second": None if e.tree_second is None
-                else to_bracketed(e.tree_second),
+                "tree_first": _tree_text(e.tree_first),
+                "tree_second": _tree_text(e.tree_second),
             }
             fh.write(json.dumps(obj) + "\n")
 
 
-def _example_tree(obj, key) -> SyntaxTree | None:
+def _example_tree(obj, key) -> str | None:
+    """The field ``key`` of an examples record: a bracketed tree, checked
+    and kept as text, or None."""
     text = obj[key]
     if text is None:
         return None
     if not isinstance(text, str):
         raise DataError(f"field {key!r} must be a bracketed tree or null")
-    return parse_bracketed(text)
+    tokens(text)
+    return text
 
 
 def _example_records(fh, path):
@@ -423,9 +457,12 @@ def _example_records(fh, path):
         raise DataError(f"{path}: empty example file")
 
 
-def load_examples(path) -> list[Example]:
-    """Read featurized examples written by :func:`save_examples`. Examples
-    with equal ``vec_names`` share one tuple."""
+def read_examples(path) -> list[Example]:
+    """Read featurized examples written by :func:`save_examples`, each tree
+    checked against the bracketed grammar (:func:`~.treebank.tokens`) and
+    kept as its text, which the kernels compile. A malformed tree raises
+    :class:`DataError` naming ``path``, the line and the byte offset.
+    Examples with equal ``vec_names`` share one tuple."""
     examples: list[Example] = []
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open_text(path) as fh:
@@ -453,9 +490,21 @@ def load_examples(path) -> list[Example]:
     return examples
 
 
+def load_examples(path) -> list[Example]:
+    """:func:`read_examples`, with each tree parsed into a
+    :class:`SyntaxTree`."""
+    examples = read_examples(path)
+    for e in examples:
+        if e.tree_first is not None:
+            e.tree_first = parse_bracketed(e.tree_first)
+        if e.tree_second is not None:
+            e.tree_second = parse_bracketed(e.tree_second)
+    return examples
+
+
 def load_labels(path) -> list[int]:
     """The labels of an examples file, in order, checked as
-    :func:`load_examples` checks them; no tree is parsed and no vector
+    :func:`read_examples` checks them; no tree is read and no vector
     converted."""
     labels: list[int] = []
     with open_text(path) as fh:

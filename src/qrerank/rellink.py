@@ -11,6 +11,8 @@ The operation is asymmetric by design: linking x against y marks x only.
 
 from __future__ import annotations
 
+import operator
+
 from .config import RelConfig
 from .errors import DataError
 from .treebank import SyntaxTree
@@ -27,7 +29,10 @@ def rel_link(x: SyntaxTree, y: SyntaxTree, cfg: RelConfig = RelConfig()) -> Synt
     contain REL- labels (re-linking an enriched tree would stack prefixes).
 
     The copy is built bottom-up without recursion, so any depth links: a
-    node's shared tokens are the union of its children's.
+    node's shared tokens are the union of its children's. A subtree with
+    no mark in it is not copied but shared with ``x`` (trees are
+    immutable), so the linked trees of one parse share its unmarked
+    subtrees.
     """
     fold = str.casefold if cfg.case_insensitive else str
     stop = {fold(s) for s in cfg.stopwords}
@@ -54,5 +59,10 @@ def rel_link(x: SyntaxTree, y: SyntaxTree, cfg: RelConfig = RelConfig()) -> Synt
                   else set().union(*found))
         if label in cfg.phrase_labels and len(shared) >= cfg.min_shared_tokens:
             label = REL_PREFIX + label
-        done.append((SyntaxTree(label, tuple(c for c, _ in parts)), shared))
+        kids = tuple(c for c, _ in parts)
+        if label is node.label and all(map(operator.is_, kids, node.children)):
+            copy = node         # nothing marked below: share the subtree
+        else:
+            copy = SyntaxTree(label, kids)
+        done.append((copy, shared))
     return done[0][0]

@@ -14,6 +14,7 @@ downstream tree kernels see one tree per question.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -28,22 +29,35 @@ class TreeParseError(DataError):
         self.offset = offset
 
 
+# one token of a bracketed tree and the whitespace before it: a parenthesis
+# or an atom, a node's label or a leaf's token. ``\s`` matches exactly the
+# characters ``str.isspace`` accepts, so every other character is part of a
+# token and ``findall`` skips nothing but whitespace.
+_TOKEN = re.compile(r"\s*([()]|[^\s()]+)")
+_ATOM = re.compile(r"[^\s()]+")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class SyntaxTree:
     """An immutable ordered tree. A leaf is a node with no children.
 
     For internal nodes ``label`` is the nonterminal symbol; for leaves it is
-    the surface token itself. Equality, hashing and ``repr`` compare and
-    print ``(label, children)`` as a dataclass would, but walk the tree with
-    an explicit stack, so any depth works.
+    the surface token itself. A label is one atom of the bracketed form, with
+    no whitespace or parenthesis, so that :func:`to_bracketed` writes every
+    tree as the text that reads back to it. Equality, hashing and ``repr``
+    compare and print ``(label, children)`` as a dataclass would, but walk
+    the tree with an explicit stack, so any depth works.
     """
 
     label: str
     children: tuple["SyntaxTree", ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.label:
+        if not isinstance(self.label, str) or not self.label:
             raise DataError("tree node label must be a non-empty string")
+        if not _ATOM.fullmatch(self.label):
+            raise DataError(f"tree node label {self.label!r} holds whitespace "
+                            f"or a parenthesis")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -116,69 +130,80 @@ class SyntaxTree:
                     stack.append((child, False))
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+def tokens(text: str) -> list[str]:
+    """The tokens of one bracketed tree, checked against its grammar.
+
+    This is the grammar of every reader of bracketed trees:
+    :func:`parse_bracketed`, the examples reader and the kernels' compiler
+    all walk the list it returns. The whole string must be one tree,
+    ``"(" label child+ ")"``, a child being a token or a tree, with
+    whitespace anywhere between tokens. In the list each ``"("`` is
+    followed by its node's label; every other atom is a leaf. An empty
+    label, a childless node, a missing ``")"`` and content after the tree
+    raise :class:`TreeParseError` naming the byte offset of the first token
+    that breaks the grammar (the end of ``text`` if none is left).
+    """
+    toks = _TOKEN.findall(text)
+    if not toks or toks[0] != "(":
+        raise _error(text, 0, "expected '(' to open a tree")
+    depth = 0
+    for k, tok in enumerate(toks):
+        if k and toks[k - 1] == "(":        # tok is the node's label
+            if tok == "(" or tok == ")":
+                raise _error(text, k, "empty node label")
+        elif tok == "(":
+            depth += 1
+        elif tok == ")":
+            if toks[k - 2] == "(":
+                raise _error(text, k, "node has a label but no children")
+            depth -= 1
+            if not depth and k + 1 < len(toks):
+                raise _error(text, k + 1, "trailing content after tree")
+    if toks[-1] == "(":
+        raise _error(text, len(toks), "empty node label")
+    if depth:
+        raise _error(text, len(toks), "unbalanced parentheses: missing ')'")
+    return toks
+
+
+def _error(text: str, k: int, message: str) -> TreeParseError:
+    """The :class:`TreeParseError` at the k-th token of ``text``, or at its
+    end if it has k tokens."""
+    for j, match in enumerate(_TOKEN.finditer(text)):
+        if j == k:
+            index = match.start(1)
+            break
+    else:
+        index = len(text)
+    # a lone surrogate (JSON's "\ud800") counts as the three bytes it takes
+    # in a UTF-8 encoder that lets it through
+    return TreeParseError(message,
+                          len(text[:index].encode("utf-8", "surrogatepass")))
 
 
 def parse_bracketed(text: str) -> SyntaxTree:
     """Parse one bracketed tree from ``text``.
 
     The whole string must be a single well-formed bracketed expression
-    (surrounding whitespace is fine). Unbalanced parentheses, empty labels,
-    childless groups and trailing garbage raise :class:`TreeParseError`
-    naming the byte offset of the offending character.
+    (surrounding whitespace is fine); :func:`tokens` defines the grammar and
+    its errors, each a :class:`TreeParseError` naming the byte offset of the
+    offending token.
     """
-    n = len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def read_atom(j: int) -> tuple[str, int]:
-        k = j
-        while k < n and not text[k].isspace() and text[k] not in "()":
-            k += 1
-        return text[j:k], k
-
-    i = skip_ws(0)
-    if i >= n or text[i] != "(":
-        raise TreeParseError("expected '(' to open a tree", _byte_offset(text, i))
     # open nodes, innermost last, each with the children read so far; an
     # explicit stack, so that nesting depth is bounded by memory alone
     stack: list[tuple[str, list[SyntaxTree]]] = []
-    while True:
-        # invariant: text[i] == "("
-        i = skip_ws(i + 1)
-        label, i = read_atom(i)
-        if not label:
-            raise TreeParseError("empty node label", _byte_offset(text, i))
-        stack.append((label, []))
-        while True:
-            i = skip_ws(i)
-            if i >= n:
-                raise TreeParseError("unbalanced parentheses: missing ')'",
-                                     _byte_offset(text, i))
-            ch = text[i]
-            if ch == "(":
-                break
-            if ch == ")":
-                label, children = stack.pop()
-                if not children:
-                    raise TreeParseError("node has a label but no children",
-                                         _byte_offset(text, i))
-                node = SyntaxTree(label, tuple(children))
-                i += 1
-                if not stack:
-                    i = skip_ws(i)
-                    if i != n:
-                        raise TreeParseError("trailing content after tree",
-                                             _byte_offset(text, i))
-                    return node
-                stack[-1][1].append(node)
-            else:
-                token, i = read_atom(i)
-                stack[-1][1].append(SyntaxTree(token))
+    toks = iter(tokens(text))
+    for tok in toks:
+        if tok == "(":
+            stack.append((next(toks), []))
+        elif tok == ")":
+            label, children = stack.pop()
+            node = SyntaxTree(label, tuple(children))
+            if not stack:
+                return node
+            stack[-1][1].append(node)
+        else:
+            stack[-1][1].append(SyntaxTree(tok))
 
 
 def to_bracketed(tree: SyntaxTree) -> str:

@@ -117,6 +117,49 @@ def ptk_bruteforce(t1, t2, lam, mu):
     return sum(w1[f] * w2[f] * mu ** n1[f] for f in w1.keys() & w2.keys())
 
 
+def subtree_table(trees):
+    """The hash-consing table the kernels compile ``trees`` into, one tree
+    after another, by a walk over each tree's nodes in post-order: each
+    subtree's id is the order of first occurrence of its (label id, child
+    ids), each label or production key the order of its first use (a
+    node's label when the node is visited, its production when a new
+    subtree is interned). Returns the key of each name id, the label id,
+    production id (-1 for a leaf) and child ids of each subtree id, and per
+    tree its packed layout: n, k, its distinct subtree ids, their node
+    counts, its keys in ascending order, each key's bucket end, then the
+    bucket ids and counts."""
+    names, index, labels, prods, kids = {}, {}, [], [], []
+    forests = []
+    for tree in trees:
+        done, counts = [], Counter()
+        for node in tree.iter_nodes():
+            k = len(done) - len(node.children)
+            ids = tuple(done[k:])
+            label = names.setdefault(node.label, len(names))
+            if (label, ids) not in index:
+                index[label, ids] = len(labels)
+                labels.append(label)
+                prods.append(names.setdefault(
+                    (label, tuple(labels[i] for i in ids)), len(names))
+                    if ids else -1)
+                kids.append(ids)
+            done[k:] = [index[label, ids]]
+            counts[done[-1]] += 1
+        nodes = sorted(counts)
+        buckets = defaultdict(list)
+        for s in nodes:
+            buckets[labels[s]].append(s)
+            if prods[s] >= 0:
+                buckets[prods[s]].append(s)
+        keys = sorted(buckets)
+        members = [s for key in keys for s in buckets[key]]
+        ends = list(itertools.accumulate(len(buckets[key]) for key in keys))
+        forests.append([len(nodes), len(keys), *nodes,
+                        *(counts[s] for s in nodes), *keys, *ends, *members,
+                        *(counts[s] for s in members)])
+    return list(names), labels, prods, kids, forests
+
+
 # ---------------------------------------------------------------------------
 # sequence similarity oracles
 # ---------------------------------------------------------------------------

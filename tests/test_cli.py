@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrerank import cli, kernels
+from qrerank import _native, cli, kernels
 from qrerank.cli import (
     build_run_config,
     main,
@@ -22,10 +22,20 @@ from qrerank.cli import (
 )
 from qrerank.config import KernelConfig, RunConfig, TrainConfig
 from qrerank.errors import DataError, NumericalError
-from qrerank.kernels import config_fingerprint, save_gram
-from qrerank.pipeline import load_examples, save_examples
+from qrerank.kernels import config_fingerprint, gram_matrix, save_gram
+from qrerank.pipeline import (
+    load_examples,
+    make_groups,
+    save_examples,
+    score_examples,
+)
+from qrerank.rankeval import (
+    QueryGroup,
+    reranked_candidates,
+    write_predictions,
+)
 from qrerank.svm import load_model
-from qrerank.treebank import to_bracketed
+from qrerank.treebank import SyntaxTree, to_bracketed
 
 from conftest import (
     lower,
@@ -602,6 +612,83 @@ class TestGramStage:
             runs.append((out.replace(str(gram), "GRAM"), gram.read_bytes()))
         assert progress == 10
         assert runs[0] == runs[1]
+
+
+class TestTreesAsText:
+    """``gram`` and ``rerank`` compile each tree from its checked text and
+    build no SyntaxTree; their files are those of the parsed trees."""
+
+    @pytest.mark.parametrize("engine", ["default", "python"])
+    @pytest.mark.parametrize("tk_kind", ["PTK", "STK"])
+    def test_gram_and_rerank_build_no_syntax_tree(self, tmp_path, monkeypatch,
+                                                  engine, tk_kind):
+        if engine == "python":
+            monkeypatch.setattr(_native, "load", lambda: None)
+        rng = make_rng(17)
+        train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        write_tree_corpus(train, rng, n_queries=3)
+        write_tree_corpus(test, rng, n_queries=2)
+        flags = ["--use-tk", "--use-rank", "--tk-kind", tk_kind]
+        ex = {name: tmp_path / f"{name}.examples" for name in ("train", "test")}
+        for name, corpus in (("train", train), ("test", test)):
+            assert main(["featurize", "--corpus", str(corpus),
+                         "--out", str(ex[name]), *flags]) == 0
+        gram, model = tmp_path / "train.gram", tmp_path / "model.txt"
+        predictions = tmp_path / "predictions.tsv"
+
+        def refuse(self):
+            raise AssertionError(f"SyntaxTree({self.label!r}) built")
+
+        with monkeypatch.context() as m:
+            m.setattr(SyntaxTree, "__post_init__", refuse)
+            assert main(["gram", "--examples", str(ex["train"]),
+                         "--out", str(gram), *flags]) == 0
+            assert main(["train", "--gram", str(gram), "--examples",
+                         str(ex["train"]), "--out", str(model), *flags]) == 0
+            assert main(["rerank", "--model", str(model),
+                         "--train-examples", str(ex["train"]),
+                         "--test-examples", str(ex["test"]),
+                         "--out", str(predictions), *flags]) == 0
+
+        cfg = KernelConfig(use_tk=True, use_rank=True, tk_kind=tk_kind)
+        train_examples = load_examples(ex["train"])
+        test_examples = load_examples(ex["test"])
+        save_gram(tmp_path / "api.gram", gram_matrix(train_examples, cfg),
+                  config_fingerprint(cfg))
+        assert gram.read_bytes() == (tmp_path / "api.gram").read_bytes()
+        scores = score_examples(test_examples, load_model(model),
+                                train_examples, cfg)
+        write_predictions(tmp_path / "api.tsv", [
+            QueryGroup(g.query_id, reranked_candidates(g))
+            for g in make_groups(test_examples, scores)])
+        assert predictions.read_bytes() == \
+            (tmp_path / "api.tsv").read_bytes()
+
+    @pytest.mark.parametrize("stage", ["gram", "rerank"])
+    @pytest.mark.parametrize("tree,message", [
+        ("(ROOT (S x)", "unbalanced parentheses: missing ')' (byte offset 11)"),
+        ("(ROOT (S x)) (S y)", "trailing content after tree (byte offset 13)"),
+        ("(ROOT (é))", "node has a label but no children (byte offset 9)"),
+    ])
+    def test_a_malformed_tree_is_2_naming_file_line_and_offset(
+            self, tmp_path, capsys, stage, tree, message):
+        corpus = tmp_path / "train.jsonl"
+        write_corpus(corpus, n_queries=2, per_query=4, with_trees=True)
+        chain = run_chain(corpus, corpus, tmp_path, ["--use-tk"])
+        examples = chain.train_examples
+        rows = [json.loads(line) for line in
+                examples.read_text(encoding="utf-8").splitlines()]
+        rows[2]["tree_second"] = tree
+        write_jsonl(examples, rows)
+        capsys.readouterr()
+        argv = (["gram", "--examples", str(examples)] if stage == "gram" else
+                ["rerank", "--model", str(chain.model),
+                 "--train-examples", str(chain.test_examples),
+                 "--test-examples", str(examples)])
+        assert main([*argv, "--out", str(tmp_path / "out"), "--use-tk"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {examples}:3: {message}\n" in err
+        assert "Traceback" not in err
 
 
 class TestTrainStage:

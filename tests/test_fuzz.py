@@ -11,7 +11,12 @@ import pytest
 from qrerank.cli import parse_config_file
 from qrerank.errors import DataError
 from qrerank.kernels import load_gram_lower
-from qrerank.pipeline import load_corpus, load_examples, load_labels
+from qrerank.pipeline import (
+    load_corpus,
+    load_examples,
+    load_labels,
+    read_examples,
+)
 from qrerank.rankeval import read_predictions
 from qrerank.svm import load_model
 
@@ -25,6 +30,7 @@ LOADERS = {
     "labels": load_labels,
     "model": load_model,
     "predictions": read_predictions,
+    "text_examples": read_examples,
 }
 
 # what a corrupted field may read: empty, non-finite, out of range, of
@@ -70,7 +76,8 @@ def artifacts(tmp_path_factory):
             "gram": chain.gram.read_bytes(),
             "labels": chain.train_examples.read_bytes(),
             "model": chain.model.read_bytes(),
-            "predictions": chain.predictions.read_bytes()}
+            "predictions": chain.predictions.read_bytes(),
+            "text_examples": chain.train_examples.read_bytes()}
 
 
 @pytest.mark.parametrize("seed", range(10))

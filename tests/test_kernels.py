@@ -33,10 +33,10 @@ from qrerank.kernels import (
     stk,
     write_gram,
 )
-from qrerank.treebank import SyntaxTree, parse_bracketed
+from qrerank.treebank import SyntaxTree, parse_bracketed, to_bracketed
 
 from conftest import make_examples, make_rng, random_small_tree, random_tree
-from oracles import ptk_bruteforce, stk_bruteforce
+from oracles import ptk_bruteforce, stk_bruteforce, subtree_table
 
 
 def t(s):
@@ -1400,6 +1400,28 @@ class TestSharedSubtrees:
                 sub.compile(e.tree_first)
                 sub.compile(e.tree_second)
             assert subtrees == len(sub.labels)
+
+    def test_the_table_is_the_post_order_walk_of_the_trees(self):
+        # the ids, keys and packed trees do not depend on the tree's form:
+        # a SyntaxTree or its text, spaced as to_bracketed spaces it or not
+        rng = make_rng(23)
+        trees, _ = shared_forest()
+        trees += [random_tree(rng) for _ in range(30)]
+        trees += [tree for tree in (random_small_tree(rng) for _ in range(30))
+                  if tree.children]
+        names, labels, prods, kids, forests = subtree_table(trees)
+        for form in (lambda tree: tree, to_bracketed,
+                     lambda tree: f" {to_bracketed(tree)}\n"
+                     .replace(" (", "\t(").replace(")", " ) ")):
+            sub = kernels._Subtrees()
+            at = [sub.compile(form(tree)) for tree in trees]
+            assert list(sub.names) == names
+            assert sub.labels.tolist() == labels
+            assert sub.prods.tolist() == prods
+            assert [tuple(sub.kid_ids[a:b]) for a, b in
+                    zip(sub.kid_off, sub.kid_off[1:])] == kids
+            assert [sub.forest[a:b].tolist() for a, b in
+                    zip(at, [*at[1:], len(sub.forest)])] == forests
 
 
 # ---------------------------------------------------------------------------

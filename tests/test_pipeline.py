@@ -28,6 +28,7 @@ from qrerank.pipeline import (
     load_examples,
     load_labels,
     make_groups,
+    read_examples,
     save_examples,
     score_examples,
 )
@@ -38,11 +39,14 @@ from qrerank.rankeval import (
     write_predictions,
 )
 from qrerank.svm import TrainConfig, TrainedModel, load_model, train_smo
-from qrerank.treebank import to_bracketed
+from qrerank import pipeline
+from qrerank.treebank import SyntaxTree, to_bracketed
 
 from conftest import (
     corpus_row,
     lower,
+    make_examples,
+    make_rng,
     run_chain,
     write_corpus,
     write_jsonl,
@@ -310,6 +314,24 @@ class TestBuildExamples:
             marked = "REL-" in to_bracketed(e.tree_first)
             assert marked == (e.label > 0)
 
+    def test_each_distinct_sentence_is_parsed_once(self, tmp_path,
+                                                   monkeypatch):
+        records = self.records(tmp_path, with_trees=True)
+        cfg = RunConfig(kernel=KernelConfig(use_tk=True, use_rank=True))
+        # one call per record: no tree is shared between the calls
+        alone = tmp_path / "alone.examples"
+        save_examples(alone, [e for r in records
+                              for e in build_examples([r], cfg)])
+        parsed = []
+        parse = pipeline.parse_bracketed
+        monkeypatch.setattr(pipeline, "parse_bracketed",
+                            lambda text: parsed.append(text) or parse(text))
+        together = tmp_path / "together.examples"
+        save_examples(together, build_examples(records, cfg))
+        sentences = {s for r in records for s in (*r.qo_trees, *r.qs_trees)}
+        assert sorted(parsed) == sorted(sentences) and len(sentences) == 2
+        assert together.read_bytes() == alone.read_bytes()
+
     def test_missing_trees_error_names_record(self, tmp_path):
         records = self.records(tmp_path)  # no trees in corpus
         cfg = RunConfig(kernel=KernelConfig(use_tk=True))
@@ -514,6 +536,51 @@ class TestExampleFiles:
                 to_bracketed(orig.tree_first)
             assert to_bracketed(back.tree_second) == \
                 to_bracketed(orig.tree_second)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_round_trip_with_trees(self, tmp_path, seed):
+        path, again = tmp_path / "examples.jsonl", tmp_path / "again.jsonl"
+        save_examples(path, make_examples(make_rng(seed), 12))
+        texts = read_examples(path)
+        assert all(isinstance(e.tree_first, str)
+                   and isinstance(e.tree_second, str) for e in texts)
+        save_examples(again, texts)
+        assert again.read_bytes() == path.read_bytes()
+        trees = load_examples(path)
+        assert all(isinstance(e.tree_first, SyntaxTree)
+                   and isinstance(e.tree_second, SyntaxTree) for e in trees)
+        save_examples(again, trees)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_read_keeps_a_tree_as_its_text(self, tmp_path):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "tree_first": " (S  (A a)\t(B b)) ", "tree_second": None}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert read_examples(path)[0].tree_first == " (S  (A a)\t(B b)) "
+        assert load_examples(path)[0].tree_first == \
+            SyntaxTree("S", (SyntaxTree("A", (SyntaxTree("a"),)),
+                             SyntaxTree("B", (SyntaxTree("b"),))))
+
+    @pytest.mark.parametrize("reader", [read_examples, load_examples])
+    @pytest.mark.parametrize("tree,message", [
+        ("(S x", "unbalanced parentheses: missing ')' (byte offset 4)"),
+        ("(é (A a)) b", "trailing content after tree (byte offset 11)"),
+        ("(S ()", "empty node label (byte offset 4)"),
+    ])
+    def test_a_malformed_tree_is_named_with_file_line_and_offset(
+            self, tmp_path, reader, tree, message):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "tree_first": "(S x)", "tree_second": "(S y)"}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps({**record, "tree_second": tree}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:2: {message}"
 
     def test_equal_vec_names_share_one_tuple(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl", n_queries=2, per_query=3)

@@ -25,6 +25,16 @@ class TestMarking:
         y = t("(S (NP (NN visa)))")
         assert rel_link(x, y) == x
 
+    def test_unmarked_subtrees_are_shared_not_copied(self):
+        x = t("(S (NP (NN visa)) (VP (VB eat) (NP (NN food))))")
+        y = t("(S (NP (NN visa)))")
+        out = rel_link(x, y)
+        assert to_bracketed(out) == \
+            "(S (REL-NP (NN visa)) (VP (VB eat) (NP (NN food))))"
+        assert out.children[1] is x.children[1]
+        assert out.children[0].children[0] is x.children[0].children[0]
+        assert rel_link(x, t("(S (NP (NN cat)))")) is x
+
     def test_asymmetry(self):
         x = t("(S (NP (NN visa)))")
         y = t("(S (VP (VB get) (NP (NN visa))))")
