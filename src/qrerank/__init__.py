@@ -51,8 +51,8 @@ _NAMES_BY_MODULE = {
                  "write_predictions"),
     "rellink": ("REL_PREFIX", "rel_link"),
     "svm": ("TrainedModel", "load_model", "save_model", "train_smo"),
-    "treebank": ("SyntaxTree", "TreeParseError", "macro_tree",
-                 "parse_bracketed", "to_bracketed"),
+    "treebank": ("SyntaxTree", "TreeParseError", "parse_bracketed",
+                 "to_bracketed"),
 }
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _NAMES_BY_MODULE.items()

@@ -191,8 +191,10 @@ class RunConfig:
                 f"{self.rank_mode!r}")
         if self.gst_min_match < 1:
             raise DataError("gst_min_match must be >= 1")
-        if not self.macro_root_label:
-            raise DataError("macro_root_label must be non-empty")
+        label = self.macro_root_label
+        if not label or any(c.isspace() or c in "()" for c in label):
+            raise DataError(f"macro_root_label must be a non-empty label "
+                            f"with no whitespace or parenthesis, got {label!r}")
         extras = (self.use_ptk_feature or self.use_embeddings or self.use_mte)
         if extras and not self.kernel.use_sim:
             raise DataError(

@@ -132,10 +132,10 @@ class Example:
     a plain float64 vector, an ``array('d')``; any 1-d sequence of finite
     real numbers is converted to one. tree_first / tree_second are the two
     REL-linked macro-trees (each side marked with respect to the other):
-    :class:`SyntaxTree` objects as ``featurize`` builds them and
-    ``load_examples`` parses them, or their bracketed text as
-    ``read_examples`` checks and keeps it; the kernels compile either form
-    from its text. rank_value is the transformed search rank, a float.
+    their bracketed text as ``featurize`` writes it and ``read_examples``
+    checks it, or :class:`SyntaxTree` objects as ``load_examples`` parses
+    them; the kernels compile either form from its text. rank_value is the
+    transformed search rank, a float.
     Blocks a configuration does not use may be None.
     """
 
@@ -438,10 +438,11 @@ def similarity_vector(qo_text: str, qs_text: str,
 # tree, rank, and embedding features
 # ---------------------------------------------------------------------------
 
-def ptk_feature(tree_o_rel: SyntaxTree, tree_s_rel: SyntaxTree,
+def ptk_feature(tree_o_rel: str | SyntaxTree, tree_s_rel: str | SyntaxTree,
                 cfg: KernelConfig) -> float:
     """Normalized partial-tree kernel between the two REL-linked trees of
-    one example — structural similarity of the pair as a single scalar.
+    one example, each bracketed text or a :class:`SyntaxTree` — structural
+    similarity of the pair as a single scalar.
 
     The one feature that computes with :mod:`.kernels`; it imports that
     module, and numpy with it, when it is called."""

@@ -25,7 +25,7 @@ over the tokens that :func:`.treebank.tokens` checks, the grammar that
 ``read_examples`` keeps as text is compiled as it is, and a
 :class:`SyntaxTree` is first written out with ``to_bracketed``. Each node is
 interned as its tokens close it, in post-order, so the ids do not depend on
-the tree's form. No stage but ``featurize`` builds a tree object.
+the tree's form. No stage builds a tree object.
 
 The tree kernels of one Gram or scoring row, its two trees against the
 same-position trees of a block of columns, are one tree block

@@ -23,13 +23,13 @@ their labels with :func:`load_labels`, and ``rerank`` scores the test
 examples with :func:`score_examples` and groups them by query with
 :func:`make_groups`.  Each stage writes a file that the next one reads.
 
-Only ``featurize`` builds :class:`~.treebank.SyntaxTree` objects: it parses
-each distinct sentence string once and REL-links the macro-trees.
-:func:`read_examples` checks each tree of an examples file against the one
-bracketed grammar (:func:`~.treebank.tokens`) and keeps it as its text,
-which the kernels compile straight into their subtree table; so ``gram`` and
-``rerank`` hold no tree objects.  :func:`load_examples` also parses each
-tree, for callers that walk them.
+No stage builds a :class:`~.treebank.SyntaxTree`: every tree is bracketed
+text, checked against the one grammar (:func:`~.treebank.tokens`).
+``featurize`` checks each distinct sentence string once, joins a side's
+sentences as the text of its macro-tree and REL-links the two texts.
+:func:`read_examples` checks each tree of an examples file and keeps it as
+its text, which the kernels compile straight into their subtree table.
+:func:`load_examples` also parses each tree, for callers that walk them.
 
 This module imports no numpy: corpus loading, featurization and the
 examples files work on plain float vectors.  ``score_examples`` imports
@@ -64,15 +64,9 @@ from .features import (
     similarity_vector,
     tokenize,
 )
-from .rankeval import Candidate, QueryGroup
-from .rellink import rel_link
-from .treebank import (
-    SyntaxTree,
-    macro_tree,
-    parse_bracketed,
-    to_bracketed,
-    tokens,
-)
+from .rankeval import Candidate, QueryGroup, _check_id
+from .rellink import _link
+from .treebank import _TOKEN, parse_bracketed, to_bracketed, tokens
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,8 +91,8 @@ class CorpusRecord:
     qs_embedding_id: str | None = None
 
     def __post_init__(self):
-        if not self.query_id or not self.candidate_id:
-            raise DataError("query_id and candidate_id must be non-empty")
+        _check_id("query_id", self.query_id)
+        _check_id("candidate_id", self.candidate_id)
         if not isinstance(self.original_rank, int) \
                 or isinstance(self.original_rank, bool) \
                 or self.original_rank < 1:
@@ -199,6 +193,8 @@ def load_corpus(path, task: str) -> list[CorpusRecord]:
                                     allow_empty=False)
             candidate_id = _require_str(obj, "candidate_id", path, lineno,
                                         allow_empty=False)
+            for key in ("query_id", "candidate_id"):
+                _check_id(key, obj[key], f"{path}:{lineno}: ")
             rank = obj["original_rank"]
             if not isinstance(rank, int) or isinstance(rank, bool):
                 raise _field_error(
@@ -275,24 +271,26 @@ def _record_name(record: CorpusRecord) -> str:
     return f"record ({record.query_id!r}, {record.candidate_id!r})"
 
 
-def _macro_from(strings, record, side, root_label,
-                parsed: dict[str, SyntaxTree]) -> SyntaxTree:
-    """The macro-tree of one side's sentence strings; ``parsed`` holds the
-    tree of each string parsed so far, and gains those parsed here."""
+def _macro_from(strings, record, side, root_label, checked: set[str]):
+    """The tokens of one side's macro-tree ``(root_label s1 s2 …)``; a
+    sentence string is checked against the grammar the first time, when
+    it joins ``checked``, and only split into its tokens after that."""
     if not strings:
         raise DataError(
             f"{_record_name(record)}: {side} parse trees are required by "
             f"the current configuration")
-    trees = []
+    toks = ["(", root_label]
     for s in strings:
-        tree = parsed.get(s)
-        if tree is None:
-            try:
-                tree = parsed[s] = parse_bracketed(s)
-            except DataError as exc:
-                raise DataError(f"{_record_name(record)}: {exc}") from exc
-        trees.append(tree)
-    return macro_tree(trees, root_label)
+        if s in checked:
+            toks += _TOKEN.findall(s)
+            continue
+        try:
+            toks += tokens(s)
+        except DataError as exc:
+            raise DataError(f"{_record_name(record)}: {exc}") from exc
+        checked.add(s)
+    toks.append(")")
+    return toks
 
 
 def _embedding_for(embeddings, explicit_id, fallback_id, record) -> array:
@@ -308,9 +306,10 @@ def _embedding_for(embeddings, explicit_id, fallback_id, record) -> array:
 def build_examples(records, cfg: RunConfig) -> list[Example]:
     """Featurize validated corpus records, in input order.
 
-    Each distinct sentence string is parsed once per call, and records
-    that carry it share its tree (trees are immutable): a query's ``qo``
-    parses serve all its candidates. When the 20 text similarities are on,
+    Each distinct sentence string is checked once per call: a query's
+    ``qo`` sentences, checked for its first candidate, are only split
+    into tokens for the others. The two REL-linked macro-trees are kept as
+    bracketed text. When the 20 text similarities are on,
     one INFO line gives the pair count, the seconds spent in them and the
     engine that computed them."""
     stopwords = (load_stopwords(cfg.stopword_path)
@@ -325,17 +324,17 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
     need_trees = cfg.kernel.use_tk or cfg.use_ptk_feature
 
     examples: list[Example] = []
-    parsed: dict[str, SyntaxTree] = {}
+    checked: set[str] = set()
     sim_s = 0.0
     for record in records:
         tree_first = tree_second = None
         if need_trees:
-            macro_qo = _macro_from(record.qo_trees, record, "qo_text",
-                                   cfg.macro_root_label, parsed)
-            macro_qs = _macro_from(record.qs_trees, record, "qs_text",
-                                   cfg.macro_root_label, parsed)
-            tree_first = rel_link(macro_qo, macro_qs, rel_cfg)
-            tree_second = rel_link(macro_qs, macro_qo, rel_cfg)
+            qo = _macro_from(record.qo_trees, record, "qo_text",
+                             cfg.macro_root_label, checked)
+            qs = _macro_from(record.qs_trees, record, "qs_text",
+                             cfg.macro_root_label, checked)
+            tree_first = _link(qo, qs, rel_cfg)
+            tree_second = _link(qs, qo, rel_cfg)
 
         vec = None
         vec_names: tuple[str, ...] = ()
@@ -398,15 +397,15 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
 # featurized-example files
 # ---------------------------------------------------------------------------
 
-def _tree_text(tree: SyntaxTree | str | None) -> str | None:
+def _tree_text(tree) -> str | None:
     return tree if tree is None or isinstance(tree, str) \
         else to_bracketed(tree)
 
 
 def save_examples(path, examples) -> None:
-    """Write featurized examples as JSONL, trees in bracketed form: a
-    :class:`SyntaxTree` written with :func:`to_bracketed`, a tree held as
-    text (:func:`read_examples`) as it is."""
+    """Write featurized examples as JSONL, trees in bracketed form: a tree
+    held as text (:func:`build_examples`, :func:`read_examples`) as it is,
+    a :class:`~.treebank.SyntaxTree` written with :func:`to_bracketed`."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in examples:
             obj = {
@@ -492,7 +491,7 @@ def read_examples(path) -> list[Example]:
 
 def load_examples(path) -> list[Example]:
     """:func:`read_examples`, with each tree parsed into a
-    :class:`SyntaxTree`."""
+    :class:`~.treebank.SyntaxTree`."""
     examples = read_examples(path)
     for e in examples:
         if e.tree_first is not None:

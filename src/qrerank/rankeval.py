@@ -25,6 +25,14 @@ from dataclasses import dataclass
 from .errors import DataError, open_text
 
 
+def _check_id(name: str, value: str, where: str = "") -> None:
+    """Raise :class:`DataError`, led by ``where``, unless ``value`` is an
+    id that a predictions line can hold: non-empty, no tab, CR or LF."""
+    if not value or "\t" in value or "\r" in value or "\n" in value:
+        raise DataError(f"{where}{name} must be non-empty, with no tab, CR "
+                        f"or LF, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One ranked candidate question with its gold label and model score."""
@@ -35,8 +43,7 @@ class Candidate:
     score: float
 
     def __post_init__(self):
-        if not self.candidate_id:
-            raise DataError("candidate_id must be non-empty")
+        _check_id("candidate_id", self.candidate_id)
         if type(self.original_rank) is not int or self.original_rank < 1:
             raise DataError(
                 f"original_rank must be a positive integer, got "
@@ -61,8 +68,7 @@ class QueryGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        if not self.query_id:
-            raise DataError("query_id must be non-empty")
+        _check_id("query_id", self.query_id)
         if not self.candidates:
             raise DataError(f"query {self.query_id!r} has no candidates")
         ids = [c.candidate_id for c in self.candidates]

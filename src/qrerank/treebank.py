@@ -1,4 +1,4 @@
-"""Constituency trees: parsing, serialization, and macro-tree assembly.
+"""Constituency trees: the bracketed grammar, parsing and serialization.
 
 Trees arrive as bracketed strings, one per line, in the classic treebank
 style::
@@ -8,8 +8,8 @@ style::
 A node is either internal (a label plus one or more children) or a leaf
 (a surface token). Labels and tokens are kept verbatim: no unescaping of
 ``-LRB-``/``-RRB-``, no case mangling, no stripping of functional tags.
-Multi-sentence questions are joined under a single artificial root so that
-downstream tree kernels see one tree per question.
+The pipeline keeps trees as checked text; :func:`parse_bracketed` builds
+the walkable :class:`SyntaxTree` view for callers that need one.
 """
 
 from __future__ import annotations
@@ -228,15 +228,3 @@ def to_bracketed(tree: SyntaxTree) -> str:
                 stack.append(child)
                 stack.append(" ")
     return "".join(out)
-
-
-def macro_tree(trees: list[SyntaxTree], root_label: str = "ROOT") -> SyntaxTree:
-    """Join per-sentence parses under one artificial root node.
-
-    Questions frequently span several sentences; the kernels expect a single
-    tree per question, so the sentence parses become the ordered children of
-    a fresh ``root_label`` node. Raises :class:`DataError` on an empty list.
-    """
-    if not trees:
-        raise DataError("macro_tree requires at least one sentence tree")
-    return SyntaxTree(root_label, tuple(trees))

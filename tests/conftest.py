@@ -82,6 +82,18 @@ def make_rng(seed=42):
     return np.random.default_rng(seed)
 
 
+def random_doubles(rng, n):
+    """``n`` finite float64 values drawn as random bit patterns: about a
+    quarter subnormal (either sign), with both zeros among them."""
+    bits = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+    bits[rng.random(n) < 0.25] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    bits[rng.random(n) < 0.05] = rng.choice(np.array([0, 2 ** 63],
+                                                     dtype=np.uint64))
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 1.5
+    return values
+
+
 def python_engine_vector(monkeypatch, qo, qs, cfg):
     """``similarity_vector`` on the Python engine, the native one off."""
     with monkeypatch.context() as m:

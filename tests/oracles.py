@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive: exponential enumeration with canonical
 string keys, itertools over index subsets, direct formula evaluation. None of
-it imports the production kernel/similarity code paths.
+it imports the production kernel/similarity/linking code paths.
 """
 
 import itertools
 from collections import Counter, defaultdict
+
+from qrerank.errors import DataError
+from qrerank.treebank import SyntaxTree
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +221,41 @@ def gst_tiled_bruteforce(a, b, min_match=1):
                 marked_b[j + k] = True
             tiled += best
     return tiled
+
+
+# ---------------------------------------------------------------------------
+# REL linking over tree objects
+# ---------------------------------------------------------------------------
+
+def rel_link_tree(x, y, cfg):
+    """REL linking of the :class:`SyntaxTree` ``x`` against ``y``, on tree
+    objects: a copy of ``x`` in which each node whose label is in
+    ``cfg.phrase_labels`` gets the ``REL-`` prefix when its leaves share at
+    least ``cfg.min_shared_tokens`` distinct tokens (folded, stopwords
+    removed) with the leaves of ``y``. A ``REL-`` label in ``x`` raises
+    :class:`DataError` at the first such node in post-order. Built
+    bottom-up without recursion: a node's shared tokens are the union of
+    its children's."""
+    fold = str.casefold if cfg.case_insensitive else str
+    stop = {fold(s) for s in cfg.stopwords}
+    y_tokens = {t for t in map(fold, y.leaves()) if t not in stop}
+    # (copy, tokens shared with y) of every node whose parent is not
+    # visited yet, children in order at its top
+    done = []
+    for node in x.iter_nodes():
+        if node.is_leaf:
+            token = fold(node.label)
+            done.append((node, {token} & y_tokens))
+            continue
+        if node.label.startswith("REL-"):
+            raise DataError(
+                f"tree already carries a 'REL-' label: {node.label!r}")
+        k = len(done) - len(node.children)
+        parts = done[k:]
+        del done[k:]
+        shared = set().union(*(s for _, s in parts))
+        label = node.label
+        if label in cfg.phrase_labels and len(shared) >= cfg.min_shared_tokens:
+            label = "REL-" + label
+        done.append((SyntaxTree(label, tuple(c for c, _ in parts)), shared))
+    return done[0][0]

@@ -538,6 +538,59 @@ class TestExitCodes:
         assert f"{needed - 1} were given" in err
 
 
+class TestIdsThePredictionsFileCannotHold:
+    """An id with a tab, CR or LF would write a predictions line that
+    ``evaluate`` cannot read back: ``featurize`` refuses it in the corpus,
+    and ``rerank`` in an examples file before it opens its output."""
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("key", ["query_id", "candidate_id"])
+    def test_featurize_refuses_it_naming_the_line(self, tmp_path, capsys,
+                                                  key, char):
+        corpus = tmp_path / "train.jsonl"
+        rows = write_corpus(corpus, n_queries=1, per_query=4)
+        rows[2][key] += char + "X"
+        write_jsonl(corpus, rows)
+        out = tmp_path / "train.ex"
+        assert main(["featurize", "--corpus", str(corpus),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {corpus}:3: {key} must be non-empty, with no tab, "
+                f"CR or LF, got {rows[2][key]!r}\n") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("key", ["query_id", "candidate_id"])
+    def test_rerank_refuses_it_before_writing(self, corpora, tmp_path, capsys,
+                                              key, char):
+        chain = run_chain(*corpora, tmp_path)
+        rows = [json.loads(line) for line in
+                chain.test_examples.read_text(encoding="utf-8").splitlines()]
+        rows[4][key] = "c" + char + "X"
+        write_jsonl(chain.test_examples, rows)
+        out = tmp_path / "bad.tsv"
+        assert main(["rerank", "--model", str(chain.model),
+                     "--train-examples", str(chain.train_examples),
+                     "--test-examples", str(chain.test_examples),
+                     "--out", str(out)]) == 2
+        assert (f"{key} must be non-empty, with no tab, CR or LF, got "
+                f"{'c' + char + 'X'!r}\n") in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMacroRootLabel:
+    @pytest.mark.parametrize("label", ["A B", "(A", "A)", "A\u2003B"])
+    def test_a_label_that_is_not_one_atom_is_2_before_any_record(
+            self, tmp_path, capsys, label):
+        # the corpus does not exist: the config is refused before it is read
+        assert main(["featurize", "--corpus", str(tmp_path / "none.jsonl"),
+                     "--out", str(tmp_path / "o.ex"), "--use-tk",
+                     "--macro-root-label", label]) == 2
+        assert ("error: macro_root_label must be a non-empty label with no "
+                f"whitespace or parenthesis, got {label!r}\n") \
+            in capsys.readouterr().err
+
+
 class TestGramStage:
     """``gram`` writes each row of the lower triangle as it computes it."""
 
@@ -615,8 +668,30 @@ class TestGramStage:
 
 
 class TestTreesAsText:
-    """``gram`` and ``rerank`` compile each tree from its checked text and
-    build no SyntaxTree; their files are those of the parsed trees."""
+    """``featurize`` links trees as text, and ``gram`` and ``rerank``
+    compile each tree from its checked text: no stage builds a SyntaxTree,
+    and their files are those of the parsed trees."""
+
+    @pytest.mark.parametrize("ptk_feature", [False, True])
+    def test_featurize_builds_no_syntax_tree(self, tmp_path, monkeypatch,
+                                             ptk_feature):
+        corpus = tmp_path / "train.jsonl"
+        write_tree_corpus(corpus, make_rng(23), n_queries=3)
+        flags = ["--use-tk", "--use-rank"] + (
+            ["--use-ptk-feature"] if ptk_feature else [])
+
+        def featurize(out):
+            assert main(["featurize", "--corpus", str(corpus),
+                         "--out", str(out), *flags]) == 0
+            return out.read_bytes()
+
+        def refuse(self):
+            raise AssertionError(f"SyntaxTree({self.label!r}) built")
+
+        plain = featurize(tmp_path / "plain.examples")
+        with monkeypatch.context() as m:
+            m.setattr(SyntaxTree, "__post_init__", refuse)
+            assert featurize(tmp_path / "refused.examples") == plain
 
     @pytest.mark.parametrize("engine", ["default", "python"])
     @pytest.mark.parametrize("tk_kind", ["PTK", "STK"])

@@ -30,7 +30,7 @@ from qrerank.features import (
 from qrerank.kernels import KernelConfig
 from qrerank.pipeline import build_examples, load_corpus
 from qrerank.rellink import rel_link
-from qrerank.treebank import macro_tree, parse_bracketed
+from qrerank.treebank import parse_bracketed, to_bracketed
 
 from conftest import make_rng, python_engine_vector, write_corpus, write_jsonl
 from oracles import gst_tiled_bruteforce, lcs_bruteforce, ptk_bruteforce
@@ -566,11 +566,11 @@ def test_build_examples_logs_pairs_seconds_and_engine(monkeypatch, caplog,
 
 class TestPTKFeature:
     def _linked_pair(self, qo, qs):
-        mo, ms = macro_tree([qo]), macro_tree([qs])
+        mo, ms = f"(ROOT {qo})", f"(ROOT {qs})"
         return rel_link(mo, ms), rel_link(ms, mo)
 
     def test_identical_questions_give_one(self):
-        q = parse_bracketed("(S (NP (NN visa)) (VP (VB expired)))")
+        q = "(S (NP (NN visa)) (VP (VB expired)))"
         first, second = self._linked_pair(q, q)
         assert first == second
         assert ptk_feature(first, second, KernelConfig()) == pytest.approx(1.0)
@@ -588,6 +588,9 @@ class TestPTKFeature:
         expected = ptk_bruteforce(a, b, 0.4, 0.4) / math.sqrt(
             ptk_bruteforce(a, a, 0.4, 0.4) * ptk_bruteforce(b, b, 0.4, 0.4))
         assert ptk_feature(a, b, cfg) == pytest.approx(expected, abs=1e-9)
+        # the text of a tree gives the bits of the tree
+        assert ptk_feature(to_bracketed(a), to_bracketed(b), cfg) == \
+            ptk_feature(a, b, cfg)
 
     def test_missing_tree_rejected(self):
         with pytest.raises(DataError):

@@ -1,14 +1,15 @@
 """Loader fuzz: every loader of a text artifact, fed seeded corruptions of a
 valid file, either loads it or raises DataError; no other exception escapes.
-The Gram readers' own fuzz, with corruptions of the file's layout, is in
-test_kernels.py."""
+The same corruptions fed to every CLI stage, one input file at a time, end
+in exit 0, 2 or 3. The Gram readers' own fuzz, with corruptions of the
+file's layout, is in test_kernels.py."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from qrerank.cli import parse_config_file
+from qrerank.cli import main, parse_config_file
 from qrerank.errors import DataError
 from qrerank.kernels import load_gram_lower
 from qrerank.pipeline import (
@@ -59,19 +60,30 @@ def mutations(rng, data):
         yield data[:word.start()] + token + data[word.end():]
 
 
+FLAGS = ["--use-tk", "--use-rank"]
+
+
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """A valid file for each loader: the files of one chain with trees,
-    and the README's example config."""
-    root = tmp_path_factory.mktemp("artifacts")
+def chain(tmp_path_factory):
+    """The corpus and the files of every stage of one valid chain with
+    trees."""
+    root = tmp_path_factory.mktemp("chain")
     train, test = root / "train.jsonl", root / "test.jsonl"
     write_corpus(train, n_queries=3, per_query=4, with_trees=True)
     write_corpus(test, n_queries=2, per_query=4, with_trees=True)
-    chain = run_chain(train, test, root / "out", ["--use-tk", "--use-rank"])
+    paths = run_chain(train, test, root / "out", FLAGS)
+    paths.corpus = train
+    return paths
+
+
+@pytest.fixture(scope="module")
+def artifacts(chain):
+    """A valid file for each loader: the files of one chain with trees,
+    and the README's example config."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")
     config = readme.split("# experiment.cfg\n")[1].split("```")[0]
-    return {"config": config.encode(), "corpus": train.read_bytes(),
+    return {"config": config.encode(), "corpus": chain.corpus.read_bytes(),
             "examples": chain.train_examples.read_bytes(),
             "gram": chain.gram.read_bytes(),
             "labels": chain.train_examples.read_bytes(),
@@ -94,3 +106,51 @@ def test_a_corrupted_file_raises_only_data_error(artifacts, tmp_path,
             LOADERS[loader](path)
         except DataError:
             pass
+
+
+# each CLI stage and input file: the file that is corrupted, and the argv
+# that reads it as {bad}, every other input being the valid chain's
+STAGES = {
+    "featurize/corpus": ("corpus", [
+        "featurize", "--corpus", "{bad}", "--out", "{out}", *FLAGS]),
+    "gram/examples": ("train_examples", [
+        "gram", "--examples", "{bad}", "--out", "{out}", *FLAGS]),
+    "train/examples": ("train_examples", [
+        "train", "--gram", "{gram}", "--examples", "{bad}", "--out", "{out}",
+        *FLAGS]),
+    "train/gram": ("gram", [
+        "train", "--gram", "{bad}", "--examples", "{train_examples}",
+        "--out", "{out}", *FLAGS]),
+    "rerank/train-examples": ("train_examples", [
+        "rerank", "--model", "{model}", "--train-examples", "{bad}",
+        "--test-examples", "{test_examples}", "--out", "{out}", *FLAGS]),
+    "rerank/test-examples": ("test_examples", [
+        "rerank", "--model", "{model}", "--train-examples",
+        "{train_examples}", "--test-examples", "{bad}", "--out", "{out}",
+        *FLAGS]),
+    "rerank/model": ("model", [
+        "rerank", "--model", "{bad}", "--train-examples", "{train_examples}",
+        "--test-examples", "{test_examples}", "--out", "{out}", *FLAGS]),
+    "evaluate/predictions": ("predictions", [
+        "evaluate", "--predictions", "{bad}"]),
+    "sigtest/predictions": ("predictions", [
+        "sigtest", "--predictions-a", "{bad}", "--predictions-b",
+        "{predictions}", "--resamples", "1000"]),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_a_stage_fed_a_corrupted_file_exits_0_2_or_3(chain, tmp_path, stage,
+                                                     seed):
+    source, argv = STAGES[stage]
+    bad = tmp_path / "bad"
+    files = {name: str(path) for name, path in vars(chain).items()}
+    argv = [arg.format(bad=bad, out=tmp_path / "out", **files)
+            for arg in argv]
+    valid = getattr(chain, source).read_bytes()
+    bad.write_bytes(valid)
+    assert main(argv) == 0                      # the valid file runs
+    for data in mutations(make_rng(seed), valid):
+        bad.write_bytes(data)
+        assert main(argv) in (0, 2, 3)

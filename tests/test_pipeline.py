@@ -239,6 +239,14 @@ class TestRunConfigValidation:
         with pytest.raises(DataError, match="family"):
             RunConfig(use_sim_features=False)
 
+    @pytest.mark.parametrize("label", ["", "A B", "A\tB", "(A", "A)",
+                                       "\u2003"])
+    def test_a_root_label_must_be_one_atom(self, label):
+        with pytest.raises(DataError, match=re.escape(
+                f"macro_root_label must be a non-empty label with no "
+                f"whitespace or parenthesis, got {label!r}")):
+            RunConfig(macro_root_label=label)
+
     def test_rank_only_config_ignores_default_sim_toggle(self):
         cfg = RunConfig(kernel=KernelConfig(use_sim=False, use_rank=True))
         assert cfg.use_sim_features  # harmless: no vec block is built
@@ -309,9 +317,10 @@ class TestBuildExamples:
         cfg = RunConfig(kernel=KernelConfig(use_tk=True))
         examples = build_examples(records, cfg)
         for e in examples:
-            assert e.tree_first is not None and e.tree_second is not None
-            assert e.tree_first.label == "ROOT"
-            marked = "REL-" in to_bracketed(e.tree_first)
+            assert isinstance(e.tree_first, str)
+            assert isinstance(e.tree_second, str)
+            assert e.tree_first.startswith("(ROOT (")
+            marked = "REL-" in e.tree_first
             assert marked == (e.label > 0)
 
     def test_each_distinct_sentence_is_parsed_once(self, tmp_path,
@@ -323,9 +332,9 @@ class TestBuildExamples:
         save_examples(alone, [e for r in records
                               for e in build_examples([r], cfg)])
         parsed = []
-        parse = pipeline.parse_bracketed
-        monkeypatch.setattr(pipeline, "parse_bracketed",
-                            lambda text: parsed.append(text) or parse(text))
+        check = pipeline.tokens
+        monkeypatch.setattr(pipeline, "tokens",
+                            lambda text: parsed.append(text) or check(text))
         together = tmp_path / "together.examples"
         save_examples(together, build_examples(records, cfg))
         sentences = {s for r in records for s in (*r.qo_trees, *r.qs_trees)}
@@ -461,8 +470,8 @@ class TestBuildExamples:
         assert plain[0].vec[jac] == pytest.approx(0.5)
         assert filtered[0].vec[jac] == pytest.approx(1.0)
         # "the" alone linked the qs NP; with it stopped, no phrase matches qo
-        assert "REL-" in to_bracketed(plain[0].tree_second)
-        assert "REL-" not in to_bracketed(filtered[0].tree_second)
+        assert "REL-" in plain[0].tree_second
+        assert "REL-" not in filtered[0].tree_second
 
     def test_deterministic(self, tmp_path):
         records = self.records(tmp_path)
@@ -471,6 +480,55 @@ class TestBuildExamples:
         for e_a, e_b in zip(a, b):
             assert np.array_equal(e_a.vec, e_b.vec)
             assert e_a.rank_value == e_b.rank_value
+
+
+class TestMacroTree:
+    """``featurize`` joins a side's sentence trees under one root, as the
+    text ``(ROOT s1 s2 ...)`` in single-space form."""
+
+    def trees(self, qo_trees, qs_trees=("(X (Y nothing))",), **cfg):
+        record = CorpusRecord(
+            query_id="q1", candidate_id="c1", original_rank=1, qo_text="a",
+            qs_text="b", gold_label="Relevant", qo_trees=qo_trees,
+            qs_trees=qs_trees)
+        e, = build_examples([record], RunConfig(
+            kernel=KernelConfig(use_tk=True), **cfg))
+        return e.tree_first, e.tree_second
+
+    def test_joins_under_fresh_root(self):
+        first, second = self.trees(["(S  (A a))", "(S\t(B b))"])
+        assert first == "(ROOT (S (A a)) (S (B b)))"
+        assert second == "(ROOT (X (Y nothing)))"
+
+    def test_single_sentence_still_wrapped(self):
+        assert self.trees(["(S (A a))"])[0] == "(ROOT (S (A a)))"
+
+    def test_custom_root_label(self):
+        first, second = self.trees(["(S (A a))"], macro_root_label="TOP")
+        assert first == "(TOP (S (A a)))" and second.startswith("(TOP (")
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(DataError, match=r"record \('q1', 'c1'\): "
+                           r"qo_text parse trees are required"):
+            self.trees(None)
+
+    def test_a_root_in_the_phrase_labels_links(self):
+        first, second = self.trees(
+            ["(S (A visa))"], ["(S (B visa))"],
+            rel=RelConfig(phrase_labels=frozenset({"ROOT", "A"})))
+        assert first == "(REL-ROOT (S (REL-A visa)))"
+        assert second == "(REL-ROOT (S (B visa)))"
+
+    def test_a_rel_label_in_a_sentence_is_refused(self):
+        with pytest.raises(DataError, match="^tree already carries a 'REL-' "
+                           "label: 'REL-NP'$"):
+            self.trees(["(S (REL-NP (NN visa)))"])
+
+    def test_a_malformed_sentence_names_record_and_offset(self):
+        with pytest.raises(DataError, match=re.escape(
+                "record ('q1', 'c1'): unbalanced parentheses: missing ')' "
+                "(byte offset 8)")):
+            self.trees(["(S (A a)"])
 
 
 # one save_examples line, pinned byte for byte: the 20 similarities of a
@@ -532,10 +590,8 @@ class TestExampleFiles:
             assert np.array_equal(back.vec, orig.vec)
             assert back.vec_names == orig.vec_names
             assert back.rank_value == orig.rank_value
-            assert to_bracketed(back.tree_first) == \
-                to_bracketed(orig.tree_first)
-            assert to_bracketed(back.tree_second) == \
-                to_bracketed(orig.tree_second)
+            assert to_bracketed(back.tree_first) == orig.tree_first
+            assert to_bracketed(back.tree_second) == orig.tree_second
 
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_round_trip_with_trees(self, tmp_path, seed):

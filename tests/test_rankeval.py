@@ -16,7 +16,7 @@ from qrerank.rankeval import (
     write_predictions,
 )
 
-from conftest import make_rng
+from conftest import make_rng, random_doubles
 
 
 def make_group(scores, gold=None, query_id="q1"):
@@ -292,6 +292,43 @@ class TestPredictionsFile:
         assert [c.gold_relevant for c in first.candidates] == [True, False]
         # repr-format scores survive the round trip bit-for-bit
         assert first.candidates[1].score == 0.30000000000000004
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_predictions_round_trip_byte_for_byte(self, tmp_path,
+                                                         seed):
+        # ids of any characters but tab, CR and LF, scores of any bits
+        rng = make_rng(seed)
+        alphabet = list("aZ09 _-.:#é\u00a0\u2028\x0b\x0c\x1c\x85\U0001f600")
+
+        def name(prefix, k):
+            return f"{prefix}{k}" + "".join(rng.choice(alphabet, 4))
+
+        groups = []
+        for q in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 13))
+            ranks = rng.permutation(30)[:n] + 1
+            scores = random_doubles(rng, n)
+            groups.append(QueryGroup(name("q", q), tuple(
+                Candidate(name("c", k), int(ranks[k]),
+                          bool(rng.random() < 0.4), float(scores[k]))
+                for k in range(n))))
+        path, again = tmp_path / "pred.tsv", tmp_path / "again.tsv"
+        write_predictions(path, groups)
+        loaded = read_predictions(path)
+        write_predictions(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+        assert [(g.query_id, [(c.candidate_id, repr(c.score), c.gold_relevant)
+                              for c in g.candidates]) for g in loaded] == \
+            [(g.query_id, [(c.candidate_id, repr(c.score), c.gold_relevant)
+                           for c in g.candidates]) for g in groups]
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    def test_an_id_a_line_cannot_hold_is_refused(self, char):
+        message = "must be non-empty, with no tab, CR or LF"
+        with pytest.raises(DataError, match="^candidate_id " + message):
+            Candidate(f"c{char}1", 1, True, 0.5)
+        with pytest.raises(DataError, match="^query_id " + message):
+            QueryGroup(f"q{char}1", (Candidate("c1", 1, True, 0.5),))
 
     def test_evaluate_consumes_file_directly(self, tmp_path):
         path = tmp_path / "pred.tsv"

@@ -20,7 +20,7 @@ from qrerank.svm import (
     train_smo,
 )
 
-from conftest import lower, make_rng
+from conftest import lower, make_rng, random_doubles
 
 
 def linear_gram(X):
@@ -237,6 +237,25 @@ class TestModelFile:
         assert loaded.bias == model.bias
         assert loaded.kernel_fingerprint == model.kernel_fingerprint
         assert loaded.training_checksum == model.training_checksum
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_models_round_trip_byte_for_byte(self, tmp_path, seed):
+        rng = make_rng(seed)
+        n = int(rng.integers(0, 40))
+        model = TrainedModel(
+            support_indices=rng.choice(10 * n + 1, size=n, replace=False),
+            dual_coefs=random_doubles(rng, n),
+            bias=float(random_doubles(rng, 1)[0]),
+            kernel_fingerprint=rng.bytes(32).hex(),
+            training_checksum=rng.bytes(32).hex())
+        path, again = tmp_path / "model.txt", tmp_path / "again.txt"
+        save_model(path, model)
+        loaded = load_model(path)
+        save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+        assert loaded.dual_coefs.tobytes() == model.dual_coefs.tobytes()
+        assert repr(loaded.bias) == repr(model.bias)
+        assert loaded.support_indices == model.support_indices
 
     def test_truncated_file_rejected(self, tmp_path):
         model = self.make_model()

@@ -1,4 +1,4 @@
-"""Tree parsing, serialization round-trips, and macro-tree assembly."""
+"""Tree parsing and serialization round-trips."""
 
 import json
 import re
@@ -12,7 +12,6 @@ from qrerank.pipeline import read_examples
 from qrerank.treebank import (
     SyntaxTree,
     TreeParseError,
-    macro_tree,
     parse_bracketed,
     to_bracketed,
     tokens,
@@ -140,30 +139,6 @@ class TestDeepNesting:
         with pytest.raises(TreeParseError, match="missing '\\)'") as info:
             parse_bracketed(text)
         assert info.value.offset == len(text)
-
-
-class TestMacroTree:
-    def test_joins_under_fresh_root(self):
-        s1 = parse_bracketed("(S (A a))")
-        s2 = parse_bracketed("(S (B b))")
-        m = macro_tree([s1, s2])
-        assert m.label == "ROOT"
-        assert m.children == (s1, s2)
-        assert len(list(m.iter_nodes())) == \
-            len(list(s1.iter_nodes())) + len(list(s2.iter_nodes())) + 1
-
-    def test_single_sentence_still_wrapped(self):
-        s = parse_bracketed("(S (A a))")
-        m = macro_tree([s])
-        assert m.label == "ROOT" and m.children == (s,)
-
-    def test_custom_root_label(self):
-        s = parse_bracketed("(S (A a))")
-        assert macro_tree([s], root_label="TOP").label == "TOP"
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DataError):
-            macro_tree([])
 
 
 class TestDataclassSemantics:
