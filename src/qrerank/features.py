@@ -16,8 +16,22 @@ Five families:
 All functions are pure; extraction across examples is embarrassingly
 parallel.
 
-Feature values are plain float64 vectors (``array('d')``): ``FeatureVector``
-and ``Example`` convert any 1-d sequence of real numbers, numpy arrays
+An example's ``vec`` joins the enabled blocks in one fixed order, which the
+run configuration alone determines:
+
+1. the 20 similarities (``use_sim_features``), n-major and measure-minor:
+   position 5·(n − 1) + k holds measure ``SIM_MEASURES[k]`` over n-grams
+   of order ``SIM_NGRAM_ORDERS[n − 1]``;
+2. the tree-pair similarity (``use_ptk_feature``);
+3. the original question's embedding, then the candidate's
+   (``use_embeddings``), d values each;
+4. the seven MT-evaluation measures (``use_mte``), in the order
+   :func:`mte_vector` lists them.
+
+The rank feature is kept apart, as the example's ``rank_value``.
+
+Feature values are plain float64 vectors (``array('d')``): ``Example`` and
+``embedding_pair`` convert any 1-d sequence of real numbers, numpy arrays
 included, and ``np.asarray`` reads one without a copy. This module imports no
 numpy. ``ptk_feature`` alone imports :mod:`.kernels`, and with it numpy, when
 it is called: of the feature families only the tree-pair similarity
@@ -48,9 +62,6 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 SIM_MEASURES = ("gst", "lcs", "jaccard", "containment", "cosine")
 SIM_NGRAM_ORDERS = (1, 2, 3, 4)
-
-MTE_NAMES = ("mte_bleu", "mte_ter_noshift", "mte_meteor_lite", "mte_nist",
-             "mte_precision", "mte_recall", "mte_length_ratio")
 
 
 def _is_real(x) -> bool:
@@ -86,37 +97,6 @@ def _float_vector(values, what: str) -> array | None:
             from None
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Parallel (values, names) pair for one feature block. ``values`` is a
-    plain float64 vector, an ``array('d')``."""
-
-    values: array
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        values = _float_vector(self.values, "feature values")
-        if values is None:
-            raise DataError("feature values must form a 1-d vector")
-        object.__setattr__(self, "values", values)
-        if len(values) != len(self.names):
-            raise DataError("feature values and names differ in length")
-        if len(set(self.names)) != len(self.names):
-            raise DataError("feature names must be unique")
-
-    def __len__(self):
-        return len(self.names)
-
-
-def concat_features(*blocks: FeatureVector) -> FeatureVector:
-    """Concatenate feature blocks, keeping names aligned with values."""
-    values = array("d")
-    for b in blocks:
-        values += b.values
-    names = tuple(n for b in blocks for n in b.names)
-    return FeatureVector(values, names)
-
-
 def _check_label(label) -> None:
     """Raise :class:`DataError` unless ``label`` is the int +1 or -1."""
     if type(label) is not int or label not in (-1, 1):
@@ -127,15 +107,14 @@ def _check_label(label) -> None:
 class Example:
     """One (original question, candidate) pair, featurized for the kernel.
 
-    vec holds the dense feature block (similarities and, when enabled, the
-    tree-pair similarity scalar, embeddings, and MT-evaluation features) as
-    a plain float64 vector, an ``array('d')``; any 1-d sequence of finite
-    real numbers is converted to one. tree_first / tree_second are the two
-    REL-linked macro-trees (each side marked with respect to the other):
-    their bracketed text as ``featurize`` writes it and ``read_examples``
-    checks it, or :class:`SyntaxTree` objects as ``load_examples`` parses
-    them; the kernels compile either form from its text. rank_value is the
-    transformed search rank, a float.
+    vec holds the enabled feature blocks, joined in the order the module
+    docstring gives, as a plain float64 vector, an ``array('d')``; any 1-d
+    sequence of finite real numbers is converted to one. tree_first /
+    tree_second are the two REL-linked macro-trees (each side marked with
+    respect to the other): their bracketed text as ``featurize`` writes it
+    and ``read_examples`` checks it, or :class:`SyntaxTree` objects as
+    ``load_examples`` parses them; the kernels compile either form from its
+    text. rank_value is the transformed search rank, a float.
     Blocks a configuration does not use may be None.
     """
 
@@ -144,7 +123,6 @@ class Example:
     label: int
     original_rank: int
     vec: array | None = None
-    vec_names: tuple[str, ...] = ()
     rank_value: float | None = None
     tree_first: SyntaxTree | str | None = None
     tree_second: SyntaxTree | str | None = None
@@ -158,12 +136,6 @@ class Example:
         if type(self.original_rank) is not int or self.original_rank < 1:
             raise DataError(f"original_rank must be an integer >= 1, got "
                             f"{self.original_rank!r}")
-        names = self.vec_names
-        if not isinstance(names, (list, tuple)) \
-                or not all(isinstance(n, str) for n in names):
-            raise DataError(f"vec_names must be a list of strings, got "
-                            f"{names!r}")
-        self.vec_names = tuple(names)
         if self.vec is not None:
             vec = _float_vector(self.vec, "example vec")
             if vec is None:
@@ -172,8 +144,6 @@ class Example:
                 raise DataError("example vec is empty")
             if not all(map(math.isfinite, vec)):
                 raise DataError("example vec contains non-finite values")
-            if self.vec_names and len(self.vec_names) != len(vec):
-                raise DataError("vec_names length does not match vec")
             self.vec = vec
         if self.rank_value is not None:
             if not _is_real(self.rank_value):
@@ -402,18 +372,14 @@ def _measures(tiled: int, lcs: int, inter: int, union: int, size_a: int,
             dot / (math.sqrt(squares_a) * math.sqrt(squares_b)))
 
 
-_SIM_NAMES = tuple(f"sim_n{n}_{measure}" for n in SIM_NGRAM_ORDERS
-                   for measure in SIM_MEASURES)
-
-
 def similarity_vector(qo_text: str, qs_text: str,
-                      cfg: FeatureConfig = FeatureConfig()) -> FeatureVector:
+                      cfg: FeatureConfig = FeatureConfig()) -> array:
     """The 20 text similarities between the two questions.
 
     For every n in 1..4 the texts are mapped to their n-gram representations
     and each of GST, LCS, Jaccard, containment and cosine is computed; the
-    result is ordered n-major / measure-minor with names like
-    ``sim_n2_jaccard``. Containment is directed from the first (original
+    result is ordered n-major / measure-minor, as ``SIM_NGRAM_ORDERS`` ×
+    ``SIM_MEASURES``. Containment is directed from the first (original
     question) argument.
 
     This is the one definition of the 20 measures. Both engines compute
@@ -429,9 +395,8 @@ def similarity_vector(qo_text: str, qs_text: str,
               else _native_counts(native, a, b, cfg.gst_min_match))
     if counts is None:
         counts = _python_counts(a, b, cfg.gst_min_match)
-    values = [v for k in range(0, len(counts), _COUNTS_PER_ORDER)
-              for v in _measures(*counts[k:k + _COUNTS_PER_ORDER])]
-    return FeatureVector(array("d", values), _SIM_NAMES)
+    return array("d", [v for k in range(0, len(counts), _COUNTS_PER_ORDER)
+                       for v in _measures(*counts[k:k + _COUNTS_PER_ORDER])])
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +574,11 @@ def _nist(cand, ref) -> float:
 
 
 def mte_vector(question: Iterable[str],
-               comment: Iterable[str]) -> FeatureVector:
+               comment: Iterable[str]) -> array:
     """The seven MT-evaluation features of a (question, comment) pair, each
-    given as its tokens.
+    given as its tokens: sentence BLEU, no-shift TER, exact-match METEOR,
+    NIST, unigram precision, unigram recall and the length ratio, in that
+    order.
 
     The question plays the candidate-translation role and the comment the
     reference. Both sequences should be tokenized WITHOUT stopword removal.
@@ -625,7 +592,7 @@ def mte_vector(question: Iterable[str],
     matches = _clipped_matches(Counter(cand), Counter(ref))
     precision = matches / len(cand) if cand else 0.0
     recall = matches / len(ref)
-    values = array("d", [
+    return array("d", [
         _sentence_bleu(cand, ref),
         _ter_noshift(cand, ref),
         _meteor_lite(cand, ref),
@@ -634,7 +601,6 @@ def mte_vector(question: Iterable[str],
         recall,
         len(cand) / len(ref),
     ])
-    return FeatureVector(values, MTE_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -642,14 +608,15 @@ def mte_vector(question: Iterable[str],
 # ---------------------------------------------------------------------------
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One token per line, UTF-8; case-folded. Blank lines and comment
-    lines, whose stripped text starts with ``#``, are ignored."""
+    """One token per line, UTF-8, kept as written: each consumer folds the
+    words as it folds the tokens it compares them with. Blank lines and
+    comment lines, whose stripped text starts with ``#``, are ignored."""
     out = set()
     with open_text(path) as fh:
         for line in fh:
             word = line.strip()
             if word and not word.startswith("#"):
-                out.add(word.casefold())
+                out.add(word)
     return frozenset(out)
 
 

@@ -854,33 +854,6 @@ def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
     in the triangle, so the temporaries beyond it stay under a MB at any n.
 
     One INFO line gives n, the file's bytes and the seconds."""
-    return _read_gram(path, square=False)
-
-
-def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
-    """Read a Gram cache written by :func:`save_gram` as (matrix,
-    fingerprint): the full symmetric n×n matrix, the saved matrix bit for
-    bit, with :func:`load_gram_lower`'s checks and errors.
-
-    The triangle is read into the first n(n+1)/2 cells of the matrix and
-    unpacked in place, row by row, so beyond the matrix only a block's
-    temporaries are held."""
-    cells, fingerprint = _read_gram(path, square=True)
-    n = math.isqrt(len(cells))
-    G = cells.reshape(n, n)
-    # last row first: row i moves from i(i+1)/2 to i·n, and the rows before
-    # it, not yet moved, end at i(i+1)/2 <= i·n
-    for i in range(n - 1, 0, -1):
-        G[i, :i + 1] = cells[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]
-    for i in range(n - 1):
-        G[i, i + 1:] = G[i + 1:, i]
-    return G, fingerprint
-
-
-def _read_gram(path: str | Path, square: bool) -> tuple[np.ndarray, str]:
-    """The Gram file's packed lower triangle (:func:`load_gram_lower`) and
-    its fingerprint; with ``square``, the triangle fills the first
-    n(n+1)/2 cells of an array of n² cells."""
     start = time.perf_counter()
     with open(path, "rb") as fh:
         magic, fp_line, n_line = (_header_line(fh, path) for _ in range(3))
@@ -902,14 +875,28 @@ def _read_gram(path: str | Path, square: bool) -> tuple[np.ndarray, str]:
         if body != need:
             raise DataError(f"{path}: {n} rows take {need} bytes, "
                             f"found {body}")
-        cells = np.empty(n * n if square else n * (n + 1) // 2,
-                         dtype=np.float64)
+        lower = np.empty(n * (n + 1) // 2, dtype=np.float64)
         for i, sep in _blocks(n):
             _decode(path, fh.read(_CELL * len(sep)), i, sep,
-                    cells[i * (i + 1) // 2:][:len(sep)])
+                    lower[i * (i + 1) // 2:][:len(sep)])
     logger.info("load_gram: n %d, %d bytes, %.3f s", n, size,
                 time.perf_counter() - start)
-    return cells, fingerprint
+    return lower, fingerprint
+
+
+def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
+    """Read a Gram cache written by :func:`save_gram` as (matrix,
+    fingerprint): the full symmetric n×n matrix, the saved matrix bit for
+    bit, with :func:`load_gram_lower`'s checks and errors. The packed
+    triangle is copied into a new matrix and mirrored, row by row."""
+    lower, fingerprint = load_gram_lower(path)
+    n = (math.isqrt(8 * len(lower) + 1) - 1) // 2
+    G = np.empty((n, n))
+    for i in range(n):
+        row = lower[i * (i + 1) // 2:][:i + 1]
+        G[i, :i + 1] = row
+        G[:i, i] = row[:i]
+    return G, fingerprint
 
 
 def _decode(path: str | Path, data: bytes, i: int, sep: np.ndarray,

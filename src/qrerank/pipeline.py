@@ -31,6 +31,12 @@ sentences as the text of its macro-tree and REL-links the two texts.
 its text, which the kernels compile straight into their subtree table.
 :func:`load_examples` also parses each tree, for callers that walk them.
 
+An examples file is JSONL too, one :class:`~.features.Example` per line
+with no feature names: its ``vec`` joins the blocks that the run
+configuration enables, in the order the :mod:`.features` docstring gives.
+Every JSONL reader here refuses a record with a repeated key, where
+``json`` would keep the last value.
+
 This module imports no numpy: corpus loading, featurization and the
 examples files work on plain float vectors.  ``score_examples`` imports
 numpy and :mod:`.kernels` when it runs, so the ``featurize`` stage never
@@ -52,9 +58,7 @@ from .errors import DataError, open_text
 from .features import (
     Example,
     FeatureConfig,
-    FeatureVector,
     _check_label,
-    concat_features,
     embedding_pair,
     load_embeddings,
     load_stopwords,
@@ -65,7 +69,7 @@ from .features import (
     tokenize,
 )
 from .rankeval import Candidate, QueryGroup, _check_id
-from .rellink import _link
+from .rellink import _excluded, _link
 from .treebank import _TOKEN, parse_bracketed, to_bracketed, tokens
 
 if TYPE_CHECKING:
@@ -162,6 +166,37 @@ def _optional_trees(obj, key, path, lineno) -> tuple[str, ...] | None:
     return tuple(value) if value else None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a repeated key raises
+    :class:`DataError`, where ``json`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DataError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# one decoder for every line: json.loads would build a new one, a reference
+# cycle, per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _json_object(line: str, path, lineno: int) -> dict:
+    """The JSON object on line ``lineno`` of ``path``: a line that is not
+    JSON, not an object or an object with a repeated key raises
+    :class:`DataError` naming ``path`` and the line."""
+    try:
+        obj = _DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise _field_error(path, lineno, f"invalid JSON: {exc}") from exc
+    except DataError as exc:
+        raise _field_error(path, lineno, str(exc)) from exc
+    if not isinstance(obj, dict):
+        raise _field_error(path, lineno, "record must be a JSON object")
+    return obj
+
+
 def load_corpus(path, task: str) -> list[CorpusRecord]:
     """Read and validate a JSONL corpus for the given task."""
     _check_task(task)
@@ -174,13 +209,7 @@ def load_corpus(path, task: str) -> list[CorpusRecord]:
             line = raw.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _field_error(path, lineno, f"invalid JSON: {exc}") \
-                    from exc
-            if not isinstance(obj, dict):
-                raise _field_error(path, lineno, "record must be a JSON object")
+            obj = _json_object(line, path, lineno)
             unknown = set(obj) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
             if unknown:
                 raise _field_error(
@@ -309,15 +338,17 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
     Each distinct sentence string is checked once per call: a query's
     ``qo`` sentences, checked for its first candidate, are only split
     into tokens for the others. The two REL-linked macro-trees are kept as
-    bracketed text. When the 20 text similarities are on,
-    one INFO line gives the pair count, the seconds spent in them and the
-    engine that computed them."""
+    bracketed text. The feature blocks are appended to one vector in the
+    order the :mod:`.features` docstring gives. When the 20 text
+    similarities are on, one INFO line gives the pair count, the seconds
+    spent in them and the engine that computed them."""
     stopwords = (load_stopwords(cfg.stopword_path)
                  if cfg.stopword_path else frozenset())
     feature_cfg = FeatureConfig(stopwords=stopwords,
                                 gst_min_match=cfg.gst_min_match)
     rel_cfg = (replace(cfg.rel, stopwords=stopwords)
                if cfg.stopword_path else cfg.rel)
+    excluded = _excluded(rel_cfg)
     embeddings = (load_embeddings(cfg.embedding_path)
                   if cfg.use_embeddings else None)
     need_vec = cfg.kernel.use_sim
@@ -333,33 +364,25 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
                              cfg.macro_root_label, checked)
             qs = _macro_from(record.qs_trees, record, "qs_text",
                              cfg.macro_root_label, checked)
-            tree_first = _link(qo, qs, rel_cfg)
-            tree_second = _link(qs, qo, rel_cfg)
+            tree_first = _link(qo, qs, rel_cfg, excluded)
+            tree_second = _link(qs, qo, rel_cfg, excluded)
 
         vec = None
-        vec_names: tuple[str, ...] = ()
         if need_vec:
-            blocks = []
+            vec = array("d")
             if cfg.use_sim_features:
                 start = time.perf_counter()
-                blocks.append(similarity_vector(record.qo_text,
-                                                record.qs_text, feature_cfg))
+                vec += similarity_vector(record.qo_text, record.qs_text,
+                                         feature_cfg)
                 sim_s += time.perf_counter() - start
             if cfg.use_ptk_feature:
-                blocks.append(FeatureVector(
-                    array("d", [ptk_feature(tree_first, tree_second,
-                                            cfg.kernel)]),
-                    ("tree_pair_sim",)))
+                vec.append(ptk_feature(tree_first, tree_second, cfg.kernel))
             if cfg.use_embeddings:
                 v_qo = _embedding_for(embeddings, record.qo_embedding_id,
                                       record.query_id, record)
                 v_qs = _embedding_for(embeddings, record.qs_embedding_id,
                                       record.candidate_id, record)
-                pair = embedding_pair(v_qo, v_qs)
-                dim = len(pair) // 2
-                names = tuple(f"emb_qo_{i}" for i in range(dim)) + \
-                    tuple(f"emb_qs_{i}" for i in range(dim))
-                blocks.append(FeatureVector(pair, names))
+                vec += embedding_pair(v_qo, v_qs)
             if cfg.use_mte:
                 if record.comment_text is None:
                     raise DataError(
@@ -368,12 +391,10 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
                 question_text = (record.qo_text if cfg.mte_side == "qo"
                                  else record.qs_text)
                 try:
-                    blocks.append(mte_vector(tokenize(question_text),
-                                             tokenize(record.comment_text)))
+                    vec += mte_vector(tokenize(question_text),
+                                      tokenize(record.comment_text))
                 except DataError as exc:
                     raise DataError(f"{_record_name(record)}: {exc}") from exc
-            merged = concat_features(*blocks)
-            vec, vec_names = merged.values, merged.names
 
         examples.append(Example(
             query_id=record.query_id,
@@ -381,7 +402,6 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
             label=gold_binary(record.gold_label, cfg.task),
             original_rank=record.original_rank,
             vec=vec,
-            vec_names=vec_names,
             rank_value=rank_feature(record.original_rank, cfg.rank_mode),
             tree_first=tree_first,
             tree_second=tree_second,
@@ -414,7 +434,6 @@ def save_examples(path, examples) -> None:
                 "label": e.label,
                 "original_rank": e.original_rank,
                 "vec": None if e.vec is None else [float(v) for v in e.vec],
-                "vec_names": list(e.vec_names),
                 "rank_value": e.rank_value,
                 "tree_first": _tree_text(e.tree_first),
                 "tree_second": _tree_text(e.tree_second),
@@ -436,20 +455,14 @@ def _example_tree(obj, key) -> str | None:
 
 def _example_records(fh, path):
     """Yield (line number, JSON object) for each non-blank line of the open
-    examples file ``fh``; a line that is not JSON or not an object raises
-    :class:`DataError` naming ``path`` and the line, and so does a file
-    with no record."""
+    examples file ``fh``, read by :func:`_json_object`; a file with no
+    record raises :class:`DataError` naming ``path``."""
     empty = True
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _field_error(path, lineno, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise _field_error(path, lineno, "record must be a JSON object")
+        obj = _json_object(line, path, lineno)
         empty = False
         yield lineno, obj
     if empty:
@@ -460,32 +473,28 @@ def read_examples(path) -> list[Example]:
     """Read featurized examples written by :func:`save_examples`, each tree
     checked against the bracketed grammar (:func:`~.treebank.tokens`) and
     kept as its text, which the kernels compile. A malformed tree raises
-    :class:`DataError` naming ``path``, the line and the byte offset.
-    Examples with equal ``vec_names`` share one tuple."""
+    :class:`DataError` naming ``path``, the line and the byte offset. A key
+    it does not read is ignored, so a file from a version whose records
+    also held the feature names reads to the same examples."""
     examples: list[Example] = []
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open_text(path) as fh:
         for lineno, obj in _example_records(fh, path):
             try:
-                names = obj.get("vec_names")
-                e = Example(
+                examples.append(Example(
                     query_id=obj["query_id"],
                     candidate_id=obj["candidate_id"],
                     label=obj["label"],
                     original_rank=obj["original_rank"],
                     vec=obj["vec"],
-                    vec_names=() if names is None else names,
                     rank_value=obj["rank_value"],
                     tree_first=_example_tree(obj, "tree_first"),
                     tree_second=_example_tree(obj, "tree_second"),
-                )
+                ))
             except KeyError as exc:
                 raise _field_error(path, lineno, f"missing field {exc}") \
                     from exc
             except DataError as exc:
                 raise _field_error(path, lineno, str(exc)) from exc
-            e.vec_names = shared.setdefault(e.vec_names, e.vec_names)
-            examples.append(e)
     return examples
 
 

@@ -29,17 +29,26 @@ def rel_link(x: str, y: str, cfg: RelConfig = RelConfig()) -> str:
     non-stopword tokens with the full yield of ``y``. ``x`` must not already
     contain REL- labels (re-linking an enriched tree would stack prefixes).
     """
-    return _link(tokens(x), tokens(y), cfg)
+    return _link(tokens(x), tokens(y), cfg, _excluded(cfg))
 
 
-def _link(x: list[str], y: list[str], cfg: RelConfig) -> str:
+def _excluded(cfg: RelConfig) -> frozenset[str]:
+    """``cfg.stopwords`` as :func:`_link` compares them: case-folded when
+    ``cfg.case_insensitive``, as written otherwise."""
+    fold = str.casefold if cfg.case_insensitive else str
+    return frozenset(map(fold, cfg.stopwords))
+
+
+def _link(x: list[str], y: list[str], cfg: RelConfig,
+          excluded: frozenset[str]) -> str:
     """:func:`rel_link` of the checked tokens of x against those of y, in
     one pass over x's: a node's shared tokens are the leaves of y that it
-    holds, found between its ``(`` and its ``)``."""
+    holds, found between its ``(`` and its ``)``. ``excluded`` is
+    :func:`_excluded` of ``cfg``, which a caller linking many pairs folds
+    once."""
     fold = str.casefold if cfg.case_insensitive else str
-    linkable = ({fold(t) for p, t in zip(y, y[1:])
-                 if p != "(" and t != "(" and t != ")"}
-                - {fold(s) for s in cfg.stopwords})
+    linkable = {fold(t) for p, t in zip(y, y[1:])
+                if p != "(" and t != "(" and t != ")"} - excluded
     need = cfg.min_shared_tokens
     out: list[str] = []     # " (label", " token" and ")" pieces
     found: list[str] = []   # the linkable leaves read so far, folded

@@ -10,7 +10,12 @@ import pytest
 
 from qrerank import _native
 from qrerank.cli import main
-from qrerank.features import SIM_MEASURES, FeatureConfig, similarity_vector
+from qrerank.features import (
+    SIM_MEASURES,
+    SIM_NGRAM_ORDERS,
+    FeatureConfig,
+    similarity_vector,
+)
 from qrerank.treebank import SyntaxTree
 
 
@@ -94,6 +99,18 @@ def random_doubles(rng, n):
     return values
 
 
+# the names of the 20 similarities, in their places in a vec: n-major over
+# SIM_NGRAM_ORDERS, measure-minor over SIM_MEASURES
+SIM_LAYOUT = tuple(f"sim_n{n}_{measure}" for n in SIM_NGRAM_ORDERS
+                   for measure in SIM_MEASURES)
+
+
+def sim_named(vec) -> dict:
+    """The 20 similarities at the head of ``vec``, keyed by their
+    ``SIM_LAYOUT`` names."""
+    return dict(zip(SIM_LAYOUT, vec))
+
+
 def python_engine_vector(monkeypatch, qo, qs, cfg):
     """``similarity_vector`` on the Python engine, the native one off."""
     with monkeypatch.context() as m:
@@ -114,9 +131,9 @@ def unigram(monkeypatch):
         cfg = FeatureConfig(gst_min_match=min_match)
         fv = python_engine_vector(monkeypatch, qo, qs, cfg)
         if native is not None:
-            assert [v.hex() for v in similarity_vector(qo, qs, cfg).values] \
-                == [v.hex() for v in fv.values]
-        return dict(zip(SIM_MEASURES, fv.values))
+            assert [v.hex() for v in similarity_vector(qo, qs, cfg)] \
+                == [v.hex() for v in fv]
+        return dict(zip(SIM_MEASURES, fv))
 
     return measures
 

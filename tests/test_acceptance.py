@@ -37,6 +37,7 @@ from qrerank.svm import TrainConfig, train_smo
 from qrerank.treebank import parse_bracketed
 
 from conftest import (
+    SIM_LAYOUT,
     lower,
     make_examples,
     make_rng,
@@ -194,8 +195,10 @@ def test_similarity_fixtures(unigram):
         "sim_n4_containment": 0.0,
         "sim_n4_cosine": 0.0,
     }
-    assert fv.names == tuple(expected)
-    for name, value in zip(fv.names, fv.values):
+    # the layout: n-major over SIM_NGRAM_ORDERS, measure-minor over
+    # SIM_MEASURES, read by position
+    assert SIM_LAYOUT == tuple(expected) and len(fv) == len(SIM_LAYOUT)
+    for name, value in zip(SIM_LAYOUT, fv):
         assert abs(value - expected[name]) <= 1e-9, name
 
 

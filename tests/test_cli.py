@@ -38,6 +38,7 @@ from qrerank.svm import load_model
 from qrerank.treebank import SyntaxTree, to_bracketed
 
 from conftest import (
+    corpus_row,
     lower,
     make_examples,
     make_rng,
@@ -331,7 +332,7 @@ class TestExitCodes:
         rows = [json.loads(line) for line in
                 train_ex.read_text(encoding="utf-8").splitlines()]
         for row in rows:
-            row["vec"] = row["vec_names"] = []
+            row["vec"] = []
         write_jsonl(train_ex, rows)
         capsys.readouterr()
         code = main(["gram", "--examples", str(train_ex),
@@ -381,7 +382,7 @@ class TestExitCodes:
         rows = [json.loads(line) for line in
                 train_ex.read_text(encoding="utf-8").splitlines()]
         for row in rows:
-            row["vec"], row["vec_names"] = [1e200, 1e200], ["a", "b"]
+            row["vec"] = [1e200, 1e200]
         write_jsonl(train_ex, rows)
         capsys.readouterr()
         gram = tmp_path / "g.gram"
@@ -578,6 +579,73 @@ class TestIdsThePredictionsFileCannotHold:
         assert not out.exists()
 
 
+class TestStopwordsAsWritten:
+    """A stopword file's words are kept as written and folded where they
+    are compared, so a case-sensitive REL link leaves a stopword as the
+    file spells it unlinked."""
+
+    X = "(S (NP (NNP NASA)) (VP (VBZ launches)))"
+    Y = "(S (NP (NNP NASA)) (VP (VBD failed)))"
+
+    @pytest.mark.parametrize("case_flag,word,linked", [
+        ("--no-case-insensitive", "NASA", False),
+        ("--no-case-insensitive", "nasa", True),
+        ("--case-insensitive", "NASA", False),
+        ("--case-insensitive", "nasa", False),
+    ])
+    def test_featurize(self, tmp_path, case_flag, word, linked):
+        corpus, stop = tmp_path / "corpus.jsonl", tmp_path / "stop.txt"
+        write_jsonl(corpus, [{**corpus_row("q1", 1, True),
+                              "qo_trees": [self.X], "qs_trees": [self.Y]}])
+        stop.write_text(f"{word}\n", encoding="utf-8")
+        out = tmp_path / "out.examples"
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(out),
+                     "--use-tk", "--stopwords", str(stop), case_flag]) == 0
+        record = json.loads(out.read_text(encoding="utf-8"))
+        np_ = "(REL-NP (NNP NASA))" if linked else "(NP (NNP NASA))"
+        assert record["tree_first"] == f"(ROOT (S {np_} (VP (VBZ launches))))"
+        assert record["tree_second"] == f"(ROOT (S {np_} (VP (VBD failed))))"
+
+
+class TestRepeatedKeys:
+    """A JSONL line with a repeated key exits 2, naming its file and line,
+    where json would silently keep the last value."""
+
+    def test_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        line = json.dumps(corpus_row("q1", 1, False))
+        corpus.write_text(line[:-1] + ', "gold_label": "Relevant"}\n',
+                          encoding="utf-8")
+        assert main(["featurize", "--corpus", str(corpus), "--out",
+                     str(tmp_path / "out.examples")]) == 2
+        assert f"error: {corpus}:1: repeated key 'gold_label'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out.examples").exists()
+
+    @pytest.mark.parametrize("stage", ["gram", "train"])
+    def test_examples(self, corpora, tmp_path, capsys, stage):
+        examples = tmp_path / "train.ex"
+        main(["featurize", "--corpus", str(corpora[0]), "--out",
+              str(examples)])
+        lines = examples.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2][:-1] + ', "label": 1}'
+        examples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        gram = tmp_path / "g.gram"
+        if stage == "train":
+            main(["featurize", "--corpus", str(corpora[0]), "--out",
+                  str(tmp_path / "ok.ex")])
+            assert main(["gram", "--examples", str(tmp_path / "ok.ex"),
+                         "--out", str(gram)]) == 0
+        capsys.readouterr()
+        args = {"gram": ["gram", "--examples", str(examples), "--out",
+                         str(gram)],
+                "train": ["train", "--examples", str(examples), "--gram",
+                          str(gram), "--out", str(tmp_path / "m.model")]}
+        assert main(args[stage]) == 2
+        assert f"error: {examples}:3: repeated key 'label'" in \
+            capsys.readouterr().err
+
+
 class TestMacroRootLabel:
     @pytest.mark.parametrize("label", ["A B", "(A", "A)", "A\u2003B"])
     def test_a_label_that_is_not_one_atom_is_2_before_any_record(
@@ -628,7 +696,6 @@ class TestGramStage:
             rows[-1]["vec"] = [1e200] * len(rows[-1]["vec"])
         elif fault == "short-last-vec":
             rows[-1]["vec"] = rows[-1]["vec"][:-1]
-            rows[-1]["vec_names"] = rows[-1]["vec_names"][:-1]
         write_jsonl(train_ex, rows)
         out = tmp_path / "out"
         out.mkdir()

@@ -14,10 +14,10 @@ from qrerank.cli import main
 from qrerank.config import RunConfig
 from qrerank.errors import DataError
 from qrerank.features import (
+    SIM_MEASURES,
+    SIM_NGRAM_ORDERS,
     Example,
     FeatureConfig,
-    FeatureVector,
-    concat_features,
     embedding_pair,
     load_embeddings,
     load_stopwords,
@@ -32,7 +32,13 @@ from qrerank.pipeline import build_examples, load_corpus
 from qrerank.rellink import rel_link
 from qrerank.treebank import parse_bracketed, to_bracketed
 
-from conftest import make_rng, python_engine_vector, write_corpus, write_jsonl
+from conftest import (
+    make_rng,
+    python_engine_vector,
+    sim_named,
+    write_corpus,
+    write_jsonl,
+)
 from oracles import gst_tiled_bruteforce, lcs_bruteforce, ptk_bruteforce
 
 
@@ -242,26 +248,32 @@ class TestSimilarityVector:
     QS_TOKENS = ["visa", "for", "qatar", "how", "long"]
 
     def test_names_and_order(self):
-        fv = similarity_vector("a b c d", "a b c d")
-        assert len(fv) == 20
-        assert fv.names[:5] == ("sim_n1_gst", "sim_n1_lcs", "sim_n1_jaccard",
-                                "sim_n1_containment", "sim_n1_cosine")
-        assert fv.names[5] == "sim_n2_gst"
-        assert fv.names[-1] == "sim_n4_cosine"
+        # n-major over SIM_NGRAM_ORDERS, measure-minor over SIM_MEASURES:
+        # "a b" against "a b c d" gives each order and measure its own value
+        fv = similarity_vector("a b", "a b c d")
+        assert type(fv) is array and fv.typecode == "d" and len(fv) == 20
+        assert SIM_NGRAM_ORDERS == (1, 2, 3, 4)
+        assert SIM_MEASURES == ("gst", "lcs", "jaccard", "containment",
+                                "cosine")
+        assert fv[:5].tolist() == pytest.approx(
+            [2 / 3, 1 / 2, 1 / 2, 1.0, 1 / math.sqrt(2)])
+        assert fv[5:10].tolist() == pytest.approx(
+            [1 / 2, 1 / 3, 1 / 3, 1.0, 1 / math.sqrt(3)])
+        assert fv[10:].tolist() == [0.0] * 10
 
     def test_identical_texts_all_ones(self):
         fv = similarity_vector("can my wife visit qatar",
                                "can my wife visit qatar")
-        np.testing.assert_allclose(fv.values, np.ones(20))
+        np.testing.assert_allclose(fv, np.ones(20))
 
     def test_disjoint_texts_all_zeros(self):
         fv = similarity_vector("alpha beta gamma delta",
                                "one two three four")
-        np.testing.assert_allclose(fv.values, np.zeros(20))
+        np.testing.assert_allclose(fv, np.zeros(20))
 
     def test_matches_reference_implementations(self):
         fv = similarity_vector(self.QO, self.QS)
-        got = dict(zip(fv.names, fv.values))
+        got = sim_named(fv)
         for n in (1, 2, 3, 4):
             seq_a = ref_ngram_seq(self.QO_TOKENS, n)
             seq_b = ref_ngram_seq(self.QS_TOKENS, n)
@@ -290,8 +302,7 @@ class TestSimilarityVector:
                     value, abs=1e-9), (n, measure)
 
     def test_frozen_spot_values(self):
-        fv = similarity_vector(self.QO, self.QS)
-        got = dict(zip(fv.names, fv.values))
+        got = sim_named(similarity_vector(self.QO, self.QS))
         assert got["sim_n1_jaccard"] == pytest.approx(4 / 7, abs=1e-12)
         assert got["sim_n1_containment"] == pytest.approx(4 / 6, abs=1e-12)
         assert got["sim_n1_lcs"] == pytest.approx(0.5, abs=1e-12)
@@ -306,7 +317,7 @@ class TestSimilarityVector:
     def test_stopwords_applied(self):
         cfg = FeatureConfig(stopwords=frozenset({"the"}))
         fv = similarity_vector("the visa", "the permit", cfg)
-        np.testing.assert_allclose(fv.values, np.zeros(20))
+        np.testing.assert_allclose(fv, np.zeros(20))
 
 
 # golden values of similarity_vector, computed with the quadratic LCS / GST
@@ -386,7 +397,7 @@ class TestSimilarityGolden:
     def test_bit_identical(self, case):
         qo, qs, cfg = GOLDEN_SIM_CASES[case]
         fv = similarity_vector(qo, qs, cfg)
-        assert [float(v).hex() for v in fv.values] == GOLDEN_SIM_HEX[case]
+        assert [float(v).hex() for v in fv] == GOLDEN_SIM_HEX[case]
 
     def test_memo_keeps_configs_apart(self):
         # the same texts under alternating configs, twice over
@@ -394,9 +405,9 @@ class TestSimilarityGolden:
             for case in (3, 0, 3, 2):
                 qo, qs, cfg = GOLDEN_SIM_CASES[case]
                 plain = [float(v).hex() for v in
-                         similarity_vector(qo, qs).values]
+                         similarity_vector(qo, qs)]
                 fv = similarity_vector(qo, qs, cfg)
-                assert [float(v).hex() for v in fv.values] == \
+                assert [float(v).hex() for v in fv] == \
                     GOLDEN_SIM_HEX[case]
                 if cfg.stopwords:
                     assert plain != GOLDEN_SIM_HEX[case]
@@ -406,7 +417,7 @@ class TestSimilarityGolden:
         loose = FeatureConfig(stopwords=set(cfg.stopwords),
                               gst_min_match=cfg.gst_min_match)
         fv = similarity_vector(qo, qs, loose)
-        assert [float(v).hex() for v in fv.values] == GOLDEN_SIM_HEX[3]
+        assert [float(v).hex() for v in fv] == GOLDEN_SIM_HEX[3]
 
 
 # the two similarity engines ------------------------------------------------
@@ -454,7 +465,7 @@ def _case_texts(case):
 
 
 def _bits(fv):
-    return [v.hex() for v in fv.values.tolist()]
+    return [v.hex() for v in fv.tolist()]
 
 
 class TestSimilarityEngines:
@@ -474,7 +485,7 @@ class TestSimilarityEngines:
         fv = similarity_vector(qo, qs, cfg)
         assert _bits(fv) == _bits(python_engine_vector(monkeypatch, qo, qs,
                                                         cfg))
-        assert fv.names == features._SIM_NAMES
+        assert type(fv) is array and len(fv) == 20
 
     @pytest.mark.parametrize("case", range(len(GOLDEN_SIM_CASES)))
     def test_python_engine_golden(self, monkeypatch, case):
@@ -487,7 +498,7 @@ class TestSimilarityEngines:
             counts = features._native_counts(native, a, b, 1)
             assert counts == features._python_counts(a, b, 1)
             assert counts[0::10] == counts[1::10] == counts[2::10] == [0] * 4
-        assert similarity_vector("", "").values.tolist() == [0.0] * 20
+        assert similarity_vector("", "").tolist() == [0.0] * 20
 
     def test_declined_call_falls_back(self, native, monkeypatch):
         # the engine reports running out of memory: the Python engine runs
@@ -638,13 +649,18 @@ class TestEmbeddingPair:
             embedding_pair(None, np.zeros(2))
 
 
+# mte_vector's seven measures, in their places
+MTE_LAYOUT = ("mte_bleu", "mte_ter_noshift", "mte_meteor_lite", "mte_nist",
+              "mte_precision", "mte_recall", "mte_length_ratio")
+
+
 class TestMTEVector:
     def seq(self, *tokens):
         return tokens
 
     def test_identity_pair(self):
         fv = mte_vector(self.seq("a", "b", "c"), self.seq("a", "b", "c"))
-        got = dict(zip(fv.names, fv.values))
+        got = dict(zip(MTE_LAYOUT, fv, strict=True))
         assert got["mte_bleu"] == pytest.approx(1.0)
         assert got["mte_ter_noshift"] == 0.0
         assert got["mte_precision"] == 1.0
@@ -656,7 +672,7 @@ class TestMTEVector:
 
     def test_disjoint_pair(self):
         fv = mte_vector(self.seq("a", "b", "c"), self.seq("x", "y", "z"))
-        got = dict(zip(fv.names, fv.values))
+        got = dict(zip(MTE_LAYOUT, fv, strict=True))
         assert got["mte_bleu"] == 0.0
         assert got["mte_ter_noshift"] == 1.0
         assert got["mte_meteor_lite"] == 0.0
@@ -667,7 +683,7 @@ class TestMTEVector:
     def test_hand_computed_pair(self):
         # candidate [a,b,c] vs reference [a,b,d]
         fv = mte_vector(self.seq("a", "b", "c"), self.seq("a", "b", "d"))
-        got = dict(zip(fv.names, fv.values))
+        got = dict(zip(MTE_LAYOUT, fv, strict=True))
         assert got["mte_precision"] == pytest.approx(2 / 3)
         assert got["mte_recall"] == pytest.approx(2 / 3)
         assert got["mte_ter_noshift"] == pytest.approx(1 / 3)
@@ -684,14 +700,14 @@ class TestMTEVector:
 
     def test_brevity_penalty_applies(self):
         short = mte_vector(self.seq("a", "b"), self.seq("a", "b", "c", "d"))
-        got = dict(zip(short.names, short.values))
+        got = dict(zip(MTE_LAYOUT, short, strict=True))
         # p1 = 1, higher orders smoothed; BP = exp(1 - 4/2)
         assert got["mte_bleu"] < math.exp(-1.0) + 1e-9
         assert got["mte_length_ratio"] == 0.5
 
     def test_ter_caps_at_one(self):
         fv = mte_vector(self.seq(*"abcdefgh"), self.seq("x"))
-        got = dict(zip(fv.names, fv.values))
+        got = dict(zip(MTE_LAYOUT, fv, strict=True))
         assert got["mte_ter_noshift"] == 1.0
 
     def test_empty_comment_rejected(self):
@@ -700,7 +716,7 @@ class TestMTEVector:
 
     def test_empty_question_is_all_zero_but_ratio(self):
         fv = mte_vector((), self.seq("a", "b"))
-        got = dict(zip(fv.names, fv.values))
+        got = dict(zip(MTE_LAYOUT, fv, strict=True))
         assert got["mte_bleu"] == 0.0
         assert got["mte_precision"] == 0.0
         assert got["mte_length_ratio"] == 0.0
@@ -713,32 +729,15 @@ class TestMTEVector:
         comment = tokenize("You can renew the visa in Qatar at the "
                            "immigration office; my wife did renew hers "
                            "there in Qatar")
-        assert [v.hex() for v in mte_vector(question, comment).values] == [
+        assert [v.hex() for v in mte_vector(question, comment)] == [
             '0x1.7c4780c33485cp-3', '0x1.0d79435e50d79p-1',
             '0x1.04f961ff5eaa9p-1', '0x1.2aa920bede283p+1',
             '0x1.4b4b4b4b4b4b5p-1', '0x1.286bca1af286cp-1',
             '0x1.ca1af286bca1bp-1']
 
 
-class TestFeatureVectorType:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(DataError):
-            FeatureVector(np.zeros(2), ("x", "x"))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            FeatureVector(np.zeros(2), ("x",))
-
-    def test_concat(self):
-        a = FeatureVector(np.array([1.0]), ("a",))
-        b = FeatureVector(np.array([2.0, 3.0]), ("b", "c"))
-        merged = concat_features(a, b)
-        assert merged.names == ("a", "b", "c")
-        np.testing.assert_array_equal(merged.values, [1.0, 2.0, 3.0])
-
-
 class TestPlainFloatVectors:
-    """Feature values and example vecs are ``array('d')``, whatever real
+    """Example vecs and embedding pairs are ``array('d')``, whatever real
     sequence they were given as, and numpy reads them without a copy."""
 
     def example(self, **kwargs):
@@ -753,11 +752,12 @@ class TestPlainFloatVectors:
         array("d", [0.5, 2.0, 0.25]),
     ], ids=["list", "ndarray", "strided-view", "int-quotient", "array"])
     def test_any_real_sequence_becomes_an_array(self, values):
-        fv = FeatureVector(values, ("a", "b", "c"))
+        pair = embedding_pair(values, values)
         e = self.example(vec=values)
-        for vec in (fv.values, e.vec):
+        for vec in (pair, e.vec):
             assert type(vec) is array and vec.typecode == "d"
-            assert vec.tolist() == [0.5, 2.0, 0.25]
+        assert e.vec.tolist() == [0.5, 2.0, 0.25]
+        assert pair.tolist() == [0.5, 2.0, 0.25] * 2
 
     def test_one_example_class(self):
         import qrerank
@@ -769,7 +769,6 @@ class TestPlainFloatVectors:
         e = self.example(vec=vec)
         assert e.vec is vec
         assert np.shares_memory(np.asarray(e.vec), np.frombuffer(vec))
-        assert FeatureVector(vec, ("a", "b")).values is vec
 
     def test_rank_value_becomes_a_float(self):
         for rank in (2, np.float64(0.5), np.float32(0.5), np.int64(2)):
@@ -785,9 +784,9 @@ class TestPlainFloatVectors:
         with pytest.raises(DataError, match="^example vec must be a 1-d "
                                             "array$"):
             self.example(vec=vec)
-        with pytest.raises(DataError, match="^feature values must form a "
-                                            "1-d vector$"):
-            FeatureVector(vec, ("a",))
+        with pytest.raises(DataError, match="^embedding must be a 1-d "
+                                            "vector$"):
+            embedding_pair(vec, [1.0])
 
     @pytest.mark.parametrize("item", [True, np.bool_(False), "1", None,
                                       1j])
@@ -795,10 +794,16 @@ class TestPlainFloatVectors:
         with pytest.raises(DataError, match="^example vec item .* is not a "
                                             "real number$"):
             self.example(vec=[1.0, item])
+        with pytest.raises(DataError, match="^embedding item .* is not a "
+                                            "real number$"):
+            embedding_pair([1.0, 2.0], [1.0, item])
 
     def test_integer_beyond_a_double_rejected(self):
         with pytest.raises(DataError, match="too large for a double"):
             self.example(vec=[1.0, 10 ** 400])
+        with pytest.raises(DataError, match="embedding holds an integer too "
+                                            "large for a double"):
+            embedding_pair([10 ** 400], [1.0])
         with pytest.raises(DataError, match="rank_value must be finite"):
             self.example(rank_value=10 ** 400)
 
@@ -814,12 +819,6 @@ class TestPlainFloatVectors:
                                             "string, got 5"):
             Example(label=1, original_rank=1, **kwargs)
 
-    @pytest.mark.parametrize("names", [5, "ab", ["a", 1]])
-    def test_bad_vec_names_rejected(self, names):
-        with pytest.raises(DataError, match="vec_names must be a list of "
-                                            "strings"):
-            self.example(vec=[1.0, 2.0], vec_names=names)
-
     def test_embeddings_are_arrays(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("q1\t0.5 1.5\n", encoding="utf-8")
@@ -833,13 +832,14 @@ class TestExternalFiles:
     def test_stopword_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("The\n\na\nOF\n", encoding="utf-8")
-        assert load_stopwords(path) == frozenset({"the", "a", "of"})
+        # kept as written: each consumer folds them as it folds its tokens
+        assert load_stopwords(path) == frozenset({"The", "a", "OF"})
 
     def test_stopword_file_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# English stopwords\nThe\n#\n  # note\nof\n",
                         encoding="utf-8")
-        assert load_stopwords(path) == frozenset({"the", "of"})
+        assert load_stopwords(path) == frozenset({"The", "of"})
 
     def test_embedding_file(self, tmp_path):
         path = tmp_path / "emb.tsv"

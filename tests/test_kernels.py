@@ -737,13 +737,15 @@ def test_kernel_matrix_memory_per_row_is_bounded(monkeypatch, kind, engine):
 
 
 def test_load_gram_temporaries_are_bounded(tmp_path):
-    # beyond the matrix or the triangle it returns, each reader holds a
-    # block of cells at a time: no n×n bool (1.44 MB here) or any other
-    # n×n temporary, and load_gram unpacks the triangle in place
+    # beyond the triangle it returns, load_gram_lower holds a block of
+    # cells at a time: no n×n bool (1.44 MB here) or any other n×n
+    # temporary; load_gram holds that triangle as well, which it copies
+    # into the matrix, and nothing more
     n = 1200
     x = make_rng(103).normal(size=(n, 3))
     save_gram(tmp_path / "g.gram", x @ x.T, "fp")
-    for read in (load_gram, load_gram_lower):
+    triangle = 8 * n * (n + 1) // 2
+    for read, held in ((load_gram_lower, 0), (load_gram, triangle)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -751,7 +753,7 @@ def test_load_gram_temporaries_are_bounded(tmp_path):
             extra = tracemalloc.get_traced_memory()[1] - base - G.nbytes
         finally:
             tracemalloc.stop()
-        assert extra < 640 * 1024 < n * n // 2
+        assert extra - held < 640 * 1024 < n * n // 2
 
 
 class TestConfigFingerprint:

@@ -12,7 +12,13 @@ import pytest
 from qrerank.cli import main
 from qrerank.config import RelConfig, RunConfig, _int_fields
 from qrerank.errors import DataError
-from qrerank.features import FeatureConfig
+from qrerank.features import (
+    FeatureConfig,
+    mte_vector,
+    ptk_feature,
+    similarity_vector,
+    tokenize,
+)
 from qrerank.kernels import (
     Example,
     KernelConfig,
@@ -43,6 +49,7 @@ from qrerank import pipeline
 from qrerank.treebank import SyntaxTree, to_bracketed
 
 from conftest import (
+    SIM_LAYOUT,
     corpus_row,
     lower,
     make_examples,
@@ -110,6 +117,18 @@ class TestLoadCorpus:
                         "\n{broken\n", encoding="utf-8")
         with pytest.raises(DataError, match=":2"):
             load_corpus(path, "B")
+
+    def test_repeated_key_named_with_line(self, tmp_path):
+        # json would keep the last value, and read the pair as relevant
+        path = tmp_path / "corpus.jsonl"
+        row = json.dumps(corpus_row("q1", 2, False))
+        assert row.count('"gold_label": "Irrelevant"') == 1
+        path.write_text(json.dumps(corpus_row("q1", 1, True)) + "\n"
+                        + row[:-1] + ', "gold_label": "PerfectMatch"}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_corpus(path, "B")
+        assert str(info.value) == f"{path}:2: repeated key 'gold_label'"
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -277,12 +296,12 @@ class TestBuildExamples:
         return load_corpus(path, kwargs.get("task", "B"))
 
     def test_sim_only_has_twenty_features(self, tmp_path):
-        examples = build_examples(self.records(tmp_path), RunConfig())
+        records = self.records(tmp_path)
+        examples = build_examples(records, RunConfig())
         assert len(examples) == 8
-        for e in examples:
+        for e, r in zip(examples, records):
+            assert e.vec == similarity_vector(r.qo_text, r.qs_text)
             assert len(e.vec) == 20
-            assert e.vec_names[0] == "sim_n1_gst"
-            assert e.vec_names[-1] == "sim_n4_cosine"
             assert e.tree_first is None and e.tree_second is None
 
     def test_relevant_candidates_maximize_similarities(self, tmp_path):
@@ -305,9 +324,11 @@ class TestBuildExamples:
         records = self.records(tmp_path, with_trees=True)
         cfg = RunConfig(use_ptk_feature=True)
         examples = build_examples(records, cfg)
-        for e in examples:
+        for e, r in zip(examples, records):
             assert len(e.vec) == 21
-            assert e.vec_names[-1] == "tree_pair_sim"
+            assert e.vec[:20] == similarity_vector(r.qo_text, r.qs_text)
+            assert e.vec[20] == ptk_feature(e.tree_first, e.tree_second,
+                                            cfg.kernel)
             if e.label > 0:
                 # identical texts and trees: both REL-linked trees coincide
                 assert e.vec[-1] == pytest.approx(1.0, abs=1e-12)
@@ -358,10 +379,13 @@ class TestBuildExamples:
         emb_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg = RunConfig(use_embeddings=True, embedding_path=str(emb_path))
         examples = build_examples(records, cfg)
-        for e in examples:
+        row = {name: [float(i), -float(i), 0.5]
+               for i, name in enumerate(sorted(ids))}
+        for e, r in zip(examples, records):
             assert len(e.vec) == 26  # 20 sims + 2*3 embedding values
-            assert e.vec_names[20] == "emb_qo_0"
-            assert e.vec_names[23] == "emb_qs_0"
+            assert e.vec[:20] == similarity_vector(r.qo_text, r.qs_text)
+            assert e.vec[20:23].tolist() == row[r.query_id]
+            assert e.vec[23:].tolist() == row[r.candidate_id]
 
     def test_missing_embedding_id_names_record(self, tmp_path):
         records = self.records(tmp_path)
@@ -375,10 +399,11 @@ class TestBuildExamples:
         records = self.records(tmp_path, task="D", with_comments=True)
         cfg = RunConfig(task="D", use_mte=True)
         examples = build_examples(records, cfg)
-        for e in examples:
+        for e, r in zip(examples, records):
             assert len(e.vec) == 27  # 20 sims + 7 MTE values
-            assert e.vec_names[20] == "mte_bleu"
-            assert e.vec_names[-1] == "mte_length_ratio"
+            assert e.vec[:20] == similarity_vector(r.qo_text, r.qs_text)
+            assert e.vec[20:] == mte_vector(tokenize(r.qo_text),
+                                            tokenize(r.comment_text))
 
     def test_embedding_and_mte_without_sims(self, tmp_path):
         # dimension arithmetic: 2·d + 7 with the similarity family off
@@ -392,8 +417,11 @@ class TestBuildExamples:
         cfg = RunConfig(task="D", use_sim_features=False, use_mte=True,
                         use_embeddings=True, embedding_path=str(emb_path))
         examples = build_examples(records, cfg)
-        for e in examples:
+        for e, r in zip(examples, records):
             assert len(e.vec) == 2 * 3 + 7
+            assert e.vec[:6].tolist() == [0.1, 0.2, 0.3] * 2
+            assert e.vec[6:] == mte_vector(tokenize(r.qo_text),
+                                           tokenize(r.comment_text))
 
     def test_mte_needs_comment_text(self, tmp_path):
         records = self.records(tmp_path, task="D")  # no comments
@@ -465,8 +493,7 @@ class TestBuildExamples:
         filtered = build_examples(records, RunConfig(
             kernel=KernelConfig(use_tk=True), stopword_path=str(stop_path)))
 
-        names = list(plain[0].vec_names)
-        jac = names.index("sim_n1_jaccard")
+        jac = SIM_LAYOUT.index("sim_n1_jaccard")
         assert plain[0].vec[jac] == pytest.approx(0.5)
         assert filtered[0].vec[jac] == pytest.approx(1.0)
         # "the" alone linked the qs NP; with it stopped, no phrase matches qo
@@ -548,14 +575,9 @@ GOLDEN_LINE = (
     '0.5773502691896258, 0.3333333333333333, 0.2857142857142857, 0.2, '
     '0.2857142857142857, 0.33806170189140655, 0.2, 0.16666666666666666, '
     '0.1111111111111111, 0.16666666666666666, 0.20412414523193154, 0.0, '
-    '0.0, 0.0, 0.0, 0.0], "vec_names": ["sim_n1_gst", "sim_n1_lcs", '
-    '"sim_n1_jaccard", "sim_n1_containment", "sim_n1_cosine", '
-    '"sim_n2_gst", "sim_n2_lcs", "sim_n2_jaccard", "sim_n2_containment", '
-    '"sim_n2_cosine", "sim_n3_gst", "sim_n3_lcs", "sim_n3_jaccard", '
-    '"sim_n3_containment", "sim_n3_cosine", "sim_n4_gst", "sim_n4_lcs", '
-    '"sim_n4_jaccard", "sim_n4_containment", "sim_n4_cosine"], '
-    '"rank_value": 0.3333333333333333, "tree_first": "(ROOT (S (WHADVP '
-    '(WRB How)) (REL-VP (MD can) (NP (PRP I)) (REL-VP (VB renew) (REL-NP '
+    '0.0, 0.0, 0.0, 0.0], "rank_value": 0.3333333333333333, '
+    '"tree_first": "(ROOT (S (WHADVP (WRB How)) (REL-VP (MD can) '
+    '(NP (PRP I)) (REL-VP (VB renew) (REL-NP '
     '(PRP$ my) (NN visa)) (REL-PP (IN in) (REL-NP (NNP Qatar)))))))", '
     '"tree_second": "(ROOT (S (REL-VP (VB Renew) (REL-NP (DT the) (NN '
     'visa)) (REL-PP (IN in) (REL-NP (NNP Qatar))) (ADVP (RB '
@@ -588,7 +610,6 @@ class TestExampleFiles:
             assert back.label == orig.label
             assert back.original_rank == orig.original_rank
             assert np.array_equal(back.vec, orig.vec)
-            assert back.vec_names == orig.vec_names
             assert back.rank_value == orig.rank_value
             assert to_bracketed(back.tree_first) == orig.tree_first
             assert to_bracketed(back.tree_second) == orig.tree_second
@@ -638,19 +659,23 @@ class TestExampleFiles:
             reader(path)
         assert str(info.value) == f"{path}:2: {message}"
 
-    def test_equal_vec_names_share_one_tuple(self, tmp_path):
-        write_corpus(tmp_path / "corpus.jsonl", n_queries=2, per_query=3)
-        examples = build_examples(load_corpus(tmp_path / "corpus.jsonl", "B"),
-                                  RunConfig())
-        examples.append(Example(query_id="q9", candidate_id="c1", label=1,
-                                original_rank=1, rank_value=0.5))
-        path = tmp_path / "examples.jsonl"
-        save_examples(path, examples)
-        loaded = load_examples(path)
-        assert len(loaded[0].vec_names) == 20 and loaded[-1].vec_names == ()
-        assert all(e.vec_names is loaded[0].vec_names for e in loaded[1:-1])
-        save_examples(tmp_path / "again.jsonl", loaded)
-        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    @pytest.mark.parametrize("length", [0, 1, 20, 26])
+    def test_a_line_with_vec_names_reads_as_without(self, tmp_path, length):
+        # files written before records dropped the names still read, to
+        # the same examples, whatever the names' length
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": [0.5, 1.0], "rank_value": 0.5,
+                  "tree_first": "(S x)", "tree_second": "(S y)"}
+        names = [f"f{i}" for i in range(length)]
+        items = list(record.items())    # the names followed vec
+        old = dict(items[:5] + [("vec_names", names)] + items[5:])
+        plain, named = tmp_path / "plain.jsonl", tmp_path / "named.jsonl"
+        plain.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        named.write_text(json.dumps(old) + "\n", encoding="utf-8")
+        assert read_examples(named) == read_examples(plain)
+        assert load_labels(named) == load_labels(plain)
+        save_examples(tmp_path / "again.jsonl", read_examples(named))
+        assert (tmp_path / "again.jsonl").read_bytes() == plain.read_bytes()
 
     def test_none_blocks_round_trip(self, tmp_path):
         example = Example(query_id="q1", candidate_id="c1", label=1,
@@ -690,6 +715,26 @@ class TestExampleFiles:
         with pytest.raises(DataError, match="empty example file"):
             load_labels(path)
 
+    @pytest.mark.parametrize("reader", [read_examples, load_examples,
+                                        load_labels])
+    def test_repeated_key_named_with_line(self, tmp_path, reader):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": -1,
+                  "original_rank": 1, "vec": [0.5], "rank_value": None,
+                  "tree_first": None, "tree_second": None}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps(record)[:-1] + ', "label": 1}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:2: repeated key 'label'"
+
+    def test_a_repeated_key_in_a_nested_object_is_refused(self, tmp_path):
+        path = tmp_path / "examples.jsonl"
+        path.write_text('{"vec": {"a": 1, "a": 2}}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=":1: repeated key 'a'$"):
+            load_labels(path)
+
     def test_corrupt_line_named(self, tmp_path):
         path = tmp_path / "examples.jsonl"
         path.write_text("{\n", encoding="utf-8")
@@ -716,13 +761,12 @@ class TestExampleFiles:
             load_examples(path)
 
     @pytest.mark.parametrize("field,value", [
-        ("vec_names", 5), ("vec_names", ["a", 1]), ("tree_first", 5),
+        ("vec", 5), ("vec", ["a", 1]), ("tree_first", 5),
         ("tree_second", ["(S x)"]),
     ])
     def test_bad_names_or_trees_named_with_line(self, tmp_path, field, value):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": [0.5, 1.0],
-                  "vec_names": ["a", "b"], "rank_value": None,
+                  "original_rank": 1, "vec": [0.5, 1.0], "rank_value": None,
                   "tree_first": "(S x)", "tree_second": "(S y)"}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n"

@@ -4,6 +4,7 @@ import pytest
 
 from qrerank.config import DEFAULT_PHRASE_LABELS
 from qrerank.errors import DataError
+from qrerank.features import load_stopwords
 from qrerank.rellink import RelConfig, rel_link
 from qrerank.treebank import (
     SyntaxTree,
@@ -70,6 +71,22 @@ class TestMarking:
         cfg = RelConfig(stopwords=frozenset({"the"}))
         x = "(S (NP (DT the) (NN cat)))"
         assert rel_link(x, "(S (NP (DT the) (NN visa)))", cfg) == x
+
+    @pytest.mark.parametrize("case_insensitive", [False, True])
+    def test_stopwords_from_a_file_compare_as_written(self, tmp_path,
+                                                       case_insensitive):
+        # a stopword file's words are not folded for a case-sensitive link
+        path = tmp_path / "stop.txt"
+        path.write_text("NASA\n", encoding="utf-8")
+        x = "(S (NP (NNP NASA)) (VP (VBZ launches)))"
+        y = "(S (NP (NNP NASA)) (VP (VBD failed)))"
+        for stopwords in (load_stopwords(path), frozenset({"NASA"})):
+            cfg = RelConfig(case_insensitive=case_insensitive,
+                            stopwords=stopwords)
+            assert rel_link(x, y, cfg) == x
+        cfg = RelConfig(case_insensitive=False, stopwords=frozenset({"nasa"}))
+        assert rel_link(x, y, cfg) == \
+            "(S (REL-NP (NNP NASA)) (VP (VBZ launches)))"
 
     def test_min_shared_tokens_threshold(self):
         x = "(S (NP (NN visa) (NN work)))"
