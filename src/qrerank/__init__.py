@@ -32,9 +32,9 @@ _NAMES_BY_MODULE = {
     "config": ("DEFAULT_PHRASE_LABELS", "RANK_MODES", "KernelConfig",
                "RelConfig", "RunConfig", "TrainConfig"),
     "features": ("SIM_MEASURES", "SIM_NGRAM_ORDERS", "Example",
-                 "FeatureConfig", "embedding_pair", "load_embeddings",
-                 "load_stopwords", "mte_vector", "ptk_feature",
-                 "rank_feature", "similarity_vector", "tokenize"),
+                 "embedding_pair", "load_embeddings", "load_stopwords",
+                 "mte_vector", "ptk_feature", "rank_feature",
+                 "similarity_vector", "tokenize"),
     "kernels": ("config_fingerprint", "gram_matrix",
                 "kernel_matrix", "load_gram", "load_gram_lower",
                 "normalize_kernel", "ptk",

@@ -15,12 +15,11 @@ flat ``key = value`` config file (``--config``), then explicit command-line
 flags.  The keys, their parsers and the flags are all derived from the
 fields of :class:`RunConfig`; the fields of its nested configs take dotted
 keys (``kernel.lam = 0.4``, ``train.C = 1.0``, ``rel.min_shared_tokens =
-2``).  ``rel.stopwords`` has no key, since ``stopword_path`` sets it.  A
-key's flag is its last dotted part with ``-`` for ``_`` (``kernel.use_tk``
-is ``--use-tk``, booleans also take ``--no-use-tk``), except
-``--stopwords`` (``stopword_path``), ``--embeddings`` (``embedding_path``),
-``--svm-c`` (``train.C``) and ``--smo-eps`` (``train.eps``).  No stage but
-``sigtest`` takes a seed.
+2``).  A key's flag is its last dotted part with ``-`` for ``_``
+(``kernel.use_tk`` is ``--use-tk``, booleans also take ``--no-use-tk``),
+except ``--stopwords`` (``stopword_path``), ``--embeddings``
+(``embedding_path``), ``--svm-c`` (``train.C``) and ``--smo-eps``
+(``train.eps``).  No stage but ``sigtest`` takes a seed.
 
 This module imports only ``config`` and ``errors``; each subcommand imports
 the modules it calls when it runs.  So ``--help`` and a usage error load no
@@ -95,10 +94,6 @@ _PARSERS = {
     "frozenset[str]": _parse_labels,
 }
 
-# fields that other keys set: the words in ``stopword_path`` fill
-# ``rel.stopwords``
-_SET_ELSEWHERE = {"rel.stopwords"}
-
 
 def _config_fields(cls, prefix=""):
     """Yield (key, type) for each field of config class ``cls``, in order:
@@ -120,7 +115,7 @@ def _config_fields(cls, prefix=""):
 _FIELDS = dict(_config_fields(RunConfig))
 # settable key -> value parser
 CONFIG_SCHEMA = {key: _PARSERS[hint] for key, hint in _FIELDS.items()
-                 if not is_dataclass(hint) and key not in _SET_ELSEWHERE}
+                 if not is_dataclass(hint)}
 # nested config key -> its class, each after the config that holds it
 _NESTED = {key: hint for key, hint in _FIELDS.items() if is_dataclass(hint)}
 
@@ -259,7 +254,7 @@ def _cmd_gram(args) -> int:
     from .pipeline import read_examples
 
     cfg = config_from_args(args)
-    examples = read_examples(args.examples)
+    examples = read_examples(args.examples, trees=cfg.kernel.use_tk)
     write_gram(args.out, examples, cfg.kernel)
     n = len(examples)
     print(f"computed {n}x{n} gram "
@@ -298,8 +293,9 @@ def _cmd_rerank(args) -> int:
     model = load_model(args.model,
                        expected_fingerprint=config_fingerprint(cfg.kernel),
                        strict=args.strict)
-    train_examples = read_examples(args.train_examples)
-    test_examples = read_examples(args.test_examples)
+    train_examples = read_examples(args.train_examples,
+                                   trees=cfg.kernel.use_tk)
+    test_examples = read_examples(args.test_examples, trees=cfg.kernel.use_tk)
     scores = score_examples(test_examples, model, train_examples, cfg.kernel)
     groups = [QueryGroup(g.query_id, reranked_candidates(g))
               for g in make_groups(test_examples, scores)]

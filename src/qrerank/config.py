@@ -73,15 +73,13 @@ class RelConfig:
 
     phrase_labels: node labels eligible for marking.
     min_shared_tokens: distinct matching tokens required to mark a node.
-    case_insensitive: casefold tokens before comparing.
-    stopwords: tokens ignored on both sides (compared casefolded when
-        ``case_insensitive``).
+    case_insensitive: casefold tokens, and the stopwords of the run's
+        ``stopword_path``, before comparing.
     """
 
     phrase_labels: frozenset[str] = DEFAULT_PHRASE_LABELS
     min_shared_tokens: int = 1
     case_insensitive: bool = True
-    stopwords: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         _check_ints(self)

@@ -48,15 +48,14 @@ import re
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Real
 from pathlib import Path
 
 from . import _native
-from .config import RANK_MODES, KernelConfig, _check_ints
+from .config import RANK_MODES, KernelConfig
 from .errors import DataError, open_text
-from .treebank import SyntaxTree
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -111,11 +110,12 @@ class Example:
     docstring gives, as a plain float64 vector, an ``array('d')``; any 1-d
     sequence of finite real numbers is converted to one. tree_first /
     tree_second are the two REL-linked macro-trees (each side marked with
-    respect to the other): their bracketed text as ``featurize`` writes it
-    and ``read_examples`` checks it, or :class:`SyntaxTree` objects as
-    ``load_examples`` parses them; the kernels compile either form from its
-    text. rank_value is the transformed search rank, a float.
-    Blocks a configuration does not use may be None.
+    respect to the other), as bracketed text: the text ``featurize`` writes
+    and ``read_examples`` checks, the one form the kernels and
+    ``save_examples`` take. (``load_examples`` replaces each with a
+    walkable :class:`~.treebank.SyntaxTree` view, which they refuse.)
+    rank_value is the transformed search rank, a float. Blocks a
+    configuration does not use may be None.
     """
 
     query_id: str
@@ -124,8 +124,8 @@ class Example:
     original_rank: int
     vec: array | None = None
     rank_value: float | None = None
-    tree_first: SyntaxTree | str | None = None
-    tree_second: SyntaxTree | str | None = None
+    tree_first: str | None = None
+    tree_second: str | None = None
 
     def __post_init__(self):
         for name in ("query_id", "candidate_id"):
@@ -155,19 +155,6 @@ class Example:
                 self.rank_value = math.inf
             if not math.isfinite(self.rank_value):
                 raise DataError("rank_value must be finite")
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Text-preprocessing knobs shared by the similarity features."""
-
-    stopwords: frozenset[str] = field(default_factory=frozenset)
-    gst_min_match: int = 1
-
-    def __post_init__(self):
-        _check_ints(self)
-        if self.gst_min_match < 1:
-            raise DataError("gst_min_match must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +360,18 @@ def _measures(tiled: int, lcs: int, inter: int, union: int, size_a: int,
 
 
 def similarity_vector(qo_text: str, qs_text: str,
-                      cfg: FeatureConfig = FeatureConfig()) -> array:
+                      stopwords: frozenset[str] | set[str] = frozenset(),
+                      gst_min_match: int = 1) -> array:
     """The 20 text similarities between the two questions.
 
     For every n in 1..4 the texts are mapped to their n-gram representations
     and each of GST, LCS, Jaccard, containment and cosine is computed; the
     result is ordered n-major / measure-minor, as ``SIM_NGRAM_ORDERS`` ×
     ``SIM_MEASURES``. Containment is directed from the first (original
-    question) argument.
+    question) argument. ``stopwords`` are removed from both texts, compared
+    case-folded as the tokens are; GST tiles runs of at least
+    ``gst_min_match`` n-grams, an int ≥ 1 (anything else is a
+    :class:`DataError`).
 
     This is the one definition of the 20 measures. Both engines compute
     only the integer counts of each order; ``_measures`` makes the floats
@@ -388,13 +379,18 @@ def similarity_vector(qo_text: str, qs_text: str,
     (``_python_counts``, where the native one is unavailable) give the same
     bits.
     """
-    stopwords = frozenset(cfg.stopwords)
+    if isinstance(gst_min_match, bool) or not isinstance(gst_min_match, int):
+        raise DataError(f"gst_min_match must be an integer, got "
+                        f"{gst_min_match!r}")
+    if gst_min_match < 1:
+        raise DataError("gst_min_match must be >= 1")
+    stopwords = frozenset(stopwords)
     a, b = _tokens(qo_text, stopwords), _tokens(qs_text, stopwords)
     native = _native.load()
     counts = (None if native is None
-              else _native_counts(native, a, b, cfg.gst_min_match))
+              else _native_counts(native, a, b, gst_min_match))
     if counts is None:
-        counts = _python_counts(a, b, cfg.gst_min_match)
+        counts = _python_counts(a, b, gst_min_match)
     return array("d", [v for k in range(0, len(counts), _COUNTS_PER_ORDER)
                        for v in _measures(*counts[k:k + _COUNTS_PER_ORDER])])
 
@@ -403,11 +399,11 @@ def similarity_vector(qo_text: str, qs_text: str,
 # tree, rank, and embedding features
 # ---------------------------------------------------------------------------
 
-def ptk_feature(tree_o_rel: str | SyntaxTree, tree_s_rel: str | SyntaxTree,
-                cfg: KernelConfig) -> float:
+def ptk_feature(tree_o_rel: str, tree_s_rel: str, cfg: KernelConfig) -> float:
     """Normalized partial-tree kernel between the two REL-linked trees of
-    one example, each bracketed text or a :class:`SyntaxTree` — structural
-    similarity of the pair as a single scalar.
+    one example, each its bracketed text — structural similarity of the
+    pair as a single scalar. A tree that is not text raises
+    :class:`DataError`.
 
     The one feature that computes with :mod:`.kernels`; it imports that
     module, and numpy with it, when it is called."""

@@ -19,13 +19,13 @@ compiled tree is its distinct subtree ids in ascending order, each with the
 number of nodes that root it, plus buckets from a label or production to the
 (id, count) pairs that carry it. The table (labels, productions, child
 offsets and ids) and the compiled trees are flat int32 arrays, read in place
-by both engines. A tree is compiled from its bracketed text, in one pass
-over the tokens that :func:`.treebank.tokens` checks, the grammar that
-``parse_bracketed`` and ``read_examples`` also use: a tree that
-``read_examples`` keeps as text is compiled as it is, and a
-:class:`SyntaxTree` is first written out with ``to_bracketed``. Each node is
-interned as its tokens close it, in post-order, so the ids do not depend on
-the tree's form. No stage builds a tree object.
+by both engines. Every tree a kernel takes is bracketed text, the text that
+``read_examples`` keeps; anything else is a :class:`DataError`. It is
+compiled in one pass over the tokens that :func:`.treebank.tokens` checks,
+the grammar that ``read_examples`` also uses, so a bare token, which that
+grammar does not hold as a tree, is refused too. Each node is interned as
+its tokens close it, in post-order, so the ids do not depend on the text's
+spacing.
 
 The tree kernels of one Gram or scoring row, its two trees against the
 same-position trees of a block of columns, are one tree block
@@ -79,8 +79,10 @@ from that state by index. ``kernel_matrix`` takes each row against all
 columns. The Gram takes row i against columns 0..i, its lower triangle in
 the order of its file: ``gram_matrix`` mirrors each row into the matrix,
 and ``write_gram`` writes each to the file as it is computed, so that it
-holds O(n) beyond the examples, never the n×n matrix. Each value has the
-bits of its pair in either order, so the mirror is exact. The vector
+holds O(n) beyond the examples, never the n×n matrix. The log lines and
+errors of a matrix name the function called (``gram_matrix``,
+``write_gram`` or ``kernel_matrix``). Each value has the bits of its pair
+in either order, so the mirror is exact. The vector
 blocks are batched but keep the per-pair arithmetic, so every value is
 bit-identical to evaluating its pair alone: each dot product is one BLAS
 dot per pair (``np.matmul`` of 1×dim by dim×1 calls the same routine as
@@ -130,7 +132,7 @@ from .config import KernelConfig
 from .errors import DataError, NumericalError
 # Example is defined in the numpy-free features module and re-exported here
 from .features import Example
-from .treebank import SyntaxTree, to_bracketed, tokens
+from .treebank import tokens
 
 logger = logging.getLogger(__name__)
 
@@ -169,24 +171,22 @@ class _Subtrees:
         self.pairs = self.deltas = self.dp_runs = 0
         self.engine = "python"
 
-    def compile(self, tree: str | SyntaxTree) -> int:
+    def compile(self, tree: str) -> int:
         """Compile a tree given as bracketed text, which :func:`tokens`
-        checks, or as a :class:`SyntaxTree`, which is written out with
-        :func:`to_bracketed` first (a bare leaf is its one token); return its
-        offset in ``forest``.
+        checks; return its offset in ``forest``. A tree that is not text
+        raises :class:`DataError`.
 
         The nodes are interned in post-order, as the tokens close them: a
         leaf at its token, an internal node, label included, at its ``)``."""
-        if isinstance(tree, SyntaxTree):
-            toks = tokens(to_bracketed(tree)) if tree.children else [tree.label]
-        else:
-            toks = tokens(tree)
+        if not isinstance(tree, str):
+            raise DataError(f"a tree must be bracketed text, not "
+                            f"{type(tree).__name__}")
         names, index, labels, prods = (self.names, self.index, self.labels,
                                        self.prods)
         counts: dict[int, int] = defaultdict(int)
         done: list[int] = []    # finished subtrees not yet claimed by a parent
         opened: list[tuple[str, int]] = []   # open nodes: label, first kid
-        toks = iter(toks)
+        toks = iter(tokens(tree))
         for tok in toks:
             if tok == "(":
                 opened.append((next(toks), len(done)))
@@ -290,10 +290,8 @@ def _stk(t1: int, t2: int, lam: float, sub: _Subtrees, memo: dict) -> float:
     return math.fsum(terms)
 
 
-def stk(t1: SyntaxTree | str, t2: SyntaxTree | str,
-        lam: float = 0.4) -> float:
-    """Subset-tree kernel between two trees, each a :class:`SyntaxTree` or
-    its bracketed text.
+def stk(t1: str, t2: str, lam: float = 0.4) -> float:
+    """Subset-tree kernel between two trees, each its bracketed text.
 
     K = Σ_{n1∈t1, n2∈t2} Δ(n1, n2) where Δ is 0 unless the productions at
     n1 and n2 are identical, and otherwise λ·∏_j (1 + Δ(child_j, child_j)).
@@ -377,10 +375,8 @@ def _ptk(t1: int, t2: int, lam: float, mu: float, sub: _Subtrees,
     return math.fsum(terms)
 
 
-def ptk(t1: SyntaxTree | str, t2: SyntaxTree | str, lam: float = 0.4,
-        mu: float = 0.4) -> float:
-    """Partial-tree kernel between two trees, each a :class:`SyntaxTree` or
-    its bracketed text.
+def ptk(t1: str, t2: str, lam: float = 0.4, mu: float = 0.4) -> float:
+    """Partial-tree kernel between two trees, each its bracketed text.
 
     K = Σ_{n1,n2} Δ(n1, n2); Δ = 0 when labels differ, otherwise
     μ·(λ² + Σ_{J1,J2} λ^{d(J1)+d(J2)} ∏_i Δ(c_{J1,i}, c_{J2,i})) over pairs
@@ -390,8 +386,7 @@ def ptk(t1: SyntaxTree | str, t2: SyntaxTree | str, lam: float = 0.4,
     return _one_pair(t1, t2, KernelConfig(lam=lam, mu=mu))
 
 
-def _one_pair(t1: SyntaxTree | str, t2: SyntaxTree | str,
-              cfg: KernelConfig) -> float:
+def _one_pair(t1: str, t2: str, cfg: KernelConfig) -> float:
     """The raw tree kernel ``cfg`` names between two trees; λ and μ have
     been checked where ``cfg`` was made."""
     sub = _Subtrees()
@@ -470,6 +465,11 @@ def _require_trees(e: Example):
             f"tree block enabled but example ({e.query_id}, {e.candidate_id}) "
             "is missing its REL-linked tree pair"
         )
+    for tree in (e.tree_first, e.tree_second):
+        if not isinstance(tree, str):
+            raise DataError(
+                f"example ({e.query_id}, {e.candidate_id}) holds a "
+                f"{type(tree).__name__} tree, not bracketed text")
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -630,12 +630,13 @@ def _require_finite(call: str, i: int, row: np.ndarray) -> None:
 _PROGRESS_AFTER_S = 1.0
 
 
-def _kernel_rows(rows: list[Example], cols: list[Example] | None,
-                 cfg: KernelConfig):
+def _kernel_rows(call: str, rows: list[Example],
+                 cols: list[Example] | None, cfg: KernelConfig):
     """The rows of a kernel matrix, in order: each of ``rows`` against every
     one of ``cols`` (:func:`kernel_matrix`) or, with ``cols`` None, the Gram
     matrix of ``rows`` as its file holds it, row i against columns 0..i
-    (:func:`gram_matrix`, :func:`write_gram`).
+    (:func:`gram_matrix`, :func:`write_gram`). ``call`` names the function
+    called, in the log lines and the errors.
 
     This call prepares the columns' block and then the rows'
     (:func:`_prepare`): every missing-block, dimension and tree check, every
@@ -651,13 +652,13 @@ def _kernel_rows(rows: list[Example], cols: list[Example] | None,
     n, sub, gram = len(rows), _Subtrees(), cols is None
     if gram:
         if not rows:
-            raise DataError("gram_matrix requires at least one example")
-        call, cells = "gram_matrix", n * (n + 1) // 2
+            raise DataError(f"{call} requires at least one example")
+        cells = n * (n + 1) // 2
         p = c = _prepare(rows, cfg, sub, True)
     else:
         if not rows or not cols:
-            raise DataError("kernel_matrix requires non-empty example lists")
-        call, cells = "kernel_matrix", n * len(cols)
+            raise DataError(f"{call} requires non-empty example lists")
+        cells = n * len(cols)
         c = _prepare(cols, cfg, sub, cfg.normalize_tk)
         p = _prepare(rows, cfg, sub, cfg.normalize_tk, c.X)
 
@@ -690,7 +691,7 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     diagonal. A non-finite value raises :class:`NumericalError` naming its
     cell, the first of the lower triangle in row-major order.
     """
-    rows = _kernel_rows(examples, None, cfg)
+    rows = _kernel_rows("gram_matrix", examples, None, cfg)
     n = len(examples)
     G = np.empty((n, n), dtype=np.float64)
     for i, row in enumerate(rows):
@@ -706,7 +707,7 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
     and its self-kernels computed, once for the whole call. A non-finite
     value raises :class:`NumericalError` naming its cell, the first in
     row-major order."""
-    K_rows = _kernel_rows(rows, cols, cfg)
+    K_rows = _kernel_rows("kernel_matrix", rows, cols, cfg)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
     for i, row in enumerate(K_rows):
         K[i] = row
@@ -812,7 +813,7 @@ def write_gram(path: str | Path, examples: list[Example],
     cache file, the bytes :func:`save_gram` writes of
     :func:`gram_matrix`'s result, one row at a time: the n×n matrix is
     never held. An error leaves ``path`` as it was."""
-    rows = _kernel_rows(examples, None, cfg)
+    rows = _kernel_rows("write_gram", examples, None, cfg)
     _write_gram("write_gram", path, len(examples), config_fingerprint(cfg),
                 rows)
 
@@ -879,7 +880,7 @@ def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
         for i, sep in _blocks(n):
             _decode(path, fh.read(_CELL * len(sep)), i, sep,
                     lower[i * (i + 1) // 2:][:len(sep)])
-    logger.info("load_gram: n %d, %d bytes, %.3f s", n, size,
+    logger.info("load_gram_lower: n %d, %d bytes, %.3f s", n, size,
                 time.perf_counter() - start)
     return lower, fingerprint
 

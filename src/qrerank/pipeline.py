@@ -23,13 +23,16 @@ their labels with :func:`load_labels`, and ``rerank`` scores the test
 examples with :func:`score_examples` and groups them by query with
 :func:`make_groups`.  Each stage writes a file that the next one reads.
 
-No stage builds a :class:`~.treebank.SyntaxTree`: every tree is bracketed
-text, checked against the one grammar (:func:`~.treebank.tokens`).
-``featurize`` checks each distinct sentence string once, joins a side's
-sentences as the text of its macro-tree and REL-links the two texts.
-:func:`read_examples` checks each tree of an examples file and keeps it as
-its text, which the kernels compile straight into their subtree table.
-:func:`load_examples` also parses each tree, for callers that walk them.
+Every tree is bracketed text, checked against the one grammar
+(:func:`~.treebank.tokens`), and text is the one tree that the kernels and
+:func:`save_examples` take. ``featurize`` checks each distinct sentence
+string once, joins a side's sentences as the text of its macro-tree and
+REL-links the two texts. :func:`read_examples` checks each tree of an
+examples file and keeps it as its text, which the kernels compile straight
+into their subtree table; ``gram`` and ``rerank`` have it skip the trees
+when their kernel has no tree block. :func:`load_examples` alone parses
+each tree into a walkable :class:`~.treebank.SyntaxTree`, for callers that
+walk them.
 
 An examples file is JSONL too, one :class:`~.features.Example` per line
 with no feature names: its ``vec`` joins the blocks that the run
@@ -49,7 +52,7 @@ import json
 import logging
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _native
@@ -57,7 +60,6 @@ from .config import TASK_SPECS, KernelConfig, RunConfig, _check_task
 from .errors import DataError, open_text
 from .features import (
     Example,
-    FeatureConfig,
     _check_label,
     embedding_pair,
     load_embeddings,
@@ -70,7 +72,7 @@ from .features import (
 )
 from .rankeval import Candidate, QueryGroup, _check_id
 from .rellink import _excluded, _link
-from .treebank import _TOKEN, parse_bracketed, to_bracketed, tokens
+from .treebank import _TOKEN, parse_bracketed, tokens
 
 if TYPE_CHECKING:
     import numpy as np
@@ -344,11 +346,7 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
     spent in them and the engine that computed them."""
     stopwords = (load_stopwords(cfg.stopword_path)
                  if cfg.stopword_path else frozenset())
-    feature_cfg = FeatureConfig(stopwords=stopwords,
-                                gst_min_match=cfg.gst_min_match)
-    rel_cfg = (replace(cfg.rel, stopwords=stopwords)
-               if cfg.stopword_path else cfg.rel)
-    excluded = _excluded(rel_cfg)
+    excluded = _excluded(cfg.rel, stopwords)
     embeddings = (load_embeddings(cfg.embedding_path)
                   if cfg.use_embeddings else None)
     need_vec = cfg.kernel.use_sim
@@ -364,8 +362,8 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
                              cfg.macro_root_label, checked)
             qs = _macro_from(record.qs_trees, record, "qs_text",
                              cfg.macro_root_label, checked)
-            tree_first = _link(qo, qs, rel_cfg, excluded)
-            tree_second = _link(qs, qo, rel_cfg, excluded)
+            tree_first = _link(qo, qs, cfg.rel, excluded)
+            tree_second = _link(qs, qo, cfg.rel, excluded)
 
         vec = None
         if need_vec:
@@ -373,7 +371,7 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
             if cfg.use_sim_features:
                 start = time.perf_counter()
                 vec += similarity_vector(record.qo_text, record.qs_text,
-                                         feature_cfg)
+                                         stopwords, cfg.gst_min_match)
                 sim_s += time.perf_counter() - start
             if cfg.use_ptk_feature:
                 vec.append(ptk_feature(tree_first, tree_second, cfg.kernel))
@@ -417,15 +415,17 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
 # featurized-example files
 # ---------------------------------------------------------------------------
 
-def _tree_text(tree) -> str | None:
-    return tree if tree is None or isinstance(tree, str) \
-        else to_bracketed(tree)
-
-
-def save_examples(path, examples) -> None:
-    """Write featurized examples as JSONL, trees in bracketed form: a tree
-    held as text (:func:`build_examples`, :func:`read_examples`) as it is,
-    a :class:`~.treebank.SyntaxTree` written with :func:`to_bracketed`."""
+def save_examples(path, examples: list[Example]) -> None:
+    """Write featurized examples as JSONL, each tree as the bracketed text
+    it holds (:func:`build_examples`, :func:`read_examples`). A tree that
+    is not text raises :class:`DataError` naming its example, before
+    ``path`` is opened."""
+    for e in examples:
+        for tree in (e.tree_first, e.tree_second):
+            if tree is not None and not isinstance(tree, str):
+                raise DataError(
+                    f"example ({e.query_id}, {e.candidate_id}) holds a "
+                    f"{type(tree).__name__} tree, not bracketed text")
     with open(path, "w", encoding="utf-8") as fh:
         for e in examples:
             obj = {
@@ -435,20 +435,23 @@ def save_examples(path, examples) -> None:
                 "original_rank": e.original_rank,
                 "vec": None if e.vec is None else [float(v) for v in e.vec],
                 "rank_value": e.rank_value,
-                "tree_first": _tree_text(e.tree_first),
-                "tree_second": _tree_text(e.tree_second),
+                "tree_first": e.tree_first,
+                "tree_second": e.tree_second,
             }
             fh.write(json.dumps(obj) + "\n")
 
 
-def _example_tree(obj, key) -> str | None:
-    """The field ``key`` of an examples record: a bracketed tree, checked
-    and kept as text, or None."""
+def _example_tree(obj, key, keep: bool) -> str | None:
+    """The field ``key`` of an examples record, which must be a string or
+    null: with ``keep``, the bracketed tree checked and kept as text;
+    else None."""
     text = obj[key]
     if text is None:
         return None
     if not isinstance(text, str):
         raise DataError(f"field {key!r} must be a bracketed tree or null")
+    if not keep:
+        return None
     tokens(text)
     return text
 
@@ -469,13 +472,16 @@ def _example_records(fh, path):
         raise DataError(f"{path}: empty example file")
 
 
-def read_examples(path) -> list[Example]:
+def read_examples(path, trees: bool = True) -> list[Example]:
     """Read featurized examples written by :func:`save_examples`, each tree
     checked against the bracketed grammar (:func:`~.treebank.tokens`) and
     kept as its text, which the kernels compile. A malformed tree raises
-    :class:`DataError` naming ``path``, the line and the byte offset. A key
-    it does not read is ignored, so a file from a version whose records
-    also held the feature names reads to the same examples."""
+    :class:`DataError` naming ``path``, the line and the byte offset. With
+    ``trees`` false, as for a kernel with no tree block, a tree field must
+    still be a string or null, but it is neither checked nor kept: each
+    example's trees are None. A key it does not read is ignored, so a file
+    from a version whose records also held the feature names reads to the
+    same examples."""
     examples: list[Example] = []
     with open_text(path) as fh:
         for lineno, obj in _example_records(fh, path):
@@ -487,8 +493,8 @@ def read_examples(path) -> list[Example]:
                     original_rank=obj["original_rank"],
                     vec=obj["vec"],
                     rank_value=obj["rank_value"],
-                    tree_first=_example_tree(obj, "tree_first"),
-                    tree_second=_example_tree(obj, "tree_second"),
+                    tree_first=_example_tree(obj, "tree_first", trees),
+                    tree_second=_example_tree(obj, "tree_second", trees),
                 ))
             except KeyError as exc:
                 raise _field_error(path, lineno, f"missing field {exc}") \
@@ -499,8 +505,10 @@ def read_examples(path) -> list[Example]:
 
 
 def load_examples(path) -> list[Example]:
-    """:func:`read_examples`, with each tree parsed into a
-    :class:`~.treebank.SyntaxTree`."""
+    """:func:`read_examples`, with each tree parsed into a walkable
+    :class:`~.treebank.SyntaxTree`, for callers that walk trees; the
+    kernels and :func:`save_examples` take the text :func:`read_examples`
+    keeps, not these."""
     examples = read_examples(path)
     for e in examples:
         if e.tree_first is not None:

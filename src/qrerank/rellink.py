@@ -20,23 +20,26 @@ from .treebank import tokens
 REL_PREFIX = "REL-"
 
 
-def rel_link(x: str, y: str, cfg: RelConfig = RelConfig()) -> str:
+def rel_link(x: str, y: str, cfg: RelConfig = RelConfig(),
+             stopwords: frozenset[str] | set[str] = frozenset()) -> str:
     """Return the bracketed tree ``x`` with REL- prefixes on lexically
     linked phrases, in single-space form.
 
     A non-leaf node of ``x`` whose label is in ``cfg.phrase_labels`` is marked
     when its leaf yield shares at least ``cfg.min_shared_tokens`` distinct
-    non-stopword tokens with the full yield of ``y``. ``x`` must not already
-    contain REL- labels (re-linking an enriched tree would stack prefixes).
+    tokens not in ``stopwords`` with the full yield of ``y``; the stopwords
+    are compared case-folded when ``cfg.case_insensitive``, as written
+    otherwise, as the tokens are. ``x`` must not already contain REL- labels
+    (re-linking an enriched tree would stack prefixes).
     """
-    return _link(tokens(x), tokens(y), cfg, _excluded(cfg))
+    return _link(tokens(x), tokens(y), cfg, _excluded(cfg, stopwords))
 
 
-def _excluded(cfg: RelConfig) -> frozenset[str]:
-    """``cfg.stopwords`` as :func:`_link` compares them: case-folded when
-    ``cfg.case_insensitive``, as written otherwise."""
+def _excluded(cfg: RelConfig, stopwords) -> frozenset[str]:
+    """``stopwords`` as :func:`_link` compares them under ``cfg``:
+    case-folded when ``cfg.case_insensitive``, as written otherwise."""
     fold = str.casefold if cfg.case_insensitive else str
-    return frozenset(map(fold, cfg.stopwords))
+    return frozenset(map(fold, stopwords))
 
 
 def _link(x: list[str], y: list[str], cfg: RelConfig,
@@ -44,8 +47,8 @@ def _link(x: list[str], y: list[str], cfg: RelConfig,
     """:func:`rel_link` of the checked tokens of x against those of y, in
     one pass over x's: a node's shared tokens are the leaves of y that it
     holds, found between its ``(`` and its ``)``. ``excluded`` is
-    :func:`_excluded` of ``cfg``, which a caller linking many pairs folds
-    once."""
+    :func:`_excluded` of the stopwords, which a caller linking many pairs
+    folds once."""
     fold = str.casefold if cfg.case_insensitive else str
     linkable = {fold(t) for p, t in zip(y, y[1:])
                 if p != "(" and t != "(" and t != ")"} - excluded

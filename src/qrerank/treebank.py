@@ -8,8 +8,10 @@ style::
 A node is either internal (a label plus one or more children) or a leaf
 (a surface token). Labels and tokens are kept verbatim: no unescaping of
 ``-LRB-``/``-RRB-``, no case mangling, no stripping of functional tags.
-The pipeline keeps trees as checked text; :func:`parse_bracketed` builds
-the walkable :class:`SyntaxTree` view for callers that need one.
+Text is the one tree that any computation takes: the pipeline and the
+kernels read the checked tokens (:func:`tokens`). :func:`parse_bracketed`
+builds the walkable :class:`SyntaxTree` view for callers that walk trees,
+and :func:`to_bracketed` writes it back as text.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class SyntaxTree:
     For internal nodes ``label`` is the nonterminal symbol; for leaves it is
     the surface token itself. A label is one atom of the bracketed form, with
     no whitespace or parenthesis, so that :func:`to_bracketed` writes every
-    tree as the text that reads back to it. Equality, hashing and ``repr``
-    compare and print ``(label, children)`` as a dataclass would, but walk
-    the tree with an explicit stack, so any depth works.
+    tree as the text that reads back to it. It is a walkable view of the
+    text, for callers that walk trees (:func:`.pipeline.load_examples`):
+    no kernel takes it, and it compares by identity; compare trees by their
+    :func:`to_bracketed` text.
     """
 
     label: str
@@ -58,48 +61,6 @@ class SyntaxTree:
         if not _ATOM.fullmatch(self.label):
             raise DataError(f"tree node label {self.label!r} holds whitespace "
                             f"or a parenthesis")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (a.__class__ is not b.__class__ or a.label != b.label
-                    or len(a.children) != len(b.children)):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self):
-        # ``hashes`` holds the hash of every node whose parent is not
-        # visited yet, children in order at its top
-        hashes: list[int] = []
-        for node in self.iter_nodes():
-            k = len(hashes) - len(node.children)
-            child_hashes = tuple(hashes[k:])
-            del hashes[k:]
-            hashes.append(hash((node.label, child_hashes)))
-        return hashes[0]
-
-    def __repr__(self):
-        out: list[str] = []
-        stack: list[SyntaxTree | str] = [self]     # a str is literal output
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append(f"{item.__class__.__qualname__}(label={item.label!r}, "
-                       f"children=(")
-            stack.append(",))" if len(item.children) == 1 else "))")
-            for i, child in enumerate(reversed(item.children)):
-                if i:
-                    stack.append(", ")
-                stack.append(child)
-        return "".join(out)
 
     @property
     def is_leaf(self) -> bool:
@@ -209,9 +170,10 @@ def parse_bracketed(text: str) -> SyntaxTree:
 def to_bracketed(tree: SyntaxTree) -> str:
     """Serialize back to single-space bracketed form.
 
-    ``parse_bracketed(to_bracketed(t)) == t`` for any tree whose root is
-    internal. (A bare leaf serializes to its token alone, which is not
-    itself a bracketed expression.) Iterative, so any depth serializes.
+    ``to_bracketed(parse_bracketed(s))`` is ``s`` in single-space form, and
+    reads back to a tree of the same labels and shape. (A bare leaf
+    serializes to its token alone, which is not itself a bracketed
+    expression.) Iterative, so any depth serializes.
     """
     out: list[str] = []
     stack: list[SyntaxTree | str] = [tree]     # a str is literal output

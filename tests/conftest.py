@@ -13,10 +13,9 @@ from qrerank.cli import main
 from qrerank.features import (
     SIM_MEASURES,
     SIM_NGRAM_ORDERS,
-    FeatureConfig,
     similarity_vector,
 )
-from qrerank.treebank import SyntaxTree
+from qrerank.treebank import SyntaxTree, to_bracketed
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -61,13 +60,14 @@ def random_small_tree(rng, max_nodes=8):
 
     Uses a node budget: each internal node spends one unit and splits the
     remainder among a random number of children. Labels come from a tiny
-    alphabet so that random pairs actually collide.
+    alphabet so that random pairs actually collide. The root is internal,
+    since a bare token is not a bracketed tree.
     """
     labels = ["S", "A", "B"]
     tokens = ["a", "b"]
 
-    def grow(budget):
-        if budget <= 1 or rng.random() < 0.3:
+    def grow(budget, root=False):
+        if (budget <= 1 or rng.random() < 0.3) and not root:
             return SyntaxTree(tokens[rng.integers(len(tokens))]), 1
         width = int(rng.integers(1, min(3, budget - 1) + 1))
         used = 1
@@ -79,7 +79,7 @@ def random_small_tree(rng, max_nodes=8):
             used += spent
         return SyntaxTree(labels[rng.integers(len(labels))], tuple(kids)), used
 
-    tree, _ = grow(int(rng.integers(2, max_nodes + 1)))
+    tree, _ = grow(int(rng.integers(2, max_nodes + 1)), root=True)
     return tree
 
 
@@ -111,11 +111,11 @@ def sim_named(vec) -> dict:
     return dict(zip(SIM_LAYOUT, vec))
 
 
-def python_engine_vector(monkeypatch, qo, qs, cfg):
+def python_engine_vector(monkeypatch, qo, qs, **kwargs):
     """``similarity_vector`` on the Python engine, the native one off."""
     with monkeypatch.context() as m:
         m.setattr(_native, "load", lambda: None)
-        return similarity_vector(qo, qs, cfg)
+        return similarity_vector(qo, qs, **kwargs)
 
 
 @pytest.fixture
@@ -128,10 +128,11 @@ def unigram(monkeypatch):
 
     def measures(a, b, min_match=1):
         qo, qs = " ".join(a), " ".join(b)
-        cfg = FeatureConfig(gst_min_match=min_match)
-        fv = python_engine_vector(monkeypatch, qo, qs, cfg)
+        fv = python_engine_vector(monkeypatch, qo, qs,
+                                  gst_min_match=min_match)
         if native is not None:
-            assert [v.hex() for v in similarity_vector(qo, qs, cfg)] \
+            assert [v.hex() for v in similarity_vector(
+                qo, qs, gst_min_match=min_match)] \
                 == [v.hex() for v in fv]
         return dict(zip(SIM_MEASURES, fv))
 
@@ -227,7 +228,8 @@ def run_chain(train, test, out_dir, flags=()):
 
 
 def make_examples(rng, n, dim=8, with_trees=True):
-    """Random featurized examples for kernel/SVM tests."""
+    """Random featurized examples for kernel/SVM tests, their trees as
+    bracketed text."""
     from qrerank.kernels import Example
 
     out = []
@@ -241,9 +243,11 @@ def make_examples(rng, n, dim=8, with_trees=True):
                 original_rank=rank,
                 vec=rng.normal(size=dim),
                 rank_value=1.0 / rank,
-                tree_first=random_tree(rng, max_depth=4, max_branch=3)
+                tree_first=to_bracketed(random_tree(rng, max_depth=4,
+                                                    max_branch=3))
                 if with_trees else None,
-                tree_second=random_tree(rng, max_depth=4, max_branch=3)
+                tree_second=to_bracketed(random_tree(rng, max_depth=4,
+                                                     max_branch=3))
                 if with_trees else None,
             )
         )

@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: exponential enumeration with canonical
 string keys, itertools over index subsets, direct formula evaluation. None of
-it imports the production kernel/similarity/linking code paths.
+it imports the production kernel/similarity/linking code paths. The tree
+oracles take bracketed text, as the kernels and linking do, and walk the
+tree objects ``parse_bracketed`` makes of it.
 """
 
 import itertools
 from collections import Counter, defaultdict
 
 from qrerank.errors import DataError
-from qrerank.treebank import SyntaxTree
+from qrerank.treebank import SyntaxTree, parse_bracketed, to_bracketed
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +55,13 @@ def _subset_fragment_counts(tree):
 
 
 def stk_bruteforce(t1, t2, lam):
-    """Subset-tree kernel by exhaustive fragment enumeration.
+    """Subset-tree kernel of two bracketed trees by exhaustive fragment
+    enumeration.
 
     K = sum over shared fragments f of count1(f) * count2(f) * lam^{prods(f)}.
     """
-    c1, p1 = _subset_fragment_counts(t1)
-    c2, _ = _subset_fragment_counts(t2)
+    c1, p1 = _subset_fragment_counts(parse_bracketed(t1))
+    c2, _ = _subset_fragment_counts(parse_bracketed(t2))
     return sum(c1[f] * c2[f] * lam ** p1[f] for f in c1.keys() & c2.keys())
 
 
@@ -111,22 +114,23 @@ def _partial_fragment_weights(tree, lam):
 
 
 def ptk_bruteforce(t1, t2, lam, mu):
-    """Partial-tree kernel by exhaustive fragment enumeration.
+    """Partial-tree kernel of two bracketed trees by exhaustive fragment
+    enumeration.
 
     K = sum over shared fragment shapes f of w1(f) * w2(f) * mu^{nodes(f)}.
     """
-    w1, n1 = _partial_fragment_weights(t1, lam)
-    w2, _ = _partial_fragment_weights(t2, lam)
+    w1, n1 = _partial_fragment_weights(parse_bracketed(t1), lam)
+    w2, _ = _partial_fragment_weights(parse_bracketed(t2), lam)
     return sum(w1[f] * w2[f] * mu ** n1[f] for f in w1.keys() & w2.keys())
 
 
 def subtree_table(trees):
-    """The hash-consing table the kernels compile ``trees`` into, one tree
-    after another, by a walk over each tree's nodes in post-order: each
-    subtree's id is the order of first occurrence of its (label id, child
-    ids), each label or production key the order of its first use (a
-    node's label when the node is visited, its production when a new
-    subtree is interned). Returns the key of each name id, the label id,
+    """The hash-consing table the kernels compile ``trees`` (bracketed
+    text) into, one tree after another, by a walk over each tree's nodes in
+    post-order: each subtree's id is the order of first occurrence of its
+    (label id, child ids), each label or production key the order of its
+    first use (a node's label when the node is visited, its production
+    when a new subtree is interned). Returns the key of each name id, the label id,
     production id (-1 for a leaf) and child ids of each subtree id, and per
     tree its packed layout: n, k, its distinct subtree ids, their node
     counts, its keys in ascending order, each key's bucket end, then the
@@ -135,7 +139,7 @@ def subtree_table(trees):
     forests = []
     for tree in trees:
         done, counts = [], Counter()
-        for node in tree.iter_nodes():
+        for node in parse_bracketed(tree).iter_nodes():
             k = len(done) - len(node.children)
             ids = tuple(done[k:])
             label = names.setdefault(node.label, len(names))
@@ -227,22 +231,23 @@ def gst_tiled_bruteforce(a, b, min_match=1):
 # REL linking over tree objects
 # ---------------------------------------------------------------------------
 
-def rel_link_tree(x, y, cfg):
-    """REL linking of the :class:`SyntaxTree` ``x`` against ``y``, on tree
-    objects: a copy of ``x`` in which each node whose label is in
-    ``cfg.phrase_labels`` gets the ``REL-`` prefix when its leaves share at
-    least ``cfg.min_shared_tokens`` distinct tokens (folded, stopwords
-    removed) with the leaves of ``y``. A ``REL-`` label in ``x`` raises
-    :class:`DataError` at the first such node in post-order. Built
-    bottom-up without recursion: a node's shared tokens are the union of
-    its children's."""
+def rel_link_tree(x, y, cfg, stopwords=frozenset()):
+    """REL linking of the bracketed tree ``x`` against ``y``, on the tree
+    objects ``parse_bracketed`` makes: the text of a copy of ``x`` in which
+    each node whose label is in ``cfg.phrase_labels`` gets the ``REL-``
+    prefix when its leaves share at least ``cfg.min_shared_tokens``
+    distinct tokens (folded, ``stopwords`` removed) with the leaves of
+    ``y``. A ``REL-`` label in ``x`` raises :class:`DataError` at the first
+    such node in post-order. Built bottom-up without recursion: a node's
+    shared tokens are the union of its children's."""
     fold = str.casefold if cfg.case_insensitive else str
-    stop = {fold(s) for s in cfg.stopwords}
-    y_tokens = {t for t in map(fold, y.leaves()) if t not in stop}
+    stop = {fold(s) for s in stopwords}
+    y_tokens = {t for t in map(fold, parse_bracketed(y).leaves())
+                if t not in stop}
     # (copy, tokens shared with y) of every node whose parent is not
     # visited yet, children in order at its top
     done = []
-    for node in x.iter_nodes():
+    for node in parse_bracketed(x).iter_nodes():
         if node.is_leaf:
             token = fold(node.label)
             done.append((node, {token} & y_tokens))
@@ -258,4 +263,4 @@ def rel_link_tree(x, y, cfg):
         if label in cfg.phrase_labels and len(shared) >= cfg.min_shared_tokens:
             label = "REL-" + label
         done.append((SyntaxTree(label, tuple(c for c, _ in parts)), shared))
-    return done[0][0]
+    return to_bracketed(done[0][0])

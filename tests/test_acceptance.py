@@ -34,7 +34,7 @@ from qrerank.rankeval import (
     write_predictions,
 )
 from qrerank.svm import TrainConfig, train_smo
-from qrerank.treebank import parse_bracketed
+from qrerank.treebank import to_bracketed
 
 from conftest import (
     SIM_LAYOUT,
@@ -56,7 +56,8 @@ needs_semeval = pytest.mark.skipif(
 
 def _tree_pairs(count, seed):
     rng = make_rng(seed)
-    trees = [random_small_tree(rng, max_nodes=8) for _ in range(count)]
+    trees = [to_bracketed(random_small_tree(rng, max_nodes=8))
+             for _ in range(count)]
     pairs = [(trees[i], trees[(i + 1) % count]) for i in range(count)]
     pairs += [(t, t) for t in trees[::10]]
     return pairs
@@ -66,7 +67,7 @@ def _tree_pairs(count, seed):
                              "(200 trees, lam in {1.0, 0.4}, <10s)")
 def test_stk_bruteforce_equivalence():
     start = time.monotonic()
-    fixture = parse_bracketed("(S (A a) (B b))")
+    fixture = "(S (A a) (B b))"
     assert abs(stk(fixture, fixture, lam=1.0) - 6.0) <= 1e-9
     for a, b in _tree_pairs(200, seed=20240401):
         for lam in (1.0, 0.4):

@@ -26,6 +26,7 @@ from qrerank.kernels import config_fingerprint, gram_matrix, save_gram
 from qrerank.pipeline import (
     load_examples,
     make_groups,
+    read_examples,
     save_examples,
     score_examples,
 )
@@ -392,7 +393,7 @@ class TestExitCodes:
             env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
             capture_output=True, text=True)
         assert done.returncode == 3
-        assert done.stderr == ("numerical error: gram_matrix: non-finite "
+        assert done.stderr == ("numerical error: write_gram: non-finite "
                                "kernel value inf at cell (0, 0)\n")
         assert not gram.exists()
 
@@ -680,7 +681,7 @@ class TestGramStage:
         assert peak < 0.25 * n * n * 8
 
     @pytest.mark.parametrize("fault,code,message", [
-        ("huge-last-vec", 3, "numerical error: gram_matrix: non-finite "
+        ("huge-last-vec", 3, "numerical error: write_gram: non-finite "
                              "kernel value inf at cell (24, 24)"),
         ("short-last-vec", 2, "error: feature vectors disagree in dimension"),
         ("out-is-a-dir", 2, "error: [Errno 21] Is a directory"),
@@ -737,7 +738,7 @@ class TestGramStage:
 class TestTreesAsText:
     """``featurize`` links trees as text, and ``gram`` and ``rerank``
     compile each tree from its checked text: no stage builds a SyntaxTree,
-    and their files are those of the parsed trees."""
+    and their files are those of the Python API over ``read_examples``."""
 
     @pytest.mark.parametrize("ptk_feature", [False, True])
     def test_featurize_builds_no_syntax_tree(self, tmp_path, monkeypatch,
@@ -793,8 +794,8 @@ class TestTreesAsText:
                          "--out", str(predictions), *flags]) == 0
 
         cfg = KernelConfig(use_tk=True, use_rank=True, tk_kind=tk_kind)
-        train_examples = load_examples(ex["train"])
-        test_examples = load_examples(ex["test"])
+        train_examples = read_examples(ex["train"])
+        test_examples = read_examples(ex["test"])
         save_gram(tmp_path / "api.gram", gram_matrix(train_examples, cfg),
                   config_fingerprint(cfg))
         assert gram.read_bytes() == (tmp_path / "api.gram").read_bytes()
@@ -831,6 +832,29 @@ class TestTreesAsText:
         err = capsys.readouterr().err
         assert f"error: {examples}:3: {message}\n" in err
         assert "Traceback" not in err
+        # a kernel with no tree block reads no tree
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["gram", "rerank"])
+    def test_a_tree_must_be_a_string_or_null_with_no_tree_block(
+            self, tmp_path, capsys, stage):
+        corpus = tmp_path / "train.jsonl"
+        write_corpus(corpus, n_queries=2, per_query=4, with_trees=True)
+        chain = run_chain(corpus, corpus, tmp_path, ["--use-tk"])
+        examples = chain.train_examples
+        rows = [json.loads(line) for line in
+                examples.read_text(encoding="utf-8").splitlines()]
+        rows[2]["tree_first"] = ["(S x)"]
+        write_jsonl(examples, rows)
+        capsys.readouterr()
+        argv = (["gram", "--examples", str(examples)] if stage == "gram" else
+                ["rerank", "--model", str(chain.model),
+                 "--train-examples", str(chain.test_examples),
+                 "--test-examples", str(examples)])
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {examples}:3: field 'tree_first' must be a " \
+            f"bracketed tree or null\n" in capsys.readouterr().err
 
 
 class TestTrainStage:

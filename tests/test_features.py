@@ -17,7 +17,6 @@ from qrerank.features import (
     SIM_MEASURES,
     SIM_NGRAM_ORDERS,
     Example,
-    FeatureConfig,
     embedding_pair,
     load_embeddings,
     load_stopwords,
@@ -30,7 +29,7 @@ from qrerank.features import (
 from qrerank.kernels import KernelConfig
 from qrerank.pipeline import build_examples, load_corpus
 from qrerank.rellink import rel_link
-from qrerank.treebank import parse_bracketed, to_bracketed
+from qrerank.treebank import SyntaxTree, parse_bracketed
 
 from conftest import (
     make_rng,
@@ -157,7 +156,10 @@ class TestGST:
 
     def test_min_match_validated(self):
         with pytest.raises(DataError, match="gst_min_match must be >= 1"):
-            FeatureConfig(gst_min_match=0)
+            similarity_vector("a b", "a b", gst_min_match=0)
+        for bad in (1.0, True, "2"):
+            with pytest.raises(DataError, match="must be an integer"):
+                similarity_vector("a b", "a b", gst_min_match=bad)
 
     def test_matches_bruteforce(self, unigram):
         rng = make_rng(302)
@@ -315,8 +317,7 @@ class TestSimilarityVector:
             assert got[f"sim_n4_{measure}"] == 0.0
 
     def test_stopwords_applied(self):
-        cfg = FeatureConfig(stopwords=frozenset({"the"}))
-        fv = similarity_vector("the visa", "the permit", cfg)
+        fv = similarity_vector("the visa", "the permit", frozenset({"the"}))
         np.testing.assert_allclose(fv, np.zeros(20))
 
 
@@ -327,21 +328,21 @@ _LONG_B = " ".join("abc"[(i * i * 5 + i) % 13 % 3] for i in range(70))
 GOLDEN_SIM_CASES = [
     # repeated tokens
     ("the visa visa the visa costs visa visa",
-     "visa the visa visa costs the visa", FeatureConfig()),
+     "visa the visa visa costs the visa", dict()),
     # under 4 tokens: the 3- and 4-gram blocks are empty
-    ("visa fee", "Visa fee now", FeatureConfig()),
+    ("visa fee", "Visa fee now", dict()),
     # the first text is empty after stopwords
     ("How do I?", "how do I get a visa",
-     FeatureConfig(stopwords=frozenset({"how", "do", "i"}))),
+     dict(stopwords=frozenset({"how", "do", "i"}))),
     # a stopword config, with a mixed-case entry, and gst_min_match 2
     ("Can my wife visit Qatar on my visa?",
      "Is it possible for my wife to visit Qatar with my work visa",
-     FeatureConfig(stopwords=frozenset({"My", "on", "is", "it", "for", "to",
-                                        "with"}), gst_min_match=2)),
+     dict(stopwords=frozenset({"My", "on", "is", "it", "for", "to", "with"}),
+          gst_min_match=2)),
     # 80 and 70 tokens over three words: many ties, masks over 64 bits
-    (_LONG_A, _LONG_B, FeatureConfig(gst_min_match=2)),
+    (_LONG_A, _LONG_B, dict(gst_min_match=2)),
     # case folding of non-ASCII words
-    ("Köln Visa visa KÖLN köln visa", "köln visa Köln", FeatureConfig()),
+    ("Köln Visa visa KÖLN köln visa", "köln visa Köln", dict()),
 ]
 GOLDEN_SIM_HEX = [
     ['0x1.ddddddddddddep-1', '0x1.4000000000000p-1',
@@ -396,7 +397,7 @@ class TestSimilarityGolden:
     @pytest.mark.parametrize("case", range(len(GOLDEN_SIM_CASES)))
     def test_bit_identical(self, case):
         qo, qs, cfg = GOLDEN_SIM_CASES[case]
-        fv = similarity_vector(qo, qs, cfg)
+        fv = similarity_vector(qo, qs, **cfg)
         assert [float(v).hex() for v in fv] == GOLDEN_SIM_HEX[case]
 
     def test_memo_keeps_configs_apart(self):
@@ -406,17 +407,16 @@ class TestSimilarityGolden:
                 qo, qs, cfg = GOLDEN_SIM_CASES[case]
                 plain = [float(v).hex() for v in
                          similarity_vector(qo, qs)]
-                fv = similarity_vector(qo, qs, cfg)
+                fv = similarity_vector(qo, qs, **cfg)
                 assert [float(v).hex() for v in fv] == \
                     GOLDEN_SIM_HEX[case]
-                if cfg.stopwords:
+                if cfg.get("stopwords"):
                     assert plain != GOLDEN_SIM_HEX[case]
 
     def test_plain_set_of_stopwords_accepted(self):
         qo, qs, cfg = GOLDEN_SIM_CASES[3]
-        loose = FeatureConfig(stopwords=set(cfg.stopwords),
-                              gst_min_match=cfg.gst_min_match)
-        fv = similarity_vector(qo, qs, loose)
+        fv = similarity_vector(qo, qs, set(cfg["stopwords"]),
+                               cfg["gst_min_match"])
         assert [float(v).hex() for v in fv] == GOLDEN_SIM_HEX[3]
 
 
@@ -461,7 +461,8 @@ def _case_texts(case):
             for length in (len_a, len_b))
     # mixed-case stopword entries, folded as the tokens are
     stopwords = frozenset(f"W{k}" for k in range(n_stop))
-    return " ".join(a), " ".join(b), FeatureConfig(stopwords, min_match)
+    return " ".join(a), " ".join(b), dict(stopwords=stopwords,
+                                          gst_min_match=min_match)
 
 
 def _bits(fv):
@@ -477,20 +478,20 @@ class TestSimilarityEngines:
     @pytest.mark.parametrize("case", range(len(ENGINE_CASES)))
     def test_same_counts_and_vector(self, native, monkeypatch, case):
         qo, qs, cfg = _case_texts(case)
-        a = tokenize(qo, cfg.stopwords)
-        b = tokenize(qs, cfg.stopwords)
-        counts = features._python_counts(a, b, cfg.gst_min_match)
-        assert features._native_counts(native, a, b, cfg.gst_min_match) \
+        a = tokenize(qo, cfg["stopwords"])
+        b = tokenize(qs, cfg["stopwords"])
+        counts = features._python_counts(a, b, cfg["gst_min_match"])
+        assert features._native_counts(native, a, b, cfg["gst_min_match"]) \
             == counts
-        fv = similarity_vector(qo, qs, cfg)
+        fv = similarity_vector(qo, qs, **cfg)
         assert _bits(fv) == _bits(python_engine_vector(monkeypatch, qo, qs,
-                                                        cfg))
+                                                        **cfg))
         assert type(fv) is array and len(fv) == 20
 
     @pytest.mark.parametrize("case", range(len(GOLDEN_SIM_CASES)))
     def test_python_engine_golden(self, monkeypatch, case):
         qo, qs, cfg = GOLDEN_SIM_CASES[case]
-        assert _bits(python_engine_vector(monkeypatch, qo, qs, cfg)) == \
+        assert _bits(python_engine_vector(monkeypatch, qo, qs, **cfg)) == \
             GOLDEN_SIM_HEX[case]
 
     def test_empty_sides_count_nothing(self, native):
@@ -505,7 +506,7 @@ class TestSimilarityEngines:
         monkeypatch.setattr(_native, "load", lambda: native._replace(
             similarity=lambda *args: 1))
         for (qo, qs, cfg), golden in zip(GOLDEN_SIM_CASES, GOLDEN_SIM_HEX):
-            assert _bits(similarity_vector(qo, qs, cfg)) == golden
+            assert _bits(similarity_vector(qo, qs, **cfg)) == golden
 
 
 def _bench_shaped_corpus(path, queries=12, candidates=10):
@@ -587,25 +588,30 @@ class TestPTKFeature:
         assert ptk_feature(first, second, KernelConfig()) == pytest.approx(1.0)
 
     def test_disjoint_trees_give_zero(self):
-        a = parse_bracketed("(X1 (Y1 t1))")
-        b = parse_bracketed("(X2 (Y2 t2))")
+        a = "(X1 (Y1 t1))"
+        b = "(X2 (Y2 t2))"
         cfg = KernelConfig()
         assert ptk_feature(a, b, cfg) == 0.0
 
     def test_matches_oracle_after_normalization(self):
-        a = parse_bracketed("(S (NP (NN visa)) (VP (VB get)))")
-        b = parse_bracketed("(S (NP (NN visa) (NN work)))")
+        a = "(S (NP (NN visa)) (VP (VB get)))"
+        b = "(S (NP (NN visa) (NN work)))"
         cfg = KernelConfig(lam=0.4, mu=0.4)
         expected = ptk_bruteforce(a, b, 0.4, 0.4) / math.sqrt(
             ptk_bruteforce(a, a, 0.4, 0.4) * ptk_bruteforce(b, b, 0.4, 0.4))
         assert ptk_feature(a, b, cfg) == pytest.approx(expected, abs=1e-9)
-        # the text of a tree gives the bits of the tree
-        assert ptk_feature(to_bracketed(a), to_bracketed(b), cfg) == \
-            ptk_feature(a, b, cfg)
 
     def test_missing_tree_rejected(self):
         with pytest.raises(DataError):
-            ptk_feature(None, parse_bracketed("(A a)"), KernelConfig())
+            ptk_feature(None, "(A a)", KernelConfig())
+
+    @pytest.mark.parametrize("bad", [
+        parse_bracketed("(A a)"), SyntaxTree("A"), "A"],
+        ids=["tree", "leaf", "token"])
+    def test_a_tree_that_is_not_text_rejected(self, bad):
+        for pair in ((bad, "(A a)"), ("(A a)", bad)):
+            with pytest.raises(DataError):
+                ptk_feature(*pair, KernelConfig())
 
 
 class TestRankFeature:

@@ -4,6 +4,7 @@ experiment run through the CLI stages."""
 import json
 import re
 from dataclasses import fields
+from functools import partial
 from typing import get_type_hints
 
 import numpy as np
@@ -13,7 +14,6 @@ from qrerank.cli import main
 from qrerank.config import RelConfig, RunConfig, _int_fields
 from qrerank.errors import DataError
 from qrerank.features import (
-    FeatureConfig,
     mte_vector,
     ptk_feature,
     similarity_vector,
@@ -46,7 +46,7 @@ from qrerank.rankeval import (
 )
 from qrerank.svm import TrainConfig, TrainedModel, load_model, train_smo
 from qrerank import pipeline
-from qrerank.treebank import SyntaxTree, to_bracketed
+from qrerank.treebank import SyntaxTree, parse_bracketed, to_bracketed, tokens
 
 from conftest import (
     SIM_LAYOUT,
@@ -272,7 +272,10 @@ class TestRunConfigValidation:
 
     @pytest.mark.parametrize("cls,name", [
         (RelConfig, "min_shared_tokens"), (TrainConfig, "max_passes"),
-        (RunConfig, "gst_min_match"), (FeatureConfig, "gst_min_match"),
+        (RunConfig, "gst_min_match"),
+        # the similarities check the argument the run config passes them
+        pytest.param(partial(similarity_vector, "a b", "a b"),
+                     "gst_min_match", id="similarity_vector-gst_min_match"),
     ])
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
     def test_an_int_field_refuses_a_non_integer(self, cls, name, bad):
@@ -281,7 +284,7 @@ class TestRunConfigValidation:
             cls(**{name: bad})
 
     @pytest.mark.parametrize("cls", [RelConfig, KernelConfig, TrainConfig,
-                                     RunConfig, FeatureConfig])
+                                     RunConfig])
     def test_the_int_fields_are_those_annotated_int(self, cls):
         hints = get_type_hints(cls)
         assert _int_fields(cls) == tuple(
@@ -591,7 +594,7 @@ class TestExampleFiles:
         save_examples(path, build_examples([GOLDEN_RECORD], cfg))
         assert path.read_bytes() == GOLDEN_LINE.encode("utf-8")
         # and it reads back to the same line
-        save_examples(path, load_examples(path))
+        save_examples(path, read_examples(path))
         assert path.read_bytes() == GOLDEN_LINE.encode("utf-8")
 
     def test_round_trip(self, tmp_path):
@@ -623,11 +626,41 @@ class TestExampleFiles:
                    and isinstance(e.tree_second, str) for e in texts)
         save_examples(again, texts)
         assert again.read_bytes() == path.read_bytes()
-        trees = load_examples(path)
-        assert all(isinstance(e.tree_first, SyntaxTree)
-                   and isinstance(e.tree_second, SyntaxTree) for e in trees)
-        save_examples(again, trees)
-        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_load_examples_trees_walk_as_the_text_read(self, tmp_path,
+                                                       seed):
+        # what the benchmark's checks read: load_examples' trees walk with
+        # iter_nodes and leaves, and write back as read_examples' text
+        path = tmp_path / "examples.jsonl"
+        save_examples(path, make_examples(make_rng(seed), 12))
+        for text, walked in zip(read_examples(path), load_examples(path)):
+            for key in ("tree_first", "tree_second"):
+                tree, toks = getattr(walked, key), tokens(getattr(text, key))
+                assert to_bracketed(tree) == getattr(text, key)
+                # one node per atom, post-order: a node after its children
+                nodes = list(tree.iter_nodes())
+                assert len(nodes) == len([t for t in toks if t not in "()"])
+                assert nodes[-1] is tree
+                assert tree.leaves() == [
+                    t for p, t in zip(toks, toks[1:])
+                    if p != "(" and t not in "()"]
+
+    @pytest.mark.parametrize("bad", [
+        parse_bracketed("(S (A a))"), SyntaxTree("S")], ids=["tree", "leaf"])
+    @pytest.mark.parametrize("key", ["tree_first", "tree_second"])
+    def test_save_refuses_a_tree_that_is_not_text(self, tmp_path, bad, key):
+        example = Example(query_id="q1", candidate_id="c1", label=1,
+                          original_rank=1, tree_first="(S x)",
+                          tree_second="(S y)")
+        setattr(example, key, bad)
+        path = tmp_path / "examples.jsonl"
+        path.write_bytes(b"older")
+        with pytest.raises(DataError, match=re.escape(
+                "example (q1, c1) holds a SyntaxTree tree, not bracketed "
+                "text")):
+            save_examples(path, [example])
+        assert path.read_bytes() == b"older"
 
     def test_read_keeps_a_tree_as_its_text(self, tmp_path):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
@@ -636,9 +669,35 @@ class TestExampleFiles:
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert read_examples(path)[0].tree_first == " (S  (A a)\t(B b)) "
-        assert load_examples(path)[0].tree_first == \
-            SyntaxTree("S", (SyntaxTree("A", (SyntaxTree("a"),)),
-                             SyntaxTree("B", (SyntaxTree("b"),))))
+        assert to_bracketed(load_examples(path)[0].tree_first) == \
+            "(S (A a) (B b))"
+
+    @pytest.mark.parametrize("tree", ["(S x", "x", "(S ()"])
+    def test_without_trees_a_tree_is_neither_checked_nor_kept(self, tmp_path,
+                                                              tree):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": [0.5], "rank_value": None,
+                  "tree_first": tree, "tree_second": "(S y)"}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        [e] = read_examples(path, trees=False)
+        assert e.tree_first is None and e.tree_second is None
+        assert e.vec.tolist() == [0.5]
+        with pytest.raises(DataError, match="byte offset"):
+            read_examples(path)
+
+    @pytest.mark.parametrize("tree", [["(S x)"], 1, {"t": "(S x)"}])
+    def test_without_trees_a_tree_is_still_a_string_or_null(self, tmp_path,
+                                                            tree):
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "tree_first": None, "tree_second": tree}
+        path = tmp_path / "examples.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:1: field 'tree_second' must be a bracketed tree "
+                f"or null")):
+            read_examples(path, trees=False)
 
     @pytest.mark.parametrize("reader", [read_examples, load_examples])
     @pytest.mark.parametrize("tree,message", [

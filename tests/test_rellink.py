@@ -68,9 +68,9 @@ class TestMarking:
         assert rel_link(x, "(S (NP (NN visa)))", cfg) == x
 
     def test_stopwords_do_not_link(self):
-        cfg = RelConfig(stopwords=frozenset({"the"}))
         x = "(S (NP (DT the) (NN cat)))"
-        assert rel_link(x, "(S (NP (DT the) (NN visa)))", cfg) == x
+        assert rel_link(x, "(S (NP (DT the) (NN visa)))",
+                        stopwords=frozenset({"the"})) == x
 
     @pytest.mark.parametrize("case_insensitive", [False, True])
     def test_stopwords_from_a_file_compare_as_written(self, tmp_path,
@@ -80,12 +80,11 @@ class TestMarking:
         path.write_text("NASA\n", encoding="utf-8")
         x = "(S (NP (NNP NASA)) (VP (VBZ launches)))"
         y = "(S (NP (NNP NASA)) (VP (VBD failed)))"
+        cfg = RelConfig(case_insensitive=case_insensitive)
         for stopwords in (load_stopwords(path), frozenset({"NASA"})):
-            cfg = RelConfig(case_insensitive=case_insensitive,
-                            stopwords=stopwords)
-            assert rel_link(x, y, cfg) == x
-        cfg = RelConfig(case_insensitive=False, stopwords=frozenset({"nasa"}))
-        assert rel_link(x, y, cfg) == \
+            assert rel_link(x, y, cfg, stopwords) == x
+        cfg = RelConfig(case_insensitive=False)
+        assert rel_link(x, y, cfg, frozenset({"nasa"})) == \
             "(S (REL-NP (NNP NASA)) (VP (VBZ launches)))"
 
     def test_min_shared_tokens_threshold(self):
@@ -144,15 +143,15 @@ class TestValidation:
 
 
 def random_config(rng):
-    """A REL config drawn at random: phrase labels, threshold 1-3, case
-    folding and stopwords (in mixed case)."""
+    """A REL config drawn at random, phrase labels, threshold 1-3 and case
+    folding, and stopwords (in mixed case) drawn with it."""
     labels = [label for label in NONTERMINALS if rng.random() < 0.5]
     stop = [t.upper() if rng.random() < 0.5 else t
             for t in TOKENS if rng.random() < 0.2]
     return RelConfig(phrase_labels=frozenset(labels),
                      min_shared_tokens=int(rng.integers(1, 4)),
-                     case_insensitive=bool(rng.random() < 0.5),
-                     stopwords=frozenset(stop))
+                     case_insensitive=bool(rng.random() < 0.5)), \
+        frozenset(stop)
 
 
 def random_case(rng, tree):
@@ -169,15 +168,18 @@ class TestOracle:
     def test_text_linking_equals_linking_the_tree_objects(self, seed):
         rng = make_rng(seed)
         for _ in range(200):
-            cfg = (random_config(rng) if rng.random() < 0.8
-                   else RelConfig(phrase_labels=DEFAULT_PHRASE_LABELS))
+            cfg, stopwords = (
+                random_config(rng) if rng.random() < 0.8
+                else (RelConfig(phrase_labels=DEFAULT_PHRASE_LABELS),
+                      frozenset()))
             x, y = (random_case(rng, random_tree(rng, max_depth=6,
                                                  max_branch=4))
                     for _ in range(2))
             if rng.random() < 0.3:
                 y = SyntaxTree("ROOT", (y, random_tree(rng, max_depth=4)))
-            assert rel_link(to_bracketed(x), to_bracketed(y), cfg) == \
-                to_bracketed(rel_link_tree(x, y, cfg))
+            x, y = to_bracketed(x), to_bracketed(y)
+            assert rel_link(x, y, cfg, stopwords) == \
+                rel_link_tree(x, y, cfg, stopwords)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_rel_label_raises_the_oracle_error(self, seed):
@@ -193,8 +195,7 @@ class TestOracle:
             if "REL-" not in bad:
                 continue
             with pytest.raises(DataError) as want:
-                rel_link_tree(parse_bracketed(bad), parse_bracketed(x),
-                              RelConfig())
+                rel_link_tree(bad, x, RelConfig())
             with pytest.raises(DataError) as got:
                 rel_link(bad, x)
             assert str(got.value) == str(want.value)
