@@ -19,11 +19,13 @@
  *                         (id, count) pairs of key j between ends[j-1]
  *                         (0 for j = 0) and ends[j]
  *
- * Every value is bit-identical to the Python engine (kernels._ptk, _stk and
- * _subsequence_sum): each Δ is evaluated with the same operations in the same
- * order, and every sum is exactly rounded, as math.fsum is. The library must
- * be compiled with -ffp-contract=off and without -ffast-math, so that no
- * multiply-add is fused and no operation reassociated.
+ * Every value and work count (Δ values, DP runs) equals the Python engine's,
+ * which mirrors tree_pair, delta_ptk, delta_stk and subsequence_sum below as
+ * kernels._tree_pair, _delta_ptk, _delta_stk and _subsequence_sum: each Δ is
+ * evaluated with the same operations in the same order, and every sum is
+ * exactly rounded, as math.fsum is. The library must be compiled with
+ * -ffp-contract=off and without -ffast-math, so that no multiply-add is fused
+ * and no operation reassociated.
  *
  * A Δ memo keyed by (row subtree, column subtree) serves all the row's tree
  * pairs and is dropped when the call returns. Each tree pair walks the row
@@ -582,8 +584,9 @@ int qrerank_exp(int64_t n, const double *x, double *out)
  * Each order's n-grams are interned to dense ids: the id of the n-gram at
  * i is that of the pair (id of the (n-1)-gram at i, token at i+n-1), so two
  * n-grams share an id exactly when their token windows are equal. LCS is
- * features._lcs_length's bit-parallel algorithm on 64-bit words, with the
- * match masks over the first text's positions. GST is
+ * features._lcs_length(a, b)'s bit-parallel algorithm on 64-bit words: the
+ * match masks are over the first text's positions, and the second text's
+ * n-grams update the row. GST is
  * features._gst_tiled_length: each greedy round visits the equal, unmarked
  * (i, j) pairs in the row-major order of the full |a|×|b| scan, through an
  * index of b's positions per id, so it takes the same tiles.
@@ -670,8 +673,8 @@ static void gram_counts(Sim *s, int32_t k, int64_t la, int64_t lb,
     out[7] = sq_b;
 }
 
-/* features._lcs_length of b against the masks of a, which it keeps only
- * for the ids b holds: v has a zero bit where the DP row steps up, and
+/* features._lcs_length(a, b), with a's match masks kept only for the ids b
+ * holds: v has a zero bit where the DP row steps up, and
  * each step is v = ((v + u) | (v - u)) & full with u = v & m, where v - u =
  * v & ~m, u's bits being a subset of v's. -1 when memory runs out. */
 static int64_t lcs_length(Sim *s, int32_t k, int64_t la, int64_t lb)

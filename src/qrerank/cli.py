@@ -316,6 +316,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sigtest(args) -> int:
     from .rankeval import (
+        _mean,
         per_query_average_precision,
         randomization_test,
         read_predictions,
@@ -335,11 +336,10 @@ def _cmd_sigtest(args) -> int:
     a = [ap_a[q] for q in order]
     b = [ap_b[q] for q in order]
     p = randomization_test(a, b, resamples=args.resamples, seed=args.seed)
-    mean_a = sum(a) / len(a)
-    mean_b = sum(b) / len(b)
     print(f"queries: {len(order)}")
-    print(f"MAP a: {100.0 * mean_a:.4f}")
-    print(f"MAP b: {100.0 * mean_b:.4f}")
+    # the MAP evaluate prints: the same APs, summed in file order
+    print(f"MAP a: {100.0 * _mean(list(ap_a.values())):.4f}")
+    print(f"MAP b: {100.0 * _mean(list(ap_b.values())):.4f}")
     print(f"p_value: {p:.6f}")
     return 0
 

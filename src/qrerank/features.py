@@ -49,7 +49,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from numbers import Real
 from pathlib import Path
 
@@ -191,30 +191,26 @@ def _ngrams(tokens: tuple[str, ...], n: int) -> tuple[tuple[str, ...], ...]:
 # similarity measures
 # ---------------------------------------------------------------------------
 
-def _match_masks(seq) -> dict:
-    """Element -> bitmask of its positions in ``seq`` (bit j = position j)."""
-    masks: dict = {}
-    for j, y in enumerate(seq):
-        masks[y] = masks.get(y, 0) | (1 << j)
-    return masks
+def _lcs_length(a, b) -> int:
+    """LCS length of the sequences ``a`` and ``b``.
 
-
-def _lcs_length(a, b_masks: dict, len_b: int) -> int:
-    """LCS length of ``a`` and a sequence ``b`` given by its match masks.
-
-    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit j of ``v`` is 0 when
-    column j of the DP row steps up, so the length is the count of zeros. One
-    big-int update per element of ``a``; the result is the exact integer the
-    quadratic DP gives.
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004) over the match masks of
+    ``a``'s positions (bit i of an element's mask set where a[i] is that
+    element): bit i of ``v`` is 0 when column i of the DP row steps up, so
+    the length is the count of zeros. One big-int update per element of
+    ``b``; the result is the exact integer the quadratic DP gives.
     """
-    full = (1 << len_b) - 1
+    masks: dict = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
     v = full
-    for x in a:
-        m = b_masks.get(x)
+    for y in b:
+        m = masks.get(y)
         if m is not None:
             u = v & m
             v = ((v + u) | (v - u)) & full
-    return len_b - v.bit_count()
+    return len(a) - v.bit_count()
 
 
 def _gst_tiled_length(a, b, min_match: int) -> int:
@@ -265,32 +261,12 @@ def _gst_tiled_length(a, b, min_match: int) -> int:
     return tiled
 
 
-class _Grams:
-    """One text's n-grams of one order, ready for every measure."""
-
-    def __init__(self, tokens: tuple[str, ...], n: int):
-        self.seq = _ngrams(tokens, n)
-        self.counts = Counter(self.seq)
-
-    @cached_property
-    def masks(self) -> dict:
-        """LCS match masks, built only for the side that reads them."""
-        return _match_masks(self.seq)
-
-
 @lru_cache(maxsize=16)
 def _tokens(text: str, stopwords: frozenset) -> tuple[str, ...]:
     """``tokenize(text, stopwords)``, memoized with a small bound: in task B
     the original question recurs across its consecutive candidates, and is
     tokenized once."""
     return tokenize(text, stopwords)
-
-
-@lru_cache(maxsize=16)
-def _profile(tokens: tuple[str, ...]) -> tuple[_Grams, ...]:
-    """The n-grams of ``tokens`` for every order in SIM_NGRAM_ORDERS,
-    memoized as ``_tokens`` is."""
-    return tuple(_Grams(tokens, n) for n in SIM_NGRAM_ORDERS)
 
 
 # the ten counts per n-gram order that both engines fill, in this order,
@@ -303,25 +279,26 @@ def _python_counts(a: tuple[str, ...], b: tuple[str, ...],
     """The counts of every order of the token sequences ``a`` and ``b``:
     the GST tiled length, the LCS length, |A∩B|, |A∪B| and |A| over the
     distinct n-grams, the cosine dot product, the two sums of squared
-    counts and the two n-gram counts. This is the Python engine: the
-    fallback where the native one is unavailable, and the reference the
-    tests compare it against."""
+    counts and the two n-gram counts. This is the Python engine, the
+    mirror of the native one's ``qrerank_similarity``: each order's
+    n-grams and their counts are built afresh for each pair, as there. It
+    is the fallback where the native engine is unavailable, and the
+    reference the tests compare it against."""
     counts = []
-    for ga, gb in zip(_profile(a), _profile(b)):
-        A, B = ga.counts, gb.counts
+    for n in SIM_NGRAM_ORDERS:
+        ga, gb = _ngrams(a, n), _ngrams(b, n)
+        A, B = Counter(ga), Counter(gb)
         counts += (
-            _gst_tiled_length(ga.seq, gb.seq, min_match),
-            # LCS is symmetric: the masks of the first text serve every
-            # candidate it is paired with
-            _lcs_length(gb.seq, ga.masks, len(ga.seq)),
+            _gst_tiled_length(ga, gb, min_match),
+            _lcs_length(ga, gb),
             len(A.keys() & B.keys()),
             len(A.keys() | B.keys()),
             len(A),
             sum(c * B[g] for g, c in A.items() if g in B),
             sum(map(operator.mul, A.values(), A.values())),
             sum(map(operator.mul, B.values(), B.values())),
-            len(ga.seq),
-            len(gb.seq),
+            len(ga),
+            len(gb),
         )
     return counts
 

@@ -56,15 +56,16 @@ the DP's ``λ²·v`` seed, its M recurrence and next level ``D·(λ²·M)``, STK
 ``d *= 1 + child``), sums with the partials of ``math.fsum`` (any exactly
 rounded sum equals it), and is compiled with ``-ffp-contract=off`` and
 without ``-ffast-math``, so no multiply-add is fused and no sum reordered.
-The Python engine (``_ptk``, ``_stk``) also caches the child-sequence DP per
-child-Δ block (flattened, with its width); it runs where the native engine
-cannot be built or loaded (one WARNING names why) and serves the tests as
-the reference. No option selects an engine. The memo holds one row's work,
-not the whole call's, while the table holds every tree of the call, rows
-and columns alike, compiled before the first row; a row only reads it. A
-Gram (``gram_matrix``, ``write_gram``) and ``kernel_matrix`` log one INFO
-line with the call's tree pairs, distinct subtrees, Δ values, DP runs and
-the engine that ran. No state outlives a call.
+The Python engine mirrors it function for function (``_tree_pair``,
+``_delta_ptk``, ``_delta_stk``, ``_subsequence_sum``), caching nothing
+more; it runs where the native engine cannot be built or loaded (one
+WARNING names why) and serves the tests as the reference. No option
+selects an engine. The memo holds one row's work, not the whole call's,
+while the table holds every tree of the call, rows and columns alike,
+compiled before the first row; a row only reads it. A Gram (``gram_matrix``,
+``write_gram``) and ``kernel_matrix`` log one INFO line with the call's
+tree pairs, distinct subtrees, Δ values, DP runs (the same from either
+engine) and the engine that ran. No state outlives a call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -222,11 +223,10 @@ class _Subtrees:
             self.forest.extend(column)
         return at
 
-    def tally(self, pairs: int, deltas: int, dp_runs: int,
-              engine: str) -> None:
+    def tally(self, pairs: int, deltas: int, engine: str) -> None:
+        """Add a tree block's work; its DP runs are counted as they run."""
         self.pairs += pairs
         self.deltas += deltas
-        self.dp_runs += dp_runs
         self.engine = engine
 
     def report(self, call: str) -> None:
@@ -270,40 +270,7 @@ def _add_times(terms: list, d: float, c: int) -> None:
         b += 1
 
 
-def _stk(t1: int, t2: int, lam: float, sub: _Subtrees, memo: dict) -> float:
-    prods, off, kids = sub.prods, sub.kid_off, sub.kid_ids
-    buckets2 = _buckets(sub.forest, t2)
-    terms = []
-    for s1, c1 in _nodes(sub.forest, t1):
-        for s2, c2 in buckets2.get(prods[s1], ()):
-            d = memo.get((s1, s2))
-            if d is None:
-                d = lam
-                for x, y in zip(kids[off[s1]:off[s1 + 1]],
-                                kids[off[s2]:off[s2 + 1]]):
-                    d *= 1.0 + memo.get((x, y), 0.0)
-                memo[s1, s2] = d
-            if c1 * c2 == 1:
-                terms.append(d)
-            else:
-                _add_times(terms, d, c1 * c2)
-    return math.fsum(terms)
-
-
-def stk(t1: str, t2: str, lam: float = 0.4) -> float:
-    """Subset-tree kernel between two trees, each its bracketed text.
-
-    K = Σ_{n1∈t1, n2∈t2} Δ(n1, n2) where Δ is 0 unless the productions at
-    n1 and n2 are identical, and otherwise λ·∏_j (1 + Δ(child_j, child_j)).
-    Leaf children contribute a bare factor 1, so a matching preterminal pair
-    scores exactly λ. Symmetric in its tree arguments (bit-for-bit: the
-    child products run in the same positional order either way, and the
-    final reduction is an exactly rounded sum).
-    """
-    return _one_pair(t1, t2, KernelConfig(tk_kind="STK", lam=lam))
-
-
-def _subsequence_sum(D: list[tuple[float, ...]], lam: float) -> float:
+def _subsequence_sum(D: list[list[float]], lam: float) -> float:
     """Σ over pairs of equal-length nonempty child subsequences of
     λ^{span(J1)+span(J2)} · ∏ Δ(paired children), via the subsequence-kernel
     dynamic program; D[i][j] is Δ of the i-th and j-th children."""
@@ -342,37 +309,68 @@ def _subsequence_sum(D: list[tuple[float, ...]], lam: float) -> float:
     return math.fsum(terms)
 
 
-def _ptk(t1: int, t2: int, lam: float, mu: float, sub: _Subtrees,
-         memo: dict, blocks: dict) -> float:
+def _delta_ptk(s1: int, s2: int, lam: float, mu: float, sub: _Subtrees,
+               memo: dict) -> float:
+    """PTK's Δ of two subtrees of one label: (μλ)λ when either is
+    childless, μ(λ² + λ²·Δ) for one child each, else μ(λ² + the DP over
+    their child block), a run counted in ``sub.dp_runs``."""
+    off, kids = sub.kid_off, sub.kid_ids
+    a, b = kids[off[s1]:off[s1 + 1]], kids[off[s2]:off[s2 + 1]]
     lam2 = lam * lam
-    mu_lam2 = mu * lam * lam    # a childless node; (μλ)λ, not μ(λλ)
-    labels, off, kids = sub.labels, sub.kid_off, sub.kid_ids
+    if not a or not b:
+        return mu * lam * lam
+    if len(a) == 1 and len(b) == 1:     # the DP's one term is λ²·Δ
+        return mu * (lam2 + lam2 * memo.get((a[0], b[0]), 0.0))
+    sub.dp_runs += 1
+    return mu * (lam2 + _subsequence_sum(
+        [[memo.get((x, y), 0.0) for y in b] for x in a], lam))
+
+
+def _delta_stk(s1: int, s2: int, lam: float, sub: _Subtrees,
+               memo: dict) -> float:
+    """STK's Δ of two subtrees of one production: λ·∏ (1 + Δ(child pair))
+    over their children in position order."""
+    off, kids = sub.kid_off, sub.kid_ids
+    d = lam
+    for x, y in zip(kids[off[s1]:off[s1 + 1]], kids[off[s2]:off[s2 + 1]]):
+        d *= 1.0 + memo.get((x, y), 0.0)
+    return d
+
+
+def _tree_pair(kind: str, t1: int, t2: int, lam: float, mu: float,
+               sub: _Subtrees, memo: dict) -> float:
+    """The raw kernel between the compiled trees at offsets t1 (row side)
+    and t2 (column side): the exactly rounded sum of c1·c2 times Δ over the
+    subtree pairs the buckets match, each Δ read from or put in ``memo``."""
+    is_ptk = kind == "PTK"
+    key_of = sub.labels if is_ptk else sub.prods
     buckets2 = _buckets(sub.forest, t2)
     terms = []
     for s1, c1 in _nodes(sub.forest, t1):
-        for s2, c2 in buckets2.get(labels[s1], ()):
+        for s2, c2 in buckets2.get(key_of[s1], ()):
             d = memo.get((s1, s2))
             if d is None:
-                a = kids[off[s1]:off[s1 + 1]]
-                b = kids[off[s2]:off[s2 + 1]]
-                if not a or not b:
-                    d = mu_lam2
-                elif len(a) == 1 and len(b) == 1:   # the DP's one term is λ²·Δ
-                    d = mu * (lam2 + lam2 * memo.get((a[0], b[0]), 0.0))
-                else:
-                    m = len(b)
-                    key = (m, *[memo.get((x, y), 0.0) for x in a for y in b])
-                    s = blocks.get(key)
-                    if s is None:
-                        s = blocks[key] = _subsequence_sum(
-                            [key[k:k + m] for k in range(1, len(key), m)], lam)
-                    d = mu * (lam2 + s)
-                memo[s1, s2] = d
+                d = memo[s1, s2] = (
+                    _delta_ptk(s1, s2, lam, mu, sub, memo) if is_ptk
+                    else _delta_stk(s1, s2, lam, sub, memo))
             if c1 * c2 == 1:
                 terms.append(d)
             else:
                 _add_times(terms, d, c1 * c2)
     return math.fsum(terms)
+
+
+def stk(t1: str, t2: str, lam: float = 0.4) -> float:
+    """Subset-tree kernel between two trees, each its bracketed text.
+
+    K = Σ_{n1∈t1, n2∈t2} Δ(n1, n2) where Δ is 0 unless the productions at
+    n1 and n2 are identical, and otherwise λ·∏_j (1 + Δ(child_j, child_j)).
+    Leaf children contribute a bare factor 1, so a matching preterminal pair
+    scores exactly λ. Symmetric in its tree arguments (bit-for-bit: the
+    child products run in the same positional order either way, and the
+    final reduction is an exactly rounded sum).
+    """
+    return _one_pair(t1, t2, KernelConfig(tk_kind="STK", lam=lam))
 
 
 def ptk(t1: str, t2: str, lam: float = 0.4, mu: float = 0.4) -> float:
@@ -405,8 +403,7 @@ def _tree_block(kind: str, lam: float, mu: float, sub: _Subtrees,
     The native engine computes the block when it is available; else, or if
     it reports running out of memory or an overflowing sum, the Python
     engine does, so an error is raised as ``math.fsum`` raises it. One Δ
-    memo serves the block and is dropped after it; the Python engine adds a
-    child-block DP cache."""
+    memo serves the block and is dropped after it."""
     row = np.ascontiguousarray(row, dtype=np.int64)
     cols = np.ascontiguousarray(cols, dtype=np.int64)
     if cols.ndim != 2 or cols.shape[1] != len(row):
@@ -425,14 +422,14 @@ def _tree_block(kind: str, lam: float, mu: float, sub: _Subtrees,
                                                sub.forest)),
                 len(row), row.ctypes.data, len(cols), cols.ctypes.data,
                 out.ctypes.data, work.ctypes.data) == 0:
-            sub.tally(out.size, *work.tolist(), "native")
+            sub.dp_runs += int(work[1])
+            sub.tally(out.size, int(work[0]), "native")
             return out
-    memo, blocks = {}, {}
+    memo = {}
     for j, col in enumerate(cols.tolist()):
         for k, (t1, t2) in enumerate(zip(row.tolist(), col)):
-            out[j, k] = (_stk(t1, t2, lam, sub, memo) if kind == "STK"
-                         else _ptk(t1, t2, lam, mu, sub, memo, blocks))
-    sub.tally(out.size, len(memo), len(blocks), "python")
+            out[j, k] = _tree_pair(kind, t1, t2, lam, mu, sub, memo)
+    sub.tally(out.size, len(memo), "python")
     return out
 
 

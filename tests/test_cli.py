@@ -201,6 +201,24 @@ class TestSubcommandFlow:
         out = capsys.readouterr().out
         assert "p_value: 1.000000" in out
 
+    def test_sigtest_prints_the_map_evaluate_prints(self, tmp_path, capsys):
+        # 12 queries whose mean AP lies near a tie at 4 decimals: summed in
+        # numpy's pairwise order, as evaluate sums, it prints 56.7188, and
+        # summed left to right 56.7187
+        golds = ["000100", "01", "0000010000", "1000", "1100", "00000100",
+                 "0010", "100", "1000", "0001100101", "1010000", "000010"]
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("".join(
+            f"q{q:02d}\tc{k}\t{k}\t0.0\t{'true' if g == '1' else 'false'}\n"
+            for q, gold in enumerate(golds) for k, g in enumerate(gold, 1)),
+            encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(pred)]) == 0
+        assert "MAP: 56.7188\n" in capsys.readouterr().out
+        assert main(["sigtest", "--predictions-a", str(pred),
+                     "--predictions-b", str(pred)]) == 0
+        out = capsys.readouterr().out
+        assert "MAP a: 56.7188\nMAP b: 56.7188\n" in out
+
     def test_flags_override_config_file(self, corpora, tmp_path):
         train, _ = corpora
         cfg_file = tmp_path / "run.cfg"

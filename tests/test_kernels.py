@@ -1346,10 +1346,7 @@ def expanded_sum(kind, t1, t2, lam, mu):
     sub = kernels._Subtrees()
     a, b = sub.compile(t1), sub.compile(t2)
     memo = {}
-    if kind == "PTK":
-        kernels._ptk(a, b, lam, mu, sub, memo, {})
-    else:
-        kernels._stk(a, b, lam, sub, memo)
+    kernels._tree_pair(kind, a, b, lam, mu, sub, memo)
     key = sub.labels if kind == "PTK" else sub.prods
     buckets = kernels._buckets(sub.forest, b)
     return math.fsum(memo[s1, s2]
@@ -1440,15 +1437,30 @@ class TestSharedSubtrees:
         # 2·(2 + 3) self-kernels
         assert messages[0].startswith("gram_matrix: 20 tree pairs, ")
         assert messages[1].startswith("kernel_matrix: 22 tree pairs, ")
-        for pairs, subtrees, deltas, dp_runs in counts:
+        # the tree blocks, as (row example, column examples): each
+        # example's self-kernels, then each row against its columns
+        selfs = [(i, [i]) for i in range(5)]
+        gram = selfs[:4] + [(i, range(i)) for i in range(4)]
+        scoring = selfs + [(i, range(2, 5)) for i in range(2)]
+        for (_, subtrees, deltas, dp_runs), called, blocks in zip(
+                counts, (ex[:4], ex[:5]), (gram, scoring)):
+            texts = [t for e in called for t in (e.tree_first, e.tree_second)]
+            _, labels, _, kids, forests = subtree_table(texts)
+            # the distinct subtrees of the call's trees, rows and columns
+            assert subtrees == len(labels)
+            # per block, the distinct PTK-matched subtree pairs, and those
+            # whose child lists are both non-empty and not both of length
+            # 1, which run the DP
+            nodes = [f[2:2 + f[0]] for f in forests]
+            matched = [{(s1, s2) for j in cols for t in (0, 1)
+                        for s1 in nodes[2 * i + t] for s2 in nodes[2 * j + t]
+                        if labels[s1] == labels[s2]} for i, cols in blocks]
+            assert deltas == sum(map(len, matched))
+            assert dp_runs == len([
+                (s1, s2) for pairs in matched for s1, s2 in pairs
+                if kids[s1] and kids[s2]
+                and (len(kids[s1]), len(kids[s2])) != (1, 1)])
             assert 0 < dp_runs < deltas
-        # the distinct subtrees of the call's trees, rows and columns alike
-        for (_, subtrees, _, _), called in zip(counts, (ex[:4], ex[:5])):
-            sub = kernels._Subtrees()
-            for e in called:
-                sub.compile(e.tree_first)
-                sub.compile(e.tree_second)
-            assert subtrees == len(sub.labels)
 
     def test_the_table_is_the_post_order_walk_of_the_trees(self):
         # the ids, keys and packed trees do not depend on the text's
@@ -1601,17 +1613,25 @@ class TestNativeEngine:
             float.hex(ptk(tree, tree, 1.0, 1.0))])
         assert native == python
 
-    def test_log_names_the_engine(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("kind,call", [("PTK", "gram_matrix"),
+                                           ("STK", "gram_matrix"),
+                                           ("PTK", "kernel_matrix")])
+    def test_log_names_the_engine(self, monkeypatch, caplog, kind, call):
         ex = random_forest()[:4]
-        cfg = KernelConfig(use_tk=True, use_sim=False)
+        cfg = KernelConfig(use_tk=True, use_sim=False, tk_kind=kind)
         with caplog.at_level("INFO", logger="qrerank.kernels"):
-            both_engines(monkeypatch, lambda: gram_matrix(ex, cfg))
+            both_engines(monkeypatch, lambda: gram_matrix(ex, cfg)
+                         if call == "gram_matrix"
+                         else kernel_matrix(ex[:2], ex[1:], cfg))
         native, python = [r.getMessage() for r in caplog.records]
+        assert native.startswith(f"{call}: ")
         assert native.endswith(", native engine")
         assert python.endswith(", python engine")
-        # the same pairs and subtrees; the Python engine caches child
-        # blocks, so it runs fewer DPs
-        assert native.split(",")[:2] == python.split(",")[:2]
+        # the same tree pairs, subtrees, Δ values and DP runs
+        assert (native.removesuffix(", native engine")
+                == python.removesuffix(", python engine"))
+        dp_runs = int(re.search(r"(\d+) child-block DP runs", native)[1])
+        assert (dp_runs > 0) == (kind == "PTK")
 
 
 def fresh_loader(monkeypatch, tmp_path):
