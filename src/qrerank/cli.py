@@ -21,13 +21,18 @@ except ``--stopwords`` (``stopword_path``), ``--embeddings``
 (``embedding_path``), ``--svm-c`` (``train.C``) and ``--smo-eps``
 (``train.eps``).  No stage but ``sigtest`` takes a seed.
 
-This module imports only ``config`` and ``errors``; each subcommand imports
-the modules it calls when it runs.  So ``--help`` and a usage error load no
-numpy, and neither do ``evaluate``, whose ``rankeval`` needs none, and
-``featurize``, whose ``pipeline`` and ``features`` hold plain float vectors
-(unless ``use_ptk_feature`` asks for the tree kernels).  ``gram``, ``train``,
-``rerank`` and ``sigtest`` compute with numpy.  A run builds the config
-flags of its own subcommand only.
+At import this module loads only ``argparse``, ``os``, ``sys`` and
+``errors``; each subcommand imports the modules it calls when it runs.  The
+config schema (:func:`config_schema`) is derived from ``config`` the first
+time one of the stages that take config flags (``featurize``, ``gram``,
+``train`` and ``rerank``) builds its parser, and only those four stages
+import and configure ``logging``.  So ``qrerank --help``, a missing or
+unknown subcommand, ``evaluate`` and ``sigtest`` load neither ``config``
+nor ``logging``.  No ``--help`` or usage error loads numpy, and neither do
+``evaluate`` and ``featurize``, whose ``pipeline`` and ``features`` hold
+plain float vectors (unless ``use_ptk_feature`` asks for the tree
+kernels).  ``gram``, ``train``, ``rerank`` and ``sigtest`` compute with
+numpy.  A run builds the config flags of its own subcommand only.
 
 Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
 failures.  When ``--stopwords`` names a relative path that does not exist,
@@ -35,27 +40,15 @@ the directory in the ``QRERANK_STOPWORDS_DIR`` environment variable is tried
 as a fallback location.
 """
 
-from __future__ import annotations
-
 import argparse
-import logging
 import os
 import sys
-from dataclasses import fields, is_dataclass
 
-from .config import (
-    MTE_SIDES,
-    RANK_MODES,
-    TASKS,
-    TK_KINDS,
-    VECTOR_KERNELS,
-    RunConfig,
-)
 from .errors import DataError, NumericalError, open_text
 
-logger = logging.getLogger(__name__)
-
 ENV_STOPWORD_DIR = "QRERANK_STOPWORDS_DIR"
+# the subcommands that take the config flags, and the only ones that log
+CONFIG_COMMANDS = ("featurize", "gram", "train", "rerank")
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +87,45 @@ _PARSERS = {
     "frozenset[str]": _parse_labels,
 }
 
-
-def _config_fields(cls, prefix=""):
-    """Yield (key, type) for each field of config class ``cls``, in order:
-    its annotation, or the class a nested config's annotation names in the
-    module of ``cls``. A nested config yields its class under the plain key,
-    before its fields under ``key.``. The annotations are read as strings,
-    as ``config._int_fields`` does; ``typing.get_type_hints`` would
-    evaluate every one of them."""
-    scope = vars(sys.modules[cls.__module__])
-    for f in fields(cls):
-        key, nested = prefix + f.name, scope.get(f.type)
-        if is_dataclass(nested):
-            yield key, nested
-            yield from _config_fields(nested, key + ".")
-        else:
-            yield key, f.type
+_schema = None
 
 
-_FIELDS = dict(_config_fields(RunConfig))
-# settable key -> value parser
-CONFIG_SCHEMA = {key: _PARSERS[hint] for key, hint in _FIELDS.items()
-                 if not is_dataclass(hint)}
-# nested config key -> its class, each after the config that holds it
-_NESTED = {key: hint for key, hint in _FIELDS.items() if is_dataclass(hint)}
+def config_schema() -> tuple[dict, dict]:
+    """The config keys, derived from the fields of :class:`RunConfig` on
+    the first call: (settable key -> value parser, nested config key -> its
+    class, each after the config that holds it). A nested config's fields
+    take the dotted keys under its own. Only the stages that take config
+    flags call this."""
+    global _schema
+    if _schema is None:
+        from dataclasses import fields, is_dataclass
+
+        from .config import RunConfig
+
+        def walk(cls, prefix=""):
+            # (key, annotation) per field, or the class a nested config's
+            # annotation names in the module of ``cls``; the annotations
+            # are read as strings, as ``config._int_fields`` does
+            scope = vars(sys.modules[cls.__module__])
+            for f in fields(cls):
+                key, nested = prefix + f.name, scope.get(f.type)
+                if is_dataclass(nested):
+                    yield key, nested
+                    yield from walk(nested, key + ".")
+                else:
+                    yield key, f.type
+
+        found = dict(walk(RunConfig))
+        _schema = ({key: _PARSERS[hint] for key, hint in found.items()
+                    if not is_dataclass(hint)},
+                   {key: hint for key, hint in found.items()
+                    if is_dataclass(hint)})
+    return _schema
 
 
 def parse_config_file(path) -> dict:
     """Read a flat ``key = value`` config file into typed settings."""
+    parsers, _ = config_schema()
     settings: dict = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -136,12 +140,12 @@ def parse_config_file(path) -> dict:
             value = value.strip()
             if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
                 value = value[1:-1]
-            if key not in CONFIG_SCHEMA:
+            if key not in parsers:
                 raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in settings:
                 raise DataError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
-                settings[key] = CONFIG_SCHEMA[key](value)
+                settings[key] = parsers[key](value)
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad value for {key!r}: "
                                 f"{exc}") from exc
@@ -162,13 +166,16 @@ def resolve_stopword_path(path: str | None) -> str | None:
     return path
 
 
-def build_run_config(settings: dict) -> RunConfig:
+def build_run_config(settings: dict):
     """Assemble a RunConfig from flat (possibly dotted) settings."""
-    unknown = set(settings) - set(CONFIG_SCHEMA)
+    from .config import RunConfig
+
+    parsers, nested = config_schema()
+    unknown = set(settings) - set(parsers)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
     # keyword arguments per config, by its key; "" is the RunConfig itself
-    kwargs: dict[str, dict] = {"": {}, **{key: {} for key in _NESTED}}
+    kwargs: dict[str, dict] = {"": {}, **{key: {} for key in nested}}
     for key, value in settings.items():
         owner, _, name = key.rpartition(".")
         kwargs[owner][name] = value
@@ -176,9 +183,9 @@ def build_run_config(settings: dict) -> RunConfig:
         kwargs[""]["stopword_path"] = resolve_stopword_path(
             settings["stopword_path"])
     try:
-        for key in reversed(_NESTED):        # inner configs first
+        for key in reversed(nested):        # inner configs first
             owner, _, name = key.rpartition(".")
-            kwargs[owner][name] = _NESTED[key](**kwargs[key])
+            kwargs[owner][name] = nested[key](**kwargs[key])
         return RunConfig(**kwargs[""])
     except TypeError as exc:
         raise DataError(f"bad configuration: {exc}") from exc
@@ -188,31 +195,32 @@ def build_run_config(settings: dict) -> RunConfig:
 # flag definitions
 # ---------------------------------------------------------------------------
 
-# A key's flag is its last dotted part with "-" for "_", and its metavar that
-# part in capitals; these keys deviate or add choices or help.
-_FLAG_OPTIONS = {
-    "task": {"choices": TASKS},
-    "rank_mode": {"choices": RANK_MODES},
-    "mte_side": {"choices": MTE_SIDES},
-    "stopword_path": {
-        "flag": "stopwords", "metavar": "FILE",
-        "help": f"stopword list (relative paths also searched in "
-                f"${ENV_STOPWORD_DIR})"},
-    "embedding_path": {"flag": "embeddings", "metavar": "FILE",
-                       "help": "tab-separated id/vector file"},
-    "kernel.tk_kind": {"choices": TK_KINDS},
-    "kernel.rank_kernel": {"choices": VECTOR_KERNELS},
-    "kernel.vec_kernel": {"choices": VECTOR_KERNELS},
-    "rel.phrase_labels": {"metavar": "NP,VP,PP"},
-    "train.C": {"flag": "svm-c", "metavar": "C"},
-    "train.eps": {"flag": "smo-eps"},
-}
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    from .config import MTE_SIDES, RANK_MODES, TASKS, TK_KINDS, VECTOR_KERNELS
+
+    # A key's flag is its last dotted part with "-" for "_", and its metavar
+    # that part in capitals; these keys deviate or add choices or help.
+    flag_options = {
+        "task": {"choices": TASKS},
+        "rank_mode": {"choices": RANK_MODES},
+        "mte_side": {"choices": MTE_SIDES},
+        "stopword_path": {
+            "flag": "stopwords", "metavar": "FILE",
+            "help": f"stopword list (relative paths also searched in "
+                    f"${ENV_STOPWORD_DIR})"},
+        "embedding_path": {"flag": "embeddings", "metavar": "FILE",
+                           "help": "tab-separated id/vector file"},
+        "kernel.tk_kind": {"choices": TK_KINDS},
+        "kernel.rank_kernel": {"choices": VECTOR_KERNELS},
+        "kernel.vec_kernel": {"choices": VECTOR_KERNELS},
+        "rel.phrase_labels": {"metavar": "NP,VP,PP"},
+        "train.C": {"flag": "svm-c", "metavar": "C"},
+        "train.eps": {"flag": "smo-eps"},
+    }
+    parsers, _ = config_schema()
     parser.add_argument("--config", help="flat key=value config file")
-    for key, parse in CONFIG_SCHEMA.items():
-        options = dict(_FLAG_OPTIONS.get(key, {}))
+    for key, parse in parsers.items():
+        options = dict(flag_options.get(key, {}))
         flag = options.pop("flag", key.rpartition(".")[2].replace("_", "-"))
         if parse is _parse_bool:
             options["action"] = argparse.BooleanOptionalAction
@@ -226,9 +234,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             **options)
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: argparse.Namespace):
+    parsers, _ = config_schema()
     settings = parse_config_file(args.config) if args.config else {}
-    for key in CONFIG_SCHEMA:
+    for key in parsers:
         if hasattr(args, key):
             settings[key] = getattr(args, key)
     return build_run_config(settings)
@@ -271,7 +280,8 @@ def _cmd_train(args) -> int:
     lower, fingerprint = load_gram_lower(args.gram)
     current = config_fingerprint(cfg.kernel)
     if fingerprint != current:
-        logger.warning(
+        import logging
+        logging.getLogger(__name__).warning(
             "gram file was computed under a different kernel config "
             "(%s... vs current %s...)", fingerprint[:12], current[:12])
     labels = load_labels(args.examples)
@@ -417,8 +427,10 @@ def main(argv=None) -> int:
     # the parser is some 50 kB of objects tied in reference cycles; with no
     # reference left, the cycle collector can free it while the stage runs
     del parser
-    logging.basicConfig(level=logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    if args.command in CONFIG_COMMANDS:
+        import logging
+        logging.basicConfig(level=logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (DataError, OSError) as exc:

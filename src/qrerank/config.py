@@ -134,7 +134,8 @@ class KernelConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     """Solver knobs. C scales per class via c_scale_pos / c_scale_neg
-    (both 1.0 by default — no class weighting). max_passes caps the number
+    (both 1.0 by default — no class weighting); each class's box bound
+    C · c_scale must be positive and finite. max_passes caps the number
     of pair-update steps, not of passes over the data."""
 
     C: float = 1.0
@@ -146,16 +147,20 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_ints(self)
-        if not self.C > 0:
-            raise DataError(f"C must be positive, got {self.C}")
+        if not 0.0 < self.C < math.inf:
+            raise DataError(f"C must be positive and finite, got {self.C}")
         if not 0.0 < self.tol < math.inf:
             raise DataError(f"tol must be positive and finite, got {self.tol}")
         if not 0.0 < self.eps < math.inf:
             raise DataError(f"eps must be positive and finite, got {self.eps}")
         if self.max_passes < 1:
             raise DataError("max_passes must be >= 1")
-        if not (self.c_scale_pos > 0 and self.c_scale_neg > 0):
-            raise DataError("per-class C multipliers must be positive")
+        for name in ("c_scale_pos", "c_scale_neg"):
+            scale = getattr(self, name)
+            if not 0.0 < self.C * scale < math.inf:
+                raise DataError(
+                    f"the box bound C * {name} = {self.C} * {scale} must be "
+                    f"positive and finite")
 
 
 @dataclass(frozen=True)

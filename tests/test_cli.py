@@ -109,7 +109,8 @@ class TestConfigFile:
         path.write_text(readme.split("# experiment.cfg\n")[1].split("```")[0],
                         encoding="utf-8")
         settings = parse_config_file(path)
-        assert set(settings) == set(cli.CONFIG_SCHEMA)
+        parsers, _ = cli.config_schema()
+        assert set(settings) == set(parsers)
         assert build_run_config(settings) == RunConfig(
             stopword_path="english.txt", embedding_path="embeddings.tsv")
 
@@ -431,6 +432,23 @@ class TestExitCodes:
         assert main([*stage[flag], "--out", str(out), flag, "inf"]) == 2
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--svm-c", "inf"], ["--c-scale-neg", "inf"],
+        ["--svm-c", "1e200", "--c-scale-pos", "1e200"]],
+        ids=["C", "c-scale-neg", "overflow"])
+    def test_a_non_finite_box_bound_is_2(self, flags, corpora, tmp_path,
+                                         capsys):
+        train_ex = tmp_path / "train.ex"
+        gram = tmp_path / "g.gram"
+        main(["featurize", "--corpus", str(corpora[0]), "--out", str(train_ex)])
+        main(["gram", "--examples", str(train_ex), "--out", str(gram)])
+        model = tmp_path / "model.txt"
+        capsys.readouterr()
+        assert main(["train", "--gram", str(gram), "--examples", str(train_ex),
+                     "--out", str(model), *flags]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("stage", ["sigtest"])
     def test_negative_seed_is_2(self, stage, tmp_path, capsys):
@@ -1020,7 +1038,8 @@ def _dotted(cfg, key):
 class TestCliSurface:
     def test_every_config_key_has_one_flag(self):
         assert len(CLI_SURFACE) == 30
-        assert set(CLI_SURFACE) == set(cli.CONFIG_SCHEMA)
+        parsers, _ = cli.config_schema()
+        assert set(CLI_SURFACE) == set(parsers)
 
     @pytest.mark.parametrize("key,argv,text", list(_surface_cases()),
                              ids=lambda p: " ".join(p)

@@ -1,9 +1,11 @@
 """The import boundary: ``import qrerank`` and the CLI load no numpy until a
-stage that computes with it runs, and the lazy package still exposes every
-public name. Each case runs in a fresh interpreter, since this process has
-imported everything already."""
+stage that computes with it runs, the CLI loads the config schema and
+``logging`` only for the stages that take config flags, and the lazy package
+still exposes every public name. Each case runs in a fresh interpreter,
+since this process has imported everything already."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,15 +16,16 @@ import qrerank
 from qrerank.cli import main
 
 from conftest import write_corpus
+from test_cli import CLI_SURFACE
 
 SRC = str(Path(qrerank.__file__).parent.parent)
 TRACED = ("features", "kernels", "svm", "rankeval", "pipeline", "rellink",
           "treebank")
 
 
-def run(code: str, cwd=None) -> str:
+def run(code: str, cwd=None, **env) -> str:
     done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=SRC),
+                          env=dict(os.environ, PYTHONPATH=SRC, **env),
                           capture_output=True, text=True, check=True)
     return done.stdout
 
@@ -47,11 +50,46 @@ def test_help_and_usage_errors_load_no_numpy(argv, code):
 
 
 def test_evaluate_loads_no_numpy(tmp_path):
-    (tmp_path / "p.tsv").write_text(
-        "q1\tc1\t1\t0.5\ttrue\nq1\tc2\t2\t0.25\tfalse\n", encoding="utf-8")
+    (tmp_path / "p.tsv").write_text(PREDICTIONS, encoding="utf-8")
     assert numpy_loaded_after(
         "cli.main(['evaluate', '--predictions', 'p.tsv'])",
         cwd=tmp_path) == (0, False)
+
+
+PREDICTIONS = "q1\tc1\t1\t0.5\ttrue\nq1\tc2\t2\t0.25\tfalse\n"
+STARTUP_CASES = {
+    "help": ["--help"],
+    "no-subcommand": [],
+    "unknown-subcommand": ["bogus"],
+    "evaluate": ["evaluate", "--predictions", "p.tsv"],
+    "sigtest": ["sigtest", "--predictions-a", "p.tsv",
+                "--predictions-b", "p.tsv"],
+}
+
+
+@pytest.mark.parametrize("name", STARTUP_CASES)
+def test_only_the_config_stages_load_the_schema_and_logging(name, tmp_path):
+    """(A ``.pth`` file of the interpreter's site may import ``logging`` at
+    start-up, so the child drops it from ``sys.modules`` first.)"""
+    (tmp_path / "p.tsv").write_text(PREDICTIONS, encoding="utf-8")
+    argv = STARTUP_CASES[name]
+    out = run("import sys\nsys.modules.pop('logging', None)\n"
+              "from qrerank import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, *(m in sys.modules for m in"
+              " ('qrerank.config', 'logging', 'numpy')))", cwd=tmp_path)
+    code = 0 if name in ("help", "evaluate", "sigtest") else 1
+    assert out.split()[-4:] == [str(code), "False", "False",
+                                str(name == "sigtest")]
+
+
+def test_gram_help_lists_every_config_flag():
+    out = run("from qrerank import cli\ncli.main(['gram', '--help'])",
+              COLUMNS="200")
+    shown = {re.split(r"\s{2,}", line.strip())[0]
+             for line in out.splitlines() if line.startswith("  -")}
+    assert shown == {shown for shown, _ in CLI_SURFACE.values()} | {
+        "-h, --help", "--examples EXAMPLES", "--out OUT", "--config CONFIG"}
 
 
 def featurize_argv(tmp_path):

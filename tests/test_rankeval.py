@@ -191,7 +191,42 @@ class TestEvaluate:
         assert metrics["MAP"] == pytest.approx(50.0)
 
 
+def p_in_blocks_of_2048(ap_a, ap_b, resamples, seed):
+    """The sign-flip loop of ``randomization_test`` as it was when it drew
+    2,048 rows of signs at a time."""
+    diffs = np.asarray(ap_a, dtype=np.float64) - np.asarray(ap_b,
+                                                            dtype=np.float64)
+    observed = abs(float(diffs.mean()))
+    rng = np.random.default_rng(seed)
+    count = done = 0
+    while done < resamples:
+        size = min(2048, resamples - done)
+        signs = rng.integers(0, 2, size=(size, diffs.size)) * 2 - 1
+        resampled = np.abs((signs * diffs).mean(axis=1))
+        count += int(np.count_nonzero(resampled >= observed))
+        done += size
+    return (count + 1) / (resamples + 1)
+
+
+# (queries, resamples, seed): 26 and 70 queries are the benchmark's and the
+# paper's test sets; the rest are drawn below
+BLOCK_CASES = [(1, 1000, 0), (26, 10000, 0), (70, 10000, 0),
+               (70, 2049, 7), (399, 12000, 999)] + [
+    (int(rng.integers(1, 400)), int(rng.integers(1000, 12001)),
+     int(rng.integers(0, 1000)))
+    for rng in map(make_rng, range(10))]
+
+
 class TestRandomizationTest:
+    @pytest.mark.parametrize("n,resamples,seed", BLOCK_CASES)
+    def test_the_block_size_changes_no_p_value(self, n, resamples, seed):
+        rng = make_rng(n + seed)
+        # cutoff-10 APs lie on a grid of tenths, with ties
+        a = rng.integers(0, 11, size=n) / 10
+        b = rng.integers(0, 11, size=n) / 10
+        assert randomization_test(a, b, resamples, seed) == \
+            p_in_blocks_of_2048(a, b, resamples, seed)
+
     def test_identical_lists_give_p_one(self):
         a = [0.5, 0.7, 0.9, 0.2]
         assert randomization_test(a, a, resamples=1000, seed=3) == 1.0

@@ -219,6 +219,20 @@ class TestValidation:
         with pytest.raises(DataError):
             TrainConfig(tol=-1.0)
 
+    @pytest.mark.parametrize("knobs", [
+        dict(C=np.inf), dict(C=np.nan), dict(c_scale_pos=np.inf),
+        dict(c_scale_neg=np.inf), dict(C=1e200, c_scale_pos=1e200),
+        dict(C=1e-200, c_scale_neg=1e-200)],
+        ids=["C-inf", "C-nan", "pos-inf", "neg-inf", "overflow", "underflow"])
+    def test_a_box_bound_that_is_not_positive_and_finite_is_refused(
+            self, knobs):
+        with pytest.raises(DataError, match="must be positive and finite"):
+            TrainConfig(**knobs)
+
+    def test_a_large_finite_box_bound_is_kept(self):
+        cfg = TrainConfig(C=1e150, c_scale_pos=1e150, c_scale_neg=1e-150)
+        assert 1e299 < cfg.C * cfg.c_scale_pos < 1e301
+
 
 class TestModelFile:
     def make_model(self):
