@@ -202,7 +202,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     # that part in capitals; these keys deviate or add choices or help.
     flag_options = {
         "task": {"choices": TASKS},
-        "rank_mode": {"choices": RANK_MODES},
         "mte_side": {"choices": MTE_SIDES},
         "stopword_path": {
             "flag": "stopwords", "metavar": "FILE",
@@ -211,6 +210,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "embedding_path": {"flag": "embeddings", "metavar": "FILE",
                            "help": "tab-separated id/vector file"},
         "kernel.tk_kind": {"choices": TK_KINDS},
+        "kernel.rank_mode": {"choices": RANK_MODES},
         "kernel.rank_kernel": {"choices": VECTOR_KERNELS},
         "kernel.vec_kernel": {"choices": VECTOR_KERNELS},
         "rel.phrase_labels": {"metavar": "NP,VP,PP"},

@@ -96,6 +96,8 @@ class KernelConfig:
     gamma (γ): RBF width; ``None`` means 1/dim of the block the RBF applies
         to, resolved at evaluation time.
     tk_kind: which tree kernel the pair kernel uses.
+    rank_mode: the rank feature, the candidate's search rank as it is
+        (AS_IS) or inverted (INVERSE), computed from ``original_rank``.
     rank_kernel / vec_kernel: LINEAR or RBF for the rank feature and the
         dense feature vector respectively.
     normalize_tk: normalize each tree-kernel summand by its self-kernels.
@@ -106,6 +108,7 @@ class KernelConfig:
     lam: float = 0.4
     mu: float = 0.4
     gamma: float | None = None
+    rank_mode: str = "INVERSE"
     rank_kernel: str = "LINEAR"
     vec_kernel: str = "RBF"
     normalize_tk: bool = True
@@ -116,6 +119,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.tk_kind not in TK_KINDS:
             raise DataError(f"tk_kind must be one of {TK_KINDS}, got {self.tk_kind!r}")
+        if self.rank_mode not in RANK_MODES:
+            raise DataError(
+                f"rank_mode must be one of {RANK_MODES}, got "
+                f"{self.rank_mode!r}")
         if self.rank_kernel not in VECTOR_KERNELS:
             raise DataError(f"rank_kernel must be one of {VECTOR_KERNELS}")
         if self.vec_kernel not in VECTOR_KERNELS:
@@ -176,7 +183,6 @@ class RunConfig:
     use_embeddings: bool = False
     use_mte: bool = False
     mte_side: str = "qo"
-    rank_mode: str = "INVERSE"
     gst_min_match: int = 1
     stopword_path: str | None = None
     embedding_path: str | None = None
@@ -188,10 +194,6 @@ class RunConfig:
         if self.mte_side not in MTE_SIDES:
             raise DataError(
                 f"mte_side must be one of {MTE_SIDES}, got {self.mte_side!r}")
-        if self.rank_mode not in RANK_MODES:
-            raise DataError(
-                f"rank_mode must be one of {RANK_MODES}, got "
-                f"{self.rank_mode!r}")
         if self.gst_min_match < 1:
             raise DataError("gst_min_match must be >= 1")
         label = self.macro_root_label

@@ -15,7 +15,7 @@ class DataError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """Numerical breakdown: degenerate kernels, asymmetric grams, divergence."""
+    """Numerical breakdown: a degenerate self-kernel, a non-finite value."""
 
 
 @contextmanager

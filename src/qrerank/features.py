@@ -28,7 +28,8 @@ run configuration alone determines:
 4. the seven MT-evaluation measures (``use_mte``), in the order
    :func:`mte_vector` lists them.
 
-The rank feature is kept apart, as the example's ``rank_value``.
+The rank feature is no part of ``vec``: the kernel computes it from the
+example's ``original_rank`` (:func:`rank_feature`).
 
 Feature values are plain float64 vectors (``array('d')``): ``Example`` and
 ``embedding_pair`` convert any 1-d sequence of real numbers, numpy arrays
@@ -63,12 +64,6 @@ SIM_MEASURES = ("gst", "lcs", "jaccard", "containment", "cosine")
 SIM_NGRAM_ORDERS = (1, 2, 3, 4)
 
 
-def _is_real(x) -> bool:
-    """Whether x is a real number; a bool is not one."""
-    return type(x) is float or (isinstance(x, Real)
-                                and not isinstance(x, bool))
-
-
 def _float_vector(values, what: str) -> array | None:
     """``values`` as a plain float64 vector, or None when they do not form a
     1-d sequence. An ``array('d')`` is kept as it is; any other sequence of
@@ -85,7 +80,8 @@ def _float_vector(values, what: str) -> array | None:
     except TypeError:
         return None
     for x in items:
-        if not _is_real(x):
+        if type(x) is not float and (isinstance(x, bool)
+                                     or not isinstance(x, Real)):
             if isinstance(x, Iterable) and not isinstance(x, str):
                 return None
             raise DataError(f"{what} item {x!r} is not a real number")
@@ -114,8 +110,8 @@ class Example:
     and ``read_examples`` checks, the one form the kernels and
     ``save_examples`` take. (``load_examples`` replaces each with a
     walkable :class:`~.treebank.SyntaxTree` view, which they refuse.)
-    rank_value is the transformed search rank, a float. Blocks a
-    configuration does not use may be None.
+    original_rank is the search rank, from which the kernel computes the
+    rank feature. Blocks a configuration does not use may be None.
     """
 
     query_id: str
@@ -123,7 +119,6 @@ class Example:
     label: int
     original_rank: int
     vec: array | None = None
-    rank_value: float | None = None
     tree_first: str | None = None
     tree_second: str | None = None
 
@@ -145,16 +140,6 @@ class Example:
             if not all(map(math.isfinite, vec)):
                 raise DataError("example vec contains non-finite values")
             self.vec = vec
-        if self.rank_value is not None:
-            if not _is_real(self.rank_value):
-                raise DataError(f"rank_value must be a real number, got "
-                                f"{self.rank_value!r}")
-            try:
-                self.rank_value = float(self.rank_value)
-            except OverflowError:       # an integer beyond a double
-                self.rank_value = math.inf
-            if not math.isfinite(self.rank_value):
-                raise DataError("rank_value must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +380,16 @@ def ptk_feature(tree_o_rel: str, tree_s_rel: str, cfg: KernelConfig) -> float:
 
 
 def rank_feature(pos: int, mode: str) -> float:
-    """The candidate's search rank, verbatim (AS_IS) or inverted (INVERSE)."""
+    """The candidate's search rank, verbatim (AS_IS) or inverted (INVERSE).
+    A position too large for a double raises :class:`DataError`."""
     if mode not in RANK_MODES:
         raise DataError(f"rank mode must be one of {RANK_MODES}, got {mode!r}")
     if pos < 1:
         raise DataError(f"rank position must be >= 1, got {pos}")
-    return float(pos) if mode == "AS_IS" else 1.0 / pos
+    try:
+        return float(pos) if mode == "AS_IS" else 1.0 / pos
+    except OverflowError:
+        raise DataError("rank position is too large for a double") from None
 
 
 def embedding_pair(v_new, v_forum) -> array:

@@ -70,7 +70,8 @@ engine) and the engine that ran. No state outlives a call.
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
 kernel on the REL-linked tree pair, and a linear or RBF kernel on the rank
-feature, summed per the enabled blocks.
+feature, ``rank_feature(original_rank, rank_mode)``, summed per the enabled
+blocks.
 
 Every kernel matrix comes from one generator of rows (``_kernel_rows``).
 Before the first row it runs every missing-block, dimension and tree check
@@ -132,7 +133,7 @@ from . import _native
 from .config import KernelConfig
 from .errors import DataError, NumericalError
 # Example is defined in the numpy-free features module and re-exported here
-from .features import Example
+from .features import Example, rank_feature
 from .treebank import tokens
 
 logger = logging.getLogger(__name__)
@@ -504,13 +505,12 @@ def _require_vec(e: Example) -> array:
     return e.vec
 
 
-def _require_rank(e: Example) -> float:
-    if e.rank_value is None:
-        raise DataError(
-            f"rank block enabled but example ({e.query_id}, "
-            f"{e.candidate_id}) has no rank feature"
-        )
-    return e.rank_value
+def _rank(e: Example, mode: str) -> float:
+    try:
+        return rank_feature(e.original_rank, mode)
+    except DataError as exc:
+        raise DataError(f"rank block enabled but example ({e.query_id}, "
+                        f"{e.candidate_id}): {exc}") from None
 
 
 def _check_dims(u, v) -> None:
@@ -538,13 +538,13 @@ class _Block(NamedTuple):
 
 def _prepare(examples, cfg: KernelConfig, sub: _Subtrees, selfs: bool,
              ref: np.ndarray | None = None) -> _Block:
-    """The block of ``examples``: first the missing-block and dimension
-    checks, then their two trees compiled against the call's table ``sub``
-    and, if ``selfs``, their self-kernels. Each vec is checked against the
-    first row of ``ref``, the columns' vec block, if given, and else against
-    the first vec of ``examples``. The vecs' bytes, joined, are read in
-    place. An example's two self-kernels are one tree block, sharing one Δ
-    memo."""
+    """The block of ``examples``: first the missing-block, dimension and
+    rank checks, then their two trees compiled against the call's table
+    ``sub`` and, if ``selfs``, their self-kernels. Each vec is checked
+    against the first row of ``ref``, the columns' vec block, if given, and
+    else against the first vec of ``examples``. The vecs' bytes, joined, are
+    read in place. An example's two self-kernels are one tree block, sharing
+    one Δ memo."""
     n = len(examples)
     if cfg.use_tk:
         for e in examples:
@@ -559,7 +559,8 @@ def _prepare(examples, cfg: KernelConfig, sub: _Subtrees, selfs: bool,
                 _check_dims(v, ref[0])
         X = np.frombuffer(b"".join(vecs)).reshape(n, len(vecs[0]))
     if cfg.use_rank:
-        r = np.array([_require_rank(e) for e in examples], dtype=np.float64)
+        r = np.array([_rank(e, cfg.rank_mode) for e in examples],
+                     dtype=np.float64)
     if not cfg.use_tk:
         return _Block(X, r, np.empty((n, 0), dtype=np.int64), np.empty((n, 0)))
     at = np.array([(sub.compile(e.tree_first), sub.compile(e.tree_second))

@@ -66,7 +66,6 @@ from .features import (
     load_stopwords,
     mte_vector,
     ptk_feature,
-    rank_feature,
     similarity_vector,
     tokenize,
 )
@@ -187,13 +186,14 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 def _json_object(line: str, path, lineno: int) -> dict:
     """The JSON object on line ``lineno`` of ``path``: a line that is not
     JSON, not an object or an object with a repeated key raises
-    :class:`DataError` naming ``path`` and the line."""
+    :class:`DataError` naming ``path`` and the line, as does an integer
+    longer than the interpreter converts (``sys.get_int_max_str_digits``)."""
     try:
         obj = _DECODER.decode(line)
-    except json.JSONDecodeError as exc:
-        raise _field_error(path, lineno, f"invalid JSON: {exc}") from exc
     except DataError as exc:
         raise _field_error(path, lineno, str(exc)) from exc
+    except ValueError as exc:   # a JSONDecodeError, or an integer too long
+        raise _field_error(path, lineno, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise _field_error(path, lineno, "record must be a JSON object")
     return obj
@@ -400,7 +400,6 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
             label=gold_binary(record.gold_label, cfg.task),
             original_rank=record.original_rank,
             vec=vec,
-            rank_value=rank_feature(record.original_rank, cfg.rank_mode),
             tree_first=tree_first,
             tree_second=tree_second,
         ))
@@ -434,7 +433,6 @@ def save_examples(path, examples: list[Example]) -> None:
                 "label": e.label,
                 "original_rank": e.original_rank,
                 "vec": None if e.vec is None else [float(v) for v in e.vec],
-                "rank_value": e.rank_value,
                 "tree_first": e.tree_first,
                 "tree_second": e.tree_second,
             }
@@ -480,8 +478,8 @@ def read_examples(path, trees: bool = True) -> list[Example]:
     ``trees`` false, as for a kernel with no tree block, a tree field must
     still be a string or null, but it is neither checked nor kept: each
     example's trees are None. A key it does not read is ignored, so a file
-    from a version whose records also held the feature names reads to the
-    same examples."""
+    from a version whose records also held the feature names or the rank
+    feature, which the kernel now computes, reads to the same examples."""
     examples: list[Example] = []
     with open_text(path) as fh:
         for lineno, obj in _example_records(fh, path):
@@ -492,7 +490,6 @@ def read_examples(path, trees: bool = True) -> list[Example]:
                     label=obj["label"],
                     original_rank=obj["original_rank"],
                     vec=obj["vec"],
-                    rank_value=obj["rank_value"],
                     tree_first=_example_tree(obj, "tree_first", trees),
                     tree_second=_example_tree(obj, "tree_second", trees),
                 ))

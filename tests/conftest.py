@@ -242,7 +242,6 @@ def make_examples(rng, n, dim=8, with_trees=True):
                 label=1 if rng.random() < 0.5 else -1,
                 original_rank=rank,
                 vec=rng.normal(size=dim),
-                rank_value=1.0 / rank,
                 tree_first=to_bracketed(random_tree(rng, max_depth=4,
                                                     max_branch=3))
                 if with_trees else None,

@@ -16,7 +16,7 @@ import pytest
 
 from qrerank.cli import main
 from qrerank.config import RunConfig
-from qrerank.features import similarity_vector
+from qrerank.features import rank_feature, similarity_vector
 from qrerank.kernels import KernelConfig, gram_matrix, ptk, stk
 from qrerank.pipeline import (
     build_examples,
@@ -225,12 +225,13 @@ def test_inverse_rank_identity(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, n_queries=10, per_query=10, relevant_ranks=(2, 4))
     records = load_corpus(corpus, "B")
-    cfg = RunConfig(kernel=KernelConfig(use_sim=False, use_rank=True),
-                    rank_mode="INVERSE")
+    cfg = RunConfig(kernel=KernelConfig(use_sim=False, use_rank=True,
+                                        rank_mode="INVERSE"))
     examples = build_examples(records, cfg)
     # hand the grouper a shuffled stream to rule out order luck
     shuffled = examples[::-1]
-    groups = make_groups(shuffled, [e.rank_value for e in shuffled])
+    groups = make_groups(shuffled, [
+        rank_feature(e.original_rank, cfg.kernel.rank_mode) for e in shuffled])
     for group in groups:
         by_original_rank = [c.candidate_id for c in sorted(
             group.candidates, key=lambda c: c.original_rank)]
@@ -254,7 +255,8 @@ def test_semeval_beats_baseline(tmp_path, capsys):
     baseline = tmp_path / "baseline.tsv"
     write_predictions(baseline, [
         QueryGroup(g.query_id, reranked_candidates(g)) for g in
-        make_groups(test_examples, [e.rank_value for e in test_examples])])
+        make_groups(test_examples, [rank_feature(e.original_rank, "INVERSE")
+                                    for e in test_examples])])
 
     capsys.readouterr()
     assert main(["sigtest", "--predictions-a", str(chain.predictions),

@@ -223,18 +223,20 @@ class TestSubcommandFlow:
     def test_flags_override_config_file(self, corpora, tmp_path):
         train, _ = corpora
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("rank_mode = AS_IS\n", encoding="utf-8")
-        out_a = tmp_path / "a.ex"
-        out_b = tmp_path / "b.ex"
+        cfg_file.write_text("kernel.rank_mode = AS_IS\n", encoding="utf-8")
+        examples = tmp_path / "train.ex"
         assert main(["featurize", "--corpus", str(train), "--out",
-                     str(out_a), "--config", str(cfg_file)]) == 0
-        assert main(["featurize", "--corpus", str(train), "--out",
-                     str(out_b), "--config", str(cfg_file),
+                     str(examples)]) == 0
+        rank_only = ["gram", "--examples", str(examples), "--config",
+                     str(cfg_file), "--use-rank", "--no-use-sim"]
+        gram_a = tmp_path / "a.gram"
+        gram_b = tmp_path / "b.gram"
+        assert main([*rank_only, "--out", str(gram_a)]) == 0
+        assert main([*rank_only, "--out", str(gram_b),
                      "--rank-mode", "INVERSE"]) == 0
-        ex_a = load_examples(out_a)
-        ex_b = load_examples(out_b)
-        assert ex_a[1].rank_value == 2.0      # AS_IS from the file
-        assert ex_b[1].rank_value == 0.5      # flag wins
+        # the second example is at rank 2: its rank-only self-kernel is r²
+        assert kernels.load_gram(gram_a)[0][1, 1] == 4.0    # AS_IS, the file
+        assert kernels.load_gram(gram_b)[0][1, 1] == 0.25   # flag wins
 
     def test_gamma_none_flag_overrides_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -366,12 +368,12 @@ class TestExitCodes:
          "example vec item 'x' is not a real number"),
         ("vec", lambda v: "abc", "example vec must be a 1-d array"),
         ("vec", lambda v: {"a": 1}, "example vec must be a 1-d array"),
-        ("rank_value", lambda v: "x",
-         "rank_value must be a real number, got 'x'"),
+        ("original_rank", lambda v: "x",
+         "original_rank must be an integer >= 1, got 'x'"),
         ("vec", lambda v: [True] + v[1:],
          "example vec item True is not a real number"),
-        ("rank_value", lambda v: True,
-         "rank_value must be a real number, got True"),
+        ("original_rank", lambda v: True,
+         "original_rank must be an integer >= 1, got True"),
         ("query_id", lambda v: 5, "example query_id must be a string, got 5"),
     ], ids=["vec-string-item", "vec-string", "vec-object", "rank-string",
             "vec-bool-item", "rank-bool", "query-id-int"])
@@ -520,6 +522,45 @@ class TestExitCodes:
                      "--strict", "--gamma", "0.25"])
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_strict_rerank_refuses_another_rank_mode(self, corpora, tmp_path,
+                                                     capsys):
+        # one examples file serves both rank modes: the kernel fingerprint
+        # is what tells a model of one from a run under the other
+        chain = run_chain(*corpora, tmp_path,
+                          ["--use-rank", "--rank-mode", "AS_IS"])
+        rerank = ["rerank", "--model", str(chain.model),
+                  "--train-examples", str(chain.train_examples),
+                  "--test-examples", str(chain.test_examples),
+                  "--out", str(tmp_path / "p.tsv"), "--strict", "--use-rank"]
+        capsys.readouterr()
+        assert main(rerank) == 2
+        assert "fingerprint" in capsys.readouterr().err
+        assert main([*rerank, "--rank-mode", "AS_IS"]) == 0
+
+    @pytest.mark.parametrize("stage", ["gram", "rerank"])
+    def test_a_rank_beyond_a_double_is_2(self, stage, corpora, tmp_path,
+                                         capsys):
+        chain = run_chain(*corpora, tmp_path, ["--use-rank"])
+        argv = {"gram": ["gram", "--examples", str(chain.train_examples),
+                         "--out", str(tmp_path / "g.gram")],
+                "rerank": ["rerank", "--model", str(chain.model),
+                           "--train-examples", str(chain.train_examples),
+                           "--test-examples", str(chain.test_examples),
+                           "--out", str(tmp_path / "p.tsv")]}[stage]
+        path = chain.train_examples if stage == "gram" else \
+            chain.test_examples
+        rows = [json.loads(line) for line in
+                path.read_text(encoding="utf-8").splitlines()]
+        rows[1]["original_rank"] = 10 ** 400     # read, but beyond a double
+        write_jsonl(path, rows)
+        capsys.readouterr()
+        assert main([*argv, "--use-rank"]) == 2
+        err = capsys.readouterr().err
+        assert ("error: rank block enabled but example (q0, q0_c2): rank "
+                "position is too large for a double\n") in err
+        assert "Traceback" not in err
+        assert main(argv) == 0          # a run without the rank block
 
     def rerank_with_edited_model(self, pattern, repl, corpora, tmp_path,
                                  capsys):
@@ -978,7 +1019,6 @@ NON_UTF8_ARGV = {
 # take it (booleans, value None, are set in both polarities).
 CLI_SURFACE = {
     "task": ("--task {B,D}", "D"),
-    "rank_mode": ("--rank-mode {AS_IS,INVERSE}", "AS_IS"),
     "mte_side": ("--mte-side {qo,qs}", "qs"),
     "gst_min_match": ("--gst-min-match GST_MIN_MATCH", "3"),
     "macro_root_label": ("--macro-root-label MACRO_ROOT_LABEL", "TOP"),
@@ -992,6 +1032,7 @@ CLI_SURFACE = {
     "kernel.lam": ("--lam LAM", "0.7"),
     "kernel.mu": ("--mu MU", "0.9"),
     "kernel.gamma": ("--gamma GAMMA", "0.25"),
+    "kernel.rank_mode": ("--rank-mode {AS_IS,INVERSE}", "AS_IS"),
     "kernel.rank_kernel": ("--rank-kernel {LINEAR,RBF}", "RBF"),
     "kernel.vec_kernel": ("--vec-kernel {LINEAR,RBF}", "LINEAR"),
     "kernel.normalize_tk": ("--normalize-tk, --no-normalize-tk", None),

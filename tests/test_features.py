@@ -634,6 +634,13 @@ class TestRankFeature:
         with pytest.raises(DataError):
             rank_feature(1, "UPSIDE_DOWN")
 
+    @pytest.mark.parametrize("mode", ["AS_IS", "INVERSE"])
+    def test_a_position_beyond_a_double_rejected(self, mode):
+        assert rank_feature(2 ** 1023, mode) in (2.0 ** 1023, 2.0 ** -1023)
+        with pytest.raises(DataError, match="^rank position is too large "
+                                            "for a double$"):
+            rank_feature(10 ** 400, mode)
+
 
 class TestEmbeddingPair:
     def test_concatenation(self):
@@ -776,11 +783,6 @@ class TestPlainFloatVectors:
         assert e.vec is vec
         assert np.shares_memory(np.asarray(e.vec), np.frombuffer(vec))
 
-    def test_rank_value_becomes_a_float(self):
-        for rank in (2, np.float64(0.5), np.float32(0.5), np.int64(2)):
-            value = self.example(rank_value=rank).rank_value
-            assert type(value) is float and value == float(rank)
-
     @pytest.mark.parametrize("vec", [
         [[1.0, 2.0]], np.zeros((2, 2)), np.float64(1.0), 3.0, "abc",
         {"a": 1.0},
@@ -810,13 +812,6 @@ class TestPlainFloatVectors:
         with pytest.raises(DataError, match="embedding holds an integer too "
                                             "large for a double"):
             embedding_pair([10 ** 400], [1.0])
-        with pytest.raises(DataError, match="rank_value must be finite"):
-            self.example(rank_value=10 ** 400)
-
-    @pytest.mark.parametrize("rank", ["0.5", True, [1.0]])
-    def test_non_real_rank_value_rejected(self, rank):
-        with pytest.raises(DataError, match="rank_value must be a real"):
-            self.example(rank_value=rank)
 
     @pytest.mark.parametrize("field", ["query_id", "candidate_id"])
     def test_non_string_ids_rejected(self, field):

@@ -5,6 +5,7 @@ in exit 0, 2 or 3. The Gram readers' own fuzz, with corruptions of the
 file's layout, is in test_kernels.py."""
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +155,37 @@ def test_a_stage_fed_a_corrupted_file_exits_0_2_or_3(chain, tmp_path, stage,
     for data in mutations(make_rng(seed), valid):
         bad.write_bytes(data)
         assert main(argv) in (0, 2, 3)
+
+
+# the stages that read a JSONL file, as STAGES names them
+JSONL_STAGES = ["featurize/corpus", "gram/examples", "train/examples",
+                "rerank/train-examples", "rerank/test-examples"]
+
+
+@pytest.mark.parametrize("where", ["original_rank", "unknown-key"])
+@pytest.mark.parametrize("stage", JSONL_STAGES)
+def test_an_integer_beyond_the_digit_limit_exits_2(chain, tmp_path, capsys,
+                                                   stage, where):
+    # Python 3.10 before 3.10.7 has no limit on integer digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    source, argv = STAGES[stage]
+    bad = tmp_path / "bad"
+    files = {name: str(path) for name, path in vars(chain).items()}
+    argv = [arg.format(bad=bad, out=tmp_path / "out", **files)
+            for arg in argv]
+    digits = "9" * (limit + 1)
+    lines = getattr(chain, source).read_text(encoding="utf-8").splitlines()
+    if where == "original_rank":
+        lines[1] = re.sub(r'"original_rank": \d+',
+                          f'"original_rank": {digits}', lines[1])
+    else:
+        lines[1] = lines[1][:-1] + f', "extra": {digits}}}'
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}:2: invalid JSON: Exceeds the limit" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -292,11 +292,13 @@ class TestRBF:
 class TestCombinedKernel:
     def test_rank_only_linear(self):
         e_i = Example(query_id="q", candidate_id="a", label=1,
-                      original_rank=2, rank_value=0.5)
+                      original_rank=2)
         e_j = Example(query_id="q", candidate_id="b", label=-1,
-                      original_rank=4, rank_value=0.25)
+                      original_rank=4)
         cfg = KernelConfig(use_sim=False, use_rank=True, rank_kernel="LINEAR")
-        assert cell(e_i, e_j, cfg) == pytest.approx(0.125)
+        assert cell(e_i, e_j, cfg) == 0.125
+        as_is = KernelConfig(use_sim=False, use_rank=True, rank_mode="AS_IS")
+        assert cell(e_i, e_j, as_is) == 8.0
 
     def test_sim_only_identical_vectors(self):
         v = np.array([0.1, 0.9, 0.5])
@@ -323,10 +325,9 @@ class TestCombinedKernel:
         np.testing.assert_allclose(G_full, G_sum, atol=1e-9)
 
     def test_missing_enabled_block_is_named(self):
-        e = Example(query_id="q", candidate_id="a", label=1, original_rank=1,
-                    vec=np.zeros(2))
-        cfg = KernelConfig(use_sim=False, use_rank=True)
-        with pytest.raises(DataError, match="rank block"):
+        e = Example(query_id="q", candidate_id="a", label=1, original_rank=1)
+        cfg = KernelConfig(use_rank=True)
+        with pytest.raises(DataError, match="similarity block"):
             cell(e, e, cfg)
 
     def test_explicit_gamma_respected(self):
@@ -336,6 +337,28 @@ class TestCombinedKernel:
                       original_rank=2, vec=np.array([1.0]))
         cfg = KernelConfig(gamma=2.0)
         assert cell(e_i, e_j, cfg) == pytest.approx(math.exp(-2.0))
+
+
+class TestRankMode:
+    """The kernel computes the rank feature from each example's
+    ``original_rank`` under its ``rank_mode``, so one examples file serves
+    either mode."""
+
+    @pytest.mark.parametrize("mode,feature", [
+        ("AS_IS", float), ("INVERSE", lambda rank: 1.0 / rank)])
+    def test_a_rank_only_gram_is_the_product_of_the_features(
+            self, tmp_path, mode, feature):
+        from qrerank.pipeline import read_examples, save_examples
+
+        path = tmp_path / "examples.jsonl"
+        save_examples(path, make_examples(make_rng(71), 12, with_trees=False))
+        ex = read_examples(path)
+        r = np.array([feature(e.original_rank) for e in ex])
+        assert len(set(r.tolist())) > 1
+        cfg = KernelConfig(use_sim=False, use_rank=True, rank_mode=mode)
+        assert gram_matrix(ex, cfg).tobytes() == np.outer(r, r).tobytes()
+        assert kernel_matrix(ex[:3], ex, cfg).tobytes() == \
+            np.outer(r[:3], r).tobytes()
 
 
 class TestGramMatrix:
@@ -820,6 +843,7 @@ class TestConfigFingerprint:
             KernelConfig(mu=0.3),
             KernelConfig(gamma=1.0),
             KernelConfig(tk_kind="STK"),
+            KernelConfig(rank_mode="AS_IS"),
             KernelConfig(rank_kernel="RBF"),
             KernelConfig(vec_kernel="LINEAR"),
             KernelConfig(normalize_tk=False),
@@ -1059,7 +1083,7 @@ def golden_examples():
     return [Example(query_id=f"q{k // 2}", candidate_id=f"c{k}",
                     label=1 - 2 * (k % 2), original_rank=k + 1,
                     vec=np.array([0.25 * k, 0.5, 1.0 - 0.125 * k]),
-                    rank_value=1.0 / (k + 1), tree_first=trees[k],
+                    tree_first=trees[k],
                     tree_second=trees[9 - k])
             for k in range(4)]
 
@@ -1113,7 +1137,7 @@ def vector_examples(n=300, dim=20, seed=404):
     ranks = rng.integers(1, 11, size=n)
     return [Example(query_id=f"q{k // 10}", candidate_id=f"c{k}",
                     label=1 - 2 * (k % 2), original_rank=int(ranks[k]),
-                    vec=vecs[k], rank_value=1.0 / int(ranks[k]))
+                    vec=vecs[k])
             for k in range(n)]
 
 
@@ -1129,7 +1153,7 @@ def per_cell_gram(examples, gamma):
             d = np.subtract(e_i.vec, e_j.vec)
             total = 0.0
             total += math.exp(-gamma * float(np.dot(d, d)))
-            total += e_i.rank_value * e_j.rank_value
+            total += (1.0 / e_i.original_rank) * (1.0 / e_j.original_rank)
             G[i, j] = G[j, i] = total
     return G
 
@@ -1184,16 +1208,16 @@ class TestRowWiseKernel:
         assert value == math.exp(-0.3 * float(np.dot(d, d)))
 
 
-def checked_examples(dims=(4, 4, 4, 4), no_vec=(), no_rank=()):
+def checked_examples(dims=(4, 4, 4, 4), no_vec=(), huge_rank=()):
     return [Example(query_id="q", candidate_id=f"c{k}", label=1,
-                    original_rank=k + 1,
-                    vec=None if k in no_vec else np.full(dim, 0.5),
-                    rank_value=None if k in no_rank else 1.0 / (k + 1))
+                    original_rank=10 ** 400 if k in huge_rank else k + 1,
+                    vec=None if k in no_vec else np.full(dim, 0.5))
             for k, dim in enumerate(dims)]
 
 
 NO_VEC = "similarity block enabled but example (q, c{}) has no feature vector"
-NO_RANK = "rank block enabled but example (q, c{}) has no rank feature"
+HUGE_RANK = ("rank block enabled but example (q, c{}): rank position is "
+             "too large for a double")
 DIMS = "feature vectors disagree in dimension: ({},) vs ({},)"
 
 
@@ -1205,7 +1229,7 @@ class TestStackedChecks:
 
     @pytest.mark.parametrize("fault,message", [
         ({"no_vec": (2,)}, NO_VEC.format(2)),
-        ({"no_rank": (2,)}, NO_RANK.format(2)),
+        ({"huge_rank": (2,)}, HUGE_RANK.format(2)),
         ({"dims": (4, 4, 5, 4)}, DIMS.format(4, 5)),
     ])
     def test_gram_matrix(self, fault, message):
@@ -1216,8 +1240,8 @@ class TestStackedChecks:
     @pytest.mark.parametrize("fault,message", [
         ({"no_vec": (3,)}, NO_VEC.format(3)),      # a later column
         ({"no_vec": (1,)}, NO_VEC.format(1)),      # a later row
-        ({"no_rank": (3,)}, NO_RANK.format(3)),
-        ({"no_rank": (1,)}, NO_RANK.format(1)),
+        ({"huge_rank": (3,)}, HUGE_RANK.format(3)),
+        ({"huge_rank": (1,)}, HUGE_RANK.format(1)),
         ({"dims": (4, 4, 4, 5)}, DIMS.format(4, 5)),
         ({"dims": (4, 5, 4, 4)}, DIMS.format(5, 4)),
         ({"dims": (3, 3, 4, 4)}, DIMS.format(3, 4)),   # rows vs columns
@@ -1231,8 +1255,8 @@ class TestStackedChecks:
         ragged = checked_examples(dims=(4, 5, 6))
         rank_only = KernelConfig(use_sim=False, use_rank=True)
         assert gram_matrix(ragged, rank_only).shape == (3, 3)
-        unranked = checked_examples(no_rank=(0, 1, 2, 3))
-        K = kernel_matrix(unranked[:1], unranked, KernelConfig())
+        huge = checked_examples(huge_rank=(0, 1, 2, 3))
+        K = kernel_matrix(huge[:1], huge, KernelConfig())
         assert K.shape == (1, 4)
 
 def deep_chain(depth, leaf="x"):
@@ -1732,8 +1756,8 @@ class TestNativeGramWriter:
         # of 10 candidates, RBF + linear rank, as the taskB-sim workload
         rng = make_rng(seed)
         ex = [Example(query_id=f"q{k // 10}", candidate_id=f"c{k}", label=1,
-                      original_rank=k % 10 + 1, vec=rng.uniform(size=20),
-                      rank_value=1.0 / (k % 10 + 1)) for k in range(300)]
+                      original_rank=k % 10 + 1, vec=rng.uniform(size=20))
+              for k in range(300)]
         cfgs = [KernelConfig(use_rank=True),
                 KernelConfig(use_rank=True, rank_kernel="RBF", gamma=0.7)]
 

@@ -16,6 +16,7 @@ from qrerank.errors import DataError
 from qrerank.features import (
     mte_vector,
     ptk_feature,
+    rank_feature,
     similarity_vector,
     tokenize,
 )
@@ -237,7 +238,7 @@ class TestRunConfigValidation:
 
     def test_bad_rank_mode_and_mte_side(self):
         with pytest.raises(DataError, match="rank_mode"):
-            RunConfig(rank_mode="UPSIDE_DOWN")
+            KernelConfig(rank_mode="UPSIDE_DOWN")
         with pytest.raises(DataError, match="mte_side"):
             RunConfig(task="D", use_mte=True, mte_side="both")
 
@@ -316,12 +317,17 @@ class TestBuildExamples:
                 np.testing.assert_allclose(e.vec, 0.0)
 
     def test_rank_feature_modes(self, tmp_path):
+        # the kernel computes the rank feature: either mode writes one file
         records = self.records(tmp_path)
-        inverse = build_examples(records, RunConfig(rank_mode="INVERSE"))
-        asis = build_examples(records, RunConfig(rank_mode="AS_IS"))
-        for e_inv, e_as, r in zip(inverse, asis, records):
-            assert e_inv.rank_value == pytest.approx(1.0 / r.original_rank)
-            assert e_as.rank_value == pytest.approx(float(r.original_rank))
+        paths = []
+        for mode in ("INVERSE", "AS_IS"):
+            paths.append(tmp_path / f"{mode}.jsonl")
+            save_examples(paths[-1], build_examples(records, RunConfig(
+                kernel=KernelConfig(use_rank=True, rank_mode=mode))))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        for line, r in zip(paths[0].read_text().splitlines(), records):
+            assert json.loads(line)["original_rank"] == r.original_rank
+            assert "rank_value" not in json.loads(line)
 
     def test_ptk_feature_appends_dimension(self, tmp_path):
         records = self.records(tmp_path, with_trees=True)
@@ -509,7 +515,7 @@ class TestBuildExamples:
         b = build_examples(records, RunConfig())
         for e_a, e_b in zip(a, b):
             assert np.array_equal(e_a.vec, e_b.vec)
-            assert e_a.rank_value == e_b.rank_value
+            assert e_a.original_rank == e_b.original_rank
 
 
 class TestMacroTree:
@@ -562,7 +568,7 @@ class TestMacroTree:
 
 
 # one save_examples line, pinned byte for byte: the 20 similarities of a
-# partly overlapping pair, its INVERSE rank value and both REL-linked trees
+# partly overlapping pair, its search rank and both REL-linked trees
 GOLDEN_RECORD = CorpusRecord(
     query_id="q7", candidate_id="q7_c3", original_rank=3,
     qo_text="How can I renew my visa in Qatar?",
@@ -578,7 +584,7 @@ GOLDEN_LINE = (
     '0.5773502691896258, 0.3333333333333333, 0.2857142857142857, 0.2, '
     '0.2857142857142857, 0.33806170189140655, 0.2, 0.16666666666666666, '
     '0.1111111111111111, 0.16666666666666666, 0.20412414523193154, 0.0, '
-    '0.0, 0.0, 0.0, 0.0], "rank_value": 0.3333333333333333, '
+    '0.0, 0.0, 0.0, 0.0], '
     '"tree_first": "(ROOT (S (WHADVP (WRB How)) (REL-VP (MD can) '
     '(NP (PRP I)) (REL-VP (VB renew) (REL-NP '
     '(PRP$ my) (NN visa)) (REL-PP (IN in) (REL-NP (NNP Qatar)))))))", '
@@ -613,7 +619,6 @@ class TestExampleFiles:
             assert back.label == orig.label
             assert back.original_rank == orig.original_rank
             assert np.array_equal(back.vec, orig.vec)
-            assert back.rank_value == orig.rank_value
             assert to_bracketed(back.tree_first) == orig.tree_first
             assert to_bracketed(back.tree_second) == orig.tree_second
 
@@ -664,7 +669,7 @@ class TestExampleFiles:
 
     def test_read_keeps_a_tree_as_its_text(self, tmp_path):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "original_rank": 1, "vec": None,
                   "tree_first": " (S  (A a)\t(B b)) ", "tree_second": None}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -676,7 +681,7 @@ class TestExampleFiles:
     def test_without_trees_a_tree_is_neither_checked_nor_kept(self, tmp_path,
                                                               tree):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": [0.5], "rank_value": None,
+                  "original_rank": 1, "vec": [0.5],
                   "tree_first": tree, "tree_second": "(S y)"}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -690,7 +695,7 @@ class TestExampleFiles:
     def test_without_trees_a_tree_is_still_a_string_or_null(self, tmp_path,
                                                             tree):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "original_rank": 1, "vec": None,
                   "tree_first": None, "tree_second": tree}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -708,7 +713,7 @@ class TestExampleFiles:
     def test_a_malformed_tree_is_named_with_file_line_and_offset(
             self, tmp_path, reader, tree, message):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "original_rank": 1, "vec": None,
                   "tree_first": "(S x)", "tree_second": "(S y)"}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n"
@@ -718,27 +723,39 @@ class TestExampleFiles:
             reader(path)
         assert str(info.value) == f"{path}:2: {message}"
 
+    def assert_reads_as_without(self, tmp_path, key, value):
+        """A line holding ``key`` after ``vec``, as earlier versions wrote
+        it, reads to the examples and labels of the line without it, and
+        saves as that line."""
+        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
+                  "original_rank": 1, "vec": [0.5, 1.0],
+                  "tree_first": "(S x)", "tree_second": "(S y)"}
+        items = list(record.items())
+        old = dict(items[:5] + [(key, value)] + items[5:])
+        plain, older = tmp_path / "plain.jsonl", tmp_path / "older.jsonl"
+        plain.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        older.write_text(json.dumps(old) + "\n", encoding="utf-8")
+        assert read_examples(older) == read_examples(plain)
+        assert load_labels(older) == load_labels(plain)
+        save_examples(tmp_path / "again.jsonl", read_examples(older))
+        assert (tmp_path / "again.jsonl").read_bytes() == plain.read_bytes()
+
     @pytest.mark.parametrize("length", [0, 1, 20, 26])
     def test_a_line_with_vec_names_reads_as_without(self, tmp_path, length):
-        # files written before records dropped the names still read, to
-        # the same examples, whatever the names' length
-        record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": [0.5, 1.0], "rank_value": 0.5,
-                  "tree_first": "(S x)", "tree_second": "(S y)"}
-        names = [f"f{i}" for i in range(length)]
-        items = list(record.items())    # the names followed vec
-        old = dict(items[:5] + [("vec_names", names)] + items[5:])
-        plain, named = tmp_path / "plain.jsonl", tmp_path / "named.jsonl"
-        plain.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        named.write_text(json.dumps(old) + "\n", encoding="utf-8")
-        assert read_examples(named) == read_examples(plain)
-        assert load_labels(named) == load_labels(plain)
-        save_examples(tmp_path / "again.jsonl", read_examples(named))
-        assert (tmp_path / "again.jsonl").read_bytes() == plain.read_bytes()
+        # files written before records dropped the names, whatever the
+        # names' length
+        self.assert_reads_as_without(tmp_path, "vec_names",
+                                     [f"f{i}" for i in range(length)])
+
+    @pytest.mark.parametrize("value", [0.3333333333333333, 3.0, None])
+    def test_a_line_with_a_rank_value_reads_as_without(self, tmp_path,
+                                                       value):
+        # files written before the kernel computed the rank feature
+        self.assert_reads_as_without(tmp_path, "rank_value", value)
 
     def test_none_blocks_round_trip(self, tmp_path):
         example = Example(query_id="q1", candidate_id="c1", label=1,
-                          original_rank=2, rank_value=0.5)
+                          original_rank=2)
         path = tmp_path / "examples.jsonl"
         save_examples(path, [example])
         loaded = load_examples(path)[0]
@@ -747,7 +764,7 @@ class TestExampleFiles:
 
     def test_load_labels_reads_no_tree_and_no_vector(self, tmp_path):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": ["x"], "rank_value": None,
+                  "original_rank": 1, "vec": ["x"],
                   "tree_first": "(S", "tree_second": None}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n\n"
@@ -778,7 +795,7 @@ class TestExampleFiles:
                                         load_labels])
     def test_repeated_key_named_with_line(self, tmp_path, reader):
         record = {"query_id": "q1", "candidate_id": "c1", "label": -1,
-                  "original_rank": 1, "vec": [0.5], "rank_value": None,
+                  "original_rank": 1, "vec": [0.5],
                   "tree_first": None, "tree_second": None}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n"
@@ -810,7 +827,7 @@ class TestExampleFiles:
     @pytest.mark.parametrize("field", ["label", "original_rank"])
     def test_bool_label_or_rank_named_with_line(self, tmp_path, field):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": None, "rank_value": None,
+                  "original_rank": 1, "vec": None,
                   "tree_first": None, "tree_second": None}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n"
@@ -825,7 +842,7 @@ class TestExampleFiles:
     ])
     def test_bad_names_or_trees_named_with_line(self, tmp_path, field, value):
         record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-                  "original_rank": 1, "vec": [0.5, 1.0], "rank_value": None,
+                  "original_rank": 1, "vec": [0.5, 1.0],
                   "tree_first": "(S x)", "tree_second": "(S y)"}
         path = tmp_path / "examples.jsonl"
         path.write_text(json.dumps(record) + "\n"
@@ -868,14 +885,15 @@ class TestGroupsAndScoring:
         path = tmp_path / "baseline.tsv"
         write_predictions(path, [
             QueryGroup(g.query_id, reranked_candidates(g)) for g in
-            make_groups(shuffled, [e.rank_value for e in shuffled])])
+            make_groups(shuffled, [rank_feature(e.original_rank, "INVERSE")
+                                   for e in shuffled])])
         for group in read_predictions(path):
             assert [c.candidate_id for c in group.candidates] == \
                 [f"{group.query_id}_c{rank}" for rank in range(1, 5)]
 
     def test_inverse_rank_scores_reproduce_original_order(self, tmp_path):
         examples = self.build(tmp_path)
-        scores = [e.rank_value for e in examples]
+        scores = [rank_feature(e.original_rank, "INVERSE") for e in examples]
         for group in make_groups(examples, scores):
             expected = [c.candidate_id for c in sorted(
                 group.candidates, key=lambda c: c.original_rank)]

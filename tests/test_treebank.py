@@ -160,7 +160,7 @@ def _compile(text):
 
 def _read(text, path):
     record = {"query_id": "q1", "candidate_id": "c1", "label": 1,
-              "original_rank": 1, "vec": None, "rank_value": None,
+              "original_rank": 1, "vec": None,
               "tree_first": text, "tree_second": None}
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     read_examples(path)
