@@ -11,10 +11,13 @@ The canonical corpus format is JSONL (UTF-8), one candidate pair per line::
 Two ranking tasks are supported.  Task "B" ranks forum questions retrieved
 for a new question (10 candidates per query, labels PerfectMatch / Relevant /
 Irrelevant); task "D" ranks question-comment pairs from cross-forum retrieval
-(30 candidates per query, labels Direct / Related / Irrelevant).  The loader
-validates schema, types, label inventory, rank ranges, and uniqueness with
-line-numbered errors, and logs the gold class counts of every corpus it
-reads.
+(30 candidates per query, labels Direct / Related / Irrelevant).
+:class:`CorpusRecord` checks the types and values of a record's own fields,
+so a record built through the API passes the same checks as a line of a
+corpus. :func:`load_corpus` adds the schema (unknown and missing keys), the
+checks that need the task (label inventory, rank range) and those that need
+other lines (uniqueness), names the line of each fault, and logs the gold
+class counts of every corpus it reads.
 
 The CLI (:mod:`.cli`) is the one orchestration: its ``featurize`` stage
 runs :func:`load_corpus`, :func:`build_examples` and :func:`save_examples`;
@@ -52,7 +55,7 @@ import json
 import logging
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import _native
@@ -81,7 +84,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CorpusRecord:
-    """One (original question, candidate) pair as ingested from JSONL."""
+    """One (original question, candidate) pair as ingested from JSONL.
+
+    A record checks its own fields, however it is built: each id non-empty
+    with no tab, CR or LF; the rank an integer >= 1; the two texts and the
+    label strings; each other string non-empty or None; each tree field a
+    list of non-empty strings, kept as a tuple (an empty one as None). A bad
+    field raises :class:`DataError`. The checks that need the task or other
+    records are :func:`load_corpus`'s."""
 
     query_id: str
     candidate_id: str
@@ -96,29 +106,38 @@ class CorpusRecord:
     qs_embedding_id: str | None = None
 
     def __post_init__(self):
-        _check_id("query_id", self.query_id)
-        _check_id("candidate_id", self.candidate_id)
-        if not isinstance(self.original_rank, int) \
-                or isinstance(self.original_rank, bool) \
-                or self.original_rank < 1:
-            raise DataError(
-                f"original_rank must be a positive integer, got "
-                f"{self.original_rank!r}")
+        for name in ("query_id", "candidate_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise DataError(f"field {name!r} must be a non-empty string")
+            _check_id(name, value)
+        rank = self.original_rank
+        if type(rank) is not int:
+            raise DataError("field 'original_rank' must be an integer")
+        if rank < 1:
+            raise DataError(f"field 'original_rank' must be >= 1, got {rank}")
+        for name in ("qo_text", "qs_text", "gold_label"):
+            if not isinstance(getattr(self, name), str):
+                raise DataError(f"field {name!r} must be a string")
+        for name in ("comment_text", "qo_embedding_id", "qs_embedding_id"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, str) and value):
+                raise DataError(
+                    f"field {name!r} must be a non-empty string or null")
         for name in ("qo_trees", "qs_trees"):
             trees = getattr(self, name)
-            if trees is not None:
-                object.__setattr__(self, name, tuple(trees))
+            if trees is None:
+                continue
+            if not isinstance(trees, (list, tuple)) or \
+                    not all(isinstance(t, str) and t for t in trees):
+                raise DataError(
+                    f"field {name!r} must be a list of bracketed tree strings")
+            object.__setattr__(self, name, tuple(trees) or None)
 
 
 # ---------------------------------------------------------------------------
 # corpus ingestion
 # ---------------------------------------------------------------------------
-
-_REQUIRED_FIELDS = ("query_id", "candidate_id", "original_rank",
-                    "qo_text", "qs_text", "gold_label")
-_OPTIONAL_FIELDS = ("qo_trees", "qs_trees", "comment_text",
-                    "qo_embedding_id", "qs_embedding_id")
-
 
 def gold_binary(label: str, task: str) -> int:
     """Map a task's gold label onto the binary training target {+1, -1}."""
@@ -133,38 +152,6 @@ def gold_binary(label: str, task: str) -> int:
 
 def _field_error(path, lineno: int, message: str) -> DataError:
     return DataError(f"{path}:{lineno}: {message}")
-
-
-def _require_str(obj, key, path, lineno, allow_empty=True) -> str:
-    value = obj[key]
-    if not isinstance(value, str) or (not allow_empty and not value):
-        raise _field_error(path, lineno,
-                           f"field {key!r} must be a non-empty string"
-                           if not allow_empty else
-                           f"field {key!r} must be a string")
-    return value
-
-
-def _optional_str(obj, key, path, lineno) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value:
-        raise _field_error(path, lineno,
-                           f"field {key!r} must be a non-empty string or null")
-    return value
-
-
-def _optional_trees(obj, key, path, lineno) -> tuple[str, ...] | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, list) or \
-            not all(isinstance(t, str) and t for t in value):
-        raise _field_error(
-            path, lineno,
-            f"field {key!r} must be a list of bracketed tree strings")
-    return tuple(value) if value else None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -187,99 +174,82 @@ def _json_object(line: str, path, lineno: int) -> dict:
     """The JSON object on line ``lineno`` of ``path``: a line that is not
     JSON, not an object or an object with a repeated key raises
     :class:`DataError` naming ``path`` and the line, as does an integer
-    longer than the interpreter converts (``sys.get_int_max_str_digits``)."""
+    longer than the interpreter converts (``sys.get_int_max_str_digits``)
+    or a nesting deeper than the decoder's recursion reaches."""
     try:
         obj = _DECODER.decode(line)
     except DataError as exc:
         raise _field_error(path, lineno, str(exc)) from exc
-    except ValueError as exc:   # a JSONDecodeError, or an integer too long
+    # a JSONDecodeError, an integer too long, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise _field_error(path, lineno, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise _field_error(path, lineno, "record must be a JSON object")
     return obj
 
 
+def _jsonl_records(fh, path, what: str):
+    """Yield (line number, JSON object) for each non-blank line of the open
+    JSONL file ``fh``, read by :func:`_json_object`; a file with no record
+    raises :class:`DataError` naming ``path``: ``empty {what}``."""
+    empty = True
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        obj = _json_object(line, path, lineno)
+        empty = False
+        yield lineno, obj
+    if empty:
+        raise DataError(f"{path}: empty {what}")
+
+
 def load_corpus(path, task: str) -> list[CorpusRecord]:
-    """Read and validate a JSONL corpus for the given task."""
+    """Read a JSONL corpus for the given task. Each line holds the fields of
+    one :class:`CorpusRecord`, which checks them; the loader adds the checks
+    that need the task (the rank range, the label, ``comment_text`` only for
+    task D) or other lines (a repeated pair, a query's repeated rank). Each
+    fault raises :class:`DataError` naming ``path`` and the line."""
     _check_task(task)
+    lo, hi = TASK_SPECS[task].ranks
+    names = {f.name for f in fields(CorpusRecord)}
+    required = [f.name for f in fields(CorpusRecord) if f.default is MISSING]
     records: list[CorpusRecord] = []
     seen_pairs: dict[tuple[str, str], int] = {}
     seen_ranks: dict[tuple[str, int], int] = {}
-    lo, hi = TASK_SPECS[task].ranks
     with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            obj = _json_object(line, path, lineno)
-            unknown = set(obj) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
-            if unknown:
-                raise _field_error(
-                    path, lineno, f"unknown fields: {sorted(unknown)}")
-            missing = [k for k in _REQUIRED_FIELDS if k not in obj]
-            if missing:
-                raise _field_error(path, lineno, f"missing fields: {missing}")
-
-            query_id = _require_str(obj, "query_id", path, lineno,
-                                    allow_empty=False)
-            candidate_id = _require_str(obj, "candidate_id", path, lineno,
-                                        allow_empty=False)
-            for key in ("query_id", "candidate_id"):
-                _check_id(key, obj[key], f"{path}:{lineno}: ")
-            rank = obj["original_rank"]
-            if not isinstance(rank, int) or isinstance(rank, bool):
-                raise _field_error(
-                    path, lineno, "field 'original_rank' must be an integer")
-            if not lo <= rank <= hi:
-                raise _field_error(
-                    path, lineno,
-                    f"original_rank {rank} outside task {task} range "
-                    f"{lo}..{hi}")
-            qo_text = _require_str(obj, "qo_text", path, lineno)
-            qs_text = _require_str(obj, "qs_text", path, lineno)
-            gold_label = _require_str(obj, "gold_label", path, lineno)
+        for lineno, obj in _jsonl_records(fh, path, "corpus"):
             try:
-                gold_binary(gold_label, task)
+                unknown = set(obj) - names
+                if unknown:
+                    raise DataError(f"unknown fields: {sorted(unknown)}")
+                missing = [k for k in required if k not in obj]
+                if missing:
+                    raise DataError(f"missing fields: {missing}")
+                record = CorpusRecord(**obj)
+                rank = record.original_rank
+                if not lo <= rank <= hi:
+                    raise DataError(f"original_rank {rank} outside task "
+                                    f"{task} range {lo}..{hi}")
+                gold_binary(record.gold_label, task)
+                if record.comment_text is not None and task != "D":
+                    raise DataError("field 'comment_text' is only valid for "
+                                    "task D records")
+                pair = (record.query_id, record.candidate_id)
+                if pair in seen_pairs:
+                    raise DataError(
+                        f"duplicate (query_id, candidate_id) {pair} "
+                        f"(first seen at line {seen_pairs[pair]})")
+                rank_key = (record.query_id, rank)
+                if rank_key in seen_ranks:
+                    raise DataError(
+                        f"query {record.query_id!r} has two candidates at "
+                        f"rank {rank} (first seen at line "
+                        f"{seen_ranks[rank_key]})")
             except DataError as exc:
                 raise _field_error(path, lineno, str(exc)) from exc
-            comment_text = _optional_str(obj, "comment_text", path, lineno)
-            if comment_text is not None and task != "D":
-                raise _field_error(
-                    path, lineno,
-                    "field 'comment_text' is only valid for task D records")
-
-            pair = (query_id, candidate_id)
-            if pair in seen_pairs:
-                raise _field_error(
-                    path, lineno,
-                    f"duplicate (query_id, candidate_id) {pair} "
-                    f"(first seen at line {seen_pairs[pair]})")
-            seen_pairs[pair] = lineno
-            rank_key = (query_id, rank)
-            if rank_key in seen_ranks:
-                raise _field_error(
-                    path, lineno,
-                    f"query {query_id!r} has two candidates at rank {rank} "
-                    f"(first seen at line {seen_ranks[rank_key]})")
-            seen_ranks[rank_key] = lineno
-
-            records.append(CorpusRecord(
-                query_id=query_id,
-                candidate_id=candidate_id,
-                original_rank=rank,
-                qo_text=qo_text,
-                qs_text=qs_text,
-                gold_label=gold_label,
-                qo_trees=_optional_trees(obj, "qo_trees", path, lineno),
-                qs_trees=_optional_trees(obj, "qs_trees", path, lineno),
-                comment_text=comment_text,
-                qo_embedding_id=_optional_str(obj, "qo_embedding_id",
-                                              path, lineno),
-                qs_embedding_id=_optional_str(obj, "qs_embedding_id",
-                                              path, lineno),
-            ))
-    if not records:
-        raise DataError(f"{path}: empty corpus")
+            seen_pairs[pair] = seen_ranks[rank_key] = lineno
+            records.append(record)
     relevant, irrelevant = class_counts(records, task)
     logger.info(
         "loaded %d records (%d queries) from %s: %d relevant, %d irrelevant",
@@ -454,22 +424,6 @@ def _example_tree(obj, key, keep: bool) -> str | None:
     return text
 
 
-def _example_records(fh, path):
-    """Yield (line number, JSON object) for each non-blank line of the open
-    examples file ``fh``, read by :func:`_json_object`; a file with no
-    record raises :class:`DataError` naming ``path``."""
-    empty = True
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        obj = _json_object(line, path, lineno)
-        empty = False
-        yield lineno, obj
-    if empty:
-        raise DataError(f"{path}: empty example file")
-
-
 def read_examples(path, trees: bool = True) -> list[Example]:
     """Read featurized examples written by :func:`save_examples`, each tree
     checked against the bracketed grammar (:func:`~.treebank.tokens`) and
@@ -482,7 +436,7 @@ def read_examples(path, trees: bool = True) -> list[Example]:
     feature, which the kernel now computes, reads to the same examples."""
     examples: list[Example] = []
     with open_text(path) as fh:
-        for lineno, obj in _example_records(fh, path):
+        for lineno, obj in _jsonl_records(fh, path, "example file"):
             try:
                 examples.append(Example(
                     query_id=obj["query_id"],
@@ -521,7 +475,7 @@ def load_labels(path) -> list[int]:
     converted."""
     labels: list[int] = []
     with open_text(path) as fh:
-        for lineno, obj in _example_records(fh, path):
+        for lineno, obj in _jsonl_records(fh, path, "example file"):
             try:
                 _check_label(obj["label"])
             except KeyError as exc:

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from .errors import DataError, open_text
 
 
-def _check_id(name: str, value: str, where: str = "") -> None:
-    """Raise :class:`DataError`, led by ``where``, unless ``value`` is an
-    id that a predictions line can hold: non-empty, no tab, CR or LF."""
+def _check_id(name: str, value: str) -> None:
+    """Raise :class:`DataError` unless ``value`` is an id that a
+    predictions line can hold: non-empty, no tab, CR or LF."""
     if not value or "\t" in value or "\r" in value or "\n" in value:
-        raise DataError(f"{where}{name} must be non-empty, with no tab, CR "
-                        f"or LF, got {value!r}")
+        raise DataError(f"{name} must be non-empty, with no tab, CR or LF, "
+                        f"got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,22 @@ JSONL_STAGES = ["featurize/corpus", "gram/examples", "train/examples",
                 "rerank/train-examples", "rerank/test-examples"]
 
 
+def run_with_line_2(chain, tmp_path, capsys, stage, edit):
+    """Run ``stage`` on its JSONL input with line 2 replaced by
+    ``edit(line)``; returns the exit code, stderr and the input's path."""
+    source, argv = STAGES[stage]
+    bad = tmp_path / "bad"
+    files = {name: str(path) for name, path in vars(chain).items()}
+    argv = [arg.format(bad=bad, out=tmp_path / "out", **files)
+            for arg in argv]
+    lines = getattr(chain, source).read_text(encoding="utf-8").splitlines()
+    lines[1] = edit(lines[1])
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err, bad
+
+
 @pytest.mark.parametrize("where", ["original_rank", "unknown-key"])
 @pytest.mark.parametrize("stage", JSONL_STAGES)
 def test_an_integer_beyond_the_digit_limit_exits_2(chain, tmp_path, capsys,
@@ -170,22 +186,25 @@ def test_an_integer_beyond_the_digit_limit_exits_2(chain, tmp_path, capsys,
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this Python converts integers of any length")
-    source, argv = STAGES[stage]
-    bad = tmp_path / "bad"
-    files = {name: str(path) for name, path in vars(chain).items()}
-    argv = [arg.format(bad=bad, out=tmp_path / "out", **files)
-            for arg in argv]
     digits = "9" * (limit + 1)
-    lines = getattr(chain, source).read_text(encoding="utf-8").splitlines()
-    if where == "original_rank":
-        lines[1] = re.sub(r'"original_rank": \d+',
-                          f'"original_rank": {digits}', lines[1])
-    else:
-        lines[1] = lines[1][:-1] + f', "extra": {digits}}}'
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    edit = {"original_rank": lambda line: re.sub(
+                r'"original_rank": \d+', f'"original_rank": {digits}', line),
+            "unknown-key": lambda line: line[:-1] + f', "extra": {digits}}}',
+            }[where]
+    code, err, bad = run_with_line_2(chain, tmp_path, capsys, stage, edit)
+    assert code == 2
     assert f"error: {bad}:2: invalid JSON: Exceeds the limit" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage", JSONL_STAGES)
+def test_arrays_nested_too_deep_exit_2(chain, tmp_path, capsys, stage):
+    # the json decoder recurses once per level of nesting
+    code, err, bad = run_with_line_2(
+        chain, tmp_path, capsys, stage,
+        lambda line: "[" * 100_000 + "]" * 100_000)
+    assert code == 2
+    assert f"error: {bad}:2: invalid JSON: maximum recursion depth" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()

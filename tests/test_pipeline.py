@@ -225,6 +225,57 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="qo_trees"):
             load_corpus(path, "B")
 
+    NON_EMPTY = "must be a non-empty string"
+    NO_TAB = "must be non-empty, with no tab, CR or LF, got "
+    OPTIONAL = "must be a non-empty string or null"
+    TREES = "must be a list of bracketed tree strings"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("query_id", 5, f"field 'query_id' {NON_EMPTY}"),
+        ("query_id", None, f"field 'query_id' {NON_EMPTY}"),
+        ("query_id", "", f"field 'query_id' {NON_EMPTY}"),
+        ("query_id", "q\t1", f"query_id {NO_TAB}'q\\t1'"),
+        ("candidate_id", ["c"], f"field 'candidate_id' {NON_EMPTY}"),
+        ("candidate_id", "", f"field 'candidate_id' {NON_EMPTY}"),
+        ("candidate_id", "c\n1", f"candidate_id {NO_TAB}'c\\n1'"),
+        ("original_rank", "3", "field 'original_rank' must be an integer"),
+        ("original_rank", 3.0, "field 'original_rank' must be an integer"),
+        ("original_rank", True, "field 'original_rank' must be an integer"),
+        ("original_rank", 0, "field 'original_rank' must be >= 1, got 0"),
+        ("original_rank", -2, "field 'original_rank' must be >= 1, got -2"),
+        ("qo_text", 5, "field 'qo_text' must be a string"),
+        ("qs_text", None, "field 'qs_text' must be a string"),
+        ("gold_label", 1, "field 'gold_label' must be a string"),
+        ("comment_text", "", f"field 'comment_text' {OPTIONAL}"),
+        ("qo_embedding_id", 7, f"field 'qo_embedding_id' {OPTIONAL}"),
+        ("qs_embedding_id", "", f"field 'qs_embedding_id' {OPTIONAL}"),
+        ("qo_trees", "(S (A a))", f"field 'qo_trees' {TREES}"),
+        ("qo_trees", [1], f"field 'qo_trees' {TREES}"),
+        ("qs_trees", ["(S (A a))", ""], f"field 'qs_trees' {TREES}"),
+        ("qs_trees", {}, f"field 'qs_trees' {TREES}"),
+    ])
+    def test_a_record_checks_its_own_fields(self, tmp_path, key, value,
+                                            message):
+        # the one validator: a corpus line and a record built through the
+        # API are refused with the same message
+        row = dict(corpus_row("q1", 1, True, task="D"), **{key: value})
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [corpus_row("q0", 1, True, task="D"), row])
+        with pytest.raises(DataError) as from_line:
+            load_corpus(path, "D")
+        assert str(from_line.value) == f"{path}:2: {message}"
+        with pytest.raises(DataError) as from_api:
+            CorpusRecord(**row)
+        assert str(from_api.value) == message
+
+    def test_a_record_keeps_its_trees_as_a_tuple(self):
+        required = dict(query_id="q1", candidate_id="c1", original_rank=1,
+                        qo_text="a", qs_text="b", gold_label="Relevant")
+        record = CorpusRecord(**required, qo_trees=["(S (A a))"],
+                              qs_trees=[])
+        assert record.qo_trees == ("(S (A a))",)
+        assert record.qs_trees is None
+
 
 class TestRunConfigValidation:
     def test_defaults_are_valid(self):

@@ -12,6 +12,7 @@ import pytest
 
 from qrerank import _native
 from qrerank.errors import DataError, NumericalError
+from qrerank.kernels import _exp
 from qrerank.svm import (
     TrainConfig,
     TrainedModel,
@@ -361,18 +362,25 @@ def native_engine():
 def problem(n, kernel, seed=0, duplicated=False):
     """A seeded Gram (RBF or linear on 4-dimensional points) and labels with
     both classes; ``duplicated`` repeats the first half of the points, so
-    gaps and violations tie exactly."""
+    gaps and violations tie exactly. The Gram sums one elementwise term per
+    coordinate, in coordinate order, and the RBF takes libm's ``exp``
+    (``kernels._exp``), so its bits do not depend on the BLAS kernel."""
     rng = make_rng(seed)
     X = rng.normal(size=(n, 4))
     if duplicated:
         X[n // 2:] = X[:n - n // 2]
     y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
     y[:2] = (1.0, -1.0)
+    G = np.zeros((n, n))
+    for x in X.T:
+        if kernel == "linear":
+            G += np.multiply.outer(x, x)
+        else:
+            d = np.subtract.outer(x, x)
+            G += d * d
     if kernel == "linear":
-        return linear_gram(X), y
-    sq = (X * X).sum(1)
-    return np.exp(-0.25 * np.maximum(sq[:, None] + sq[None, :]
-                                     - 2.0 * (X @ X.T), 0.0)), y
+        return G, y
+    return _exp(-0.25 * G.ravel()).reshape(n, n), y
 
 
 def model_bytes(tmp_path, T, y, cfg):
@@ -396,8 +404,8 @@ def both_engines(monkeypatch, caplog, compute):
     return runs
 
 
-GOLDEN_SHA256 = ("f6ac97f5f939c5306f7b2e7f4bffe3277d21e5206a9df025036908e8faa8"
-                 "e1f9")
+GOLDEN_SHA256 = ("854cf0e5b4383f8a7c22c979ed5db3b6780287a61c158862fa911b902b28"
+                 "00e2")
 
 GRID = [
     *[(n, kernel, {}, False) for n in (2, 3, 50, 300)
@@ -418,10 +426,8 @@ class TestGoldenModel:
 
     def test_golden_model(self, monkeypatch, caplog, tmp_path):
         # the sha256 of this model file as the Python reference wrote it
-        # when the solver took up second-order working-set selection, with
-        # training_checksum over the packed triangle since the solver took
-        # the triangle in place of the n×n matrix (every other line as
-        # before)
+        # when the fixture's Gram stopped depending on the BLAS kernel: the
+        # same under OPENBLAS_CORETYPE Prescott, Haswell and SkylakeX
         G, y = problem(300, "rbf", seed=2024, duplicated=True)
         T, cfg = lower(G), TrainConfig(C=2.0, c_scale_pos=1.5)
         for data, _ in both_engines(monkeypatch, caplog,
