@@ -11,9 +11,10 @@ MAP / AvgRec / MRR plus paired randomization significance tests.
 submodules. Each public name is resolved from its submodule on first use
 (PEP 562) and cached, so ``qrerank.RunConfig`` loads only ``config``,
 ``qrerank.build_examples`` loads the numpy-free featurization modules, and
-``qrerank.gram_matrix`` loads ``kernels`` and numpy. Only ``kernels``,
-``svm`` and ``rankeval.randomization_test`` compute with numpy; feature
-vectors are plain float64 ``array('d')``. The submodules that a
+``qrerank.gram_matrix`` loads ``kernels``, which imports numpy only in the
+functions that return or read numpy matrices. Only those, ``svm`` and
+``rankeval.randomization_test`` compute with numpy; feature vectors and
+kernel rows are plain float64 ``array('d')``. The submodules that a
 tracer may wrap are registered in ``sys.modules`` at import, through
 ``importlib.util.LazyLoader``: ``sys.modules["qrerank.kernels"]`` exists
 after ``import qrerank``, and the module runs when one of its attributes is

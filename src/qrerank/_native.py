@@ -1,6 +1,6 @@
 """Build and load the native engine, ``_tk.c``, on first use.
 
-The engine holds the tree-kernel row and the RBF exponentials of
+The engine holds the tree-kernel block and the combined-kernel row of
 :mod:`.kernels`, the SMO step of :mod:`.svm` and the counts behind the 20
 text similarities of :mod:`.features`. :func:`load` compiles the source
 with the installed ``cc`` (or ``gcc``) the first time a process needs one
@@ -48,16 +48,20 @@ class Engine(NamedTuple):
     """The library's entry points (see ``_tk.c``), argument types set."""
 
     tree_block: Callable
+    kernel_row: Callable
     smo_step: Callable
-    exp: Callable
     similarity: Callable
 
 
 _SIGNATURES = {
     "tree_block": ([ctypes.c_int, _f64, _f64, _p, _p, _p, _p, _p,
                     ctypes.c_int, _p, _i64, _p, _p, _p], ctypes.c_int),
+    "kernel_row": ([_i64, _i64, ctypes.c_int, _p, _p,
+                    ctypes.c_int, _f64, _i64, _p, _p,
+                    ctypes.c_int, _f64, _f64, _p, _p, _p, _p, _p, _p, _p,
+                    ctypes.c_int, _p, _p,
+                    ctypes.c_int, _f64, _p, _p], _i64),
     "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64], ctypes.c_int),
-    "exp": ([_i64, _p, _p], ctypes.c_int),
     "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }
 

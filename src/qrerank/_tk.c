@@ -1,10 +1,10 @@
-/* Native engine of qrerank: the tree kernels of qrerank.kernels, then the
- * SMO step of qrerank.svm, then the RBF exponentials of qrerank.kernels,
- * then the counts behind the text similarities of qrerank.features.
+/* Native engine of qrerank: the tree kernels and the combined-kernel rows of
+ * qrerank.kernels, then the SMO step of qrerank.svm, then the counts behind
+ * the text similarities of qrerank.features.
  *
- * The tree-kernel entry point, qrerank_tree_block, evaluates one Gram or
- * scoring row's tree block: each of the row's trees against the
- * same-position tree of every column, PTK or STK, raw (unnormalized). It
+ * The tree-kernel entry point, qrerank_tree_block, evaluates a block of tree
+ * pairs: each of a row's trees against the same-position tree of every
+ * column, PTK or STK, raw (unnormalized). It
  * reads the call's subtree table and compiled trees as the flat int32
  * arrays kernels._Subtrees keeps:
  *
@@ -27,12 +27,16 @@
  * -ffp-contract=off and without -ffast-math, so that no multiply-add is fused
  * and no operation reassociated.
  *
- * A Δ memo keyed by (row subtree, column subtree) serves all the row's tree
- * pairs and is dropped when the call returns. Each tree pair walks the row
- * tree's subtree ids in ascending order; a child's id is smaller than its
+ * A Δ memo keyed by (row subtree, column subtree) serves all the block's
+ * tree pairs and is dropped when the call returns. Each tree pair walks the
+ * row tree's subtree ids in ascending order; a child's id is smaller than its
  * parent's, so every matched child pair is in the memo before its parent
  * reads it, and a memo miss means the labels (STK: productions) differ. No
  * recursion: any depth works. DP buffers grow to the largest child block met.
+ *
+ * qrerank_kernel_row computes one whole row of a Gram or scoring matrix, the
+ * similarity, tree and rank blocks of kernels._row, with one memo for the
+ * row's tree pairs.
  */
 
 #include <math.h>
@@ -40,7 +44,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, NO_MEMORY = 1, OVERFLOW = 2 };
+enum { OK = 0, NO_MEMORY = 1, OVERFLOW = 2, DEGENERATE = 3 };
 
 /* ------------------------------------------------------------------------
  * exactly rounded sums: Shewchuk's non-overlapping partials, finished as
@@ -378,12 +382,46 @@ static double tree_pair(Row *r, const int32_t *t1, const int32_t *t2)
     return sum_value(&r->pair_sum);
 }
 
+/* r set up for one block of tree pairs; 0 when memory runs out */
+static int row_init(Row *r, int kind, double lam, double mu,
+                    const int32_t *labels, const int32_t *prods,
+                    const int32_t *kid_off, const int32_t *kid_ids)
+{
+    memset(r, 0, sizeof *r);
+    r->ptk = kind == 1;
+    r->lam = lam;
+    r->mu = mu;
+    r->lam2 = lam * lam;
+    r->mu_lam2 = mu * lam * lam;    /* a childless node: (μλ)λ */
+    r->labels = labels;
+    r->prods = prods;
+    r->kid_off = kid_off;
+    r->kid_ids = kid_ids;
+    return memo_init(&r->memo, 10);
+}
+
+/* work[0] receives the number of Δ values computed, work[1] the number of
+ * child-block DP runs; r's buffers are freed */
+static void row_free(Row *r, int64_t *work)
+{
+    work[0] = r->memo.len;
+    work[1] = r->dp_runs;
+    free(r->memo.keys);
+    free(r->memo.vals);
+    free(r->pair_sum.p);
+    free(r->dp_sum.p);
+    free(r->D);
+    free(r->dps);
+    free(r->nxt);
+    free(r->up);
+    free(r->row);
+}
+
 /* Fill out[j*ntrees + t] with the kernel between the row's tree t, at
  * forest offset row[t], and column j's tree t, at cols[j*ntrees + t], for
- * j < ncols. kind 1 is PTK (λ, μ), 0 is STK (λ). work[0] receives the
- * number of Δ values computed, work[1] the number of child-block DP runs.
- * Returns 0, or nonzero when memory ran out or a sum overflowed (out is
- * then incomplete). */
+ * j < ncols. kind 1 is PTK (λ, μ), 0 is STK (λ). work gets the block's work
+ * counts (row_free). Returns 0, or nonzero when memory ran out or a sum
+ * overflowed (out is then incomplete). */
 int qrerank_tree_block(int kind, double lam, double mu,
                        const int32_t *labels, const int32_t *prods,
                        const int32_t *kid_off, const int32_t *kid_ids,
@@ -392,34 +430,121 @@ int qrerank_tree_block(int kind, double lam, double mu,
                        int64_t *work)
 {
     Row r;
-    memset(&r, 0, sizeof r);
-    r.ptk = kind == 1;
-    r.lam = lam;
-    r.mu = mu;
-    r.lam2 = lam * lam;
-    r.mu_lam2 = mu * lam * lam;     /* a childless node: (μλ)λ */
-    r.labels = labels;
-    r.prods = prods;
-    r.kid_off = kid_off;
-    r.kid_ids = kid_ids;
-    if (!memo_init(&r.memo, 10))
+    if (!row_init(&r, kind, lam, mu, labels, prods, kid_off, kid_ids))
         return NO_MEMORY;
     for (int64_t j = 0; j < ncols && r.status == OK; j++)
         for (int t = 0; t < ntrees && r.status == OK; t++)
             out[j * ntrees + t] = tree_pair(&r, forest + row[t],
                                             forest + cols[j * ntrees + t]);
-    work[0] = r.memo.len;
-    work[1] = r.dp_runs;
-    free(r.memo.keys);
-    free(r.memo.vals);
-    free(r.pair_sum.p);
-    free(r.dp_sum.p);
-    free(r.D);
-    free(r.dps);
-    free(r.nxt);
-    free(r.up);
-    free(r.row);
+    row_free(&r, work);
     return r.status;
+}
+
+/* ------------------------------------------------------------------------
+ * one row of a combined kernel matrix: qrerank.kernels._row
+ *
+ * A cell is ((0.0 + sim) + (t0 + t1)) + rank, each enabled block added in
+ * that order, every sum taken left to right (the library is compiled with
+ * -ffp-contract=off, so no product is fused into it):
+ *
+ *   sim    LINEAR: Σ_k u_k·x_k; RBF: exp(-γ·Σ_k (u_k - x_k)²), from 0.0
+ *   tree   t_q, the raw tree kernel of the row's tree q against the column's;
+ *          normalized, t_q / sqrt(s_q·c_q) over the two self-kernels
+ *   rank   LINEAR: r_i·r_j; RBF: exp((-γ·d)·d), d = r_i - r_j
+ *
+ * exp is libm's, the function CPython's math.exp calls, and sqrt is
+ * correctly rounded, so the Python engine's math.exp and math.sqrt give the
+ * same bits. Every exponent is <= 0 (γ > 0), so no exp overflows.
+ * ---------------------------------------------------------------------- */
+
+enum { BLOCK_OFF = 0, LINEAR = 1, RBF = 2 };
+
+/* the sim block between the row's vector u and a column's x, of dim values */
+static double sim_value(int kind, double gamma, int64_t dim, const double *u,
+                        const double *x)
+{
+    double s = 0.0;
+    if (kind == LINEAR) {
+        for (int64_t k = 0; k < dim; k++)
+            s += u[k] * x[k];
+        return s;
+    }
+    for (int64_t k = 0; k < dim; k++) {
+        double d = u[k] - x[k];
+        s += d * d;
+    }
+    return exp(-gamma * s);
+}
+
+/* Fill out[0 .. ncols) with row i of a combined kernel matrix against the
+ * first ncols columns. sim and rank are BLOCK_OFF, LINEAR or RBF; tree is
+ * -1 (off), 0 (STK) or 1 (PTK). The rows' and the columns' blocks are
+ * row-major: row_X and col_X hold dim values per example, row_at and
+ * col_at two forest offsets, row_selfs and col_selfs their two
+ * self-kernels (read only to normalize, and the row's for the diagonal),
+ * row_r and col_r the rank feature. With diagonal, as in a
+ * Gram row, the last column is example i itself and takes the row's
+ * self-kernels as its raw tree kernels. work gets the tree pairs' work counts
+ * (row_free), zeros without the tree block.
+ *
+ * Returns the index of the first non-finite cell, ncols when every cell is
+ * finite, or -1 when memory ran out, a tree kernel's sum overflowed or a
+ * self-kernel to normalize by is <= 0 (out is then incomplete). */
+int64_t qrerank_kernel_row(int64_t i, int64_t ncols, int diagonal,
+                           double *out, int64_t *work, int sim,
+                           double sim_gamma, int64_t dim,
+                           const double *row_X, const double *col_X,
+                           int tree, double lam, double mu,
+                           const int32_t *labels, const int32_t *prods,
+                           const int32_t *kid_off, const int32_t *kid_ids,
+                           const int32_t *forest, const int64_t *row_at,
+                           const int64_t *col_at, int normalize,
+                           const double *row_selfs, const double *col_selfs,
+                           int rank, double rank_gamma, const double *row_r,
+                           const double *col_r)
+{
+    Row r;
+    memset(&r, 0, sizeof r);
+    if (tree >= 0 &&
+        !row_init(&r, tree, lam, mu, labels, prods, kid_off, kid_ids))
+        return -1;
+    int64_t first_bad = ncols, m = ncols - (diagonal != 0);
+    for (int64_t j = 0; j < ncols && r.status == OK; j++) {
+        double v = 0.0;
+        if (sim != BLOCK_OFF)
+            v += sim_value(sim, sim_gamma, dim, row_X + i * dim,
+                           col_X + j * dim);
+        if (tree >= 0) {
+            double t[2];
+            for (int q = 0; q < 2 && r.status == OK; q++) {
+                t[q] = j < m ? tree_pair(&r, forest + row_at[2 * i + q],
+                                         forest + col_at[2 * j + q])
+                             : row_selfs[2 * i + q];
+                if (normalize) {
+                    double s = row_selfs[2 * i + q], c = col_selfs[2 * j + q];
+                    if (s <= 0.0 || c <= 0.0)
+                        r.status = DEGENERATE;  /* normalize_kernel raises */
+                    else
+                        t[q] = t[q] / sqrt(s * c);
+                }
+            }
+            v += t[0] + t[1];
+        }
+        if (rank == LINEAR) {
+            v += row_r[i] * col_r[j];
+        } else if (rank == RBF) {
+            double d = row_r[i] - col_r[j];
+            v += exp((-rank_gamma * d) * d);
+        }
+        out[j] = v;
+        if (first_bad == ncols && !isfinite(v))
+            first_bad = j;
+    }
+    if (tree >= 0)
+        row_free(&r, work);
+    else
+        work[0] = work[1] = 0;
+    return r.status == OK ? first_bad : -1;
 }
 
 /* ------------------------------------------------------------------------
@@ -549,25 +674,6 @@ int qrerank_smo_step(int64_t n, const double *T, const double *y,
     }
     return try_pair(n, T, y, box, alpha, g, eps, i, j) ? SMO_STEPPED
                                                        : SMO_STALLED;
-}
-
-/* ------------------------------------------------------------------------
- * the RBF exponentials of qrerank.kernels
- *
- * qrerank_exp sets out[k] = exp(x[k]) with libm's exp, the function
- * CPython's math.exp calls, so every value has math.exp's bits.
- * ---------------------------------------------------------------------- */
-
-/* Returns 0, or 1 when some exp(x[k]) overflows a finite x[k], where
- * math.exp raises OverflowError (out is then incomplete). */
-int qrerank_exp(int64_t n, const double *x, double *out)
-{
-    for (int64_t k = 0; k < n; k++) {
-        out[k] = exp(x[k]);
-        if (isinf(out[k]) && isfinite(x[k]))
-            return 1;
-    }
-    return 0;
 }
 
 /* ------------------------------------------------------------------------

@@ -29,10 +29,11 @@ time one of the stages that take config flags (``featurize``, ``gram``,
 import and configure ``logging``.  So ``qrerank --help``, a missing or
 unknown subcommand, ``evaluate`` and ``sigtest`` load neither ``config``
 nor ``logging``.  No ``--help`` or usage error loads numpy, and neither do
-``evaluate`` and ``featurize``, whose ``pipeline`` and ``features`` hold
-plain float vectors (unless ``use_ptk_feature`` asks for the tree
-kernels).  ``gram``, ``train``, ``rerank`` and ``sigtest`` compute with
-numpy.  A run builds the config flags of its own subcommand only.
+``evaluate``, ``featurize`` and ``gram``: ``pipeline`` and ``features``
+hold plain float vectors, and ``gram`` computes each Gram row in one
+native call (or the Python engine's loop) into an ``array`` and writes it
+as it comes.  ``train``, ``rerank`` and ``sigtest`` compute with numpy.
+A run builds the config flags of its own subcommand only.
 
 Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
 failures.  When ``--stopwords`` names a relative path that does not exist,

@@ -34,9 +34,10 @@ example's ``original_rank`` (:func:`rank_feature`).
 Feature values are plain float64 vectors (``array('d')``): ``Example`` and
 ``embedding_pair`` convert any 1-d sequence of real numbers, numpy arrays
 included, and ``np.asarray`` reads one without a copy. This module imports no
-numpy. ``ptk_feature`` alone imports :mod:`.kernels`, and with it numpy, when
-it is called: of the feature families only the tree-pair similarity
-(``use_ptk_feature``, off by default) computes with them. ``Example``, the
+numpy, and neither does ``featurize`` through it. ``ptk_feature`` alone
+imports :mod:`.kernels`, when it is called: of the feature families only the
+tree-pair similarity (``use_ptk_feature``, off by default) computes with
+them, and the tree kernels run without numpy. ``Example``, the
 featurized pair that the kernels consume, lives here for the same reason;
 ``qrerank.kernels.Example`` is the same class.
 """
@@ -368,7 +369,7 @@ def ptk_feature(tree_o_rel: str, tree_s_rel: str, cfg: KernelConfig) -> float:
     :class:`DataError`.
 
     The one feature that computes with :mod:`.kernels`; it imports that
-    module, and numpy with it, when it is called."""
+    module when it is called."""
     from .kernels import normalize_kernel, ptk
 
     if tree_o_rel is None or tree_s_rel is None:

@@ -28,10 +28,10 @@ its tokens close it, in post-order, so the ids do not depend on the text's
 spacing.
 
 The tree kernels of one Gram or scoring row, its two trees against the
-same-position trees of a block of columns, are one tree block
-(``_tree_block``); ``_prepare`` computes each example's two self-kernels as
-a block of one column, and ``ptk``/``stk`` one pair as a block of one tree.
-Both kernels run over the pairs of subtrees the buckets match, in ascending
+same-position trees of a block of columns, are one tree block, computed
+within the row's native call or, by the Python engine, by ``_tree_block``;
+``_prepare`` computes each example's two self-kernels as a block of one
+column, and ``ptk``/``stk`` one pair as a block of one tree. Both kernels run over the pairs of subtrees the buckets match, in ascending
 order of the row tree's ids. A Δ memo keyed by (row subtree, column
 subtree), created per block and dropped after it, shares work across the
 block's tree pairs. A memo miss means the labels (STK: the productions)
@@ -75,41 +75,48 @@ blocks.
 
 Every kernel matrix comes from one generator of rows (``_kernel_rows``).
 Before the first row it runs every missing-block, dimension and tree check
-and stacks the rows' and the columns' vectors, ranks, tree offsets and
-self-kernels once per call (``_prepare``); ``_row`` then computes row i
-from that state by index. ``kernel_matrix`` takes each row against all
-columns. The Gram takes row i against columns 0..i, its lower triangle in
-the order of its file: ``gram_matrix`` mirrors each row into the matrix,
-and ``write_gram`` writes each to the file as it is computed, so that it
-holds O(n) beyond the examples, never the n×n matrix. The log lines and
-errors of a matrix name the function called (``gram_matrix``,
-``write_gram`` or ``kernel_matrix``). Each value has the bits of its pair
-in either order, so the mirror is exact. The vector
-blocks are batched but keep the per-pair arithmetic, so every value is
-bit-identical to evaluating its pair alone: each dot product is one BLAS
-dot per pair (``np.matmul`` of 1×dim by dim×1 calls the same routine as
-``np.dot``), each exponential is libm's ``exp``, the function
-``math.exp`` calls (``_exp``: one native loop per row), and the blocks are
-added to 0.0 in the order sim, tree, rank. ``np.einsum`` or
-``(d * d).sum(1)`` round some dot products differently, and ``np.exp``
-some exponentials. The tree block is one ``_tree_block`` call per row,
-normalized in numpy with :func:`normalize_kernel`'s operations. A row's
-temporaries are O(columns × dim); no n×n×dim array is built. A Gram and
+and packs the rows' and the columns' vectors, ranks, tree offsets and
+self-kernels once per call into flat ``array`` buffers (``_prepare``);
+``_row`` then computes row i from that state by index. ``kernel_matrix``
+takes each row against all columns. The Gram takes row i against columns
+0..i, its lower triangle in the order of its file: ``gram_matrix`` mirrors
+each row into the matrix, and ``write_gram`` writes each to the file as it
+is computed, so that it holds O(n) beyond the examples, never the n×n
+matrix. The log lines and errors of a matrix name the function called
+(``gram_matrix``, ``write_gram`` or ``kernel_matrix``).
+
+A row is one native call (``qrerank_kernel_row``), or the Python engine's
+loop where the engine is unavailable or the call fails, with the same
+scalar operations in the same order: the sim block's sum
+``Σ_k u_k·x_k`` (LINEAR) or ``Σ_k (u_k − x_k)²`` (RBF, then
+``exp(−γ·Σ)``) taken left to right from 0.0, the tree block normalized as
+:func:`normalize_kernel` does, ``k / sqrt(k_row·k_col)``, the rank block
+``r_i·r_j`` or ``exp((−γ·d)·d)``, and each cell ``((0.0 + sim) + (t0 + t1))
++ rank`` over the enabled blocks. ``exp`` is libm's, which ``math.exp``
+calls, and ``sqrt`` is correctly rounded, so both engines give the same
+bits on any machine; no BLAS is involved. Each value has the bits of its
+pair in either order, so the Gram's mirror is exact. A Gram and
 ``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
-value, the Gram's first in its file's order. Either matrix, if it takes
-more than a second, logs its progress: at most ten INFO lines, each with
-the rows done, the seconds and an estimate of the seconds left.
+value, the Gram's first in its file's order; the native call returns its
+index. Either matrix, if it takes more than a second, logs its progress: at
+most ten INFO lines, each with the rows done, the seconds and an estimate
+of the seconds left.
 
 The Gram cache file (``write_gram``, ``save_gram``, ``load_gram_lower``,
 ``load_gram``) is text: the lower triangle, each cell the 16 hex digits of
 its IEEE-754 bits, so it is exact by construction. One writer encodes each
-row with one ``binascii.hexlify`` call as the row arrives, into a
-temporary file renamed into place when complete. One reader decodes and
-checks blocks of rows with a few numpy operations, each block straight
-into place in the packed triangle (row i from offset i(i+1)/2), which is
-what ``load_gram_lower`` returns and ``train`` solves on; ``load_gram``
-reads it into the first cells of an n×n matrix and unpacks it there. Either
-holds a block's temporaries beyond what it returns. No engine is involved.
+row, its big-endian bytes, with one ``binascii.hexlify`` call as the row
+arrives, into a temporary file renamed into place when complete. One reader
+decodes and checks blocks of rows with a few numpy operations, each block
+straight into place in the packed triangle (row i from offset i(i+1)/2),
+which is what ``load_gram_lower`` returns and ``train`` solves on;
+``load_gram`` reads it into the first cells of an n×n matrix and unpacks it
+there. Either holds a block's temporaries beyond what it returns. No engine
+is involved.
+
+Only the functions that return or read numpy arrays import numpy, when they
+run: ``gram_matrix``, ``kernel_matrix``, ``save_gram`` and the reader. So
+``write_gram``, the ``gram`` stage, and ``ptk``/``stk`` never load it.
 """
 
 from __future__ import annotations
@@ -119,15 +126,17 @@ import hashlib
 import logging
 import math
 import os
+import sys
 import time
 from array import array
 from collections import defaultdict
 from dataclasses import fields
+from functools import reduce
 from itertools import accumulate
+from operator import add, mul
+from operator import sub as minus
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _native
 from .config import KernelConfig
@@ -135,6 +144,9 @@ from .errors import DataError, NumericalError
 # Example is defined in the numpy-free features module and re-exported here
 from .features import Example, rank_feature
 from .treebank import tokens
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -389,72 +401,58 @@ def _one_pair(t1: str, t2: str, cfg: KernelConfig) -> float:
     """The raw tree kernel ``cfg`` names between two trees; λ and μ have
     been checked where ``cfg`` was made."""
     sub = _Subtrees()
-    row = np.array([sub.compile(t1)])
-    return float(_tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, row,
-                             np.array([[sub.compile(t2)]]))[0, 0])
+    row = array("q", [sub.compile(t1)])
+    return _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, row,
+                       array("q", [sub.compile(t2)]))[0]
 
 
 def _tree_block(kind: str, lam: float, mu: float, sub: _Subtrees,
-                row: np.ndarray, cols: np.ndarray) -> np.ndarray:
+                row: array, cols: array) -> array:
     """Raw tree kernels between each tree of one row and the tree in the
     same position of each column, all compiled against ``sub``: ``row``
-    holds the forest offsets of the row's trees and ``cols`` one such row
-    per column; the result has the shape of ``cols``.
+    holds the forest offsets of the row's trees and ``cols`` one such run
+    per column, back to back; the result, in ``cols``' order, is as long.
 
     The native engine computes the block when it is available; else, or if
     it reports running out of memory or an overflowing sum, the Python
     engine does, so an error is raised as ``math.fsum`` raises it. One Δ
     memo serves the block and is dropped after it."""
-    row = np.ascontiguousarray(row, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    if cols.ndim != 2 or cols.shape[1] != len(row):
-        raise ValueError(f"tree block of shape {cols.shape} for a row of "
-                         f"{len(row)} trees")
-    out = np.empty(cols.shape)
-    if not out.size:
+    out = array("d", [0.0]) * len(cols)
+    if not out:
         return out
     native = _native.load()
     if native is not None:
-        work = np.zeros(2, dtype=np.int64)
+        work = array("q", [0, 0])
         if native.tree_block(
                 int(kind == "PTK"), lam, mu,
                 *(a.buffer_info()[0] for a in (sub.labels, sub.prods,
                                                sub.kid_off, sub.kid_ids,
                                                sub.forest)),
-                len(row), row.ctypes.data, len(cols), cols.ctypes.data,
-                out.ctypes.data, work.ctypes.data) == 0:
-            sub.dp_runs += int(work[1])
-            sub.tally(out.size, int(work[0]), "native")
+                len(row), row.buffer_info()[0], len(cols) // len(row),
+                cols.buffer_info()[0], out.buffer_info()[0],
+                work.buffer_info()[0]) == 0:
+            sub.dp_runs += work[1]
+            sub.tally(len(out), work[0], "native")
             return out
     memo = {}
-    for j, col in enumerate(cols.tolist()):
-        for k, (t1, t2) in enumerate(zip(row.tolist(), col)):
-            out[j, k] = _tree_pair(kind, t1, t2, lam, mu, sub, memo)
-    sub.tally(out.size, len(memo), "python")
+    for j in range(0, len(cols), len(row)):
+        for k, t1 in enumerate(row):
+            out[j + k] = _tree_pair(kind, t1, cols[j + k], lam, mu, sub, memo)
+    sub.tally(len(out), len(memo), "python")
     return out
 
 
 def normalize_kernel(k_xy: float, k_xx: float, k_yy: float) -> float:
-    """Cosine-style normalization k_xy / sqrt(k_xx · k_yy)."""
+    """Cosine-style normalization k_xy / sqrt(k_xx · k_yy), with IEEE
+    division: where the product of two tiny self-kernels rounds to 0, the
+    result is inf (nan for k_xy = 0), as ``qrerank_kernel_row`` gives it."""
     if k_xx <= 0.0 or k_yy <= 0.0:
         raise NumericalError(
             f"degenerate self-kernel (k_xx={k_xx}, k_yy={k_yy}): "
             "cannot normalize"
         )
-    return k_xy / math.sqrt(k_xx * k_yy)
-
-
-def _normalize(k: np.ndarray, k_row: np.ndarray,
-               k_cols: np.ndarray) -> np.ndarray:
-    """:func:`normalize_kernel` over a row's tree block: k[j, t] over
-    sqrt(k_row[t] · k_cols[j, t]), each operation correctly rounded as in
-    the one-cell form. The first degenerate self-kernel, in column order,
-    raises."""
-    bad = (k_row <= 0.0) | (k_cols <= 0.0)
-    if bad.any():
-        j, t = np.argwhere(bad)[0]
-        normalize_kernel(float(k[j, t]), float(k_row[t]), float(k_cols[j, t]))
-    return k / np.sqrt(k_row * k_cols)
+    d = math.sqrt(k_xx * k_yy)
+    return k_xy / d if d else k_xy * math.inf   # IEEE's k_xy / +0.0
 
 
 def _require_trees(e: Example):
@@ -468,28 +466,6 @@ def _require_trees(e: Example):
             raise DataError(
                 f"example ({e.query_id}, {e.candidate_id}) holds a "
                 f"{type(tree).__name__} tree, not bracketed text")
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """``math.exp`` of each value of x. The native engine calls libm's
-    ``exp``, the function ``math.exp`` calls, so the bits are the same; where
-    a value overflows, or the engine is unavailable, ``math.exp`` runs, and
-    raises as it does."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    native = _native.load()
-    if native is not None:
-        out = np.empty_like(x)
-        if native.exp(len(x), x.ctypes.data, out.ctypes.data) == 0:
-            return out
-    return np.array([math.exp(v) for v in x.tolist()])
-
-
-def _rbf_row(u: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(−γ‖u−x‖²) for each row x of X: one BLAS dot and one ``exp`` per
-    row, as for one pair alone (see the module docstring)."""
-    d = u - X
-    sq = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
-    return _exp(-gamma * sq)
 
 
 def _resolve_gamma(cfg: KernelConfig, dim: int) -> float:
@@ -521,105 +497,153 @@ def _check_dims(u, v) -> None:
 
 
 class _Block(NamedTuple):
-    """A block of examples prepared for one kernel call: their vec block
-    ``X`` (n×dim) and rank block ``r`` (n) as float64, each None when the
-    config does not use it, the forest offsets of each example's two
-    compiled trees ``at`` (n×2, or n×0 when the tree block is off) and their
-    self-kernels ``selfs`` (same shape; ones where not needed)."""
-    X: np.ndarray | None
-    r: np.ndarray | None
-    at: np.ndarray
-    selfs: np.ndarray
-
-    def head(self, j: int) -> _Block:
-        """The block of the first j examples."""
-        return _Block(*(None if a is None else a[:j] for a in self))
+    """A block of n examples prepared for one kernel call, each buffer flat
+    and row-major: their vecs ``X`` (n·dim float64) and ranks ``r`` (n),
+    each None when the config does not use it, the forest offsets of each
+    example's two compiled trees ``at`` (2n int64, empty when the tree
+    block is off) and their self-kernels ``selfs`` (2n float64, empty where
+    not needed)."""
+    X: array | None
+    dim: int
+    r: array | None
+    at: array
+    selfs: array
 
 
 def _prepare(examples, cfg: KernelConfig, sub: _Subtrees, selfs: bool,
-             ref: np.ndarray | None = None) -> _Block:
+             ref: array | None = None) -> _Block:
     """The block of ``examples``: first the missing-block, dimension and
     rank checks, then their two trees compiled against the call's table
     ``sub`` and, if ``selfs``, their self-kernels. Each vec is checked
-    against the first row of ``ref``, the columns' vec block, if given, and
-    else against the first vec of ``examples``. The vecs' bytes, joined, are
-    read in place. An example's two self-kernels are one tree block, sharing
-    one Δ memo."""
-    n = len(examples)
+    against ``ref``, the first of the columns' vecs, if given, and else
+    against the first vec of ``examples``. An example's two self-kernels are
+    one tree block, sharing one Δ memo."""
     if cfg.use_tk:
         for e in examples:
             _require_trees(e)
-    X = r = None
+    X, dim, r = None, 0, None
     if cfg.use_sim:
         vecs = [_require_vec(e) for e in examples]
         for v in vecs:
             if ref is None:
                 _check_dims(vecs[0], v)
             else:
-                _check_dims(v, ref[0])
-        X = np.frombuffer(b"".join(vecs)).reshape(n, len(vecs[0]))
+                _check_dims(v, ref)
+        X, dim = array("d", b"".join(vecs)), len(vecs[0])
     if cfg.use_rank:
-        r = np.array([_rank(e, cfg.rank_mode) for e in examples],
-                     dtype=np.float64)
-    if not cfg.use_tk:
-        return _Block(X, r, np.empty((n, 0), dtype=np.int64), np.empty((n, 0)))
-    at = np.array([(sub.compile(e.tree_first), sub.compile(e.tree_second))
-                   for e in examples], dtype=np.int64)
-    k = np.ones(at.shape)
-    if selfs:
-        for i, trees in enumerate(at):
-            k[i] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, trees,
-                               trees[None])[0]
-    return _Block(X, r, at, k)
+        r = array("d", [_rank(e, cfg.rank_mode) for e in examples])
+    at, k = array("q"), array("d")
+    if cfg.use_tk:
+        for e in examples:
+            at.append(sub.compile(e.tree_first))
+            at.append(sub.compile(e.tree_second))
+        if selfs:
+            for i in range(0, len(at), 2):
+                trees = at[i:i + 2]
+                k.extend(_tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub,
+                                     trees, trees))
+    return _Block(X, dim, r, at, k)
 
 
-def _row(i: int, rows: _Block, cols: _Block, cfg: KernelConfig,
-         sub: _Subtrees, diagonal: bool = False) -> np.ndarray:
-    """The combined kernel between example i of ``rows`` and every example
-    of ``cols``, read from the two prepared blocks. With ``diagonal``, as in
-    a Gram row, the last column is example i itself and takes its
-    self-kernels at hand.
+# qrerank_kernel_row's codes for a sim or rank block: off, LINEAR, RBF
+_BLOCK_KINDS = {None: 0, "LINEAR": 1, "RBF": 2}
 
-    Each value is the sum, in this order, of the sim, tree and rank blocks,
-    starting from 0.0, with the arithmetic of one pair alone; temporaries
-    are O(columns × dim). The row's tree kernels are one tree block
-    (:func:`_tree_block`), sharing one Δ memo."""
-    row = np.zeros(len(cols.at))
-    # an overflow leaves a non-finite cell, which gram_matrix and
-    # kernel_matrix report as a NumericalError; numpy's warning would only
-    # precede that message
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.use_sim:
-            u = rows.X[i]
-            if cfg.vec_kernel == "LINEAR":
-                row += np.matmul(cols.X[:, None, :], u[:, None])[:, 0, 0]
-            else:
-                row += _rbf_row(u, cols.X, _resolve_gamma(cfg, len(u)))
-        if cfg.use_tk:
-            m = len(cols.at) - diagonal
-            k = np.empty(cols.at.shape)
-            k[:m] = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub, rows.at[i],
-                                cols.at[:m])
-            k[m:] = rows.selfs[i:i + diagonal]
-            if cfg.normalize_tk:
-                k = _normalize(k, rows.selfs[i], cols.selfs)
-            row += k[:, 0] + k[:, 1]
-        if cfg.use_rank:
-            r_i = rows.r[i]
-            if cfg.rank_kernel == "LINEAR":
-                row += r_i * cols.r
-            else:
-                d = r_i - cols.r
-                row += _exp((-_resolve_gamma(cfg, 1) * d) * d)
+
+def _address(a: array | None) -> int | None:
+    return None if a is None else a.buffer_info()[0]
+
+
+def _native_row(native, rows: _Block, cols: _Block, cfg: KernelConfig,
+                sub: _Subtrees, diagonal: bool):
+    """The native engine's ``_row`` for one call's blocks: a function of
+    (i, m, out) that fills ``out`` with row i against the first m columns
+    and returns the index of its first non-finite cell, m if none, or -1
+    when the call fails. It holds the buffers' addresses, so the blocks and
+    ``sub`` must outlive it, unchanged."""
+    tree = -1 if not cfg.use_tk else int(cfg.tk_kind == "PTK")
+    fixed = (
+        _BLOCK_KINDS[cfg.vec_kernel if cfg.use_sim else None],
+        _resolve_gamma(cfg, rows.dim) if cfg.use_sim else 0.0, rows.dim,
+        _address(rows.X), _address(cols.X),
+        tree, cfg.lam, cfg.mu,
+        *(a.buffer_info()[0] for a in (sub.labels, sub.prods, sub.kid_off,
+                                       sub.kid_ids, sub.forest)),
+        _address(rows.at), _address(cols.at), int(cfg.normalize_tk),
+        _address(rows.selfs), _address(cols.selfs),
+        _BLOCK_KINDS[cfg.rank_kernel if cfg.use_rank else None],
+        _resolve_gamma(cfg, 1), _address(rows.r), _address(cols.r))
+    work = array("q", [0, 0])
+    call, at = native.kernel_row, work.buffer_info()[0]
+
+    def row(i: int, m: int, out: array) -> int:
+        bad = call(i, m, int(diagonal), out.buffer_info()[0], at, *fixed)
+        if bad >= 0 and tree >= 0 and m > diagonal:
+            sub.dp_runs += work[1]
+            sub.tally(2 * (m - diagonal), work[0], "native")
+        return bad
     return row
 
 
-def _require_finite(call: str, i: int, row: np.ndarray) -> None:
-    """Raise :class:`NumericalError` naming the first non-finite value of
-    ``row``, cells (i, 0), (i, 1), ... of the call's matrix."""
-    bad = ~np.isfinite(row)
-    if bad.any():
-        j = int(np.argmax(bad))
+def _row(i: int, m: int, rows: _Block, cols: _Block, cfg: KernelConfig,
+         sub: _Subtrees, diagonal: bool = False) -> tuple[array, int]:
+    """The Python engine's row: the combined kernel between example i of
+    ``rows`` and the first m examples of ``cols``, read from the two
+    prepared blocks, and the index of its first non-finite value (m if
+    none). With ``diagonal``, as in a Gram row, the last column is example i
+    itself and takes its self-kernels at hand.
+
+    Each value is the sum, in this order, of the sim, tree and rank blocks,
+    starting from 0.0, with the scalar operations of ``qrerank_kernel_row``
+    in the same order. The row's tree kernels are one tree block
+    (:func:`_tree_block`), sharing one Δ memo."""
+    row = [0.0] * m
+    if cfg.use_sim:
+        dim, X = rows.dim, cols.X
+        u = rows.X[i * dim:(i + 1) * dim]
+        xs = (X[j:j + dim] for j in range(0, m * dim, dim))
+        if cfg.vec_kernel == "LINEAR":
+            sims = [reduce(add, map(mul, u, x), 0.0) for x in xs]
+        else:
+            gamma = _resolve_gamma(cfg, dim)
+            sims = []
+            for x in xs:
+                d = list(map(minus, u, x))
+                sims.append(math.exp(-gamma * reduce(add, map(mul, d, d),
+                                                     0.0)))
+        row = list(map(add, row, sims))
+    if cfg.use_tk:
+        selfs = rows.selfs[2 * i:2 * i + 2]
+        k = _tree_block(cfg.tk_kind, cfg.lam, cfg.mu, sub,
+                        rows.at[2 * i:2 * i + 2],
+                        cols.at[:2 * (m - diagonal)])
+        if diagonal:
+            k.extend(selfs)
+        if cfg.normalize_tk:
+            k = [normalize_kernel(v, a, b)
+                 for v, a, b in zip(k, selfs * m, cols.selfs)]
+        row = list(map(add, row, map(add, k[0::2], k[1::2])))
+    if cfg.use_rank:
+        r_i, r = rows.r[i], cols.r[:m]
+        if cfg.rank_kernel == "LINEAR":
+            row = [v + r_i * r_j for v, r_j in zip(row, r)]
+        else:
+            gamma = _resolve_gamma(cfg, 1)
+            row = [v + math.exp((-gamma * d) * d)
+                   for v, d in zip(row, (r_i - r_j for r_j in r))]
+    return array("d", row), _first_non_finite(row)
+
+
+def _first_non_finite(row) -> int:
+    """The index of the first non-finite value of ``row``, or its length."""
+    return next((j for j, v in enumerate(row) if not math.isfinite(v)),
+                len(row))
+
+
+def _require_finite(call: str, i: int, row, j: int) -> None:
+    """Raise :class:`NumericalError` naming ``row[j]``, the first non-finite
+    value of ``row``, cells (i, 0), (i, 1), ... of the call's matrix, unless
+    j is past the row's end."""
+    if j < len(row):
         raise NumericalError(f"{call}: non-finite kernel value {row[j]} at "
                              f"cell ({i}, {j})")
 
@@ -630,18 +654,19 @@ _PROGRESS_AFTER_S = 1.0
 
 def _kernel_rows(call: str, rows: list[Example],
                  cols: list[Example] | None, cfg: KernelConfig):
-    """The rows of a kernel matrix, in order: each of ``rows`` against every
-    one of ``cols`` (:func:`kernel_matrix`) or, with ``cols`` None, the Gram
-    matrix of ``rows`` as its file holds it, row i against columns 0..i
-    (:func:`gram_matrix`, :func:`write_gram`). ``call`` names the function
-    called, in the log lines and the errors.
+    """The rows of a kernel matrix, in order, each an ``array('d')``: each
+    of ``rows`` against every one of ``cols`` (:func:`kernel_matrix`) or,
+    with ``cols`` None, the Gram matrix of ``rows`` as its file holds it,
+    row i against columns 0..i (:func:`gram_matrix`, :func:`write_gram`).
+    ``call`` names the function called, in the log lines and the errors.
 
     This call prepares the columns' block and then the rows'
     (:func:`_prepare`): every missing-block, dimension and tree check, every
     tree compiled into the call's one table, and the self-kernels the rows
-    need. The rows only read that state. Each row
-    is computed as it is taken from the iterator returned, which raises
-    :class:`NumericalError` at the first non-finite value.
+    need. The rows only read that state. Each row is computed as it is taken
+    from the iterator returned, by one native call or else by the Python
+    engine (:func:`_row`); the iterator raises :class:`NumericalError` at
+    the first non-finite value.
 
     Once a row ends a tenth of the cells and the rows have taken
     ``_PROGRESS_AFTER_S`` seconds, one INFO line gives the rows done of n,
@@ -658,14 +683,23 @@ def _kernel_rows(call: str, rows: list[Example],
             raise DataError(f"{call} requires non-empty example lists")
         cells = n * len(cols)
         c = _prepare(cols, cfg, sub, cfg.normalize_tk)
-        p = _prepare(rows, cfg, sub, cfg.normalize_tk, c.X)
+        p = _prepare(rows, cfg, sub, cfg.normalize_tk,
+                     c.X[:c.dim] if cfg.use_sim else None)
+    native = _native.load()
+    native_row = (None if native is None else
+                  _native_row(native, p, c, cfg, sub, gram))
 
     def generate():
         done, tenth = 0, 1
         for i in range(n):
-            row = _row(i, p, c.head(i + 1) if gram else c, cfg, sub, gram)
-            _require_finite(call, i, row)
-            done += len(row)
+            m = i + 1 if gram else len(cols)
+            row, bad = array("d", [0.0]) * m, -1
+            if native_row is not None:
+                bad = native_row(i, m, row)
+            if bad < 0:
+                row, bad = _row(i, m, p, c, cfg, sub, gram)
+            _require_finite(call, i, row, bad)
+            done += m
             if 10 * done >= tenth * cells:
                 tenth = 10 * done // cells + 1
                 seconds = time.perf_counter() - start
@@ -689,12 +723,14 @@ def gram_matrix(examples: list[Example], cfg: KernelConfig) -> np.ndarray:
     diagonal. A non-finite value raises :class:`NumericalError` naming its
     cell, the first of the lower triangle in row-major order.
     """
+    import numpy as np
+
     rows = _kernel_rows("gram_matrix", examples, None, cfg)
     n = len(examples)
     G = np.empty((n, n), dtype=np.float64)
     for i, row in enumerate(rows):
         G[i, :i + 1] = row
-        G[:i, i] = row[:i]
+        G[:i, i] = G[i, :i]
     return G
 
 
@@ -705,6 +741,8 @@ def kernel_matrix(rows: list[Example], cols: list[Example],
     and its self-kernels computed, once for the whole call. A non-finite
     value raises :class:`NumericalError` naming its cell, the first in
     row-major order."""
+    import numpy as np
+
     K_rows = _kernel_rows("kernel_matrix", rows, cols, cfg)
     K = np.empty((len(rows), len(cols)), dtype=np.float64)
     for i, row in enumerate(K_rows):
@@ -743,6 +781,8 @@ def _blocks(n: int):
     the separator after each of its cells, a newline after a row's last and
     a space after the others. The block's cells start at i(i+1)/2 in the
     packed triangle."""
+    import numpy as np
+
     i = 0
     while i < n:
         # the largest j with j(j+1)/2 - i(i+1)/2 <= _BLOCK
@@ -757,16 +797,18 @@ def _blocks(n: int):
 
 def _write_gram(call: str, path: str | Path, n: int, fingerprint: str,
                 rows) -> None:
-    """Write a Gram file of the n lower-triangle rows ``rows`` (row i
-    holding cells 0..i), each row encoded and written as it is taken from
-    the iterable: the 16 hex digits of each value's big-endian bytes, a
-    space between values and a newline after the row.
+    """Write a Gram file of the n lower-triangle rows ``rows`` (row i an
+    ``array('d')`` of cells 0..i), each row encoded and written as it is
+    taken from the iterable: the 16 hex digits of each value's big-endian
+    bytes, a space between values and a newline after the row. A row is
+    byte-swapped in place on a little-endian host.
 
     The file is written under a temporary name beside ``path`` and renamed
     to ``path`` once complete; on any error it is removed, and a file
     already at ``path`` is left as it was. One INFO line, led by ``call``,
     gives n, the file's bytes and the seconds."""
     start = time.perf_counter()
+    swap = sys.byteorder == "little"
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "wb")
     try:
@@ -774,8 +816,9 @@ def _write_gram(call: str, path: str | Path, n: int, fingerprint: str,
             fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n"
                      f"# n: {n}\n".encode("utf-8"))
             for row in rows:
-                fh.write(binascii.hexlify(row.astype(">f8").tobytes(),
-                                          b" ", 8))
+                if swap:
+                    row.byteswap()
+                fh.write(binascii.hexlify(row, b" ", 8))
                 fh.write(b"\n")
             size = fh.tell()
         os.replace(tmp, path)
@@ -793,14 +836,17 @@ def save_gram(path: str | Path, gram: np.ndarray, fingerprint: str) -> None:
     newline after a row's last. A non-finite value raises
     :class:`NumericalError` naming its cell, and leaves ``path`` as it was.
     One INFO line gives n, the file's bytes and the seconds."""
+    import numpy as np
+
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise DataError("gram must be a square matrix")
 
     def rows():
         for i, row in enumerate(gram):
-            _require_finite("save_gram", i, row[:i + 1])
-            yield row[:i + 1]
+            cells = array("d", row[:i + 1].tobytes())
+            _require_finite("save_gram", i, cells, _first_non_finite(cells))
+            yield cells
 
     _write_gram("save_gram", path, len(gram), fingerprint, rows())
 
@@ -827,6 +873,8 @@ def _header_line(fh, path) -> str:
 def _bad_cell(cells: np.ndarray, digits: np.ndarray, i: int,
               sep: np.ndarray) -> str:
     """What is wrong with the first bad cell of a block of rows from i."""
+    import numpy as np
+
     k = int(np.argmax((digits > 15).any(axis=1) | (cells[:, 16] != sep)))
     row = i + int(np.count_nonzero(sep[:k] == ord("\n")))
     if cells[k, 16] == sep[k]:
@@ -853,6 +901,8 @@ def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
     in the triangle, so the temporaries beyond it stay under a MB at any n.
 
     One INFO line gives n, the file's bytes and the seconds."""
+    import numpy as np
+
     start = time.perf_counter()
     with open(path, "rb") as fh:
         magic, fp_line, n_line = (_header_line(fh, path) for _ in range(3))
@@ -888,6 +938,8 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
     fingerprint): the full symmetric n×n matrix, the saved matrix bit for
     bit, with :func:`load_gram_lower`'s checks and errors. The packed
     triangle is copied into a new matrix and mirrored, row by row."""
+    import numpy as np
+
     lower, fingerprint = load_gram_lower(path)
     n = (math.isqrt(8 * len(lower) + 1) - 1) // 2
     G = np.empty((n, n))
@@ -904,6 +956,8 @@ def _decode(path: str | Path, data: bytes, i: int, sep: np.ndarray,
     whose cells end in the separators ``sep``, into ``out``. A bad cell
     raises :class:`DataError`. The temporaries, about 40 bytes a cell, are
     dropped on return, before the next block is read."""
+    import numpy as np
+
     if len(data) != _CELL * len(sep):
         raise DataError(f"{path}: file ends in row {i}")
     text = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CELL)

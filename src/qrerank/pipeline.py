@@ -46,13 +46,16 @@ Every JSONL reader here refuses a record with a repeated key, where
 This module imports no numpy: corpus loading, featurization and the
 examples files work on plain float vectors.  ``score_examples`` imports
 numpy and :mod:`.kernels` when it runs, so the ``featurize`` stage never
-loads them (unless ``use_ptk_feature`` asks for the tree kernels).
+loads numpy, and loads the kernels only when ``use_ptk_feature`` asks for
+the tree kernels.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import operator
 import time
 from array import array
 from dataclasses import MISSING, dataclass, fields
@@ -493,10 +496,16 @@ def load_labels(path) -> list[int]:
 
 def score_examples(test_examples, model, train_examples,
                    kernel_cfg: KernelConfig) -> np.ndarray:
-    """Decision scores of test examples against a trained model's supports."""
+    """Decision scores of test examples against a trained model's supports.
+
+    Each test example's kernel row against the supports is scored as it is
+    computed, as the exactly rounded sum (``math.fsum``) of its K_ij·coef_j
+    plus the bias, so no test × support matrix is held and the score does
+    not depend on the order of the terms. A sum beyond the doubles, or one
+    of inf and -inf, scores nan, which :func:`make_groups` refuses."""
     import numpy as np
 
-    from .kernels import kernel_matrix
+    from .kernels import _kernel_rows
 
     needed = max(model.support_indices, default=-1) + 1
     if needed > len(train_examples):
@@ -506,8 +515,16 @@ def score_examples(test_examples, model, train_examples,
     supports = [train_examples[i] for i in model.support_indices]
     if not supports:
         return np.full(len(test_examples), model.bias)
-    K = kernel_matrix(test_examples, supports, kernel_cfg)
-    return K @ model.dual_coefs + model.bias
+    coefs = model.dual_coefs.tolist()
+    scores = []
+    for row in _kernel_rows("kernel_matrix", test_examples, supports,
+                            kernel_cfg):
+        try:
+            score = math.fsum(map(operator.mul, row, coefs))
+        except (OverflowError, ValueError):
+            score = math.nan
+        scores.append(score + model.bias)
+    return np.array(scores)
 
 
 def make_groups(examples, scores) -> list[QueryGroup]:

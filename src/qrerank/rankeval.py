@@ -20,7 +20,6 @@ systems provably leaves the p-value unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DataError, open_text
 
@@ -33,51 +32,87 @@ def _check_id(name: str, value: str) -> None:
                         f"got {value!r}")
 
 
-@dataclass(frozen=True)
-class Candidate:
+class _Record:
+    """Immutable fields, the names in ``__slots__``, each set once by the
+    constructor; equality, hashing and ``repr`` over them, in that order.
+    (A plain class: ``dataclasses`` costs ``evaluate`` its import.)"""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Candidate(_Record):
     """One ranked candidate question with its gold label and model score."""
 
+    __slots__ = ("candidate_id", "original_rank", "gold_relevant", "score")
     candidate_id: str
     original_rank: int
     gold_relevant: bool
     score: float
 
-    def __post_init__(self):
-        _check_id("candidate_id", self.candidate_id)
-        if type(self.original_rank) is not int or self.original_rank < 1:
+    def __init__(self, candidate_id: str, original_rank: int,
+                 gold_relevant: bool, score: float):
+        _check_id("candidate_id", candidate_id)
+        if type(original_rank) is not int or original_rank < 1:
             raise DataError(
                 f"original_rank must be a positive integer, got "
-                f"{self.original_rank!r}")
+                f"{original_rank!r}")
         try:
-            score = float(self.score)
+            value = float(score)
         except (TypeError, ValueError):
-            score = math.nan
-        if not math.isfinite(score):
+            value = math.nan
+        if not math.isfinite(value):
             raise DataError(
-                f"score of candidate {self.candidate_id!r} must be a finite "
-                f"float, got {self.score!r}")
-        object.__setattr__(self, "score", score)
+                f"score of candidate {candidate_id!r} must be a finite "
+                f"float, got {score!r}")
+        self._set(candidate_id, original_rank, gold_relevant, value)
 
 
-@dataclass(frozen=True)
-class QueryGroup:
+class QueryGroup(_Record):
     """All candidates retrieved for one original question."""
 
+    __slots__ = ("query_id", "candidates")
     query_id: str
     candidates: tuple[Candidate, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        _check_id("query_id", self.query_id)
-        if not self.candidates:
-            raise DataError(f"query {self.query_id!r} has no candidates")
-        ids = [c.candidate_id for c in self.candidates]
+    def __init__(self, query_id: str, candidates):
+        candidates = tuple(candidates)
+        _check_id("query_id", query_id)
+        if not candidates:
+            raise DataError(f"query {query_id!r} has no candidates")
+        ids = [c.candidate_id for c in candidates]
         if len(set(ids)) != len(ids):
-            raise DataError(f"duplicate candidate ids in query {self.query_id!r}")
-        ranks = [c.original_rank for c in self.candidates]
+            raise DataError(f"duplicate candidate ids in query {query_id!r}")
+        ranks = [c.original_rank for c in candidates]
         if len(set(ranks)) != len(ranks):
             raise DataError(
-                f"duplicate original ranks in query {self.query_id!r}")
+                f"duplicate original ranks in query {query_id!r}")
+        self._set(query_id, candidates)
 
 
 def reranked_candidates(group: QueryGroup) -> tuple[Candidate, ...]:

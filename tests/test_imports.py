@@ -1,6 +1,7 @@
 """The import boundary: ``import qrerank`` and the CLI load no numpy until a
-stage that computes with it runs, the CLI loads the config schema and
-``logging`` only for the stages that take config flags, and the lazy package
+stage that computes with it runs (``featurize`` and ``gram`` never do), the
+CLI loads the config schema and ``logging`` only for the stages that take
+config flags, ``evaluate`` loads no ``dataclasses``, and the lazy package
 still exposes every public name. Each case runs in a fresh interpreter,
 since this process has imported everything already."""
 
@@ -56,6 +57,19 @@ def test_evaluate_loads_no_numpy(tmp_path):
         cwd=tmp_path) == (0, False)
 
 
+def test_evaluate_loads_neither_dataclasses_nor_numpy(tmp_path):
+    """(A ``.pth`` file of the interpreter's site may import
+    ``dataclasses`` at start-up, so the child drops it from ``sys.modules``
+    first.)"""
+    (tmp_path / "p.tsv").write_text(PREDICTIONS, encoding="utf-8")
+    out = run("import sys\nsys.modules.pop('dataclasses', None)\n"
+              "from qrerank import cli\n"
+              "code = cli.main(['evaluate', '--predictions', 'p.tsv'])\n"
+              "print(code, 'dataclasses' in sys.modules,"
+              " 'numpy' in sys.modules)", cwd=tmp_path)
+    assert out.split()[-3:] == ["0", "False", "False"]
+
+
 PREDICTIONS = "q1\tc1\t1\t0.5\ttrue\nq1\tc2\t2\t0.25\tfalse\n"
 STARTUP_CASES = {
     "help": ["--help"],
@@ -106,18 +120,18 @@ def featurize_argv(tmp_path):
             "--out", "c.ex"]
 
 
-# only the tree-pair similarity feature computes with the kernels
-@pytest.mark.parametrize("flags,loaded", [
-    ([], False),
-    (["--use-tk", "--tk-kind", "PTK", "--use-rank"], False),
-    (["--use-embeddings", "--embeddings", "emb.tsv"], False),
-    (["--use-ptk-feature"], True),
+# the tree-pair similarity feature computes with the kernels, which load
+# numpy only to build or read a numpy matrix
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--use-tk", "--tk-kind", "PTK", "--use-rank"],
+    ["--use-embeddings", "--embeddings", "emb.tsv"],
+    ["--use-ptk-feature"],
 ], ids=["default", "taskB-ptk", "embeddings", "ptk-feature"])
-def test_featurize_loads_numpy_only_for_the_ptk_feature(tmp_path, flags,
-                                                         loaded):
+def test_featurize_loads_no_numpy(tmp_path, flags):
     argv = featurize_argv(tmp_path) + flags
     assert numpy_loaded_after(f"cli.main({argv!r})",
-                              cwd=tmp_path) == (0, loaded)
+                              cwd=tmp_path) == (0, False)
 
 
 def test_featurize_runs_with_numpy_blocked(tmp_path, monkeypatch):
@@ -133,6 +147,53 @@ def test_featurize_runs_with_numpy_blocked(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert (tmp_path / "c.ex").read_bytes() == blocked
+
+
+GRAM_CASES = {
+    "sim": [],
+    "sim-rank": ["--use-rank"],
+    "tk-rank-normalized": ["--no-use-sim", "--use-tk", "--normalize-tk",
+                           "--use-rank"],
+    "linear-vec-rbf-rank": ["--vec-kernel", "LINEAR", "--use-rank",
+                            "--rank-kernel", "RBF"],
+    "rbf-vec-linear-rank": ["--vec-kernel", "RBF", "--gamma", "0.5",
+                            "--use-rank", "--rank-kernel", "LINEAR"],
+    "all-blocks": ["--use-tk", "--use-rank"],
+}
+
+
+def gram_argv(tmp_path, flags):
+    """Featurize a task-B corpus with trees into tmp_path, and return the
+    gram arguments that read it there under ``flags``."""
+    assert main(["featurize", "--task", "B", "--corpus",
+                 str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "c.ex"),
+                 "--use-tk", "--use-rank"]) == 0
+    return ["gram", "--examples", "c.ex", "--out", "c.gram", *flags]
+
+
+@pytest.mark.parametrize("name", GRAM_CASES)
+def test_gram_loads_no_numpy(tmp_path, name):
+    write_corpus(tmp_path / "c.jsonl", n_queries=2, per_query=3,
+                 with_trees=True)
+    argv = gram_argv(tmp_path, GRAM_CASES[name])
+    assert numpy_loaded_after(f"cli.main({argv!r})",
+                              cwd=tmp_path) == (0, False)
+
+
+@pytest.mark.parametrize("name", ["sim", "all-blocks"])
+def test_gram_runs_with_numpy_blocked(tmp_path, monkeypatch, name):
+    """With ``sys.modules["numpy"] = None`` any numpy import fails; the Gram
+    file is byte-identical to that of a run with numpy loaded."""
+    write_corpus(tmp_path / "c.jsonl", n_queries=2, per_query=3,
+                 with_trees=True)
+    argv = gram_argv(tmp_path, GRAM_CASES[name])
+    run("import sys\nsys.modules['numpy'] = None\n"
+        f"from qrerank import cli\nsys.exit(cli.main({argv!r}))",
+        cwd=tmp_path)
+    blocked = (tmp_path / "c.gram").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert (tmp_path / "c.gram").read_bytes() == blocked
 
 
 def test_featurize_with_a_built_library_imports_no_build_modules(tmp_path):

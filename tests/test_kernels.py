@@ -1,7 +1,7 @@
 """Tree kernels against brute-force enumeration oracles, plus the pair kernel,
 vector kernels, Gram assembly, the Gram cache file, and the native engine
-(tree kernels, exponentials): bit for bit and byte for byte against the
-Python engine, its build cache and its fallback."""
+(tree kernels, combined-kernel rows): bit for bit and byte for byte against
+the Python engine, its build cache and its fallback."""
 
 import gc
 import hashlib
@@ -155,6 +155,11 @@ class TestNormalizeKernel:
 
     def test_arithmetic_identity(self):
         assert normalize_kernel(2.0, 4.0, 4.0) == pytest.approx(0.5)
+
+    def test_an_underflowing_product_divides_as_ieee(self):
+        # 1e-300 · 1e-300 rounds to 0: k / 0 is inf, 0 / 0 is nan
+        assert normalize_kernel(1e-300, 1e-300, 1e-300) == math.inf
+        assert math.isnan(normalize_kernel(0.0, 1e-300, 1e-300))
 
     def test_degenerate_self_kernel_rejected(self):
         with pytest.raises(NumericalError, match="degenerate self-kernel"):
@@ -611,6 +616,30 @@ class TestNonFiniteKernels:
     def test_rbf_underflows_to_zero_without_error(self):
         G = gram_matrix(self.examples([1e200, 1e200]), KernelConfig())
         assert G[0, 2] == G[2, 0] == 0.0 and G[2, 2] == 1.0
+
+    def test_normalizing_by_self_kernels_whose_product_underflows(self):
+        # PTK self-kernels near 1e-300: their product rounds to 0, so the
+        # normalized kernel is inf, as IEEE division by zero gives it
+        ex = [example_with_trees("(S (A a))", "(S (B b) (A a))",
+                                 cid=f"c{k}") for k in range(2)]
+        cfg = KernelConfig(use_sim=False, use_tk=True, lam=1e-100,
+                           mu=1e-100)
+        with pytest.raises(NumericalError, match=re.escape(
+                "gram_matrix: non-finite kernel value inf at cell (0, 0)")):
+            gram_matrix(ex, cfg)
+
+    def test_a_self_kernel_that_underflows_to_zero_is_degenerate(self):
+        # μλ² = 1e-600 rounds to 0, so every PTK self-kernel is 0
+        ex = [example_with_trees("(S (A a))", "(S (B b))", cid=f"c{k}")
+              for k in range(2)]
+        cfg = KernelConfig(use_sim=False, use_tk=True, lam=1e-200,
+                           mu=1e-200)
+        message = re.escape("degenerate self-kernel (k_xx=0.0, k_yy=0.0): "
+                            "cannot normalize")
+        with pytest.raises(NumericalError, match=message):
+            gram_matrix(ex, cfg)
+        with pytest.raises(NumericalError, match=message):
+            kernel_matrix(ex[1:], ex, cfg)
 
 
 # PTK and STK, each normalized and not, and the LINEAR and RBF kernels on
@@ -1141,27 +1170,37 @@ def vector_examples(n=300, dim=20, seed=404):
             for k in range(n)]
 
 
+def squared_distance(u, v):
+    """Σ_k (u_k − v_k)², summed left to right from 0.0: the fixed order of
+    both engines."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += (a - b) * (a - b)
+    return total
+
+
 def per_cell_gram(examples, gamma):
-    """RBF-vec + LINEAR-rank Gram in the per-cell form: one ``np.dot`` and
-    one ``math.exp`` per cell, the sim block added to 0.0 before the rank
-    block. The reference the row-wise code must equal bit for bit."""
+    """RBF-vec + LINEAR-rank Gram in the per-cell form: one fixed-order
+    squared distance and one ``math.exp`` per cell, the sim block added to
+    0.0 before the rank block. The reference the row-wise code must equal
+    bit for bit."""
     n = len(examples)
     G = np.empty((n, n))
     for i, e_i in enumerate(examples):
         for j in range(i, n):
             e_j = examples[j]
-            d = np.subtract(e_i.vec, e_j.vec)
             total = 0.0
-            total += math.exp(-gamma * float(np.dot(d, d)))
+            total += math.exp(-gamma * squared_distance(e_i.vec, e_j.vec))
             total += (1.0 / e_i.original_rank) * (1.0 / e_j.original_rank)
             G[i, j] = G[j, i] = total
     return G
 
 
 # sha256 of gram_matrix(vector_examples(), KernelConfig(use_rank=True))
-# .tobytes(), recorded with the per-cell code.
-GRAM_300_SHA256 = ("45f496c5e24fe6cc3da9641d5a5a5e00"
-                   "d207183bbcfe9131bc2345a3b07e6d3a")
+# .tobytes(), recorded with the per-cell code; no BLAS computes it, so it
+# holds on any machine.
+GRAM_300_SHA256 = ("9326ed26e70df1877a4b9f3533a28211"
+                   "33ed16a912101b73f0f9629926f9e46e")
 
 ONE_CELL_CONFIGS = [
     KernelConfig(use_tk=True, use_rank=True),
@@ -1182,10 +1221,6 @@ class TestRowWiseKernel:
 
     def test_gram_of_300_vectors_digest(self):
         ex = vector_examples()
-        reference = per_cell_gram(ex, 1.0 / 20).tobytes()
-        if hashlib.sha256(reference).hexdigest() != GRAM_300_SHA256:
-            pytest.skip("this BLAS sums a 20-term dot product in another "
-                        "order than the one the digest was recorded with")
         G = gram_matrix(ex, KernelConfig(use_rank=True))
         assert hashlib.sha256(G.tobytes()).hexdigest() == GRAM_300_SHA256
 
@@ -1202,10 +1237,9 @@ class TestRowWiseKernel:
     def test_rbf_is_the_one_cell_form(self):
         rng = make_rng(97)
         u, v = rng.normal(size=20), rng.normal(size=20)
-        d = u - v
         value = cell(vec_example(u), vec_example(v, "b"),
                      KernelConfig(gamma=0.3))
-        assert value == math.exp(-0.3 * float(np.dot(d, d)))
+        assert value == math.exp(-0.3 * squared_distance(u, v))
 
 
 def checked_examples(dims=(4, 4, 4, 4), no_vec=(), huge_rank=()):
@@ -1739,15 +1773,15 @@ class TestBuildAndFallback:
 
 
 # ---------------------------------------------------------------------------
-# the native exponentials against the Python code, and the Gram files of
-# both engines
+# the native rows against the Python engine's, and the Gram files of both
+# engines
 # ---------------------------------------------------------------------------
 
 @pytest.mark.usefixtures("native_engine")
 class TestNativeGramWriter:
-    """The native engine's share of a Gram file, the exponentials of its
-    RBF cells: bit for bit math.exp's, so the files and the matrices read
-    back are those of the Python engine."""
+    """The native engine's Gram rows, every block of them: bit for bit the
+    Python engine's, so the files and the matrices read back are the
+    same."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bench_shaped_gram_files_are_byte_identical(
@@ -1774,6 +1808,32 @@ class TestNativeGramWriter:
         native, python = both_engines(monkeypatch, run)
         assert native == python
 
+    @pytest.mark.parametrize("cfg", ONE_CELL_CONFIGS)
+    def test_write_gram_files_are_byte_identical(self, monkeypatch,
+                                                 tmp_path, cfg):
+        ex = make_examples(make_rng(83), 24)
+
+        def run():
+            path = tmp_path / f"{_native.load() is None}.gram"
+            write_gram(path, ex, cfg)
+            return path.read_bytes()
+
+        native, python = both_engines(monkeypatch, run)
+        assert native == python
+
+    def test_exp_is_math_exp(self):
+        # RBF cells over squared distances from 0 to past the point where
+        # exp underflows to 0 (about 745): each libm's exp of its
+        # fixed-order sum, the function math.exp calls
+        rng = make_rng(23)
+        vecs = rng.normal(size=(200, 4)) * rng.uniform(0.0, 12.0, (200, 1))
+        ex = [vec_example(v, f"c{k}") for k, v in enumerate(vecs)]
+        G = gram_matrix(ex, KernelConfig(gamma=1.0))
+        assert G.min() == 0.0
+        assert G.tobytes() == np.array(
+            [[math.exp(-1.0 * squared_distance(u, v)) for v in vecs]
+             for u in vecs]).tobytes()
+
     def test_log_lines(self, monkeypatch, tmp_path, caplog):
         G = np.arange(9.0).reshape(3, 3) / 3.0
         path = tmp_path / "g.gram"
@@ -1785,18 +1845,3 @@ class TestNativeGramWriter:
                  for r in caplog.records]
         assert lines == [f"save_gram: n 3, {size} bytes, S s",
                          f"load_gram_lower: n 3, {size} bytes, S s"] * 2
-
-    def test_exp_is_math_exp(self):
-        rng = make_rng(23)
-        x = np.concatenate([-rng.exponential(30.0, 200_000),
-                            rng.uniform(-746.0, 709.7, 200_000),
-                            [0.0, -0.0, -math.inf, math.nan, 709.78, -745.2,
-                             -745.13, -708.4, 1e-300, -1e-300]])
-        assert kernels._exp(x).tobytes() == \
-            np.array([math.exp(v) for v in x.tolist()]).tobytes()
-
-    def test_exp_overflow_raises_as_math_exp(self, monkeypatch):
-        x = np.array([0.0, 710.0])
-        native, python = both_engines(monkeypatch, lambda: repr(
-            pytest.raises(OverflowError, kernels._exp, x).value))
-        assert native == python == repr(OverflowError("math range error"))

@@ -980,6 +980,18 @@ class TestGroupsAndScoring:
             ) + model.bias
             assert scores[i] == pytest.approx(manual, abs=1e-12)
 
+    def test_score_examples_sums_exactly(self, tmp_path):
+        # every rank-only LINEAR cell is 1·1: the exact sum of 1e16, 1 and
+        # -1e16 is 1, where a sum in order rounds 1e16 + 1 back to 1e16
+        examples = self.build(tmp_path)
+        ones = [e for e in examples if e.original_rank == 1]
+        model = TrainedModel(support_indices=(0, 0, 0),
+                             dual_coefs=np.array([1e16, 1.0, -1e16]),
+                             bias=0.5)
+        cfg = KernelConfig(use_sim=False, use_rank=True)
+        scores = score_examples(ones, model, ones, cfg)
+        assert scores.tolist() == [1.5] * len(ones)
+
 
 class TestRunExperiment:
     """Experiments run through the CLI stages, each reading the files the
