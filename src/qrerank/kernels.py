@@ -104,15 +104,14 @@ of the seconds left.
 
 The Gram cache file (``write_gram``, ``save_gram``, ``load_gram_lower``,
 ``load_gram``) is text: the lower triangle, each cell the 16 hex digits of
-its IEEE-754 bits, so it is exact by construction. One writer encodes each
-row, its big-endian bytes, with one ``binascii.hexlify`` call as the row
-arrives, into a temporary file renamed into place when complete. One reader
-decodes and checks blocks of rows with a few numpy operations, each block
-straight into place in the packed triangle (row i from offset i(i+1)/2),
-which is what ``load_gram_lower`` returns and ``train`` solves on;
-``load_gram`` reads it into the first cells of an n×n matrix and unpacks it
-there. Either holds a block's temporaries beyond what it returns. No engine
-is involved.
+its IEEE-754 bits, so it is exact by construction, and it is read as it is
+written, a row at a time. One writer encodes each row, its big-endian
+bytes, with one ``binascii.hexlify`` call as the row arrives, into a
+temporary file renamed into place when complete. One reader (``_gram_rows``)
+checks each row's bytes in one step and decodes them with ``bytes.fromhex``:
+``load_gram_lower`` packs the rows into the triangle ``train`` solves on
+(row i from offset i(i+1)/2), and ``load_gram`` mirrors each into an n×n
+matrix. No engine is involved.
 
 Only the functions that return or read numpy arrays import numpy, when they
 run: ``gram_matrix``, ``kernel_matrix``, ``save_gram`` and the reader. So
@@ -126,6 +125,8 @@ import hashlib
 import logging
 import math
 import os
+import re
+import stat
 import sys
 import time
 from array import array
@@ -769,30 +770,7 @@ def config_fingerprint(cfg: KernelConfig) -> str:
 
 GRAM_MAGIC = "qrerank-gram v2"
 _CELL = 17          # bytes per cell: 16 hex digits and a separator
-_BLOCK = 1 << 13    # cells per block read: well under a MB of temporaries
-# each lowercase hex digit → its value; any other byte → 16
-_NIBBLES = bytes(int(c, 16) if c in "0123456789abcdef" else 16
-                 for c in map(chr, range(256)))
-
-
-def _blocks(n: int):
-    """The lower triangle of an n×n matrix in blocks of whole rows, about
-    ``_BLOCK`` cells each but at least one row: the block's first row i and
-    the separator after each of its cells, a newline after a row's last and
-    a space after the others. The block's cells start at i(i+1)/2 in the
-    packed triangle."""
-    import numpy as np
-
-    i = 0
-    while i < n:
-        # the largest j with j(j+1)/2 - i(i+1)/2 <= _BLOCK
-        j = (math.isqrt(8 * _BLOCK + 4 * i * (i + 1) + 1) - 1) // 2
-        j = min(n, max(i + 1, j))
-        sep = np.full((j * (j + 1) - i * (i + 1)) // 2, ord(" "),
-                      dtype=np.uint8)
-        sep[np.cumsum(np.arange(i + 1, j + 1)) - 1] = ord("\n")
-        yield i, sep
-        i = j
+_HEX = b"0123456789abcdef"   # the digits a cell is written in
 
 
 def _write_gram(call: str, path: str | Path, n: int, fingerprint: str,
@@ -862,112 +840,106 @@ def write_gram(path: str | Path, examples: list[Example],
                 rows)
 
 
-def _header_line(fh, path) -> str:
-    line = fh.readline()
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-
-
-def _bad_cell(cells: np.ndarray, digits: np.ndarray, i: int,
-              sep: np.ndarray) -> str:
-    """What is wrong with the first bad cell of a block of rows from i."""
-    import numpy as np
-
-    k = int(np.argmax((digits > 15).any(axis=1) | (cells[:, 16] != sep)))
-    row = i + int(np.count_nonzero(sep[:k] == ord("\n")))
-    if cells[k, 16] == sep[k]:
-        text = cells[k, :16].tobytes().decode("latin-1")
-        return f"bad number {text!r} in row {row}"
-    if cells[k, 16] not in b" \n":
-        return f"bad separator {chr(cells[k, 16])!r} in row {row}"
-    first = (row * (row + 1) - i * (i + 1)) // 2
-    ends = np.flatnonzero(cells[first:, 16] == ord("\n"))
-    count = ends[0] + 1 if len(ends) else f"more than {len(cells) - first}"
-    return f"row {row} has {count} entries, expected {row + 1}"
-
-
-def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
-    """Read a Gram cache written by :func:`save_gram` as it is stored.
-
-    Returns (lower, fingerprint): ``lower`` is the lower triangle packed
-    row-major in one flat float64 array, row i (cells G[i][0..i]) from
-    offset i(i+1)/2, n(n+1)/2 values in all; no n×n matrix is built.
-    Raises :class:`DataError` on any malformation. The file's size is
-    checked against n before the triangle is allocated; a bad cell names
-    its row. Blocks of about ``_BLOCK`` cells are decoded and checked,
-    non-finite values included, one at a time, each straight into its place
-    in the triangle, so the temporaries beyond it stay under a MB at any n.
-
-    One INFO line gives n, the file's bytes and the seconds."""
+def _gram_rows(call: str, path: str | Path):
+    """Read a Gram cache file as :func:`_write_gram` writes it: yield (n,
+    fingerprint) once the file's size is checked against n, then each row
+    i, G[i][0..i], as a big-endian float64 array decoded with
+    ``bytes.fromhex`` from its 17·(i+1) bytes, checked in one step. Anything
+    but the exact layout, or a non-finite value, raises :class:`DataError`
+    naming the file (and the row). One INFO line, led by ``call``, gives n,
+    the file's bytes and the seconds."""
     import numpy as np
 
     start = time.perf_counter()
+    # checked before the open: opening a FIFO with no writer would block
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataError(f"{path}: not a regular file")
     with open(path, "rb") as fh:
-        magic, fp_line, n_line = (_header_line(fh, path) for _ in range(3))
+        try:
+            magic, fp_line, n_line = (fh.readline().decode() for _ in range(3))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
         if magic != f"# {GRAM_MAGIC}\n":
             raise DataError(f"{path}: not a gram cache file")
         if not fp_line.startswith("# fingerprint: "):
             raise DataError(f"{path}: missing fingerprint header")
-        fingerprint = fp_line[len("# fingerprint: "):].strip()
         if not n_line.startswith("# n: "):
             raise DataError(f"{path}: missing size header")
-        try:
-            n = int(n_line[len("# n: "):])
-        except ValueError as exc:
-            raise DataError(f"{path}: bad size header") from exc
-        if n < 0:
+        # only what the writer writes: ASCII digits, no sign, space,
+        # underscore or leading zero; a larger n's file needs 10^36 bytes
+        if not (m := re.fullmatch(r"# n: (0|[1-9][0-9]{0,17})\n", n_line)):
             raise DataError(f"{path}: bad size header")
+        n = int(m[1])
         size = os.fstat(fh.fileno()).st_size
         body, need = size - fh.tell(), _CELL * n * (n + 1) // 2
         if body != need:
             raise DataError(f"{path}: {n} rows take {need} bytes, "
                             f"found {body}")
-        lower = np.empty(n * (n + 1) // 2, dtype=np.float64)
-        for i, sep in _blocks(n):
-            _decode(path, fh.read(_CELL * len(sep)), i, sep,
-                    lower[i * (i + 1) // 2:][:len(sep)])
-    logger.info("load_gram_lower: n %d, %d bytes, %.3f s", n, size,
+        yield n, fp_line[len("# fingerprint: "):].strip()
+        # one bool array for all rows: one per row fragments the heap
+        finite = np.empty(n, dtype=bool)
+        for i in range(n):
+            line = fh.read(_CELL * (i + 1))
+            seps = b" " * i + b"\n"
+            if line[16::_CELL] != seps or line.translate(None, _HEX) != seps:
+                raise DataError(f"{path}: {_bad_row(fh, line, i)}")
+            row = np.frombuffer(bytes.fromhex(line.decode("ascii")), ">f8")
+            if not np.isfinite(row, out=finite[:i + 1]).all():
+                raise DataError(f"{path}: gram contains non-finite values")
+            yield row
+    logger.info("%s: n %d, %d bytes, %.3f s", call, n, size,
                 time.perf_counter() - start)
+
+
+def _bad_row(fh, line: bytes, i: int) -> str:
+    """What is wrong with the first bad cell of row i, whose bytes ``line``
+    failed their check; a row that runs on past its end is read on."""
+    if len(line) < _CELL * (i + 1):
+        return f"file ends in row {i}"
+    for k in range(i + 1):
+        digits, sep = line[_CELL * k:][:16], line[_CELL * k + 16]
+        if sep not in b" \n":
+            return f"bad separator {chr(sep)!r} in row {i}"
+        if (sep == ord("\n")) != (k == i):
+            break
+        if digits.translate(None, _HEX):
+            return f"bad number {digits.decode('latin-1')!r} in row {i}"
+    if k < i:       # a newline before the row's last cell
+        return f"row {i} has {k + 1} entries, expected {i + 1}"
+    rest = fh.readline()
+    if not rest.endswith(b"\n"):
+        return f"row {i} does not end in a newline"
+    return f"row {i} has {i + 2 + rest.count(b' ')} entries, expected {i + 1}"
+
+
+def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
+    """Read a Gram cache written by :func:`save_gram` as it is stored:
+    (lower, fingerprint), ``lower`` the lower triangle packed row-major in
+    one flat float64 array, row i (G[i][0..i]) from offset i(i+1)/2, and no
+    n×n matrix. Each row is checked and decoded straight into place. Any
+    malformation raises :class:`DataError`, naming the row of a bad cell.
+    One INFO line gives n, the file's bytes and the seconds."""
+    import numpy as np
+
+    rows = _gram_rows("load_gram_lower", path)
+    n, fingerprint = next(rows)
+    lower = np.empty(n * (n + 1) // 2)
+    for i, row in enumerate(rows):
+        lower[i * (i + 1) // 2:][:i + 1] = row
     return lower, fingerprint
 
 
 def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
     """Read a Gram cache written by :func:`save_gram` as (matrix,
     fingerprint): the full symmetric n×n matrix, the saved matrix bit for
-    bit, with :func:`load_gram_lower`'s checks and errors. The packed
-    triangle is copied into a new matrix and mirrored, row by row."""
+    bit, each row mirrored into it as it is read (no triangle is held),
+    with :func:`load_gram_lower`'s checks, errors and INFO line."""
     import numpy as np
 
-    lower, fingerprint = load_gram_lower(path)
-    n = (math.isqrt(8 * len(lower) + 1) - 1) // 2
+    rows = _gram_rows("load_gram", path)
+    n, fingerprint = next(rows)
     G = np.empty((n, n))
-    for i in range(n):
-        row = lower[i * (i + 1) // 2:][:i + 1]
+    for i, row in enumerate(rows):
         G[i, :i + 1] = row
         G[:i, i] = row[:i]
     return G, fingerprint
-
-
-def _decode(path: str | Path, data: bytes, i: int, sep: np.ndarray,
-            out: np.ndarray) -> None:
-    """Check and decode ``data``, the text of a block of rows from row i
-    whose cells end in the separators ``sep``, into ``out``. A bad cell
-    raises :class:`DataError`. The temporaries, about 40 bytes a cell, are
-    dropped on return, before the next block is read."""
-    import numpy as np
-
-    if len(data) != _CELL * len(sep):
-        raise DataError(f"{path}: file ends in row {i}")
-    text = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CELL)
-    digits = np.frombuffer(data.translate(_NIBBLES), dtype=np.uint8
-                           ).reshape(-1, _CELL)[:, :16]
-    if digits.max() > 15 or not np.array_equal(text[:, 16], sep):
-        raise DataError(f"{path}: {_bad_cell(text, digits, i, sep)}")
-    # each byte from its two digits, the high one first
-    bits = digits[:, 0::2] << 4
-    bits |= digits[:, 1::2]
-    out[:] = bits.view(">f8")[:, 0]
-    if not np.isfinite(out).all():
-        raise DataError(f"{path}: gram contains non-finite values")

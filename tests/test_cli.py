@@ -321,6 +321,17 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no mkfifo")
+    def test_a_gram_that_is_not_a_regular_file_is_2(self, tmp_path, capsys):
+        # a FIFO with no writer: opening it would block, so it is not opened
+        fifo, examples = tmp_path / "train.gram", tmp_path / "train.ex"
+        os.mkfifo(fifo)
+        write_jsonl(examples, [{"label": 1}])
+        assert main(["train", "--gram", str(fifo), "--examples",
+                     str(examples), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {fifo}: not a regular file\n"
+
     def test_bad_corpus_is_2(self, tmp_path, capsys):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text("{\"query_id\": \"q\"}\n", encoding="utf-8")

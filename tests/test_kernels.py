@@ -459,8 +459,8 @@ class TestGramFile:
         assert G2.tobytes() == G.tobytes()
 
     def test_random_bit_patterns_round_trip_exactly(self, tmp_path):
-        # 101,475 cells in four blocks: random finite bits, 2,000 of them
-        # subnormals of either sign, and both zeros
+        # 101,475 cells: random finite bits, 2,000 of them subnormals of
+        # either sign, and both zeros
         rng = make_rng(29)
         n = 450
         bits = rng.integers(0, 2 ** 64, size=n * (n + 1) // 2, dtype=np.uint64)
@@ -508,6 +508,27 @@ class TestGramFile:
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             load_gram(path)
 
+    def test_a_last_row_ending_in_a_space_is_named(self, tmp_path):
+        # the size is right, so the row is read on to its end: there is none
+        path = tmp_path / "gram.txt"
+        path.write_text("# qrerank-gram v2\n# fingerprint: fp\n# n: 2\n"
+                        f"{ONE}\n{HALF} {ONE} ", encoding="utf-8")
+        for read in (load_gram, load_gram_lower):
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: row 1 does not end in a newline")):
+                read(path)
+
+    @pytest.mark.parametrize("size", ["+1", "01", " 1", "1 ", "\u0661"])
+    def test_size_header_is_ascii_digits_only(self, tmp_path, size):
+        # int() reads each of these as 1; the writer writes only "1"
+        path = tmp_path / "gram.txt"
+        path.write_text(f"# qrerank-gram v2\n# fingerprint: fp\n# n: {size}\n"
+                        f"{ONE}\n", encoding="utf-8")
+        for read in (load_gram, load_gram_lower):
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: bad size header")):
+                read(path)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_matrix_refused(self, tmp_path, bad):
         G = np.ones((3, 3))
@@ -522,10 +543,7 @@ class TestGramFile:
         assert load_gram(tmp_path / "gram.txt")[0].tolist() == [[1.0, 0.5],
                                                                 [0.5, 2.0]]
 
-    def test_larger_than_one_chunk(self, tmp_path, monkeypatch):
-        # blocks of whole rows: rows 0-1, then one row each, rows 5 on
-        # longer than a block
-        monkeypatch.setattr(kernels, "_BLOCK", 5)
+    def test_larger_than_one_chunk(self, tmp_path):
         G = np.arange(400.0).reshape(20, 20) / 7.0
         G = G + G.T
         save_gram(tmp_path / "gram.txt", G, "fp")
@@ -841,15 +859,13 @@ def test_kernel_matrix_memory_per_row_is_bounded(monkeypatch, kind, engine):
 
 
 def test_load_gram_temporaries_are_bounded(tmp_path):
-    # beyond the triangle it returns, load_gram_lower holds a block of
-    # cells at a time: no n×n bool (1.44 MB here) or any other n×n
-    # temporary; load_gram holds that triangle as well, which it copies
-    # into the matrix, and nothing more
+    # beyond the triangle or the matrix it returns, each reader holds one
+    # row's temporaries at a time: no n×n bool (1.44 MB here), no other
+    # n×n temporary, and load_gram no triangle (5.8 MB)
     n = 1200
     x = make_rng(103).normal(size=(n, 3))
     save_gram(tmp_path / "g.gram", x @ x.T, "fp")
-    triangle = 8 * n * (n + 1) // 2
-    for read, held in ((load_gram_lower, 0), (load_gram, triangle)):
+    for read in (load_gram_lower, load_gram):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -857,7 +873,7 @@ def test_load_gram_temporaries_are_bounded(tmp_path):
             extra = tracemalloc.get_traced_memory()[1] - base - G.nbytes
         finally:
             tracemalloc.stop()
-        assert extra - held < 640 * 1024 < n * n // 2
+        assert extra < 640 * 1024 < n * n // 2
 
 
 class TestConfigFingerprint:
@@ -1844,4 +1860,4 @@ class TestNativeGramWriter:
         lines = [re.sub(r"\d+\.\d{3} s", "S s", r.getMessage())
                  for r in caplog.records]
         assert lines == [f"save_gram: n 3, {size} bytes, S s",
-                         f"load_gram_lower: n 3, {size} bytes, S s"] * 2
+                         f"load_gram: n 3, {size} bytes, S s"] * 2
