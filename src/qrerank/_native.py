@@ -61,7 +61,8 @@ _SIGNATURES = {
                     ctypes.c_int, _f64, _f64, _p, _p, _p, _p, _p, _p, _p,
                     ctypes.c_int, _p, _p,
                     ctypes.c_int, _f64, _p, _p], _i64),
-    "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64], ctypes.c_int),
+    "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64, _p],
+                 ctypes.c_int),
     "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }
 

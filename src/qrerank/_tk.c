@@ -550,13 +550,12 @@ int64_t qrerank_kernel_row(int64_t i, int64_t ncols, int diagonal,
 /* ------------------------------------------------------------------------
  * the SMO step of qrerank.svm.train_smo
  *
- * qrerank_smo_step runs one step of train_smo's Python reference (its
- * nested function python_step) on the solve's arrays, with the same
- * operations in the same order: second-order working-set selection (Fan,
- * Chen & Lin, JMLR 2005) over F_t = y_t - g_t, then try_pair with Python's
- * min and max (the second argument only when strictly beyond the first) and
- * the update (g + a·G[i]) + b·G[j]. The library is compiled with
- * -ffp-contract=off, so no multiply-add is fused.
+ * qrerank_smo_step runs one step of svm._python_engine's step on the
+ * solve's arrays, with the same operations in the same order: second-order
+ * working-set selection (Fan, Chen & Lin, JMLR 2005) over F_t = y_t - g_t,
+ * then try_pair with Python's min and max (the second argument only when
+ * strictly beyond the first) and the update (g + a·G[i]) + b·G[j]. The
+ * library is compiled with -ffp-contract=off, so no multiply-add is fused.
  *
  * G is read as the packed lower triangle T that train_smo takes: row i
  * starts at i(i+1)/2, so G_ik is T[i(i+1)/2 + k] for k <= i, a contiguous
@@ -593,10 +592,11 @@ static double curvature(const double *T, int64_t i, int64_t j, int64_t p)
     return a <= 0.0 ? SMO_TAU : a;
 }
 
-/* try_pair: optimize (α_i, α_j) analytically; 1 on real progress */
+/* try_pair: optimize (α_i, α_j) analytically; 1 on real progress, with
+ * the pair's gain in the dual objective in *gain */
 static int try_pair(int64_t n, const double *T, const double *y,
                     const double *box, double *alpha, double *g, double eps,
-                    int64_t i, int64_t j)
+                    int64_t i, int64_t j, double *gain)
 {
     double eta = curvature(T, i, j, cell(i, j));
     double sgn = y[i] * y[j], L, H;
@@ -619,6 +619,11 @@ static int try_pair(int64_t n, const double *T, const double *y,
     ai_new = py_min(py_max(ai_new, 0.0), box[i]);
     double d_i = ai_new - alpha[i];
     double a = d_i * y[i], b = d_j * y[j];
+    /* W(α + Δ) - W(α) = Σ Δ - Σ_k Δ_k y_k g_k - ½ Δ'QΔ, with Q_kl =
+     * y_k y_l G_kl: O(1) from the old g_i and g_j */
+    *gain = (d_i + d_j) - (a * g[i] + b * g[j])
+            - 0.5 * (a * a * T[cell(i, i)] + 2.0 * a * b * T[cell(i, j)]
+                     + b * b * T[cell(j, j)]);
     /* row i and row j: contiguous up to their diagonals, strided below */
     for (int64_t k = 0, pi = cell(i, 0), pj = cell(j, 0); k < n;
          pi = next_cell(pi, i, k), pj = next_cell(pj, j, k), k++)
@@ -633,12 +638,13 @@ static int try_pair(int64_t n, const double *T, const double *y,
  * can move to raise y·α, I_low those that can lower it. i is the first
  * index maximizing F over I_up (m), M the minimum of F over I_low; j the
  * first index of I_low with F_j < m minimizing -(m - F_j)^2 / a_ij. Returns
- * SMO_CONVERGED when m - M <= tol, SMO_STEPPED, SMO_STALLED (the pair does
- * not move by eps) or SMO_NONFINITE (an F or a selection value is not a
- * number, or F is infinite). */
+ * SMO_CONVERGED when m - M <= tol, SMO_STEPPED (with the pair's gain in
+ * the dual objective in *gain), SMO_STALLED (the pair does not move by eps)
+ * or SMO_NONFINITE (an F or a selection value is not a number, or F is
+ * infinite). */
 int qrerank_smo_step(int64_t n, const double *T, const double *y,
                      const double *box, double *alpha, double *g,
-                     double tol, double eps)
+                     double tol, double eps, double *gain)
 {
     double m = -INFINITY, M = INFINITY;
     int64_t i = -1;
@@ -672,8 +678,8 @@ int qrerank_smo_step(int64_t n, const double *T, const double *y,
             j = k;
         }
     }
-    return try_pair(n, T, y, box, alpha, g, eps, i, j) ? SMO_STEPPED
-                                                       : SMO_STALLED;
+    return try_pair(n, T, y, box, alpha, g, eps, i, j, gain) ? SMO_STEPPED
+                                                             : SMO_STALLED;
 }
 
 /* ------------------------------------------------------------------------

@@ -113,9 +113,11 @@ checks each row's bytes in one step and decodes them with ``bytes.fromhex``:
 (row i from offset i(i+1)/2), and ``load_gram`` mirrors each into an n×n
 matrix. No engine is involved.
 
-Only the functions that return or read numpy arrays import numpy, when they
-run: ``gram_matrix``, ``kernel_matrix``, ``save_gram`` and the reader. So
-``write_gram``, the ``gram`` stage, and ``ptk``/``stk`` never load it.
+Only the functions that take or return numpy matrices import numpy, when
+they run: ``gram_matrix``, ``kernel_matrix``, ``save_gram`` and
+``load_gram``. ``load_gram_lower`` returns the triangle as an
+``array('d')``, so no stage loads numpy through this module: not
+``gram``, which calls ``write_gram``, nor ``train``, nor ``rerank``.
 """
 
 from __future__ import annotations
@@ -843,14 +845,13 @@ def write_gram(path: str | Path, examples: list[Example],
 def _gram_rows(call: str, path: str | Path):
     """Read a Gram cache file as :func:`_write_gram` writes it: yield (n,
     fingerprint) once the file's size is checked against n, then each row
-    i, G[i][0..i], as a big-endian float64 array decoded with
-    ``bytes.fromhex`` from its 17·(i+1) bytes, checked in one step. Anything
-    but the exact layout, or a non-finite value, raises :class:`DataError`
-    naming the file (and the row). One INFO line, led by ``call``, gives n,
-    the file's bytes and the seconds."""
-    import numpy as np
-
+    i, G[i][0..i], as an ``array('d')`` decoded with ``bytes.fromhex`` from
+    its 17·(i+1) bytes, checked in one step, and byte-swapped on a
+    little-endian host. Anything but the exact layout, or a non-finite
+    value, raises :class:`DataError` naming the file (and the row). One INFO
+    line, led by ``call``, gives n, the file's bytes and the seconds."""
     start = time.perf_counter()
+    swap = sys.byteorder == "little"
     # checked before the open: opening a FIFO with no writer would block
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise DataError(f"{path}: not a regular file")
@@ -876,15 +877,17 @@ def _gram_rows(call: str, path: str | Path):
             raise DataError(f"{path}: {n} rows take {need} bytes, "
                             f"found {body}")
         yield n, fp_line[len("# fingerprint: "):].strip()
-        # one bool array for all rows: one per row fragments the heap
-        finite = np.empty(n, dtype=bool)
         for i in range(n):
             line = fh.read(_CELL * (i + 1))
             seps = b" " * i + b"\n"
             if line[16::_CELL] != seps or line.translate(None, _HEX) != seps:
                 raise DataError(f"{path}: {_bad_row(fh, line, i)}")
-            row = np.frombuffer(bytes.fromhex(line.decode("ascii")), ">f8")
-            if not np.isfinite(row, out=finite[:i + 1]).all():
+            row = array("d", bytes.fromhex(line.decode("ascii")))
+            if swap:
+                row.byteswap()
+            # a sum of finite values can overflow: only then is each read
+            if not math.isfinite(sum(row)) and \
+                    not all(map(math.isfinite, row)):
                 raise DataError(f"{path}: gram contains non-finite values")
             yield row
     logger.info("%s: n %d, %d bytes, %.3f s", call, n, size,
@@ -912,20 +915,20 @@ def _bad_row(fh, line: bytes, i: int) -> str:
     return f"row {i} has {i + 2 + rest.count(b' ')} entries, expected {i + 1}"
 
 
-def load_gram_lower(path: str | Path) -> tuple[np.ndarray, str]:
+def load_gram_lower(path: str | Path) -> tuple[array, str]:
     """Read a Gram cache written by :func:`save_gram` as it is stored:
     (lower, fingerprint), ``lower`` the lower triangle packed row-major in
-    one flat float64 array, row i (G[i][0..i]) from offset i(i+1)/2, and no
-    n×n matrix. Each row is checked and decoded straight into place. Any
-    malformation raises :class:`DataError`, naming the row of a bad cell.
-    One INFO line gives n, the file's bytes and the seconds."""
-    import numpy as np
-
+    one flat ``array('d')``, row i (G[i][0..i]) from offset i(i+1)/2, and no
+    n×n matrix. Each row is checked and decoded, then copied into place.
+    Any malformation raises :class:`DataError`, naming the row of a bad
+    cell. One INFO line gives n, the file's bytes and the seconds."""
     rows = _gram_rows("load_gram_lower", path)
     n, fingerprint = next(rows)
-    lower = np.empty(n * (n + 1) // 2)
+    # repeated from one cell: array("d", bytes(8N)) would peak at twice N
+    lower = array("d", [0.0]) * (n * (n + 1) // 2)
     for i, row in enumerate(rows):
-        lower[i * (i + 1) // 2:][:i + 1] = row
+        start = i * (i + 1) // 2
+        lower[start:start + i + 1] = row
     return lower, fingerprint
 
 
@@ -940,6 +943,7 @@ def load_gram(path: str | Path) -> tuple[np.ndarray, str]:
     n, fingerprint = next(rows)
     G = np.empty((n, n))
     for i, row in enumerate(rows):
+        row = np.frombuffer(row)
         G[i, :i + 1] = row
         G[:i, i] = row[:i]
     return G, fingerprint

@@ -43,11 +43,11 @@ configuration enables, in the order the :mod:`.features` docstring gives.
 Every JSONL reader here refuses a record with a repeated key, where
 ``json`` would keep the last value.
 
-This module imports no numpy: corpus loading, featurization and the
-examples files work on plain float vectors.  ``score_examples`` imports
-numpy and :mod:`.kernels` when it runs, so the ``featurize`` stage never
-loads numpy, and loads the kernels only when ``use_ptk_feature`` asks for
-the tree kernels.
+This module imports no numpy: corpus loading, featurization, the
+examples files and the scores work on plain float vectors.
+``score_examples`` imports :mod:`.kernels` when it runs, so the
+``featurize`` stage loads the kernels only when ``use_ptk_feature`` asks
+for the tree kernels.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import operator
 import time
 from array import array
 from dataclasses import MISSING, dataclass, fields
-from typing import TYPE_CHECKING
 
 from . import _native
 from .config import TASK_SPECS, KernelConfig, RunConfig, _check_task
@@ -78,9 +77,6 @@ from .features import (
 from .rankeval import Candidate, QueryGroup, _check_id
 from .rellink import _excluded, _link
 from .treebank import _TOKEN, parse_bracketed, tokens
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -495,16 +491,15 @@ def load_labels(path) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def score_examples(test_examples, model, train_examples,
-                   kernel_cfg: KernelConfig) -> np.ndarray:
+                   kernel_cfg: KernelConfig) -> array:
     """Decision scores of test examples against a trained model's supports.
 
     Each test example's kernel row against the supports is scored as it is
     computed, as the exactly rounded sum (``math.fsum``) of its K_ij·coef_j
     plus the bias, so no test × support matrix is held and the score does
     not depend on the order of the terms. A sum beyond the doubles, or one
-    of inf and -inf, scores nan, which :func:`make_groups` refuses."""
-    import numpy as np
-
+    of inf and -inf, scores nan, which :func:`make_groups` refuses. The
+    scores come as an ``array('d')``, one per test example."""
     from .kernels import _kernel_rows
 
     needed = max(model.support_indices, default=-1) + 1
@@ -514,9 +509,9 @@ def score_examples(test_examples, model, train_examples,
             f"examples, but {len(train_examples)} were given")
     supports = [train_examples[i] for i in model.support_indices]
     if not supports:
-        return np.full(len(test_examples), model.bias)
+        return array("d", [model.bias]) * len(test_examples)
     coefs = model.dual_coefs.tolist()
-    scores = []
+    scores = array("d")
     for row in _kernel_rows("kernel_matrix", test_examples, supports,
                             kernel_cfg):
         try:
@@ -524,7 +519,7 @@ def score_examples(test_examples, model, train_examples,
         except (OverflowError, ValueError):
             score = math.nan
         scores.append(score + model.bias)
-    return np.array(scores)
+    return scores
 
 
 def make_groups(examples, scores) -> list[QueryGroup]:

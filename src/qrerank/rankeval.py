@@ -12,14 +12,18 @@ conventions of retrieval scorers for ranked question lists:
 The paired randomization test flips the sign of each per-query metric
 difference with probability one half and counts how often the resampled
 absolute mean difference reaches the observed one, with add-one smoothing on
-both numerator and denominator.  The flip masks depend only on the seed and
-the number of queries — never on the metric values — so swapping the two
-systems provably leaves the p-value unchanged.
+both numerator and denominator.  The flip masks come from
+``random.Random(seed)`` and depend only on the seed and the number of
+queries — never on the metric values — so swapping the two systems
+provably leaves the p-value unchanged.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from itertools import repeat
+from operator import add, ge, itemgetter
 
 from .errors import DataError, open_text
 
@@ -235,41 +239,81 @@ def per_query_average_precision(groups, k: int | None = None) -> dict[str, float
     return out
 
 
+# resamples drawn at a time; each draw is a multiple of 32 bits, so the
+# generator's words run on from one draw to the next and the block size
+# changes no p-value
+_RESAMPLE_BLOCK = 1024
+
+
+def _sign_tables(diffs: list[float]) -> list[list[float]]:
+    """For each run of 8 differences (fewer in the last), the 256 signed
+    sums that a byte of sign bits picks: entry m is ((0.0 ± d_0) ± d_1)
+    ± ..., with + for d_t where bit t of m is set. The last run's table
+    repeats over the bits past its end."""
+    tables = []
+    for k in range(0, len(diffs), 8):
+        table = [0.0]
+        for d in diffs[k:k + 8]:
+            table = [s - d for s in table] + [s + d for s in table]
+        tables.append(table * (256 // len(table)))
+    return tables
+
+
+def _statistics(tables: list[list[float]], data: bytes):
+    """|t_0[b_0] + t_1[b_1] + ...|, added left to right, for each resample
+    of ``data``: one byte b_j per table t_j, the resamples one after
+    another."""
+    size, total = len(tables), None
+    for j, table in enumerate(tables):
+        picks = data[j::size]
+        # itemgetter of one index gives the item, not a 1-tuple
+        picks = (itemgetter(*picks)(table) if len(picks) > 1
+                 else (table[picks[0]],))
+        total = picks if total is None else map(add, total, picks)
+    return map(abs, total)
+
+
 def randomization_test(ap_a, ap_b, resamples: int = 10000,
                        seed: int = 0) -> float:
     """Two-sided paired sign-flip randomization p-value for mean(ap_a - ap_b).
 
     p = (1 + #{resamples with |resampled mean| >= |observed mean|})
         / (1 + resamples)
-    """
-    import numpy as np      # only here, so that evaluate runs without numpy
 
-    a = np.asarray(ap_a, dtype=np.float64)
-    b = np.asarray(ap_b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise DataError(
-            f"paired metric lists differ in shape: {a.shape} vs {b.shape}")
-    if a.size == 0:
+    The signs are the bits of one stream of ``random.Random(seed)
+    .getrandbits``, read little-endian: each resample takes the next
+    ⌈n/8⌉ bytes, bit k the sign of difference k (set: +), and the bits
+    past n go unused. The means share the divisor n, so the sums are
+    compared: each resample's is one entry per run of 8 differences
+    (:func:`_sign_tables`), picked by that run's byte and added left to
+    right. The observed sum is the resample with every sign +, so it ties
+    exactly, and flipping every sign negates each entry exactly, so
+    swapping the two systems leaves the p-value unchanged.
+    """
+    try:
+        a = [float(x) for x in ap_a]
+        b = [float(x) for x in ap_b]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"paired metric lists must hold real numbers: "
+                        f"{exc}") from exc
+    if len(a) != len(b):
+        raise DataError(f"paired metric lists differ in shape: "
+                        f"({len(a)},) vs ({len(b)},)")
+    if not a:
         raise DataError("paired metric lists are empty")
     if resamples < 1000:
         raise DataError(f"resamples must be >= 1000, got {resamples}")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
-    diffs = a - b
-    observed = abs(float(diffs.mean()))
-    rng = np.random.default_rng(seed)
+    tables = _sign_tables([x - y for x, y in zip(a, b)])
+    size = len(tables)
+    observed, = _statistics(tables, b"\xff" * size)
+    rng = random.Random(seed)
     count = 0
-    # signs are drawn 256 rows at a time; the generator's stream carries on
-    # from one draw to the next and each row's mean is taken alone, so the
-    # block size changes no bit of the p-value
-    chunk = 256
-    done = 0
-    while done < resamples:
-        size = min(chunk, resamples - done)
-        signs = rng.integers(0, 2, size=(size, diffs.size)) * 2 - 1
-        resampled = np.abs((signs * diffs).mean(axis=1))
-        count += int(np.count_nonzero(resampled >= observed))
-        done += size
+    for done in range(0, resamples, _RESAMPLE_BLOCK):
+        m = min(_RESAMPLE_BLOCK, resamples - done)
+        data = rng.getrandbits(8 * size * m).to_bytes(size * m, "little")
+        count += sum(map(ge, _statistics(tables, data), repeat(observed)))
     return (count + 1) / (resamples + 1)
 
 

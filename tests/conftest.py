@@ -2,6 +2,7 @@
 the CLI chain, used across test modules."""
 
 import json
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -188,9 +189,9 @@ def write_corpus(path, n_queries=4, per_query=5, relevant_ranks=(2, 4),
 
 def lower(G):
     """The lower triangle of the square ``G`` packed as ``train_smo`` takes
-    it and ``load_gram_lower`` returns it: row i, G[i][0..i], from offset
-    i(i+1)/2."""
-    return np.asarray(G)[np.tril_indices(len(G))]
+    it and ``load_gram_lower`` returns it: an ``array('d')``, row i,
+    G[i][0..i], from offset i(i+1)/2."""
+    return array("d", np.asarray(G, dtype=np.float64)[np.tril_indices(len(G))])
 
 
 def write_jsonl(path, rows):

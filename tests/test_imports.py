@@ -1,6 +1,7 @@
-"""The import boundary: ``import qrerank`` and the CLI load no numpy until a
-stage that computes with it runs (``featurize`` and ``gram`` never do), the
-CLI loads the config schema and ``logging`` only for the stages that take
+"""The import boundary: ``import qrerank``, the CLI and every stage load no
+numpy (featurize, gram, train, rerank and sigtest also run with every numpy
+import blocked, and write what a run with numpy loaded writes), the CLI
+loads the config schema and ``logging`` only for the stages that take
 config flags, ``evaluate`` loads no ``dataclasses``, and the lazy package
 still exposes every public name. Each case runs in a fresh interpreter,
 since this process has imported everything already."""
@@ -93,8 +94,7 @@ def test_only_the_config_stages_load_the_schema_and_logging(name, tmp_path):
               "print(code, *(m in sys.modules for m in"
               " ('qrerank.config', 'logging', 'numpy')))", cwd=tmp_path)
     code = 0 if name in ("help", "evaluate", "sigtest") else 1
-    assert out.split()[-4:] == [str(code), "False", "False",
-                                str(name == "sigtest")]
+    assert out.split()[-4:] == [str(code), "False", "False", "False"]
 
 
 def test_gram_help_lists_every_config_flag():
@@ -121,7 +121,7 @@ def featurize_argv(tmp_path):
 
 
 # the tree-pair similarity feature computes with the kernels, which load
-# numpy only to build or read a numpy matrix
+# numpy only to take or return a numpy matrix
 @pytest.mark.parametrize("flags", [
     [],
     ["--use-tk", "--tk-kind", "PTK", "--use-rank"],
@@ -194,6 +194,76 @@ def test_gram_runs_with_numpy_blocked(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert (tmp_path / "c.gram").read_bytes() == blocked
+
+
+def solve_argv(tmp_path) -> dict[str, list[str]]:
+    """Run featurize, gram, train and rerank in process on task-B corpora
+    with trees, under tmp_path, and write a search-rank baseline of the
+    test corpus; return the train, rerank and sigtest arguments that read
+    those files there, with trees and the rank feature."""
+    flags = ["--use-tk", "--use-rank"]
+    write_corpus(tmp_path / "train.jsonl", n_queries=3, per_query=4,
+                 with_trees=True)
+    test_rows = write_corpus(tmp_path / "test.jsonl", n_queries=2,
+                             per_query=4, relevant_ranks=(3,),
+                             with_trees=True)
+    (tmp_path / "baseline.tsv").write_text("".join(
+        f"{r['query_id']}\t{r['candidate_id']}\t{r['original_rank']}\t"
+        f"{-r['original_rank']}.0\t"
+        f"{'true' if r['gold_label'] == 'Relevant' else 'false'}\n"
+        for r in test_rows), encoding="utf-8")
+    argv = {
+        "train": ["train", "--gram", "train.gram", "--examples",
+                  "train.examples", "--out", "model.txt", *flags],
+        "rerank": ["rerank", "--strict", "--model", "model.txt",
+                   "--train-examples", "train.examples", "--test-examples",
+                   "test.examples", "--out", "predictions.tsv", *flags],
+        "sigtest": ["sigtest", "--predictions-a", "predictions.tsv",
+                    "--predictions-b", "baseline.tsv"],
+    }
+    with pytest.MonkeyPatch.context() as m:
+        m.chdir(tmp_path)
+        for split in ("train", "test"):
+            assert main(["featurize", "--task", "B", "--corpus",
+                         f"{split}.jsonl", "--out", f"{split}.examples",
+                         *flags]) == 0
+        assert main(["gram", "--examples", "train.examples", "--out",
+                     "train.gram", *flags]) == 0
+        assert main(argv["train"]) == 0
+        assert main(argv["rerank"]) == 0
+    return argv
+
+
+@pytest.mark.parametrize("stage", ["train", "rerank", "sigtest"])
+def test_the_solving_stages_load_no_numpy(tmp_path, stage):
+    argv = solve_argv(tmp_path)[stage]
+    assert numpy_loaded_after(f"cli.main({argv!r})",
+                              cwd=tmp_path) == (0, False)
+
+
+# what each stage writes: its file, or for sigtest what it prints
+SOLVE_OUTPUT = {"train": "model.txt", "rerank": "predictions.tsv",
+                "sigtest": None}
+
+
+@pytest.mark.parametrize("stage", SOLVE_OUTPUT)
+def test_the_solving_stages_run_with_numpy_blocked(tmp_path, monkeypatch,
+                                                   capsys, stage):
+    """With ``sys.modules["numpy"] = None`` any numpy import fails; the
+    stage writes the bytes, or prints the lines, of a run with numpy
+    loaded."""
+    argv, out = solve_argv(tmp_path)[stage], SOLVE_OUTPUT[stage]
+    printed = run("import sys\nsys.modules['numpy'] = None\n"
+                  f"from qrerank import cli\nsys.exit(cli.main({argv!r}))",
+                  cwd=tmp_path)
+    blocked = printed if out is None else (tmp_path / out).read_bytes()
+    (tmp_path / (out or "none")).unlink(missing_ok=True)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert (printed if out is None else (tmp_path / out).read_bytes()) \
+        == blocked
 
 
 def test_featurize_with_a_built_library_imports_no_build_modules(tmp_path):

@@ -870,7 +870,8 @@ def test_load_gram_temporaries_are_bounded(tmp_path):
         try:
             base = tracemalloc.get_traced_memory()[0]
             G, _ = read(tmp_path / "g.gram")
-            extra = tracemalloc.get_traced_memory()[1] - base - G.nbytes
+            extra = (tracemalloc.get_traced_memory()[1] - base
+                     - memoryview(G).nbytes)
         finally:
             tracemalloc.stop()
         assert extra < 640 * 1024 < n * n // 2

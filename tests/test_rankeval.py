@@ -1,5 +1,7 @@
 """Reranking, MAP/AvgRec/MRR, and the paired randomization test."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -191,20 +193,36 @@ class TestEvaluate:
         assert metrics["MAP"] == pytest.approx(50.0)
 
 
-def p_in_blocks_of_2048(ap_a, ap_b, resamples, seed):
-    """The sign-flip loop of ``randomization_test`` as it was when it drew
-    2,048 rows of signs at a time."""
-    diffs = np.asarray(ap_a, dtype=np.float64) - np.asarray(ap_b,
-                                                            dtype=np.float64)
-    observed = abs(float(diffs.mean()))
-    rng = np.random.default_rng(seed)
-    count = done = 0
-    while done < resamples:
-        size = min(2048, resamples - done)
-        signs = rng.integers(0, 2, size=(size, diffs.size)) * 2 - 1
-        resampled = np.abs((signs * diffs).mean(axis=1))
-        count += int(np.count_nonzero(resampled >= observed))
-        done += size
+def p_by_plain_loops(ap_a, ap_b, resamples, seed):
+    """``randomization_test``'s p-value with no tables and the signs of all
+    resamples drawn at once: resample r's bits are bytes r·⌈n/8⌉ onward of
+    one ``getrandbits`` read little-endian, bit k the sign of difference k
+    (set: +); each run of 8 differences is summed from 0.0 in order, the
+    runs' sums are added left to right, and the observed sum is that of
+    every sign +."""
+    diffs = [float(x) - float(y) for x, y in zip(ap_a, ap_b)]
+    n, size = len(diffs), (len(diffs) + 7) // 8
+
+    def statistic(bits):
+        total = None
+        for start in range(0, n, 8):
+            run = 0.0
+            for k in range(start, min(start + 8, n)):
+                if bits >> k & 1:
+                    run = run + diffs[k]
+                else:
+                    run = run - diffs[k]
+            total = run if total is None else total + run
+        return abs(total)
+
+    observed = statistic((1 << n) - 1)
+    data = random.Random(seed).getrandbits(8 * size * resamples).to_bytes(
+        size * resamples, "little")
+    count = 0
+    for r in range(resamples):
+        bits = int.from_bytes(data[r * size:(r + 1) * size], "little")
+        if statistic(bits) >= observed:
+            count += 1
     return (count + 1) / (resamples + 1)
 
 
@@ -220,12 +238,14 @@ BLOCK_CASES = [(1, 1000, 0), (26, 10000, 0), (70, 10000, 0),
 class TestRandomizationTest:
     @pytest.mark.parametrize("n,resamples,seed", BLOCK_CASES)
     def test_the_block_size_changes_no_p_value(self, n, resamples, seed):
+        # drawn 1,024 resamples at a time, through tables of 8 differences'
+        # signed sums: the p-value of plain loops over one draw
         rng = make_rng(n + seed)
         # cutoff-10 APs lie on a grid of tenths, with ties
         a = rng.integers(0, 11, size=n) / 10
         b = rng.integers(0, 11, size=n) / 10
         assert randomization_test(a, b, resamples, seed) == \
-            p_in_blocks_of_2048(a, b, resamples, seed)
+            p_by_plain_loops(a, b, resamples, seed)
 
     def test_identical_lists_give_p_one(self):
         a = [0.5, 0.7, 0.9, 0.2]

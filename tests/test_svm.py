@@ -2,6 +2,7 @@
 and the native SMO step: byte for byte against the Python reference. The
 solver takes the Gram's packed lower triangle (conftest.lower)."""
 
+import ctypes
 import hashlib
 import math
 import re
@@ -11,7 +12,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from qrerank import _native
+from qrerank import _native, svm
 from qrerank.errors import DataError, NumericalError
 from qrerank.svm import (
     TrainConfig,
@@ -116,7 +117,7 @@ class TestKKT:
         alphas = np.abs(model.dual_coefs)
         assert np.all(alphas > cfg.eps)          # supports carry weight
         assert np.all(alphas <= cfg.C + 1e-12)   # box respected
-        assert abs(model.dual_coefs.sum()) <= 1e-6   # Σ α_i y_i = 0
+        assert abs(sum(model.dual_coefs)) <= 1e-6   # Σ α_i y_i = 0
 
     def test_free_support_vector_scores_its_label(self):
         rng = make_rng(21)
@@ -196,7 +197,7 @@ class TestValidation:
                      np.ones((1, 3))):
             with pytest.raises(DataError, match=re.escape(
                     "gram must be the lower triangle of 2 examples, 3 "
-                    f"values, got shape {gram.shape}")):
+                    f"values, got shape {np.shape(gram)}")):
                 train_smo(gram, [1, -1], TrainConfig())
 
     def test_bad_labels_rejected(self):
@@ -498,12 +499,13 @@ class TestNativeStep:
         # where the Python reference raises NumericalError (a non-finite
         # F), the step reports it and returns with the iterate untouched
         n = 4
-        T, y = lower(np.eye(n)), np.array([1.0, -1.0, 1.0, -1.0])
+        T, y = np.asarray(lower(np.eye(n))), np.array([1.0, -1.0, 1.0, -1.0])
         box, alpha, g = np.ones(n), np.zeros(n), np.zeros(n)
         g[2] = bad
         before = alpha.tobytes() + g.tobytes()
         status = _native.load().smo_step(
-            n, *(a.ctypes.data for a in (T, y, box, alpha, g)), 1e-3, 1e-9)
+            n, *(a.ctypes.data for a in (T, y, box, alpha, g)), 1e-3, 1e-9,
+            np.zeros(1).ctypes.data)
         assert status == 3
         assert alpha.tobytes() + g.tobytes() == before
 
@@ -525,6 +527,79 @@ class TestNativeStep:
             "is on PATH); using the Python engine"]
         assert all(r.getMessage().endswith(", python engine")
                    for r in caplog.records if r.name == "qrerank.svm")
+
+
+# ---------------------------------------------------------------------------
+# the dual objective: each step reports its gain, checked after every step
+# ---------------------------------------------------------------------------
+
+def record_gains(monkeypatch, name, alter=lambda step, gain: gain):
+    """The gains the steps of engine ``name`` report, as they are made;
+    ``alter(step, gain)`` gives the gain train_smo sees."""
+    gains = []
+    if name == "python":
+        real = svm._python_engine
+
+        def python_engine(*args):
+            step = real(*args)
+
+            def recorded():
+                status, gain = step()
+                if status == 0:
+                    gains.append(gain)
+                    gain = alter(len(gains), gain)
+                return status, gain
+            return recorded
+        monkeypatch.setattr(_native, "load", lambda: None)
+        monkeypatch.setattr(svm, "_python_engine", python_engine)
+    else:
+        native = _native.load()
+        if native is None:
+            pytest.skip("the native engine does not build or load here")
+
+        def smo_step(*args):
+            status = native.smo_step(*args)
+            if status == 0:
+                gains.append(ctypes.c_double.from_address(args[-1]).value)
+            return status
+        monkeypatch.setattr(_native, "load",
+                            lambda: native._replace(smo_step=smo_step))
+    return gains
+
+
+class TestStepGain:
+    @pytest.mark.parametrize("name", ["native", "python"])
+    def test_the_gains_add_up_to_the_dual_objective(self, monkeypatch, name):
+        G, y = problem(300, "rbf", seed=5, duplicated=True)
+        gains = record_gains(monkeypatch, name)
+        model = train_smo(lower(G), y, TrainConfig())
+        S = list(model.support_indices)
+        coef = np.asarray(model.dual_coefs)
+        # W(α) = Σα − ½ Σ α_k α_l y_k y_l G_kl, α_k = coef_k · y_k
+        W = coef @ y[S] - 0.5 * coef @ G[np.ix_(S, S)] @ coef
+        assert len(gains) > 100 and min(gains) >= 0.0
+        assert math.isclose(math.fsum(gains), W, rel_tol=1e-9)
+
+    def test_the_engines_report_the_same_gains(self, monkeypatch):
+        G, y = problem(300, "linear", seed=6)
+        runs = []
+        for name in ("native", "python"):
+            with monkeypatch.context() as m:
+                gains = record_gains(m, name)
+                train_smo(lower(G), y, TrainConfig())
+            runs.append(gains)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bad_step", [1, 2, 37])
+    def test_a_decrease_is_caught_at_its_step(self, monkeypatch, bad_step):
+        # a drop that later steps would make up for is caught all the same
+        G, y = problem(300, "rbf", seed=5)
+        gains = record_gains(
+            monkeypatch, "python",
+            lambda step, gain: -1e-3 if step == bad_step else gain)
+        with pytest.raises(AssertionError, match="dual objective decreased"):
+            train_smo(lower(G), y, TrainConfig())
+        assert len(gains) == bad_step
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +629,15 @@ class TestLeanPrelude:
         engine(monkeypatch, name)
         G, y = problem(120, "rbf", seed=16)
         T = lower(G)
-        before = T.copy()
+        before = T.tobytes()
         model = train_smo(T, y, TrainConfig())
-        assert T.tobytes() == before.tobytes()
+        assert T.tobytes() == before
         assert model.training_checksum == checksum(T, y, TrainConfig())
 
     @pytest.mark.parametrize("name", ["native", "python"])
     def test_the_triangle_is_not_copied(self, monkeypatch, name):
-        # a copy of the triangle would be 1.0 × T.nbytes and one bool per
-        # cell 0.125 ×; the finiteness check reads T in blocks, holding a
-        # block's bools at a time
+        # a copy of the triangle would be 1.0 × its bytes; the finiteness
+        # check reads it in place, a value at a time
         engine(monkeypatch, name)
         G, y = problem(600, "rbf", seed=16)
         T = lower(G)
@@ -574,7 +648,7 @@ class TestLeanPrelude:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 0.0625 * T.nbytes
+        assert peak < 0.0625 * len(T) * T.itemsize
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_entry_beyond_half_the_largest_double_stays_finite(self):
