@@ -1,7 +1,8 @@
 """Build and load the native engine, ``_tk.c``, on first use.
 
 The engine holds the tree-kernel block and the combined-kernel row of
-:mod:`.kernels`, the SMO step of :mod:`.svm` and the counts behind the 20
+:mod:`.kernels`, the SMO step and the triangle's finiteness check of
+:mod:`.svm` and the counts behind the 20
 text similarities of :mod:`.features`. :func:`load` compiles the source
 with the installed ``cc`` (or ``gcc``) the first time a process needs one
 of them, never at import. The library goes into a
@@ -14,6 +15,12 @@ It is written under a temporary name and renamed into place, so concurrent
 builds never expose a partial file. It is loaded with ``ctypes``, which
 needs no ``Python.h`` and works with the package on ``PYTHONPATH``.
 
+The module also binds :func:`sha256`, the one digest of the package: the
+library's name here, ``kernels.config_fingerprint`` and
+``svm._training_checksum``. It is the interpreter's built-in sha256
+(``_sha2`` on CPython 3.12+, ``_sha256`` before), or ``hashlib``'s where
+neither imports, so no stage loads OpenSSL; the digests are the same.
+
 When there is no compiler, the compiler fails or the library does not load,
 :func:`load` logs one WARNING naming the reason and returns None, and the
 kernels, the solver and the similarities use their Python code for the
@@ -25,12 +32,22 @@ model and the predictions.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import os
 from array import array
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+# hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory, so
+# the digests come from the interpreter's own sha256, as random.py takes
+# its sha512
+try:
+    from _sha2 import sha256                # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256          # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +67,7 @@ class Engine(NamedTuple):
     tree_block: Callable
     kernel_row: Callable
     smo_step: Callable
+    all_finite: Callable
     similarity: Callable
 
 
@@ -63,6 +81,7 @@ _SIGNATURES = {
                     ctypes.c_int, _f64, _p, _p], _i64),
     "smo_step": ([_i64, _p, _p, _p, _p, _p, _f64, _f64, _p],
                  ctypes.c_int),
+    "all_finite": ([_i64, _p], ctypes.c_int),
     "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }
 
@@ -116,7 +135,7 @@ def _cache_dir() -> Path:
 def _library() -> Path:
     """Where the library of this source, these flags and this machine is
     cached."""
-    digest = hashlib.sha256(b"\0".join(
+    digest = sha256(b"\0".join(
         [SOURCE.read_bytes(), " ".join(FLAGS + LIBS).encode(),
          os.uname().machine.encode()]))
     return _cache_dir() / f"_tk-{digest.hexdigest()}.so"

@@ -550,6 +550,7 @@ int64_t qrerank_kernel_row(int64_t i, int64_t ncols, int diagonal,
 /* ------------------------------------------------------------------------
  * the SMO step of qrerank.svm.train_smo
  *
+ * qrerank_all_finite checks the triangle before the solve, and
  * qrerank_smo_step runs one step of svm._python_engine's step on the
  * solve's arrays, with the same operations in the same order: second-order
  * working-set selection (Fan, Chen & Lin, JMLR 2005) over F_t = y_t - g_t,
@@ -630,6 +631,16 @@ static int try_pair(int64_t n, const double *T, const double *y,
         g[k] = g[k] + a * T[pi] + b * T[pj];
     alpha[i] = ai_new;
     alpha[j] = aj_new;
+    return 1;
+}
+
+/* 1 when each of the n values of x is finite, else 0: train_smo's check of
+ * the triangle, read once, where svm._finite sums it */
+int qrerank_all_finite(int64_t n, const double *x)
+{
+    for (int64_t k = 0; k < n; k++)
+        if (!isfinite(x[k]))
+            return 0;
     return 1;
 }
 

@@ -123,7 +123,6 @@ they run: ``gram_matrix``, ``kernel_matrix``, ``save_gram`` and
 from __future__ import annotations
 
 import binascii
-import hashlib
 import logging
 import math
 import os
@@ -767,7 +766,7 @@ def config_fingerprint(cfg: KernelConfig) -> str:
         f"{name}={getattr(cfg, name)!r}"
         for name in sorted(f.name for f in fields(KernelConfig))
     )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _native.sha256(canon.encode("utf-8")).hexdigest()
 
 
 GRAM_MAGIC = "qrerank-gram v2"

@@ -1,11 +1,13 @@
 """The CLI chain's files do not move: featurize (train and test), gram,
 train, rerank --strict and evaluate, run in process on the benchmark's
-seed-1, part-0 ``taskB-sim`` and ``taskB-ptk`` corpora, against committed
-sha256 digests of the examples, Gram, model and predictions files and of
-the lines ``evaluate`` prints. On a mismatch the message names the first
-stage whose output moved. The corpora and the configs come from
-``perfbench/corpus.py`` and ``perfbench/workloads.py``, imported as they
-are. Either engine must give the same digests."""
+seed-1, part-0 ``taskB-sim`` and ``taskB-ptk`` corpora and on a small
+task-D corpus with comments (STK, the MTE features and the rank feature),
+against committed sha256 digests of the examples, Gram, model and
+predictions files and of the lines ``evaluate`` prints. On a mismatch the
+message names the first stage whose output moved. The corpora and the
+task-B configs come from ``perfbench/corpus.py`` and
+``perfbench/workloads.py``, imported as they are. Either engine must give
+the same digests."""
 
 import hashlib
 import sys
@@ -55,17 +57,44 @@ GOLDEN = {
         "evaluate.out":
             "1008c9719f14cf003f6f67cbaacecba293ddb56766033ffbe7c40f855f9e4b97",
     },
+    "taskD-stk-mte": {
+        "train.examples":
+            "5979b9f2e73aa4c7e4ac987966142015d7e1518ab2dd9abe0eb8d844a92b2a26",
+        "test.examples":
+            "9508cc9a1fe9a55350217fd875591b3e1ce02be86cbf3dc3263ef5939cb4435a",
+        "train.gram":
+            "5c8020f488ff66a4701726fab3cc03d5c09d52541cbbf34831c44d6af5a1ef72",
+        "model.txt":
+            "f368c1f18695882b3132f384dbc7f8672452b83dd5d645cf6fa6f820cde73cb7",
+        "predictions.tsv":
+            "4bab0b9afe1f3b9f58aa6f9bcdf01c8daeb3a2d5d0f6b4889ffd70c789b5ec33",
+        "evaluate.out":
+            "934641acb46a63a2768de960f8a7a0185fc86ae251e23c4810123c4267df898a",
+    },
 }
 
 
 @pytest.fixture(scope="module")
-def perfbench():
-    """perfbench's ``corpus`` and ``workloads`` modules."""
+def chains():
+    """The chains' workloads, by name: the two benchmark workloads, and a
+    task-D one of 2×30 train and 1×30 test records, with trees and
+    comments, in the shape of perfbench's own small task-D corpus."""
     with pytest.MonkeyPatch.context() as m:
         m.syspath_prepend(str(PERFBENCH))
         import corpus
         import workloads
-    return corpus, workloads
+    task_d = workloads.Workload(
+        name="taskD-stk-mte",
+        why="task D: STK, the MTE features of the comments, the rank "
+            "feature",
+        scale=corpus.Scale(task="D", train_queries=2, test_queries=1,
+                           candidates=30, relevant=6, sentences=2,
+                           sentence_nodes=(20, 40), with_trees=True),
+        config=(("task", "D"), ("use_mte", "true"),
+                ("kernel.use_tk", "true"), ("kernel.tk_kind", "STK"),
+                ("kernel.use_rank", "true")),
+        pass_s=0.0)
+    return corpus, {**workloads.WORKLOADS, task_d.name: task_d}
 
 
 def run_chain(tmp_path, capsys, corpus, workload) -> dict[str, bytes]:
@@ -104,10 +133,10 @@ def run_chain(tmp_path, capsys, corpus, workload) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_the_chain_matches_its_golden_digests(tmp_path, capsys, perfbench,
+def test_the_chain_matches_its_golden_digests(tmp_path, capsys, chains,
                                               name):
-    corpus, workloads = perfbench
-    outputs = run_chain(tmp_path, capsys, corpus, workloads.WORKLOADS[name])
+    corpus, workloads = chains
+    outputs = run_chain(tmp_path, capsys, corpus, workloads[name])
     digests = {out: hashlib.sha256(data).hexdigest()
                for out, data in outputs.items()}
     for stage, outs in STAGES:

@@ -1,20 +1,27 @@
 """The import boundary: ``import qrerank``, the CLI and every stage load no
 numpy (featurize, gram, train, rerank and sigtest also run with every numpy
-import blocked, and write what a run with numpy loaded writes), the CLI
-loads the config schema and ``logging`` only for the stages that take
-config flags, ``evaluate`` loads no ``dataclasses``, and the lazy package
-still exposes every public name. Each case runs in a fresh interpreter,
-since this process has imported everything already."""
+import blocked, and write what a run with numpy loaded writes), no stage
+loads OpenSSL (``_hashlib``: the digests come from the interpreter's own
+sha256, and a run on ``hashlib``'s writes the same files), the CLI loads
+the config schema and ``logging`` only for the stages that take config
+flags, ``evaluate`` loads no ``dataclasses``, and the lazy package still
+exposes every public name. Each case runs in a fresh interpreter, since
+this process has imported everything already."""
 
+import hashlib
+import importlib.util
+import math
 import os
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 import qrerank
+from qrerank import _native
 from qrerank.cli import main
 
 from conftest import write_corpus
@@ -264,6 +271,81 @@ def test_the_solving_stages_run_with_numpy_blocked(tmp_path, monkeypatch,
     printed = capsys.readouterr().out
     assert (printed if out is None else (tmp_path / out).read_bytes()) \
         == blocked
+
+
+def stage_argv(tmp_path) -> dict[str, list[str]]:
+    """The arguments of every stage, by name, reading the files
+    ``solve_argv`` writes under tmp_path; featurize and gram write new
+    files there."""
+    flags = ["--use-tk", "--use-rank"]
+    return {
+        "--help": ["--help"],
+        "featurize": ["featurize", "--task", "B", "--corpus", "train.jsonl",
+                      "--out", "again.examples", *flags],
+        "gram": ["gram", "--examples", "train.examples", "--out",
+                 "train.gram", *flags],
+        "evaluate": ["evaluate", "--predictions", "predictions.tsv"],
+        **solve_argv(tmp_path),
+    }
+
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256,
+                    reason="the interpreter has no built-in sha256 module")
+@pytest.mark.parametrize("stage", ["--help", "featurize", "gram", "train",
+                                   "rerank", "evaluate", "sigtest"])
+def test_no_stage_loads_openssl(tmp_path, stage):
+    """(A ``.pth`` file of the interpreter's site may import ``hashlib`` at
+    start-up, so the child drops ``_hashlib`` from ``sys.modules``
+    first.)"""
+    argv = stage_argv(tmp_path)[stage]
+    out = run("import sys\nsys.modules.pop('_hashlib', None)\n"
+              "from qrerank import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, '_hashlib' in sys.modules)", cwd=tmp_path)
+    assert out.split()[-2:] == ["0", "False"]
+
+
+def test_the_shared_sha256_is_hashlibs_digest():
+    triangle = array("d", [0.5, -1.25, math.pi, 1e300, -0.0, 2.0])
+    assert _native.sha256(b"qrerank").hexdigest() == \
+        hashlib.sha256(b"qrerank").hexdigest()
+    assert _native.sha256(triangle).hexdigest() == \
+        hashlib.sha256(triangle.tobytes()).hexdigest()
+    h, reference = _native.sha256(), hashlib.sha256()
+    for part in (triangle, array("b", [1, -1, 1]), b"", "(1.0,)".encode()):
+        h.update(part)
+        reference.update(part)
+    assert h.hexdigest() == reference.hexdigest()
+
+
+# what each stage writes
+FALLBACK_OUTPUT = {"gram": "train.gram", "train": "model.txt",
+                   "rerank": "predictions.tsv"}
+
+
+@pytest.mark.parametrize("stage", FALLBACK_OUTPUT)
+def test_hashlibs_sha256_writes_the_same_files(tmp_path, monkeypatch, stage):
+    """With ``sys.modules['_sha2'] = sys.modules['_sha256'] = None`` the
+    package falls back on ``hashlib.sha256``; the stage writes the bytes of
+    a run on the built-in module, and the native library has the same
+    name."""
+    argv, out = stage_argv(tmp_path)[stage], FALLBACK_OUTPUT[stage]
+    printed = run("import sys\n"
+                  "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                  "import hashlib\nfrom qrerank import _native, cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(code, _native.sha256 is hashlib.sha256,"
+                  " _native._library().name)", cwd=tmp_path)
+    assert printed.split()[-3:] == ["0", "True", _native._library().name]
+    fallback = (tmp_path / out).read_bytes()
+    (tmp_path / out).unlink()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert (tmp_path / out).read_bytes() == fallback
 
 
 def test_featurize_with_a_built_library_imports_no_build_modules(tmp_path):

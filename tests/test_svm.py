@@ -183,12 +183,20 @@ class TestValidation:
         with pytest.raises(DataError, match="single class"):
             train_smo(lower(np.eye(3)), [1, 1, 1], TrainConfig())
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_a_non_finite_gram_is_a_numerical_error(self, bad):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_gram_is_a_numerical_error(self, monkeypatch, bad):
+        # on the engine that loads, then on the Python one; in the
+        # triangle's first cell, one inside it and its last
         G, y = problem(20, "rbf", seed=4)
-        G[1, 0] = bad
-        with pytest.raises(NumericalError, match="non-finite"):
-            train_smo(lower(G), y, TrainConfig())
+        for python in (False, True):
+            if python:
+                monkeypatch.setattr(_native, "load", lambda: None)
+            for offset in (0, 1, 20 * 21 // 2 - 1):
+                T = lower(G)
+                T[offset] = bad
+                with pytest.raises(NumericalError,
+                                   match="^gram contains non-finite values$"):
+                    train_smo(T, y, TrainConfig())
 
     def test_shape_mismatch_rejected(self):
         # the triangle of 3 examples, one value short, the square matrix
