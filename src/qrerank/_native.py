@@ -26,7 +26,9 @@ When there is no compiler, the compiler fails or the library does not load,
 kernels, the solver and the similarities use their Python code for the
 rest of the process. Each fallback gives the same values, so the same
 files byte for byte: the examples file of ``featurize``, the Gram, the
-model and the predictions.
+model and the predictions. Where the library is loaded, the Python code
+never reruns one of its calls: a call that fails returns a status, and
+:func:`error` gives the exception it raises where it happens.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import os
 from array import array
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+from .errors import NumericalError
 
 # hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory, so
 # the digests come from the interpreter's own sha256, as random.py takes
@@ -84,6 +88,24 @@ _SIGNATURES = {
     "all_finite": ([_i64, _p], ctypes.c_int),
     "similarity": ([_p, _i64, _p, _i64, _i64, _p], ctypes.c_int),
 }
+
+# the statuses that stop a call of _tk.c; qrerank_kernel_row returns one
+# negated
+NO_MEMORY, OVERFLOW, DEGENERATE = 1, 2, 3
+
+
+def error(status: int) -> Exception:
+    """The exception a native call that stopped with ``status`` raises:
+    :class:`MemoryError` for NO_MEMORY, else :class:`NumericalError`. The
+    Python engine raises OVERFLOW's for an exact sum that overflows too. A
+    row stopped by DEGENERATE, a self-kernel <= 0 to normalize by, raises
+    ``normalize_kernel``'s error for its first degenerate pair instead."""
+    if status == NO_MEMORY:
+        return MemoryError("the native engine ran out of memory")
+    return NumericalError("intermediate overflow in a tree kernel's exact sum"
+                          if status == OVERFLOW else
+                          "degenerate self-kernel: cannot normalize")
+
 
 _UNTRIED = object()
 _engine = _UNTRIED

@@ -420,8 +420,8 @@ static void row_free(Row *r, int64_t *work)
 /* Fill out[j*ntrees + t] with the kernel between the row's tree t, at
  * forest offset row[t], and column j's tree t, at cols[j*ntrees + t], for
  * j < ncols. kind 1 is PTK (λ, μ), 0 is STK (λ). work gets the block's work
- * counts (row_free). Returns 0, or nonzero when memory ran out or a sum
- * overflowed (out is then incomplete). */
+ * counts (row_free). Returns OK, or NO_MEMORY or OVERFLOW (a sum overflowed;
+ * out is then incomplete). */
 int qrerank_tree_block(int kind, double lam, double mu,
                        const int32_t *labels, const int32_t *prods,
                        const int32_t *kid_off, const int32_t *kid_ids,
@@ -488,8 +488,9 @@ static double sim_value(int kind, double gamma, int64_t dim, const double *u,
  * (row_free), zeros without the tree block.
  *
  * Returns the index of the first non-finite cell, ncols when every cell is
- * finite, or -1 when memory ran out, a tree kernel's sum overflowed or a
- * self-kernel to normalize by is <= 0 (out is then incomplete). */
+ * finite, or minus the status that stopped the row (out is then
+ * incomplete): -NO_MEMORY, -OVERFLOW (a tree kernel's sum overflowed) or
+ * -DEGENERATE (a self-kernel to normalize by is <= 0). */
 int64_t qrerank_kernel_row(int64_t i, int64_t ncols, int diagonal,
                            double *out, int64_t *work, int sim,
                            double sim_gamma, int64_t dim,
@@ -507,7 +508,7 @@ int64_t qrerank_kernel_row(int64_t i, int64_t ncols, int diagonal,
     memset(&r, 0, sizeof r);
     if (tree >= 0 &&
         !row_init(&r, tree, lam, mu, labels, prods, kid_off, kid_ids))
-        return -1;
+        return -NO_MEMORY;
     int64_t first_bad = ncols, m = ncols - (diagonal != 0);
     for (int64_t j = 0; j < ncols && r.status == OK; j++) {
         double v = 0.0;
@@ -544,7 +545,7 @@ int64_t qrerank_kernel_row(int64_t i, int64_t ncols, int diagonal,
         row_free(&r, work);
     else
         work[0] = work[1] = 0;
-    return r.status == OK ? first_bad : -1;
+    return r.status == OK ? first_bad : -r.status;
 }
 
 /* ------------------------------------------------------------------------
@@ -904,8 +905,8 @@ static int64_t gst_length(Sim *s, int64_t la, int64_t lb, int64_t min_match)
 }
 
 /* Fill counts[10·(n-1) .. 10·n), for n = 1..4, from the token ids
- * a[0..la) and b[0..lb). Returns 0, or 1 when memory runs out (counts is
- * then incomplete). */
+ * a[0..la) and b[0..lb). Returns OK, or NO_MEMORY (counts is then
+ * incomplete). */
 int qrerank_similarity(const int32_t *a, int64_t la, const int32_t *b,
                        int64_t lb, int64_t min_match, int64_t *counts)
 {

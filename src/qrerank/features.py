@@ -268,8 +268,8 @@ def _python_counts(a: tuple[str, ...], b: tuple[str, ...],
     counts and the two n-gram counts. This is the Python engine, the
     mirror of the native one's ``qrerank_similarity``: each order's
     n-grams and their counts are built afresh for each pair, as there. It
-    is the fallback where the native engine is unavailable, and the
-    reference the tests compare it against."""
+    runs where the native engine is unavailable, and is the reference the
+    tests compare it against."""
     counts = []
     for n in SIM_NGRAM_ORDERS:
         ga, gb = _ngrams(a, n), _ngrams(b, n)
@@ -290,17 +290,18 @@ def _python_counts(a: tuple[str, ...], b: tuple[str, ...],
 
 
 def _native_counts(native, a: tuple[str, ...], b: tuple[str, ...],
-                   min_match: int) -> list[int] | None:
-    """``_python_counts`` from the native engine, or None when it runs out
-    of memory. Both texts' tokens are interned to ids in one dict."""
+                   min_match: int) -> list[int]:
+    """``_python_counts`` from the native engine; its running out of
+    memory raises :class:`MemoryError`. Both texts' tokens are interned to
+    ids in one dict."""
     ids: dict[str, int] = {}
     a_ids = array("i", [ids.setdefault(t, len(ids)) for t in a])
     b_ids = array("i", [ids.setdefault(t, len(ids)) for t in b])
     counts = array("q", bytes(8 * _COUNTS_PER_ORDER * len(SIM_NGRAM_ORDERS)))
-    if native.similarity(a_ids.buffer_info()[0], len(a_ids),
-                         b_ids.buffer_info()[0], len(b_ids), min_match,
-                         counts.buffer_info()[0]):
-        return None
+    if status := native.similarity(a_ids.buffer_info()[0], len(a_ids),
+                                   b_ids.buffer_info()[0], len(b_ids),
+                                   min_match, counts.buffer_info()[0]):
+        raise _native.error(status)
     return counts.tolist()
 
 
@@ -350,10 +351,8 @@ def similarity_vector(qo_text: str, qs_text: str,
     stopwords = frozenset(stopwords)
     a, b = _tokens(qo_text, stopwords), _tokens(qs_text, stopwords)
     native = _native.load()
-    counts = (None if native is None
+    counts = (_python_counts(a, b, gst_min_match) if native is None
               else _native_counts(native, a, b, gst_min_match))
-    if counts is None:
-        counts = _python_counts(a, b, gst_min_match)
     return array("d", [v for k in range(0, len(counts), _COUNTS_PER_ORDER)
                        for v in _measures(*counts[k:k + _COUNTS_PER_ORDER])])
 

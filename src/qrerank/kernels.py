@@ -31,7 +31,8 @@ The tree kernels of one Gram or scoring row, its two trees against the
 same-position trees of a block of columns, are one tree block, computed
 within the row's native call or, by the Python engine, by ``_tree_block``;
 ``_prepare`` computes each example's two self-kernels as a block of one
-column, and ``ptk``/``stk`` one pair as a block of one tree. Both kernels run over the pairs of subtrees the buckets match, in ascending
+column, and ``ptk``/``stk`` one pair as a block of one tree. Both kernels
+run over the pairs of subtrees the buckets match, in ascending
 order of the row tree's ids. A Δ memo keyed by (row subtree, column
 subtree), created per block and dropped after it, shares work across the
 block's tree pairs. A memo miss means the labels (STK: the productions)
@@ -60,12 +61,16 @@ The Python engine mirrors it function for function (``_tree_pair``,
 ``_delta_ptk``, ``_delta_stk``, ``_subsequence_sum``), caching nothing
 more; it runs where the native engine cannot be built or loaded (one
 WARNING names why) and serves the tests as the reference. No option
-selects an engine. The memo holds one row's work, not the whole call's,
-while the table holds every tree of the call, rows and columns alike,
-compiled before the first row; a row only reads it. A Gram (``gram_matrix``,
+selects an engine. A native call that fails raises its error where it
+happens (:func:`._native.error`), and the Python engine never reruns it:
+running out of memory raises :class:`MemoryError`, and a sum that
+overflows the :class:`NumericalError` the Python engine raises for it. The
+memo holds one row's work, not the whole call's, while the table holds
+every tree of the call, rows and columns alike, compiled before the first
+row; a row only reads it. A Gram (``gram_matrix``,
 ``write_gram``) and ``kernel_matrix`` log one INFO line with the call's
 tree pairs, distinct subtrees, Δ values, DP runs (the same from either
-engine) and the engine that ran. No state outlives a call.
+engine) and the process's engine. No state outlives a call.
 
 On top of the tree kernels sits the example-pair kernel used for training:
 an RBF (or linear) kernel on the dense feature vector, the two-way tree
@@ -86,8 +91,8 @@ matrix. The log lines and errors of a matrix name the function called
 (``gram_matrix``, ``write_gram`` or ``kernel_matrix``).
 
 A row is one native call (``qrerank_kernel_row``), or the Python engine's
-loop where the engine is unavailable or the call fails, with the same
-scalar operations in the same order: the sim block's sum
+loop where the engine is unavailable, with the same scalar operations in
+the same order: the sim block's sum
 ``Σ_k u_k·x_k`` (LINEAR) or ``Σ_k (u_k − x_k)²`` (RBF, then
 ``exp(−γ·Σ)``) taken left to right from 0.0, the tree block normalized as
 :func:`normalize_kernel` does, ``k / sqrt(k_row·k_col)``, the rank block
@@ -98,9 +103,11 @@ bits on any machine; no BLAS is involved. Each value has the bits of its
 pair in either order, so the Gram's mirror is exact. A Gram and
 ``kernel_matrix`` raise :class:`NumericalError` at the first non-finite
 value, the Gram's first in its file's order; the native call returns its
-index. Either matrix, if it takes more than a second, logs its progress: at
-most ten INFO lines, each with the rows done, the seconds and an estimate
-of the seconds left.
+index, or minus the status that stopped it. A self-kernel ≤ 0 met in
+normalizing raises :func:`normalize_kernel`'s error for the row's first
+degenerate pair, on either engine. Either matrix, if it takes more than a
+second, logs its progress: at most ten INFO lines, each with the rows
+done, the seconds and an estimate of the seconds left.
 
 The Gram cache file (``write_gram``, ``save_gram``, ``load_gram_lower``,
 ``load_gram``) is text: the lower triangle, each cell the 16 hex digits of
@@ -185,7 +192,6 @@ class _Subtrees:
         self.kid_off, self.kid_ids = array("i", [0]), array("i")
         self.forest = array("i")
         self.pairs = self.deltas = self.dp_runs = 0
-        self.engine = "python"
 
     def compile(self, tree: str) -> int:
         """Compile a tree given as bracketed text, which :func:`tokens`
@@ -238,17 +244,16 @@ class _Subtrees:
             self.forest.extend(column)
         return at
 
-    def tally(self, pairs: int, deltas: int, engine: str) -> None:
+    def tally(self, pairs: int, deltas: int) -> None:
         """Add a tree block's work; its DP runs are counted as they run."""
         self.pairs += pairs
         self.deltas += deltas
-        self.engine = engine
 
     def report(self, call: str) -> None:
         logger.info("%s: %d tree pairs, %d subtrees interned, %d delta values "
                     "computed, %d child-block DP runs, %s engine", call,
-                    self.pairs, len(self.labels), self.deltas,
-                    self.dp_runs, self.engine)
+                    self.pairs, len(self.labels), self.deltas, self.dp_runs,
+                    "python" if _native.load() is None else "native")
 
 
 def _nodes(forest: array, t: int):
@@ -272,15 +277,12 @@ def _buckets(forest: array, t: int) -> dict[int, list[tuple[int, int]]]:
 def _add_times(terms: list, d: float, c: int) -> None:
     """Append terms that sum to c·d exactly: d·2^b for each set bit b of c.
     Scaling by a power of two is exact, so ``math.fsum`` of the terms is
-    that of c copies of d; where d·2^b overflows, so would the copies' sum,
-    and the error is the one ``math.fsum`` raises for it."""
+    that of c copies of d; where d·2^b overflows (an :class:`OverflowError`),
+    so would the copies' sum."""
     b = 0
     while c:
         if c & 1:
-            try:
-                terms.append(math.ldexp(d, b))
-            except OverflowError:
-                raise OverflowError("intermediate overflow in fsum") from None
+            terms.append(math.ldexp(d, b))
         c >>= 1
         b += 1
 
@@ -415,32 +417,38 @@ def _tree_block(kind: str, lam: float, mu: float, sub: _Subtrees,
     holds the forest offsets of the row's trees and ``cols`` one such run
     per column, back to back; the result, in ``cols``' order, is as long.
 
-    The native engine computes the block when it is available; else, or if
-    it reports running out of memory or an overflowing sum, the Python
-    engine does, so an error is raised as ``math.fsum`` raises it. One Δ
-    memo serves the block and is dropped after it."""
+    The block is computed by the native engine where it is loaded, and by
+    the Python engine only where it is not. A sum that overflows raises the
+    same :class:`NumericalError` on either; the native engine running out
+    of memory raises :class:`MemoryError`. One Δ memo serves the block and
+    is dropped after it."""
     out = array("d", [0.0]) * len(cols)
     if not out:
         return out
     native = _native.load()
     if native is not None:
         work = array("q", [0, 0])
-        if native.tree_block(
+        if status := native.tree_block(
                 int(kind == "PTK"), lam, mu,
                 *(a.buffer_info()[0] for a in (sub.labels, sub.prods,
                                                sub.kid_off, sub.kid_ids,
                                                sub.forest)),
                 len(row), row.buffer_info()[0], len(cols) // len(row),
                 cols.buffer_info()[0], out.buffer_info()[0],
-                work.buffer_info()[0]) == 0:
-            sub.dp_runs += work[1]
-            sub.tally(len(out), work[0], "native")
-            return out
+                work.buffer_info()[0]):
+            raise _native.error(status)
+        sub.dp_runs += work[1]
+        sub.tally(len(out), work[0])
+        return out
     memo = {}
-    for j in range(0, len(cols), len(row)):
-        for k, t1 in enumerate(row):
-            out[j + k] = _tree_pair(kind, t1, cols[j + k], lam, mu, sub, memo)
-    sub.tally(len(out), len(memo), "python")
+    try:
+        for j in range(0, len(cols), len(row)):
+            for k, t1 in enumerate(row):
+                out[j + k] = _tree_pair(kind, t1, cols[j + k], lam, mu, sub,
+                                        memo)
+    except OverflowError:
+        raise _native.error(_native.OVERFLOW) from None
+    sub.tally(len(out), len(memo))
     return out
 
 
@@ -558,10 +566,12 @@ def _address(a: array | None) -> int | None:
 def _native_row(native, rows: _Block, cols: _Block, cfg: KernelConfig,
                 sub: _Subtrees, diagonal: bool):
     """The native engine's ``_row`` for one call's blocks: a function of
-    (i, m, out) that fills ``out`` with row i against the first m columns
-    and returns the index of its first non-finite cell, m if none, or -1
-    when the call fails. It holds the buffers' addresses, so the blocks and
-    ``sub`` must outlive it, unchanged."""
+    (i, m) that returns row i against the first m columns and the index of
+    its first non-finite cell, m if none. A call that fails raises its
+    status's error; a degenerate self-kernel, the error
+    :func:`normalize_kernel` raises for the row's first degenerate pair,
+    found from the self-kernels the blocks hold. It holds the buffers'
+    addresses, so the blocks and ``sub`` must outlive it, unchanged."""
     tree = -1 if not cfg.use_tk else int(cfg.tk_kind == "PTK")
     fixed = (
         _BLOCK_KINDS[cfg.vec_kernel if cfg.use_sim else None],
@@ -577,12 +587,18 @@ def _native_row(native, rows: _Block, cols: _Block, cfg: KernelConfig,
     work = array("q", [0, 0])
     call, at = native.kernel_row, work.buffer_info()[0]
 
-    def row(i: int, m: int, out: array) -> int:
+    def row(i: int, m: int) -> tuple[array, int]:
+        out = array("d", [0.0]) * m
         bad = call(i, m, int(diagonal), out.buffer_info()[0], at, *fixed)
-        if bad >= 0 and tree >= 0 and m > diagonal:
+        if bad == -_native.DEGENERATE:
+            for a, b in zip(rows.selfs[2 * i:2 * i + 2] * m, cols.selfs):
+                normalize_kernel(0.0, a, b)
+        if bad < 0:
+            raise _native.error(-bad)
+        if tree >= 0 and m > diagonal:
             sub.dp_runs += work[1]
-            sub.tally(2 * (m - diagonal), work[0], "native")
-        return bad
+            sub.tally(2 * (m - diagonal), work[0])
+        return out, bad
     return row
 
 
@@ -666,9 +682,9 @@ def _kernel_rows(call: str, rows: list[Example],
     (:func:`_prepare`): every missing-block, dimension and tree check, every
     tree compiled into the call's one table, and the self-kernels the rows
     need. The rows only read that state. Each row is computed as it is taken
-    from the iterator returned, by one native call or else by the Python
-    engine (:func:`_row`); the iterator raises :class:`NumericalError` at
-    the first non-finite value.
+    from the iterator returned, by one native call or, where the native
+    engine is unavailable, by the Python engine (:func:`_row`); the
+    iterator raises :class:`NumericalError` at the first non-finite value.
 
     Once a row ends a tenth of the cells and the rows have taken
     ``_PROGRESS_AFTER_S`` seconds, one INFO line gives the rows done of n,
@@ -688,18 +704,14 @@ def _kernel_rows(call: str, rows: list[Example],
         p = _prepare(rows, cfg, sub, cfg.normalize_tk,
                      c.X[:c.dim] if cfg.use_sim else None)
     native = _native.load()
-    native_row = (None if native is None else
-                  _native_row(native, p, c, cfg, sub, gram))
+    row_of = ((lambda i, m: _row(i, m, p, c, cfg, sub, gram)) if native is None
+              else _native_row(native, p, c, cfg, sub, gram))
 
     def generate():
         done, tenth = 0, 1
         for i in range(n):
             m = i + 1 if gram else len(cols)
-            row, bad = array("d", [0.0]) * m, -1
-            if native_row is not None:
-                bad = native_row(i, m, row)
-            if bad < 0:
-                row, bad = _row(i, m, p, c, cfg, sub, gram)
+            row, bad = row_of(i, m)
             _require_finite(call, i, row, bad)
             done += m
             if 10 * done >= tenth * cells:

@@ -189,36 +189,13 @@ def evaluate(groups, k: int | None = None) -> dict[str, float]:
     }
 
 
-def _pairwise_sum(values: list[float], start: int, n: int) -> float:
-    """numpy's float64 pairwise sum of ``values[start:start + n]``, in its
-    order of additions: a plain loop below 8 values, eight interleaved
-    accumulators up to a block of 128, and above that two halves split at
-    n/2 rounded down to a multiple of 8."""
-    if n < 8:
-        total = 0.0
-        for i in range(start, start + n):
-            total += values[i]
-        return total
-    if n <= 128:
-        r = values[start:start + 8]
-        end = start + n - n % 8
-        for i in range(start + 8, end, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, start + n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return (_pairwise_sum(values, start, half)
-            + _pairwise_sum(values, start + half, n - half))
-
-
 def _mean(values: list[float]) -> float:
-    """``float(np.mean(values))`` bit for bit, without numpy: the reduction
-    starts from 0.0 and adds the pairwise sum, then divides by the count."""
-    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+    """The mean of ``values``, their exactly rounded sum (``math.fsum``)
+    over their count; nan where that sum overflows or meets inf − inf."""
+    try:
+        return math.fsum(values) / len(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def per_query_average_precision(groups, k: int | None = None) -> dict[str, float]:

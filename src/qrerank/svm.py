@@ -24,7 +24,8 @@ same IEEE operations in the same order (compiled with
 Python engine (:func:`_python_engine`) stays as the reference and runs
 where the native one cannot be built; no option selects an engine. The
 module imports no numpy: the bias and the KKT report are plain loops, and
-the bias's mean is :func:`.rankeval._mean`, numpy's order of additions.
+the bias's mean is :func:`.rankeval._mean`, an exactly rounded sum over
+the count.
 Each step also reports the pair's gain in W, computed in O(1) from the
 old g_i and g_j, the changes of α_i and α_j and G_ii, G_ij and G_jj;
 ``train_smo`` asserts after every step that the gain is not negative.

@@ -22,7 +22,12 @@ from qrerank.cli import (
 )
 from qrerank.config import KernelConfig, RunConfig, TrainConfig
 from qrerank.errors import DataError, NumericalError
-from qrerank.kernels import config_fingerprint, gram_matrix, save_gram
+from qrerank.kernels import (
+    Example,
+    config_fingerprint,
+    gram_matrix,
+    save_gram,
+)
 from qrerank.pipeline import (
     load_examples,
     make_groups,
@@ -35,7 +40,7 @@ from qrerank.rankeval import (
     reranked_candidates,
     write_predictions,
 )
-from qrerank.svm import load_model
+from qrerank.svm import TrainedModel, load_model, save_model
 from qrerank.treebank import SyntaxTree, to_bracketed
 
 from conftest import (
@@ -203,9 +208,9 @@ class TestSubcommandFlow:
         assert "p_value: 1.000000" in out
 
     def test_sigtest_prints_the_map_evaluate_prints(self, tmp_path, capsys):
-        # 12 queries whose mean AP lies near a tie at 4 decimals: summed in
-        # numpy's pairwise order, as evaluate sums, it prints 56.7188, and
-        # summed left to right 56.7187
+        # 12 queries whose exact mean AP is a tie at 4 decimals, 56.71875:
+        # its exactly rounded sum, as evaluate takes it, prints 56.7187, and
+        # numpy's pairwise order of additions 56.7188
         golds = ["000100", "01", "0000010000", "1000", "1100", "00000100",
                  "0010", "100", "1000", "0001100101", "1010000", "000010"]
         pred = tmp_path / "pred.tsv"
@@ -214,11 +219,11 @@ class TestSubcommandFlow:
             for q, gold in enumerate(golds) for k, g in enumerate(gold, 1)),
             encoding="utf-8")
         assert main(["evaluate", "--predictions", str(pred)]) == 0
-        assert "MAP: 56.7188\n" in capsys.readouterr().out
+        assert "MAP: 56.7187\n" in capsys.readouterr().out
         assert main(["sigtest", "--predictions-a", str(pred),
                      "--predictions-b", str(pred)]) == 0
         out = capsys.readouterr().out
-        assert "MAP a: 56.7188\nMAP b: 56.7188\n" in out
+        assert "MAP a: 56.7187\nMAP b: 56.7187\n" in out
 
     def test_flags_override_config_file(self, corpora, tmp_path):
         train, _ = corpora
@@ -447,6 +452,47 @@ class TestExitCodes:
         assert lines == ["numerical error: write_gram: non-finite kernel "
                          "value inf at cell (0, 0)"]
         assert not gram.exists()
+
+    @pytest.mark.parametrize("engine", ["native", "python"])
+    @pytest.mark.parametrize("stage", ["gram", "rerank"])
+    def test_a_tree_kernel_sum_that_overflows_is_3(self, tmp_path, stage,
+                                                   engine):
+        """Run as its own process, so that a traceback would reach stderr.
+        Δ of the depth-11 subtrees is 1.5·2^1022 at this λ: finite, but the
+        exact sum of a tree's kernel with itself overflows."""
+        if engine == "native" and _native.load() is None:
+            pytest.skip("the native engine does not build or load here")
+        half = "a"
+        for _ in range(11):
+            half = f"(N {half} {half})"
+        tree = f"(R {half} {half})"
+        examples, out = tmp_path / "ex.jsonl", tmp_path / f"{stage}.out"
+        save_examples(examples, [
+            Example("q1", f"c{k}", 1 - 2 * k, k + 1, tree_first=tree,
+                    tree_second=tree) for k in range(2)])
+        flags = ["--use-tk", "--no-use-sim", "--tk-kind", "STK", "--lam",
+                 "0.9045936108323791", "--no-normalize-tk", "--out", str(out)]
+        if stage == "gram":
+            argv = ["gram", "--examples", str(examples), *flags]
+        else:
+            model = tmp_path / "model.txt"
+            save_model(model, TrainedModel((0,), [1.0], 0.0))
+            argv = ["rerank", "--model", str(model), "--train-examples",
+                    str(examples), "--test-examples", str(examples), *flags]
+        prelude = ("from qrerank import _native; _native._engine = None; "
+                   if engine == "python" else "")
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; {prelude}from qrerank.cli "
+             "import main; sys.exit(main(sys.argv[1:]))", *argv],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines()
+                  if line.startswith("numerical error:")]
+        assert errors == ["numerical error: intermediate overflow in a tree "
+                          "kernel's exact sum"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--gamma", "--tol", "--smo-eps"])
     def test_infinite_gamma_or_solver_tolerance_is_2(self, flag, corpora,

@@ -501,13 +501,6 @@ class TestSimilarityEngines:
             assert counts[0::10] == counts[1::10] == counts[2::10] == [0] * 4
         assert similarity_vector("", "").tolist() == [0.0] * 20
 
-    def test_declined_call_falls_back(self, native, monkeypatch):
-        # the engine reports running out of memory: the Python engine runs
-        monkeypatch.setattr(_native, "load", lambda: native._replace(
-            similarity=lambda *args: 1))
-        for (qo, qs, cfg), golden in zip(GOLDEN_SIM_CASES, GOLDEN_SIM_HEX):
-            assert _bits(similarity_vector(qo, qs, **cfg)) == golden
-
 
 def _bench_shaped_corpus(path, queries=12, candidates=10):
     """Task B records shaped like a benchmark corpus: three sentences of

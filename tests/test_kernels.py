@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrerank import _native, kernels
+from qrerank import _native, features, kernels
 from qrerank.errors import DataError, NumericalError
 from qrerank.kernels import (
     Example,
@@ -1485,9 +1485,10 @@ class TestSharedSubtrees:
     def test_a_repeated_finite_delta_whose_sum_overflows_raises(self, copies):
         # this λ puts Δ of the depth-11 subtrees at 1.5·2^1022: finite, but
         # their copies² pairs sum past the largest double (one term 4·Δ, or
-        # the two terms Δ and 8·Δ)
+        # the two terms Δ and 8·Δ); either engine raises the same error
         tree = "(R " + " ".join([complete_tree(2, 11)] * copies) + ")"
-        with pytest.raises(OverflowError, match="intermediate overflow"):
+        with pytest.raises(NumericalError, match="^intermediate overflow in "
+                           "a tree kernel's exact sum$"):
             stk(tree, tree, 0.9045936108323791)
 
     def test_nothing_is_kept_between_calls(self):
@@ -1707,6 +1708,61 @@ class TestNativeEngine:
                 == python.removesuffix(", python engine"))
         dp_runs = int(re.search(r"(\d+) child-block DP runs", native)[1])
         assert (dp_runs > 0) == (kind == "PTK")
+
+
+class TestNativeFailures:
+    """A native call that fails raises its error where it happens: the
+    Python engine never reruns it. The engine loaded here returns a failure
+    status from every call, and the Python engine's functions fail the test
+    if they run."""
+
+    @pytest.fixture(autouse=True)
+    def no_python_engine(self, monkeypatch):
+        def never(*args, **kwargs):
+            pytest.fail("the Python engine ran after a native call")
+
+        for module, name in ((kernels, "_row"), (kernels, "_tree_pair"),
+                             (features, "_python_counts")):
+            monkeypatch.setattr(module, name, never)
+
+    @staticmethod
+    def load(monkeypatch, status, tree_status):
+        """kernel_row returns -status, similarity status and tree_block
+        tree_status, leaving its block's values at 0.0."""
+        engine = _native.Engine(
+            tree_block=lambda *args: tree_status,
+            kernel_row=lambda *args: -status, smo_step=None,
+            all_finite=None, similarity=lambda *args: status)
+        monkeypatch.setattr(_native, "load", lambda: engine)
+
+    @pytest.mark.parametrize("status,error", [
+        (_native.NO_MEMORY, MemoryError), (_native.OVERFLOW, NumericalError)],
+        ids=["NO_MEMORY", "OVERFLOW"])
+    def test_a_failed_call_raises(self, monkeypatch, status, error):
+        trees = [example_with_trees("(S (A a))", "(S (B b))", cid=f"c{k}")
+                 for k in range(2)]
+        cfg = KernelConfig(use_tk=True, use_sim=False, normalize_tk=False)
+        message = str(_native.error(status))
+        self.load(monkeypatch, status, status)
+        with pytest.raises(error, match=re.escape(message)):   # tree_block
+            stk("(S (A a))", "(S (A a))")
+        with pytest.raises(error, match=re.escape(message)):   # similarity
+            features.similarity_vector("a b c", "a b d")
+        self.load(monkeypatch, status, 0)
+        with pytest.raises(error, match=re.escape(message)):   # kernel_row
+            kernel_matrix(trees, trees, cfg)
+
+    def test_a_degenerate_self_kernel_raises_normalize_kernels_error(
+            self, monkeypatch):
+        # tree_block leaves every self-kernel at 0.0
+        self.load(monkeypatch, _native.DEGENERATE, 0)
+        trees = [example_with_trees("(S (A a))", "(S (B b))", cid=f"c{k}")
+                 for k in range(2)]
+        cfg = KernelConfig(use_tk=True, use_sim=False)
+        with pytest.raises(NumericalError) as raised:
+            gram_matrix(trees, cfg)
+        assert str(raised.value) == ("degenerate self-kernel (k_xx=0.0, "
+                                     "k_yy=0.0): cannot normalize")
 
 
 def fresh_loader(monkeypatch, tmp_path):

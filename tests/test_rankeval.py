@@ -1,6 +1,8 @@
 """Reranking, MAP/AvgRec/MRR, and the paired randomization test."""
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,7 +160,7 @@ class TestEvaluate:
             for value in metrics.values():
                 assert 0.0 <= value <= 100.0
 
-    def test_metrics_are_numpy_means_bit_for_bit(self):
+    def test_metrics_are_exact_means_bit_for_bit(self):
         rng = make_rng(13)
         groups = [gold_group(list(rng.integers(0, 2, size=10) > 0),
                              query_id=f"q{qi}") for qi in range(300)]
@@ -171,9 +173,9 @@ class TestEvaluate:
                 rrs.append(1.0 / (gold.index(True) + 1)
                            if True in gold[:7] else 0.0)
         assert evaluate(groups, k=7) == {
-            "MAP": 100.0 * float(np.mean(aps)),
-            "AvgRec": 100.0 * float(np.mean(recalls)),
-            "MRR": 100.0 * float(np.mean(rrs))}
+            "MAP": 100.0 * (math.fsum(aps) / len(aps)),
+            "AvgRec": 100.0 * (math.fsum(recalls) / len(recalls)),
+            "MRR": 100.0 * (math.fsum(rrs) / len(rrs))}
 
     def test_empty_groups_rejected(self):
         with pytest.raises(DataError, match="no query groups"):
@@ -418,9 +420,15 @@ class TestPredictionsFile:
         assert not path.exists()
 
 
+def exact_mean(v):
+    """The mean of ``v`` from its exact sum: the exact sum rounded once, as
+    ``math.fsum`` gives it, over the count."""
+    return float(sum(map(Fraction, v), Fraction(0))) / len(v)
+
+
 class TestMean:
-    """``rankeval._mean`` is numpy's float64 pairwise mean, so the metrics
-    keep the bits they had when ``evaluate`` called ``np.mean``."""
+    """``rankeval._mean`` is the exactly rounded sum over the count, so its
+    bits do not depend on the order of the values."""
 
     @staticmethod
     def values(rng, n):
@@ -431,9 +439,13 @@ class TestMean:
         rng = make_rng(5)
         for n in [*range(1, 1001), 4097]:
             v = self.values(rng, n)
-            assert rankeval._mean(v) == float(np.mean(v)), n
+            assert rankeval._mean(v) == exact_mean(v), n
 
     @pytest.mark.parametrize("v", [[-0.0], [-0.0] * 9, [1e16, 1.0, -1e16],
                                    [0.1] * 7, [0.1] * 129])
     def test_edge_values(self, v):
-        assert repr(rankeval._mean(v)) == repr(float(np.mean(v)))
+        assert repr(rankeval._mean(v)) == repr(exact_mean(v))
+
+    @pytest.mark.parametrize("v", [[1e308, 1e308], [math.inf, -math.inf]])
+    def test_a_sum_that_overflows_or_meets_inf_minus_inf_is_nan(self, v):
+        assert math.isnan(rankeval._mean(v))

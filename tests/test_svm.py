@@ -7,6 +7,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from array import array
 from dataclasses import astuple
 
 import numpy as np
@@ -197,6 +198,22 @@ class TestValidation:
                 with pytest.raises(NumericalError,
                                    match="^gram contains non-finite values$"):
                     train_smo(T, y, TrainConfig())
+
+    def test_a_bias_whose_exact_sum_overflows_is_refused(self, monkeypatch):
+        # the Python engine stops at once with both examples free and each
+        # y - g at -1e308: the exact sum of the two overflows, so the bias,
+        # their mean, is nan and the model is refused
+        def engine(T, y, box, alpha, g, tol, eps):
+            def step():
+                alpha[:] = array("d", [0.5, 0.5])
+                g[:] = array("d", [1e308 + y[0], 1e308 + y[1]])
+                return svm._CONVERGED, 0.0
+            return step
+
+        monkeypatch.setattr(_native, "load", lambda: None)
+        monkeypatch.setattr(svm, "_python_engine", engine)
+        with pytest.raises(DataError, match="^bias must be finite$"):
+            train_smo(lower(np.eye(2)), [1, -1], TrainConfig())
 
     def test_shape_mismatch_rejected(self):
         # the triangle of 3 examples, one value short, the square matrix
