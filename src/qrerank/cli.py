@@ -36,10 +36,13 @@ as one ``array('d')``, ``rerank`` sums each score with ``math.fsum``, and
 ``sigtest`` draws its signs from ``random``.  A run builds the config flags
 of its own subcommand only.
 
-Exit codes: 0 success; 1 usage errors; 2 data/file errors; 3 numerical
-failures.  When ``--stopwords`` names a relative path that does not exist,
-the directory in the ``QRERANK_STOPWORDS_DIR`` environment variable is tried
-as a fallback location.
+Exit codes: 0 success; 1 usage errors; 2 data/file errors, a full disk
+or running out of memory; 3 numerical failures. Each stage writes its
+``--out`` through :func:`.errors.replace_file`, so a stage that fails
+leaves the file that was there, or none.  When ``--stopwords`` names a
+relative path that does not exist, the directory in the
+``QRERANK_STOPWORDS_DIR`` environment variable is tried as a fallback
+location.
 """
 
 import argparse
@@ -274,18 +277,13 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .kernels import config_fingerprint, load_gram_lower
+    from .kernels import check_fingerprint, load_gram_lower
     from .pipeline import load_labels
     from .svm import save_model, train_smo
 
     cfg = config_from_args(args)
     lower, fingerprint = load_gram_lower(args.gram)
-    current = config_fingerprint(cfg.kernel)
-    if fingerprint != current:
-        import logging
-        logging.getLogger(__name__).warning(
-            "gram file was computed under a different kernel config "
-            "(%s... vs current %s...)", fingerprint[:12], current[:12])
+    check_fingerprint(args.gram, fingerprint, cfg.kernel)
     labels = load_labels(args.examples)
     model = train_smo(lower, labels, cfg.train,
                       kernel_fingerprint=fingerprint)
@@ -296,15 +294,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
-    from .kernels import config_fingerprint
+    from .kernels import check_fingerprint
     from .pipeline import make_groups, read_examples, score_examples
     from .rankeval import QueryGroup, reranked_candidates, write_predictions
     from .svm import load_model
 
     cfg = config_from_args(args)
-    model = load_model(args.model,
-                       expected_fingerprint=config_fingerprint(cfg.kernel),
-                       strict=args.strict)
+    model = load_model(args.model)
+    check_fingerprint(args.model, model.kernel_fingerprint, cfg.kernel,
+                      strict=args.strict)
     train_examples = read_examples(args.train_examples,
                                    trees=cfg.kernel.use_tk)
     test_examples = read_examples(args.test_examples, trees=cfg.kernel.use_tk)
@@ -438,6 +436,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

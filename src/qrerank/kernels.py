@@ -113,12 +113,17 @@ The Gram cache file (``write_gram``, ``save_gram``, ``load_gram_lower``,
 ``load_gram``) is text: the lower triangle, each cell the 16 hex digits of
 its IEEE-754 bits, so it is exact by construction, and it is read as it is
 written, a row at a time. One writer encodes each row, its big-endian
-bytes, with one ``binascii.hexlify`` call as the row arrives, into a
-temporary file renamed into place when complete. One reader (``_gram_rows``)
+bytes, with one ``binascii.hexlify`` call as the row arrives, through
+:func:`.errors.replace_file`, the writer of every stage's file, so a run
+that fails leaves no part of a file behind. One reader (``_gram_rows``)
 checks each row's bytes in one step and decodes them with ``bytes.fromhex``:
 ``load_gram_lower`` packs the rows into the triangle ``train`` solves on
 (row i from offset i(i+1)/2), and ``load_gram`` mirrors each into an n×n
-matrix. No engine is involved.
+matrix. No engine is involved. The file's header holds
+:func:`config_fingerprint` of the kernel config it was computed under, and
+:func:`check_fingerprint` is the one comparison of a stored fingerprint
+with the current config's: ``train`` makes it for the Gram and ``rerank``
+for the model.
 
 Only the functions that take or return numpy matrices import numpy, when
 they run: ``gram_matrix``, ``kernel_matrix``, ``save_gram`` and
@@ -149,8 +154,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import _native
 from .config import KernelConfig
-from .errors import DataError, NumericalError
-# Example is defined in the numpy-free features module and re-exported here
+from .errors import DataError, NumericalError, replace_file
 from .features import Example, rank_feature
 from .treebank import tokens
 
@@ -781,6 +785,21 @@ def config_fingerprint(cfg: KernelConfig) -> str:
     return _native.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def check_fingerprint(path, found: str, cfg: KernelConfig,
+                      strict: bool = False) -> None:
+    """Compare ``found``, the fingerprint stored in the file ``path``, with
+    that of the current kernel config ``cfg``. On a mismatch, the file's
+    numbers were computed under another kernel: log a WARNING naming the
+    file, or, with ``strict``, raise :class:`DataError`."""
+    current = config_fingerprint(cfg)
+    if found != current:
+        message = (f"{path}: kernel fingerprint {found[:12]}… does not "
+                   f"match the current kernel config {current[:12]}…")
+        if strict:
+            raise DataError(message)
+        logger.warning("%s", message)
+
+
 GRAM_MAGIC = "qrerank-gram v2"
 _CELL = 17          # bytes per cell: 16 hex digits and a separator
 _HEX = b"0123456789abcdef"   # the digits a cell is written in
@@ -794,28 +813,20 @@ def _write_gram(call: str, path: str | Path, n: int, fingerprint: str,
     bytes, a space between values and a newline after the row. A row is
     byte-swapped in place on a little-endian host.
 
-    The file is written under a temporary name beside ``path`` and renamed
-    to ``path`` once complete; on any error it is removed, and a file
-    already at ``path`` is left as it was. One INFO line, led by ``call``,
-    gives n, the file's bytes and the seconds."""
+    The file is written through :func:`.errors.replace_file`: an error
+    leaves a file already at ``path`` as it was. One INFO line, led by
+    ``call``, gives n, the file's bytes and the seconds."""
     start = time.perf_counter()
     swap = sys.byteorder == "little"
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n"
-                     f"# n: {n}\n".encode("utf-8"))
-            for row in rows:
-                if swap:
-                    row.byteswap()
-                fh.write(binascii.hexlify(row, b" ", 8))
-                fh.write(b"\n")
-            size = fh.tell()
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with replace_file(path, "wb") as fh:
+        fh.write(f"# {GRAM_MAGIC}\n# fingerprint: {fingerprint}\n"
+                 f"# n: {n}\n".encode("utf-8"))
+        for row in rows:
+            if swap:
+                row.byteswap()
+            fh.write(binascii.hexlify(row, b" ", 8))
+            fh.write(b"\n")
+        size = fh.tell()
     logger.info("%s: n %d, %d bytes, %.3f s", call, n, size,
                 time.perf_counter() - start)
 

@@ -37,11 +37,15 @@ when their kernel has no tree block. :func:`load_examples` alone parses
 each tree into a walkable :class:`~.treebank.SyntaxTree`, for callers that
 walk them.
 
-An examples file is JSONL too, one :class:`~.features.Example` per line
-with no feature names: its ``vec`` joins the blocks that the run
-configuration enables, in the order the :mod:`.features` docstring gives.
-Every JSONL reader here refuses a record with a repeated key, where
-``json`` would keep the last value.
+An examples file is JSONL too, one :class:`~.features.Example` per line,
+its keys ``Example``'s fields and no feature names: its ``vec`` joins the
+blocks that the run configuration enables, in the order the
+:mod:`.features` docstring gives. The corpus, the examples and their
+labels are read by one record loop (:func:`_read_jsonl`), which names the
+file and the line of each fault, and refuses a record with a repeated
+key, where ``json`` would keep the last value. :func:`save_examples`
+writes through :func:`.errors.replace_file`, the one writer of every
+stage's file, so a failed write leaves no part of a file behind.
 
 This module imports no numpy: corpus loading, featurization, the
 examples files and the scores work on plain float vectors.
@@ -62,7 +66,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from . import _native
 from .config import TASK_SPECS, KernelConfig, RunConfig, _check_task
-from .errors import DataError, open_text
+from .errors import DataError, open_text, replace_file
 from .features import (
     Example,
     _check_label,
@@ -187,20 +191,29 @@ def _json_object(line: str, path, lineno: int) -> dict:
     return obj
 
 
-def _jsonl_records(fh, path, what: str):
-    """Yield (line number, JSON object) for each non-blank line of the open
-    JSONL file ``fh``, read by :func:`_json_object`; a file with no record
+def _read_jsonl(path, what: str, make) -> list:
+    """``make(obj, lineno)`` for the JSON object on each non-blank line of
+    the JSONL file ``path``, read by :func:`_json_object`, in order. A
+    :class:`DataError` or a missing key (:class:`KeyError`) that ``make``
+    raises is named with ``path`` and the line; a file with no record
     raises :class:`DataError` naming ``path``: ``empty {what}``."""
-    empty = True
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        obj = _json_object(line, path, lineno)
-        empty = False
-        yield lineno, obj
-    if empty:
+    out = []
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            obj = _json_object(line, path, lineno)
+            try:
+                out.append(make(obj, lineno))
+            except KeyError as exc:
+                raise _field_error(path, lineno, f"missing field {exc}") \
+                    from exc
+            except DataError as exc:
+                raise _field_error(path, lineno, str(exc)) from exc
+    if not out:
         raise DataError(f"{path}: empty {what}")
+    return out
 
 
 def load_corpus(path, task: str) -> list[CorpusRecord]:
@@ -213,42 +226,39 @@ def load_corpus(path, task: str) -> list[CorpusRecord]:
     lo, hi = TASK_SPECS[task].ranks
     names = {f.name for f in fields(CorpusRecord)}
     required = [f.name for f in fields(CorpusRecord) if f.default is MISSING]
-    records: list[CorpusRecord] = []
     seen_pairs: dict[tuple[str, str], int] = {}
     seen_ranks: dict[tuple[str, int], int] = {}
-    with open_text(path) as fh:
-        for lineno, obj in _jsonl_records(fh, path, "corpus"):
-            try:
-                unknown = set(obj) - names
-                if unknown:
-                    raise DataError(f"unknown fields: {sorted(unknown)}")
-                missing = [k for k in required if k not in obj]
-                if missing:
-                    raise DataError(f"missing fields: {missing}")
-                record = CorpusRecord(**obj)
-                rank = record.original_rank
-                if not lo <= rank <= hi:
-                    raise DataError(f"original_rank {rank} outside task "
-                                    f"{task} range {lo}..{hi}")
-                gold_binary(record.gold_label, task)
-                if record.comment_text is not None and task != "D":
-                    raise DataError("field 'comment_text' is only valid for "
-                                    "task D records")
-                pair = (record.query_id, record.candidate_id)
-                if pair in seen_pairs:
-                    raise DataError(
-                        f"duplicate (query_id, candidate_id) {pair} "
-                        f"(first seen at line {seen_pairs[pair]})")
-                rank_key = (record.query_id, rank)
-                if rank_key in seen_ranks:
-                    raise DataError(
-                        f"query {record.query_id!r} has two candidates at "
-                        f"rank {rank} (first seen at line "
-                        f"{seen_ranks[rank_key]})")
-            except DataError as exc:
-                raise _field_error(path, lineno, str(exc)) from exc
-            seen_pairs[pair] = seen_ranks[rank_key] = lineno
-            records.append(record)
+
+    def make(obj, lineno):
+        unknown = set(obj) - names
+        if unknown:
+            raise DataError(f"unknown fields: {sorted(unknown)}")
+        missing = [k for k in required if k not in obj]
+        if missing:
+            raise DataError(f"missing fields: {missing}")
+        record = CorpusRecord(**obj)
+        rank = record.original_rank
+        if not lo <= rank <= hi:
+            raise DataError(f"original_rank {rank} outside task "
+                            f"{task} range {lo}..{hi}")
+        gold_binary(record.gold_label, task)
+        if record.comment_text is not None and task != "D":
+            raise DataError("field 'comment_text' is only valid for "
+                            "task D records")
+        pair = (record.query_id, record.candidate_id)
+        if pair in seen_pairs:
+            raise DataError(
+                f"duplicate (query_id, candidate_id) {pair} "
+                f"(first seen at line {seen_pairs[pair]})")
+        rank_key = (record.query_id, rank)
+        if rank_key in seen_ranks:
+            raise DataError(
+                f"query {record.query_id!r} has two candidates at "
+                f"rank {rank} (first seen at line {seen_ranks[rank_key]})")
+        seen_pairs[pair] = seen_ranks[rank_key] = lineno
+        return record
+
+    records = _read_jsonl(path, "corpus", make)
     relevant, irrelevant = class_counts(records, task)
     logger.info(
         "loaded %d records (%d queries) from %s: %d relevant, %d irrelevant",
@@ -383,36 +393,35 @@ def build_examples(records, cfg: RunConfig) -> list[Example]:
 # featurized-example files
 # ---------------------------------------------------------------------------
 
+# the keys of an examples record, in the order save_examples writes them
+_EXAMPLE_KEYS = tuple(f.name for f in fields(Example))
+_TREE_KEYS = ("tree_first", "tree_second")
+
+
 def save_examples(path, examples: list[Example]) -> None:
-    """Write featurized examples as JSONL, each tree as the bracketed text
-    it holds (:func:`build_examples`, :func:`read_examples`). A tree that
-    is not text raises :class:`DataError` naming its example, before
-    ``path`` is opened."""
-    for e in examples:
-        for tree in (e.tree_first, e.tree_second):
-            if tree is not None and not isinstance(tree, str):
-                raise DataError(
-                    f"example ({e.query_id}, {e.candidate_id}) holds a "
-                    f"{type(tree).__name__} tree, not bracketed text")
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write featurized examples as JSONL, one record per example with
+    :class:`~.features.Example`'s fields as its keys, each tree as the
+    bracketed text it holds (:func:`build_examples`, :func:`read_examples`).
+    The file is written through :func:`.errors.replace_file`: a tree that
+    is not text raises :class:`DataError` naming its example, and it or any
+    other error leaves ``path`` as it was."""
+    with replace_file(path) as fh:
         for e in examples:
-            obj = {
-                "query_id": e.query_id,
-                "candidate_id": e.candidate_id,
-                "label": e.label,
-                "original_rank": e.original_rank,
-                "vec": None if e.vec is None else [float(v) for v in e.vec],
-                "tree_first": e.tree_first,
-                "tree_second": e.tree_second,
-            }
+            obj = {key: getattr(e, key) for key in _EXAMPLE_KEYS}
+            for tree in map(obj.get, _TREE_KEYS):
+                if tree is not None and not isinstance(tree, str):
+                    raise DataError(
+                        f"example ({e.query_id}, {e.candidate_id}) holds a "
+                        f"{type(tree).__name__} tree, not bracketed text")
+            if e.vec is not None:
+                obj["vec"] = [float(v) for v in e.vec]
             fh.write(json.dumps(obj) + "\n")
 
 
-def _example_tree(obj, key, keep: bool) -> str | None:
-    """The field ``key`` of an examples record, which must be a string or
-    null: with ``keep``, the bracketed tree checked and kept as text;
-    else None."""
-    text = obj[key]
+def _example_tree(text, key, keep: bool) -> str | None:
+    """The value ``text`` of the field ``key`` of an examples record, which
+    must be a string or null: with ``keep``, the bracketed tree checked and
+    kept as text; else None."""
     if text is None:
         return None
     if not isinstance(text, str):
@@ -433,25 +442,14 @@ def read_examples(path, trees: bool = True) -> list[Example]:
     example's trees are None. A key it does not read is ignored, so a file
     from a version whose records also held the feature names or the rank
     feature, which the kernel now computes, reads to the same examples."""
-    examples: list[Example] = []
-    with open_text(path) as fh:
-        for lineno, obj in _jsonl_records(fh, path, "example file"):
-            try:
-                examples.append(Example(
-                    query_id=obj["query_id"],
-                    candidate_id=obj["candidate_id"],
-                    label=obj["label"],
-                    original_rank=obj["original_rank"],
-                    vec=obj["vec"],
-                    tree_first=_example_tree(obj, "tree_first", trees),
-                    tree_second=_example_tree(obj, "tree_second", trees),
-                ))
-            except KeyError as exc:
-                raise _field_error(path, lineno, f"missing field {exc}") \
-                    from exc
-            except DataError as exc:
-                raise _field_error(path, lineno, str(exc)) from exc
-    return examples
+
+    def make(obj, _):
+        values = {key: obj[key] for key in _EXAMPLE_KEYS}
+        for key in _TREE_KEYS:
+            values[key] = _example_tree(values[key], key, trees)
+        return Example(**values)
+
+    return _read_jsonl(path, "example file", make)
 
 
 def load_examples(path) -> list[Example]:
@@ -472,18 +470,12 @@ def load_labels(path) -> list[int]:
     """The labels of an examples file, in order, checked as
     :func:`read_examples` checks them; no tree is read and no vector
     converted."""
-    labels: list[int] = []
-    with open_text(path) as fh:
-        for lineno, obj in _jsonl_records(fh, path, "example file"):
-            try:
-                _check_label(obj["label"])
-            except KeyError as exc:
-                raise _field_error(path, lineno, f"missing field {exc}") \
-                    from exc
-            except DataError as exc:
-                raise _field_error(path, lineno, str(exc)) from exc
-            labels.append(obj["label"])
-    return labels
+
+    def make(obj, _):
+        _check_label(obj["label"])
+        return obj["label"]
+
+    return _read_jsonl(path, "example file", make)
 
 
 # ---------------------------------------------------------------------------

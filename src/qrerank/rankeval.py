@@ -25,7 +25,7 @@ import random
 from itertools import repeat
 from operator import add, ge, itemgetter
 
-from .errors import DataError, open_text
+from .errors import DataError, open_text, replace_file
 
 
 def _check_id(name: str, value: str) -> None:
@@ -298,7 +298,9 @@ def write_predictions(path, groups) -> None:
     """Write a predictions TSV: query_id, candidate_id, rank, score, gold.
 
     ``rank`` is the 1-based position of the candidate inside its group's
-    current order, so callers should pass already-reranked groups.
+    current order, so callers should pass already-reranked groups. The
+    file is written through :func:`.errors.replace_file`, so an error
+    leaves ``path`` as it was.
     """
     lines = []
     for group in groups:
@@ -306,7 +308,7 @@ def write_predictions(path, groups) -> None:
             gold = "true" if c.gold_relevant else "false"
             lines.append(f"{group.query_id}\t{c.candidate_id}\t{position}\t"
                          f"{c.score!r}\t{gold}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -56,7 +56,7 @@ from pathlib import Path
 
 from . import _native
 from .config import TrainConfig
-from .errors import DataError, NumericalError, open_text
+from .errors import DataError, NumericalError, open_text, replace_file
 from .rankeval import _mean
 
 logger = logging.getLogger(__name__)
@@ -431,8 +431,10 @@ _MODEL_KEYS = ("n_support", "bias", "kernel_fingerprint", "training_checksum",
 
 def save_model(path: str | Path, model: TrainedModel) -> None:
     """Versioned key/value text format; floats are written with full
-    round-trip precision so save→load is lossless."""
-    with open(path, "w", encoding="utf-8") as fh:
+    round-trip precision so save→load is lossless. The file is written
+    through :func:`.errors.replace_file`, so an error leaves ``path`` as it
+    was."""
+    with replace_file(path) as fh:
         fh.write(f"# {MODEL_MAGIC}\n")
         fh.write(f"n_support: {len(model.support_indices)}\n")
         fh.write(f"bias: {model.bias!r}\n")
@@ -444,16 +446,12 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
                  + " ".join(repr(float(c)) for c in model.dual_coefs) + "\n")
 
 
-def load_model(path: str | Path, expected_fingerprint: str | None = None,
-               strict: bool = False) -> TrainedModel:
+def load_model(path: str | Path) -> TrainedModel:
     """Read a model file back. Any malformation, a non-finite bias or
     coefficient, an unknown or repeated key and a repeated support index
-    included, raises :class:`DataError` naming the file.
-
-    When ``expected_fingerprint`` is given and disagrees with the stored
-    one, strict mode raises; otherwise a warning is logged (the scores would
-    silently come from a different kernel).
-    """
+    included, raises :class:`DataError` naming the file. The model's
+    ``kernel_fingerprint`` is returned as stored; the caller compares it
+    with its kernel config (:func:`.kernels.check_fingerprint`)."""
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {MODEL_MAGIC}":
@@ -484,20 +482,12 @@ def load_model(path: str | Path, expected_fingerprint: str | None = None,
         raise DataError(f"{path}: support arrays do not match n_support")
     if len(set(support)) != n_support:
         raise DataError(f"{path}: repeated support index")
-    fingerprint = fields["kernel_fingerprint"]
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        message = (f"{path}: model kernel fingerprint {fingerprint[:12]}… does "
-                   f"not match the current kernel config "
-                   f"{expected_fingerprint[:12]}…")
-        if strict:
-            raise DataError(message)
-        logger.warning("%s", message)
     try:
         return TrainedModel(
             support_indices=support,
             dual_coefs=coefs,
             bias=bias,
-            kernel_fingerprint=fingerprint,
+            kernel_fingerprint=fields["kernel_fingerprint"],
             training_checksum=fields["training_checksum"],
         )
     except DataError as exc:

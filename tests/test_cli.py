@@ -1,5 +1,6 @@
 """Command-line interface: config layering, subcommands, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -1229,3 +1230,174 @@ class TestNonUtf8Input:
         argv = [paths.get(a, a) for a in NON_UTF8_ARGV[loader]]
         assert main(argv) == 2
         assert f"error: {bad}: not valid UTF-8" in capsys.readouterr().err
+
+
+class _FullDisk:
+    """A file opened for writing whose disk fills up once ``room`` more
+    bytes (characters, in text mode) are written: the write that would pass
+    that point writes what fits and raises ENOSPC."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(data[:self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestOneWriter:
+    """Every stage writes its ``--out`` through one writer: a disk that
+    fills up partway through leaves the file that was there, or none, and
+    no temporary file, and the stage exits 2."""
+
+    STAGES = ["featurize", "gram", "train", "rerank"]
+
+    @staticmethod
+    def argv(stage, chain, corpora, out):
+        inputs = {
+            "featurize": ["--corpus", corpora[0]],
+            "gram": ["--examples", chain.train_examples],
+            "train": ["--gram", chain.gram, "--examples",
+                      chain.train_examples],
+            "rerank": ["--model", chain.model, "--train-examples",
+                       chain.train_examples, "--test-examples",
+                       chain.test_examples],
+        }[stage]
+        return [str(a) for a in [stage, *inputs, "--out", out]]
+
+    @pytest.mark.parametrize("older", [b"older", None], ids=["older", "none"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_full_disk_is_2_and_leaves_the_output_as_it_was(
+            self, stage, older, corpora, tmp_path, capsys, monkeypatch):
+        chain = run_chain(*corpora, tmp_path / "chain")
+        done = {"featurize": chain.train_examples, "gram": chain.gram,
+                "train": chain.model, "rerank": chain.predictions}[stage]
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir / "stage.out"
+        if older is not None:
+            out.write_bytes(older)
+        room = done.stat().st_size // 2
+        real_open = open
+
+        def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and isinstance(file, (str, os.PathLike)) and \
+                    Path(file).parent == outdir:
+                return _FullDisk(fh, room)
+            return fh
+
+        monkeypatch.setattr("builtins.open", open_on_a_full_disk)
+        capsys.readouterr()
+        assert main(self.argv(stage, chain, corpora, out)) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == \
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        if older is None:
+            assert list(outdir.iterdir()) == []
+        else:
+            assert [p.name for p in outdir.iterdir()] == ["stage.out"]
+            assert out.read_bytes() == older
+        # the same stage with room to spare writes the chain's bytes
+        assert main(self.argv(stage, chain, corpora, out)) == 0
+        assert out.read_bytes() == done.read_bytes()
+        assert [p.name for p in outdir.iterdir()] == ["stage.out"]
+
+    def test_a_tree_that_is_not_text_leaves_no_file(self, tmp_path):
+        # the first example is written before the second is refused
+        examples = [Example("q1", f"c{k}", 1, k + 1, tree_first="(S x)",
+                            tree_second="(S y)") for k in range(2)]
+        examples[1].tree_second = SyntaxTree("S")
+        path = tmp_path / "examples.jsonl"
+        with pytest.raises(DataError, match=re.escape(
+                "example (q1, c1) holds a SyntaxTree tree, not bracketed "
+                "text")):
+            save_examples(path, examples)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutOfMemory:
+    """A stage that runs out of memory exits 2 with one ``error:`` line
+    naming it, and no traceback."""
+
+    @pytest.mark.parametrize("stage", ["featurize", "gram", "rerank"])
+    def test_a_native_call_that_returns_no_memory_is_2(
+            self, stage, corpora, tmp_path, capsys, monkeypatch):
+        chain = run_chain(*corpora, tmp_path / "chain")
+        # similarity (featurize) and kernel_row (gram and rerank, which
+        # compute no tree block here) return NO_MEMORY
+        engine = _native.Engine(
+            tree_block=None, kernel_row=lambda *args: -_native.NO_MEMORY,
+            smo_step=None, all_finite=None,
+            similarity=lambda *args: _native.NO_MEMORY)
+        monkeypatch.setattr(_native, "load", lambda: engine)
+        out = tmp_path / "stage.out"
+        capsys.readouterr()
+        assert main(TestOneWriter.argv(stage, chain, corpora, out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stage}: out of memory: the native engine ran out of "
+            f"memory\n")
+        assert not out.exists()
+
+    def test_a_memory_error_without_text(self, corpora, tmp_path, capsys,
+                                         monkeypatch):
+        chain = run_chain(*corpora, tmp_path / "chain")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("qrerank.svm.train_smo", no_memory)
+        capsys.readouterr()
+        assert main(TestOneWriter.argv("train", chain, corpora,
+                                       tmp_path / "m.txt")) == 2
+        assert capsys.readouterr().err == "error: train: out of memory\n"
+
+
+class TestFingerprintCheck:
+    """``train`` checks the Gram's kernel fingerprint and ``rerank`` the
+    model's, each against its own kernel config, by one check: a mismatch
+    warns, naming the file, or with ``rerank --strict`` exits 2."""
+
+    def test_train_warns_once_and_stamps_the_grams_fingerprint(
+            self, corpora, tmp_path, caplog):
+        chain = run_chain(*corpora, tmp_path)
+        gram, model = tmp_path / "other.gram", tmp_path / "other.txt"
+        assert main(["gram", "--examples", str(chain.train_examples),
+                     "--out", str(gram), "--gamma", "0.25"]) == 0
+        caplog.clear()
+        assert main(["train", "--gram", str(gram), "--examples",
+                     str(chain.train_examples), "--out", str(model)]) == 0
+        current = config_fingerprint(KernelConfig())
+        other = config_fingerprint(KernelConfig(gamma=0.25))
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"] == [
+            f"{gram}: kernel fingerprint {other[:12]}… does not match the "
+            f"current kernel config {current[:12]}…"]
+        assert load_model(model).kernel_fingerprint == other
+
+    def test_rerank_warns_without_strict(self, corpora, tmp_path, caplog):
+        chain = run_chain(*corpora, tmp_path)
+        out = tmp_path / "p.tsv"
+        caplog.clear()
+        assert main(["rerank", "--model", str(chain.model),
+                     "--train-examples", str(chain.train_examples),
+                     "--test-examples", str(chain.test_examples),
+                     "--out", str(out), "--gamma", "0.25"]) == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{chain.model}: kernel fingerprint ")
+        assert out.exists()

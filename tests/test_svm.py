@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from qrerank import _native, svm
+from qrerank.config import KernelConfig
 from qrerank.errors import DataError, NumericalError
+from qrerank.kernels import check_fingerprint, config_fingerprint
 from qrerank.svm import (
     TrainConfig,
     TrainedModel,
@@ -313,22 +315,31 @@ class TestModelFile:
         with pytest.raises(DataError, match="not a model file"):
             load_model(path)
 
+    # the model's fingerprint, "abc123", is not that of any kernel config:
+    # load_model returns it as stored, and check_fingerprint compares it
     def test_fingerprint_mismatch_strict(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "model.txt"
         save_model(path, model)
-        with pytest.raises(DataError, match="fingerprint"):
-            load_model(path, expected_fingerprint="different", strict=True)
+        loaded = load_model(path)
+        current = config_fingerprint(KernelConfig())[:12]
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: kernel fingerprint abc123… does not match the "
+                f"current kernel config {current}…")):
+            check_fingerprint(path, loaded.kernel_fingerprint, KernelConfig(),
+                              strict=True)
 
     def test_fingerprint_mismatch_warns(self, tmp_path, caplog):
         model = self.make_model()
         path = tmp_path / "model.txt"
         save_model(path, model)
         with caplog.at_level("WARNING"):
-            loaded = load_model(path, expected_fingerprint="different",
-                                strict=False)
+            loaded = load_model(path)
+            check_fingerprint(path, loaded.kernel_fingerprint, KernelConfig())
         assert loaded.bias == model.bias
-        assert any("fingerprint" in r.message for r in caplog.records)
+        assert [r.getMessage().partition(" does not")[0]
+                for r in caplog.records] == [
+            f"{path}: kernel fingerprint abc123…"]
 
     @pytest.mark.parametrize("field,message", [
         ("dual_coefs", "dual_coefs must be finite"),
